@@ -9,7 +9,11 @@ for all x, y in the domain and lam in [0, 1]; s-concavity reverses the
 inequality.  s = 1 recovers ordinary convexity/concavity.  Certification
 here is a dense grid check (default 33 points per axis, ~36k triples),
 not a proof: it is the gatekeeper the bound evaluators and the sweep use
-for their hypotheses.
+for their hypotheses.  It runs in two steps: :func:`cert_grid` evaluates a
+channel once at the grid nodes and their combinations, and
+:func:`grid_verdict` compares that grid against the s-weighted endpoint
+values for one s and direction.  The sweep evaluates one grid per channel
+and reuses it across all its s values and both directions.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it and never use
@@ -35,6 +39,9 @@ __all__ = [
     "TestFunction",
     "Witness",
     "CertificationResult",
+    "CertGrid",
+    "cert_grid",
+    "grid_verdict",
     "certify_s_convex",
     "certify_s_concave",
     "builtin_catalog",
@@ -130,17 +137,29 @@ def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
                           dtype=float).reshape(arr.shape)
 
 
-def _certify(fn, domain: Interval, s: float, grid_n: int, slack: float,
-             concave: bool) -> CertificationResult:
-    s = _check_s(s)
+@dataclass(frozen=True)
+class CertGrid:
+    """One channel evaluated on the certification grid.
+
+    ``fx[i]`` is fn(xs[i]) and ``f_mix[i, j, k]`` is
+    fn(lam[k]*xs[i] + (1-lam[k])*xs[j]); neither depends on s or on the
+    direction, so one grid serves every :func:`grid_verdict` on it.
+    """
+
+    xs: np.ndarray
+    lam: np.ndarray
+    fx: np.ndarray
+    f_mix: np.ndarray
+
+
+def cert_grid(fn, domain: Interval, grid_n: int = DEFAULT_GRID_N) -> CertGrid:
+    """Evaluate ``fn`` on the grid_n^3 certification grid over ``domain``."""
     if domain.a < 0.0:
         raise DomainError(
             f"s-convexity is defined on [0, inf); domain starts at {domain.a}")
     grid_n = int(grid_n)
     if grid_n < 3:
         raise DomainError(f"grid_n must be >= 3, got {grid_n}")
-    if slack < 0.0:
-        raise DomainError(f"slack must be >= 0, got {slack}")
 
     xs = np.linspace(domain.a, domain.b, grid_n)
     lam = np.linspace(0.0, 1.0, grid_n)
@@ -148,16 +167,29 @@ def _certify(fn, domain: Interval, s: float, grid_n: int, slack: float,
     if not np.all(np.isfinite(fx)):
         bad = xs[~np.isfinite(fx)][0]
         raise IntegrandError(f"function non-finite at grid node t={bad!r}")
-
-    X = xs[:, None, None]
-    Y = xs[None, :, None]
     L = lam[None, None, :]
-    mix = L * X + (1.0 - L) * Y
+    mix = L * xs[:, None, None] + (1.0 - L) * xs[None, :, None]
     f_mix = _eval_grid(fn, mix)
     if not np.all(np.isfinite(f_mix)):
         raise IntegrandError("function non-finite at an interior grid combination")
-    combo = (L ** s) * fx[:, None, None] + ((1.0 - L) ** s) * fx[None, :, None]
+    return CertGrid(xs=xs, lam=lam, fx=fx, f_mix=f_mix)
 
+
+def _check_verdict_args(s: float, slack: float) -> float:
+    s = _check_s(s)
+    if slack < 0.0:
+        raise DomainError(f"slack must be >= 0, got {slack}")
+    return s
+
+
+def grid_verdict(grid: CertGrid, s: float, slack: float = DEFAULT_SLACK,
+                 concave: bool = False) -> CertificationResult:
+    """Check s-convexity (or s-concavity) in the second sense on ``grid``."""
+    s = _check_verdict_args(s, slack)
+    L = grid.lam[None, None, :]
+    combo = ((L ** s) * grid.fx[:, None, None]
+             + ((1.0 - L) ** s) * grid.fx[None, :, None])
+    f_mix = grid.f_mix
     if concave:
         violation = f_mix < combo - slack
     else:
@@ -170,10 +202,18 @@ def _certify(fn, domain: Interval, s: float, grid_n: int, slack: float,
     i, j, k = np.unravel_index(int(np.argmax(violation)), violation.shape)
     return CertificationResult(
         passed=False,
-        witness=Witness(x=float(xs[i]), y=float(xs[j]), lam=float(lam[k]),
-                        lhs=float(f_mix[i, j, k]), rhs=float(combo[i, j, k])),
+        witness=Witness(x=float(grid.xs[i]), y=float(grid.xs[j]),
+                        lam=float(grid.lam[k]), lhs=float(f_mix[i, j, k]),
+                        rhs=float(combo[i, j, k])),
         checked=checked,
     )
+
+
+def _certify(fn, domain: Interval, s: float, grid_n: int, slack: float,
+             concave: bool) -> CertificationResult:
+    # reject bad s/slack before paying for the grid
+    _check_verdict_args(s, slack)
+    return grid_verdict(cert_grid(fn, domain, grid_n), s, slack, concave)
 
 
 def certify_s_convex(fn, domain: Interval, s: float,
@@ -309,7 +349,8 @@ def catalog_names() -> list[str]:
     return [tf.name for tf in builtin_catalog()]
 
 
-_PARAM_NAME = re.compile(r"^(s_power|root_power|shifted_square)_([0-9.]+)$")
+_PARAM_NAME = re.compile(
+    r"^(s_power|root_power|shifted_square)_([0-9]+(?:\.[0-9]*)?|\.[0-9]+)$")
 
 
 def get_function(name: str) -> TestFunction:

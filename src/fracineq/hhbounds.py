@@ -62,6 +62,10 @@ __all__ = [
     "classical_power_mean_bound",
     "classical_concave_bound",
     "weight_integral_report",
+    "weight_int_power",
+    "weight_int_beta",
+    "weight_int_plain",
+    "holder_kernel_bound",
     "HOLDER_VALID_ALPHA_MAX",
 ]
 
@@ -428,52 +432,74 @@ class WeightIntegralReport:
         return all(e.holds for e in self.entries if e.in_validated_range)
 
 
-def weight_integral_report(alpha: float, s: float, p: float,
-                           tol: float = 1e-9,
-                           quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralReport:
-    """Verify the closed forms of the bound-weight integrals by quadrature.
+_UNIT = Interval(0.0, 1.0)
 
-    Identities (any alpha > 0):
-      int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))
-      int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)
-      int_0^1 t^s dt = 1/(s+1)
-    Inequality (validated for alpha <= 1, measured elsewhere):
-      int_0^1 t^p (1 - t^alpha)^p dt <= beta(p+1, alpha p + 1)
-    """
+
+def _weight_identity(check_id: str, integrand, closed: float, tol: float,
+                     quad_tol: float) -> WeightIntegralEntry:
+    quad_val = integrate(integrand, _UNIT, abs_tol=quad_tol).value
+    diff = abs(quad_val - closed)
+    return WeightIntegralEntry(
+        check_id=check_id, lhs=quad_val, rhs=closed, margin=-diff,
+        holds=diff <= tol, in_validated_range=True)
+
+
+def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
+                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
+    """int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))."""
     alpha = _check_alpha(alpha)
     s = _check_s(s)
+    return _weight_identity(
+        "weight_int_power", lambda t: t ** (s + 1.0) * (1.0 - t ** alpha),
+        alpha / ((s + 2.0) * (alpha + s + 2.0)), tol, quad_tol)
+
+
+def weight_int_beta(alpha: float, s: float, tol: float = 1e-9,
+                    quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
+    """int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)."""
+    alpha = _check_alpha(alpha)
+    s = _check_s(s)
+    return _weight_identity(
+        "weight_int_beta", lambda t: t * (1.0 - t ** alpha) * (1.0 - t) ** s,
+        beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0), tol, quad_tol)
+
+
+def weight_int_plain(s: float, tol: float = 1e-9,
+                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
+    """int_0^1 t^s dt = 1/(s+1)."""
+    s = _check_s(s)
+    return _weight_identity("weight_int_plain", lambda t: t ** s,
+                            1.0 / (s + 1.0), tol, quad_tol)
+
+
+def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,
+                        quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
+    """int_0^1 t^p (1 - t^alpha)^p dt <= beta(p+1, alpha p + 1), validated
+    for alpha <= 1 and measured elsewhere."""
+    alpha = _check_alpha(alpha)
     p = float(p)
     if p <= 1.0:
         raise DomainError(f"p must be > 1, got {p}")
-    unit = Interval(0.0, 1.0)
-
-    entries = []
-
-    def identity(check_id: str, quad_val: float, closed: float):
-        diff = abs(quad_val - closed)
-        entries.append(WeightIntegralEntry(
-            check_id=check_id, lhs=quad_val, rhs=closed, margin=-diff,
-            holds=diff <= tol, in_validated_range=True))
-
-    q1 = integrate(lambda t: t ** (s + 1.0) * (1.0 - t ** alpha), unit,
-                   abs_tol=quad_tol).value
-    identity("weight_int_power", q1, alpha / ((s + 2.0) * (alpha + s + 2.0)))
-
-    q2 = integrate(lambda t: t * (1.0 - t ** alpha) * (1.0 - t) ** s, unit,
-                   abs_tol=quad_tol).value
-    identity("weight_int_beta", q2,
-             beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
-
-    q3 = integrate(lambda t: t ** s, unit, abs_tol=quad_tol).value
-    identity("weight_int_plain", q3, 1.0 / (s + 1.0))
-
-    q4 = integrate(lambda t: t ** p * (1.0 - t ** alpha) ** p, unit,
-                   abs_tol=quad_tol).value
+    lhs = integrate(lambda t: t ** p * (1.0 - t ** alpha) ** p, _UNIT,
+                    abs_tol=quad_tol).value
     bound = beta(p + 1.0, alpha * p + 1.0)
-    margin = bound - q4
-    entries.append(WeightIntegralEntry(
-        check_id="holder_kernel_bound", lhs=q4, rhs=bound, margin=margin,
+    margin = bound - lhs
+    return WeightIntegralEntry(
+        check_id="holder_kernel_bound", lhs=lhs, rhs=bound, margin=margin,
         holds=margin >= -tol,
-        in_validated_range=alpha <= HOLDER_VALID_ALPHA_MAX))
+        in_validated_range=alpha <= HOLDER_VALID_ALPHA_MAX)
 
-    return WeightIntegralReport(alpha=alpha, s=s, p=p, entries=tuple(entries))
+
+def weight_integral_report(alpha: float, s: float, p: float,
+                           tol: float = 1e-9,
+                           quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralReport:
+    """Verify the closed forms of all four bound-weight integrals by
+    quadrature: the identities :func:`weight_int_power`,
+    :func:`weight_int_beta` and :func:`weight_int_plain` (any alpha > 0)
+    and the inequality :func:`holder_kernel_bound`."""
+    entries = (weight_int_power(alpha, s, tol, quad_tol),
+               weight_int_beta(alpha, s, tol, quad_tol),
+               weight_int_plain(s, tol, quad_tol),
+               holder_kernel_bound(alpha, p, tol, quad_tol))
+    return WeightIntegralReport(alpha=float(alpha), s=float(s), p=float(p),
+                                entries=entries)

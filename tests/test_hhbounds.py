@@ -204,6 +204,30 @@ def test_kernel_bound_flips_outside_unit_alpha():
     assert not e_out.holds   # measured violation, reported not asserted
 
 
+@pytest.mark.parametrize("alpha, s, p", [(0.25, 0.5, 2.0), (1.0, 1.0, 1.5),
+                                          (2.5, 0.25, 3.0), (3.0, 0.75, 5.0)])
+def test_weight_report_composes_entry_builders(alpha, s, p):
+    from fracineq.hhbounds import (
+        holder_kernel_bound,
+        weight_int_beta,
+        weight_int_plain,
+        weight_int_power,
+    )
+
+    rep = weight_integral_report(alpha, s, p)
+    singles = (weight_int_power(alpha, s), weight_int_beta(alpha, s),
+               weight_int_plain(s), holder_kernel_bound(alpha, p))
+    assert [e.check_id for e in rep.entries] == [
+        "weight_int_power", "weight_int_beta", "weight_int_plain",
+        "holder_kernel_bound"]
+    for got, want in zip(rep.entries, singles):
+        assert (got.check_id, got.lhs, got.rhs, got.margin, got.holds,
+                got.in_validated_range) == (
+            want.check_id, want.lhs, want.rhs, want.margin, want.holds,
+            want.in_validated_range)
+    assert rep.entries[3].in_validated_range == (alpha <= 1.0)
+
+
 def test_concavity_midpoint_step():
     # mean over the chord of a certified concave channel never beats the
     # midpoint value: int_0^1 g(ta+(1-t)b) dt <= 2^(s-1) g(mid) at s = 1

@@ -4,11 +4,28 @@ import json
 import math
 import subprocess
 import sys
+import zlib
 
+import numpy as np
 import pytest
 
-from fracineq import ConfigError, parse_config_text, render_report, run_sweep
-from fracineq.sweep import CSV_HEADER, SweepConfig, SweepReport, SweepRow
+from fracineq import (
+    ConfigError,
+    certify_s_concave,
+    certify_s_convex,
+    get_function,
+    parse_config_text,
+    render_report,
+    run_sweep,
+)
+from fracineq.sweep import (
+    _PROBE_COUNT,
+    CSV_HEADER,
+    SweepConfig,
+    SweepReport,
+    SweepRow,
+    _Certifier,
+)
 from fracineq.quadrature import Interval
 
 GOOD_CONFIG = """\
@@ -79,6 +96,13 @@ def test_config_validation_errors(mutation, field):
     with pytest.raises(ConfigError) as exc_info:
         parse_config_text(text)
     assert exc_info.value.field == field
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_slack_rejected(value):
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config_text(GOOD_CONFIG.replace("slack = 1e-8", f"slack = {value}"))
+    assert exc_info.value.field == "slack"
 
 
 def test_unknown_key_rejected():
@@ -255,6 +279,24 @@ def test_cli_exit_two_on_config_error(tmp_path):
     assert "alphas" in proc.stderr
 
 
+def test_cli_exit_two_on_non_finite_slack(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CONFIG.replace("slack = 1e-8", "slack = nan"))
+    proc = run_cli("sweep", "--config", str(bad))
+    assert proc.returncode == 2
+    assert "slack" in proc.stderr
+
+
+def test_cli_exit_two_on_malformed_parameterised_name(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CONFIG.replace("functions = square linear",
+                                       "functions = s_power_1.2.3"))
+    proc = run_cli("sweep", "--config", str(bad))
+    assert proc.returncode == 2
+    assert "functions" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_env_quad_tol_override(config_file, tmp_path):
     # an out-of-contract override proves the env var is read and validated
     proc = run_cli("sweep", "--config", str(config_file),
@@ -282,3 +324,89 @@ def test_cli_certify_pass_and_fail():
     assert bad.returncode == 1 and bad.stdout.startswith("FAIL")
     unknown = run_cli("certify", "--function", "nope", "--s", "1")
     assert unknown.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# shared certification grids
+
+
+README_CONFIG = """\
+functions = square cube s_power_0.5
+intervals = 0,1 0,2 1,3
+alphas    = 0.25 0.5 0.75 1 1.5 2 3
+s_values  = 0.25 0.5 0.75 1
+p_values  = 1.5 2 3 5
+q_values  = 1 2 3
+"""
+
+
+def readme_channels():
+    """Every channel the README config certifies: (name, fn, interval)."""
+    cfg = parse_config_text(README_CONFIG)
+    q_values = sorted({*cfg.q_values, *(p / (p - 1.0) for p in cfg.p_values)})
+    assert q_values == [1.0, 1.25, 1.5, 2.0, 3.0]
+    for name in cfg.functions:
+        f = get_function(name)
+        for iv in cfg.intervals:
+            yield f"{name} f {iv}", f.fn, iv
+            yield f"{name} |f''| {iv}", (lambda t, f=f: np.abs(f.d2(t))), iv
+            for q in q_values:
+                yield (f"{name} |f''|^{q:g} {iv}",
+                       (lambda t, f=f, q=q: np.abs(f.d2(t)) ** q), iv)
+
+
+def test_shared_grid_verdicts_match_standalone_certifiers():
+    s_values = parse_config_text(README_CONFIG).s_values
+    certifier = _Certifier(seed=0, s_values=s_values)
+    channels = list(readme_channels())
+    assert len(channels) == 63
+    for label, fn, iv in channels:
+        verdicts = certifier._grid_verdicts(fn, iv)
+        for s in s_values:
+            assert verdicts[(s, False)] == certify_s_convex(fn, iv, s).passed, (
+                label, s, "convex")
+            assert verdicts[(s, True)] == certify_s_concave(fn, iv, s).passed, (
+                label, s, "concave")
+
+
+def test_probes_match_scalar_loop():
+    # reference: the probe loop with one scalar call per point
+    def probes_ok_loop(seed, fn, domain, s, concave, key):
+        rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(key.encode())])
+        x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
+        y = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
+        lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
+        fx = np.asarray([fn(float(v)) for v in x], dtype=float)
+        fy = np.asarray([fn(float(v)) for v in y], dtype=float)
+        fm = np.asarray([fn(float(lam[i] * x[i] + (1.0 - lam[i]) * y[i]))
+                         for i in range(_PROBE_COUNT)], dtype=float)
+        combo = lam ** s * fx + (1.0 - lam) ** s * fy
+        if concave:
+            return bool(np.all(fm >= combo - 1e-12))
+        return bool(np.all(fm <= combo + 1e-12))
+
+    seed = 7
+    certifier = _Certifier(seed=seed, s_values=(0.25, 1.0))
+    for label, fn, iv in readme_channels():
+        for s in (0.25, 1.0):
+            for concave in (False, True):
+                key = repr((label, s, concave))
+                assert (certifier._probes_ok(fn, iv, s, concave, key)
+                        == probes_ok_loop(seed, fn, iv, s, concave, key)), key
+
+
+def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
+    import fracineq.sweep as sweep_mod
+
+    built = []
+    real = sweep_mod.cert_grid
+
+    def counting_cert_grid(fn, domain, *args, **kwargs):
+        built.append((domain.a, domain.b))
+        return real(fn, domain, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "cert_grid", counting_cert_grid)
+    report = run_sweep(parse_config_text(README_CONFIG))
+    # 3 functions x 3 intervals x (f, |f''|, |f''|^q for 5 distinct q)
+    assert len(built) == 63
+    assert len(report.rows) == 3283
