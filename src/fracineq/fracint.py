@@ -12,12 +12,14 @@ kernel power is never reconstructed from a cancelling subtraction); for
 alpha >= 1 the kernel is bounded and no tag is needed.
 
 Orders alpha = 0 are rejected: the identity-operator convention
-J^0 f = f is documented but not implemented as an order value.
+J^0 f = f is documented but not implemented as an order value.  Orders
+above :data:`ALPHA_MAX` are rejected too: there Gamma(alpha + 1), the
+normalisation of the trapezoid defect, overflows a double.
+:func:`check_alpha` is the one validator of the order for the package.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from .errors import DomainError
@@ -31,9 +33,12 @@ from .quadrature import (
 )
 from .specfun import gamma
 
-__all__ = ["left_rl", "right_rl", "Interval"]
+__all__ = ["left_rl", "right_rl", "check_alpha", "ALPHA_MAX", "Interval"]
 
 DEFAULT_ABS_TOL = 1e-10
+# The largest alpha for which specfun.gamma(alpha + 1) is finite;
+# gamma(nextafter(ALPHA_MAX, inf) + 1) overflows.
+ALPHA_MAX = 170.6243769563027
 
 
 def _engine_tol(tol: float) -> float:
@@ -52,17 +57,20 @@ def _value_fn(f) -> Callable[[float], float]:
     raise DomainError(f"f must be callable or carry a .fn channel, got {type(f)!r}")
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
+    """Return alpha as a float if 0 < alpha <= ALPHA_MAX, else raise
+    :class:`DomainError`."""
     alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"fractional order alpha must be finite and > 0, got {alpha}")
+    if not 0.0 < alpha <= ALPHA_MAX:
+        raise DomainError(f"fractional order alpha must lie in (0, {ALPHA_MAX}]"
+                          f" (Gamma(alpha+1) overflows above), got {alpha}")
     return alpha
 
 
 def left_rl(f, alpha: float, a: float, x: float,
             abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """J_{a+}^alpha f(x) for x > a, to absolute tolerance ``abs_tol``."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if not x > a:
         raise DomainError(f"left operator requires x > a, got a={a}, x={x}")
     fv = _value_fn(f)
@@ -87,7 +95,7 @@ def left_rl(f, alpha: float, a: float, x: float,
 def right_rl(f, alpha: float, b: float, x: float,
              abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """J_{b-}^alpha f(x) for x < b, to absolute tolerance ``abs_tol``."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if not x < b:
         raise DomainError(f"right operator requires x < b, got b={b}, x={x}")
     fv = _value_fn(f)

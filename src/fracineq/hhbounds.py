@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .fracint import left_rl, right_rl
+from .fracint import check_alpha, left_rl, right_rl
 from .funclib import (
     DEFAULT_GRID_N,
     DEFAULT_SLACK,
@@ -81,13 +81,6 @@ def _engine_tol(tol: float) -> float:
     return min(MAX_ABS_TOL, max(MIN_ABS_TOL, tol))
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be finite and > 0, got {alpha}")
-    return alpha
-
-
 def _check_s(s: float) -> float:
     s = float(s)
     if not (0.0 < s <= 1.0):
@@ -110,7 +103,7 @@ class BoundParams:
     q: float | None = None
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        check_alpha(self.alpha)
         _check_s(self.s)
         if self.p is not None:
             p = float(self.p)
@@ -179,7 +172,7 @@ def _require(result, what: str):
 def trapezoid_defect(f, interval: Interval, alpha: float,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> DefectResult:
     """Compute the trapezoid defect; |total error| <= quad_tol."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     a, b = interval.a, interval.b
     fv = f.fn if isinstance(f, TestFunction) else f
     fa, fb = float(fv(a)), float(fv(b))
@@ -197,7 +190,7 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
 def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
                         quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Weighted curvature integral equal to the trapezoid defect."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     a, b = interval.a, interval.b
     d2 = f.d2
     coeff = (b - a) ** 2 / (2.0 * (alpha + 1.0))
@@ -214,16 +207,21 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
 def s_convex_sandwich(f, interval: Interval, s: float,
                       quad_tol: float = DEFAULT_QUAD_TOL,
                       grid_n: int = DEFAULT_GRID_N,
-                      slack: float = DEFAULT_SLACK) -> SandwichResult:
+                      slack: float = DEFAULT_SLACK,
+                      certify: bool = True) -> SandwichResult:
     """Sandwich 2^(s-1) f(mid) <= mean(f) <= (f(a)+f(b))/(s+1).
 
     Requires f >= 0 and s-convex (certified on the interval); the interval
-    must start at a >= 0.
+    must start at a >= 0.  ``certify=False`` skips the s-convexity check
+    for callers that have already certified f themselves; nonnegativity
+    is always checked.
     """
     s = _check_s(s)
     fv = f.fn if isinstance(f, TestFunction) else f
-    cert = certify_s_convex(fv, interval, s, grid_n=grid_n, slack=slack)
-    _require(cert, f"f is not s-convex at s={s} on [{interval.a}, {interval.b}]")
+    if certify:
+        cert = certify_s_convex(fv, interval, s, grid_n=grid_n, slack=slack)
+        _require(cert,
+                 f"f is not s-convex at s={s} on [{interval.a}, {interval.b}]")
     grid = np.linspace(interval.a, interval.b, grid_n)
     vals = np.asarray([fv(float(t)) for t in grid], dtype=float)
     if vals.min() < -slack:
@@ -258,7 +256,7 @@ def defect_bound_s_convex(f: TestFunction, interval: Interval, alpha: float,
     ``certify=False`` skips the hypothesis check for callers that have
     already certified the channel themselves.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     s = _check_s(s)
     if certify:
         cert = certify_s_convex(_d2_abs(f), interval, s, grid_n=grid_n,
@@ -303,7 +301,7 @@ def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
                             slack: float = DEFAULT_SLACK,
                             certify: bool = True) -> float:
     """Power-mean-route bound when |f''|^q is s-convex, q >= 1 (any alpha)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     s = _check_s(s)
     q = float(q)
     if q < 1.0:
@@ -356,7 +354,7 @@ def classical_convex_bound(f: TestFunction, interval: Interval,
     Note: its weight coefficient beta(2, alpha+1) agrees with the s = 1
     weight bracket alpha/(2(alpha+2)) only at alpha = 1.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     a, b = interval.a, interval.b
     second = 0.5 * (abs(float(f.d2(a))) + abs(float(f.d2(b))))
     return (b - a) ** 2 / (alpha + 1.0) * beta(2.0, alpha + 1.0) * second
@@ -365,7 +363,7 @@ def classical_convex_bound(f: TestFunction, interval: Interval,
 def classical_holder_bound(f: TestFunction, interval: Interval, alpha: float,
                            p: float) -> float:
     """Baseline Hoelder bound for convex |f''|^q, q = p/(p-1)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     p = float(p)
     if p <= 1.0:
         raise DomainError(f"p must be > 1, got {p}")
@@ -380,7 +378,7 @@ def classical_holder_bound(f: TestFunction, interval: Interval, alpha: float,
 def classical_power_mean_bound(f: TestFunction, interval: Interval,
                                alpha: float, q: float) -> float:
     """Baseline power-mean bound for convex |f''|^q, q >= 1."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     q = float(q)
     if q < 1.0:
         raise DomainError(f"q must be >= 1, got {q}")
@@ -397,7 +395,7 @@ def classical_power_mean_bound(f: TestFunction, interval: Interval,
 def classical_concave_bound(f: TestFunction, interval: Interval, alpha: float,
                             p: float) -> float:
     """Baseline midpoint bound for concave |f''|^q, q = p/(p-1)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     p = float(p)
     if p <= 1.0:
         raise DomainError(f"p must be > 1, got {p}")
@@ -447,7 +445,7 @@ def _weight_identity(check_id: str, integrand, closed: float, tol: float,
 def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     s = _check_s(s)
     return _weight_identity(
         "weight_int_power", lambda t: t ** (s + 1.0) * (1.0 - t ** alpha),
@@ -457,7 +455,7 @@ def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
 def weight_int_beta(alpha: float, s: float, tol: float = 1e-9,
                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     s = _check_s(s)
     return _weight_identity(
         "weight_int_beta", lambda t: t * (1.0 - t ** alpha) * (1.0 - t) ** s,
@@ -476,7 +474,7 @@ def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,
                         quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^p (1 - t^alpha)^p dt <= beta(p+1, alpha p + 1), validated
     for alpha <= 1 and measured elsewhere."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     p = float(p)
     if p <= 1.0:
         raise DomainError(f"p must be > 1, got {p}")

@@ -28,7 +28,9 @@ Certification per row combines the deterministic grid certifier with a
 seeded batch of random probe triples (config ``seed``), so reported
 hypothesis checks do not depend silently on grid alignment.  Each channel
 (function, |f''| or |f''|^q on one interval) is evaluated on the grid once,
-and that grid decides every s value and both directions.
+and that grid decides every s value and both directions.  Likewise the
+trapezoid defect of each (function, interval, alpha) is computed once and
+shared by its identity row and all its bound rows.
 """
 
 from __future__ import annotations
@@ -47,9 +49,11 @@ from .errors import (
     AccuracyError,
     ConfigError,
     DomainError,
+    FracineqError,
     IntegrandError,
     PreconditionError,
 )
+from .fracint import check_alpha
 # certify_s_convex is not called here; bench/test_bench.py checks that the
 # layer tracer patches it in this module's namespace
 from .funclib import (  # noqa: F401
@@ -241,8 +245,10 @@ def validate_config(config: SweepConfig) -> None:
             raise ConfigError(f"intervals[{i}]",
                               f"s-convexity work requires a >= 0, got a={iv.a}")
     for i, a in enumerate(config.alphas):
-        if not (math.isfinite(a) and a > 0.0):
-            raise ConfigError(f"alphas[{i}]", f"must be finite and > 0, got {a}")
+        try:
+            check_alpha(a)
+        except DomainError as exc:
+            raise ConfigError(f"alphas[{i}]", str(exc)) from exc
     for i, s in enumerate(config.s_values):
         if not (0.0 < s <= 1.0):
             raise ConfigError(f"s_values[{i}]", f"must lie in (0, 1], got {s}")
@@ -336,17 +342,23 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     quad_tol = config.quad_tol
     rows: list[SweepRow] = []
 
-    defect_cache: dict[tuple, float | None] = {}
+    # signed defect per (function, interval, alpha), or the error that
+    # stopped its computation; filled by whichever row asks first
+    defects: dict[tuple, float | FracineqError] = {}
 
-    def defect_abs(f: TestFunction, iv: Interval, alpha: float) -> float | None:
+    def defect(f: TestFunction, iv: Interval, alpha: float) -> float:
         key = (f.name, iv.a, iv.b, alpha)
-        if key not in defect_cache:
+        if key not in defects:
             try:
-                defect_cache[key] = abs(trapezoid_defect(f, iv, alpha,
-                                                         quad_tol=quad_tol).lhs)
-            except AccuracyError:
-                defect_cache[key] = None
-        return defect_cache[key]
+                defects[key] = trapezoid_defect(f, iv, alpha,
+                                                quad_tol=quad_tol).lhs
+            except (AccuracyError, IntegrandError) as exc:
+                defects[key] = exc
+        outcome = defects[key]
+        if isinstance(outcome, FracineqError):
+            # a fresh traceback each time, so re-raising does not chain them
+            raise outcome.with_traceback(None)
+        return outcome
 
     def d2_evaluatable(f: TestFunction, iv: Interval) -> bool:
         # the identity requires an integrable second derivative; an endpoint
@@ -364,7 +376,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
                             status=STATUS_SKIPPED)
         try:
-            lhs = trapezoid_defect(f, iv, alpha, quad_tol=quad_tol).lhs
+            lhs = defect(f, iv, alpha)
             rhs = defect_identity_rhs(f, iv, alpha, quad_tol=quad_tol)
         except AccuracyError:
             return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
@@ -386,11 +398,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         if not certified:
             return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
                             status=STATUS_SKIPPED)
-        lhs = defect_abs(f, iv, alpha)
-        if lhs is None:
-            return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
-                            status=STATUS_FAIL)
+        lhs = None
         try:
+            lhs = abs(defect(f, iv, alpha))
             rhs = compute()
         except AccuracyError:
             return SweepRow(**base, lhs=lhs, rhs=None, slack_measured=None,
@@ -427,7 +437,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 sw = None
                 if certified:
                     try:
-                        sw = s_convex_sandwich(f, iv, s, quad_tol=quad_tol)
+                        sw = s_convex_sandwich(f, iv, s, quad_tol=quad_tol,
+                                               certify=False)
                     except (PreconditionError, AccuracyError):
                         sw = None
                 if sw is None:

@@ -1,8 +1,18 @@
 """Riemann-Liouville operators: closed forms, reductions, symmetry."""
 
+import math
+
 import pytest
 
-from fracineq import DomainError, Interval, gamma, integrate, left_rl, right_rl
+from fracineq import (
+    DomainError,
+    Interval,
+    gamma,
+    integrate,
+    left_rl,
+    right_rl,
+    trapezoid_defect,
+)
 from fracineq.funclib import builtin_catalog
 
 # J_{0+}^{1/2} 1 (1) = 1/Gamma(1.5); frozen from the closed form
@@ -85,3 +95,20 @@ def test_accepts_test_function_objects():
     sq = builtin_catalog()[2]
     assert sq.name == "square"
     assert left_rl(sq, 1.0, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+def test_alpha_limit_is_the_edge_of_gammas_range():
+    from fracineq.fracint import ALPHA_MAX, check_alpha
+
+    assert math.isfinite(gamma(ALPHA_MAX + 1.0))
+    beyond = math.nextafter(ALPHA_MAX, math.inf)
+    with pytest.raises(OverflowError):
+        gamma(beyond + 1.0)
+    assert check_alpha(ALPHA_MAX) == ALPHA_MAX
+    for alpha in (beyond, 171.0, 200.0, 1000.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            check_alpha(alpha)
+        with pytest.raises(DomainError):
+            left_rl(lambda t: t, alpha, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            trapezoid_defect(lambda t: t, Interval(0.0, 1.0), alpha)

@@ -5,18 +5,23 @@ import math
 import subprocess
 import sys
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fracineq import (
+    AccuracyError,
     ConfigError,
+    IntegrandError,
+    PreconditionError,
     certify_s_concave,
     certify_s_convex,
     get_function,
     parse_config_text,
     render_report,
     run_sweep,
+    s_convex_sandwich,
 )
 from fracineq.sweep import (
     _PROBE_COUNT,
@@ -396,17 +401,142 @@ def test_probes_match_scalar_loop():
 
 
 def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
+    import fracineq.funclib as funclib_mod
     import fracineq.sweep as sweep_mod
 
+    config = parse_config_text(README_CONFIG)
     built = []
-    real = sweep_mod.cert_grid
+    real = funclib_mod.cert_grid
 
     def counting_cert_grid(fn, domain, *args, **kwargs):
         built.append((domain.a, domain.b))
         return real(fn, domain, *args, **kwargs)
 
+    # the sweep's own grids, and any a certify_* call would build
     monkeypatch.setattr(sweep_mod, "cert_grid", counting_cert_grid)
-    report = run_sweep(parse_config_text(README_CONFIG))
+    monkeypatch.setattr(funclib_mod, "cert_grid", counting_cert_grid)
+    report = run_sweep(config)
     # 3 functions x 3 intervals x (f, |f''|, |f''|^q for 5 distinct q)
     assert len(built) == 63
     assert len(report.rows) == 3283
+
+
+def test_sandwich_certifies_f_unless_told_not_to():
+    # sqrt is nonnegative but not convex (s = 1) on [0, 1]
+    root = get_function("root_power_0.5")
+    iv = Interval(0.0, 1.0)
+    with pytest.raises(PreconditionError):
+        s_convex_sandwich(root, iv, 1.0)
+    sw = s_convex_sandwich(root, iv, 1.0, certify=False)
+    assert sw.mean == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# shared trapezoid defects
+
+
+def test_readme_sweep_computes_each_defect_once(monkeypatch):
+    import fracineq.sweep as sweep_mod
+
+    config = parse_config_text(README_CONFIG)
+    computed = Counter()
+    real = sweep_mod.trapezoid_defect
+
+    def counting_defect(f, iv, alpha, *args, **kwargs):
+        computed[(f.name, iv.a, iv.b, alpha)] += 1
+        return real(f, iv, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "trapezoid_defect", counting_defect)
+    report = run_sweep(config)
+    # 3 functions x 3 intervals x 7 alphas, each computed exactly once
+    assert len(computed) == 63
+    assert set(computed.values()) == {1}
+
+    def fresh_lhs(row):
+        return real(get_function(row.function), Interval(row.a, row.b),
+                    row.alpha, quad_tol=config.quad_tol).lhs
+
+    identity = [r for r in report.rows
+                if r.check_id == "identity" and r.lhs is not None]
+    assert identity
+    for r in identity:
+        assert r.lhs == fresh_lhs(r)
+    bounds = [r for r in report.rows
+              if r.check_id.startswith("bound_") and r.lhs is not None]
+    assert bounds
+    for r in bounds:
+        assert r.lhs == abs(fresh_lhs(r))
+
+
+@pytest.mark.parametrize("error, identity_status, bound_status", [
+    (lambda: IntegrandError("f'' is not integrable"),
+     "precondition_skipped", "precondition_skipped"),
+    (lambda: AccuracyError("budget exhausted", 0.0, 1.0, 0),
+     "fail", "fail"),
+], ids=["integrand_error", "accuracy_error"])
+def test_failed_defect_is_shared_by_identity_and_bound_rows(
+        monkeypatch, error, identity_status, bound_status):
+    import fracineq.sweep as sweep_mod
+
+    attempts = Counter()
+
+    def failing_defect(f, iv, alpha, *args, **kwargs):
+        attempts[(f.name, iv.a, iv.b, alpha)] += 1
+        raise error()
+
+    monkeypatch.setattr(sweep_mod, "trapezoid_defect", failing_defect)
+    cfg = small_config()
+    report = run_sweep(cfg)
+    assert len(report.rows) == expected_row_count(cfg)
+    # 2 functions x 1 interval x 2 alphas, each attempted once
+    assert len(attempts) == 4 and set(attempts.values()) == {1}
+    identity = [r for r in report.rows if r.check_id == "identity"]
+    assert len(identity) == 4
+    assert all(r.status == identity_status and r.lhs is None
+               for r in identity)
+    # |f''| of square is the constant 2: every bound hypothesis certifies
+    bounds = [r for r in report.rows if r.check_id.startswith("bound_")
+              and r.function == "square"]
+    assert bounds
+    assert all(r.status == bound_status and r.lhs is None for r in bounds)
+
+
+# ---------------------------------------------------------------------------
+# fractional orders beyond Gamma's range
+
+
+@pytest.mark.parametrize("alpha", ["171", "200", "1000"])
+def test_cli_check_identity_rejects_alpha_beyond_gamma_range(alpha):
+    proc = run_cli("check-identity", "--function", "square",
+                   "--interval", "0,1", "--alpha", alpha)
+    assert proc.returncode == 2
+    assert "alpha" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_check_identity_computes_alpha_170():
+    proc = run_cli("check-identity", "--function", "square",
+                   "--interval", "0,1", "--alpha", "170")
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
+
+
+def test_config_rejects_alpha_beyond_gamma_range():
+    text = GOOD_CONFIG.replace("alphas = 0.5 1", "alphas = 0.5 200")
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config_text(text)
+    assert exc_info.value.field == "alphas[1]"
+
+
+def test_cli_sweep_rejects_alpha_beyond_gamma_range(config_file, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CONFIG.replace("alphas = 0.5 1", "alphas = 200"))
+    proc = run_cli("sweep", "--config", str(bad))
+    assert proc.returncode == 2
+    assert "alphas[0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    override = run_cli("sweep", "--config", str(config_file),
+                       "--alpha", "1", "--alpha", "171")
+    assert override.returncode == 2
+    assert "alphas[1]" in override.stderr
+    assert "Traceback" not in override.stderr
