@@ -12,14 +12,13 @@ kernel power is never reconstructed from a cancelling subtraction); for
 alpha >= 1 the kernel is bounded and no tag is needed.
 
 Orders alpha = 0 are rejected: the identity-operator convention
-J^0 f = f is documented but not implemented as an order value.  Orders
-above :data:`ALPHA_MAX` are rejected too: there Gamma(alpha + 1), the
-normalisation of the trapezoid defect, overflows a double.
+J^0 f = f is documented but not implemented as an order value.
 :func:`check_alpha` is the one validator of the order for the package.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import DomainError
@@ -33,12 +32,9 @@ from .quadrature import (
 )
 from .specfun import gamma
 
-__all__ = ["left_rl", "right_rl", "check_alpha", "ALPHA_MAX", "Interval"]
+__all__ = ["left_rl", "right_rl", "check_alpha", "Interval"]
 
 DEFAULT_ABS_TOL = 1e-10
-# The largest alpha for which specfun.gamma(alpha + 1) is finite;
-# gamma(nextafter(ALPHA_MAX, inf) + 1) overflows.
-ALPHA_MAX = 170.6243769563027
 
 
 def _engine_tol(tol: float) -> float:
@@ -58,12 +54,11 @@ def _value_fn(f) -> Callable[[float], float]:
 
 
 def check_alpha(alpha: float) -> float:
-    """Return alpha as a float if 0 < alpha <= ALPHA_MAX, else raise
+    """Return alpha as a float if it is finite and > 0, else raise
     :class:`DomainError`."""
     alpha = float(alpha)
-    if not 0.0 < alpha <= ALPHA_MAX:
-        raise DomainError(f"fractional order alpha must lie in (0, {ALPHA_MAX}]"
-                          f" (Gamma(alpha+1) overflows above), got {alpha}")
+    if not math.isfinite(alpha) or alpha <= 0.0:
+        raise DomainError(f"fractional order alpha must be finite and > 0, got {alpha}")
     return alpha
 
 

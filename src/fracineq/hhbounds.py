@@ -51,6 +51,7 @@ __all__ = [
     "WeightIntegralEntry",
     "WeightIntegralReport",
     "trapezoid_defect",
+    "defect_coefficient",
     "defect_identity_rhs",
     "s_convex_sandwich",
     "defect_bound_s_convex",
@@ -67,6 +68,7 @@ __all__ = [
     "weight_int_plain",
     "holder_kernel_bound",
     "HOLDER_VALID_ALPHA_MAX",
+    "ALPHA_MAX",
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
@@ -74,6 +76,10 @@ DEFAULT_INEQ_SLACK = 1e-8
 # The kernel comparison 1 - t^alpha <= (1 - t)^alpha holds iff alpha <= 1;
 # the Hoelder/concave bounds are only claimed on that range.
 HOLDER_VALID_ALPHA_MAX = 1.0
+# The largest alpha for which specfun.gamma(alpha + 1), the normalisation
+# of the trapezoid defect, is finite; gamma(nextafter(ALPHA_MAX, inf) + 1)
+# overflows.
+ALPHA_MAX = 170.6243769563027
 
 
 def _engine_tol(tol: float) -> float:
@@ -169,14 +175,38 @@ def _require(result, what: str):
             witness=result.witness)
 
 
+def defect_coefficient(interval: Interval, alpha: float) -> float:
+    """Gamma(alpha+1) / (2 (b-a)^alpha), the normalisation of the trapezoid
+    defect.
+
+    Raises :class:`DomainError` when alpha exceeds :data:`ALPHA_MAX` or
+    when (b-a)^alpha or the coefficient leaves the range of positive
+    finite doubles (alpha = 170 on [0, 100], alpha = 162 on [0, 0.01]).
+    """
+    alpha = check_alpha(alpha)
+    if alpha > ALPHA_MAX:
+        raise DomainError(f"fractional order alpha must be <= {ALPHA_MAX}, "
+                          f"where Gamma(alpha+1) overflows, got {alpha}")
+    a, b = interval.a, interval.b
+    try:
+        scale = (b - a) ** alpha
+    except OverflowError:
+        scale = math.inf
+    coeff = gamma(alpha + 1.0) / (2.0 * scale) if scale > 0.0 else math.inf
+    if not 0.0 < coeff < math.inf:
+        raise DomainError(f"Gamma(alpha+1)/(2(b-a)^alpha) is outside the "
+                          f"double range for alpha={alpha} on [{a}, {b}]")
+    return coeff
+
+
 def trapezoid_defect(f, interval: Interval, alpha: float,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> DefectResult:
     """Compute the trapezoid defect; |total error| <= quad_tol."""
     alpha = check_alpha(alpha)
+    coeff = defect_coefficient(interval, alpha)
     a, b = interval.a, interval.b
     fv = f.fn if isinstance(f, TestFunction) else f
     fa, fb = float(fv(a)), float(fv(b))
-    coeff = gamma(alpha + 1.0) / (2.0 * (b - a) ** alpha)
     # split the error budget between the two operator calls
     rl_tol = _engine_tol(quad_tol / (2.0 * coeff))
     left = left_rl(fv, alpha, a, b, abs_tol=rl_tol)
@@ -207,21 +237,16 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
 def s_convex_sandwich(f, interval: Interval, s: float,
                       quad_tol: float = DEFAULT_QUAD_TOL,
                       grid_n: int = DEFAULT_GRID_N,
-                      slack: float = DEFAULT_SLACK,
-                      certify: bool = True) -> SandwichResult:
+                      slack: float = DEFAULT_SLACK) -> SandwichResult:
     """Sandwich 2^(s-1) f(mid) <= mean(f) <= (f(a)+f(b))/(s+1).
 
     Requires f >= 0 and s-convex (certified on the interval); the interval
-    must start at a >= 0.  ``certify=False`` skips the s-convexity check
-    for callers that have already certified f themselves; nonnegativity
-    is always checked.
+    must start at a >= 0.
     """
     s = _check_s(s)
     fv = f.fn if isinstance(f, TestFunction) else f
-    if certify:
-        cert = certify_s_convex(fv, interval, s, grid_n=grid_n, slack=slack)
-        _require(cert,
-                 f"f is not s-convex at s={s} on [{interval.a}, {interval.b}]")
+    cert = certify_s_convex(fv, interval, s, grid_n=grid_n, slack=slack)
+    _require(cert, f"f is not s-convex at s={s} on [{interval.a}, {interval.b}]")
     grid = np.linspace(interval.a, interval.b, grid_n)
     vals = np.asarray([fv(float(t)) for t in grid], dtype=float)
     if vals.min() < -slack:

@@ -53,7 +53,6 @@ from .errors import (
     IntegrandError,
     PreconditionError,
 )
-from .fracint import check_alpha
 # certify_s_convex is not called here; bench/test_bench.py checks that the
 # layer tracer patches it in this module's namespace
 from .funclib import (  # noqa: F401
@@ -72,6 +71,7 @@ from .hhbounds import (
     defect_bound_power_mean,
     defect_bound_s_concave,
     defect_bound_s_convex,
+    defect_coefficient,
     defect_identity_rhs,
     holder_kernel_bound,
     s_convex_sandwich,
@@ -246,7 +246,9 @@ def validate_config(config: SweepConfig) -> None:
                               f"s-convexity work requires a >= 0, got a={iv.a}")
     for i, a in enumerate(config.alphas):
         try:
-            check_alpha(a)
+            # each defect's normalisation must be a finite double
+            for iv in config.intervals:
+                defect_coefficient(iv, a)
         except DomainError as exc:
             raise ConfigError(f"alphas[{i}]", str(exc)) from exc
     for i, s in enumerate(config.s_values):
@@ -437,8 +439,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 sw = None
                 if certified:
                     try:
-                        sw = s_convex_sandwich(f, iv, s, quad_tol=quad_tol,
-                                               certify=False)
+                        sw = s_convex_sandwich(f, iv, s, quad_tol=quad_tol)
                     except (PreconditionError, AccuracyError):
                         sw = None
                 if sw is None:

@@ -11,6 +11,7 @@ from fracineq import (
     PreconditionError,
     TestFunction,
     classical_concave_bound,
+    classical_convex_bound,
     classical_holder_bound,
     classical_power_mean_bound,
     defect_bound_holder,
@@ -275,3 +276,56 @@ def test_bound_params_validation():
         BoundParams(alpha=1.0, s=1.0, q=0.5)
     with pytest.raises(DomainError):
         defect_bound_holder(SQUARE, UNIT, BoundParams(1.0, 1.0, q=2.0))
+
+
+def test_alpha_max_is_the_edge_of_gammas_range():
+    from fracineq.hhbounds import ALPHA_MAX, defect_coefficient
+
+    assert math.isfinite(gamma(ALPHA_MAX + 1.0))
+    beyond = math.nextafter(ALPHA_MAX, math.inf)
+    with pytest.raises(OverflowError):
+        gamma(beyond + 1.0)
+    assert math.isfinite(defect_coefficient(UNIT, ALPHA_MAX))
+    for alpha in (beyond, 171.0, 200.0, 1000.0):
+        with pytest.raises(DomainError):
+            defect_coefficient(UNIT, alpha)
+        with pytest.raises(DomainError):
+            trapezoid_defect(SQUARE, UNIT, alpha)
+
+
+@pytest.mark.parametrize("b, alpha", [(100.0, 170.0), (0.01, 162.0),
+                                      (0.5, 170.0)],
+                         ids=["power_overflows", "power_underflows",
+                              "coefficient_overflows"])
+def test_defect_rejects_normalisation_outside_double_range(b, alpha):
+    from fracineq.hhbounds import defect_coefficient
+
+    iv = Interval(0.0, b)
+    with pytest.raises(DomainError):
+        defect_coefficient(iv, alpha)
+    with pytest.raises(DomainError):
+        trapezoid_defect(SQUARE, iv, alpha)
+
+
+def test_defect_coefficient_is_the_defects_normalisation():
+    from fracineq.hhbounds import defect_coefficient
+
+    iv = Interval(0.0, 10.0)
+    assert defect_coefficient(iv, 170.0) == gamma(171.0) / (2.0 * 10.0 ** 170.0)
+    d = trapezoid_defect(SQUARE, iv, 170.0)
+    assert d.lhs == pytest.approx(defect_identity_rhs(SQUARE, iv, 170.0),
+                                  abs=1e-8)
+
+
+def test_orders_above_alpha_max_still_compute_where_gamma_is_not_formed():
+    from fracineq.hhbounds import weight_int_beta, weight_int_power
+
+    assert weight_int_power(200.0, 0.5).holds
+    assert weight_int_beta(200.0, 0.5).holds
+    assert BoundParams(alpha=200.0, s=1.0).alpha == 200.0
+    rhs = defect_identity_rhs(SQUARE, UNIT, 200.0)
+    # (b-a)^2/(alpha+1) int_0^1 2t(1-t^alpha) dt for f'' = 2
+    assert rhs == pytest.approx(200.0 / (201.0 * 202.0), abs=1e-10)
+    assert defect_bound_s_convex(SQUARE, UNIT, 200.0, 1.0) == pytest.approx(
+        rhs, abs=1e-10)
+    assert math.isfinite(classical_convex_bound(SQUARE, UNIT, 200.0))

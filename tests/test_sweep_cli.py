@@ -14,14 +14,12 @@ from fracineq import (
     AccuracyError,
     ConfigError,
     IntegrandError,
-    PreconditionError,
     certify_s_concave,
     certify_s_convex,
     get_function,
     parse_config_text,
     render_report,
     run_sweep,
-    s_convex_sandwich,
 )
 from fracineq.sweep import (
     _PROBE_COUNT,
@@ -401,34 +399,20 @@ def test_probes_match_scalar_loop():
 
 
 def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
-    import fracineq.funclib as funclib_mod
     import fracineq.sweep as sweep_mod
 
-    config = parse_config_text(README_CONFIG)
     built = []
-    real = funclib_mod.cert_grid
+    real = sweep_mod.cert_grid
 
     def counting_cert_grid(fn, domain, *args, **kwargs):
         built.append((domain.a, domain.b))
         return real(fn, domain, *args, **kwargs)
 
-    # the sweep's own grids, and any a certify_* call would build
     monkeypatch.setattr(sweep_mod, "cert_grid", counting_cert_grid)
-    monkeypatch.setattr(funclib_mod, "cert_grid", counting_cert_grid)
-    report = run_sweep(config)
+    report = run_sweep(parse_config_text(README_CONFIG))
     # 3 functions x 3 intervals x (f, |f''|, |f''|^q for 5 distinct q)
     assert len(built) == 63
     assert len(report.rows) == 3283
-
-
-def test_sandwich_certifies_f_unless_told_not_to():
-    # sqrt is nonnegative but not convex (s = 1) on [0, 1]
-    root = get_function("root_power_0.5")
-    iv = Interval(0.0, 1.0)
-    with pytest.raises(PreconditionError):
-        s_convex_sandwich(root, iv, 1.0)
-    sw = s_convex_sandwich(root, iv, 1.0, certify=False)
-    assert sw.mean == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +486,19 @@ def test_failed_defect_is_shared_by_identity_and_bound_rows(
 
 
 # ---------------------------------------------------------------------------
-# fractional orders beyond Gamma's range
+# defect normalisations beyond the double range
 
 
-@pytest.mark.parametrize("alpha", ["171", "200", "1000"])
-def test_cli_check_identity_rejects_alpha_beyond_gamma_range(alpha):
+# Gamma(alpha+1) overflows above 170.62; (b-a)^alpha overflows on [0,100]
+# and underflows to 0 on [0,0.01]
+@pytest.mark.parametrize("interval, alpha", [
+    ("0,1", "171"), ("0,1", "200"), ("0,1", "1000"),
+    ("0,100", "170"), ("0,0.01", "162"),
+])
+def test_cli_check_identity_rejects_normalisation_out_of_range(interval,
+                                                               alpha):
     proc = run_cli("check-identity", "--function", "square",
-                   "--interval", "0,1", "--alpha", alpha)
+                   "--interval", interval, "--alpha", alpha)
     assert proc.returncode == 2
     assert "alpha" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -521,11 +511,18 @@ def test_cli_check_identity_computes_alpha_170():
     assert "PASS" in proc.stdout
 
 
-def test_config_rejects_alpha_beyond_gamma_range():
-    text = GOOD_CONFIG.replace("alphas = 0.5 1", "alphas = 0.5 200")
+@pytest.mark.parametrize("alphas, intervals, field", [
+    ("0.5 200", "0,1", "alphas[1]"),
+    ("170 0.5", "0,1 0,100", "alphas[0]"),
+    ("0.5 162", "0,1 0,0.01", "alphas[1]"),
+], ids=["gamma_overflow", "width_power_overflow", "width_power_underflow"])
+def test_config_rejects_defect_normalisation_out_of_range(alphas, intervals,
+                                                          field):
+    text = (GOOD_CONFIG.replace("alphas = 0.5 1", f"alphas = {alphas}")
+            .replace("intervals = 0,1", f"intervals = {intervals}"))
     with pytest.raises(ConfigError) as exc_info:
         parse_config_text(text)
-    assert exc_info.value.field == "alphas[1]"
+    assert exc_info.value.field == field
 
 
 def test_cli_sweep_rejects_alpha_beyond_gamma_range(config_file, tmp_path):
@@ -540,3 +537,8 @@ def test_cli_sweep_rejects_alpha_beyond_gamma_range(config_file, tmp_path):
     assert override.returncode == 2
     assert "alphas[1]" in override.stderr
     assert "Traceback" not in override.stderr
+    wide = run_cli("sweep", "--config", str(config_file),
+                   "--interval", "0,100", "--alpha", "170")
+    assert wide.returncode == 2
+    assert "alphas[0]" in wide.stderr
+    assert "Traceback" not in wide.stderr
