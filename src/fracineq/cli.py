@@ -23,7 +23,7 @@ from .errors import ConfigError, DomainError, FracineqError
 from .funclib import certify_declared, get_function
 from .hhbounds import defect_identity_rhs, trapezoid_defect
 from .quadrature import Interval
-from .sweep import load_config, render_report, run_sweep, validate_config
+from .sweep import load_config, render_report, run_sweep
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,9 +72,7 @@ def _apply_env_quad_tol(config):
     except ValueError as exc:
         raise ConfigError("quad_tol",
                           f"FRACINEQ_QUAD_TOL is not a number: {raw!r}") from exc
-    config = replace(config, quad_tol=tol)
-    validate_config(config)
-    return config
+    return replace(config, quad_tol=tol)
 
 
 def _cmd_sweep(args) -> int:
@@ -88,11 +86,8 @@ def _cmd_sweep(args) -> int:
         overrides["functions"] = tuple(args.function)
     if args.format:
         overrides["output_format"] = args.format
-    if overrides:
-        config = replace(config, **overrides)
-        validate_config(config)
-    config = _apply_env_quad_tol(config)
-
+    config = _apply_env_quad_tol(replace(config, **overrides))
+    # run_sweep validates the config with every override applied
     report = run_sweep(config)
     data = render_report(report, config.output_format)
     if args.out:

@@ -23,11 +23,10 @@ from typing import Callable
 
 from .errors import DomainError
 from .quadrature import (
-    MAX_ABS_TOL,
-    MIN_ABS_TOL,
     EndpointSingularity,
     Integrand,
     Interval,
+    _engine_tol,
     integrate,
 )
 from .specfun import gamma
@@ -35,12 +34,6 @@ from .specfun import gamma
 __all__ = ["left_rl", "right_rl", "check_alpha", "Interval"]
 
 DEFAULT_ABS_TOL = 1e-10
-
-
-def _engine_tol(tol: float) -> float:
-    # derived tolerances (abs_tol scaled by Gamma(alpha)) are clamped into
-    # the engine's contract range; accuracy degrades gracefully at the ends
-    return min(MAX_ABS_TOL, max(MIN_ABS_TOL, tol))
 
 
 def _value_fn(f) -> Callable[[float], float]:
@@ -62,51 +55,51 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def left_rl(f, alpha: float, a: float, x: float,
-            abs_tol: float = DEFAULT_ABS_TOL) -> float:
-    """J_{a+}^alpha f(x) for x > a, to absolute tolerance ``abs_tol``."""
+def _rl(f, alpha: float, lo: float, hi: float, side: str,
+        abs_tol: float) -> float:
+    """(1/Gamma(alpha)) int_lo^hi |x - t|^(alpha-1) f(t) dt, where x is the
+    ``side`` end of [lo, hi]: ``hi`` for the left operator, ``lo`` for the
+    right one."""
     alpha = check_alpha(alpha)
-    if not x > a:
-        raise DomainError(f"left operator requires x > a, got a={a}, x={x}")
     fv = _value_fn(f)
-    g = gamma(alpha)
+    try:
+        g = gamma(alpha)
+    except OverflowError as exc:
+        raise DomainError(f"fractional order alpha={alpha} is beyond the range "
+                          "where Gamma(alpha) is a finite double") from exc
+    x, sign = (hi, 1.0) if side == "right" else (lo, -1.0)
+
+    def kernel_f(t: float) -> float:
+        # sign * (x - t) is the distance |x - t|, exactly
+        return (sign * (x - t)) ** (alpha - 1.0) * fv(t)
 
     if alpha == 1.0:
         integrand = Integrand(fn=fv)
     elif alpha < 1.0:
         integrand = Integrand(
-            fn=lambda t: (x - t) ** (alpha - 1.0) * fv(t),
+            fn=kernel_f,
             singularity=EndpointSingularity(
-                side="right", exponent=alpha - 1.0,
+                side=side, exponent=alpha - 1.0,
                 regular_part=lambda t, d: fv(t)),
         )
     else:
-        integrand = Integrand(fn=lambda t: (x - t) ** (alpha - 1.0) * fv(t))
+        integrand = Integrand(fn=kernel_f)
 
-    res = integrate(integrand, Interval(a, x), abs_tol=_engine_tol(abs_tol * g))
+    res = integrate(integrand, Interval(lo, hi), abs_tol=_engine_tol(abs_tol * g))
     return res.value / g
+
+
+def left_rl(f, alpha: float, a: float, x: float,
+            abs_tol: float = DEFAULT_ABS_TOL) -> float:
+    """J_{a+}^alpha f(x) for x > a, to absolute tolerance ``abs_tol``."""
+    if not x > a:
+        raise DomainError(f"left operator requires x > a, got a={a}, x={x}")
+    return _rl(f, alpha, a, x, "right", abs_tol)
 
 
 def right_rl(f, alpha: float, b: float, x: float,
              abs_tol: float = DEFAULT_ABS_TOL) -> float:
     """J_{b-}^alpha f(x) for x < b, to absolute tolerance ``abs_tol``."""
-    alpha = check_alpha(alpha)
     if not x < b:
         raise DomainError(f"right operator requires x < b, got b={b}, x={x}")
-    fv = _value_fn(f)
-    g = gamma(alpha)
-
-    if alpha == 1.0:
-        integrand = Integrand(fn=fv)
-    elif alpha < 1.0:
-        integrand = Integrand(
-            fn=lambda t: (t - x) ** (alpha - 1.0) * fv(t),
-            singularity=EndpointSingularity(
-                side="left", exponent=alpha - 1.0,
-                regular_part=lambda t, d: fv(t)),
-        )
-    else:
-        integrand = Integrand(fn=lambda t: (t - x) ** (alpha - 1.0) * fv(t))
-
-    res = integrate(integrand, Interval(x, b), abs_tol=_engine_tol(abs_tol * g))
-    return res.value / g
+    return _rl(f, alpha, x, b, "left", abs_tol)

@@ -50,7 +50,7 @@ __all__ = [
     "s_power",
     "root_power",
     "shifted_square",
-    "second_derivative_fd",
+    "abs_d2",
 ]
 
 DEFAULT_GRID_N = 33
@@ -244,9 +244,12 @@ def certify_declared(f: TestFunction, s: float | None = None,
     return certify_s_concave(f.fn, f.natural_domain, s, grid_n, slack)
 
 
-def second_derivative_fd(fn, t: float, h: float = 1e-4) -> float:
-    """Central-difference second derivative, used only by consistency tests."""
-    return (fn(t + h) - 2.0 * fn(t) + fn(t - h)) / (h * h)
+def abs_d2(f: TestFunction, q: float | None = None):
+    """The hypothesis channel |f''| of ``f``, or |f''|^q when q is given."""
+    d2 = f.d2
+    if q is None:
+        return lambda t: np.abs(d2(t))
+    return lambda t: np.abs(d2(t)) ** q
 
 
 # ---------------------------------------------------------------------------

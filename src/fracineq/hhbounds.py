@@ -38,10 +38,12 @@ from .funclib import (
     DEFAULT_GRID_N,
     DEFAULT_SLACK,
     TestFunction,
+    _check_s,
+    abs_d2,
     certify_s_concave,
     certify_s_convex,
 )
-from .quadrature import MAX_ABS_TOL, MIN_ABS_TOL, Interval, integrate
+from .quadrature import Interval, _engine_tol, integrate
 from .specfun import beta, gamma, log_beta
 
 __all__ = [
@@ -72,7 +74,6 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_INEQ_SLACK = 1e-8
 # The kernel comparison 1 - t^alpha <= (1 - t)^alpha holds iff alpha <= 1;
 # the Hoelder/concave bounds are only claimed on that range.
 HOLDER_VALID_ALPHA_MAX = 1.0
@@ -82,16 +83,18 @@ HOLDER_VALID_ALPHA_MAX = 1.0
 ALPHA_MAX = 170.6243769563027
 
 
-def _engine_tol(tol: float) -> float:
-    # keep derived tolerances inside the quadrature engine's contract range
-    return min(MAX_ABS_TOL, max(MIN_ABS_TOL, tol))
+def _check_p(p: float) -> float:
+    p = float(p)
+    if not (math.isfinite(p) and p > 1.0):
+        raise DomainError(f"p must be finite and > 1, got {p}")
+    return p
 
 
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not (0.0 < s <= 1.0):
-        raise DomainError(f"s must lie in (0, 1], got {s}")
-    return s
+def _check_q(q: float) -> float:
+    q = float(q)
+    if not (math.isfinite(q) and q >= 1.0):
+        raise DomainError(f"exponent q must be finite and >= 1, got {q}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,7 @@ class BoundParams:
         check_alpha(self.alpha)
         _check_s(self.s)
         if self.p is not None:
-            p = float(self.p)
-            if not (math.isfinite(p) and p > 1.0):
-                raise DomainError(f"p must be finite and > 1, got {p}")
+            p = _check_p(self.p)
             conj = p / (p - 1.0)
             if self.q is None:
                 object.__setattr__(self, "q", conj)
@@ -122,8 +123,7 @@ class BoundParams:
                 raise DomainError(
                     f"q={self.q} is not the Hoelder conjugate of p={p}")
         elif self.q is not None:
-            if not (math.isfinite(float(self.q)) and float(self.q) >= 1.0):
-                raise DomainError(f"power-mean exponent q must be >= 1, got {self.q}")
+            _check_q(self.q)
 
 
 @dataclass(frozen=True)
@@ -156,16 +156,6 @@ class SandwichResult:
     mean: float
     upper: float
     upper_classical: float
-
-
-def _d2_abs(f: TestFunction):
-    d2 = f.d2
-    return lambda t: np.abs(d2(t))
-
-
-def _d2_abs_pow(f: TestFunction, q: float):
-    d2 = f.d2
-    return lambda t: np.abs(d2(t)) ** q
 
 
 def _require(result, what: str):
@@ -284,7 +274,7 @@ def defect_bound_s_convex(f: TestFunction, interval: Interval, alpha: float,
     alpha = check_alpha(alpha)
     s = _check_s(s)
     if certify:
-        cert = certify_s_convex(_d2_abs(f), interval, s, grid_n=grid_n,
+        cert = certify_s_convex(abs_d2(f), interval, s, grid_n=grid_n,
                                 slack=slack)
         _require(cert,
                  f"|f''| is not s-convex at s={s} on [{interval.a}, {interval.b}]")
@@ -311,7 +301,7 @@ def defect_bound_holder(f: TestFunction, interval: Interval,
         raise DomainError("Hoelder bound requires p > 1 in params")
     alpha, s, p, q = params.alpha, params.s, params.p, params.q
     if certify:
-        cert = certify_s_convex(_d2_abs_pow(f, q), interval, s,
+        cert = certify_s_convex(abs_d2(f, q), interval, s,
                                 grid_n=grid_n, slack=slack)
         _require(cert, f"|f''|^q is not s-convex at s={s}, q={q:g}")
     a, b = interval.a, interval.b
@@ -328,11 +318,9 @@ def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
     """Power-mean-route bound when |f''|^q is s-convex, q >= 1 (any alpha)."""
     alpha = check_alpha(alpha)
     s = _check_s(s)
-    q = float(q)
-    if q < 1.0:
-        raise DomainError(f"power-mean exponent q must be >= 1, got {q}")
+    q = _check_q(q)
     if certify:
-        cert = certify_s_convex(_d2_abs_pow(f, q), interval, s,
+        cert = certify_s_convex(abs_d2(f, q), interval, s,
                                 grid_n=grid_n, slack=slack)
         _require(cert, f"|f''|^q is not s-convex at s={s}, q={q:g}")
     a, b = interval.a, interval.b
@@ -358,7 +346,7 @@ def defect_bound_s_concave(f: TestFunction, interval: Interval,
         raise DomainError("s-concave bound requires p > 1 in params")
     alpha, s, p, q = params.alpha, params.s, params.p, params.q
     if certify:
-        cert = certify_s_concave(_d2_abs_pow(f, q), interval, s,
+        cert = certify_s_concave(abs_d2(f, q), interval, s,
                                  grid_n=grid_n, slack=slack)
         _require(cert, f"|f''|^q is not s-concave at s={s}, q={q:g}")
     a, b = interval.a, interval.b
@@ -389,9 +377,7 @@ def classical_holder_bound(f: TestFunction, interval: Interval, alpha: float,
                            p: float) -> float:
     """Baseline Hoelder bound for convex |f''|^q, q = p/(p-1)."""
     alpha = check_alpha(alpha)
-    p = float(p)
-    if p <= 1.0:
-        raise DomainError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     q = p / (p - 1.0)
     a, b = interval.a, interval.b
     av = abs(float(f.d2(a))) ** q
@@ -404,9 +390,7 @@ def classical_power_mean_bound(f: TestFunction, interval: Interval,
                                alpha: float, q: float) -> float:
     """Baseline power-mean bound for convex |f''|^q, q >= 1."""
     alpha = check_alpha(alpha)
-    q = float(q)
-    if q < 1.0:
-        raise DomainError(f"q must be >= 1, got {q}")
+    q = _check_q(q)
     a, b = interval.a, interval.b
     av = abs(float(f.d2(a))) ** q
     bv = abs(float(f.d2(b))) ** q
@@ -421,9 +405,7 @@ def classical_concave_bound(f: TestFunction, interval: Interval, alpha: float,
                             p: float) -> float:
     """Baseline midpoint bound for concave |f''|^q, q = p/(p-1)."""
     alpha = check_alpha(alpha)
-    p = float(p)
-    if p <= 1.0:
-        raise DomainError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     a, b = interval.a, interval.b
     mid = abs(float(f.d2(0.5 * (a + b))))
     return (b - a) ** 2 / (alpha + 1.0) * _beta_root(p, alpha) * mid
@@ -500,9 +482,7 @@ def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,
     """int_0^1 t^p (1 - t^alpha)^p dt <= beta(p+1, alpha p + 1), validated
     for alpha <= 1 and measured elsewhere."""
     alpha = check_alpha(alpha)
-    p = float(p)
-    if p <= 1.0:
-        raise DomainError(f"p must be > 1, got {p}")
+    p = _check_p(p)
     lhs = integrate(lambda t: t ** p * (1.0 - t ** alpha) ** p, _UNIT,
                     abs_tol=quad_tol).value
     bound = beta(p + 1.0, alpha * p + 1.0)

@@ -55,6 +55,13 @@ MAX_ABS_TOL = 1e-2
 _ROUNDOFF = 50.0 * math.ulp(1.0)
 
 
+def _engine_tol(tol: float) -> float:
+    # derived tolerances (scaled by Gamma(alpha) or a defect coefficient) are
+    # clamped into the engine's contract range; accuracy degrades gracefully
+    # at the ends
+    return min(MAX_ABS_TOL, max(MIN_ABS_TOL, tol))
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [a, b] with a < b, both finite."""
@@ -83,9 +90,10 @@ class Interval:
         if len(parts) != 2:
             raise DomainError(f"interval must be 'a,b', got {text!r}")
         try:
-            return cls(float(parts[0]), float(parts[1]))
+            a, b = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise DomainError(f"interval must be numeric 'a,b', got {text!r}") from exc
+        return cls(a, b)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,19 @@ convexity hypothesis of the check does not certify for that tuple;
 ``out_of_validated_range`` for rows that are computed and recorded but not
 asserted -- the Hoelder-route and concave bounds at alpha > 1 (their
 kernel-comparison step is only valid on (0, 1]) and the classical /2
-upper-sandwich reading, which is recorded alongside the asserted 1/(s+1)
-reading so both remain observable in data.
+upper-sandwich reading where it does not hold; that reading is recorded
+alongside the asserted 1/(s+1) reading so both remain observable in data.
+
+The check table
+---------------
+:data:`BOUND_CHECKS` holds one entry per bound row of the README check
+table: the check id, the hypothesis channel the certifier checks (|f''| or
+|f''|^q, s-convex or s-concave), where q comes from (the Hoelder conjugate
+of each p, or ``q_values``), the evaluator, and the largest alpha at which
+the bound is asserted.  :func:`run_sweep` loops over that table for every
+(function, interval, alpha, s); the identity, sandwich and weight-integral
+rows are built beside it, and every row gets its status from one row
+builder.
 
 Certification per row combines the deterministic grid certifier with a
 seeded batch of random probe triples (config ``seed``), so reported
@@ -40,8 +51,10 @@ import io
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
+from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,8 +70,9 @@ from .errors import (
 # layer tracer patches it in this module's namespace
 from .funclib import (  # noqa: F401
     TestFunction,
+    _check_s,
     _eval_grid,
-    builtin_catalog,
+    abs_d2,
     cert_grid,
     certify_s_convex,
     get_function,
@@ -67,6 +81,8 @@ from .funclib import (  # noqa: F401
 from .hhbounds import (
     HOLDER_VALID_ALPHA_MAX,
     BoundParams,
+    _check_p,
+    _check_q,
     defect_bound_holder,
     defect_bound_power_mean,
     defect_bound_s_concave,
@@ -80,7 +96,7 @@ from .hhbounds import (
     weight_int_plain,
     weight_int_power,
 )
-from .quadrature import Interval
+from .quadrature import MAX_ABS_TOL, MIN_ABS_TOL, Interval
 
 __all__ = [
     "SweepConfig",
@@ -91,6 +107,7 @@ __all__ = [
     "run_sweep",
     "render_report",
     "CSV_HEADER",
+    "BOUND_CHECKS",
 ]
 
 CSV_HEADER = ["check_id", "function", "a", "b", "alpha", "s", "p", "q",
@@ -151,13 +168,14 @@ _LIST_KEYS = ("functions", "intervals", "alphas", "s_values", "p_values",
 _SCALAR_KEYS = ("slack", "quad_tol", "format", "seed")
 
 
-def _parse_floats(field_name: str, tokens: list[str]) -> tuple[float, ...]:
+def _convert(field_name: str, tokens: list[str], convert) -> tuple:
     out = []
     for tok in tokens:
         try:
-            out.append(float(tok))
+            out.append(convert(tok))
         except ValueError as exc:
-            raise ConfigError(field_name, f"not a number: {tok!r}") from exc
+            raise ConfigError(field_name, f"cannot read {tok!r} as "
+                              f"{convert.__name__}") from exc
     return tuple(out)
 
 
@@ -167,7 +185,8 @@ def parse_config_text(text: str) -> SweepConfig:
     One ``key = value ...`` per line; ``#`` starts a comment.  List values
     are whitespace-separated tokens; intervals are ``a,b`` tokens.  The six
     list keys are required and must be non-empty; ``slack``, ``quad_tol``,
-    ``format`` and ``seed`` are optional scalars.
+    ``format`` and ``seed`` are optional scalars.  Only the syntax is read
+    here; :func:`validate_config` checks the values.
     """
     raw: dict[str, list[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -178,49 +197,34 @@ def parse_config_text(text: str) -> SweepConfig:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _LIST_KEYS + _SCALAR_KEYS:
-            raise ConfigError(key, "unknown configuration key")
+            raise ConfigError(key or f"line {lineno}", "unknown configuration key")
         if key in raw:
             raise ConfigError(key, "duplicate key")
         raw[key] = value.split()
 
-    for key in _LIST_KEYS:
-        if key not in raw or not raw[key]:
-            raise ConfigError(key, "required non-empty list is missing or empty")
-
     intervals = []
-    for i, tok in enumerate(raw["intervals"]):
+    for i, tok in enumerate(raw.get("intervals", ())):
         try:
             intervals.append(Interval.parse(tok))
         except DomainError as exc:
             raise ConfigError(f"intervals[{i}]", str(exc)) from exc
 
-    def scalar(key: str, default: str) -> str:
+    def scalar(key: str, default: str, convert):
         vals = raw.get(key, [default])
         if len(vals) != 1:
             raise ConfigError(key, "expected a single value")
-        return vals[0]
-
-    try:
-        seed = int(scalar("seed", "0"))
-    except ValueError as exc:
-        raise ConfigError("seed", "must be an integer") from exc
-    try:
-        slack = float(scalar("slack", "1e-8"))
-        quad_tol = float(scalar("quad_tol", "1e-10"))
-    except ValueError as exc:
-        raise ConfigError("slack/quad_tol", "must be numbers") from exc
+        return _convert(key, vals, convert)[0]
 
     config = SweepConfig(
-        functions=tuple(raw["functions"]),
+        functions=tuple(raw.get("functions", ())),
         intervals=tuple(intervals),
-        alphas=_parse_floats("alphas", raw["alphas"]),
-        s_values=_parse_floats("s_values", raw["s_values"]),
-        p_values=_parse_floats("p_values", raw["p_values"]),
-        q_values=_parse_floats("q_values", raw["q_values"]),
-        slack=slack,
-        quad_tol=quad_tol,
-        output_format=scalar("format", "csv"),
-        seed=seed,
+        # alphas, s_values, p_values, q_values
+        **{key: _convert(key, raw.get(key, []), float)
+           for key in _LIST_KEYS[2:]},
+        slack=scalar("slack", "1e-8", float),
+        quad_tol=scalar("quad_tol", "1e-10", float),
+        output_format=scalar("format", "csv", str),
+        seed=scalar("seed", "0", int),
     )
     validate_config(config)
     return config
@@ -228,6 +232,16 @@ def parse_config_text(text: str) -> SweepConfig:
 
 def load_config(path: str | Path) -> SweepConfig:
     return parse_config_text(Path(path).read_text())
+
+
+def _check_each(field_name: str, values, check) -> None:
+    """Run ``check`` on every value; its DomainError becomes a ConfigError
+    naming ``field_name[i]``."""
+    for i, value in enumerate(values):
+        try:
+            check(value)
+        except DomainError as exc:
+            raise ConfigError(f"{field_name}[{i}]", str(exc)) from exc
 
 
 def validate_config(config: SweepConfig) -> None:
@@ -244,27 +258,17 @@ def validate_config(config: SweepConfig) -> None:
         if iv.a < 0.0:
             raise ConfigError(f"intervals[{i}]",
                               f"s-convexity work requires a >= 0, got a={iv.a}")
-    for i, a in enumerate(config.alphas):
-        try:
-            # each defect's normalisation must be a finite double
-            for iv in config.intervals:
-                defect_coefficient(iv, a)
-        except DomainError as exc:
-            raise ConfigError(f"alphas[{i}]", str(exc)) from exc
-    for i, s in enumerate(config.s_values):
-        if not (0.0 < s <= 1.0):
-            raise ConfigError(f"s_values[{i}]", f"must lie in (0, 1], got {s}")
-    for i, p in enumerate(config.p_values):
-        if not (math.isfinite(p) and p > 1.0):
-            raise ConfigError(f"p_values[{i}]", f"must be > 1, got {p}")
-    for i, q in enumerate(config.q_values):
-        if not (math.isfinite(q) and q >= 1.0):
-            raise ConfigError(f"q_values[{i}]", f"must be >= 1, got {q}")
+    # each defect's normalisation must be a finite double
+    _check_each("alphas", config.alphas, lambda alpha: [
+        defect_coefficient(iv, alpha) for iv in config.intervals])
+    _check_each("s_values", config.s_values, _check_s)
+    _check_each("p_values", config.p_values, _check_p)
+    _check_each("q_values", config.q_values, _check_q)
     if not (math.isfinite(config.slack) and config.slack >= 0.0):
         raise ConfigError("slack", f"must be finite and >= 0, got {config.slack}")
-    if not (1e-14 <= config.quad_tol <= 1e-2):
-        raise ConfigError("quad_tol",
-                          f"must lie in [1e-14, 1e-2], got {config.quad_tol}")
+    if not (MIN_ABS_TOL <= config.quad_tol <= MAX_ABS_TOL):
+        raise ConfigError("quad_tol", f"must lie in [{MIN_ABS_TOL}, "
+                          f"{MAX_ABS_TOL}], got {config.quad_tol}")
     if config.output_format not in ("csv", "json"):
         raise ConfigError("format", f"must be csv or json, got {config.output_format}")
     if not isinstance(config.seed, int):
@@ -313,11 +317,14 @@ class _Certifier:
             return bool(np.all(fm >= combo - 1e-12))
         return bool(np.all(fm <= combo + 1e-12))
 
-    def check(self, name: str, channel: str, fn, domain: Interval, s: float,
+    def check(self, f: TestFunction, channel: str, domain: Interval, s: float,
               q: float | None, concave: bool) -> bool:
-        key = (name, channel, domain.a, domain.b, s, q, concave)
+        """Certify ``channel`` of ``f`` on ``domain``: ``f`` itself, ``abs_d2``
+        (|f''|) or ``abs_d2_pow`` (|f''|^q)."""
+        key = (f.name, channel, domain.a, domain.b, s, q, concave)
         if key not in self.cache:
-            chan = (name, channel, domain.a, domain.b, q)
+            fn = f.fn if channel == "f" else abs_d2(f, q)
+            chan = (f.name, channel, domain.a, domain.b, q)
             if chan not in self.grid_ok:
                 self.grid_ok[chan] = self._grid_verdicts(fn, domain)
             ok = self.grid_ok[chan].get((s, concave), False)
@@ -325,6 +332,193 @@ class _Certifier:
                 ok = self._probes_ok(fn, domain, s, concave, key=repr(key))
             self.cache[key] = ok
         return self.cache[key]
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """One bound row of the README check table.
+
+    ``channel`` is the hypothesis the certifier checks, ``abs_d2`` (|f''|)
+    or ``abs_d2_pow`` (|f''|^q), s-concave when ``concave`` and s-convex
+    otherwise.  ``q_from`` says where q comes from: ``"conjugate"`` (q =
+    p/(p-1) for each configured p), ``"q_values"``, or None (no q).
+    ``evaluate(f, interval, params)`` computes the bound; rows with alpha
+    above ``alpha_max`` are computed but never asserted.
+    """
+
+    check_id: str
+    channel: str
+    q_from: str | None
+    concave: bool
+    evaluate: Callable[[TestFunction, Interval, BoundParams], float]
+    alpha_max: float = math.inf
+
+
+# The evaluators are looked up when a row is computed, not bound here, so
+# code that patches them in this module sees every call.
+BOUND_CHECKS = (
+    BoundCheck("bound_s_convex", "abs_d2", None, False,
+               lambda f, iv, bp: defect_bound_s_convex(f, iv, bp.alpha, bp.s,
+                                                       certify=False)),
+    BoundCheck("bound_holder", "abs_d2_pow", "conjugate", False,
+               lambda f, iv, bp: defect_bound_holder(f, iv, bp, certify=False),
+               alpha_max=HOLDER_VALID_ALPHA_MAX),
+    BoundCheck("bound_power_mean", "abs_d2_pow", "q_values", False,
+               lambda f, iv, bp: defect_bound_power_mean(
+                   f, iv, bp.alpha, bp.s, bp.q, certify=False)),
+    BoundCheck("bound_s_concave", "abs_d2_pow", "conjugate", True,
+               lambda f, iv, bp: defect_bound_s_concave(f, iv, bp,
+                                                        certify=False),
+               alpha_max=HOLDER_VALID_ALPHA_MAX),
+)
+
+
+class _Rule(NamedTuple):
+    """How a computed row is judged: identity rows compare |lhs - rhs| with
+    the slack, the others the margin rhs - lhs with -slack."""
+
+    identity: bool
+    if_holds: str
+    if_not: str
+
+
+_IDENTITY = _Rule(True, STATUS_PASS, STATUS_FAIL)
+_ASSERTED = _Rule(False, STATUS_PASS, STATUS_FAIL)
+# an alternative reading, recorded but never failed
+_OBSERVED = _Rule(False, STATUS_PASS, STATUS_OUT_OF_RANGE)
+# outside the validated range: recorded whether or not it holds
+_RECORDED = _Rule(False, STATUS_OUT_OF_RANGE, STATUS_OUT_OF_RANGE)
+
+# sandwich rows: check id, lhs and rhs fields of the SandwichResult, rule
+_SANDWICH_ROWS = (
+    ("sandwich_lower", "lower", "mean", _ASSERTED),
+    ("sandwich_upper", "mean", "upper", _ASSERTED),
+    ("sandwich_upper_classical", "mean", "upper_classical", _OBSERVED),
+)
+
+
+def _range_rule(alpha: float, alpha_max: float) -> _Rule:
+    return _ASSERTED if alpha <= alpha_max else _RECORDED
+
+
+def _d2_evaluatable(f: TestFunction, iv: Interval) -> bool:
+    # the identity requires an integrable second derivative; an endpoint
+    # where d2 blows up fails that hypothesis
+    try:
+        return all(math.isfinite(float(f.d2(t)))
+                   for t in (iv.a, iv.midpoint, iv.b))
+    except (ArithmeticError, ValueError, TypeError):
+        return False
+
+
+class _Sweep:
+    """What one sweep shares across its rows: the slack and quadrature
+    tolerance, the certifier, and the trapezoid defects."""
+
+    def __init__(self, config: SweepConfig):
+        self.slack = config.slack
+        self.quad_tol = config.quad_tol
+        self.certifier = _Certifier(config.seed, config.s_values)
+        # signed defect per (function, interval, alpha), or the error that
+        # stopped its computation; filled by whichever row asks first
+        self.defects: dict[tuple, float | FracineqError] = {}
+
+    def row(self, check_id: str, key: tuple, lhs=None, rhs=None,
+            rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
+        """Build a row; ``key`` is (function, a, b, alpha, s, p, q).
+
+        With ``status`` given (a skipped row, or one that failed before its
+        comparison) no margin is recorded; otherwise ``rule`` judges lhs
+        and rhs against the slack.
+        """
+        measured = None
+        if status is None:
+            if rule.identity:
+                measured = abs(lhs - rhs)
+                holds = measured <= self.slack
+            else:
+                measured = rhs - lhs
+                holds = measured >= -self.slack
+            status = rule.if_holds if holds else rule.if_not
+        return SweepRow(check_id, *key, lhs, rhs, measured, status)
+
+    def defect(self, f: TestFunction, iv: Interval, alpha: float) -> float:
+        key = (f.name, iv.a, iv.b, alpha)
+        if key not in self.defects:
+            try:
+                self.defects[key] = trapezoid_defect(
+                    f, iv, alpha, quad_tol=self.quad_tol).lhs
+            except (AccuracyError, IntegrandError) as exc:
+                self.defects[key] = exc
+        outcome = self.defects[key]
+        if isinstance(outcome, FracineqError):
+            # a fresh traceback each time, so re-raising does not chain them
+            raise outcome.with_traceback(None)
+        return outcome
+
+    def identity_row(self, f: TestFunction, iv: Interval,
+                     alpha: float) -> SweepRow:
+        key = (f.name, iv.a, iv.b, alpha, None, None, None)
+        if not _d2_evaluatable(f, iv):
+            return self.row("identity", key, status=STATUS_SKIPPED)
+        try:
+            lhs = self.defect(f, iv, alpha)
+            rhs = defect_identity_rhs(f, iv, alpha, quad_tol=self.quad_tol)
+        except AccuracyError:
+            return self.row("identity", key, status=STATUS_FAIL)
+        except IntegrandError:
+            # f'' not evaluatable/integrable on the interval: the identity's
+            # own hypothesis fails for this tuple
+            return self.row("identity", key, status=STATUS_SKIPPED)
+        return self.row("identity", key, lhs, rhs, _IDENTITY)
+
+    def bound_row(self, check: BoundCheck, f: TestFunction, iv: Interval,
+                  bp: BoundParams) -> SweepRow:
+        key = (f.name, iv.a, iv.b, bp.alpha, bp.s, bp.p, bp.q)
+        if not self.certifier.check(f, check.channel, iv, bp.s, bp.q,
+                                    check.concave):
+            return self.row(check.check_id, key, status=STATUS_SKIPPED)
+        try:
+            lhs = abs(self.defect(f, iv, bp.alpha))
+            rhs = check.evaluate(f, iv, bp)
+        except AccuracyError:
+            return self.row(check.check_id, key, status=STATUS_FAIL)
+        except (PreconditionError, IntegrandError):
+            return self.row(check.check_id, key, status=STATUS_SKIPPED)
+        return self.row(check.check_id, key, lhs, rhs,
+                        _range_rule(bp.alpha, check.alpha_max))
+
+    def sandwich_rows(self, f: TestFunction, iv: Interval,
+                      s: float) -> list[SweepRow]:
+        key = (f.name, iv.a, iv.b, None, s, None, None)
+        sw = None
+        if self.certifier.check(f, "f", iv, s, None, concave=False):
+            try:
+                sw = s_convex_sandwich(f, iv, s, quad_tol=self.quad_tol)
+            except (PreconditionError, AccuracyError):
+                pass
+        if sw is None:
+            return [self.row(cid, key, status=STATUS_SKIPPED)
+                    for cid, *_ in _SANDWICH_ROWS]
+        return [self.row(cid, key, getattr(sw, lhs), getattr(sw, rhs), rule)
+                for cid, lhs, rhs, rule in _SANDWICH_ROWS]
+
+    def weight_rows(self, config: SweepConfig) -> list[SweepRow]:
+        """The weight-integral rows, which depend on no function or
+        interval."""
+        tols = dict(tol=self.slack, quad_tol=self.quad_tol)
+        found = [((alpha, s, None), _IDENTITY, build(alpha, s, **tols))
+                 for alpha in config.alphas for s in config.s_values
+                 for build in (weight_int_power, weight_int_beta)]
+        found += [((None, s, None), _IDENTITY, weight_int_plain(s, **tols))
+                  for s in config.s_values]
+        found += [((alpha, None, p),
+                   _range_rule(alpha, HOLDER_VALID_ALPHA_MAX),
+                   holder_kernel_bound(alpha, p, **tols))
+                  for alpha in config.alphas for p in config.p_values]
+        return [self.row(e.check_id, (None, None, None, *params, None),
+                         e.lhs, e.rhs, rule)
+                for params, rule, e in found]
 
 
 def _fmt_tuple(row: SweepRow) -> tuple:
@@ -338,215 +532,25 @@ def _fmt_tuple(row: SweepRow) -> tuple:
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Evaluate all checks over the configured grid; deterministic."""
     validate_config(config)
-    funcs: list[TestFunction] = [get_function(name) for name in config.functions]
-    certifier = _Certifier(config.seed, config.s_values)
-    slack = config.slack
-    quad_tol = config.quad_tol
-    rows: list[SweepRow] = []
-
-    # signed defect per (function, interval, alpha), or the error that
-    # stopped its computation; filled by whichever row asks first
-    defects: dict[tuple, float | FracineqError] = {}
-
-    def defect(f: TestFunction, iv: Interval, alpha: float) -> float:
-        key = (f.name, iv.a, iv.b, alpha)
-        if key not in defects:
-            try:
-                defects[key] = trapezoid_defect(f, iv, alpha,
-                                                quad_tol=quad_tol).lhs
-            except (AccuracyError, IntegrandError) as exc:
-                defects[key] = exc
-        outcome = defects[key]
-        if isinstance(outcome, FracineqError):
-            # a fresh traceback each time, so re-raising does not chain them
-            raise outcome.with_traceback(None)
-        return outcome
-
-    def d2_evaluatable(f: TestFunction, iv: Interval) -> bool:
-        # the identity requires an integrable second derivative; an endpoint
-        # where d2 blows up fails that hypothesis
-        try:
-            return all(math.isfinite(float(f.d2(t)))
-                       for t in (iv.a, iv.midpoint, iv.b))
-        except (ArithmeticError, ValueError, TypeError):
-            return False
-
-    def identity_row(f: TestFunction, iv: Interval, alpha: float) -> SweepRow:
-        base = dict(check_id="identity", function=f.name, a=iv.a, b=iv.b,
-                    alpha=alpha, s=None, p=None, q=None)
-        if not d2_evaluatable(f, iv):
-            return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
-                            status=STATUS_SKIPPED)
-        try:
-            lhs = defect(f, iv, alpha)
-            rhs = defect_identity_rhs(f, iv, alpha, quad_tol=quad_tol)
-        except AccuracyError:
-            return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
-                            status=STATUS_FAIL)
-        except IntegrandError:
-            # f'' not evaluatable/integrable on the interval: the identity's
-            # own hypothesis fails for this tuple
-            return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
-                            status=STATUS_SKIPPED)
-        diff = abs(lhs - rhs)
-        return SweepRow(**base, lhs=lhs, rhs=rhs, slack_measured=diff,
-                        status=STATUS_PASS if diff <= slack else STATUS_FAIL)
-
-    def bound_row(check_id: str, f: TestFunction, iv: Interval, alpha: float,
-                  s: float, p: float | None, q: float | None,
-                  certified: bool, compute, in_range: bool) -> SweepRow:
-        base = dict(check_id=check_id, function=f.name, a=iv.a, b=iv.b,
-                    alpha=alpha, s=s, p=p, q=q)
-        if not certified:
-            return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
-                            status=STATUS_SKIPPED)
-        lhs = None
-        try:
-            lhs = abs(defect(f, iv, alpha))
-            rhs = compute()
-        except AccuracyError:
-            return SweepRow(**base, lhs=lhs, rhs=None, slack_measured=None,
-                            status=STATUS_FAIL)
-        except (PreconditionError, IntegrandError):
-            return SweepRow(**base, lhs=None, rhs=None, slack_measured=None,
-                            status=STATUS_SKIPPED)
-        margin = rhs - lhs
-        if not in_range:
-            status = STATUS_OUT_OF_RANGE
-        else:
-            status = STATUS_PASS if margin >= -slack else STATUS_FAIL
-        return SweepRow(**base, lhs=lhs, rhs=rhs, slack_measured=margin,
-                        status=status)
-
-    def abs_d2(f: TestFunction):
-        return lambda t: np.abs(f.d2(t))
-
-    def abs_d2_pow(f: TestFunction, q: float):
-        return lambda t: np.abs(f.d2(t)) ** q
-
-    for f in funcs:
-        for iv in config.intervals:
-            # defect-identity rows
-            for alpha in config.alphas:
-                rows.append(identity_row(f, iv, alpha))
-
-            # first-order sandwich rows
-            for s in config.s_values:
-                base = dict(function=f.name, a=iv.a, b=iv.b, alpha=None,
-                            s=s, p=None, q=None)
-                certified = certifier.check(f.name, "f", f.fn, iv, s, None,
-                                            concave=False)
-                sw = None
-                if certified:
-                    try:
-                        sw = s_convex_sandwich(f, iv, s, quad_tol=quad_tol)
-                    except (PreconditionError, AccuracyError):
-                        sw = None
-                if sw is None:
-                    for cid in ("sandwich_lower", "sandwich_upper",
-                                "sandwich_upper_classical"):
-                        rows.append(SweepRow(check_id=cid, **base, lhs=None,
-                                             rhs=None, slack_measured=None,
-                                             status=STATUS_SKIPPED))
-                    continue
-                m_low = sw.mean - sw.lower
-                rows.append(SweepRow(
-                    check_id="sandwich_lower", **base, lhs=sw.lower,
-                    rhs=sw.mean, slack_measured=m_low,
-                    status=STATUS_PASS if m_low >= -slack else STATUS_FAIL))
-                m_up = sw.upper - sw.mean
-                rows.append(SweepRow(
-                    check_id="sandwich_upper", **base, lhs=sw.mean,
-                    rhs=sw.upper, slack_measured=m_up,
-                    status=STATUS_PASS if m_up >= -slack else STATUS_FAIL))
-                # observed reading, never asserted
-                m_cl = sw.upper_classical - sw.mean
-                rows.append(SweepRow(
-                    check_id="sandwich_upper_classical", **base, lhs=sw.mean,
-                    rhs=sw.upper_classical, slack_measured=m_cl,
-                    status=STATUS_PASS if m_cl >= -slack else STATUS_OUT_OF_RANGE))
-
-            for alpha in config.alphas:
-                in_range = alpha <= HOLDER_VALID_ALPHA_MAX
-                for s in config.s_values:
-                    cert_abs = certifier.check(f.name, "abs_d2", abs_d2(f),
-                                               iv, s, None, concave=False)
-                    rows.append(bound_row(
-                        "bound_s_convex", f, iv, alpha, s, None, None,
-                        cert_abs,
-                        lambda f=f, iv=iv, alpha=alpha, s=s:
-                            defect_bound_s_convex(f, iv, alpha, s,
-                                                  certify=False),
-                        in_range=True))
-
-                    for p in config.p_values:
-                        params = BoundParams(alpha=alpha, s=s, p=p)
-                        q = params.q
-                        cert_q = certifier.check(f.name, "abs_d2_pow",
-                                                 abs_d2_pow(f, q), iv, s, q,
-                                                 concave=False)
-                        rows.append(bound_row(
-                            "bound_holder", f, iv, alpha, s, p, q, cert_q,
-                            lambda f=f, iv=iv, params=params:
-                                defect_bound_holder(f, iv, params,
-                                                    certify=False),
-                            in_range=in_range))
-
-                        cert_qc = certifier.check(f.name, "abs_d2_pow",
-                                                  abs_d2_pow(f, q), iv, s, q,
-                                                  concave=True)
-                        rows.append(bound_row(
-                            "bound_s_concave", f, iv, alpha, s, p, q, cert_qc,
-                            lambda f=f, iv=iv, params=params:
-                                defect_bound_s_concave(f, iv, params,
-                                                       certify=False),
-                            in_range=in_range))
-
-                    for q in config.q_values:
-                        cert_q = certifier.check(f.name, "abs_d2_pow",
-                                                 abs_d2_pow(f, q), iv, s, q,
-                                                 concave=False)
-                        rows.append(bound_row(
-                            "bound_power_mean", f, iv, alpha, s, None, q,
-                            cert_q,
-                            lambda f=f, iv=iv, alpha=alpha, s=s, q=q:
-                                defect_bound_power_mean(f, iv, alpha, s, q,
-                                                        certify=False),
-                            in_range=True))
-
-    # weight-integral rows (function and interval independent)
-    def weight_row(check_id: str, alpha, s, p, lhs, rhs, identity: bool,
-                   in_range: bool = True) -> SweepRow:
-        if identity:
-            measured = abs(lhs - rhs)
-            status = STATUS_PASS if measured <= slack else STATUS_FAIL
-        else:
-            measured = rhs - lhs
-            if not in_range:
-                status = STATUS_OUT_OF_RANGE
-            else:
-                status = STATUS_PASS if measured >= -slack else STATUS_FAIL
-        return SweepRow(check_id=check_id, function=None, a=None, b=None,
-                        alpha=alpha, s=s, p=p, q=None, lhs=lhs, rhs=rhs,
-                        slack_measured=measured, status=status)
-
+    funcs = [get_function(name) for name in config.functions]
+    cells = list(product(funcs, config.intervals))
+    sweep = _Sweep(config)
+    rows = [row for f, iv in cells for s in config.s_values
+            for row in sweep.sandwich_rows(f, iv, s)]
     for alpha in config.alphas:
+        rows += (sweep.identity_row(f, iv, alpha) for f, iv in cells)
         for s in config.s_values:
-            for build in (weight_int_power, weight_int_beta):
-                e = build(alpha, s, tol=slack, quad_tol=quad_tol)
-                rows.append(weight_row(e.check_id, alpha, s, None,
-                                       e.lhs, e.rhs, identity=True))
-    for s in config.s_values:
-        e = weight_int_plain(s, tol=slack, quad_tol=quad_tol)
-        rows.append(weight_row("weight_int_plain", None, s, None,
-                               e.lhs, e.rhs, identity=True))
-    for alpha in config.alphas:
-        for p in config.p_values:
-            e = holder_kernel_bound(alpha, p, tol=slack, quad_tol=quad_tol)
-            rows.append(weight_row("holder_kernel_bound", alpha, None, p,
-                                   e.lhs, e.rhs, identity=False,
-                                   in_range=alpha <= HOLDER_VALID_ALPHA_MAX))
-
+            params = {
+                None: (BoundParams(alpha, s),),
+                "conjugate": tuple(BoundParams(alpha, s, p=p)
+                                   for p in config.p_values),
+                "q_values": tuple(BoundParams(alpha, s, q=q)
+                                  for q in config.q_values),
+            }
+            rows += (sweep.bound_row(check, f, iv, bp)
+                     for f, iv in cells for check in BOUND_CHECKS
+                     for bp in params[check.q_from])
+    rows += sweep.weight_rows(config)
     rows.sort(key=_fmt_tuple)
     return SweepReport(rows=tuple(rows))
 

@@ -83,6 +83,14 @@ def test_domain_errors():
         left_rl(lambda t: t, -0.5, 0.0, 1.0)
 
 
+def test_order_beyond_gammas_range_is_a_domain_error():
+    # gamma(172) overflows; both operators reject the order cleanly
+    with pytest.raises(DomainError, match="Gamma"):
+        left_rl(lambda t: t, 172.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="Gamma"):
+        right_rl(lambda t: t, 172.0, 1.0, 0.0)
+
+
 def test_accepts_test_function_objects():
     sq = builtin_catalog()[2]
     assert sq.name == "square"

@@ -15,9 +15,13 @@ from fracineq import (
     s_power,
     shifted_square,
 )
-from fracineq.funclib import second_derivative_fd
 
 UNIT = Interval(0.0, 1.0)
+
+
+def second_derivative_fd(fn, t: float, h: float = 1e-4) -> float:
+    """Central-difference second derivative."""
+    return (fn(t + h) - 2.0 * fn(t) + fn(t - h)) / (h * h)
 
 
 def test_linear_passes_convexity():

@@ -329,3 +329,19 @@ def test_orders_above_alpha_max_still_compute_where_gamma_is_not_formed():
     assert defect_bound_s_convex(SQUARE, UNIT, 200.0, 1.0) == pytest.approx(
         rhs, abs=1e-10)
     assert math.isfinite(classical_convex_bound(SQUARE, UNIT, 200.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_every_p_and_q_entry_point_rejects_non_finite_exponents(bad):
+    # each evaluator shares the one p and the one q validator of BoundParams
+    from fracineq.hhbounds import holder_kernel_bound
+
+    for call in (lambda: defect_bound_power_mean(SQUARE, UNIT, 0.5, 1.0, bad),
+                 lambda: classical_power_mean_bound(SQUARE, UNIT, 0.5, bad),
+                 lambda: classical_holder_bound(SQUARE, UNIT, 0.5, bad),
+                 lambda: classical_concave_bound(SQUARE, UNIT, 0.5, bad),
+                 lambda: holder_kernel_bound(0.5, bad),
+                 lambda: BoundParams(alpha=0.5, s=1.0, p=bad),
+                 lambda: BoundParams(alpha=0.5, s=1.0, q=bad)):
+        with pytest.raises(DomainError):
+            call()

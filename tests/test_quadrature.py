@@ -150,6 +150,16 @@ def test_interval_validation():
         Interval.parse("0.5")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,0", "a < b"),
+    ("1,1", "a < b"),
+    ("x,1", "numeric"),
+])
+def test_interval_parse_names_the_problem(text, message):
+    with pytest.raises(DomainError, match=message):
+        Interval.parse(text)
+
+
 def test_singularity_validation():
     with pytest.raises(DomainError):
         EndpointSingularity("middle", -0.5)

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import zlib
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from fracineq import (
 )
 from fracineq.sweep import (
     _PROBE_COUNT,
+    BOUND_CHECKS,
     CSV_HEADER,
     SweepConfig,
     SweepReport,
@@ -87,7 +90,9 @@ def test_config_error_names_alphas(mutation, field):
     ("p_values = 1", "p_values[0]"),
     ("q_values = 0.5", "q_values[0]"),
     ("slack = -1", "slack"),
+    ("slack = abc", "slack"),
     ("quad_tol = 1", "quad_tol"),
+    ("quad_tol = abc", "quad_tol"),
     ("format = xml", "format"),
     ("functions = nosuch", "functions"),
 ])
@@ -101,6 +106,14 @@ def test_config_validation_errors(mutation, field):
     assert exc_info.value.field == field
 
 
+def test_reversed_interval_error_says_a_before_b():
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config_text(GOOD_CONFIG.replace("intervals = 0,1",
+                                              "intervals = 1,0"))
+    assert exc_info.value.field == "intervals[0]"
+    assert "a < b" in str(exc_info.value)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_slack_rejected(value):
     with pytest.raises(ConfigError) as exc_info:
@@ -111,6 +124,12 @@ def test_non_finite_slack_rejected(value):
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(GOOD_CONFIG + "\nbogus = 1\n")
+
+
+def test_empty_key_names_its_line():
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config_text(GOOD_CONFIG + "= 1\n")
+    assert exc_info.value.field == "line 12"
 
 
 def expected_row_count(cfg: SweepConfig) -> int:
@@ -312,6 +331,14 @@ def test_cli_env_quad_tol_override(config_file, tmp_path):
     assert ok.returncode == 0
 
 
+def test_cli_sweep_reversed_interval_override(config_file):
+    proc = run_cli("sweep", "--config", str(config_file),
+                   "--interval", "1,0")
+    assert proc.returncode == 2
+    assert "a < b" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_check_identity():
     proc = run_cli("check-identity", "--function", "square",
                    "--interval", "0,1", "--alpha", "0.5")
@@ -327,6 +354,16 @@ def test_cli_certify_pass_and_fail():
     assert bad.returncode == 1 and bad.stdout.startswith("FAIL")
     unknown = run_cli("certify", "--function", "nope", "--s", "1")
     assert unknown.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+def test_bound_check_table_matches_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme_ids = re.findall(r"^\| `(bound_\w+)` \|", readme, flags=re.M)
+    assert readme_ids == [check.check_id for check in BOUND_CHECKS]
 
 
 # ---------------------------------------------------------------------------
