@@ -23,13 +23,11 @@ from .errors import ConfigError, DomainError, FracineqError
 from .funclib import certify_declared, get_function
 from .hhbounds import defect_identity_rhs, trapezoid_defect
 from .quadrature import Interval
-from .sweep import load_config, render_report, run_sweep
+from .sweep import SweepConfig, load_config, render_report, run_sweep
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-
-DEFAULT_IDENTITY_SLACK = 1e-8
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,11 +101,12 @@ def _cmd_check_identity(args) -> int:
     lhs = trapezoid_defect(f, iv, args.alpha).lhs
     rhs = defect_identity_rhs(f, iv, args.alpha)
     diff = abs(lhs - rhs)
-    ok = diff <= DEFAULT_IDENTITY_SLACK
+    slack = SweepConfig.slack
+    ok = diff <= slack
     print(f"function={f.name} interval=[{iv.a:g},{iv.b:g}] alpha={args.alpha:g}")
     print(f"defect lhs      = {lhs:.17g}")
     print(f"identity rhs    = {rhs:.17g}")
-    print(f"|lhs - rhs|     = {diff:.3e}  ({'PASS' if ok else 'FAIL'} at 1e-08)")
+    print(f"|lhs - rhs|     = {diff:.3e}  ({'PASS' if ok else 'FAIL'} at {slack:g})")
     return EXIT_OK if ok else EXIT_FAIL
 
 

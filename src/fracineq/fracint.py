@@ -64,9 +64,12 @@ def _rl(f, alpha: float, lo: float, hi: float, side: str,
     fv = _value_fn(f)
     try:
         g = gamma(alpha)
+        # the kernel's largest value, reached towards the far end of [lo, hi]
+        (hi - lo) ** (alpha - 1.0)
     except OverflowError as exc:
-        raise DomainError(f"fractional order alpha={alpha} is beyond the range "
-                          "where Gamma(alpha) is a finite double") from exc
+        raise DomainError(f"fractional order alpha={alpha} on [{lo}, {hi}] is "
+                          "beyond the range where Gamma(alpha) and the kernel "
+                          "|x - t|^(alpha-1) are finite doubles") from exc
     x, sign = (hi, 1.0) if side == "right" else (lo, -1.0)
 
     def kernel_f(t: float) -> float:

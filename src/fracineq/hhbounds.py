@@ -6,8 +6,15 @@ trapezoid defect
     D(f, [a,b], alpha) = (f(a) + f(b))/2
         - Gamma(alpha+1) / (2 (b-a)^alpha) * [J_{a+}^alpha f(b) + J_{b-}^alpha f(a)]
 
-which, for twice differentiable f, equals the exact weighted curvature
-integral
+Substituting u = (t-a)/(b-a) and using Gamma(alpha+1)/Gamma(alpha) = alpha
+turns it into one expectation under U ~ Beta(alpha, 1), density
+alpha u^(alpha-1) on [0, 1]:
+
+    D = -(1/2) E[f(a + (b-a)U) + f(b - (b-a)U) - f(a) - f(b)]
+
+which is how :func:`trapezoid_defect` computes it, free of Gamma(alpha+1)
+and (b-a)^alpha and so for every alpha > 0.  For twice differentiable f, D
+equals the exact weighted curvature integral
 
     (b-a)^2 / (2 (alpha+1)) *
         int_0^1 t (1 - t^alpha) [f''(ta + (1-t)b) + f''((1-t)a + tb)] dt.
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .fracint import check_alpha, left_rl, right_rl
+from .fracint import check_alpha
 from .funclib import (
     DEFAULT_GRID_N,
     DEFAULT_SLACK,
@@ -43,8 +50,14 @@ from .funclib import (
     certify_s_concave,
     certify_s_convex,
 )
-from .quadrature import Interval, _engine_tol, integrate
-from .specfun import beta, gamma, log_beta
+from .quadrature import (
+    EndpointSingularity,
+    Integrand,
+    Interval,
+    _engine_tol,
+    integrate,
+)
+from .specfun import beta, log_beta
 
 __all__ = [
     "BoundParams",
@@ -53,7 +66,6 @@ __all__ = [
     "WeightIntegralEntry",
     "WeightIntegralReport",
     "trapezoid_defect",
-    "defect_coefficient",
     "defect_identity_rhs",
     "s_convex_sandwich",
     "defect_bound_s_convex",
@@ -70,17 +82,13 @@ __all__ = [
     "weight_int_plain",
     "holder_kernel_bound",
     "HOLDER_VALID_ALPHA_MAX",
-    "ALPHA_MAX",
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
 # The kernel comparison 1 - t^alpha <= (1 - t)^alpha holds iff alpha <= 1;
 # the Hoelder/concave bounds are only claimed on that range.
 HOLDER_VALID_ALPHA_MAX = 1.0
-# The largest alpha for which specfun.gamma(alpha + 1), the normalisation
-# of the trapezoid defect, is finite; gamma(nextafter(ALPHA_MAX, inf) + 1)
-# overflows.
-ALPHA_MAX = 170.6243769563027
+_UNIT = Interval(0.0, 1.0)
 
 
 def _check_p(p: float) -> float:
@@ -128,11 +136,9 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class DefectResult:
-    """Trapezoid defect plus the pieces it was assembled from."""
+    """Trapezoid defect plus the endpoint values it was computed from."""
 
     lhs: float
-    left_j: float
-    right_j: float
     quad_tol_used: float
     fa: float
     fb: float
@@ -165,46 +171,35 @@ def _require(result, what: str):
             witness=result.witness)
 
 
-def defect_coefficient(interval: Interval, alpha: float) -> float:
-    """Gamma(alpha+1) / (2 (b-a)^alpha), the normalisation of the trapezoid
-    defect.
-
-    Raises :class:`DomainError` when alpha exceeds :data:`ALPHA_MAX` or
-    when (b-a)^alpha or the coefficient leaves the range of positive
-    finite doubles (alpha = 170 on [0, 100], alpha = 162 on [0, 0.01]).
-    """
-    alpha = check_alpha(alpha)
-    if alpha > ALPHA_MAX:
-        raise DomainError(f"fractional order alpha must be <= {ALPHA_MAX}, "
-                          f"where Gamma(alpha+1) overflows, got {alpha}")
-    a, b = interval.a, interval.b
-    try:
-        scale = (b - a) ** alpha
-    except OverflowError:
-        scale = math.inf
-    coeff = gamma(alpha + 1.0) / (2.0 * scale) if scale > 0.0 else math.inf
-    if not 0.0 < coeff < math.inf:
-        raise DomainError(f"Gamma(alpha+1)/(2(b-a)^alpha) is outside the "
-                          f"double range for alpha={alpha} on [{a}, {b}]")
-    return coeff
-
-
 def trapezoid_defect(f, interval: Interval, alpha: float,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> DefectResult:
-    """Compute the trapezoid defect; |total error| <= quad_tol."""
+    """Compute the trapezoid defect as the Beta(alpha, 1) expectation of the
+    module docstring; |total error| <= quad_tol."""
     alpha = check_alpha(alpha)
-    coeff = defect_coefficient(interval, alpha)
     a, b = interval.a, interval.b
+    h = b - a
     fv = f.fn if isinstance(f, TestFunction) else f
     fa, fb = float(fv(a)), float(fv(b))
-    # split the error budget between the two operator calls
-    rl_tol = _engine_tol(quad_tol / (2.0 * coeff))
-    left = left_rl(fv, alpha, a, b, abs_tol=rl_tol)
-    right = right_rl(fv, alpha, b, a, abs_tol=rl_tol)
-    lhs = 0.5 * (fa + fb) - coeff * (left + right)
-    return DefectResult(lhs=lhs, left_j=left, right_j=right,
-                        quad_tol_used=quad_tol, fa=fa, fb=fb,
-                        alpha=alpha, interval=interval)
+    ends = fa + fb
+
+    def g(u: float) -> float:
+        return fv(a + h * u) + fv(b - h * u) - ends
+
+    def weighted(u: float) -> float:
+        # the density is formed first: a huge alpha times a large g could
+        # overflow where alpha * u^(alpha-1) underflows to 0
+        return (alpha * u ** (alpha - 1.0)) * g(u)
+
+    singularity = None
+    if alpha < 1.0:
+        # u^(alpha-1) is singular at u = 0; the engine factors it out exactly
+        singularity = EndpointSingularity("left", alpha - 1.0,
+                                          lambda u, d: alpha * g(u))
+    # D is half the integral, so the integral needs twice the tolerance
+    res = integrate(Integrand(weighted, singularity), _UNIT,
+                    abs_tol=_engine_tol(2.0 * quad_tol))
+    return DefectResult(lhs=-0.5 * res.value, quad_tol_used=quad_tol,
+                        fa=fa, fb=fb, alpha=alpha, interval=interval)
 
 
 def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
@@ -219,7 +214,7 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
         return t * (1.0 - t ** alpha) * (
             d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
 
-    res = integrate(weight_integrand, Interval(0.0, 1.0),
+    res = integrate(weight_integrand, _UNIT,
                     abs_tol=_engine_tol(quad_tol / coeff))
     return coeff * res.value
 
@@ -435,9 +430,6 @@ class WeightIntegralReport:
     @property
     def all_hold(self) -> bool:
         return all(e.holds for e in self.entries if e.in_validated_range)
-
-
-_UNIT = Interval(0.0, 1.0)
 
 
 def _weight_identity(check_id: str, integrand, closed: float, tol: float,

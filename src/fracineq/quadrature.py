@@ -56,9 +56,9 @@ _ROUNDOFF = 50.0 * math.ulp(1.0)
 
 
 def _engine_tol(tol: float) -> float:
-    # derived tolerances (scaled by Gamma(alpha) or a defect coefficient) are
-    # clamped into the engine's contract range; accuracy degrades gracefully
-    # at the ends
+    # derived tolerances (scaled by Gamma(alpha) or the identity's curvature
+    # coefficient) are clamped into the engine's contract range; accuracy
+    # degrades gracefully at the ends
     return min(MAX_ABS_TOL, max(MIN_ABS_TOL, tol))
 
 

@@ -66,6 +66,7 @@ from .errors import (
     IntegrandError,
     PreconditionError,
 )
+from .fracint import check_alpha
 # certify_s_convex is not called here; bench/test_bench.py checks that the
 # layer tracer patches it in this module's namespace
 from .funclib import (  # noqa: F401
@@ -79,6 +80,7 @@ from .funclib import (  # noqa: F401
     grid_verdict,
 )
 from .hhbounds import (
+    DEFAULT_QUAD_TOL,
     HOLDER_VALID_ALPHA_MAX,
     BoundParams,
     _check_p,
@@ -87,7 +89,6 @@ from .hhbounds import (
     defect_bound_power_mean,
     defect_bound_s_concave,
     defect_bound_s_convex,
-    defect_coefficient,
     defect_identity_rhs,
     holder_kernel_bound,
     s_convex_sandwich,
@@ -130,7 +131,7 @@ class SweepConfig:
     p_values: tuple[float, ...]
     q_values: tuple[float, ...]
     slack: float = 1e-8
-    quad_tol: float = 1e-10
+    quad_tol: float = DEFAULT_QUAD_TOL
     output_format: str = "csv"
     seed: int = 0
 
@@ -165,7 +166,10 @@ class SweepReport:
 
 _LIST_KEYS = ("functions", "intervals", "alphas", "s_values", "p_values",
               "q_values")
-_SCALAR_KEYS = ("slack", "quad_tol", "format", "seed")
+# each optional scalar key, the SweepConfig field it sets, and its type; a
+# key left out keeps SweepConfig's default
+_SCALARS = {"slack": ("slack", float), "quad_tol": ("quad_tol", float),
+            "format": ("output_format", str), "seed": ("seed", int)}
 
 
 def _convert(field_name: str, tokens: list[str], convert) -> tuple:
@@ -196,7 +200,7 @@ def parse_config_text(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _LIST_KEYS + _SCALAR_KEYS:
+        if key not in _LIST_KEYS and key not in _SCALARS:
             raise ConfigError(key or f"line {lineno}", "unknown configuration key")
         if key in raw:
             raise ConfigError(key, "duplicate key")
@@ -209,11 +213,10 @@ def parse_config_text(text: str) -> SweepConfig:
         except DomainError as exc:
             raise ConfigError(f"intervals[{i}]", str(exc)) from exc
 
-    def scalar(key: str, default: str, convert):
-        vals = raw.get(key, [default])
-        if len(vals) != 1:
+    def scalar(key: str, convert):
+        if len(raw[key]) != 1:
             raise ConfigError(key, "expected a single value")
-        return _convert(key, vals, convert)[0]
+        return _convert(key, raw[key], convert)[0]
 
     config = SweepConfig(
         functions=tuple(raw.get("functions", ())),
@@ -221,10 +224,8 @@ def parse_config_text(text: str) -> SweepConfig:
         # alphas, s_values, p_values, q_values
         **{key: _convert(key, raw.get(key, []), float)
            for key in _LIST_KEYS[2:]},
-        slack=scalar("slack", "1e-8", float),
-        quad_tol=scalar("quad_tol", "1e-10", float),
-        output_format=scalar("format", "csv", str),
-        seed=scalar("seed", "0", int),
+        **{field_name: scalar(key, convert)
+           for key, (field_name, convert) in _SCALARS.items() if key in raw},
     )
     validate_config(config)
     return config
@@ -258,9 +259,7 @@ def validate_config(config: SweepConfig) -> None:
         if iv.a < 0.0:
             raise ConfigError(f"intervals[{i}]",
                               f"s-convexity work requires a >= 0, got a={iv.a}")
-    # each defect's normalisation must be a finite double
-    _check_each("alphas", config.alphas, lambda alpha: [
-        defect_coefficient(iv, alpha) for iv in config.intervals])
+    _check_each("alphas", config.alphas, check_alpha)
     _check_each("s_values", config.s_values, _check_s)
     _check_each("p_values", config.p_values, _check_p)
     _check_each("q_values", config.q_values, _check_q)

@@ -91,6 +91,19 @@ def test_order_beyond_gammas_range_is_a_domain_error():
         right_rl(lambda t: t, 172.0, 1.0, 0.0)
 
 
+def test_kernel_power_overflow_is_a_domain_error():
+    # Gamma(170) is finite, but the kernel (x - t)^169 overflows on [0, 100]
+    where = r"alpha=170.0 on \[0.0, 100.0\]"
+    with pytest.raises(DomainError, match=where):
+        left_rl(lambda t: t, 170.0, 0.0, 100.0)
+    with pytest.raises(DomainError, match=where):
+        right_rl(lambda t: t, 170.0, 100.0, 0.0)
+    # on [0, 10] it stays finite: J_{0+}^170 t (10) = 10^171 / Gamma(172)
+    exact = math.exp(171.0 * math.log(10.0) - math.lgamma(172.0))
+    assert left_rl(lambda t: t, 170.0, 0.0, 10.0) == pytest.approx(exact,
+                                                                   rel=1e-9)
+
+
 def test_accepts_test_function_objects():
     sq = builtin_catalog()[2]
     assert sq.name == "square"
@@ -101,7 +114,8 @@ def test_check_alpha_requires_finite_positive_order():
     from fracineq.fracint import check_alpha
 
     assert check_alpha(1) == 1.0
-    # no upper limit: Gamma(alpha + 1) overflowing is the defect's concern
+    # no upper limit: an operation that forms Gamma of the order checks
+    # its own range
     assert check_alpha(1000.0) == 1000.0
     for alpha in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):

@@ -21,6 +21,8 @@ from fracineq import (
     defect_identity_rhs,
     gamma,
     get_function,
+    left_rl,
+    right_rl,
     s_convex_sandwich,
     trapezoid_defect,
     weight_integral_report,
@@ -56,10 +58,43 @@ def test_defect_square_alpha_half():
 
 
 def test_defect_result_reconstructible():
-    d = trapezoid_defect(CUBE, Interval(0.0, 2.0), 0.75)
-    coeff = gamma(d.alpha + 1.0) / (2.0 * d.interval.length ** d.alpha)
-    rebuilt = 0.5 * (d.fa + d.fb) - coeff * (d.left_j + d.right_j)
-    assert rebuilt == pytest.approx(d.lhs, abs=1e-12)
+    # the defect as the paper writes it, assembled from the RL operators,
+    # over the README grid: checks left_rl/right_rl against the defect
+    for name in ("square", "cube", "s_power_0.5"):
+        f = get_function(name)
+        for a, b in ((0.0, 1.0), (0.0, 2.0), (1.0, 3.0)):
+            for alpha in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
+                d = trapezoid_defect(f, Interval(a, b), alpha)
+                coeff = gamma(alpha + 1.0) / (2.0 * (b - a) ** alpha)
+                rebuilt = 0.5 * (d.fa + d.fb) - coeff * (
+                    left_rl(f, alpha, a, b) + right_rl(f, alpha, b, a))
+                assert rebuilt == pytest.approx(d.lhs, abs=1e-9), (
+                    name, a, b, alpha)
+
+
+@pytest.mark.parametrize("name, a, b, alpha, quad_tol", [
+    ("s_power_0.25", 0.0, 1.0, 7.0, 1e-12),
+    ("s_power_0.75", 0.0, 1.0, 7.0, 1e-12),
+    ("s_power_0.5", 1.0, 3.0, 1.5, 1e-10),
+    ("s_power_0.25", 0.0, 2.0, 0.1, 1e-12),
+])
+def test_defect_meets_quad_tol_against_mpmath(name, a, b, alpha, quad_tol):
+    mpmath = pytest.importorskip("mpmath")
+    f = get_function(name)
+    s = float(name.rsplit("_", 1)[1])
+    with mpmath.workdps(30):
+        # s_power_<s> is t^(s+2) / ((s+1)(s+2))
+        def fm(t):
+            return t ** (s + 2) / ((s + 1) * (s + 2))
+
+        h, ends = mpmath.mpf(b) - a, fm(mpmath.mpf(a)) + fm(mpmath.mpf(b))
+        exact = -0.5 * mpmath.quad(
+            lambda u: alpha * u ** (alpha - 1)
+            * (fm(a + h * u) + fm(b - h * u) - ends), [0, 0.5, 1])
+        assert f.fn(0.7) == pytest.approx(float(fm(mpmath.mpf(0.7))),
+                                          rel=1e-15)
+    lhs = trapezoid_defect(f, Interval(a, b), alpha, quad_tol=quad_tol).lhs
+    assert abs(lhs - float(exact)) <= quad_tol
 
 
 def test_identity_rhs_examples():
@@ -278,43 +313,31 @@ def test_bound_params_validation():
         defect_bound_holder(SQUARE, UNIT, BoundParams(1.0, 1.0, q=2.0))
 
 
-def test_alpha_max_is_the_edge_of_gammas_range():
-    from fracineq.hhbounds import ALPHA_MAX, defect_coefficient
-
-    assert math.isfinite(gamma(ALPHA_MAX + 1.0))
-    beyond = math.nextafter(ALPHA_MAX, math.inf)
-    with pytest.raises(OverflowError):
-        gamma(beyond + 1.0)
-    assert math.isfinite(defect_coefficient(UNIT, ALPHA_MAX))
-    for alpha in (beyond, 171.0, 200.0, 1000.0):
-        with pytest.raises(DomainError):
-            defect_coefficient(UNIT, alpha)
-        with pytest.raises(DomainError):
-            trapezoid_defect(SQUARE, UNIT, alpha)
+def monomial_defect(k: int, b: float, alpha: float) -> float:
+    """D for t^k on [0, b]: (b^k/2) [k/(k+alpha) - k!/((alpha+1)...(alpha+k))],
+    from the Beta(alpha, 1) moments E[U^k] and E[(1-U)^k]."""
+    rising = math.prod(alpha + j for j in range(1, k + 1))
+    return 0.5 * b ** k * (k / (k + alpha) - math.factorial(k) / rising)
 
 
-@pytest.mark.parametrize("b, alpha", [(100.0, 170.0), (0.01, 162.0),
-                                      (0.5, 170.0)],
-                         ids=["power_overflows", "power_underflows",
-                              "coefficient_overflows"])
-def test_defect_rejects_normalisation_outside_double_range(b, alpha):
-    from fracineq.hhbounds import defect_coefficient
-
-    iv = Interval(0.0, b)
-    with pytest.raises(DomainError):
-        defect_coefficient(iv, alpha)
-    with pytest.raises(DomainError):
-        trapezoid_defect(SQUARE, iv, alpha)
-
-
-def test_defect_coefficient_is_the_defects_normalisation():
-    from fracineq.hhbounds import defect_coefficient
-
-    iv = Interval(0.0, 10.0)
-    assert defect_coefficient(iv, 170.0) == gamma(171.0) / (2.0 * 10.0 ** 170.0)
-    d = trapezoid_defect(SQUARE, iv, 170.0)
-    assert d.lhs == pytest.approx(defect_identity_rhs(SQUARE, iv, 170.0),
-                                  abs=1e-8)
+# The first seven cases lie where the paper's normalisation
+# Gamma(alpha+1)/(2(b-a)^alpha) overflows or underflows.  At 150 and 170 on
+# [0, 1] it is about 3e262 and 4e306, enough to amplify quadrature error
+# past quad_tol wherever it is formed.  At 1e-4 nearly all the
+# Beta(alpha, 1) mass lies within 1e-100 of u = 0.
+@pytest.mark.parametrize("name, k, b, alpha", [
+    ("square", 2, 1.0, 170.7), ("square", 2, 1.0, 171.0),
+    ("square", 2, 1.0, 200.0), ("square", 2, 1.0, 1000.0),
+    ("cube", 3, 100.0, 170.0), ("cube", 3, 0.01, 162.0),
+    ("square", 2, 0.5, 170.0), ("square", 2, 10.0, 170.0),
+    ("square", 2, 1.0, 150.0), ("square", 2, 1.0, 170.0),
+    ("square", 2, 1.0, 1e-4),
+], ids=["gamma_overflows", "alpha_171", "alpha_200", "alpha_1000",
+        "power_overflows", "power_underflows", "coefficient_overflows",
+        "wide_alpha_170", "alpha_150", "alpha_170", "alpha_1e-4"])
+def test_defect_matches_monomial_closed_form(name, k, b, alpha):
+    d = trapezoid_defect(get_function(name), Interval(0.0, b), alpha)
+    assert d.lhs == pytest.approx(monomial_defect(k, b, alpha), abs=1e-10)
 
 
 def test_orders_above_alpha_max_still_compute_where_gamma_is_not_formed():

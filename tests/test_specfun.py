@@ -106,6 +106,14 @@ def test_beta_consistent_with_defining_integral(x, y):
     assert beta(x, y) == pytest.approx(_beta_by_quadrature(x, y), abs=1e-9)
 
 
+def test_gamma_overflow_edge():
+    # 170.6243769563027 is the largest x with a finite Gamma(x + 1)
+    edge = 170.6243769563027
+    assert math.isfinite(gamma(edge + 1.0))
+    with pytest.raises(OverflowError):
+        gamma(math.nextafter(edge, math.inf) + 1.0)
+
+
 def test_beta_survives_large_arguments():
     # log route keeps beta(p+1, alpha*p+1) finite and positive at p = 20
     val = beta(21.0, 61.0)
