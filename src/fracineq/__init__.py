@@ -33,6 +33,7 @@ from .funclib import (
 from .hhbounds import (
     BoundParams,
     DefectResult,
+    DefectRules,
     SandwichResult,
     classical_concave_bound,
     classical_convex_bound,

@@ -12,8 +12,9 @@ not a proof: it is the gatekeeper the bound evaluators and the sweep use
 for their hypotheses.  It runs in two steps: :func:`cert_grid` evaluates a
 channel once at the grid nodes and their combinations, and
 :func:`grid_verdict` compares that grid against the s-weighted endpoint
-values for one s and direction.  The sweep evaluates one grid per channel
-and reuses it across all its s values and both directions.
+values (:func:`s_combination`) for one s and direction.  The sweep
+evaluates one grid per channel and reuses it across all its s values, and
+:func:`grid_verdicts` judges both directions from one combination per s.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it and never use
@@ -42,6 +43,8 @@ __all__ = [
     "CertGrid",
     "cert_grid",
     "grid_verdict",
+    "grid_verdicts",
+    "s_combination",
     "certify_s_convex",
     "certify_s_concave",
     "builtin_catalog",
@@ -182,13 +185,20 @@ def _check_verdict_args(s: float, slack: float) -> float:
     return s
 
 
-def grid_verdict(grid: CertGrid, s: float, slack: float = DEFAULT_SLACK,
-                 concave: bool = False) -> CertificationResult:
-    """Check s-convexity (or s-concavity) in the second sense on ``grid``."""
-    s = _check_verdict_args(s, slack)
-    L = grid.lam[None, None, :]
-    combo = ((L ** s) * grid.fx[:, None, None]
-             + ((1.0 - L) ** s) * grid.fx[None, :, None])
+def s_combination(lam, s: float, fx, fy):
+    """lam^s f(x) + (1-lam)^s f(y), the right side of s-convexity in the
+    second sense; the arguments broadcast."""
+    return lam ** s * fx + (1.0 - lam) ** s * fy
+
+
+def _grid_combination(grid: CertGrid, s: float) -> np.ndarray:
+    # combination[i, j, k] pairs fx[i] and fx[j] at lam[k], like f_mix
+    return s_combination(grid.lam[None, None, :], s, grid.fx[:, None, None],
+                         grid.fx[None, :, None])
+
+
+def _verdict(grid: CertGrid, combo: np.ndarray, slack: float,
+             concave: bool) -> CertificationResult:
     f_mix = grid.f_mix
     if concave:
         violation = f_mix < combo - slack
@@ -207,6 +217,23 @@ def grid_verdict(grid: CertGrid, s: float, slack: float = DEFAULT_SLACK,
                         rhs=float(combo[i, j, k])),
         checked=checked,
     )
+
+
+def grid_verdict(grid: CertGrid, s: float, slack: float = DEFAULT_SLACK,
+                 concave: bool = False) -> CertificationResult:
+    """Check s-convexity (or s-concavity) in the second sense on ``grid``."""
+    s = _check_verdict_args(s, slack)
+    return _verdict(grid, _grid_combination(grid, s), slack, concave)
+
+
+def grid_verdicts(grid: CertGrid, s: float, slack: float = DEFAULT_SLACK
+                  ) -> tuple[CertificationResult, CertificationResult]:
+    """The s-convex and s-concave verdicts of :func:`grid_verdict` on
+    ``grid``, from one s-weighted combination."""
+    s = _check_verdict_args(s, slack)
+    combo = _grid_combination(grid, s)
+    return (_verdict(grid, combo, slack, concave=False),
+            _verdict(grid, combo, slack, concave=True))
 
 
 def _certify(fn, domain: Interval, s: float, grid_n: int, slack: float,

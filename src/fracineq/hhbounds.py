@@ -17,7 +17,16 @@ and (b-a)^alpha and so for every alpha > 0.  For twice differentiable f, D
 equals the exact weighted curvature integral
 
     (b-a)^2 / (2 (alpha+1)) *
-        int_0^1 t (1 - t^alpha) [f''(ta + (1-t)b) + f''((1-t)a + tb)] dt.
+        int_0^1 t (1 - t^alpha) [f''(ta + (1-t)b) + f''((1-t)a + tb)] dt,
+
+computed by :func:`defect_identity_rhs`.  Writing int t (1 - t^alpha) h
+as E[V h(V)] - E[U^2 h(U)] / alpha, with V uniform and U ~ Beta(alpha, 1),
+makes both sides Beta(alpha, 1) expectations.  Each is first tried with
+the Gauss rules of that law (:class:`DefectRules`, one ladder of
+:data:`~fracineq.quadrature.RULE_LADDER` sizes per alpha, see
+:class:`~fracineq.quadrature.RuleLadder`), with f or f'' evaluated once on
+all nodes as an array.  When no rung meets the tolerance, or a node
+value is not finite, the integral goes to the adaptive engine.
 
 Upper bounds for |D| follow from convexity hypotheses on |f''| or
 |f''|^q; each evaluator certifies its hypothesis on the given interval
@@ -46,15 +55,19 @@ from .funclib import (
     DEFAULT_SLACK,
     TestFunction,
     _check_s,
+    _eval_grid,
     abs_d2,
     certify_s_concave,
     certify_s_convex,
 )
 from .quadrature import (
+    RULE_LADDER,
     EndpointSingularity,
     Integrand,
     Interval,
+    RuleLadder,
     _engine_tol,
+    beta_rule,
     integrate,
 )
 from .specfun import beta, log_beta
@@ -62,6 +75,7 @@ from .specfun import beta, log_beta
 __all__ = [
     "BoundParams",
     "DefectResult",
+    "DefectRules",
     "SandwichResult",
     "WeightIntegralEntry",
     "WeightIntegralReport",
@@ -89,6 +103,12 @@ DEFAULT_QUAD_TOL = 1e-10
 # the Hoelder/concave bounds are only claimed on that range.
 HOLDER_VALID_ALPHA_MAX = 1.0
 _UNIT = Interval(0.0, 1.0)
+# The engine's substitution v = u^power squeezes the top half of [0, 1] in
+# u into a strip about power * ln 2 wide below v = 1.  At this power the
+# strip is ten times the gap between the first panels' top nodes (about
+# 0.003).  With power = alpha = 1e-5 the strip is far narrower, no node
+# samples where g varies, and the defect would come out as 0.
+_MIN_SUBSTITUTION_POWER = 0.05
 
 
 def _check_p(p: float) -> float:
@@ -171,11 +191,68 @@ def _require(result, what: str):
             witness=result.witness)
 
 
+class DefectRules:
+    """Gauss rule ladders for :func:`trapezoid_defect` and
+    :func:`defect_identity_rhs`, built per alpha on first use.
+
+    Each rung costs one small eigenproblem, so a caller computing many
+    defects keeps one instance for the run (a sweep builds one) and passes
+    it to every call.  ``hits`` counts the results a ladder gave and
+    ``fallbacks`` those left to the adaptive engine.
+    """
+
+    def __init__(self):
+        self._beta: dict[float, list] = {}
+        self._defect: dict[float, RuleLadder] = {}
+        self._rhs: dict[float, RuleLadder] = {}
+        self.hits = 0
+        self.fallbacks = 0
+
+    def _rules(self, alpha: float) -> list:
+        if alpha not in self._beta:
+            self._beta[alpha] = [beta_rule(alpha, n) for n in RULE_LADDER]
+        return self._beta[alpha]
+
+    def defect(self, alpha: float) -> RuleLadder:
+        """E[g(U)] for U ~ Beta(alpha, 1)."""
+        if alpha not in self._defect:
+            self._defect[alpha] = RuleLadder(self._rules(alpha))
+        return self._defect[alpha]
+
+    def identity_rhs(self, alpha: float) -> RuleLadder:
+        """int_0^1 t (1 - t^alpha) h(t) dt, as E[V h(V)] - E[U^2 h(U)]/alpha
+        with V uniform (Beta(1, 1)) and U ~ Beta(alpha, 1)."""
+        if alpha not in self._rhs:
+            self._rhs[alpha] = RuleLadder([
+                (np.concatenate([v, u]),
+                 np.concatenate([wv * v, -(wu * u * u) / alpha]))
+                for (v, wv), (u, wu) in zip(self._rules(1.0),
+                                            self._rules(alpha))])
+        return self._rhs[alpha]
+
+    def settle(self, ladder: RuleLadder, values: np.ndarray, tol: float,
+               fallback) -> float:
+        """The ladder's estimate from ``values`` at its nodes if it meets
+        ``tol``, else ``fallback()``, the adaptive engine's value."""
+        value = ladder.estimate(values, tol)
+        if value is None:
+            self.fallbacks += 1
+            return fallback()
+        self.hits += 1
+        return value
+
+
 def trapezoid_defect(f, interval: Interval, alpha: float,
-                     quad_tol: float = DEFAULT_QUAD_TOL) -> DefectResult:
+                     quad_tol: float = DEFAULT_QUAD_TOL,
+                     rules: DefectRules | None = None) -> DefectResult:
     """Compute the trapezoid defect as the Beta(alpha, 1) expectation of the
-    module docstring; |total error| <= quad_tol."""
+    module docstring; |total error| <= quad_tol.
+
+    ``rules`` shares Gauss rules across calls; without it they are built
+    for this call alone.
+    """
     alpha = check_alpha(alpha)
+    rules = DefectRules() if rules is None else rules
     a, b = interval.a, interval.b
     h = b - a
     fv = f.fn if isinstance(f, TestFunction) else f
@@ -190,33 +267,55 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
         # overflow where alpha * u^(alpha-1) underflows to 0
         return (alpha * u ** (alpha - 1.0)) * g(u)
 
-    singularity = None
-    if alpha < 1.0:
-        # u^(alpha-1) is singular at u = 0; the engine factors it out exactly
-        singularity = EndpointSingularity("left", alpha - 1.0,
-                                          lambda u, d: alpha * g(u))
+    def adaptive() -> float:
+        singularity = None
+        if alpha < 1.0:
+            # u^(alpha-1) is singular at u = 0; the engine factors out
+            # u^(power-1) exactly and u^(alpha-power) g(u) stays regular,
+            # since g(0) = 0
+            power = max(alpha, _MIN_SUBSTITUTION_POWER)
+
+            def regular(u: float, d: float) -> float:
+                return alpha * g(u) * d ** (alpha - power) if d > 0.0 else 0.0
+
+            singularity = EndpointSingularity("left", power - 1.0, regular)
+        return integrate(Integrand(weighted, singularity), _UNIT,
+                         abs_tol=tol).value
+
     # D is half the integral, so the integral needs twice the tolerance
-    res = integrate(Integrand(weighted, singularity), _UNIT,
-                    abs_tol=_engine_tol(2.0 * quad_tol))
-    return DefectResult(lhs=-0.5 * res.value, quad_tol_used=quad_tol,
+    tol = _engine_tol(2.0 * quad_tol)
+    ladder = rules.defect(alpha)
+    fx = _eval_grid(fv, np.stack([a + h * ladder.nodes, b - h * ladder.nodes]))
+    value = rules.settle(ladder, fx[0] + fx[1] - ends, tol, adaptive)
+    return DefectResult(lhs=-0.5 * value, quad_tol_used=quad_tol,
                         fa=fa, fb=fb, alpha=alpha, interval=interval)
 
 
 def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
-                        quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Weighted curvature integral equal to the trapezoid defect."""
+                        quad_tol: float = DEFAULT_QUAD_TOL,
+                        rules: DefectRules | None = None) -> float:
+    """Weighted curvature integral equal to the trapezoid defect; ``rules``
+    as for :func:`trapezoid_defect`."""
     alpha = check_alpha(alpha)
+    rules = DefectRules() if rules is None else rules
     a, b = interval.a, interval.b
     d2 = f.d2
     coeff = (b - a) ** 2 / (2.0 * (alpha + 1.0))
+    tol = _engine_tol(quad_tol / coeff)
 
     def weight_integrand(t: float) -> float:
-        return t * (1.0 - t ** alpha) * (
+        # 1 - t^alpha, without the cancellation of forming t^alpha near 1
+        return t * -math.expm1(alpha * math.log(t)) * (
             d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
 
-    res = integrate(weight_integrand, _UNIT,
-                    abs_tol=_engine_tol(quad_tol / coeff))
-    return coeff * res.value
+    def adaptive() -> float:
+        return integrate(weight_integrand, _UNIT, abs_tol=tol).value
+
+    ladder = rules.identity_rhs(alpha)
+    t = ladder.nodes
+    d2v = _eval_grid(d2, np.stack([t * a + (1.0 - t) * b,
+                                   (1.0 - t) * a + t * b]))
+    return coeff * rules.settle(ladder, d2v[0] + d2v[1], tol, adaptive)
 
 
 def s_convex_sandwich(f, interval: Interval, s: float,

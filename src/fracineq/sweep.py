@@ -77,12 +77,14 @@ from .funclib import (  # noqa: F401
     cert_grid,
     certify_s_convex,
     get_function,
-    grid_verdict,
+    grid_verdicts,
+    s_combination,
 )
 from .hhbounds import (
     DEFAULT_QUAD_TOL,
     HOLDER_VALID_ALPHA_MAX,
     BoundParams,
+    DefectRules,
     _check_p,
     _check_q,
     defect_bound_holder,
@@ -299,8 +301,12 @@ class _Certifier:
             # channel cannot even be evaluated on the grid (for example a
             # second derivative diverging at an endpoint): not certified
             return {}
-        return {(s, concave): grid_verdict(grid, s, concave=concave).passed
-                for s in self.s_values for concave in (False, True)}
+        verdicts = {}
+        for s in self.s_values:
+            convex, concave = grid_verdicts(grid, s)
+            verdicts[(s, False)] = convex.passed
+            verdicts[(s, True)] = concave.passed
+        return verdicts
 
     def _probes_ok(self, fn, domain: Interval, s: float, concave: bool,
                    key: str) -> bool:
@@ -311,7 +317,7 @@ class _Certifier:
         lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
         mix = lam * x + (1.0 - lam) * y
         fx, fy, fm = _eval_grid(fn, np.stack([x, y, mix]))
-        combo = lam ** s * fx + (1.0 - lam) ** s * fy
+        combo = s_combination(lam, s, fx, fy)
         if concave:
             return bool(np.all(fm >= combo - 1e-12))
         return bool(np.all(fm <= combo + 1e-12))
@@ -412,7 +418,8 @@ def _d2_evaluatable(f: TestFunction, iv: Interval) -> bool:
 
 class _Sweep:
     """What one sweep shares across its rows: the slack and quadrature
-    tolerance, the certifier, and the trapezoid defects."""
+    tolerance, the certifier, the trapezoid defects and their Gauss
+    rules."""
 
     def __init__(self, config: SweepConfig):
         self.slack = config.slack
@@ -421,6 +428,8 @@ class _Sweep:
         # signed defect per (function, interval, alpha), or the error that
         # stopped its computation; filled by whichever row asks first
         self.defects: dict[tuple, float | FracineqError] = {}
+        # the Gauss rules of the defects and identity rhs, per alpha
+        self.rules = DefectRules()
 
     def row(self, check_id: str, key: tuple, lhs=None, rhs=None,
             rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
@@ -446,7 +455,8 @@ class _Sweep:
         if key not in self.defects:
             try:
                 self.defects[key] = trapezoid_defect(
-                    f, iv, alpha, quad_tol=self.quad_tol).lhs
+                    f, iv, alpha, quad_tol=self.quad_tol,
+                    rules=self.rules).lhs
             except (AccuracyError, IntegrandError) as exc:
                 self.defects[key] = exc
         outcome = self.defects[key]
@@ -462,7 +472,8 @@ class _Sweep:
             return self.row("identity", key, status=STATUS_SKIPPED)
         try:
             lhs = self.defect(f, iv, alpha)
-            rhs = defect_identity_rhs(f, iv, alpha, quad_tol=self.quad_tol)
+            rhs = defect_identity_rhs(f, iv, alpha, quad_tol=self.quad_tol,
+                                      rules=self.rules)
         except AccuracyError:
             return self.row("identity", key, status=STATUS_FAIL)
         except IntegrandError:

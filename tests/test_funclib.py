@@ -89,6 +89,23 @@ def test_non_finite_grid_value_raises():
         certify_s_convex(lambda t: 1.0 / t, UNIT, 1.0)
 
 
+@pytest.mark.parametrize("fn, domain", [
+    (lambda t: t ** 2, Interval(0.0, 2.0)),         # convex, not concave
+    (lambda t: -t ** 2, UNIT),                      # concave, not convex
+    (lambda t: t ** 0.5, UNIT),                     # s-concave only at some s
+    (lambda t: 1.0 + 0.0 * t, UNIT),                # constant
+    (lambda t: np.sin(6.0 * t), Interval(0.0, 3.0)),  # neither
+])
+def test_grid_verdicts_match_one_direction_at_a_time(fn, domain):
+    from fracineq.funclib import cert_grid, grid_verdict, grid_verdicts
+
+    grid = cert_grid(fn, domain)
+    for s in (0.25, 0.5, 1.0):
+        # passed flags and witnesses alike
+        assert grid_verdicts(grid, s) == (grid_verdict(grid, s),
+                                          grid_verdict(grid, s, concave=True))
+
+
 def test_scalar_only_callables_supported():
     def scalar_fn(t):
         if hasattr(t, "__len__"):

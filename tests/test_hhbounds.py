@@ -6,6 +6,7 @@ import pytest
 
 from fracineq import (
     BoundParams,
+    DefectRules,
     DomainError,
     Interval,
     PreconditionError,
@@ -324,20 +325,116 @@ def monomial_defect(k: int, b: float, alpha: float) -> float:
 # Gamma(alpha+1)/(2(b-a)^alpha) overflows or underflows.  At 150 and 170 on
 # [0, 1] it is about 3e262 and 4e306, enough to amplify quadrature error
 # past quad_tol wherever it is formed.  At 1e-4 nearly all the
-# Beta(alpha, 1) mass lies within 1e-100 of u = 0.
+# Beta(alpha, 1) mass lies within 1e-100 of u = 0, and at 1e-5 within
+# 1e-1000.
 @pytest.mark.parametrize("name, k, b, alpha", [
     ("square", 2, 1.0, 170.7), ("square", 2, 1.0, 171.0),
     ("square", 2, 1.0, 200.0), ("square", 2, 1.0, 1000.0),
     ("cube", 3, 100.0, 170.0), ("cube", 3, 0.01, 162.0),
     ("square", 2, 0.5, 170.0), ("square", 2, 10.0, 170.0),
     ("square", 2, 1.0, 150.0), ("square", 2, 1.0, 170.0),
-    ("square", 2, 1.0, 1e-4),
+    ("square", 2, 1.0, 1e-4), ("square", 2, 1.0, 1e-5),
+    ("cube", 3, 1.0, 1e-5),
 ], ids=["gamma_overflows", "alpha_171", "alpha_200", "alpha_1000",
         "power_overflows", "power_underflows", "coefficient_overflows",
-        "wide_alpha_170", "alpha_150", "alpha_170", "alpha_1e-4"])
+        "wide_alpha_170", "alpha_150", "alpha_170", "alpha_1e-4",
+        "alpha_1e-5", "cube_alpha_1e-5"])
 def test_defect_matches_monomial_closed_form(name, k, b, alpha):
     d = trapezoid_defect(get_function(name), Interval(0.0, b), alpha)
     assert d.lhs == pytest.approx(monomial_defect(k, b, alpha), abs=1e-10)
+
+
+def mp_defect(f, a: float, b: float, alpha: float) -> float:
+    """D at 30 digits: the Beta(alpha, 1) form, with f's own expression
+    evaluated in mpmath."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        lo, hi, al = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(alpha)
+        h, ends = hi - lo, f.fn(lo) + f.fn(hi)
+        return float(-0.5 * mpmath.quad(
+            lambda u: al * u ** (al - 1) * (f.fn(lo + h * u)
+                                            + f.fn(hi - h * u) - ends),
+            [0, 0.5, 1]))
+
+
+def allowed_errors(a: float, b: float, alpha: float, quad_tol: float,
+                   exact: float) -> tuple[float, float]:
+    """What each side may miss D by: the tolerance its integral is asked
+    for (clamped to the engine's range), or the engine's roundoff floor
+    50 eps int|integrand| where that is larger.  Both integrands keep one
+    sign for convex f, so each floor is 50 eps |D| in units of D."""
+    from fracineq.quadrature import _engine_tol
+
+    coeff = (b - a) ** 2 / (2.0 * (alpha + 1.0))
+    floor = 50.0 * math.ulp(1.0) * abs(exact)
+    return (max(0.5 * _engine_tol(2.0 * quad_tol), floor),
+            max(coeff * _engine_tol(quad_tol / coeff), floor))
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 0.05, 0.5, 1.0, 7.0, 170.0])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 3.0), (0.0, 100.0)])
+@pytest.mark.parametrize("name", ["square", "cube", "quartic", "s_power_0.25",
+                                  "shifted_square_1"])
+def test_both_identity_sides_against_mpmath(name, a, b, alpha):
+    pytest.importorskip("mpmath")
+    f = get_function(name)
+    exact = mp_defect(f, a, b, alpha)
+    lhs_allowed, rhs_allowed = allowed_errors(a, b, alpha, 1e-10, exact)
+    assert abs(trapezoid_defect(f, Interval(a, b), alpha).lhs
+               - exact) <= lhs_allowed
+    assert abs(defect_identity_rhs(f, Interval(a, b), alpha)
+               - exact) <= rhs_allowed
+
+
+@pytest.mark.parametrize("name, a, b, alpha, quad_tol", [
+    # f has an algebraic endpoint at 0, so the rules converge slowly
+    ("s_power_0.25", 0.0, 2.0, 0.1, 1e-12),
+    # f near 1e8 leaves rounding above the tolerance in every rung; the
+    # adaptive fallback used to return 0 at such small alpha
+    ("quartic", 0.0, 100.0, 1e-5, 1e-10),
+])
+def test_fallback_meets_tol_where_the_rules_do_not(name, a, b, alpha,
+                                                  quad_tol):
+    pytest.importorskip("mpmath")
+    f = get_function(name)
+    exact = mp_defect(f, a, b, alpha)
+    lhs_allowed, rhs_allowed = allowed_errors(a, b, alpha, quad_tol, exact)
+    rules = DefectRules()
+    lhs = trapezoid_defect(f, Interval(a, b), alpha, quad_tol, rules).lhs
+    rhs = defect_identity_rhs(f, Interval(a, b), alpha, quad_tol, rules)
+    assert (rules.hits, rules.fallbacks) == (0, 2)
+    assert abs(lhs - exact) <= lhs_allowed
+    assert abs(rhs - exact) <= rhs_allowed
+
+
+def test_rules_serve_scalar_only_callables():
+    pytest.importorskip("mpmath")
+    import mpmath
+
+    def scalar_exp(t):
+        # math.exp takes no array, so each node is evaluated on its own
+        return mpmath.exp(t) if isinstance(t, mpmath.mpf) else math.exp(t)
+
+    f = TestFunction("exp", scalar_exp, scalar_exp, ConvexityClass("convex"),
+                     Interval(0.0, 2.0))
+    rules = DefectRules()
+    for alpha in (0.3, 2.5):
+        exact = mp_defect(f, 0.0, 2.0, alpha)
+        assert trapezoid_defect(math.exp, Interval(0.0, 2.0), alpha,
+                                rules=rules).lhs == pytest.approx(
+            exact, abs=1e-10)
+        assert defect_identity_rhs(f, Interval(0.0, 2.0), alpha,
+                                   rules=rules) == pytest.approx(
+            exact, abs=1e-10)
+    assert (rules.hits, rules.fallbacks) == (4, 0)
+
+
+def test_rules_are_built_once_per_alpha():
+    rules = DefectRules()
+    assert rules.defect(0.5) is rules.defect(0.5)
+    assert rules.identity_rhs(0.5) is rules.identity_rhs(0.5)
+    assert rules.defect(0.5) is not rules.defect(2.0)
 
 
 def test_orders_above_alpha_max_still_compute_where_gamma_is_not_formed():

@@ -13,7 +13,13 @@ from fracineq import (
     beta,
     integrate,
 )
-from fracineq.quadrature import PANEL_ORDER, EndpointSingularity
+from fracineq.quadrature import (
+    PANEL_ORDER,
+    RULE_LADDER,
+    EndpointSingularity,
+    RuleLadder,
+    beta_rule,
+)
 
 
 def test_polynomial_smoke():
@@ -167,3 +173,69 @@ def test_singularity_validation():
         EndpointSingularity("left", -1.5)
     with pytest.raises(DomainError):
         EndpointSingularity("left", 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Gauss rules for the Beta(alpha, 1) law
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-3, 0.5, 1.0, 7.0, 170.0, 1000.0])
+@pytest.mark.parametrize("n", RULE_LADDER)
+def test_beta_rule_reproduces_the_moments(alpha, n):
+    # E[U^k] = alpha/(alpha+k) for U ~ Beta(alpha, 1), exact for k < 2n.
+    # A Jacobi matrix formed from c = alpha - 1 recovers alpha as c + 1 and
+    # misses these moments at alpha = 1e-5 by up to 1.6e-11 relative.
+    nodes, weights = beta_rule(alpha, n)
+    assert len(nodes) == len(weights) == n
+    assert ((nodes > 0.0) & (nodes < 1.0)).all() and (weights > 0.0).all()
+    for k in range(2 * n):
+        exact = alpha / (alpha + k)
+        got = math.fsum(weights * nodes ** k)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0), k
+
+
+def test_beta_rule_at_alpha_one_is_gauss_legendre():
+    import numpy as np
+
+    x, w = np.polynomial.legendre.leggauss(12)
+    nodes, weights = beta_rule(1.0, 12)
+    assert nodes == pytest.approx(0.5 * (x + 1.0), abs=1e-15)
+    assert weights == pytest.approx(0.5 * w, abs=1e-15)
+
+
+def ladder_of(alpha):
+    return RuleLadder([beta_rule(alpha, n) for n in RULE_LADDER])
+
+
+def test_ladder_accepts_the_first_rung_that_meets_tol():
+    ladder = ladder_of(0.5)
+    assert list(ladder.sizes) == list(RULE_LADDER)
+    # a cubic is exact on every rung, so the second rung is accepted
+    got = ladder.estimate(ladder.nodes ** 3, 1e-12)
+    assert got == pytest.approx(0.5 / 3.5, abs=1e-15)
+    first, second = ladder.starts[1], ladder.starts[2]
+    assert got == pytest.approx(
+        math.fsum((ladder.weights * ladder.nodes ** 3)[first:second]),
+        abs=1e-16)
+
+
+def test_ladder_gives_up_on_unresolved_or_non_finite_integrands():
+    import numpy as np
+
+    ladder = ladder_of(1.0)
+    # a kink the rungs do not resolve to 1e-12
+    assert ladder.estimate(np.abs(ladder.nodes - 1.0 / 3.0), 1e-12) is None
+    assert ladder.estimate(np.abs(ladder.nodes - 1.0 / 3.0), 1e-3) is not None
+    values = ladder.nodes ** 2
+    values[-1] = math.inf
+    assert ladder.estimate(values, 1e-3) is None
+    values[-1] = math.nan
+    assert ladder.estimate(values, 1e-3) is None
+
+
+def test_ladder_rounding_term_blocks_tolerances_below_it():
+    # exact on every rung, but a sum of terms near 1e6 cannot resolve 1e-12
+    ladder = ladder_of(2.0)
+    assert ladder.estimate(1e6 + 0.0 * ladder.nodes, 1e-12) is None
+    assert ladder.estimate(1e6 + 0.0 * ladder.nodes, 1e-6) == pytest.approx(
+        1e6, rel=1e-15)

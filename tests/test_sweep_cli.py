@@ -605,3 +605,18 @@ def test_narrow_interval_identity_passes():
     identity = [r for r in report.rows if r.check_id == "identity"]
     assert [r.status for r in identity] == ["pass"]
     assert identity[0].lhs == pytest.approx(identity[0].rhs, abs=1e-16)
+
+
+def test_tiny_alpha_identity_passes():
+    # the Beta(1e-5, 1) mass lies within 1e-1000 of u = 0; the adaptive
+    # substitution v = u^alpha never sampled where the defect's integrand
+    # varies and reported lhs = 0 against rhs = 5.0e-6
+    text = (GOOD_CONFIG.replace("functions = square linear",
+                                "functions = square")
+            .replace("alphas = 0.5 1", "alphas = 1e-5"))
+    report = run_sweep(parse_config_text(text))
+    identity = [r for r in report.rows if r.check_id == "identity"]
+    assert [r.status for r in identity] == ["pass"]
+    # (b-a)^2 alpha / ((alpha+1)(alpha+2)) for f'' = 2
+    assert identity[0].lhs == pytest.approx(1e-5 / (1.00001 * 2.00001),
+                                            abs=1e-15)
