@@ -33,7 +33,6 @@ from .funclib import (
 from .hhbounds import (
     BoundParams,
     DefectResult,
-    DefectRules,
     SandwichResult,
     classical_concave_bound,
     classical_convex_bound,

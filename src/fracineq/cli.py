@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DomainError, FracineqError
 from .funclib import certify_declared, get_function
-from .hhbounds import DefectRules, defect_identity_rhs, trapezoid_defect
+from .hhbounds import defect_identity_rhs, trapezoid_defect
 from .quadrature import Interval
 from .sweep import SweepConfig, load_config, render_report, run_sweep
 
@@ -98,10 +98,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_check_identity(args) -> int:
     f = get_function(args.function)
     iv = Interval.parse(args.interval)
-    # both sides share one set of Gauss rules for this alpha
-    rules = DefectRules()
-    lhs = trapezoid_defect(f, iv, args.alpha, rules=rules).lhs
-    rhs = defect_identity_rhs(f, iv, args.alpha, rules=rules)
+    lhs = trapezoid_defect(f, iv, args.alpha).lhs
+    rhs = defect_identity_rhs(f, iv, args.alpha)
     diff = abs(lhs - rhs)
     slack = SweepConfig.slack
     ok = diff <= slack

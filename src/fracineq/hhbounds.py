@@ -19,14 +19,17 @@ equals the exact weighted curvature integral
     (b-a)^2 / (2 (alpha+1)) *
         int_0^1 t (1 - t^alpha) [f''(ta + (1-t)b) + f''((1-t)a + tb)] dt,
 
-computed by :func:`defect_identity_rhs`.  Writing int t (1 - t^alpha) h
-as E[V h(V)] - E[U^2 h(U)] / alpha, with V uniform and U ~ Beta(alpha, 1),
-makes both sides Beta(alpha, 1) expectations.  Each is first tried with
-the Gauss rules of that law (:class:`DefectRules`, one ladder of
-:data:`~fracineq.quadrature.RULE_LADDER` sizes per alpha, see
-:class:`~fracineq.quadrature.RuleLadder`), with f or f'' evaluated once on
-all nodes as an array.  When no rung meets the tolerance, or a node
-value is not finite, the integral goes to the adaptive engine.
+computed by :func:`defect_identity_rhs`.  Both sides are integrals over
+[0, 1] with algebraic behaviour at the ends: the density u^(alpha-1), and
+for f = t^(s+2) on [0, b] terms in u^(s+2), (1-u)^(s+2) and t^s.  Each is
+first computed on the tanh-sinh ladder
+:data:`~fracineq.quadrature.TANH_SINH` (see
+:class:`~fracineq.quadrature.TanhSinhLadder`), with f or f'' evaluated
+once on all its nodes as an array: the defect's integrand is
+alpha exp((alpha-1) ln u) g(u), the rhs weight t (-expm1(alpha ln t)),
+which keeps 1 - t^alpha accurate at tiny alpha.  When no level meets the
+tolerance, or a node value is not finite, the integral goes to the
+adaptive engine.
 
 Upper bounds for |D| follow from convexity hypotheses on |f''| or
 |f''|^q; each evaluator certifies its hypothesis on the given interval
@@ -61,13 +64,11 @@ from .funclib import (
     certify_s_convex,
 )
 from .quadrature import (
-    RULE_LADDER,
+    TANH_SINH,
     EndpointSingularity,
     Integrand,
     Interval,
-    RuleLadder,
     _engine_tol,
-    beta_rule,
     integrate,
 )
 from .specfun import beta, log_beta
@@ -75,7 +76,6 @@ from .specfun import beta, log_beta
 __all__ = [
     "BoundParams",
     "DefectResult",
-    "DefectRules",
     "SandwichResult",
     "WeightIntegralEntry",
     "WeightIntegralReport",
@@ -191,68 +191,11 @@ def _require(result, what: str):
             witness=result.witness)
 
 
-class DefectRules:
-    """Gauss rule ladders for :func:`trapezoid_defect` and
-    :func:`defect_identity_rhs`, built per alpha on first use.
-
-    Each rung costs one small eigenproblem, so a caller computing many
-    defects keeps one instance for the run (a sweep builds one) and passes
-    it to every call.  ``hits`` counts the results a ladder gave and
-    ``fallbacks`` those left to the adaptive engine.
-    """
-
-    def __init__(self):
-        self._beta: dict[float, list] = {}
-        self._defect: dict[float, RuleLadder] = {}
-        self._rhs: dict[float, RuleLadder] = {}
-        self.hits = 0
-        self.fallbacks = 0
-
-    def _rules(self, alpha: float) -> list:
-        if alpha not in self._beta:
-            self._beta[alpha] = [beta_rule(alpha, n) for n in RULE_LADDER]
-        return self._beta[alpha]
-
-    def defect(self, alpha: float) -> RuleLadder:
-        """E[g(U)] for U ~ Beta(alpha, 1)."""
-        if alpha not in self._defect:
-            self._defect[alpha] = RuleLadder(self._rules(alpha))
-        return self._defect[alpha]
-
-    def identity_rhs(self, alpha: float) -> RuleLadder:
-        """int_0^1 t (1 - t^alpha) h(t) dt, as E[V h(V)] - E[U^2 h(U)]/alpha
-        with V uniform (Beta(1, 1)) and U ~ Beta(alpha, 1)."""
-        if alpha not in self._rhs:
-            self._rhs[alpha] = RuleLadder([
-                (np.concatenate([v, u]),
-                 np.concatenate([wv * v, -(wu * u * u) / alpha]))
-                for (v, wv), (u, wu) in zip(self._rules(1.0),
-                                            self._rules(alpha))])
-        return self._rhs[alpha]
-
-    def settle(self, ladder: RuleLadder, values: np.ndarray, tol: float,
-               fallback) -> float:
-        """The ladder's estimate from ``values`` at its nodes if it meets
-        ``tol``, else ``fallback()``, the adaptive engine's value."""
-        value = ladder.estimate(values, tol)
-        if value is None:
-            self.fallbacks += 1
-            return fallback()
-        self.hits += 1
-        return value
-
-
 def trapezoid_defect(f, interval: Interval, alpha: float,
-                     quad_tol: float = DEFAULT_QUAD_TOL,
-                     rules: DefectRules | None = None) -> DefectResult:
+                     quad_tol: float = DEFAULT_QUAD_TOL) -> DefectResult:
     """Compute the trapezoid defect as the Beta(alpha, 1) expectation of the
-    module docstring; |total error| <= quad_tol.
-
-    ``rules`` shares Gauss rules across calls; without it they are built
-    for this call alone.
-    """
+    module docstring; |total error| <= quad_tol."""
     alpha = check_alpha(alpha)
-    rules = DefectRules() if rules is None else rules
     a, b = interval.a, interval.b
     h = b - a
     fv = f.fn if isinstance(f, TestFunction) else f
@@ -284,20 +227,20 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
 
     # D is half the integral, so the integral needs twice the tolerance
     tol = _engine_tol(2.0 * quad_tol)
-    ladder = rules.defect(alpha)
-    fx = _eval_grid(fv, np.stack([a + h * ladder.nodes, b - h * ladder.nodes]))
-    value = rules.settle(ladder, fx[0] + fx[1] - ends, tol, adaptive)
+    # f(b - h u) at node u is f(a + h (1-u)), its value at the mirrored node
+    fx = _eval_grid(fv, a + h * TANH_SINH.nodes)
+    density = alpha * np.exp((alpha - 1.0) * TANH_SINH.log_nodes)
+    value = TANH_SINH.estimate(density * (fx + fx[::-1] - ends), tol)
+    if value is None:
+        value = adaptive()
     return DefectResult(lhs=-0.5 * value, quad_tol_used=quad_tol,
                         fa=fa, fb=fb, alpha=alpha, interval=interval)
 
 
 def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
-                        quad_tol: float = DEFAULT_QUAD_TOL,
-                        rules: DefectRules | None = None) -> float:
-    """Weighted curvature integral equal to the trapezoid defect; ``rules``
-    as for :func:`trapezoid_defect`."""
+                        quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+    """Weighted curvature integral equal to the trapezoid defect."""
     alpha = check_alpha(alpha)
-    rules = DefectRules() if rules is None else rules
     a, b = interval.a, interval.b
     d2 = f.d2
     coeff = (b - a) ** 2 / (2.0 * (alpha + 1.0))
@@ -308,14 +251,15 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
         return t * -math.expm1(alpha * math.log(t)) * (
             d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
 
-    def adaptive() -> float:
-        return integrate(weight_integrand, _UNIT, abs_tol=tol).value
-
-    ladder = rules.identity_rhs(alpha)
-    t = ladder.nodes
-    d2v = _eval_grid(d2, np.stack([t * a + (1.0 - t) * b,
-                                   (1.0 - t) * a + t * b]))
-    return coeff * rules.settle(ladder, d2v[0] + d2v[1], tol, adaptive)
+    t, one_minus_t = TANH_SINH.nodes, TANH_SINH.complements
+    # the second point (1-t) a + t b at node t is the first at the mirrored
+    # node 1-t
+    d2v = _eval_grid(d2, t * a + one_minus_t * b)
+    weight = t * -np.expm1(alpha * TANH_SINH.log_nodes)
+    value = TANH_SINH.estimate(weight * (d2v + d2v[::-1]), tol)
+    if value is None:
+        value = integrate(weight_integrand, _UNIT, abs_tol=tol).value
+    return coeff * value
 
 
 def s_convex_sandwich(f, interval: Interval, s: float,

@@ -22,17 +22,15 @@ the endpoint distance from ``t`` by subtraction.
 Integrands singular at both endpoints are handled by the caller splitting
 the interval once (interval additivity holds to tolerance).
 
-Expectations under the Beta(alpha, 1) law, density ``alpha u^(alpha-1)``
-on [0, 1], have a faster path for integrands that can be evaluated on a
-whole array at once: :func:`beta_rule` builds its n-point Gauss rule by
-Golub-Welsch (Golub & Welsch, Math. Comp. 23, 1969), the eigenvalues and
-first eigenvector components of the Jacobi matrix of the law's
-orthogonal polynomials, exact for polynomials of degree below 2n.  A
-:class:`RuleLadder` holds the rules of :data:`RULE_LADDER` nodes side by
-side, and :meth:`RuleLadder.estimate` accepts the n-node sum only when
-``|Q_n - Q_(n/2)| + n * eps * sum |w_i g_i|`` meets the tolerance: the
-difference from the previous rung estimates the truncation error, the
-second term the rounding of the sum.  When no rung passes, or a node
+Integrals over [0, 1] of integrands that can be evaluated on a whole
+array at once have a faster path: :data:`TANH_SINH`, nested tanh-sinh
+rules (Takahasi & Mori, Publ. RIMS 9, 1974) of 13, 25, 51, 101 and 201
+nodes, built once at import.  The double-exponential substitution handles
+algebraic behaviour at both ends of [0, 1], and no node depends on the
+integrand.  :meth:`TanhSinhLadder.estimate` accepts a level's sum only
+when ``|Q_j - Q_(j-1)| + n_j * eps * sum |w_i g_i|`` meets the tolerance:
+the difference from the previous level estimates the truncation error,
+the second term the rounding of the sum.  When no level passes, or a node
 value is not finite, it returns None and the caller falls back to
 :func:`integrate`.
 """
@@ -54,9 +52,8 @@ __all__ = [
     "Integrand",
     "QuadResult",
     "integrate",
-    "RULE_LADDER",
-    "RuleLadder",
-    "beta_rule",
+    "TANH_SINH",
+    "TanhSinhLadder",
 ]
 
 PANEL_ORDER = 21
@@ -303,68 +300,72 @@ def integrate(f: Integrand | Callable[[float], float],
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules for the Beta(alpha, 1) law
-
-# rule sizes tried in turn; each rung is judged against the one before it.
-# Up to 25 nodes LAPACK's symmetric eigensolver stays on its QL iteration;
-# larger ones take the divide-and-conquer path, whose matrix products may
-# wake multithreaded BLAS, and its idle threads then spin on the CPU time
-# of the whole run.
-RULE_LADDER = (6, 12, 24)
+# Tanh-sinh rules on [0, 1]
 
 
-def beta_rule(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss rule for Beta(alpha, 1).
+class TanhSinhLadder:
+    """Nested tanh-sinh rules on [0, 1] (Takahasi & Mori, 1974).
 
-    ``sum(w * g(u))`` is E[g(U)] for U with density alpha u^(alpha-1) on
-    [0, 1], exactly for polynomial g of degree below 2n; the weights sum
-    to 1.  The Jacobi matrix is the (0, alpha-1) Jacobi recurrence moved to
-    [0, 1], with every factor formed from alpha itself: forming alpha - 1
-    first and adding 1 back would lose the low digits of a small alpha.
-    """
-    k = np.arange(1.0, n)
-    m = (2.0 * k - 1.0) + alpha                  # 2k + alpha - 1
-    diag = np.empty(n)
-    diag[0] = alpha / (alpha + 1.0)              # E[U]
-    diag[1:] = 0.5 + 0.5 * (alpha - 1.0) ** 2 / (m * (m + 2.0))
-    off = (k * ((k - 1.0) + alpha)
-           / (m * np.sqrt((m + 1.0) * (2.0 * (k - 1.0) + alpha))))
-    nodes, vectors = np.linalg.eigh(
-        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, vectors[0] ** 2
+    The substitution x = 1 / (1 + e^(-pi sinh t)) maps the real line onto
+    (0, 1) and makes an integrand with algebraic behaviour at either end,
+    such as u^(alpha-1) or (1-u)^s, decay doubly exponentially in t, where
+    the trapezoid rule then converges fast.  Level j takes the step
+    2^-(j+1) on |t| <= T_MAX; each level's nodes are every other node of
+    the next, so one evaluation at :attr:`nodes` (the finest level)
+    serves every level.  No node or weight depends on the integrand.
 
-
-class RuleLadder:
-    """Quadrature rules of growing size, stored side by side.
-
-    Built from (nodes, weights) pairs, smallest rule first.  Rung i owns
-    ``nodes[starts[i]:starts[i] + sizes[i]]`` and the matching weights, so
-    one array evaluation of the integrand serves every rung.
+    ``complements`` is 1 - nodes in closed form, 1 / (1 + e^(pi sinh t)),
+    and equals ``nodes`` reversed; ``log_nodes`` is ln(nodes), taken as
+    log1p(-complements) above 1/2.  Both keep full precision where a node
+    rounds towards 1.
     """
 
-    __slots__ = ("nodes", "weights", "starts", "sizes")
+    LEVELS = 5
+    T_MAX = 3.15
 
-    def __init__(self, rungs):
-        self.sizes = np.array([len(nodes) for nodes, _ in rungs])
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.nodes = np.concatenate([nodes for nodes, _ in rungs])
-        self.weights = np.concatenate([weights for _, weights in rungs])
+    def __init__(self):
+        # built with math on lists: the first call of a numpy ufunc pages
+        # in its loops, which every process importing the package would pay
+        step = 0.5 ** self.LEVELS
+        n = int(self.T_MAX / step)
+        ks = range(-n, n + 1)
+        nodes = [1.0 / (1.0 + math.exp(-math.pi * math.sinh(step * k)))
+                 for k in ks]
+        complements = nodes[::-1]
+        self.nodes = np.array(nodes)
+        self.complements = np.array(complements)
+        self.log_nodes = np.array([math.log(x) if x < 0.5 else math.log1p(-c)
+                                   for x, c in zip(nodes, complements)])
+        dx_dt = [math.pi * math.cosh(step * k) * x * c
+                 for k, x, c in zip(ks, nodes, complements)]
+        strides = [2 ** (self.LEVELS - 1 - j) for j in range(self.LEVELS)]
+        # row j: level j's weights on its own nodes, 0 elsewhere
+        self.weights = np.array([
+            [stride * step * w if k % stride == 0 else 0.0
+             for k, w in zip(ks, dx_dt)]
+            for stride in strides])
+        self.sizes = [2 * (n // stride) + 1 for stride in strides]
+        self._rounding = np.array(self.sizes) * math.ulp(1.0)
 
     def estimate(self, values: np.ndarray, tol: float) -> float | None:
-        """The first rung sum whose error estimate meets ``tol``, or None.
+        """The first level sum whose error estimate meets ``tol``, or None.
 
-        ``values`` holds the integrand at ``nodes``.  Rung i's estimate is
-        its distance from rung i-1 plus the rounding bound
-        ``size * eps * sum |w_i g_i|`` of its own sum.  None when no rung
+        ``values`` holds the integrand at :attr:`nodes`.  Level j's
+        estimate is its distance from level j-1 plus the rounding bound
+        ``size * eps * sum |w_i g_i|`` of its own sum.  None when no level
         passes or a value is not finite.
         """
-        terms = self.weights * values
-        if not np.isfinite(terms).all():
+        if not np.isfinite(values).all():
             return None
-        sums = np.add.reduceat(terms, self.starts).tolist()
-        rounding = (np.add.reduceat(np.abs(terms), self.starts)
-                    * (self.sizes * math.ulp(1.0))).tolist()
-        for i in range(1, len(sums)):
-            if abs(sums[i] - sums[i - 1]) + rounding[i] <= tol:
-                return sums[i]
+        sums = (self.weights * values).sum(axis=1).tolist()
+        rounding = ((self.weights * np.abs(values)).sum(axis=1)
+                    * self._rounding).tolist()
+        for j in range(1, len(sums)):
+            if abs(sums[j] - sums[j - 1]) + rounding[j] <= tol:
+                return sums[j]
         return None
+
+
+# the ladder every defect and identity rhs tries first: 13, 25, 51, 101
+# and 201 nodes
+TANH_SINH = TanhSinhLadder()

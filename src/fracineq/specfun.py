@@ -59,13 +59,27 @@ def _log_gamma_core(x: float) -> float:
     return _LOG_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
 
+# log_gamma's results by argument: a sweep asks for a few dozen distinct
+# arguments thousands of times.  Bounded, so a long run of distinct
+# arguments cannot grow it without limit; once full it stops adding.
+_LOG_GAMMA_MEMO: dict[float, float] = {}
+_LOG_GAMMA_MEMO_MAX = 4096
+
+
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     x = _require_positive("x", x)
-    if x < 0.5:
-        # shift into the accurate range: log Gamma(x) = log Gamma(x+1) - log x
-        return _log_gamma_core(x + 1.0) - math.log(x)
-    return _log_gamma_core(x)
+    value = _LOG_GAMMA_MEMO.get(x)
+    if value is None:
+        if x < 0.5:
+            # shift into the accurate range:
+            # log Gamma(x) = log Gamma(x+1) - log x
+            value = _log_gamma_core(x + 1.0) - math.log(x)
+        else:
+            value = _log_gamma_core(x)
+        if len(_LOG_GAMMA_MEMO) < _LOG_GAMMA_MEMO_MAX:
+            _LOG_GAMMA_MEMO[x] = value
+    return value
 
 
 def gamma(x: float) -> float:

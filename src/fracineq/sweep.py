@@ -53,6 +53,8 @@ import math
 import zlib
 from dataclasses import dataclass, fields as dc_fields
 from itertools import product
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -84,7 +86,6 @@ from .hhbounds import (
     DEFAULT_QUAD_TOL,
     HOLDER_VALID_ALPHA_MAX,
     BoundParams,
-    DefectRules,
     _check_p,
     _check_q,
     defect_bound_holder,
@@ -418,8 +419,7 @@ def _d2_evaluatable(f: TestFunction, iv: Interval) -> bool:
 
 class _Sweep:
     """What one sweep shares across its rows: the slack and quadrature
-    tolerance, the certifier, the trapezoid defects and their Gauss
-    rules."""
+    tolerance, the certifier and the trapezoid defects."""
 
     def __init__(self, config: SweepConfig):
         self.slack = config.slack
@@ -428,8 +428,6 @@ class _Sweep:
         # signed defect per (function, interval, alpha), or the error that
         # stopped its computation; filled by whichever row asks first
         self.defects: dict[tuple, float | FracineqError] = {}
-        # the Gauss rules of the defects and identity rhs, per alpha
-        self.rules = DefectRules()
 
     def row(self, check_id: str, key: tuple, lhs=None, rhs=None,
             rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
@@ -455,8 +453,7 @@ class _Sweep:
         if key not in self.defects:
             try:
                 self.defects[key] = trapezoid_defect(
-                    f, iv, alpha, quad_tol=self.quad_tol,
-                    rules=self.rules).lhs
+                    f, iv, alpha, quad_tol=self.quad_tol).lhs
             except (AccuracyError, IntegrandError) as exc:
                 self.defects[key] = exc
         outcome = self.defects[key]
@@ -472,8 +469,7 @@ class _Sweep:
             return self.row("identity", key, status=STATUS_SKIPPED)
         try:
             lhs = self.defect(f, iv, alpha)
-            rhs = defect_identity_rhs(f, iv, alpha, quad_tol=self.quad_tol,
-                                      rules=self.rules)
+            rhs = defect_identity_rhs(f, iv, alpha, quad_tol=self.quad_tol)
         except AccuracyError:
             return self.row("identity", key, status=STATUS_FAIL)
         except IntegrandError:
@@ -573,6 +569,28 @@ def _fmt_float(v: float | None) -> str:
     return "" if v is None else format(float(v), ".17g")
 
 
+def _json_float(v: float) -> str:
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else ("Infinity" if v > 0.0 else "-Infinity")
+
+
+# what json.dumps writes for each value type of a row; any other type is
+# handed to json.dumps itself
+_JSON_VALUE = {float: _json_float, str: encode_basestring_ascii,
+               type(None): lambda v: "null"}
+_JSON_FIELDS = tuple(f.name for f in dc_fields(SweepRow))
+_JSON_KEYS = tuple(f"    {encode_basestring_ascii(name)}: "
+                   for name in _JSON_FIELDS)
+_row_values = attrgetter(*_JSON_FIELDS)
+
+
+def _json_row(r: SweepRow) -> str:
+    return "  {\n" + ",\n".join([
+        key + (_JSON_VALUE.get(type(v)) or json.dumps)(v)
+        for key, v in zip(_JSON_KEYS, _row_values(r))]) + "\n  }"
+
+
 def render_report(report: SweepReport, output_format: str = "csv") -> bytes:
     """Serialise a report; identical reports render byte-identically."""
     if output_format == "csv":
@@ -588,9 +606,10 @@ def render_report(report: SweepReport, output_format: str = "csv") -> bytes:
             ])
         return buf.getvalue().encode("utf-8")
     if output_format == "json":
-        payload = []
-        for r in report.rows:
-            payload.append({name: getattr(r, name) for name in
-                            (f.name for f in dc_fields(SweepRow))})
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        # the bytes of json.dumps(rows as dicts, indent=2) + "\n", without
+        # its pure-Python indenting encoder
+        if not report.rows:
+            return b"[]\n"
+        return ("[\n" + ",\n".join(map(_json_row, report.rows))
+                + "\n]\n").encode("utf-8")
     raise ConfigError("format", f"must be csv or json, got {output_format}")

@@ -6,7 +6,6 @@ import pytest
 
 from fracineq import (
     BoundParams,
-    DefectRules,
     DomainError,
     Interval,
     PreconditionError,
@@ -28,7 +27,9 @@ from fracineq import (
     trapezoid_defect,
     weight_integral_report,
 )
+from fracineq import hhbounds
 from fracineq.funclib import ConvexityClass
+from fracineq.quadrature import TANH_SINH, integrate
 
 UNIT = Interval(0.0, 1.0)
 SQUARE = get_function("square")
@@ -387,28 +388,63 @@ def test_both_identity_sides_against_mpmath(name, a, b, alpha):
                - exact) <= rhs_allowed
 
 
+@pytest.fixture
+def adaptive_calls(monkeypatch):
+    """The integrals hhbounds hands to the adaptive engine, in call order."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(hhbounds, "integrate", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name, a, b, alpha, quad_tol", [
-    # f has an algebraic endpoint at 0, so the rules converge slowly
-    ("s_power_0.25", 0.0, 2.0, 0.1, 1e-12),
-    # f near 1e8 leaves rounding above the tolerance in every rung; the
-    # adaptive fallback used to return 0 at such small alpha
-    ("quartic", 0.0, 100.0, 1e-5, 1e-10),
+    # f near 1e8 leaves the defect's rounding term (4e-11 on the 101-node
+    # level) above its tolerance 2e-12; the adaptive fallback used to
+    # return 0 at such small alpha
+    ("quartic", 0.0, 100.0, 1e-5, 1e-12),
+    # f near 256: the rounding terms of both sides exceed their tolerances
+    ("quartic", 0.5, 4.0, 0.6, 1e-12),
 ])
 def test_fallback_meets_tol_where_the_rules_do_not(name, a, b, alpha,
-                                                  quad_tol):
+                                                  quad_tol, adaptive_calls):
     pytest.importorskip("mpmath")
     f = get_function(name)
     exact = mp_defect(f, a, b, alpha)
     lhs_allowed, rhs_allowed = allowed_errors(a, b, alpha, quad_tol, exact)
-    rules = DefectRules()
-    lhs = trapezoid_defect(f, Interval(a, b), alpha, quad_tol, rules).lhs
-    rhs = defect_identity_rhs(f, Interval(a, b), alpha, quad_tol, rules)
-    assert (rules.hits, rules.fallbacks) == (0, 2)
+    lhs = trapezoid_defect(f, Interval(a, b), alpha, quad_tol).lhs
+    assert len(adaptive_calls) == 1
+    rhs = defect_identity_rhs(f, Interval(a, b), alpha, quad_tol)
     assert abs(lhs - exact) <= lhs_allowed
     assert abs(rhs - exact) <= rhs_allowed
 
 
-def test_rules_serve_scalar_only_callables():
+@pytest.mark.parametrize("name, a, b, alpha, quad_tol", [
+    # f = t^2.25/c has an algebraic endpoint at 0: g carries u^2.25 and
+    # (1-u)^2.25 terms and the rhs integrand a t^0.25 one
+    ("s_power_0.25", 0.0, 2.0, 0.1, 1e-12),
+    # the rounding terms stay below a tolerance 100 times looser than in
+    # the fallback case above
+    ("quartic", 0.0, 100.0, 1e-5, 1e-10),
+])
+def test_ladder_meets_tol_without_the_adaptive_engine(name, a, b, alpha,
+                                                      quad_tol,
+                                                      adaptive_calls):
+    pytest.importorskip("mpmath")
+    f = get_function(name)
+    exact = mp_defect(f, a, b, alpha)
+    lhs_allowed, rhs_allowed = allowed_errors(a, b, alpha, quad_tol, exact)
+    lhs = trapezoid_defect(f, Interval(a, b), alpha, quad_tol).lhs
+    rhs = defect_identity_rhs(f, Interval(a, b), alpha, quad_tol)
+    assert adaptive_calls == []
+    assert abs(lhs - exact) <= lhs_allowed
+    assert abs(rhs - exact) <= rhs_allowed
+
+
+def test_rules_serve_scalar_only_callables(adaptive_calls):
     pytest.importorskip("mpmath")
     import mpmath
 
@@ -418,23 +454,40 @@ def test_rules_serve_scalar_only_callables():
 
     f = TestFunction("exp", scalar_exp, scalar_exp, ConvexityClass("convex"),
                      Interval(0.0, 2.0))
-    rules = DefectRules()
     for alpha in (0.3, 2.5):
         exact = mp_defect(f, 0.0, 2.0, alpha)
-        assert trapezoid_defect(math.exp, Interval(0.0, 2.0), alpha,
-                                rules=rules).lhs == pytest.approx(
-            exact, abs=1e-10)
-        assert defect_identity_rhs(f, Interval(0.0, 2.0), alpha,
-                                   rules=rules) == pytest.approx(
-            exact, abs=1e-10)
-    assert (rules.hits, rules.fallbacks) == (4, 0)
+        assert trapezoid_defect(math.exp, Interval(0.0, 2.0),
+                                alpha).lhs == pytest.approx(exact, abs=1e-10)
+        assert defect_identity_rhs(f, Interval(0.0, 2.0),
+                                   alpha) == pytest.approx(exact, abs=1e-10)
+    assert adaptive_calls == []
 
 
-def test_rules_are_built_once_per_alpha():
-    rules = DefectRules()
-    assert rules.defect(0.5) is rules.defect(0.5)
-    assert rules.identity_rhs(0.5) is rules.identity_rhs(0.5)
-    assert rules.defect(0.5) is not rules.defect(2.0)
+def test_ladder_nodes_do_not_depend_on_alpha():
+    # one ladder, built at import, serves every order: f is evaluated at
+    # a + (b-a) x on the ladder's nodes whatever alpha is
+    seen = []
+
+    def square(t):
+        seen.append(t)
+        return t * t
+
+    for alpha in (1e-5, 0.5, 2.0, 1000.0):
+        trapezoid_defect(square, Interval(1.0, 3.0), alpha)
+    arrays = [t for t in seen if not isinstance(t, float)]
+    assert len(arrays) == 4
+    for t in arrays:
+        assert (t == 1.0 + 2.0 * TANH_SINH.nodes).all()
+
+
+def test_identity_rhs_tiny_alpha_matches_closed_form():
+    # int_0^1 t (1 - t^alpha) 4 dt scaled by (b-a)^2 / (2 (alpha+1)) is
+    # 1e4 alpha / ((1+alpha)(alpha+2)); writing the integral as
+    # E[V h(V)] - E[U^2 h(U)]/alpha cancels 5 of its 16 digits here
+    alpha = 1e-5
+    exact = 1e4 * alpha / ((1.0 + alpha) * (alpha + 2.0))
+    got = defect_identity_rhs(SQUARE, Interval(0.0, 100.0), alpha, 1e-12)
+    assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_orders_above_alpha_max_still_compute_where_gamma_is_not_formed():

@@ -15,10 +15,8 @@ from fracineq import (
 )
 from fracineq.quadrature import (
     PANEL_ORDER,
-    RULE_LADDER,
+    TANH_SINH,
     EndpointSingularity,
-    RuleLadder,
-    beta_rule,
 )
 
 
@@ -176,56 +174,72 @@ def test_singularity_validation():
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules for the Beta(alpha, 1) law
+# The tanh-sinh ladder on [0, 1]
+
+
+def test_ladder_levels_are_nested_with_closed_form_complements():
+    import numpy as np
+
+    assert TANH_SINH.sizes == [13, 25, 51, 101, 201]
+    assert ((TANH_SINH.nodes > 0.0) & (TANH_SINH.nodes < 1.0)).all()
+    # each level's nodes are every other node of the next
+    on = TANH_SINH.weights > 0.0
+    assert list(on.sum(axis=1)) == TANH_SINH.sizes
+    assert (on[1:] >= on[:-1]).all()
+    t = [k / 32.0 for k in range(-100, 101)]
+    assert TANH_SINH.nodes.tolist() == [
+        1.0 / (1.0 + math.exp(-math.pi * math.sinh(v))) for v in t]
+    assert TANH_SINH.complements.tolist() == [
+        1.0 / (1.0 + math.exp(math.pi * math.sinh(v))) for v in t]
+    assert np.abs(TANH_SINH.nodes + TANH_SINH.complements - 1.0).max() \
+        <= math.ulp(1.0)
+    assert TANH_SINH.log_nodes.tolist() == [
+        math.log(x) if x < 0.5 else math.log1p(-c)
+        for x, c in zip(TANH_SINH.nodes, TANH_SINH.complements)]
 
 
 @pytest.mark.parametrize("alpha", [1e-5, 1e-3, 0.5, 1.0, 7.0, 170.0, 1000.0])
-@pytest.mark.parametrize("n", RULE_LADDER)
-def test_beta_rule_reproduces_the_moments(alpha, n):
-    # E[U^k] = alpha/(alpha+k) for U ~ Beta(alpha, 1), exact for k < 2n.
-    # A Jacobi matrix formed from c = alpha - 1 recovers alpha as c + 1 and
-    # misses these moments at alpha = 1e-5 by up to 1.6e-11 relative.
-    nodes, weights = beta_rule(alpha, n)
-    assert len(nodes) == len(weights) == n
-    assert ((nodes > 0.0) & (nodes < 1.0)).all() and (weights > 0.0).all()
-    for k in range(2 * n):
-        exact = alpha / (alpha + k)
-        got = math.fsum(weights * nodes ** k)
-        assert got == pytest.approx(exact, rel=1e-13, abs=0.0), k
-
-
-def test_beta_rule_at_alpha_one_is_gauss_legendre():
+@pytest.mark.parametrize("k", [6, 12, 24])
+def test_beta_rule_reproduces_the_moments(alpha, k):
+    # The Beta(alpha, 1) rule is the ladder weighted by the density
+    # alpha u^(alpha-1), formed as trapezoid_defect forms it; it gives
+    # E[U^k] = alpha/(alpha+k) to 1e-13 relative, up to the mass
+    # alpha * x_min of the tail 1 - u < x_min that the ladder cuts off.
     import numpy as np
 
-    x, w = np.polynomial.legendre.leggauss(12)
-    nodes, weights = beta_rule(1.0, 12)
-    assert nodes == pytest.approx(0.5 * (x + 1.0), abs=1e-15)
-    assert weights == pytest.approx(0.5 * w, abs=1e-15)
+    u = TANH_SINH.nodes
+    density = alpha * np.exp((alpha - 1.0) * TANH_SINH.log_nodes)
+    exact = alpha / (alpha + k)
+    got = TANH_SINH.estimate(density * u ** k, 1e-12 * exact)
+    assert got == pytest.approx(exact, rel=1e-13, abs=alpha * u[0])
 
 
-def ladder_of(alpha):
-    return RuleLadder([beta_rule(alpha, n) for n in RULE_LADDER])
+def test_ladder_resolves_algebraic_endpoints():
+    # int_0^1 t^0.25 (1-t)^0.75 dt = B(1.25, 1.75), both ends algebraic
+    import numpy as np
+
+    values = np.exp(0.25 * TANH_SINH.log_nodes
+                    + 0.75 * np.log(TANH_SINH.complements))
+    got = TANH_SINH.estimate(values, 1e-14)
+    assert got == pytest.approx(beta(1.25, 1.75), rel=0.0, abs=1e-14)
 
 
 def test_ladder_accepts_the_first_rung_that_meets_tol():
-    ladder = ladder_of(0.5)
-    assert list(ladder.sizes) == list(RULE_LADDER)
-    # a cubic is exact on every rung, so the second rung is accepted
-    got = ladder.estimate(ladder.nodes ** 3, 1e-12)
-    assert got == pytest.approx(0.5 / 3.5, abs=1e-15)
-    first, second = ladder.starts[1], ladder.starts[2]
-    assert got == pytest.approx(
-        math.fsum((ladder.weights * ladder.nodes ** 3)[first:second]),
-        abs=1e-16)
+    # level 1 misses 1/4 by 1e-6, level 2 is 4e-14 from level 1
+    cube = TANH_SINH.nodes ** 3
+    got = TANH_SINH.estimate(cube, 1e-12)
+    assert got == pytest.approx(0.25, abs=1e-15)
+    assert got == pytest.approx(math.fsum(TANH_SINH.weights[2] * cube),
+                                abs=1e-16)
+    assert TANH_SINH.estimate(cube, 1e-20) is None
 
 
 def test_ladder_gives_up_on_unresolved_or_non_finite_integrands():
-    import numpy as np
-
-    ladder = ladder_of(1.0)
-    # a kink the rungs do not resolve to 1e-12
-    assert ladder.estimate(np.abs(ladder.nodes - 1.0 / 3.0), 1e-12) is None
-    assert ladder.estimate(np.abs(ladder.nodes - 1.0 / 3.0), 1e-3) is not None
+    ladder = TANH_SINH
+    kink = abs(ladder.nodes - 1.0 / 3.0)
+    # a kink the levels do not resolve to 1e-12
+    assert ladder.estimate(kink, 1e-12) is None
+    assert ladder.estimate(kink, 1e-3) == pytest.approx(5.0 / 18.0, abs=1e-3)
     values = ladder.nodes ** 2
     values[-1] = math.inf
     assert ladder.estimate(values, 1e-3) is None
@@ -234,8 +248,7 @@ def test_ladder_gives_up_on_unresolved_or_non_finite_integrands():
 
 
 def test_ladder_rounding_term_blocks_tolerances_below_it():
-    # exact on every rung, but a sum of terms near 1e6 cannot resolve 1e-12
-    ladder = ladder_of(2.0)
-    assert ladder.estimate(1e6 + 0.0 * ladder.nodes, 1e-12) is None
-    assert ladder.estimate(1e6 + 0.0 * ladder.nodes, 1e-6) == pytest.approx(
-        1e6, rel=1e-15)
+    # exact on every level, but a sum of terms near 1e6 cannot resolve 1e-12
+    values = 1e6 + 0.0 * TANH_SINH.nodes
+    assert TANH_SINH.estimate(values, 1e-12) is None
+    assert TANH_SINH.estimate(values, 1e-6) == pytest.approx(1e6, rel=1e-15)

@@ -119,3 +119,24 @@ def test_beta_survives_large_arguments():
     val = beta(21.0, 61.0)
     assert 0.0 < val < 1e-18
     assert math.isfinite(log_gamma(300.0))
+
+
+def test_log_gamma_memo_is_exact_and_bounded(monkeypatch):
+    from fracineq import specfun
+
+    monkeypatch.setattr(specfun, "_LOG_GAMMA_MEMO", {})
+
+    def fresh(x):
+        # the unmemoised evaluation
+        if x < 0.5:
+            return specfun._log_gamma_core(x + 1.0) - math.log(x)
+        return specfun._log_gamma_core(x)
+
+    for x in (0.05, 0.5, 1.25, 7.0, 171.0):
+        assert log_gamma(x) == fresh(x)
+        assert log_gamma(x) == fresh(x)      # served from the memo
+    xs = [1.0 + k / 64.0 for k in range(specfun._LOG_GAMMA_MEMO_MAX + 100)]
+    assert [log_gamma(x) for x in xs] == [fresh(x) for x in xs]
+    assert len(specfun._LOG_GAMMA_MEMO) <= specfun._LOG_GAMMA_MEMO_MAX
+    with pytest.raises(DomainError):
+        log_gamma(math.nan)

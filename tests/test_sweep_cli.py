@@ -245,6 +245,30 @@ def test_render_json_round_trip():
             assert got == want or (got is None and want is None)
 
 
+@pytest.mark.parametrize("rows", [
+    (),
+    (SweepRow("identity", "square", 0.0, 1.0, 1.0, None, None, None,
+              1.0 / 6.0, 1.0 / 6.0, 0.0, "pass"),
+     SweepRow("bound_holder", None, -0.0, 1e300, 5e-324, 0.25, 1.5, 3.0,
+              math.nan, math.inf, -math.inf, "fail"),
+     SweepRow("weight_int_power", "s_power_0.5", 2.0, 3.0, 170.0, 1.0,
+              None, 1.0, -1.5e-17, 12345678.9, None, "na\u00efve \"q\"\n")),
+], ids=["empty", "none_nan_inf"])
+def test_render_json_matches_json_dumps(rows):
+    report = SweepReport(rows=rows)
+    payload = [{key: getattr(r, key) for key in CSV_HEADER} for r in rows]
+    assert render_report(report, "json") == (
+        json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def test_render_json_matches_json_dumps_on_a_sweep():
+    report = run_sweep(small_config())
+    payload = [{key: getattr(r, key) for key in CSV_HEADER}
+               for r in report.rows]
+    assert render_report(report, "json") == (
+        json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # CLI (exercised through real subprocesses)
 
