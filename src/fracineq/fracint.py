@@ -6,30 +6,40 @@ For order alpha > 0,
     right J_{b-}^alpha f(x) = (1/Gamma(alpha)) int_x^b (t-x)^(alpha-1) f(t) dt
 
 At alpha = 1 both reduce to the ordinary integral.  For alpha < 1 the
-kernel is an algebraic endpoint singularity and is declared to the
-quadrature engine (with its regular part f supplied directly, so the
-kernel power is never reconstructed from a cancelling subtraction); for
-alpha >= 1 the kernel is bounded and no tag is needed.
+kernel is an algebraic endpoint singularity at x.  The operator is then
+split as
+
+    f(x) d^alpha / Gamma(alpha+1)
+        + (1/Gamma(alpha)) int |x-t|^(alpha-1) (f(t) - f(x)) dt
+
+with d the length of the range: the first term is the kernel's integral
+in closed form, and the second integrand vanishes at x.  It is declared
+to the quadrature engine with its regular part supplied directly, so the
+kernel power is never reconstructed from a cancelling subtraction, and
+with the substitution power held at
+:data:`~fracineq.quadrature.MIN_SUBSTITUTION_POWER` or more, so that
+tiny orders such as 1e-5 are resolved.  For alpha > 1 the kernel is
+bounded and no tag is needed.
 
 Orders alpha = 0 are rejected: the identity-operator convention
 J^0 f = f is documented but not implemented as an order value.
-:func:`check_alpha` is the one validator of the order for the package.
+:func:`~fracineq.specfun.check_alpha` validates the order.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from .errors import DomainError
 from .quadrature import (
+    MIN_SUBSTITUTION_POWER,
     EndpointSingularity,
     Integrand,
     Interval,
     _engine_tol,
     integrate,
 )
-from .specfun import gamma
+from .specfun import check_alpha, gamma
 
 __all__ = ["left_rl", "right_rl", "check_alpha", "Interval"]
 
@@ -44,15 +54,6 @@ def _value_fn(f) -> Callable[[float], float]:
     if callable(f):
         return f
     raise DomainError(f"f must be callable or carry a .fn channel, got {type(f)!r}")
-
-
-def check_alpha(alpha: float) -> float:
-    """Return alpha as a float if it is finite and > 0, else raise
-    :class:`DomainError`."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"fractional order alpha must be finite and > 0, got {alpha}")
-    return alpha
 
 
 def _rl(f, alpha: float, lo: float, hi: float, side: str,
@@ -71,25 +72,28 @@ def _rl(f, alpha: float, lo: float, hi: float, side: str,
                           "beyond the range where Gamma(alpha) and the kernel "
                           "|x - t|^(alpha-1) are finite doubles") from exc
     x, sign = (hi, 1.0) if side == "right" else (lo, -1.0)
-
-    def kernel_f(t: float) -> float:
-        # sign * (x - t) is the distance |x - t|, exactly
-        return (sign * (x - t)) ** (alpha - 1.0) * fv(t)
-
+    span = Interval(lo, hi)
+    tol = _engine_tol(abs_tol * g)
     if alpha == 1.0:
-        integrand = Integrand(fn=fv)
-    elif alpha < 1.0:
-        integrand = Integrand(
-            fn=kernel_f,
-            singularity=EndpointSingularity(
-                side=side, exponent=alpha - 1.0,
-                regular_part=lambda t, d: fv(t)),
-        )
-    else:
-        integrand = Integrand(fn=kernel_f)
+        return integrate(fv, span, abs_tol=tol).value
+    if alpha > 1.0:
+        # sign * (x - t) is the distance |x - t|, exactly
+        return integrate(lambda t: (sign * (x - t)) ** (alpha - 1.0) * fv(t),
+                         span, abs_tol=tol).value / g
 
-    res = integrate(integrand, Interval(lo, hi), abs_tol=_engine_tol(abs_tol * g))
-    return res.value / g
+    # the split of the module docstring
+    fx = float(fv(x))
+    power = max(alpha, MIN_SUBSTITUTION_POWER)
+
+    def regular(t: float, d: float) -> float:
+        # d^(alpha-1) (f(t) - f(x)) = d^(power-1) * regular(t, d)
+        return (fv(t) - fx) * d ** (alpha - power) if d > 0.0 else 0.0
+
+    rest = integrate(
+        Integrand(fn=lambda t: (sign * (x - t)) ** (alpha - 1.0) * (fv(t) - fx),
+                  singularity=EndpointSingularity(side, power - 1.0, regular)),
+        span, abs_tol=tol)
+    return fx * (hi - lo) ** alpha / gamma(alpha + 1.0) + rest.value / g
 
 
 def left_rl(f, alpha: float, a: float, x: float,

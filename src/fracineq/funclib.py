@@ -338,7 +338,53 @@ def shifted_square(a: float, name: str | None = None) -> TestFunction:
     ))
 
 
+# the convex builtin entries on _DOMAIN: name -> (f, f'')
+_CONVEX_BUILTINS = {
+    "const_one": (lambda t: 1.0 + 0.0 * t, lambda t: 0.0 * t),
+    "linear": (lambda t: 1.0 * t, lambda t: 0.0 * t),
+    "square": (lambda t: t ** 2, lambda t: 2.0 + 0.0 * t),
+    "cube": (lambda t: t ** 3, lambda t: 6.0 * t),
+    "quartic": (lambda t: t ** 4, lambda t: 12.0 * t ** 2),
+}
+# the builtin catalog, in order; the last four are parameterised names
+_BUILTIN_NAMES = (*_CONVEX_BUILTINS, "s_power_0.25", "s_power_0.5",
+                  "s_power_0.75", "shifted_square_1")
+_PARAM_NAME = re.compile(
+    r"^(s_power|root_power|shifted_square)_([0-9]+(?:\.[0-9]*)?|\.[0-9]+)$")
+_FAMILIES = {"s_power": s_power, "root_power": root_power,
+             "shifted_square": shifted_square}
+# every entry get_function has built and certified, by name
+_RESOLVED: dict[str, TestFunction] = {}
 _CATALOG: tuple[TestFunction, ...] | None = None
+
+
+def _build(name: str) -> TestFunction:
+    """Build and certify the catalog entry called ``name``."""
+    if name in _CONVEX_BUILTINS:
+        fn, d2 = _CONVEX_BUILTINS[name]
+        return _certified(TestFunction(name, fn, d2, ConvexityClass("convex"),
+                                       _DOMAIN))
+    m = _PARAM_NAME.match(name)
+    if m:
+        return _FAMILIES[m.group(1)](float(m.group(2)), name=name)
+    raise DomainError(
+        f"unknown function {name!r}; builtin names: {', '.join(catalog_names())}; "
+        "parameterised: s_power_<s>, root_power_<s>, shifted_square_<a>")
+
+
+def get_function(name: str) -> TestFunction:
+    """Resolve a catalog entry by name.
+
+    Besides the fixed builtin entries, parameterised names of the forms
+    ``s_power_<s>``, ``root_power_<s>`` and ``shifted_square_<a>`` are
+    constructed on demand.  Each entry is built and certified the first
+    time its name is asked for, and kept; an entry that fails its
+    declared class raises :class:`DomainError` and is not kept.
+    """
+    tf = _RESOLVED.get(name)
+    if tf is None:
+        tf = _RESOLVED[name] = _build(name)
+    return tf
 
 
 def builtin_catalog() -> tuple[TestFunction, ...]:
@@ -351,56 +397,10 @@ def builtin_catalog() -> tuple[TestFunction, ...]:
     """
     global _CATALOG
     if _CATALOG is None:
-        _CATALOG = (
-            _certified(TestFunction(
-                "const_one", lambda t: 1.0 + 0.0 * t, lambda t: 0.0 * t,
-                ConvexityClass("convex"), _DOMAIN)),
-            _certified(TestFunction(
-                "linear", lambda t: 1.0 * t, lambda t: 0.0 * t,
-                ConvexityClass("convex"), _DOMAIN)),
-            _certified(TestFunction(
-                "square", lambda t: t ** 2, lambda t: 2.0 + 0.0 * t,
-                ConvexityClass("convex"), _DOMAIN)),
-            _certified(TestFunction(
-                "cube", lambda t: t ** 3, lambda t: 6.0 * t,
-                ConvexityClass("convex"), _DOMAIN)),
-            _certified(TestFunction(
-                "quartic", lambda t: t ** 4, lambda t: 12.0 * t ** 2,
-                ConvexityClass("convex"), _DOMAIN)),
-            s_power(0.25),
-            s_power(0.5),
-            s_power(0.75),
-            shifted_square(1.0),
-        )
+        _CATALOG = tuple(get_function(name) for name in _BUILTIN_NAMES)
     return _CATALOG
 
 
 def catalog_names() -> list[str]:
-    return [tf.name for tf in builtin_catalog()]
-
-
-_PARAM_NAME = re.compile(
-    r"^(s_power|root_power|shifted_square)_([0-9]+(?:\.[0-9]*)?|\.[0-9]+)$")
-
-
-def get_function(name: str) -> TestFunction:
-    """Resolve a catalog entry by name.
-
-    Besides the fixed builtin entries, parameterised names of the forms
-    ``s_power_<s>``, ``root_power_<s>`` and ``shifted_square_<a>`` are
-    constructed (and certified) on demand.
-    """
-    for tf in builtin_catalog():
-        if tf.name == name:
-            return tf
-    m = _PARAM_NAME.match(name)
-    if m:
-        family, value = m.group(1), float(m.group(2))
-        if family == "s_power":
-            return s_power(value, name=name)
-        if family == "root_power":
-            return root_power(value, name=name)
-        return shifted_square(value, name=name)
-    raise DomainError(
-        f"unknown function {name!r}; builtin names: {', '.join(catalog_names())}; "
-        "parameterised: s_power_<s>, root_power_<s>, shifted_square_<a>")
+    """The builtin entries' names; builds and certifies nothing."""
+    return list(_BUILTIN_NAMES)

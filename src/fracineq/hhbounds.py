@@ -39,9 +39,9 @@ bounds rely on a kernel comparison that is valid for alpha <= 1 only;
 the evaluators still compute outside that range and the sweep reports
 such rows as out-of-validated-range instead of asserting them.
 
-All inequality verification uses an absolute slack of 1e-8 by default,
-with quadrature run two orders tighter so numerical error cannot
-masquerade as a genuine violation.
+All inequality verification uses an absolute slack of 1e-8 by default
+(:data:`DEFAULT_CHECK_SLACK`), with quadrature run two orders tighter so
+numerical error cannot masquerade as a genuine violation.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .fracint import check_alpha
 from .funclib import (
     DEFAULT_GRID_N,
     DEFAULT_SLACK,
@@ -64,6 +63,7 @@ from .funclib import (
     certify_s_convex,
 )
 from .quadrature import (
+    MIN_SUBSTITUTION_POWER,
     TANH_SINH,
     EndpointSingularity,
     Integrand,
@@ -71,7 +71,7 @@ from .quadrature import (
     _engine_tol,
     integrate,
 )
-from .specfun import beta, log_beta
+from .specfun import beta, check_alpha, log_beta
 
 __all__ = [
     "BoundParams",
@@ -99,16 +99,13 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
+# the absolute slack a sweep row, or a check-identity comparison, is judged
+# with unless the sweep config sets its own
+DEFAULT_CHECK_SLACK = 1e-8
 # The kernel comparison 1 - t^alpha <= (1 - t)^alpha holds iff alpha <= 1;
 # the Hoelder/concave bounds are only claimed on that range.
 HOLDER_VALID_ALPHA_MAX = 1.0
 _UNIT = Interval(0.0, 1.0)
-# The engine's substitution v = u^power squeezes the top half of [0, 1] in
-# u into a strip about power * ln 2 wide below v = 1.  At this power the
-# strip is ten times the gap between the first panels' top nodes (about
-# 0.003).  With power = alpha = 1e-5 the strip is far narrower, no node
-# samples where g varies, and the defect would come out as 0.
-_MIN_SUBSTITUTION_POWER = 0.05
 
 
 def _check_p(p: float) -> float:
@@ -216,7 +213,7 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
             # u^(alpha-1) is singular at u = 0; the engine factors out
             # u^(power-1) exactly and u^(alpha-power) g(u) stays regular,
             # since g(0) = 0
-            power = max(alpha, _MIN_SUBSTITUTION_POWER)
+            power = max(alpha, MIN_SUBSTITUTION_POWER)
 
             def regular(u: float, d: float) -> float:
                 return alpha * g(u) * d ** (alpha - power) if d > 0.0 else 0.0

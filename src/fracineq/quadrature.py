@@ -30,9 +30,11 @@ algebraic behaviour at both ends of [0, 1], and no node depends on the
 integrand.  :meth:`TanhSinhLadder.estimate` accepts a level's sum only
 when ``|Q_j - Q_(j-1)| + n_j * eps * sum |w_i g_i|`` meets the tolerance:
 the difference from the previous level estimates the truncation error,
-the second term the rounding of the sum.  When no level passes, or a node
-value is not finite, it returns None and the caller falls back to
-:func:`integrate`.
+the second term the rounding of the sum.  A level refused by that
+worst-case rounding term alone is summed again exactly (``math.fsum``)
+and charged ``eps * sum |w_i g_i|`` plus one ulp.  When no level passes,
+or a node value is not finite, it returns None and the caller falls back
+to :func:`integrate`.
 """
 
 from __future__ import annotations
@@ -57,13 +59,47 @@ __all__ = [
 ]
 
 PANEL_ORDER = 21
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
-_NODES = tuple(float(v) for v in _NODES)
-_WEIGHTS = tuple(float(v) for v in _WEIGHTS)
+# (node, weight) pairs of the 21-point Gauss-Legendre rule on [-1, 1], the
+# bits of numpy.polynomial.legendre.leggauss(21): written out so that no
+# process pays for importing numpy.polynomial
+_GAUSS_LEGENDRE_21 = (
+    (-0.9937521706203895, 0.01601722825777436),
+    (-0.9672268385663063, 0.03695378977085188),
+    (-0.9200993341504008, 0.05713442542685717),
+    (-0.8533633645833173, 0.07610011362837911),
+    (-0.7684399634756779, 0.09344442345603395),
+    (-0.6671388041974123, 0.1087972991671484),
+    (-0.5516188358872198, 0.12183141605372864),
+    (-0.4243421202074388, 0.13226893863333763),
+    (-0.2880213168024011, 0.1398873947910734),
+    (-0.1455618541608951, 0.14452440398997027),
+    (0.0, 0.1460811336496907),
+    (0.1455618541608951, 0.14452440398997027),
+    (0.2880213168024011, 0.1398873947910734),
+    (0.4243421202074388, 0.13226893863333763),
+    (0.5516188358872198, 0.12183141605372864),
+    (0.6671388041974123, 0.1087972991671484),
+    (0.7684399634756779, 0.09344442345603395),
+    (0.8533633645833173, 0.07610011362837911),
+    (0.9200993341504008, 0.05713442542685717),
+    (0.9672268385663063, 0.03695378977085188),
+    (0.9937521706203895, 0.01601722825777436),
+)
+_NODES = tuple(x for x, _ in _GAUSS_LEGENDRE_21)
+_WEIGHTS = tuple(w for _, w in _GAUSS_LEGENDRE_21)
 
 DEFAULT_MAX_EVALS = 1_000_000
 MIN_ABS_TOL = 1e-14
 MAX_ABS_TOL = 1e-2
+# The smallest substitution power v = d^power worth using on an integrand
+# that vanishes at its singular endpoint d = 0.  The substitution squeezes
+# the top half of the range of d into the top power * ln 2 of the range of
+# v; at this power that strip is ten times the gap between the first
+# panels' top nodes (about 0.003 of the range).  With power = 1e-5 it is far
+# narrower, no node samples where the integrand varies, and the integral
+# would come out as 0.  Callers with a smaller exponent declare
+# d^(power-1) and fold d^(exponent-power) into the regular part.
+MIN_SUBSTITUTION_POWER = 0.05
 # QUADPACK's roundoff scale: no error estimate can be trusted below
 # 50 * eps * integral of |f| (Piessens et al., 1983)
 _ROUNDOFF = 50.0 * math.ulp(1.0)
@@ -345,24 +381,34 @@ class TanhSinhLadder:
              for k, w in zip(ks, dx_dt)]
             for stride in strides])
         self.sizes = [2 * (n // stride) + 1 for stride in strides]
-        self._rounding = np.array(self.sizes) * math.ulp(1.0)
 
     def estimate(self, values: np.ndarray, tol: float) -> float | None:
         """The first level sum whose error estimate meets ``tol``, or None.
 
         ``values`` holds the integrand at :attr:`nodes`.  Level j's
         estimate is its distance from level j-1 plus the rounding bound
-        ``size * eps * sum |w_i g_i|`` of its own sum.  None when no level
-        passes or a value is not finite.
+        ``size * eps * sum |w_i g_i|`` of its own sum.  Where that bound
+        alone refuses a level, both levels are summed again with
+        ``math.fsum``, whose only rounding left is that of the products
+        and of the result: ``eps * sum |w_i g_i|`` plus one ulp.  None
+        when no level passes or a value is not finite.
         """
         if not np.isfinite(values).all():
             return None
-        sums = (self.weights * values).sum(axis=1).tolist()
-        rounding = ((self.weights * np.abs(values)).sum(axis=1)
-                    * self._rounding).tolist()
+        products = self.weights * values
+        sums = products.sum(axis=1).tolist()
+        abs_sums = (self.weights * np.abs(values)).sum(axis=1).tolist()
+        eps = math.ulp(1.0)
         for j in range(1, len(sums)):
-            if abs(sums[j] - sums[j - 1]) + rounding[j] <= tol:
+            diff = abs(sums[j] - sums[j - 1])
+            if diff + self.sizes[j] * eps * abs_sums[j] <= tol:
                 return sums[j]
+            if diff <= tol:
+                exact = math.fsum(products[j].tolist())
+                previous = math.fsum(products[j - 1].tolist())
+                if (abs(exact - previous) + eps * abs_sums[j]
+                        + math.ulp(exact) <= tol):
+                    return exact
         return None
 
 

@@ -1,9 +1,10 @@
 """Gamma and Beta special functions on positive real arguments.
 
 Everything downstream (fractional-integral normalisation, the closed-form
-bound coefficients) funnels through these three functions.  ``gamma`` and
-``beta`` are evaluated from a Lanczos approximation of log-Gamma; ``beta``
-always goes through log-Gamma differences so that large arguments such as
+bound coefficients) funnels through these functions, and every fractional
+order through :func:`check_alpha`.  ``gamma`` and ``beta`` are evaluated
+from a Lanczos approximation of log-Gamma; ``beta`` always goes through
+log-Gamma differences so that large arguments such as
 ``beta(p + 1, alpha*p + 1)`` at p = 20 neither overflow nor lose accuracy
 to cancellation.
 
@@ -17,7 +18,7 @@ import math
 
 from .errors import DomainError
 
-__all__ = ["gamma", "log_gamma", "beta", "log_beta"]
+__all__ = ["gamma", "log_gamma", "beta", "log_beta", "check_alpha"]
 
 # Lanczos coefficients, g = 607/128, 15 terms (Godfrey's set).  Chosen over
 # the shorter g = 7 set because the recurrence/symmetry suites demand 1e-12
@@ -48,6 +49,16 @@ def _require_positive(name: str, x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"{name} must be a finite positive real, got {x!r}")
     return x
+
+
+def check_alpha(alpha: float) -> float:
+    """Return the fractional order alpha as a float if it is finite and
+    > 0, else raise :class:`DomainError`; the one validator of the order
+    for the package."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha <= 0.0:
+        raise DomainError(f"fractional order alpha must be finite and > 0, got {alpha}")
+    return alpha
 
 
 def _log_gamma_core(x: float) -> float:

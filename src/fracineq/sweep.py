@@ -68,7 +68,6 @@ from .errors import (
     IntegrandError,
     PreconditionError,
 )
-from .fracint import check_alpha
 # certify_s_convex is not called here; bench/test_bench.py checks that the
 # layer tracer patches it in this module's namespace
 from .funclib import (  # noqa: F401
@@ -83,6 +82,7 @@ from .funclib import (  # noqa: F401
     s_combination,
 )
 from .hhbounds import (
+    DEFAULT_CHECK_SLACK,
     DEFAULT_QUAD_TOL,
     HOLDER_VALID_ALPHA_MAX,
     BoundParams,
@@ -101,6 +101,7 @@ from .hhbounds import (
     weight_int_power,
 )
 from .quadrature import MAX_ABS_TOL, MIN_ABS_TOL, Interval
+from .specfun import check_alpha
 
 __all__ = [
     "SweepConfig",
@@ -133,7 +134,7 @@ class SweepConfig:
     s_values: tuple[float, ...]
     p_values: tuple[float, ...]
     q_values: tuple[float, ...]
-    slack: float = 1e-8
+    slack: float = DEFAULT_CHECK_SLACK
     quad_tol: float = DEFAULT_QUAD_TOL
     output_format: str = "csv"
     seed: int = 0

@@ -122,3 +122,20 @@ def test_check_alpha_requires_finite_positive_order():
             check_alpha(alpha)
         with pytest.raises(DomainError):
             left_rl(lambda t: t, alpha, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-4])
+def test_tiny_orders_match_closed_forms(alpha):
+    # J_{0+}^alpha t^2 (1) and J_{1-}^alpha (1-t)^2 (0) are
+    # Gamma(3)/Gamma(3+alpha); with f vanishing at x instead,
+    # J_{1-}^alpha t^2 (0) = J_{0+}^alpha (1-t)^2 (1) = 1/((alpha+2) Gamma(alpha))
+    at_x = 2.0 / math.gamma(3.0 + alpha)
+    zero_at_x = alpha / ((alpha + 2.0) * math.gamma(alpha + 1.0))
+    assert left_rl(lambda t: t * t, alpha, 0.0, 1.0) == pytest.approx(
+        at_x, rel=0.0, abs=1e-10)
+    assert right_rl(lambda t: (1.0 - t) ** 2, alpha, 1.0, 0.0) == pytest.approx(
+        at_x, rel=0.0, abs=1e-10)
+    assert right_rl(lambda t: t * t, alpha, 1.0, 0.0) == pytest.approx(
+        zero_at_x, rel=0.0, abs=1e-10)
+    assert left_rl(lambda t: (1.0 - t) ** 2, alpha, 0.0, 1.0) == pytest.approx(
+        zero_at_x, rel=0.0, abs=1e-10)

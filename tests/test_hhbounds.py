@@ -402,12 +402,11 @@ def adaptive_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name, a, b, alpha, quad_tol", [
-    # f near 1e8 leaves the defect's rounding term (4e-11 on the 101-node
-    # level) above its tolerance 2e-12; the adaptive fallback used to
-    # return 0 at such small alpha
+    # f near 1e8: on the 101-node level the defect's level difference
+    # 1.6e-12 plus even the exact sum's rounding term 6.3e-13 exceeds its
+    # tolerance 2e-12; the adaptive fallback used to return 0 at such
+    # small alpha
     ("quartic", 0.0, 100.0, 1e-5, 1e-12),
-    # f near 256: the rounding terms of both sides exceed their tolerances
-    ("quartic", 0.5, 4.0, 0.6, 1e-12),
 ])
 def test_fallback_meets_tol_where_the_rules_do_not(name, a, b, alpha,
                                                   quad_tol, adaptive_calls):
@@ -429,6 +428,9 @@ def test_fallback_meets_tol_where_the_rules_do_not(name, a, b, alpha,
     # the rounding terms stay below a tolerance 100 times looser than in
     # the fallback case above
     ("quartic", 0.0, 100.0, 1e-5, 1e-10),
+    # f near 256: the worst-case rounding terms of both sides exceed their
+    # tolerances, the exact sums' terms do not
+    ("quartic", 0.5, 4.0, 0.6, 1e-12),
 ])
 def test_ladder_meets_tol_without_the_adaptive_engine(name, a, b, alpha,
                                                       quad_tol,

@@ -252,3 +252,14 @@ def test_ladder_rounding_term_blocks_tolerances_below_it():
     values = 1e6 + 0.0 * TANH_SINH.nodes
     assert TANH_SINH.estimate(values, 1e-12) is None
     assert TANH_SINH.estimate(values, 1e-6) == pytest.approx(1e6, rel=1e-15)
+
+
+def test_ladder_rechecks_rounding_limited_levels_exactly():
+    # a sum of terms near 300: on the 101-node level the worst-case bound
+    # 101 * eps * 300 = 6.7e-12 refuses 1e-12, the exact sum's own
+    # eps * 300 + ulp(300) does not
+    values = 300.0 + 0.0 * TANH_SINH.nodes
+    assert TANH_SINH.sizes[3] * math.ulp(1.0) * 300.0 > 1e-12
+    got = TANH_SINH.estimate(values, 1e-12)
+    assert got == math.fsum((TANH_SINH.weights[3] * values).tolist())
+    assert got == pytest.approx(300.0, rel=0.0, abs=1e-12)
