@@ -7,14 +7,20 @@ A function f on a domain inside [0, inf) is s-convex in the second sense
 
 for all x, y in the domain and lam in [0, 1]; s-concavity reverses the
 inequality.  s = 1 recovers ordinary convexity/concavity.  Certification
-here is a dense grid check (default 33 points per axis, ~36k triples),
-not a proof: it is the gatekeeper the bound evaluators and the sweep use
-for their hypotheses.  It runs in two steps: :func:`cert_grid` evaluates a
-channel once at the grid nodes and their combinations, and
-:func:`grid_verdict` compares that grid against the s-weighted endpoint
-values (:func:`s_combination`) for one s and direction.  The sweep
-evaluates one grid per channel and reuses it across all its s values, and
-:func:`grid_verdicts` judges both directions from one combination per s.
+here is a dense grid check (default 33 points per axis, 33^3 = 35,937
+triples), not a proof: it is the gatekeeper the bound evaluators and the
+sweep use for their hypotheses.  It runs in two steps: :func:`cert_grid`
+evaluates a channel once on the grid, and :func:`grid_verdict` compares
+that grid against the s-weighted endpoint values (:func:`s_combination`)
+for one s and direction.  The grid's combinations
+lam[k] x[i] + (1-lam[k]) x[j] of n nodes and n weights are, in real
+arithmetic, the points a + (b-a) m/(n-1)^2 with m = k i + (n-1-k) j, so
+a grid has only (n-1)^2 + 1 distinct points (1025 for n = 33):
+:func:`cert_grid` evaluates the channel there and gathers the n^3 values
+by m.  The sweep evaluates one grid per channel and reuses it across all
+its s values, and :func:`grid_verdicts` judges both directions from one
+combination per s; the verdicts on a grid share three work arrays, so no
+s allocates a grid-size temporary.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it and never use
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -140,13 +147,29 @@ def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
                           dtype=float).reshape(arr.shape)
 
 
+@lru_cache(maxsize=4)
+def _mix_index(n: int) -> np.ndarray:
+    """m[i, j, k] = k i + (n-1-k) j: the grid's combination
+    lam[k] xs[i] + (1-lam[k]) xs[j] is point m of the (n-1)^2 + 1 distinct
+    points.  It depends on n alone, so it is built once per n and the
+    last four are kept."""
+    k = np.arange(n)
+    index = k * k[:, None, None] + (n - 1 - k) * k[None, :, None]
+    index.flags.writeable = False    # every grid of this n shares it
+    return index
+
+
 @dataclass(frozen=True)
 class CertGrid:
     """One channel evaluated on the certification grid.
 
-    ``fx[i]`` is fn(xs[i]) and ``f_mix[i, j, k]`` is
-    fn(lam[k]*xs[i] + (1-lam[k])*xs[j]); neither depends on s or on the
-    direction, so one grid serves every :func:`grid_verdict` on it.
+    ``fx[i]`` is fn(xs[i]) and ``f_mix[i, j, k]`` is fn at
+    lam[k]*xs[i] + (1-lam[k])*xs[j], taken as the point
+    a + (b-a) m/(n-1)^2 (m = k i + (n-1-k) j) that the combination is in
+    real arithmetic; neither depends on s or on the direction, so one grid
+    serves every :func:`grid_verdict` on it.  The verdicts write into work
+    arrays of the grid's shape that the first one allocates, so one grid
+    must not be judged from two threads at once.
     """
 
     xs: np.ndarray
@@ -154,9 +177,17 @@ class CertGrid:
     fx: np.ndarray
     f_mix: np.ndarray
 
+    @cached_property
+    def _work(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the s-weighted combination, the slack-shifted threshold and the
+        # violation flags of the latest verdict
+        shape = self.f_mix.shape
+        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
 
 def cert_grid(fn, domain: Interval, grid_n: int = DEFAULT_GRID_N) -> CertGrid:
-    """Evaluate ``fn`` on the grid_n^3 certification grid over ``domain``."""
+    """Evaluate ``fn`` on the grid_n^3 certification grid over ``domain``,
+    from its (grid_n-1)^2 + 1 distinct points."""
     if domain.a < 0.0:
         raise DomainError(
             f"s-convexity is defined on [0, inf); domain starts at {domain.a}")
@@ -164,18 +195,21 @@ def cert_grid(fn, domain: Interval, grid_n: int = DEFAULT_GRID_N) -> CertGrid:
     if grid_n < 3:
         raise DomainError(f"grid_n must be >= 3, got {grid_n}")
 
+    step = grid_n - 1
     xs = np.linspace(domain.a, domain.b, grid_n)
     lam = np.linspace(0.0, 1.0, grid_n)
-    fx = _eval_grid(fn, xs)
+    points = np.linspace(domain.a, domain.b, step * step + 1)
+    # the nodes themselves (m = step i) are xs bit for bit, so fx is
+    # fn(xs) and the lam = 0 and lam = 1 faces compare f(x) with itself
+    points[::step] = xs
+    values = _eval_grid(fn, points)
+    fx = values[::step].copy()
     if not np.all(np.isfinite(fx)):
         bad = xs[~np.isfinite(fx)][0]
         raise IntegrandError(f"function non-finite at grid node t={bad!r}")
-    L = lam[None, None, :]
-    mix = L * xs[:, None, None] + (1.0 - L) * xs[None, :, None]
-    f_mix = _eval_grid(fn, mix)
-    if not np.all(np.isfinite(f_mix)):
+    if not np.all(np.isfinite(values)):
         raise IntegrandError("function non-finite at an interior grid combination")
-    return CertGrid(xs=xs, lam=lam, fx=fx, f_mix=f_mix)
+    return CertGrid(xs=xs, lam=lam, fx=fx, f_mix=values[_mix_index(grid_n)])
 
 
 def _check_verdict_args(s: float, slack: float) -> float:
@@ -192,24 +226,33 @@ def s_combination(lam, s: float, fx, fy):
 
 
 def _grid_combination(grid: CertGrid, s: float) -> np.ndarray:
-    # combination[i, j, k] pairs fx[i] and fx[j] at lam[k], like f_mix
-    return s_combination(grid.lam[None, None, :], s, grid.fx[:, None, None],
-                         grid.fx[None, :, None])
+    # combination[i, j, k] = lam[k]^s fx[i] + (1-lam[k])^s fx[j], formed in
+    # the work array from two n^2 product tables: the first is copied in
+    # along j, the second added along i.  Broadcasting both inside one add
+    # runs n^2 inner loops of n elements and takes about half again as long.
+    combo = grid._work[0]
+    np.copyto(combo, (grid.lam ** s * grid.fx[:, None])[:, None, :])
+    np.add(combo, ((1.0 - grid.lam) ** s * grid.fx[:, None])[None, :, :],
+           out=combo)
+    return combo
 
 
 def _verdict(grid: CertGrid, combo: np.ndarray, slack: float,
              concave: bool) -> CertificationResult:
     f_mix = grid.f_mix
+    _, threshold, violation = grid._work
     if concave:
-        violation = f_mix < combo - slack
+        np.less(f_mix, np.subtract(combo, slack, out=threshold), out=violation)
     else:
-        violation = f_mix > combo + slack
+        np.greater(f_mix, np.add(combo, slack, out=threshold), out=violation)
 
     checked = violation.size
-    if not violation.any():
+    # first violating triple in row-major (x, y, lam) order; argmax stops
+    # at the first True and returns 0 when there is none
+    first = int(violation.argmax())
+    if not violation.flat[first]:
         return CertificationResult(passed=True, witness=None, checked=checked)
-    # first violating triple in row-major (x, y, lam) order
-    i, j, k = np.unravel_index(int(np.argmax(violation)), violation.shape)
+    i, j, k = np.unravel_index(first, violation.shape)
     return CertificationResult(
         passed=False,
         witness=Witness(x=float(grid.xs[i]), y=float(grid.xs[j]),

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, IntegrandError, PreconditionError
 from .funclib import (
     DEFAULT_GRID_N,
     DEFAULT_SLACK,
@@ -63,6 +63,7 @@ from .funclib import (
     certify_s_convex,
 )
 from .quadrature import (
+    MAX_ABS_TOL,
     MIN_SUBSTITUTION_POWER,
     TANH_SINH,
     EndpointSingularity,
@@ -71,7 +72,7 @@ from .quadrature import (
     _engine_tol,
     integrate,
 )
-from .specfun import beta, check_alpha, log_beta
+from .specfun import beta, check_alpha, log_beta, log_gamma
 
 __all__ = [
     "BoundParams",
@@ -96,6 +97,7 @@ __all__ = [
     "weight_int_plain",
     "holder_kernel_bound",
     "HOLDER_VALID_ALPHA_MAX",
+    "BOUND_ALPHA_MAX",
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
@@ -105,7 +107,25 @@ DEFAULT_CHECK_SLACK = 1e-8
 # The kernel comparison 1 - t^alpha <= (1 - t)^alpha holds iff alpha <= 1;
 # the Hoelder/concave bounds are only claimed on that range.
 HOLDER_VALID_ALPHA_MAX = 1.0
+# The closed forms square the order: the power-mean lead divides by
+# 4 (alpha+1)(alpha+2), which overflows past about 6.7e153 and would turn
+# the bound into 0 or NaN.  Bounds and weight integrals are computed up to
+# this order and rejected above it; the identity's two sides take any alpha.
+BOUND_ALPHA_MAX = 1e150
+# Every tanh-sinh node has |ln u| >= 3.2e-16, so u^alpha is 0 on all of
+# them once the power passes 1e300; capping it there keeps alpha * ln u
+# from overflowing (and warning) without changing a value.
+_NODE_POWER_CAP = 1e300
 _UNIT = Interval(0.0, 1.0)
+
+
+def _check_bound_alpha(alpha: float) -> float:
+    """:func:`~fracineq.specfun.check_alpha`, and alpha <= BOUND_ALPHA_MAX."""
+    alpha = check_alpha(alpha)
+    if alpha > BOUND_ALPHA_MAX:
+        raise DomainError(f"the closed-form bounds take alpha <= "
+                          f"{BOUND_ALPHA_MAX:g}, got {alpha}")
+    return alpha
 
 
 def _check_p(p: float) -> float:
@@ -137,7 +157,7 @@ class BoundParams:
     q: float | None = None
 
     def __post_init__(self):
-        check_alpha(self.alpha)
+        _check_bound_alpha(self.alpha)
         _check_s(self.s)
         if self.p is not None:
             p = _check_p(self.p)
@@ -181,6 +201,17 @@ class SandwichResult:
     upper_classical: float
 
 
+def _width_squared(interval: Interval) -> float:
+    """(b-a)^2, the scale of the identity rhs and of every bound; raises
+    :class:`DomainError` where it overflows."""
+    try:
+        return (interval.b - interval.a) ** 2
+    except OverflowError:
+        raise DomainError(
+            f"interval [{interval.a}, {interval.b}] is too wide: "
+            "(b-a)^2 overflows") from None
+
+
 def _require(result, what: str):
     if not result.passed:
         raise PreconditionError(
@@ -196,7 +227,11 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     a, b = interval.a, interval.b
     h = b - a
     fv = f.fn if isinstance(f, TestFunction) else f
-    fa, fb = float(fv(a)), float(fv(b))
+    try:
+        fa, fb = float(fv(a)), float(fv(b))
+    except OverflowError:
+        raise IntegrandError(
+            f"function overflows at an endpoint of [{a}, {b}]") from None
     ends = fa + fb
 
     def g(u: float) -> float:
@@ -226,7 +261,8 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     tol = _engine_tol(2.0 * quad_tol)
     # f(b - h u) at node u is f(a + h (1-u)), its value at the mirrored node
     fx = _eval_grid(fv, a + h * TANH_SINH.nodes)
-    density = alpha * np.exp((alpha - 1.0) * TANH_SINH.log_nodes)
+    density = alpha * np.exp(min(alpha - 1.0, _NODE_POWER_CAP)
+                             * TANH_SINH.log_nodes)
     value = TANH_SINH.estimate(density * (fx + fx[::-1] - ends), tol)
     if value is None:
         value = adaptive()
@@ -240,8 +276,9 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
     alpha = check_alpha(alpha)
     a, b = interval.a, interval.b
     d2 = f.d2
-    coeff = (b - a) ** 2 / (2.0 * (alpha + 1.0))
-    tol = _engine_tol(quad_tol / coeff)
+    coeff = 0.5 * _width_squared(interval) / (alpha + 1.0)
+    # coeff underflows to 0 only where the rhs lies below the smallest double
+    tol = _engine_tol(quad_tol / coeff) if coeff > 0.0 else MAX_ABS_TOL
 
     def weight_integrand(t: float) -> float:
         # 1 - t^alpha, without the cancellation of forming t^alpha near 1
@@ -252,7 +289,7 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
     # the second point (1-t) a + t b at node t is the first at the mirrored
     # node 1-t
     d2v = _eval_grid(d2, t * a + one_minus_t * b)
-    weight = t * -np.expm1(alpha * TANH_SINH.log_nodes)
+    weight = t * -np.expm1(min(alpha, _NODE_POWER_CAP) * TANH_SINH.log_nodes)
     value = TANH_SINH.estimate(weight * (d2v + d2v[::-1]), tol)
     if value is None:
         value = integrate(weight_integrand, _UNIT, abs_tol=tol).value
@@ -306,7 +343,7 @@ def defect_bound_s_convex(f: TestFunction, interval: Interval, alpha: float,
     ``certify=False`` skips the hypothesis check for callers that have
     already certified the channel themselves.
     """
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     s = _check_s(s)
     if certify:
         cert = certify_s_convex(abs_d2(f), interval, s, grid_n=grid_n,
@@ -315,12 +352,23 @@ def defect_bound_s_convex(f: TestFunction, interval: Interval, alpha: float,
                  f"|f''| is not s-convex at s={s} on [{interval.a}, {interval.b}]")
     a, b = interval.a, interval.b
     second = abs(float(f.d2(a))) + abs(float(f.d2(b)))
-    return (b - a) ** 2 / (2.0 * (alpha + 1.0)) * _weight_bracket(alpha, s) * second
+    return (_width_squared(interval) / (2.0 * (alpha + 1.0))
+            * _weight_bracket(alpha, s) * second)
+
+
+def _log_holder_beta(p: float, alpha: float) -> float:
+    """log beta(p+1, alpha p + 1), the Hoelder kernel's bound."""
+    y = alpha * p + 1.0
+    if math.isinf(y):
+        # past the doubles, log Gamma(y) - log Gamma(y+p+1) is -(p+1) ln y
+        # up to O(p^2 / y), and ln y is ln alpha + ln p up to 1/(alpha p)
+        return log_gamma(p + 1.0) - (p + 1.0) * (math.log(alpha) + math.log(p))
+    return log_beta(p + 1.0, y)
 
 
 def _beta_root(p: float, alpha: float) -> float:
     # beta(p+1, alpha p + 1)^(1/p) via log-beta, stable for large p
-    return math.exp(log_beta(p + 1.0, alpha * p + 1.0) / p)
+    return math.exp(_log_holder_beta(p, alpha) / p)
 
 
 def defect_bound_holder(f: TestFunction, interval: Interval,
@@ -342,7 +390,7 @@ def defect_bound_holder(f: TestFunction, interval: Interval,
     a, b = interval.a, interval.b
     av = abs(float(f.d2(a))) ** q
     bv = abs(float(f.d2(b))) ** q
-    return ((b - a) ** 2 / (alpha + 1.0) * _beta_root(p, alpha)
+    return (_width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
             * ((av + bv) / (s + 1.0)) ** (1.0 / q))
 
 
@@ -351,7 +399,7 @@ def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
                             slack: float = DEFAULT_SLACK,
                             certify: bool = True) -> float:
     """Power-mean-route bound when |f''|^q is s-convex, q >= 1 (any alpha)."""
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     s = _check_s(s)
     q = _check_q(q)
     if certify:
@@ -364,7 +412,8 @@ def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
     w1 = (2.0 * alpha + 4.0) / ((s + 2.0) * (alpha + s + 2.0))
     w2 = ((beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
           * (2.0 * alpha + 4.0) / alpha)
-    lead = alpha * (b - a) ** 2 / (4.0 * (alpha + 1.0) * (alpha + 2.0))
+    lead = (alpha * _width_squared(interval)
+            / (4.0 * (alpha + 1.0) * (alpha + 2.0)))
     return lead * ((av * w1 + bv * w2) ** (1.0 / q)
                    + (av * w2 + bv * w1) ** (1.0 / q))
 
@@ -386,7 +435,7 @@ def defect_bound_s_concave(f: TestFunction, interval: Interval,
         _require(cert, f"|f''|^q is not s-concave at s={s}, q={q:g}")
     a, b = interval.a, interval.b
     mid = abs(float(f.d2(0.5 * (a + b))))
-    return ((b - a) ** 2 / (alpha + 1.0) * _beta_root(p, alpha)
+    return (_width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
             * 2.0 ** ((s - 1.0) / q) * mid)
 
 
@@ -402,36 +451,38 @@ def classical_convex_bound(f: TestFunction, interval: Interval,
     Note: its weight coefficient beta(2, alpha+1) agrees with the s = 1
     weight bracket alpha/(2(alpha+2)) only at alpha = 1.
     """
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     a, b = interval.a, interval.b
     second = 0.5 * (abs(float(f.d2(a))) + abs(float(f.d2(b))))
-    return (b - a) ** 2 / (alpha + 1.0) * beta(2.0, alpha + 1.0) * second
+    return (_width_squared(interval) / (alpha + 1.0) * beta(2.0, alpha + 1.0)
+            * second)
 
 
 def classical_holder_bound(f: TestFunction, interval: Interval, alpha: float,
                            p: float) -> float:
     """Baseline Hoelder bound for convex |f''|^q, q = p/(p-1)."""
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     p = _check_p(p)
     q = p / (p - 1.0)
     a, b = interval.a, interval.b
     av = abs(float(f.d2(a))) ** q
     bv = abs(float(f.d2(b))) ** q
-    return ((b - a) ** 2 / (alpha + 1.0) * _beta_root(p, alpha)
+    return (_width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
             * (0.5 * (av + bv)) ** (1.0 / q))
 
 
 def classical_power_mean_bound(f: TestFunction, interval: Interval,
                                alpha: float, q: float) -> float:
     """Baseline power-mean bound for convex |f''|^q, q >= 1."""
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     q = _check_q(q)
     a, b = interval.a, interval.b
     av = abs(float(f.d2(a))) ** q
     bv = abs(float(f.d2(b))) ** q
     w1 = (2.0 * alpha + 4.0) / (3.0 * alpha + 9.0)
     w2 = (alpha + 5.0) / (3.0 * alpha + 9.0)
-    lead = alpha * (b - a) ** 2 / (4.0 * (alpha + 1.0) * (alpha + 2.0))
+    lead = (alpha * _width_squared(interval)
+            / (4.0 * (alpha + 1.0) * (alpha + 2.0)))
     return lead * ((w1 * av + w2 * bv) ** (1.0 / q)
                    + (w2 * av + w1 * bv) ** (1.0 / q))
 
@@ -439,11 +490,12 @@ def classical_power_mean_bound(f: TestFunction, interval: Interval,
 def classical_concave_bound(f: TestFunction, interval: Interval, alpha: float,
                             p: float) -> float:
     """Baseline midpoint bound for concave |f''|^q, q = p/(p-1)."""
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     p = _check_p(p)
     a, b = interval.a, interval.b
     mid = abs(float(f.d2(0.5 * (a + b))))
-    return (b - a) ** 2 / (alpha + 1.0) * _beta_root(p, alpha) * mid
+    return (_width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
+            * mid)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +536,7 @@ def _weight_identity(check_id: str, integrand, closed: float, tol: float,
 def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))."""
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     s = _check_s(s)
     return _weight_identity(
         "weight_int_power", lambda t: t ** (s + 1.0) * (1.0 - t ** alpha),
@@ -494,7 +546,7 @@ def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
 def weight_int_beta(alpha: float, s: float, tol: float = 1e-9,
                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)."""
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     s = _check_s(s)
     return _weight_identity(
         "weight_int_beta", lambda t: t * (1.0 - t ** alpha) * (1.0 - t) ** s,
@@ -513,11 +565,11 @@ def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,
                         quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^p (1 - t^alpha)^p dt <= beta(p+1, alpha p + 1), validated
     for alpha <= 1 and measured elsewhere."""
-    alpha = check_alpha(alpha)
+    alpha = _check_bound_alpha(alpha)
     p = _check_p(p)
     lhs = integrate(lambda t: t ** p * (1.0 - t ** alpha) ** p, _UNIT,
                     abs_tol=quad_tol).value
-    bound = beta(p + 1.0, alpha * p + 1.0)
+    bound = math.exp(_log_holder_beta(p, alpha))
     margin = bound - lhs
     return WeightIntegralEntry(
         check_id="holder_kernel_bound", lhs=lhs, rhs=bound, margin=margin,

@@ -86,8 +86,10 @@ from .hhbounds import (
     DEFAULT_QUAD_TOL,
     HOLDER_VALID_ALPHA_MAX,
     BoundParams,
+    _check_bound_alpha,
     _check_p,
     _check_q,
+    _width_squared,
     defect_bound_holder,
     defect_bound_power_mean,
     defect_bound_s_concave,
@@ -101,7 +103,6 @@ from .hhbounds import (
     weight_int_power,
 )
 from .quadrature import MAX_ABS_TOL, MIN_ABS_TOL, Interval
-from .specfun import check_alpha
 
 __all__ = [
     "SweepConfig",
@@ -263,7 +264,8 @@ def validate_config(config: SweepConfig) -> None:
         if iv.a < 0.0:
             raise ConfigError(f"intervals[{i}]",
                               f"s-convexity work requires a >= 0, got a={iv.a}")
-    _check_each("alphas", config.alphas, check_alpha)
+    _check_each("intervals", config.intervals, _width_squared)
+    _check_each("alphas", config.alphas, _check_bound_alpha)
     _check_each("s_values", config.s_values, _check_s)
     _check_each("p_values", config.p_values, _check_p)
     _check_each("q_values", config.q_values, _check_q)

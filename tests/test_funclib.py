@@ -176,3 +176,112 @@ def test_get_function_parameterised_names():
     assert get_function("shifted_square_2").fn(3.0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         get_function("no_such_function")
+
+
+# ---------------------------------------------------------------------------
+# the grid certifier against a brute-force n^3 reference
+
+
+def reference_grid(fn, domain, grid_n):
+    """fx and f_mix with fn evaluated at every float combination
+    lam[k]*xs[i] + (1-lam[k])*xs[j] of the n^3 grid."""
+    xs = np.linspace(domain.a, domain.b, grid_n)
+    lam = np.linspace(0.0, 1.0, grid_n)
+    L = lam[None, None, :]
+    mix = L * xs[:, None, None] + (1.0 - L) * xs[None, :, None]
+    return xs, lam, fn(xs), fn(mix)
+
+
+def reference_verdict(fn, domain, s, grid_n, concave, slack=1e-12):
+    xs, lam, fx, f_mix = reference_grid(fn, domain, grid_n)
+    L = lam[None, None, :]
+    combo = L ** s * fx[:, None, None] + (1.0 - L) ** s * fx[None, :, None]
+    if concave:
+        return not np.any(f_mix < combo - slack)
+    return not np.any(f_mix > combo + slack)
+
+
+NON_DYADIC = [Interval(0.1, 0.7), Interval(1.0, 2.1), Interval(0.0, 1e-9)]
+CHANNEL_FUNCTIONS = [
+    lambda t: t ** 2,
+    lambda t: t ** 3,
+    lambda t: t ** 2.5 / 8.75,
+    lambda t: np.sqrt(t),
+    lambda t: np.abs(6.0 * t) ** 1.25,
+    lambda t: np.abs(np.sqrt(t)) ** 3,
+    lambda t: np.sin(6.0 * t),
+]
+
+
+@pytest.mark.parametrize("grid_n", [3, 10, 33])
+@pytest.mark.parametrize("domain", NON_DYADIC, ids=str)
+def test_grid_verdicts_match_brute_force_on_non_dyadic_intervals(grid_n,
+                                                                 domain):
+    from fracineq.funclib import cert_grid, grid_verdicts
+
+    for fn in CHANNEL_FUNCTIONS:
+        grid = cert_grid(fn, domain, grid_n)
+        for s in (0.25, 0.5, 0.75, 1.0):
+            convex, concave = grid_verdicts(grid, s)
+            assert convex.passed == reference_verdict(fn, domain, s, grid_n,
+                                                      concave=False)
+            assert concave.passed == reference_verdict(fn, domain, s, grid_n,
+                                                       concave=True)
+            assert convex.checked == concave.checked == grid_n ** 3
+
+
+@pytest.mark.parametrize("grid_n", [3, 10, 33])
+def test_scalar_only_callable_is_called_once_per_distinct_point(grid_n):
+    from fracineq.funclib import cert_grid
+
+    calls = []
+
+    def scalar_fn(t):
+        calls.append(t)
+        if hasattr(t, "__len__"):
+            raise TypeError("scalar only")
+        return float(t) * float(t)
+
+    grid = cert_grid(scalar_fn, UNIT, grid_n)
+    # one refused array call, then one call per distinct point
+    assert len(calls) <= grid_n + (grid_n - 1) ** 2 + 2
+    vector = cert_grid(lambda t: t * t, UNIT, grid_n)
+    assert np.array_equal(grid.fx, vector.fx)
+    assert np.array_equal(grid.f_mix, vector.f_mix)
+
+
+def test_nodes_are_the_grid_nodes_bit_for_bit():
+    # fx is fn(xs), and the lam = 0 and lam = 1 faces of f_mix repeat it
+    from fracineq.funclib import cert_grid
+
+    for domain in NON_DYADIC:
+        grid = cert_grid(lambda t: t ** 3, domain)
+        assert np.array_equal(grid.fx, grid.xs ** 3)
+        assert np.array_equal(grid.f_mix[:, :, -1],
+                              np.broadcast_to(grid.fx[:, None], (33, 33)))
+        assert np.array_equal(grid.f_mix[:, :, 0],
+                              np.broadcast_to(grid.fx[None, :], (33, 33)))
+
+
+def test_repeated_verdicts_allocate_no_grid_size_array():
+    import tracemalloc
+
+    from fracineq.funclib import cert_grid, grid_verdict, grid_verdicts
+
+    grid = cert_grid(lambda t: t ** 3, Interval(0.0, 2.0))
+    first = grid_verdicts(grid, 0.5)
+    tracemalloc.start()
+    try:
+        again = grid_verdicts(grid, 0.5)
+        other = grid_verdicts(grid, 0.25)
+        one = grid_verdict(grid, 0.75, concave=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.f_mix.nbytes
+    assert again == first
+    assert other == (certify_s_convex(lambda t: t ** 3, Interval(0.0, 2.0),
+                                      0.25),
+                     certify_s_concave(lambda t: t ** 3, Interval(0.0, 2.0),
+                                       0.25))
+    assert not one.passed and one.checked == 33 ** 3

@@ -520,3 +520,82 @@ def test_every_p_and_q_entry_point_rejects_non_finite_exponents(bad):
                  lambda: BoundParams(alpha=0.5, s=1.0, q=bad)):
         with pytest.raises(DomainError):
             call()
+
+
+def test_bounds_at_alpha_1e17_are_positive_and_hold():
+    # beta(alpha+2, 2) used to come out near 1: the weight identity failed
+    # (rhs -0.83), the bounds were -1e-17, and power mean at q = 2 took
+    # the square root of that and returned a complex number
+    from fracineq.hhbounds import weight_int_beta
+
+    alpha = 1e17
+    assert weight_int_beta(alpha, 1.0).holds
+    lhs = abs(trapezoid_defect(SQUARE, UNIT, alpha).lhs)
+    # (b-a)^2 alpha / ((alpha+1)(alpha+2)) for f'' = 2 at s = 1
+    exact = 1.0 / alpha
+    for bound in (defect_bound_s_convex(SQUARE, UNIT, alpha, 1.0),
+                  defect_bound_power_mean(SQUARE, UNIT, alpha, 1.0, 1.0),
+                  defect_bound_power_mean(SQUARE, UNIT, alpha, 1.0, 2.0)):
+        assert isinstance(bound, float)
+        assert bound == pytest.approx(exact, rel=1e-12)
+        assert bound >= lhs
+
+
+@pytest.mark.parametrize("p, alpha, rel", [(1e200, 1e110, 1e-12),
+                                           (1e300, 1e10, 1e-9)])
+def test_hoelder_kernel_past_the_doubles(p, alpha, rel):
+    # alpha p + 1 overflows: beta(p+1, alpha p + 1) comes from its leading
+    # asymptotic term, off by a factor 1 + O(1/alpha), instead of refusing
+    # y = inf
+    mpmath = pytest.importorskip("mpmath")
+    from fracineq.hhbounds import _beta_root, holder_kernel_bound
+
+    with mpmath.workdps(400):
+        big_p = mpmath.mpf(p)
+        log_b = mpmath.log(mpmath.beta(big_p + 1, mpmath.mpf(alpha) * big_p + 1))
+        expected = float(mpmath.exp(log_b / big_p))
+    assert _beta_root(p, alpha) == pytest.approx(expected, rel=rel)
+    assert holder_kernel_bound(alpha, p).rhs == 0.0
+
+
+def test_closed_forms_reject_orders_where_they_overflow():
+    from fracineq.hhbounds import BOUND_ALPHA_MAX, weight_int_power
+
+    big = 1e154   # 4 (alpha+1)(alpha+2) overflows
+    for call in (lambda: defect_bound_s_convex(SQUARE, UNIT, big, 1.0),
+                 lambda: defect_bound_power_mean(SQUARE, UNIT, big, 1.0, 2.0),
+                 lambda: classical_power_mean_bound(SQUARE, UNIT, big, 2.0),
+                 lambda: weight_int_power(big, 1.0),
+                 lambda: BoundParams(alpha=big, s=1.0)):
+        with pytest.raises(DomainError, match="alpha"):
+            call()
+    assert defect_bound_power_mean(SQUARE, UNIT, BOUND_ALPHA_MAX, 1.0,
+                                   2.0) > 0.0
+    # the identity's two sides take any order
+    for alpha in (big, 1e308, 1.7976931348623157e308):
+        lhs = trapezoid_defect(SQUARE, UNIT, alpha).lhs
+        rhs = defect_identity_rhs(SQUARE, UNIT, alpha)
+        assert abs(lhs - rhs) <= 1e-15
+
+
+def test_overflowing_scales_raise_clean_errors():
+    from fracineq import IntegrandError
+
+    wide = Interval(0.0, 1e300)
+    with pytest.raises(IntegrandError, match="overflows"):
+        trapezoid_defect(CUBE, wide, 1.0)
+    with pytest.raises(DomainError, match="too wide"):
+        defect_identity_rhs(LINEAR, wide, 1.0)
+    with pytest.raises(DomainError, match="too wide"):
+        defect_bound_s_convex(LINEAR, wide, 1.0, 1.0)
+    # (b-a)^2 underflows to 0 on [0, 1e-300]: the rhs is 0, not 0/0
+    assert defect_identity_rhs(SQUARE, Interval(0.0, 1e-300), 1e308) == 0.0
+
+
+def test_node_power_cap_leaves_every_node_power_zero():
+    # past the cap u^alpha underflows to 0 on every node, so capping the
+    # power there changes no value
+    import numpy as np
+
+    assert np.all(np.exp(hhbounds._NODE_POWER_CAP * TANH_SINH.log_nodes)
+                  == 0.0)

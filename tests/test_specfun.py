@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracineq import DomainError, Interval, beta, gamma, integrate, log_gamma
+from fracineq import (DomainError, Interval, beta, gamma, integrate, log_beta,
+                      log_gamma)
 from fracineq.quadrature import EndpointSingularity, Integrand
 
 # oracle for gamma(0.5): numeric integration of the defining integral
@@ -140,3 +141,32 @@ def test_log_gamma_memo_is_exact_and_bounded(monkeypatch):
     assert len(specfun._LOG_GAMMA_MEMO) <= specfun._LOG_GAMMA_MEMO_MAX
     with pytest.raises(DomainError):
         log_gamma(math.nan)
+
+
+def test_log_beta_below_stirling_range_keeps_its_bits():
+    # the sweeps' beta arguments all lie here; their reports must not move
+    from fracineq import specfun
+
+    rng = np.random.default_rng(20261018)
+    for x, y in rng.uniform(1e-3, specfun._STIRLING_MIN, size=(300, 2)):
+        x, y = float(x), float(y)
+        assert log_beta(x, y) == log_gamma(x) + log_gamma(y) - log_gamma(x + y)
+
+
+@pytest.mark.parametrize("x", [1e2, 3e2, 1e3, 1e5, 1e8, 1e12, 1e17, 1e30,
+                               1e50, 1e100, 1e150, 1e200, 1e300])
+def test_log_beta_matches_mpmath_at_large_arguments(x):
+    # log Gamma(x) - log Gamma(x+y) used to cancel: beta(1e17+2, 2) was
+    # 1e34 times too large.  The reference holds 30 digits beyond the
+    # log10(x) that x + y itself needs.
+    mpmath = pytest.importorskip("mpmath")
+    for y in (1e-3, 0.5, 1.25, 2.0, 3.5, 10.0, 19.9, 50.0, 1e3):
+        with mpmath.workdps(30 + int(math.log10(x))):
+            ref = mpmath.log(mpmath.beta(mpmath.mpf(x), mpmath.mpf(y)))
+            tol = 4e-15 * max(1.0, abs(float(ref)))
+            assert float(abs(mpmath.mpf(log_beta(x, y)) - ref)) <= tol, (x, y)
+            assert log_beta(y, x) == log_beta(x, y)
+            if abs(ref) < 700.0:
+                # an absolute error in the log is a relative one in beta
+                assert beta(x, y) == pytest.approx(float(mpmath.exp(ref)),
+                                                   rel=tol), (x, y)

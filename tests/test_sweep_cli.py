@@ -32,6 +32,7 @@ from fracineq.sweep import (
     SweepRow,
     _Certifier,
 )
+from fracineq.funclib import CertGrid, cert_grid, grid_verdicts
 from fracineq.quadrature import Interval
 
 GOOD_CONFIG = """\
@@ -72,6 +73,7 @@ def test_parse_good_config():
     ("", "alphas"),
     ("alphas = -1", "alphas[0]"),
     ("alphas = abc", "alphas"),
+    ("alphas = 0.5 1e308", "alphas[1]"),            # the bounds overflow
 ])
 def test_config_error_names_alphas(mutation, field):
     text = GOOD_CONFIG.replace("alphas = 0.5 1", mutation)
@@ -86,6 +88,7 @@ def test_config_error_names_alphas(mutation, field):
 @pytest.mark.parametrize("mutation, field", [
     ("intervals = 1,0", "intervals[0]"),
     ("intervals = -1,1", "intervals[0]"),
+    ("intervals = 0,1e300", "intervals[0]"),        # (b-a)^2 overflows
     ("s_values = 2", "s_values[0]"),
     ("p_values = 1", "p_values[0]"),
     ("q_values = 0.5", "q_values[0]"),
@@ -373,6 +376,9 @@ def test_cli_check_identity():
 def test_cli_certify_pass_and_fail():
     ok = run_cli("certify", "--function", "square", "--s", "1")
     assert ok.returncode == 0 and ok.stdout.startswith("PASS")
+    # the 33^3 grid is still the count reported, though only its 1025
+    # distinct points are evaluated
+    assert "(35937 triples checked)" in ok.stdout
     # sqrt is not convex in the ordinary (s = 1) sense
     bad = run_cli("certify", "--function", "root_power_0.5", "--s", "1")
     assert bad.returncode == 1 and bad.stdout.startswith("FAIL")
@@ -431,6 +437,24 @@ def test_shared_grid_verdicts_match_standalone_certifiers():
                 label, s, "convex")
             assert verdicts[(s, True)] == certify_s_concave(fn, iv, s).passed, (
                 label, s, "concave")
+
+
+def test_readme_grids_match_brute_force_bit_for_bit():
+    # the README intervals are dyadic, so every float combination
+    # lam[k]*xs[i] + (1-lam[k])*xs[j] is exact and equals the distinct
+    # point cert_grid evaluates: f_mix and every verdict keep their bits
+    s_values = parse_config_text(README_CONFIG).s_values
+    for label, fn, iv in readme_channels():
+        grid = cert_grid(fn, iv)
+        xs = np.linspace(iv.a, iv.b, 33)
+        lam = np.linspace(0.0, 1.0, 33)[None, None, :]
+        f_mix = fn(lam * xs[:, None, None] + (1.0 - lam) * xs[None, :, None])
+        assert np.array_equal(grid.fx, fn(xs)), label
+        assert np.array_equal(grid.f_mix, f_mix), label
+        reference = CertGrid(grid.xs, grid.lam, grid.fx, f_mix)
+        for s in s_values:
+            assert grid_verdicts(grid, s) == grid_verdicts(reference, s), (
+                label, s)
 
 
 def test_probes_match_scalar_loop():
@@ -644,3 +668,55 @@ def test_tiny_alpha_identity_passes():
     # (b-a)^2 alpha / ((alpha+1)(alpha+2)) for f'' = 2
     assert identity[0].lhs == pytest.approx(1e-5 / (1.00001 * 2.00001),
                                             abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# extreme parameters: computed, or refused with an error, never a traceback
+
+
+@pytest.mark.parametrize("args, code, text", [
+    (("--function", "cube", "--interval", "0,1e300", "--alpha", "1"), 1,
+     "overflows at an endpoint"),
+    (("--function", "linear", "--interval", "0,1e300", "--alpha", "1"), 2,
+     "too wide"),
+    (("--function", "square", "--interval", "0,1", "--alpha", "1e308"), 0,
+     "PASS"),
+    (("--function", "square", "--interval", "0,1", "--alpha",
+      "1.7976931348623157e308"), 0, "PASS"),
+    (("--function", "square", "--interval", "0,1e-9", "--alpha", "1e308"),
+     0, "PASS"),
+])
+def test_cli_check_identity_at_extreme_parameters(args, code, text):
+    proc = run_cli("check-identity", *args)
+    assert proc.returncode == code, proc.stderr
+    assert text in proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("override, code, text", [
+    (("--interval", "0,1e300"), 2, "intervals[0]"),
+    (("--alpha", "1e308"), 2, "alphas[0]"),
+    (("--alpha", "1e17"), 0, ""),
+])
+def test_cli_sweep_at_extreme_parameters(config_file, override, code, text):
+    proc = run_cli("sweep", "--config", str(config_file), *override)
+    assert proc.returncode == code, proc.stderr
+    assert text in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_one_row_sweep_at_alpha_1e17_passes():
+    # beta(alpha+2, 2) cancelled to about 1 here: the weight identity
+    # failed and bound_power_mean at q = 2 was complex, so building its row
+    # raised TypeError
+    text = (GOOD_CONFIG.replace("functions = square linear",
+                                "functions = square")
+            .replace("alphas = 0.5 1", "alphas = 1e17")
+            .replace("q_values = 1", "q_values = 2"))
+    report = run_sweep(parse_config_text(text))
+    statuses = Counter(r.status for r in report.rows)
+    assert statuses["fail"] == 0
+    bounds = [r for r in report.rows if r.check_id.startswith("bound_")]
+    assert bounds and all(isinstance(r.rhs, float) and r.rhs > 0.0
+                          for r in bounds)
