@@ -394,6 +394,16 @@ def defect_bound_holder(f: TestFunction, interval: Interval,
             * ((av + bv) / (s + 1.0)) ** (1.0 / q))
 
 
+def _power_mean_lead(interval: Interval, alpha: float) -> float:
+    """alpha (b-a)^2 / (4 (alpha+1) (alpha+2)), the power-mean scale."""
+    width2 = _width_squared(interval)
+    lead = alpha * width2 / (4.0 * (alpha + 1.0) * (alpha + 2.0))
+    if not math.isfinite(lead):
+        # alpha (b-a)^2 overflowed although the quotient does not
+        lead = width2 * (alpha / (4.0 * (alpha + 1.0) * (alpha + 2.0)))
+    return lead
+
+
 def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
                             s: float, q: float, grid_n: int = DEFAULT_GRID_N,
                             slack: float = DEFAULT_SLACK,
@@ -412,8 +422,7 @@ def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
     w1 = (2.0 * alpha + 4.0) / ((s + 2.0) * (alpha + s + 2.0))
     w2 = ((beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
           * (2.0 * alpha + 4.0) / alpha)
-    lead = (alpha * _width_squared(interval)
-            / (4.0 * (alpha + 1.0) * (alpha + 2.0)))
+    lead = _power_mean_lead(interval, alpha)
     return lead * ((av * w1 + bv * w2) ** (1.0 / q)
                    + (av * w2 + bv * w1) ** (1.0 / q))
 
@@ -481,8 +490,7 @@ def classical_power_mean_bound(f: TestFunction, interval: Interval,
     bv = abs(float(f.d2(b))) ** q
     w1 = (2.0 * alpha + 4.0) / (3.0 * alpha + 9.0)
     w2 = (alpha + 5.0) / (3.0 * alpha + 9.0)
-    lead = (alpha * _width_squared(interval)
-            / (4.0 * (alpha + 1.0) * (alpha + 2.0)))
+    lead = _power_mean_lead(interval, alpha)
     return lead * ((w1 * av + w2 * bv) ** (1.0 / q)
                    + (w2 * av + w1 * bv) ** (1.0 / q))
 

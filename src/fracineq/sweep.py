@@ -50,11 +50,12 @@ import csv
 import io
 import json
 import math
+import re
 import zlib
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -141,8 +142,9 @@ class SweepConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One report row; the fields are the report columns, in order."""
+
     check_id: str
     function: str | None
     a: float | None
@@ -343,8 +345,7 @@ class _Certifier:
         return self.cache[key]
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One bound row of the README check table.
 
     ``channel`` is the hypothesis the certifier checks, ``abs_d2`` (|f''|)
@@ -530,12 +531,9 @@ class _Sweep:
                 for params, rule, e in found]
 
 
-def _fmt_tuple(row: SweepRow) -> tuple:
-    def num(v):
-        return float("-inf") if v is None else float(v)
-
-    return (row.check_id, row.function or "", num(row.a), num(row.b),
-            num(row.alpha), num(row.s), num(row.p), num(row.q))
+# (check_id, function, a, b, alpha, s, p, q); all rows of one check id
+# leave the same of these columns None, so no None meets a value
+_sort_key = itemgetter(slice(0, 8))
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -560,7 +558,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                      for f, iv in cells for check in BOUND_CHECKS
                      for bp in params[check.q_from])
     rows += sweep.weight_rows(config)
-    rows.sort(key=_fmt_tuple)
+    rows.sort(key=_sort_key)
     return SweepReport(rows=tuple(rows))
 
 
@@ -568,51 +566,43 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 # rendering
 
 
-def _fmt_float(v: float | None) -> str:
-    return "" if v is None else format(float(v), ".17g")
+# what json.dumps writes for each value type of a row, but for non-finite
+# floats; any other type is handed to json.dumps itself
+_JSON_VALUE = {float: float.__repr__, str: encode_basestring_ascii,
+               type(None): {None: "null"}.__getitem__}
+# float.__repr__ writes nan and ±inf as json does not; such a value stands
+# between '": ' and a raw newline, which no encoded string holds
+_JSON_NON_FINITE = re.compile(r'(?<=": )(nan|-?inf)(?=,?\n)')
+_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the text of one row of json.dumps(rows as dicts, indent=2)
+_JSON_ROW = "  {\n" + ",\n".join(
+    f"    {encode_basestring_ascii(name)}: %s" for name in SweepRow._fields
+) + "\n  }"
 
 
-def _json_float(v: float) -> str:
-    if math.isfinite(v):
-        return float.__repr__(v)
-    return "NaN" if v != v else ("Infinity" if v > 0.0 else "-Infinity")
-
-
-# what json.dumps writes for each value type of a row; any other type is
-# handed to json.dumps itself
-_JSON_VALUE = {float: _json_float, str: encode_basestring_ascii,
-               type(None): lambda v: "null"}
-_JSON_FIELDS = tuple(f.name for f in dc_fields(SweepRow))
-_JSON_KEYS = tuple(f"    {encode_basestring_ascii(name)}: "
-                   for name in _JSON_FIELDS)
-_row_values = attrgetter(*_JSON_FIELDS)
-
-
-def _json_row(r: SweepRow) -> str:
-    return "  {\n" + ",\n".join([
-        key + (_JSON_VALUE.get(type(v)) or json.dumps)(v)
-        for key, v in zip(_JSON_KEYS, _row_values(r))]) + "\n  }"
+def _csv_cells(r: SweepRow) -> list[str]:
+    # '%.17g' % v is format(float(v), '.17g')
+    return [r.check_id, r.function or "",
+            *["" if v is None else "%.17g" % v for v in r[2:11]], r.status]
 
 
 def render_report(report: SweepReport, output_format: str = "csv") -> bytes:
-    """Serialise a report; identical reports render byte-identically."""
+    """Serialise a report, byte for byte as ``csv.writer`` writes it or as
+    ``json.dumps(rows as dicts, indent=2) + "\\n"``."""
     if output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in report.rows:
-            writer.writerow([
-                r.check_id, r.function or "", _fmt_float(r.a), _fmt_float(r.b),
-                _fmt_float(r.alpha), _fmt_float(r.s), _fmt_float(r.p),
-                _fmt_float(r.q), _fmt_float(r.lhs), _fmt_float(r.rhs),
-                _fmt_float(r.slack_measured), r.status,
-            ])
+        writer.writerows(map(_csv_cells, report.rows))
         return buf.getvalue().encode("utf-8")
     if output_format == "json":
-        # the bytes of json.dumps(rows as dicts, indent=2) + "\n", without
-        # its pure-Python indenting encoder
         if not report.rows:
             return b"[]\n"
-        return ("[\n" + ",\n".join(map(_json_row, report.rows))
-                + "\n]\n").encode("utf-8")
+        text = "[\n" + ",\n".join([
+            _JSON_ROW % tuple([(_JSON_VALUE.get(type(v)) or json.dumps)(v)
+                               for v in r])
+            for r in report.rows]) + "\n]\n"
+        if "nan" in text or "inf" in text:
+            text = _JSON_NON_FINITE.sub(lambda m: _JSON_NAMES[m[0]], text)
+        return text.encode("utf-8")
     raise ConfigError("format", f"must be csv or json, got {output_format}")
