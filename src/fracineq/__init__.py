@@ -34,9 +34,7 @@ _EXPORTS = {
         "defect_bound_s_concave", "defect_bound_s_convex",
         "defect_identity_rhs", "s_convex_sandwich", "trapezoid_defect",
         "weight_integral_report"), "hhbounds"),
-    **dict.fromkeys((
-        "EndpointSingularity", "Integrand", "Interval", "QuadResult",
-        "integrate"), "quadrature"),
+    **dict.fromkeys(("Interval", "QuadResult", "integrate"), "quadrature"),
     **dict.fromkeys(("beta", "gamma", "log_beta", "log_gamma"), "specfun"),
     **dict.fromkeys((
         "SweepConfig", "SweepReport", "SweepRow", "load_config",

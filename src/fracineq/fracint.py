@@ -5,21 +5,17 @@ For order alpha > 0,
     left  J_{a+}^alpha f(x) = (1/Gamma(alpha)) int_a^x (x-t)^(alpha-1) f(t) dt
     right J_{b-}^alpha f(x) = (1/Gamma(alpha)) int_x^b (t-x)^(alpha-1) f(t) dt
 
-At alpha = 1 both reduce to the ordinary integral.  For alpha < 1 the
-kernel is an algebraic endpoint singularity at x.  The operator is then
-split as
+At alpha = 1 both reduce to the ordinary integral.  With d the length of
+the range and t = x -+ d u, each is one expectation under U ~ Beta(alpha, 1):
 
-    f(x) d^alpha / Gamma(alpha+1)
-        + (1/Gamma(alpha)) int |x-t|^(alpha-1) (f(t) - f(x)) dt
+    J f(x) = d^alpha / Gamma(alpha+1) * [f(x) + E[f(x -+ d U) - f(x)]]
 
-with d the length of the range: the first term is the kernel's integral
-in closed form, and the second integrand vanishes at x.  It is declared
-to the quadrature engine with its regular part supplied directly, so the
-kernel power is never reconstructed from a cancelling subtraction, and
-with the substitution power held at
-:data:`~fracineq.quadrature.MIN_SUBSTITUTION_POWER` or more, so that
-tiny orders such as 1e-5 are resolved.  For alpha > 1 the kernel is
-bounded and no tag is needed.
+The first term is the kernel's integral in closed form; the expectation's
+integrand vanishes at u = 0, where the kernel is singular for alpha < 1,
+and :func:`~fracineq.quadrature.beta_expectation` computes it for every
+order, tiny orders such as 1e-5 included.  f is evaluated at
+x -+ d * ``TANH_SINH.nodes``, so the points nearest the singular end x
+are exact.
 
 Orders alpha = 0 are rejected: the identity-operator convention
 J^0 f = f is documented but not implemented as an order value.
@@ -28,16 +24,16 @@ J^0 f = f is documented but not implemented as an order value.
 
 from __future__ import annotations
 
-from typing import Callable
+import math
 
 from .errors import DomainError
+from .funclib import _eval_grid, value_fn
 from .quadrature import (
-    MIN_SUBSTITUTION_POWER,
-    EndpointSingularity,
-    Integrand,
+    MAX_ABS_TOL,
+    TANH_SINH,
     Interval,
     _engine_tol,
-    integrate,
+    beta_expectation,
 )
 from .specfun import check_alpha, gamma
 
@@ -46,54 +42,39 @@ __all__ = ["left_rl", "right_rl", "check_alpha", "Interval"]
 DEFAULT_ABS_TOL = 1e-10
 
 
-def _value_fn(f) -> Callable[[float], float]:
-    """Accept either a plain callable or a catalog TestFunction."""
-    fn = getattr(f, "fn", None)
-    if fn is not None and callable(fn):
-        return fn
-    if callable(f):
-        return f
-    raise DomainError(f"f must be callable or carry a .fn channel, got {type(f)!r}")
-
-
-def _rl(f, alpha: float, lo: float, hi: float, side: str,
+def _rl(f, alpha: float, lo: float, hi: float, sign: float,
         abs_tol: float) -> float:
-    """(1/Gamma(alpha)) int_lo^hi |x - t|^(alpha-1) f(t) dt, where x is the
-    ``side`` end of [lo, hi]: ``hi`` for the left operator, ``lo`` for the
-    right one."""
+    """(1/Gamma(alpha)) int_lo^hi |x - t|^(alpha-1) f(t) dt, where x is
+    ``lo`` for ``sign`` = 1 (the right operator) and ``hi`` for
+    ``sign`` = -1 (the left one)."""
     alpha = check_alpha(alpha)
-    fv = _value_fn(f)
+    fv = value_fn(f)
+    d = Interval(lo, hi).length
+    if d == math.inf:
+        raise DomainError(f"range [{lo}, {hi}] is too wide: its length overflows")
     try:
         g = gamma(alpha)
-        # the kernel's largest value, reached towards the far end of [lo, hi]
-        (hi - lo) ** (alpha - 1.0)
+        # the kernel at the far end of [lo, hi], its largest value for
+        # alpha > 1
+        kernel = d ** (alpha - 1.0)
     except OverflowError as exc:
         raise DomainError(f"fractional order alpha={alpha} on [{lo}, {hi}] is "
                           "beyond the range where Gamma(alpha) and the kernel "
                           "|x - t|^(alpha-1) are finite doubles") from exc
-    x, sign = (hi, 1.0) if side == "right" else (lo, -1.0)
-    span = Interval(lo, hi)
-    tol = _engine_tol(abs_tol * g)
-    if alpha == 1.0:
-        return integrate(fv, span, abs_tol=tol).value
-    if alpha > 1.0:
-        # sign * (x - t) is the distance |x - t|, exactly
-        return integrate(lambda t: (sign * (x - t)) ** (alpha - 1.0) * fv(t),
-                         span, abs_tol=tol).value / g
-
-    # the split of the module docstring
+    x = lo if sign > 0.0 else hi
+    step = sign * d
+    # d^alpha / Gamma(alpha+1), without forming Gamma(alpha+1), which
+    # overflows for orders where Gamma(alpha) does not
+    scale = kernel / g * (d / alpha)
+    tol = _engine_tol(abs_tol / scale) if scale > 0.0 else MAX_ABS_TOL
     fx = float(fv(x))
-    power = max(alpha, MIN_SUBSTITUTION_POWER)
 
-    def regular(t: float, d: float) -> float:
-        # d^(alpha-1) (f(t) - f(x)) = d^(power-1) * regular(t, d)
-        return (fv(t) - fx) * d ** (alpha - power) if d > 0.0 else 0.0
+    def shifted(u: float) -> float:
+        return fv(min(max(x + step * u, lo), hi)) - fx
 
-    rest = integrate(
-        Integrand(fn=lambda t: (sign * (x - t)) ** (alpha - 1.0) * (fv(t) - fx),
-                  singularity=EndpointSingularity(side, power - 1.0, regular)),
-        span, abs_tol=tol)
-    return fx * (hi - lo) ** alpha / gamma(alpha + 1.0) + rest.value / g
+    points = (x + step * TANH_SINH.nodes).clip(lo, hi)
+    rest = beta_expectation(_eval_grid(fv, points) - fx, shifted, alpha, tol)
+    return scale * (fx + rest)
 
 
 def left_rl(f, alpha: float, a: float, x: float,
@@ -101,7 +82,7 @@ def left_rl(f, alpha: float, a: float, x: float,
     """J_{a+}^alpha f(x) for x > a, to absolute tolerance ``abs_tol``."""
     if not x > a:
         raise DomainError(f"left operator requires x > a, got a={a}, x={x}")
-    return _rl(f, alpha, a, x, "right", abs_tol)
+    return _rl(f, alpha, a, x, -1.0, abs_tol)
 
 
 def right_rl(f, alpha: float, b: float, x: float,
@@ -109,4 +90,4 @@ def right_rl(f, alpha: float, b: float, x: float,
     """J_{b-}^alpha f(x) for x < b, to absolute tolerance ``abs_tol``."""
     if not x < b:
         raise DomainError(f"right operator requires x < b, got b={b}, x={x}")
-    return _rl(f, alpha, x, b, "left", abs_tol)
+    return _rl(f, alpha, x, b, 1.0, abs_tol)

@@ -61,6 +61,7 @@ __all__ = [
     "root_power",
     "shifted_square",
     "abs_d2",
+    "value_fn",
 ]
 
 DEFAULT_GRID_N = 33
@@ -121,6 +122,17 @@ class CertificationResult:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def value_fn(f) -> Callable[[float], float]:
+    """The value channel of a :class:`TestFunction`, or ``f`` itself when
+    it is a plain callable; :class:`DomainError` otherwise."""
+    if isinstance(f, TestFunction):
+        return f.fn
+    if callable(f):
+        return f
+    raise DomainError(
+        f"f must be a TestFunction or a callable, got {type(f).__name__}")
 
 
 def _check_s(s: float) -> float:

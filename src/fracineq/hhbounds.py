@@ -25,11 +25,12 @@ for f = t^(s+2) on [0, b] terms in u^(s+2), (1-u)^(s+2) and t^s.  Each is
 first computed on the tanh-sinh ladder
 :data:`~fracineq.quadrature.TANH_SINH` (see
 :class:`~fracineq.quadrature.TanhSinhLadder`), with f or f'' evaluated
-once on all its nodes as an array: the defect's integrand is
-alpha exp((alpha-1) ln u) g(u), the rhs weight t (-expm1(alpha ln t)),
-which keeps 1 - t^alpha accurate at tiny alpha.  When no level meets the
-tolerance, or a node value is not finite, the integral goes to the
-adaptive engine.
+once on all its nodes as an array.  The defect is the expectation
+:func:`~fracineq.quadrature.beta_expectation` of g, which weights g by
+the density alpha exp((alpha-1) ln u); the rhs weight is
+t (-expm1(alpha ln t)), which keeps 1 - t^alpha accurate at tiny alpha.
+When no level meets the tolerance, or a node value is not finite, either
+integral goes to the adaptive engine.
 
 Upper bounds for |D| follow from convexity hypotheses on |f''| or
 |f''|^q; each evaluator certifies its hypothesis on the given interval
@@ -61,15 +62,16 @@ from .funclib import (
     abs_d2,
     certify_s_concave,
     certify_s_convex,
+    value_fn,
 )
 from .quadrature import (
+    _NODE_POWER_CAP,
+    _UNIT,
     MAX_ABS_TOL,
-    MIN_SUBSTITUTION_POWER,
     TANH_SINH,
-    EndpointSingularity,
-    Integrand,
     Interval,
     _engine_tol,
+    beta_expectation,
     integrate,
 )
 from .specfun import beta, check_alpha, log_beta, log_gamma
@@ -112,11 +114,6 @@ HOLDER_VALID_ALPHA_MAX = 1.0
 # the bound into 0 or NaN.  Bounds and weight integrals are computed up to
 # this order and rejected above it; the identity's two sides take any alpha.
 BOUND_ALPHA_MAX = 1e150
-# Every tanh-sinh node has |ln u| >= 3.2e-16, so u^alpha is 0 on all of
-# them once the power passes 1e300; capping it there keeps alpha * ln u
-# from overflowing (and warning) without changing a value.
-_NODE_POWER_CAP = 1e300
-_UNIT = Interval(0.0, 1.0)
 
 
 def _check_bound_alpha(alpha: float) -> float:
@@ -226,7 +223,7 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     alpha = check_alpha(alpha)
     a, b = interval.a, interval.b
     h = b - a
-    fv = f.fn if isinstance(f, TestFunction) else f
+    fv = value_fn(f)
     try:
         fa, fb = float(fv(a)), float(fv(b))
     except OverflowError:
@@ -237,35 +234,11 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     def g(u: float) -> float:
         return fv(a + h * u) + fv(b - h * u) - ends
 
-    def weighted(u: float) -> float:
-        # the density is formed first: a huge alpha times a large g could
-        # overflow where alpha * u^(alpha-1) underflows to 0
-        return (alpha * u ** (alpha - 1.0)) * g(u)
-
-    def adaptive() -> float:
-        singularity = None
-        if alpha < 1.0:
-            # u^(alpha-1) is singular at u = 0; the engine factors out
-            # u^(power-1) exactly and u^(alpha-power) g(u) stays regular,
-            # since g(0) = 0
-            power = max(alpha, MIN_SUBSTITUTION_POWER)
-
-            def regular(u: float, d: float) -> float:
-                return alpha * g(u) * d ** (alpha - power) if d > 0.0 else 0.0
-
-            singularity = EndpointSingularity("left", power - 1.0, regular)
-        return integrate(Integrand(weighted, singularity), _UNIT,
-                         abs_tol=tol).value
-
-    # D is half the integral, so the integral needs twice the tolerance
-    tol = _engine_tol(2.0 * quad_tol)
     # f(b - h u) at node u is f(a + h (1-u)), its value at the mirrored node
     fx = _eval_grid(fv, a + h * TANH_SINH.nodes)
-    density = alpha * np.exp(min(alpha - 1.0, _NODE_POWER_CAP)
-                             * TANH_SINH.log_nodes)
-    value = TANH_SINH.estimate(density * (fx + fx[::-1] - ends), tol)
-    if value is None:
-        value = adaptive()
+    # D is half the integral, so the integral needs twice the tolerance
+    value = beta_expectation(fx + fx[::-1] - ends, g, alpha,
+                             _engine_tol(2.0 * quad_tol))
     return DefectResult(lhs=-0.5 * value, quad_tol_used=quad_tol,
                         fa=fa, fb=fb, alpha=alpha, interval=interval)
 
@@ -306,7 +279,7 @@ def s_convex_sandwich(f, interval: Interval, s: float,
     must start at a >= 0.
     """
     s = _check_s(s)
-    fv = f.fn if isinstance(f, TestFunction) else f
+    fv = value_fn(f)
     cert = certify_s_convex(fv, interval, s, grid_n=grid_n, slack=slack)
     _require(cert, f"f is not s-convex at s={s} on [{interval.a}, {interval.b}]")
     grid = np.linspace(interval.a, interval.b, grid_n)

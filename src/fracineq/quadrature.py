@@ -8,19 +8,7 @@ scale, Piessens et al. 1983), whichever is larger.  Below that floor the
 two-level estimate measures only rounding, so the engine stops there and
 reports the floor as its error estimate; the reported estimate is never
 below the floor.  Values and error estimates are exact ``math.fsum``
-totals over the panels.
-
-Algebraic endpoint singularities ``(t - c)^gamma`` with gamma in (-1, 0)
-are removed before panel quadrature by the power substitution
-``v = (distance to c)^(gamma + 1)``: the transformed integrand is bounded,
-and Gauss-Legendre nodes never touch the endpoint itself.  Integrands may
-optionally supply a ``regular_part(t, distance)`` callable factoring out
-the singular power exactly; the RL operators use this to keep the kernel
-evaluation free of the cancellation incurred when an integrand recovers
-the endpoint distance from ``t`` by subtraction.
-
-Integrands singular at both endpoints are handled by the caller splitting
-the interval once (interval additivity holds to tolerance).
+totals over the panels.  Integrands are plain callables.
 
 Integrals over [0, 1] of integrands that can be evaluated on a whole
 array at once have a faster path: :data:`TANH_SINH`, nested tanh-sinh
@@ -33,8 +21,13 @@ the difference from the previous level estimates the truncation error,
 the second term the rounding of the sum.  A level refused by that
 worst-case rounding term alone is summed again exactly (``math.fsum``)
 and charged ``eps * sum |w_i g_i|`` plus one ulp.  When no level passes,
-or a node value is not finite, it returns None and the caller falls back
-to :func:`integrate`.
+or a node value is not finite, it returns None.
+
+:func:`beta_expectation` is the one expectation under U ~ Beta(alpha, 1)
+behind the trapezoid defect and the Riemann-Liouville operators: it tries
+the ladder, and where the ladder refuses it falls back once to
+:func:`integrate` after a power substitution that makes the density's
+singularity at u = 0 bounded.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from typing import Callable, Literal
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,12 +43,11 @@ from .errors import AccuracyError, DomainError, IntegrandError
 
 __all__ = [
     "Interval",
-    "EndpointSingularity",
-    "Integrand",
     "QuadResult",
     "integrate",
     "TANH_SINH",
     "TanhSinhLadder",
+    "beta_expectation",
 ]
 
 PANEL_ORDER = 21
@@ -91,23 +83,27 @@ _WEIGHTS = tuple(w for _, w in _GAUSS_LEGENDRE_21)
 DEFAULT_MAX_EVALS = 1_000_000
 MIN_ABS_TOL = 1e-14
 MAX_ABS_TOL = 1e-2
-# The smallest substitution power v = d^power worth using on an integrand
-# that vanishes at its singular endpoint d = 0.  The substitution squeezes
-# the top half of the range of d into the top power * ln 2 of the range of
+# The smallest substitution power v = u^power worth using on an integrand
+# that vanishes at its singular endpoint u = 0.  The substitution squeezes
+# the top half of the range of u into the top power * ln 2 of the range of
 # v; at this power that strip is ten times the gap between the first
 # panels' top nodes (about 0.003 of the range).  With power = 1e-5 it is far
 # narrower, no node samples where the integrand varies, and the integral
-# would come out as 0.  Callers with a smaller exponent declare
-# d^(power-1) and fold d^(exponent-power) into the regular part.
+# would come out as 0.  For alpha below it, beta_expectation keeps the factor
+# u^(alpha-power), which g(0) = 0 keeps bounded.
 MIN_SUBSTITUTION_POWER = 0.05
+# Every tanh-sinh node has |ln u| >= 3.2e-16, so u^alpha is 0 on all of
+# them once the power passes 1e300; capping it there keeps alpha * ln u
+# from overflowing (and warning) without changing a value.
+_NODE_POWER_CAP = 1e300
 # QUADPACK's roundoff scale: no error estimate can be trusted below
 # 50 * eps * integral of |f| (Piessens et al., 1983)
 _ROUNDOFF = 50.0 * math.ulp(1.0)
 
 
 def _engine_tol(tol: float) -> float:
-    # derived tolerances (scaled by Gamma(alpha) or the identity's curvature
-    # coefficient) are clamped into the engine's contract range; accuracy
+    # derived tolerances (scaled by an RL operator's d^alpha/Gamma(alpha+1)
+    # or the identity's curvature coefficient) are clamped into the engine's contract range; accuracy
     # degrades gracefully at the ends
     return min(MAX_ABS_TOL, max(MIN_ABS_TOL, tol))
 
@@ -146,37 +142,7 @@ class Interval:
         return cls(a, b)
 
 
-@dataclass(frozen=True)
-class EndpointSingularity:
-    """Declares eval(t) ~ (distance to endpoint)^exponent near one endpoint.
-
-    ``exponent`` must lie in (-1, 0).  ``regular_part(t, d)``, when given,
-    must satisfy eval(t) = d^exponent * regular_part(t, d) with d the
-    distance to the singular endpoint; it is bounded near the endpoint.
-    """
-
-    side: Literal["left", "right"]
-    exponent: float
-    regular_part: Callable[[float, float], float] | None = None
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise DomainError(f"singularity side must be 'left' or 'right', got {self.side!r}")
-        if not (-1.0 < self.exponent < 0.0):
-            raise DomainError(
-                f"singular exponent must lie in (-1, 0), got {self.exponent}")
-
-
-@dataclass(frozen=True)
-class Integrand:
-    """A scalar integrand, optionally tagged with one endpoint singularity."""
-
-    fn: Callable[[float], float]
-    singularity: EndpointSingularity | None = None
-
-
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
@@ -262,48 +228,11 @@ def _adaptive(fn, a: float, b: float, abs_tol: float, max_evals: int) -> QuadRes
         total_abs += left_seg[9] + right_seg[9] - resabs
 
 
-def _transform_singular(integrand: Integrand, interval: Interval):
-    """Map a singular-endpoint integrand onto a bounded one on [0, V]."""
-    sing = integrand.singularity
-    gamma = sing.exponent
-    beta = gamma + 1.0          # in (0, 1)
-    inv_beta = 1.0 / beta
-    length = interval.length
-    v_max = length ** beta
-    endpoint = interval.a if sing.side == "left" else interval.b
-    sign = 1.0 if sing.side == "left" else -1.0
-    fn = integrand.fn
-    regular = sing.regular_part
-
-    if regular is not None:
-        # eval(t) = d^gamma * regular(t, d), so the substitution weight
-        # d^gamma * v^(1/beta - 1) cancels exactly and only (1/beta)*regular
-        # remains.
-        def transformed(v: float) -> float:
-            d = v ** inv_beta
-            return inv_beta * regular(endpoint + sign * d, d)
-    else:
-        def transformed(v: float) -> float:
-            d = v ** inv_beta
-            t = endpoint + sign * d
-            if d == 0.0 or t == endpoint:
-                # the node is closer to the endpoint than float spacing can
-                # represent, so fn cannot be evaluated there; the true
-                # transformed integrand is bounded and the region negligible
-                return 0.0
-            return inv_beta * fn(t) * v ** (inv_beta - 1.0)
-
-    return transformed, v_max
-
-
-def integrate(f: Integrand | Callable[[float], float],
+def integrate(f: Callable[[float], float],
               interval: Interval,
               abs_tol: float = 1e-10,
               max_evals: int = DEFAULT_MAX_EVALS) -> QuadResult:
     """Integrate ``f`` over ``interval`` to absolute tolerance ``abs_tol``.
-
-    ``f`` may be a plain callable or an :class:`Integrand`; declare a
-    singular endpoint to have the power substitution applied.
 
     The engine stops once its error estimate meets ``abs_tol`` or the
     roundoff floor ``50 * eps * integral of |f|``, whichever is larger, and
@@ -317,8 +246,6 @@ def integrate(f: Integrand | Callable[[float], float],
     ``max_evals`` budget cannot pay for another split, or the worst panel
     has reached the minimum splittable width.
     """
-    if callable(f) and not isinstance(f, Integrand):
-        f = Integrand(fn=f)
     if not isinstance(interval, Interval):
         interval = Interval(*interval)
     abs_tol = float(abs_tol)
@@ -327,12 +254,7 @@ def integrate(f: Integrand | Callable[[float], float],
             f"abs_tol must lie in [{MIN_ABS_TOL}, {MAX_ABS_TOL}], got {abs_tol}")
     if max_evals < PANEL_ORDER * 3:
         raise DomainError(f"max_evals too small to evaluate anything: {max_evals}")
-
-    if f.singularity is None:
-        return _adaptive(f.fn, interval.a, interval.b, abs_tol, max_evals)
-
-    transformed, v_max = _transform_singular(f, interval)
-    return _adaptive(transformed, 0.0, v_max, abs_tol, max_evals)
+    return _adaptive(f, interval.a, interval.b, abs_tol, max_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +334,41 @@ class TanhSinhLadder:
         return None
 
 
-# the ladder every defect and identity rhs tries first: 13, 25, 51, 101
-# and 201 nodes
+# the ladder every defect, identity rhs and RL operator tries first: 13,
+# 25, 51, 101 and 201 nodes
 TANH_SINH = TanhSinhLadder()
+_UNIT = Interval(0.0, 1.0)
+
+
+def beta_expectation(values: np.ndarray, g: Callable[[float], float],
+                     alpha: float, tol: float) -> float:
+    """E[g(U)] for U ~ Beta(alpha, 1), density alpha u^(alpha-1) on
+    [0, 1], to absolute tolerance ``tol``; g must vanish at 0.
+
+    ``values`` holds g at ``TANH_SINH.nodes``; they are weighted by the
+    density and summed on the ladder.  Where the ladder refuses, the
+    integral goes once to :func:`integrate`, with ``g`` called node by
+    node, after the substitution v = u^power with
+    power = min(max(alpha, MIN_SUBSTITUTION_POWER), 1): the integrand
+    (alpha/power) u^(alpha-power) g(u) is then bounded.
+    """
+    # the density is formed first: a huge alpha times a large g could
+    # overflow where alpha * u^(alpha-1) underflows to 0
+    density = alpha * np.exp(min(alpha - 1.0, _NODE_POWER_CAP)
+                             * TANH_SINH.log_nodes)
+    value = TANH_SINH.estimate(density * values, tol)
+    if value is not None:
+        return value
+    power = min(max(alpha, MIN_SUBSTITUTION_POWER), 1.0)
+    inv_power = 1.0 / power
+    scale = alpha * inv_power
+
+    def bounded(v: float) -> float:
+        u = v ** inv_power
+        if u == 0.0:
+            # v^(1/power) underflowed: the node lies closer to 0 than a
+            # double resolves, where the bounded integrand tends to 0
+            return 0.0
+        return (scale * u ** (alpha - power)) * g(u)
+
+    return integrate(bounded, _UNIT, abs_tol=tol).value

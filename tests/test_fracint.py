@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fracineq import DomainError, Interval, gamma, integrate, left_rl, right_rl
@@ -139,3 +140,58 @@ def test_tiny_orders_match_closed_forms(alpha):
         zero_at_x, rel=0.0, abs=1e-10)
     assert left_rl(lambda t: (1.0 - t) ** 2, alpha, 0.0, 1.0) == pytest.approx(
         zero_at_x, rel=0.0, abs=1e-10)
+
+
+def test_non_finite_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="finite"):
+        left_rl(lambda t: t, 0.5, 0.0, math.inf)
+    with pytest.raises(DomainError, match="finite"):
+        right_rl(lambda t: t, 0.5, 1.0, -math.inf)
+    # finite ends whose distance overflows
+    with pytest.raises(DomainError, match="too wide"):
+        left_rl(lambda t: t, 0.5, -1e308, 1e308)
+
+
+def test_rejects_what_is_neither_callable_nor_a_test_function():
+    with pytest.raises(DomainError, match="callable"):
+        left_rl(5, 0.5, 0.0, 1.0)
+
+
+# f on floats and arrays, and its mpmath twin for the oracle
+RL_FUNCTIONS = {
+    "square": (lambda t: t * t, lambda mp, t: t * t),
+    "exp": (np.exp, lambda mp, t: mp.exp(t)),
+    "sqrt": (np.sqrt, lambda mp, t: mp.sqrt(t)),
+    "cos3": (lambda t: np.cos(3.0 * t), lambda mp, t: mp.cos(3 * t)),
+}
+
+
+def mp_rl(f, alpha: float, x: float, far: float) -> float:
+    """J f(x) over the range from x to ``far``, to 25 digits: the closed
+    form f(x) d^alpha / Gamma(alpha+1) plus the integral of
+    s^(alpha-1) (f(x -+ s) - f(x)) / Gamma(alpha) over [0, d]."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(25):
+        x, far, alpha = mp.mpf(x), mp.mpf(far), mp.mpf(alpha)
+        d = abs(far - x)
+        step = 1 if far > x else -1
+        fx = f(mp, x)
+        rest = mp.quad(lambda s: s ** (alpha - 1) * (f(mp, x + step * s) - fx),
+                       [0, d])
+        return float(fx * d ** alpha / mp.gamma(alpha + 1)
+                     + rest / mp.gamma(alpha))
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 0.05, 0.3, 1.0, 1.5, 7.0, 40.0])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, 2.0), (0.0, 10.0)])
+@pytest.mark.parametrize("name", list(RL_FUNCTIONS))
+def test_both_operators_against_mpmath(name, a, b, alpha):
+    # f is evaluated at points built from x, exact near the singular end:
+    # built from the far end (hi - d * complements), they put sqrt at
+    # alpha = 0.05 on [0, 10] 7.8e-10 off
+    fn, mp_fn = RL_FUNCTIONS[name]
+    left = mp_rl(mp_fn, alpha, b, a)
+    right = mp_rl(mp_fn, alpha, a, b)
+    assert abs(left_rl(fn, alpha, a, b) - left) <= 1e-10 * max(1.0, abs(left))
+    assert abs(right_rl(fn, alpha, b, a) - right) <= 1e-10 * max(1.0,
+                                                                abs(right))

@@ -27,7 +27,7 @@ from fracineq import (
     trapezoid_defect,
     weight_integral_report,
 )
-from fracineq import hhbounds
+from fracineq import hhbounds, quadrature
 from fracineq.funclib import ConvexityClass
 from fracineq.quadrature import TANH_SINH, integrate
 
@@ -388,9 +388,17 @@ def test_both_identity_sides_against_mpmath(name, a, b, alpha):
                - exact) <= rhs_allowed
 
 
+def test_evaluators_reject_what_is_neither_callable_nor_a_test_function():
+    with pytest.raises(DomainError, match="callable"):
+        trapezoid_defect(5, Interval(0.0, 1.0), 0.5)
+    with pytest.raises(DomainError, match="callable"):
+        s_convex_sandwich(5, Interval(0.0, 1.0), 0.5)
+
+
 @pytest.fixture
 def adaptive_calls(monkeypatch):
-    """The integrals hhbounds hands to the adaptive engine, in call order."""
+    """The integrals hhbounds hands to the adaptive engine, in call order:
+    its own, and the defect's through quadrature.beta_expectation."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -398,6 +406,7 @@ def adaptive_calls(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(hhbounds, "integrate", counting)
+    monkeypatch.setattr(quadrature, "integrate", counting)
     return calls
 
 
@@ -590,12 +599,3 @@ def test_overflowing_scales_raise_clean_errors():
         defect_bound_s_convex(LINEAR, wide, 1.0, 1.0)
     # (b-a)^2 underflows to 0 on [0, 1e-300]: the rhs is 0, not 0/0
     assert defect_identity_rhs(SQUARE, Interval(0.0, 1e-300), 1e308) == 0.0
-
-
-def test_node_power_cap_leaves_every_node_power_zero():
-    # past the cap u^alpha underflows to 0 on every node, so capping the
-    # power there changes no value
-    import numpy as np
-
-    assert np.all(np.exp(hhbounds._NODE_POWER_CAP * TANH_SINH.log_nodes)
-                  == 0.0)

@@ -1,23 +1,47 @@
-"""Adaptive quadrature engine: smooth, singular, and failure behavior."""
+"""Quadrature: the adaptive engine, the tanh-sinh ladder and the
+Beta(alpha, 1) expectation built on both."""
 
 import math
 
+import numpy as np
 import pytest
 
 from fracineq import (
     AccuracyError,
     DomainError,
-    Integrand,
     IntegrandError,
     Interval,
     beta,
     integrate,
+    quadrature,
 )
-from fracineq.quadrature import (
-    PANEL_ORDER,
-    TANH_SINH,
-    EndpointSingularity,
-)
+from fracineq.quadrature import PANEL_ORDER, TANH_SINH, beta_expectation
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The integrals beta_expectation hands to the adaptive engine."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    return calls
+
+
+def both_paths(g, alpha, tol, fallbacks):
+    """beta_expectation of g on the ladder, then on the adaptive fallback,
+    forced by one non-finite node value; asserts which path ran."""
+    values = np.array([g(u) for u in TANH_SINH.nodes.tolist()])
+    on_ladder = beta_expectation(values, g, alpha, tol)
+    assert fallbacks == []
+    values[values.size // 2] = math.inf
+    on_engine = beta_expectation(values, g, alpha, tol)
+    assert len(fallbacks) == 1
+    fallbacks.clear()
+    return on_ladder, on_engine
 
 
 def test_polynomial_smoke():
@@ -27,12 +51,12 @@ def test_polynomial_smoke():
     assert res.evaluations >= PANEL_ORDER
 
 
-def test_right_singular_inverse_sqrt():
-    # antiderivative -2 sqrt(1-t) gives exactly 2
-    f = Integrand(fn=lambda t: (1.0 - t) ** -0.5,
-                  singularity=EndpointSingularity("right", -0.5))
-    res = integrate(f, Interval(0.0, 1.0), 1e-10)
-    assert res.value == pytest.approx(2.0, abs=1e-10)
+def test_right_singular_inverse_sqrt(fallbacks):
+    # int_0^1 (1-t)^(-1/2) t dt = B(2, 1/2) = 4/3; with u = 1-t the singular
+    # end is the Beta(1/2, 1) density at u = 0, and the integral is
+    # 2 E[1 - U] = 2 (1 + E[-U])
+    for got in both_paths(lambda u: -u, 0.5, 1e-11, fallbacks):
+        assert 2.0 * (1.0 + got) == pytest.approx(4.0 / 3.0, abs=1e-10)
 
 
 def test_weight_kernel_against_beta_closed_form():
@@ -70,25 +94,35 @@ def test_polynomial_exactness_up_to_rule_degree(degree):
 
 
 @pytest.mark.parametrize("g", [-0.9, -0.5, -0.1])
-def test_singular_benchmark_power(g):
-    f = Integrand(fn=lambda t: t ** g,
-                  singularity=EndpointSingularity("left", g))
-    res = integrate(f, Interval(0.0, 1.0), 1e-10)
-    assert res.value == pytest.approx(1.0 / (g + 1.0), abs=1e-9)
+def test_singular_benchmark_power(g, fallbacks):
+    # int_0^1 t^g t dt = 1/(g+2) is E[U]/alpha for U ~ Beta(alpha, 1),
+    # alpha = g+1
+    alpha = g + 1.0
+    for got in both_paths(lambda u: u, alpha, 1e-11, fallbacks):
+        assert got / alpha == pytest.approx(1.0 / (g + 2.0), abs=1e-10)
 
 
-def test_regular_part_channel_matches_plain():
-    # same kernel with and without the factored regular part
-    g = -0.75
-    plain = Integrand(fn=lambda t: t ** g * math.cos(t),
-                      singularity=EndpointSingularity("left", g))
-    factored = Integrand(
-        fn=lambda t: t ** g * math.cos(t),
-        singularity=EndpointSingularity("left", g,
-                                        regular_part=lambda t, d: math.cos(t)))
-    v1 = integrate(plain, Interval(0.0, 1.0), 1e-11).value
-    v2 = integrate(factored, Interval(0.0, 1.0), 1e-11).value
-    assert v1 == pytest.approx(v2, abs=1e-9)
+def test_beta_expectation_paths_agree_on_a_singular_kernel(fallbacks):
+    # int_0^1 t^(-3/4) cos t dt = 4 (1 + E[cos U - 1]) at alpha = 1/4,
+    # the series sum_n (-1)^n / ((2n)! (2n + 1/4))
+    series = math.fsum((-1) ** n / (math.factorial(2 * n) * (2 * n + 0.25))
+                       for n in range(12))
+    on_ladder, on_engine = both_paths(lambda u: math.cos(u) - 1.0, 0.25,
+                                      1e-12, fallbacks)
+    assert on_ladder == pytest.approx(on_engine, abs=1e-11)
+    for got in (on_ladder, on_engine):
+        assert 4.0 * (1.0 + got) == pytest.approx(series, abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 0.01, 0.05, 0.3, 1.0, 2.5, 40.0])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_beta_expectation_gives_the_moments_on_both_paths(alpha, k,
+                                                         fallbacks):
+    # E[U^k] = alpha/(alpha+k); for alpha below MIN_SUBSTITUTION_POWER the
+    # fallback's substitution v = u^power keeps power at that minimum
+    exact = alpha / (alpha + k)
+    for got in both_paths(lambda u: u ** k, alpha, 1e-12, fallbacks):
+        assert got == pytest.approx(exact, rel=1e-11, abs=1e-13)
 
 
 def test_non_finite_integrand_raises():
@@ -164,22 +198,11 @@ def test_interval_parse_names_the_problem(text, message):
         Interval.parse(text)
 
 
-def test_singularity_validation():
-    with pytest.raises(DomainError):
-        EndpointSingularity("middle", -0.5)
-    with pytest.raises(DomainError):
-        EndpointSingularity("left", -1.5)
-    with pytest.raises(DomainError):
-        EndpointSingularity("left", 0.0)
-
-
 # ---------------------------------------------------------------------------
 # The tanh-sinh ladder on [0, 1]
 
 
 def test_ladder_levels_are_nested_with_closed_form_complements():
-    import numpy as np
-
     assert TANH_SINH.sizes == [13, 25, 51, 101, 201]
     assert ((TANH_SINH.nodes > 0.0) & (TANH_SINH.nodes < 1.0)).all()
     # each level's nodes are every other node of the next
@@ -200,24 +223,27 @@ def test_ladder_levels_are_nested_with_closed_form_complements():
 
 @pytest.mark.parametrize("alpha", [1e-5, 1e-3, 0.5, 1.0, 7.0, 170.0, 1000.0])
 @pytest.mark.parametrize("k", [6, 12, 24])
-def test_beta_rule_reproduces_the_moments(alpha, k):
-    # The Beta(alpha, 1) rule is the ladder weighted by the density
-    # alpha u^(alpha-1), formed as trapezoid_defect forms it; it gives
-    # E[U^k] = alpha/(alpha+k) to 1e-13 relative, up to the mass
-    # alpha * x_min of the tail 1 - u < x_min that the ladder cuts off.
-    import numpy as np
-
+def test_beta_rule_reproduces_the_moments(alpha, k, fallbacks):
+    # beta_expectation's rule is the ladder weighted by the density
+    # alpha u^(alpha-1); it gives E[U^k] = alpha/(alpha+k) to 1e-13
+    # relative, up to the mass alpha * x_min of the tail 1 - u < x_min that
+    # the ladder cuts off, without falling back
     u = TANH_SINH.nodes
-    density = alpha * np.exp((alpha - 1.0) * TANH_SINH.log_nodes)
     exact = alpha / (alpha + k)
-    got = TANH_SINH.estimate(density * u ** k, 1e-12 * exact)
+    got = beta_expectation(u ** k, lambda t: t ** k, alpha, 1e-12 * exact)
+    assert fallbacks == []
     assert got == pytest.approx(exact, rel=1e-13, abs=alpha * u[0])
+
+
+def test_node_power_cap_leaves_every_node_power_zero():
+    # past the cap u^alpha underflows to 0 on every node, so capping the
+    # power there changes no value
+    assert np.all(np.exp(quadrature._NODE_POWER_CAP * TANH_SINH.log_nodes)
+                  == 0.0)
 
 
 def test_ladder_resolves_algebraic_endpoints():
     # int_0^1 t^0.25 (1-t)^0.75 dt = B(1.25, 1.75), both ends algebraic
-    import numpy as np
-
     values = np.exp(0.25 * TANH_SINH.log_nodes
                     + 0.75 * np.log(TANH_SINH.complements))
     got = TANH_SINH.estimate(values, 1e-14)

@@ -7,7 +7,6 @@ import pytest
 
 from fracineq import (DomainError, Interval, beta, gamma, integrate, log_beta,
                       log_gamma)
-from fracineq.quadrature import EndpointSingularity, Integrand
 
 # oracle for gamma(0.5): numeric integration of the defining integral
 # int_0^inf e^-u u^-1/2 du (split u = w^2 on [0,1] + tail to 60, bound
@@ -75,30 +74,30 @@ def test_beta_symmetry_1000_random():
 
 
 def _beta_by_quadrature(x: float, y: float) -> float:
-    """Independent route: integrate t^(x-1)(1-t)^(y-1), splitting at 1/2
-    when both endpoints are singular.  The singular power is factored out
-    via the regular_part channel so the kernel is evaluated from the exact
-    endpoint distance."""
-    fn = lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0)
+    """Independent route: integrate t^(x-1)(1-t)^(y-1) on the adaptive
+    engine, splitting at 1/2 when both endpoints are singular.  A singular
+    end is removed by the substitution v = t^x (w = (1-t)^y at the right
+    end), which leaves the bounded integrand (1-t)^(y-1)/x (t^(x-1)/y)
+    with t = v^(1/x) (1-t = w^(1/y)), so the kernel is evaluated from the
+    exact endpoint distance."""
 
-    def left():
-        return Integrand(fn, EndpointSingularity(
-            "left", x - 1.0, regular_part=lambda t, d: (1.0 - t) ** (y - 1.0)))
+    def left(v: float) -> float:
+        return (1.0 - v ** (1.0 / x)) ** (y - 1.0) / x
 
-    def right():
-        return Integrand(fn, EndpointSingularity(
-            "right", y - 1.0, regular_part=lambda t, d: t ** (x - 1.0)))
+    def right(w: float) -> float:
+        return (1.0 - w ** (1.0 / y)) ** (x - 1.0) / y
 
     left_sing = x < 1.0
     right_sing = y < 1.0
     if left_sing and right_sing:
-        return (integrate(left(), Interval(0.0, 0.5), 1e-11).value
-                + integrate(right(), Interval(0.5, 1.0), 1e-11).value)
+        return (integrate(left, Interval(0.0, 0.5 ** x), 1e-11).value
+                + integrate(right, Interval(0.0, 0.5 ** y), 1e-11).value)
     if left_sing:
-        return integrate(left(), Interval(0.0, 1.0), 1e-11).value
+        return integrate(left, Interval(0.0, 1.0), 1e-11).value
     if right_sing:
-        return integrate(right(), Interval(0.0, 1.0), 1e-11).value
-    return integrate(fn, Interval(0.0, 1.0), 1e-11).value
+        return integrate(right, Interval(0.0, 1.0), 1e-11).value
+    return integrate(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0),
+                     Interval(0.0, 1.0), 1e-11).value
 
 
 @pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 2.5, 10.0])
