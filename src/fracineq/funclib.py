@@ -7,9 +7,10 @@ A function f on a domain inside [0, inf) is s-convex in the second sense
 
 for all x, y in the domain and lam in [0, 1]; s-concavity reverses the
 inequality.  s = 1 recovers ordinary convexity/concavity.  Certification
-here is a dense grid check (default 33 points per axis, 33^3 = 35,937
-triples), not a proof: it is the gatekeeper the bound evaluators and the
-sweep use for their hypotheses.  It runs in two steps: :func:`cert_grid`
+here is a dense grid check (:data:`CERT_GRID_N` = 33 points per axis,
+33^3 = 35,937 triples, with the absolute slack :data:`CERT_SLACK`), not a
+proof: it is the gatekeeper the bound evaluators and the sweep use for
+their hypotheses.  It runs in two steps: :func:`cert_grid`
 evaluates a channel once on the grid, and :func:`grid_verdict` compares
 that grid against the s-weighted endpoint values (:func:`s_combination`)
 for one s and direction.  The grid's combinations
@@ -35,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,9 @@ __all__ = [
     "value_fn",
 ]
 
-DEFAULT_GRID_N = 33
-DEFAULT_SLACK = 1e-12
+# the one grid size and slack of every verdict (and of the sweep's probes)
+CERT_GRID_N = 33
+CERT_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,7 @@ class TestFunction:
         return self.fn(t)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A violating triple: the convexity inequality fails at (x, y, lam)."""
 
     x: float
@@ -114,8 +115,7 @@ class Witness:
     rhs: float
 
 
-@dataclass(frozen=True)
-class CertificationResult:
+class CertificationResult(NamedTuple):
     passed: bool
     witness: Witness | None
     checked: int
@@ -145,8 +145,8 @@ def _check_s(s: float) -> float:
 def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
     """Evaluate fn over an array, falling back to scalar calls.
 
-    Non-finite results are reported by the caller as IntegrandError, so
-    numpy's division/overflow warnings are suppressed here.
+    Non-finite results (inf where a scalar call overflows) are reported by
+    the caller as IntegrandError, so numpy's warnings are suppressed here.
     """
     with np.errstate(all="ignore"):
         try:
@@ -155,8 +155,13 @@ def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
                 return out
         except (TypeError, ValueError, ZeroDivisionError):
             pass
-        return np.asarray([fn(float(v)) for v in arr.ravel()],
-                          dtype=float).reshape(arr.shape)
+        out = np.empty(arr.size)
+        for i, v in enumerate(arr.ravel()):
+            try:
+                out[i] = fn(float(v))
+            except OverflowError:
+                out[i] = math.inf
+        return out.reshape(arr.shape)
 
 
 @lru_cache(maxsize=4)
@@ -197,7 +202,7 @@ class CertGrid:
         return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
-def cert_grid(fn, domain: Interval, grid_n: int = DEFAULT_GRID_N) -> CertGrid:
+def cert_grid(fn, domain: Interval, grid_n: int = CERT_GRID_N) -> CertGrid:
     """Evaluate ``fn`` on the grid_n^3 certification grid over ``domain``,
     from its (grid_n-1)^2 + 1 distinct points."""
     if domain.a < 0.0:
@@ -224,13 +229,6 @@ def cert_grid(fn, domain: Interval, grid_n: int = DEFAULT_GRID_N) -> CertGrid:
     return CertGrid(xs=xs, lam=lam, fx=fx, f_mix=values[_mix_index(grid_n)])
 
 
-def _check_verdict_args(s: float, slack: float) -> float:
-    s = _check_s(s)
-    if slack < 0.0:
-        raise DomainError(f"slack must be >= 0, got {slack}")
-    return s
-
-
 def s_combination(lam, s: float, fx, fy):
     """lam^s f(x) + (1-lam)^s f(y), the right side of s-convexity in the
     second sense; the arguments broadcast."""
@@ -249,14 +247,16 @@ def _grid_combination(grid: CertGrid, s: float) -> np.ndarray:
     return combo
 
 
-def _verdict(grid: CertGrid, combo: np.ndarray, slack: float,
+def _verdict(grid: CertGrid, combo: np.ndarray,
              concave: bool) -> CertificationResult:
     f_mix = grid.f_mix
     _, threshold, violation = grid._work
     if concave:
-        np.less(f_mix, np.subtract(combo, slack, out=threshold), out=violation)
+        np.less(f_mix, np.subtract(combo, CERT_SLACK, out=threshold),
+                out=violation)
     else:
-        np.greater(f_mix, np.add(combo, slack, out=threshold), out=violation)
+        np.greater(f_mix, np.add(combo, CERT_SLACK, out=threshold),
+                   out=violation)
 
     checked = violation.size
     # first violating triple in row-major (x, y, lam) order; argmax stops
@@ -274,47 +274,34 @@ def _verdict(grid: CertGrid, combo: np.ndarray, slack: float,
     )
 
 
-def grid_verdict(grid: CertGrid, s: float, slack: float = DEFAULT_SLACK,
+def grid_verdict(grid: CertGrid, s: float,
                  concave: bool = False) -> CertificationResult:
     """Check s-convexity (or s-concavity) in the second sense on ``grid``."""
-    s = _check_verdict_args(s, slack)
-    return _verdict(grid, _grid_combination(grid, s), slack, concave)
+    s = _check_s(s)
+    return _verdict(grid, _grid_combination(grid, s), concave)
 
 
-def grid_verdicts(grid: CertGrid, s: float, slack: float = DEFAULT_SLACK
+def grid_verdicts(grid: CertGrid, s: float
                   ) -> tuple[CertificationResult, CertificationResult]:
     """The s-convex and s-concave verdicts of :func:`grid_verdict` on
     ``grid``, from one s-weighted combination."""
-    s = _check_verdict_args(s, slack)
-    combo = _grid_combination(grid, s)
-    return (_verdict(grid, combo, slack, concave=False),
-            _verdict(grid, combo, slack, concave=True))
+    combo = _grid_combination(grid, _check_s(s))
+    return (_verdict(grid, combo, concave=False),
+            _verdict(grid, combo, concave=True))
 
 
-def _certify(fn, domain: Interval, s: float, grid_n: int, slack: float,
-             concave: bool) -> CertificationResult:
-    # reject bad s/slack before paying for the grid
-    _check_verdict_args(s, slack)
-    return grid_verdict(cert_grid(fn, domain, grid_n), s, slack, concave)
-
-
-def certify_s_convex(fn, domain: Interval, s: float,
-                     grid_n: int = DEFAULT_GRID_N,
-                     slack: float = DEFAULT_SLACK) -> CertificationResult:
+def certify_s_convex(fn, domain: Interval, s: float) -> CertificationResult:
     """Grid-check s-convexity in the second sense on ``domain`` (a >= 0)."""
-    return _certify(fn, domain, s, grid_n, slack, concave=False)
+    return grid_verdict(cert_grid(fn, domain), s)
 
 
-def certify_s_concave(fn, domain: Interval, s: float,
-                      grid_n: int = DEFAULT_GRID_N,
-                      slack: float = DEFAULT_SLACK) -> CertificationResult:
+def certify_s_concave(fn, domain: Interval, s: float) -> CertificationResult:
     """Grid-check s-concavity in the second sense (reversed inequality)."""
-    return _certify(fn, domain, s, grid_n, slack, concave=True)
+    return grid_verdict(cert_grid(fn, domain), s, concave=True)
 
 
-def certify_declared(f: TestFunction, s: float | None = None,
-                     grid_n: int = DEFAULT_GRID_N,
-                     slack: float = DEFAULT_SLACK) -> CertificationResult:
+def certify_declared(f: TestFunction,
+                     s: float | None = None) -> CertificationResult:
     """Certify ``f``'s declared class, optionally at an overriding s."""
     cls = f.declared_class
     if cls.kind == "none":
@@ -322,8 +309,8 @@ def certify_declared(f: TestFunction, s: float | None = None,
     if s is None:
         s = cls.s if cls.s is not None else 1.0
     if cls.kind in ("convex", "s_convex"):
-        return certify_s_convex(f.fn, f.natural_domain, s, grid_n, slack)
-    return certify_s_concave(f.fn, f.natural_domain, s, grid_n, slack)
+        return certify_s_convex(f.fn, f.natural_domain, s)
+    return certify_s_concave(f.fn, f.natural_domain, s)
 
 
 def abs_d2(f: TestFunction, q: float | None = None):

@@ -32,13 +32,13 @@ t (-expm1(alpha ln t)), which keeps 1 - t^alpha accurate at tiny alpha.
 When no level meets the tolerance, or a node value is not finite, either
 integral goes to the adaptive engine.
 
-Upper bounds for |D| follow from convexity hypotheses on |f''| or
-|f''|^q; each evaluator certifies its hypothesis on the given interval
-before computing (raising :class:`PreconditionError` when the grid
-certifier finds a violation).  The Hoelder-route and midpoint-concavity
-bounds rely on a kernel comparison that is valid for alpha <= 1 only;
-the evaluators still compute outside that range and the sweep reports
-such rows as out-of-validated-range instead of asserting them.
+Upper bounds for |D| follow from s-convexity or s-concavity of |f''| or
+|f''|^q; each evaluator hands its hypothesis to one gate that certifies
+it on the interval (:class:`PreconditionError` on a violation) unless
+``certify=False``.  The Hoelder-route and midpoint-concavity bounds rely
+on a kernel comparison valid for alpha <= 1 only; the evaluators still
+compute outside that range and the sweep reports such rows as
+out-of-validated-range instead of asserting them.
 
 All inequality verification uses an absolute slack of 1e-8 by default
 (:data:`DEFAULT_CHECK_SLACK`), with quadrature run two orders tighter so
@@ -54,8 +54,8 @@ import numpy as np
 
 from .errors import DomainError, IntegrandError, PreconditionError
 from .funclib import (
-    DEFAULT_GRID_N,
-    DEFAULT_SLACK,
+    CERT_GRID_N,
+    CERT_SLACK,
     TestFunction,
     _check_s,
     _eval_grid,
@@ -209,11 +209,24 @@ def _width_squared(interval: Interval) -> float:
             "(b-a)^2 overflows") from None
 
 
-def _require(result, what: str):
+def _hypothesis(channel, interval: Interval, s: float, concave: bool,
+                what: str) -> None:
+    """Raise :class:`PreconditionError` unless ``channel`` (called ``what``)
+    certifies s-convex on ``interval``, or s-concave when ``concave``."""
+    # looked up when called, so patching the certifiers here sees each call
+    certify = certify_s_concave if concave else certify_s_convex
+    result = certify(channel, interval, s)
     if not result.passed:
+        kind = "s-concave" if concave else "s-convex"
         raise PreconditionError(
-            f"certification failed: {what} (witness {result.witness})",
+            f"certification failed: {what} is not {kind} at s={s} on "
+            f"[{interval.a}, {interval.b}] (witness {result.witness})",
             witness=result.witness)
+
+
+def _curvature(f: TestFunction, t: float, q: float = 1.0) -> float:
+    """|f''(t)|^q, read from the analytic channel (x ** 1.0 is x)."""
+    return abs(float(f.d2(t))) ** q
 
 
 def trapezoid_defect(f, interval: Interval, alpha: float,
@@ -270,9 +283,7 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
 
 
 def s_convex_sandwich(f, interval: Interval, s: float,
-                      quad_tol: float = DEFAULT_QUAD_TOL,
-                      grid_n: int = DEFAULT_GRID_N,
-                      slack: float = DEFAULT_SLACK) -> SandwichResult:
+                      quad_tol: float = DEFAULT_QUAD_TOL) -> SandwichResult:
     """Sandwich 2^(s-1) f(mid) <= mean(f) <= (f(a)+f(b))/(s+1).
 
     Requires f >= 0 and s-convex (certified on the interval); the interval
@@ -280,11 +291,10 @@ def s_convex_sandwich(f, interval: Interval, s: float,
     """
     s = _check_s(s)
     fv = value_fn(f)
-    cert = certify_s_convex(fv, interval, s, grid_n=grid_n, slack=slack)
-    _require(cert, f"f is not s-convex at s={s} on [{interval.a}, {interval.b}]")
-    grid = np.linspace(interval.a, interval.b, grid_n)
+    _hypothesis(fv, interval, s, False, "f")
+    grid = np.linspace(interval.a, interval.b, CERT_GRID_N)
     vals = np.asarray([fv(float(t)) for t in grid], dtype=float)
-    if vals.min() < -slack:
+    if vals.min() < -CERT_SLACK:
         raise PreconditionError(
             f"f must be nonnegative on the interval; min sampled value {vals.min()}")
 
@@ -308,23 +318,13 @@ def _weight_bracket(alpha: float, s: float) -> float:
 
 
 def defect_bound_s_convex(f: TestFunction, interval: Interval, alpha: float,
-                          s: float, grid_n: int = DEFAULT_GRID_N,
-                          slack: float = DEFAULT_SLACK,
-                          certify: bool = True) -> float:
-    """Bound on |defect| when |f''| is s-convex (valid for every alpha > 0).
-
-    ``certify=False`` skips the hypothesis check for callers that have
-    already certified the channel themselves.
-    """
+                          s: float, certify: bool = True) -> float:
+    """Bound on |defect| when |f''| is s-convex (valid for every alpha > 0)."""
     alpha = _check_bound_alpha(alpha)
     s = _check_s(s)
     if certify:
-        cert = certify_s_convex(abs_d2(f), interval, s, grid_n=grid_n,
-                                slack=slack)
-        _require(cert,
-                 f"|f''| is not s-convex at s={s} on [{interval.a}, {interval.b}]")
-    a, b = interval.a, interval.b
-    second = abs(float(f.d2(a))) + abs(float(f.d2(b)))
+        _hypothesis(abs_d2(f), interval, s, False, "|f''|")
+    second = _curvature(f, interval.a) + _curvature(f, interval.b)
     return (_width_squared(interval) / (2.0 * (alpha + 1.0))
             * _weight_bracket(alpha, s) * second)
 
@@ -344,10 +344,13 @@ def _beta_root(p: float, alpha: float) -> float:
     return math.exp(_log_holder_beta(p, alpha) / p)
 
 
+def _holder_lead(interval: Interval, alpha: float, p: float) -> float:
+    """(b-a)^2 / (alpha+1) * beta(p+1, alpha p + 1)^(1/p)."""
+    return _width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
+
+
 def defect_bound_holder(f: TestFunction, interval: Interval,
-                        params: BoundParams, grid_n: int = DEFAULT_GRID_N,
-                        slack: float = DEFAULT_SLACK,
-                        certify: bool = True) -> float:
+                        params: BoundParams, certify: bool = True) -> float:
     """Hoelder-route bound when |f''|^q is s-convex (q conjugate to p).
 
     The kernel comparison behind it holds for alpha <= 1; callers decide
@@ -357,13 +360,10 @@ def defect_bound_holder(f: TestFunction, interval: Interval,
         raise DomainError("Hoelder bound requires p > 1 in params")
     alpha, s, p, q = params.alpha, params.s, params.p, params.q
     if certify:
-        cert = certify_s_convex(abs_d2(f, q), interval, s,
-                                grid_n=grid_n, slack=slack)
-        _require(cert, f"|f''|^q is not s-convex at s={s}, q={q:g}")
-    a, b = interval.a, interval.b
-    av = abs(float(f.d2(a))) ** q
-    bv = abs(float(f.d2(b))) ** q
-    return (_width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
+        _hypothesis(abs_d2(f, q), interval, s, False, f"|f''|^{q:g}")
+    av = _curvature(f, interval.a, q)
+    bv = _curvature(f, interval.b, q)
+    return (_holder_lead(interval, alpha, p)
             * ((av + bv) / (s + 1.0)) ** (1.0 / q))
 
 
@@ -378,20 +378,15 @@ def _power_mean_lead(interval: Interval, alpha: float) -> float:
 
 
 def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
-                            s: float, q: float, grid_n: int = DEFAULT_GRID_N,
-                            slack: float = DEFAULT_SLACK,
-                            certify: bool = True) -> float:
+                            s: float, q: float, certify: bool = True) -> float:
     """Power-mean-route bound when |f''|^q is s-convex, q >= 1 (any alpha)."""
     alpha = _check_bound_alpha(alpha)
     s = _check_s(s)
     q = _check_q(q)
     if certify:
-        cert = certify_s_convex(abs_d2(f, q), interval, s,
-                                grid_n=grid_n, slack=slack)
-        _require(cert, f"|f''|^q is not s-convex at s={s}, q={q:g}")
-    a, b = interval.a, interval.b
-    av = abs(float(f.d2(a))) ** q
-    bv = abs(float(f.d2(b))) ** q
+        _hypothesis(abs_d2(f, q), interval, s, False, f"|f''|^{q:g}")
+    av = _curvature(f, interval.a, q)
+    bv = _curvature(f, interval.b, q)
     w1 = (2.0 * alpha + 4.0) / ((s + 2.0) * (alpha + s + 2.0))
     w2 = ((beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
           * (2.0 * alpha + 4.0) / alpha)
@@ -401,9 +396,7 @@ def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
 
 
 def defect_bound_s_concave(f: TestFunction, interval: Interval,
-                           params: BoundParams, grid_n: int = DEFAULT_GRID_N,
-                           slack: float = DEFAULT_SLACK,
-                           certify: bool = True) -> float:
+                           params: BoundParams, certify: bool = True) -> float:
     """Midpoint bound when |f''|^q is s-concave (q conjugate to p).
 
     Shares the alpha <= 1 kernel-comparison caveat with the Hoelder bound.
@@ -412,13 +405,9 @@ def defect_bound_s_concave(f: TestFunction, interval: Interval,
         raise DomainError("s-concave bound requires p > 1 in params")
     alpha, s, p, q = params.alpha, params.s, params.p, params.q
     if certify:
-        cert = certify_s_concave(abs_d2(f, q), interval, s,
-                                 grid_n=grid_n, slack=slack)
-        _require(cert, f"|f''|^q is not s-concave at s={s}, q={q:g}")
-    a, b = interval.a, interval.b
-    mid = abs(float(f.d2(0.5 * (a + b))))
-    return (_width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
-            * 2.0 ** ((s - 1.0) / q) * mid)
+        _hypothesis(abs_d2(f, q), interval, s, True, f"|f''|^{q:g}")
+    mid = _curvature(f, interval.midpoint)
+    return _holder_lead(interval, alpha, p) * 2.0 ** ((s - 1.0) / q) * mid
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +423,7 @@ def classical_convex_bound(f: TestFunction, interval: Interval,
     weight bracket alpha/(2(alpha+2)) only at alpha = 1.
     """
     alpha = _check_bound_alpha(alpha)
-    a, b = interval.a, interval.b
-    second = 0.5 * (abs(float(f.d2(a))) + abs(float(f.d2(b))))
+    second = 0.5 * (_curvature(f, interval.a) + _curvature(f, interval.b))
     return (_width_squared(interval) / (alpha + 1.0) * beta(2.0, alpha + 1.0)
             * second)
 
@@ -446,10 +434,9 @@ def classical_holder_bound(f: TestFunction, interval: Interval, alpha: float,
     alpha = _check_bound_alpha(alpha)
     p = _check_p(p)
     q = p / (p - 1.0)
-    a, b = interval.a, interval.b
-    av = abs(float(f.d2(a))) ** q
-    bv = abs(float(f.d2(b))) ** q
-    return (_width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
+    av = _curvature(f, interval.a, q)
+    bv = _curvature(f, interval.b, q)
+    return (_holder_lead(interval, alpha, p)
             * (0.5 * (av + bv)) ** (1.0 / q))
 
 
@@ -458,9 +445,8 @@ def classical_power_mean_bound(f: TestFunction, interval: Interval,
     """Baseline power-mean bound for convex |f''|^q, q >= 1."""
     alpha = _check_bound_alpha(alpha)
     q = _check_q(q)
-    a, b = interval.a, interval.b
-    av = abs(float(f.d2(a))) ** q
-    bv = abs(float(f.d2(b))) ** q
+    av = _curvature(f, interval.a, q)
+    bv = _curvature(f, interval.b, q)
     w1 = (2.0 * alpha + 4.0) / (3.0 * alpha + 9.0)
     w2 = (alpha + 5.0) / (3.0 * alpha + 9.0)
     lead = _power_mean_lead(interval, alpha)
@@ -473,10 +459,8 @@ def classical_concave_bound(f: TestFunction, interval: Interval, alpha: float,
     """Baseline midpoint bound for concave |f''|^q, q = p/(p-1)."""
     alpha = _check_bound_alpha(alpha)
     p = _check_p(p)
-    a, b = interval.a, interval.b
-    mid = abs(float(f.d2(0.5 * (a + b))))
-    return (_width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
-            * mid)
+    mid = _curvature(f, interval.midpoint)
+    return _holder_lead(interval, alpha, p) * mid
 
 
 # ---------------------------------------------------------------------------

@@ -154,10 +154,14 @@ def _panel(fn, a: float, b: float) -> tuple[float, float]:
     h = 0.5 * (b - a)
     acc = 0.0
     acc_abs = 0.0
-    for xi, wi in zip(_NODES, _WEIGHTS):
-        wv = wi * float(fn(c + h * xi))
-        acc += wv
-        acc_abs += abs(wv)
+    try:
+        for xi, wi in zip(_NODES, _WEIGHTS):
+            wv = wi * float(fn(c + h * xi))
+            acc += wv
+            acc_abs += abs(wv)
+    except OverflowError:
+        raise IntegrandError(
+            f"integrand overflowed at t={c + h * xi!r}") from None
     if not math.isfinite(acc_abs):
         # any non-finite node value makes the |f| sum non-finite; name it
         for xi in _NODES:

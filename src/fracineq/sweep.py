@@ -72,6 +72,7 @@ from .errors import (
 # certify_s_convex is not called here; bench/test_bench.py checks that the
 # layer tracer patches it in this module's namespace
 from .funclib import (  # noqa: F401
+    CERT_SLACK,
     TestFunction,
     _check_s,
     _eval_grid,
@@ -325,8 +326,8 @@ class _Certifier:
         fx, fy, fm = _eval_grid(fn, np.stack([x, y, mix]))
         combo = s_combination(lam, s, fx, fy)
         if concave:
-            return bool(np.all(fm >= combo - 1e-12))
-        return bool(np.all(fm <= combo + 1e-12))
+            return bool(np.all(fm >= combo - CERT_SLACK))
+        return bool(np.all(fm <= combo + CERT_SLACK))
 
     def check(self, f: TestFunction, channel: str, domain: Interval, s: float,
               q: float | None, concave: bool) -> bool:

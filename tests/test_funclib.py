@@ -74,6 +74,8 @@ def test_definition_nesting_midpoint_convexity():
 
 
 def test_certifier_precondition_errors():
+    from fracineq.funclib import cert_grid
+
     with pytest.raises(DomainError):
         certify_s_convex(lambda t: t, Interval(-1.0, 1.0), 1.0)
     with pytest.raises(DomainError):
@@ -81,7 +83,7 @@ def test_certifier_precondition_errors():
     with pytest.raises(DomainError):
         certify_s_convex(lambda t: t, UNIT, 1.5)
     with pytest.raises(DomainError):
-        certify_s_convex(lambda t: t, UNIT, 1.0, grid_n=2)
+        cert_grid(lambda t: t, UNIT, 2)
 
 
 def test_non_finite_grid_value_raises():

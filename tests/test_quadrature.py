@@ -12,8 +12,11 @@ from fracineq import (
     IntegrandError,
     Interval,
     beta,
+    certify_s_convex,
+    fracint,
     integrate,
     quadrature,
+    trapezoid_defect,
 )
 from fracineq.quadrature import PANEL_ORDER, TANH_SINH, beta_expectation
 
@@ -131,6 +134,26 @@ def test_non_finite_integrand_raises():
     with pytest.raises(IntegrandError):
         integrate(lambda t: float("inf") if t > 0.2 else 1.0,
                   Interval(0.0, 1.0), 1e-8)
+
+
+def _overflows_inside(t):
+    # finite at 0 and 1, OverflowError in between; scalar-only
+    return math.exp(3200.0 * t * (1.0 - t))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fracint.left_rl(math.exp, 0.5, 0.0, 800.0),
+    lambda: fracint.right_rl(math.exp, 0.5, 800.0, 0.0),
+    lambda: trapezoid_defect(_overflows_inside, Interval(0.0, 1.0), 0.5),
+    lambda: certify_s_convex(_overflows_inside, Interval(0.0, 1.0), 1.0),
+    lambda: integrate(math.exp, Interval(0.0, 800.0)),
+], ids=["left_rl", "right_rl", "trapezoid_defect", "certify_s_convex",
+        "integrate"])
+def test_scalar_overflow_is_an_integrand_error(call):
+    # a scalar function's OverflowError is a non-finite value, as np.exp's
+    # inf would be, and ends in the IntegrandError that names the point
+    with pytest.raises(IntegrandError):
+        call()
 
 
 def test_budget_exhaustion_carries_best_estimate():

@@ -1,6 +1,7 @@
 """Sweep configuration, report semantics, rendering, and the CLI contract."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from fracineq import (
     AccuracyError,
     ConfigError,
     IntegrandError,
+    PreconditionError,
     certify_s_concave,
     certify_s_convex,
     get_function,
@@ -34,7 +36,14 @@ from fracineq.sweep import (
     SweepRow,
     _Certifier,
 )
-from fracineq.funclib import CertGrid, cert_grid, grid_verdicts
+from fracineq.funclib import CertGrid, abs_d2, cert_grid, grid_verdicts
+from fracineq.hhbounds import (
+    BoundParams,
+    defect_bound_holder,
+    defect_bound_power_mean,
+    defect_bound_s_concave,
+    defect_bound_s_convex,
+)
 from fracineq.quadrature import Interval
 
 GOOD_CONFIG = """\
@@ -579,6 +588,53 @@ def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
     # 3 functions x 3 intervals x (f, |f''|, |f''|^q for 5 distinct q)
     assert len(built) == 63
     assert len(report.rows) == 3283
+
+
+# each bound row's evaluator, certifying its own hypothesis, by check id
+GATED_EVALUATORS = {
+    "bound_s_convex": lambda f, iv, r: defect_bound_s_convex(
+        f, iv, r.alpha, r.s, certify=True),
+    "bound_holder": lambda f, iv, r: defect_bound_holder(
+        f, iv, BoundParams(r.alpha, r.s, p=r.p), certify=True),
+    "bound_power_mean": lambda f, iv, r: defect_bound_power_mean(
+        f, iv, r.alpha, r.s, r.q, certify=True),
+    "bound_s_concave": lambda f, iv, r: defect_bound_s_concave(
+        f, iv, BoundParams(r.alpha, r.s, p=r.p), certify=True),
+}
+
+
+def test_evaluator_gates_agree_with_the_sweep():
+    # the sweep certifies each hypothesis from its check table and calls
+    # the evaluators with certify=False; their own gate must certify the
+    # same channel in the same direction.  The sweep's probes may reject
+    # more than the grid does, never less.
+    config = dataclasses.replace(parse_config_text(README_CONFIG),
+                                 alphas=(0.5, 2.0))
+    rows = [r for r in run_sweep(config).rows
+            if r.check_id in GATED_EVALUATORS]
+    assert len(rows) == 3 * 3 * 2 * 4 * (1 + 4 + 3 + 4)
+    table = {check.check_id: check for check in BOUND_CHECKS}
+    refused = Counter()
+    for r in rows:
+        evaluate = GATED_EVALUATORS[r.check_id]
+        f, iv = get_function(r.function), Interval(r.a, r.b)
+        # the table's channel: |f''| for bound_s_convex (q is None there),
+        # |f''|^q otherwise
+        certify = (certify_s_concave if table[r.check_id].concave
+                   else certify_s_convex)
+        grid_ok = certify(abs_d2(f, r.q), iv, r.s).passed
+        if r.status != "precondition_skipped":
+            assert grid_ok, r
+            assert evaluate(f, iv, r) == r.rhs, r
+        elif grid_ok:
+            # rejected by the sweep's probes alone
+            assert math.isfinite(evaluate(f, iv, r)), r
+        else:
+            with pytest.raises(PreconditionError):
+                evaluate(f, iv, r)
+            refused[r.check_id] += 1
+    # the gate refuses somewhere for every check
+    assert set(refused) == set(GATED_EVALUATORS)
 
 
 # ---------------------------------------------------------------------------
