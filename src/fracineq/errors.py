@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 
+# what a scalar-only function raises where its numpy twin returns inf or nan
+SCALAR_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+
 class FracineqError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, IntegrandError
-from .funclib import _eval_grid, value_fn
+from .errors import DomainError
+from .funclib import _eval_grid, _point_value, value_fn
 from .quadrature import (
     MAX_ABS_TOL,
     TANH_SINH,
@@ -67,10 +67,7 @@ def _rl(f, alpha: float, lo: float, hi: float, sign: float,
     # overflows for orders where Gamma(alpha) does not
     scale = kernel / g * (d / alpha)
     tol = _engine_tol(abs_tol / scale) if scale > 0.0 else MAX_ABS_TOL
-    try:
-        fx = float(fv(x))
-    except OverflowError:
-        raise IntegrandError(f"function overflows at x={x}") from None
+    fx = _point_value(fv, x, f"x={x}")
 
     def shifted(u: float) -> float:
         return fv(min(max(x + step * u, lo), hi)) - fx

@@ -17,11 +17,20 @@ for one s and direction.  The grid's combinations
 lam[k] x[i] + (1-lam[k]) x[j] of n nodes and n weights are, in real
 arithmetic, the points a + (b-a) m/(n-1)^2 with m = k i + (n-1-k) j, so
 a grid has only (n-1)^2 + 1 distinct points (1025 for n = 33):
-:func:`cert_grid` evaluates the channel there and gathers the n^3 values
-by m.  The sweep evaluates one grid per channel and reuses it across all
-its s values, and :func:`grid_verdicts` judges both directions from one
-combination per s; the verdicts on a grid share three work arrays, so no
-s allocates a grid-size temporary.
+:func:`cert_grid` evaluates the channel there and gathers the values by
+m.  The triples (i, j, k) and (j, i, n-1-k) share m, and where
+1 - lam[k] is lam[n-1-k] bit for bit (n-1 a power of two, n = 33 among
+them) their s-combinations are the same two terms in swapped order, so
+the same double: the grid keeps and judges the half k <= n//2 alone
+(17 x 33 x 33 = 18,513 triples), and other n keep the whole grid.  The
+witness of a failed verdict is still the first violating triple of the
+whole n^3 grid in row-major order, and ``checked`` still counts n^3:
+the half is the grid by symmetry, not a sample.  The sweep evaluates one
+grid per channel and reuses it across all its s values, and
+:func:`grid_verdicts` judges both directions from one combination per s.
+Each thread forms its verdicts in three work arrays that it allocates
+once per grid size and reuses for every grid, so no verdict allocates a
+grid-size array.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it and never use
@@ -34,13 +43,14 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, IntegrandError
+from .errors import SCALAR_ERRORS, DomainError, IntegrandError
 from .quadrature import Interval
 
 __all__ = [
@@ -145,8 +155,10 @@ def _check_s(s: float) -> float:
 def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
     """Evaluate fn over an array, falling back to scalar calls.
 
-    Non-finite results (inf where a scalar call overflows) are reported by
-    the caller as IntegrandError, so numpy's warnings are suppressed here.
+    Non-finite results (inf where a scalar call overflows, nan where it
+    raises ValueError or ZeroDivisionError, as numpy's twins of math's
+    functions would give) are reported by the caller as IntegrandError, so
+    numpy's warnings are suppressed here.
     """
     with np.errstate(all="ignore"):
         try:
@@ -161,22 +173,44 @@ def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
                 out[i] = fn(float(v))
             except OverflowError:
                 out[i] = math.inf
+            except SCALAR_ERRORS:
+                out[i] = math.nan
         return out.reshape(arr.shape)
 
 
+def _point_value(fn, t: float, place: str) -> float:
+    """float(fn(t)); an error of a scalar-only fn (see
+    :data:`~fracineq.errors.SCALAR_ERRORS`) is an IntegrandError naming
+    ``place``."""
+    try:
+        return float(fn(t))
+    except OverflowError:
+        what = "overflows"
+    except SCALAR_ERRORS as exc:
+        what = f"raised {type(exc).__name__} ({exc})"
+    raise IntegrandError(f"function {what} at {place}")
+
+
+def _mirror_exact(lam: np.ndarray) -> bool:
+    """Whether 1 - lam[k] is lam[n-1-k] bit for bit, for every k."""
+    return (1.0 - lam).tobytes() == lam[::-1].tobytes()
+
+
 @lru_cache(maxsize=4)
-def _mix_index(n: int) -> np.ndarray:
-    """m[i, j, k] = k i + (n-1-k) j: the grid's combination
-    lam[k] xs[i] + (1-lam[k]) xs[j] is point m of the (n-1)^2 + 1 distinct
-    points.  It depends on n alone, so it is built once per n and the
-    last four are kept."""
+def _half_index(n: int) -> np.ndarray:
+    """index[k, i, j] = k i + (n-1-k) j over the half k < h: the grid's
+    combination lam[k] xs[i] + (1-lam[k]) xs[j] is point m = index[k, i, j]
+    of the (n-1)^2 + 1 distinct points.  h is n//2 + 1 where linspace's
+    lam is mirror-exact (n-1 a power of two) and n elsewhere.  It depends
+    on n alone, so it is built once per n and the last four are kept."""
+    h = n // 2 + 1 if _mirror_exact(np.linspace(0.0, 1.0, n)) else n
     k = np.arange(n)
-    index = k * k[:, None, None] + (n - 1 - k) * k[None, :, None]
+    kh = k[:h, None, None]
+    index = kh * k[:, None] + (n - 1 - kh) * k
     index.flags.writeable = False    # every grid of this n shares it
     return index
 
 
-@dataclass(frozen=True)
 class CertGrid:
     """One channel evaluated on the certification grid.
 
@@ -184,22 +218,48 @@ class CertGrid:
     lam[k]*xs[i] + (1-lam[k])*xs[j], taken as the point
     a + (b-a) m/(n-1)^2 (m = k i + (n-1-k) j) that the combination is in
     real arithmetic; neither depends on s or on the direction, so one grid
-    serves every :func:`grid_verdict` on it.  The verdicts write into work
-    arrays of the grid's shape that the first one allocates, so one grid
-    must not be judged from two threads at once.
+    serves every :func:`grid_verdict` on it.
+
+    The triples (i, j, k) and (j, i, n-1-k) share m and so their value.
+    Where ``1 - lam`` is ``lam[::-1]`` bit for bit (n-1 a power of two,
+    as at n = 33) they also share the s-combination, whose two terms only
+    swap places.  The grid then keeps and judges the half k <= n//2 alone,
+    k-major: ``f_half[k, i, j]`` is ``f_mix[i, j, k]`` for the first
+    h = n//2 + 1 values of k; elsewhere h is n.  ``f_mix`` is rebuilt from
+    the half when read.  ``CertGrid(xs, lam, fx, f_mix)`` builds a grid
+    from the full array and keeps only the half when ``lam`` and ``f_mix``
+    are both mirror-exact.
     """
 
-    xs: np.ndarray
-    lam: np.ndarray
-    fx: np.ndarray
-    f_mix: np.ndarray
+    __slots__ = ("xs", "lam", "fx", "f_half")
 
-    @cached_property
-    def _work(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the s-weighted combination, the slack-shifted threshold and the
-        # violation flags of the latest verdict
-        shape = self.f_mix.shape
-        return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    def __init__(self, xs, lam, fx, f_mix):
+        lam = np.asarray(lam, dtype=float)
+        f_mix = np.asarray(f_mix, dtype=float)
+        h = lam.size
+        if (_mirror_exact(lam) and f_mix.tobytes()
+                == f_mix.transpose(1, 0, 2)[:, :, ::-1].tobytes()):
+            h = h // 2 + 1
+        self.xs = np.asarray(xs, dtype=float)
+        self.lam = lam
+        self.fx = np.asarray(fx, dtype=float)
+        self.f_half = f_mix[:, :, :h].transpose(2, 0, 1).copy()
+
+    @classmethod
+    def _from_half(cls, xs, lam, fx, f_half) -> CertGrid:
+        grid = cls.__new__(cls)
+        grid.xs, grid.lam, grid.fx, grid.f_half = xs, lam, fx, f_half
+        return grid
+
+    @property
+    def f_mix(self) -> np.ndarray:
+        """The full n^3 array, rebuilt from the half."""
+        n, h = self.xs.size, self.f_half.shape[0]
+        full = np.empty((n, n, n))
+        full[:, :, :h] = self.f_half.transpose(1, 2, 0)
+        # f_mix[i, j, k] for k >= h is f_half[n-1-k, j, i]
+        full[:, :, h:] = self.f_half[:n - h][::-1].transpose(2, 1, 0)
+        return full
 
 
 def cert_grid(fn, domain: Interval, grid_n: int = CERT_GRID_N) -> CertGrid:
@@ -222,11 +282,27 @@ def cert_grid(fn, domain: Interval, grid_n: int = CERT_GRID_N) -> CertGrid:
     values = _eval_grid(fn, points)
     fx = values[::step].copy()
     if not np.all(np.isfinite(fx)):
-        bad = xs[~np.isfinite(fx)][0]
+        bad = float(xs[~np.isfinite(fx)][0])
         raise IntegrandError(f"function non-finite at grid node t={bad!r}")
     if not np.all(np.isfinite(values)):
-        raise IntegrandError("function non-finite at an interior grid combination")
-    return CertGrid(xs=xs, lam=lam, fx=fx, f_mix=values[_mix_index(grid_n)])
+        bad = float(points[~np.isfinite(values)][0])
+        raise IntegrandError(
+            f"function non-finite at interior grid combination t={bad!r}")
+    return CertGrid._from_half(xs, lam, fx, values[_half_index(grid_n)])
+
+
+# this thread's work arrays for the latest half shape: the s-weighted
+# combination, the slack-shifted threshold and the violation flags; each
+# verdict overwrites them, so no grid allocates its own
+_WORK = threading.local()
+
+
+def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    work = getattr(_WORK, "arrays", None)
+    if work is None or work[0].shape != shape:
+        work = _WORK.arrays = (np.empty(shape), np.empty(shape),
+                               np.empty(shape, dtype=bool))
+    return work
 
 
 def s_combination(lam, s: float, fx, fy):
@@ -236,40 +312,58 @@ def s_combination(lam, s: float, fx, fy):
 
 
 def _grid_combination(grid: CertGrid, s: float) -> np.ndarray:
-    # combination[i, j, k] = lam[k]^s fx[i] + (1-lam[k])^s fx[j], formed in
-    # the work array from two n^2 product tables: the first is copied in
-    # along j, the second added along i.  Broadcasting both inside one add
-    # runs n^2 inner loops of n elements and takes about half again as long.
-    combo = grid._work[0]
-    np.copyto(combo, (grid.lam ** s * grid.fx[:, None])[:, None, :])
-    np.add(combo, ((1.0 - grid.lam) ** s * grid.fx[:, None])[None, :, :],
+    # combination[k, i, j] = lam[k]^s fx[i] + (1-lam[k])^s fx[j] on the
+    # half, formed in the work array from two h x n product tables: the
+    # first is copied in along j, the second added along i (one add that
+    # broadcasts both takes about a quarter longer).  The powers are taken
+    # of the whole lam, so a k of the half and its mirror n-1-k read the
+    # same bits.
+    h = grid.f_half.shape[0]
+    combo = _work(grid.f_half.shape)[0]
+    np.copyto(combo, ((grid.lam ** s)[:h, None] * grid.fx)[:, :, None])
+    np.add(combo, (((1.0 - grid.lam) ** s)[:h, None] * grid.fx)[:, None, :],
            out=combo)
     return combo
 
 
 def _verdict(grid: CertGrid, combo: np.ndarray,
              concave: bool) -> CertificationResult:
-    f_mix = grid.f_mix
-    _, threshold, violation = grid._work
+    half = grid.f_half
+    _, threshold, violation = _work(half.shape)
     if concave:
-        np.less(f_mix, np.subtract(combo, CERT_SLACK, out=threshold),
+        np.less(half, np.subtract(combo, CERT_SLACK, out=threshold),
                 out=violation)
     else:
-        np.greater(f_mix, np.add(combo, CERT_SLACK, out=threshold),
+        np.greater(half, np.add(combo, CERT_SLACK, out=threshold),
                    out=violation)
 
-    checked = violation.size
-    # first violating triple in row-major (x, y, lam) order; argmax stops
-    # at the first True and returns 0 when there is none
-    first = int(violation.argmax())
-    if not violation.flat[first]:
+    h, n = half.shape[0], grid.xs.size
+    checked = n ** 3
+    # the witness is the first violating triple of the whole grid in
+    # row-major (x, y, lam) order.  hit[i, j] says that some k of the half
+    # violates at (i, j); argmax stops at the first True and returns 0
+    # when there is none
+    hit = violation.any(axis=0)
+    first = int(hit.argmax())
+    if not hit.flat[first]:
         return CertificationResult(passed=True, witness=None, checked=checked)
-    i, j, k = np.unravel_index(first, violation.shape)
+    i, j = divmod(first, n)
+    k = int(violation[:, i, j].argmax())
+    triple, at = (i, j, k), (k, i, j)
+    if h < n:
+        # each half triple (i, j, k) also stands for (j, i, n-1-k); the
+        # first of those in row-major order is at the first (j, i) of
+        # hit.T, with the last k
+        j, i = divmod(int(hit.T.argmax()), n)
+        k = h - 1 - int(violation[::-1, i, j].argmax())
+        if (j, i, n - 1 - k) < triple:
+            triple, at = (j, i, n - 1 - k), (k, i, j)
+    i, j, k = triple
     return CertificationResult(
         passed=False,
         witness=Witness(x=float(grid.xs[i]), y=float(grid.xs[j]),
-                        lam=float(grid.lam[k]), lhs=float(f_mix[i, j, k]),
-                        rhs=float(combo[i, j, k])),
+                        lam=float(grid.lam[k]), lhs=float(half[at]),
+                        rhs=float(combo[at])),
         checked=checked,
     )
 

@@ -52,13 +52,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrandError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .funclib import (
     CERT_GRID_N,
     CERT_SLACK,
     TestFunction,
     _check_s,
     _eval_grid,
+    _point_value,
     abs_d2,
     certify_s_concave,
     certify_s_convex,
@@ -237,11 +238,8 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     a, b = interval.a, interval.b
     h = b - a
     fv = value_fn(f)
-    try:
-        fa, fb = float(fv(a)), float(fv(b))
-    except OverflowError:
-        raise IntegrandError(
-            f"function overflows at an endpoint of [{a}, {b}]") from None
+    fa = _point_value(fv, a, f"an endpoint of [{a}, {b}], t={a}")
+    fb = _point_value(fv, b, f"an endpoint of [{a}, {b}], t={b}")
     ends = fa + fb
 
     def g(u: float) -> float:

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, IntegrandError
+from .errors import SCALAR_ERRORS, AccuracyError, DomainError, IntegrandError
 
 __all__ = [
     "Interval",
@@ -159,9 +159,9 @@ def _panel(fn, a: float, b: float) -> tuple[float, float]:
             wv = wi * float(fn(c + h * xi))
             acc += wv
             acc_abs += abs(wv)
-    except OverflowError:
-        raise IntegrandError(
-            f"integrand overflowed at t={c + h * xi!r}") from None
+    except SCALAR_ERRORS as exc:
+        raise IntegrandError(f"integrand raised {type(exc).__name__} "
+                             f"({exc}) at t={c + h * xi!r}") from None
     if not math.isfinite(acc_abs):
         # any non-finite node value makes the |f| sum non-finite; name it
         for xi in _NODES:

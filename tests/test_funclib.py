@@ -287,3 +287,149 @@ def test_repeated_verdicts_allocate_no_grid_size_array():
                      certify_s_concave(lambda t: t ** 3, Interval(0.0, 2.0),
                                        0.25))
     assert not one.passed and one.checked == 33 ** 3
+
+
+def test_fresh_grid_of_the_same_size_allocates_no_work_arrays():
+    import tracemalloc
+
+    from fracineq.funclib import cert_grid, grid_verdicts
+
+    domain = Interval(0.0, 2.0)
+    grid_verdicts(cert_grid(lambda t: t ** 3, domain), 0.5)
+    fresh = cert_grid(lambda t: t ** 2.5, domain)
+    tracemalloc.start()
+    try:
+        verdicts = grid_verdicts(fresh, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the half is 17 x 33 x 33 doubles; each float work array is as large
+    assert fresh.f_half.shape == (17, 33, 33)
+    assert peak < fresh.f_half.nbytes
+    assert verdicts == (certify_s_convex(lambda t: t ** 2.5, domain, 0.5),
+                        certify_s_concave(lambda t: t ** 2.5, domain, 0.5))
+
+
+def test_verdicts_from_two_threads_at_once_match_serial_ones():
+    from concurrent.futures import ThreadPoolExecutor
+
+    from fracineq.funclib import cert_grid, grid_verdicts
+
+    grids = [cert_grid(fn, domain, grid_n)
+             for fn in CHANNEL_FUNCTIONS for domain in NON_DYADIC
+             for grid_n in (10, 33)]
+    # every grid judged at four s values, each (grid, s) twice: the two
+    # threads judge the same grids at the same time
+    jobs = [(grid, s) for grid in grids for s in (0.25, 0.5, 0.75, 1.0)] * 2
+    serial = [grid_verdicts(grid, s) for grid, s in jobs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda job: grid_verdicts(*job), jobs))
+    assert threaded == serial
+
+
+# ---------------------------------------------------------------------------
+# witnesses: the first violation of the whole n^3 grid, bit for bit
+
+
+def brute_force_witness(grid, s, concave, slack=1e-12):
+    """The first violating triple of the full n^3 grid in row-major
+    (x, y, lam) order, from the grid's own fx and f_mix, or None."""
+    from fracineq.funclib import Witness
+
+    f_mix = grid.f_mix
+    lam_s = (grid.lam ** s)[None, None, :]
+    rest_s = ((1.0 - grid.lam) ** s)[None, None, :]
+    combo = lam_s * grid.fx[:, None, None] + rest_s * grid.fx[None, :, None]
+    if concave:
+        violation = f_mix < combo - slack
+    else:
+        violation = f_mix > combo + slack
+    if not violation.any():
+        return None
+    i, j, k = np.unravel_index(violation.argmax(), violation.shape)
+    return Witness(x=float(grid.xs[i]), y=float(grid.xs[j]),
+                   lam=float(grid.lam[k]), lhs=float(f_mix[i, j, k]),
+                   rhs=float(combo[i, j, k]))
+
+
+def witness_bits(witness):
+    return None if witness is None else [float.hex(v) for v in witness]
+
+
+def assert_verdicts_match_brute_force(grid, s):
+    from fracineq.funclib import grid_verdicts
+
+    n = grid.xs.size
+    for result, concave in zip(grid_verdicts(grid, s), (False, True)):
+        reference = brute_force_witness(grid, s, concave)
+        assert result.passed == (reference is None)
+        assert witness_bits(result.witness) == witness_bits(reference)
+        assert result.checked == n ** 3
+
+
+def gathered_f_mix(fn, domain, grid_n):
+    """f_mix gathered from fn at the (n-1)^2 + 1 distinct points by
+    m = k i + (n-1-k) j over the whole n^3 grid."""
+    step = grid_n - 1
+    xs = np.linspace(domain.a, domain.b, grid_n)
+    points = np.linspace(domain.a, domain.b, step * step + 1)
+    points[::step] = xs
+    k = np.arange(grid_n)
+    m = k * k[:, None, None] + (step - k) * k[None, :, None]
+    return fn(points)[m]
+
+
+@pytest.mark.parametrize("grid_n", [3, 10, 17, 33])
+@pytest.mark.parametrize("domain", NON_DYADIC, ids=str)
+def test_witnesses_equal_the_brute_force_first_violation(grid_n, domain):
+    from fracineq.funclib import cert_grid
+
+    for fn in CHANNEL_FUNCTIONS:
+        grid = cert_grid(fn, domain, grid_n)
+        # half the grid where n-1 is a power of two, all of it at n = 10
+        h = grid_n if grid_n == 10 else grid_n // 2 + 1
+        assert grid.f_half.shape == (h, grid_n, grid_n)
+        assert np.array_equal(grid.f_mix, gathered_f_mix(fn, domain, grid_n))
+        for s in (0.25, 0.5, 1.0):
+            assert_verdicts_match_brute_force(grid, s)
+
+
+def test_witness_on_the_mirrored_half():
+    # sin(6t) on [1, 2.1] first fails s-concavity at lam = 0.75 > 1/2: the
+    # witness is the mirror of a triple of the half
+    from fracineq.funclib import cert_grid, grid_verdict
+
+    grid = cert_grid(CHANNEL_FUNCTIONS[-1], Interval(1.0, 2.1))
+    result = grid_verdict(grid, 0.5, concave=True)
+    assert result.witness.lam == 0.75
+    assert witness_bits(result.witness) == witness_bits(
+        brute_force_witness(grid, 0.5, concave=True))
+
+
+def test_hand_built_grids_are_judged_whole_unless_mirror_exact():
+    from fracineq.funclib import CertGrid, cert_grid
+
+    grid = cert_grid(lambda t: t ** 2, NON_DYADIC[0])
+    f_mix = grid.f_mix
+    # mirror-exact lam and f_mix: the hand-built grid keeps the half
+    same = CertGrid(grid.xs, grid.lam, grid.fx, f_mix)
+    assert same.f_half.shape == (17, 33, 33)
+    assert np.array_equal(same.f_mix, f_mix)
+    # one value raised on the k > n//2 side only: its mirror (j, i, n-1-k)
+    # keeps the old value, so the grid is judged whole and the raised
+    # value is the first violation of convexity
+    f_mix[3, 5, 30] += 1.0
+    lopsided = CertGrid(grid.xs, grid.lam, grid.fx, f_mix)
+    assert lopsided.f_half.shape == (33, 33, 33)
+    assert np.array_equal(lopsided.f_mix, f_mix)
+    # lam moved by one ulp at k = 5: 1 - lam is no longer its mirror
+    lam = grid.lam.copy()
+    lam[5] = np.nextafter(lam[5], 1.0)
+    skewed = CertGrid(grid.xs, lam, grid.fx, grid.f_mix)
+    assert skewed.f_half.shape == (33, 33, 33)
+    for s in (0.25, 0.5, 1.0):
+        for hand in (same, lopsided, skewed):
+            assert_verdicts_match_brute_force(hand, s)
+        witness = brute_force_witness(lopsided, s, concave=False)
+        assert (witness.x, witness.y, witness.lam) == (
+            grid.xs[3], grid.xs[5], grid.lam[30])

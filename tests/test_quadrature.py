@@ -156,6 +156,36 @@ def test_scalar_overflow_is_an_integrand_error(call):
         call()
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda: certify_s_convex(lambda t: -math.log(t), Interval(0, 1), 1.0),
+     "grid node t=0.0"),
+    (lambda: certify_s_convex(lambda t: 1.0 / (t - 2.0 ** -10),
+                              Interval(0, 1), 1.0),
+     "interior grid combination t=0.0009765625"),
+    (lambda: integrate(lambda t: math.sqrt(t - 0.5), Interval(0, 1)),
+     "ValueError (math domain error) at t=0."),
+    (lambda: trapezoid_defect(lambda t: 1.0 / t, Interval(0, 1), 0.5),
+     "ZeroDivisionError (float division by zero) at an endpoint of [0, 1], "
+     "t=0"),
+    (lambda: trapezoid_defect(lambda t: math.log(t - 0.5), Interval(0, 1),
+                              0.5),
+     "ValueError (math domain error) at an endpoint of [0, 1], t=0"),
+    (lambda: fracint.left_rl(lambda t: math.log(t - 1.0), 0.5, 0.0, 1.0),
+     "ValueError (math domain error) at x=1.0"),
+    (lambda: fracint.right_rl(lambda t: 1.0 / t, 0.5, 1.0, 0.0),
+     "ZeroDivisionError (float division by zero) at x=0.0"),
+], ids=["certify_node", "certify_interior", "integrate",
+        "trapezoid_defect_zero_division", "trapezoid_defect_domain",
+        "left_rl", "right_rl"])
+def test_scalar_domain_error_is_an_integrand_error(call, text):
+    # a scalar function's ValueError or ZeroDivisionError is a non-finite
+    # value, as numpy's nan or inf would be, and the IntegrandError names
+    # the point
+    with pytest.raises(IntegrandError) as exc_info:
+        call()
+    assert text in str(exc_info.value)
+
+
 def test_budget_exhaustion_carries_best_estimate():
     # a genuinely hard corner at a tolerance the tiny budget cannot meet
     f = lambda t: abs(t - 1.0 / math.pi) ** 0.1

@@ -476,6 +476,20 @@ def test_cli_certify_pass_and_fail():
     assert unknown.returncode == 2
 
 
+def test_cli_certify_prints_the_first_witness_bit_for_bit(capsys):
+    # the golden lines: the witness is the first violation of the whole
+    # 33^3 grid in row-major order, every field printed to 17 digits
+    from fracineq.cli import main
+
+    assert main(["certify", "--function", "root_power_0.5", "--s", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL root_power_0.5 as s_convex at s=1: witness x=0 y=0.03125 "
+        "lam=0.03125 lhs=0.17399263633843817 rhs=0.171252423568617\n")
+    assert main(["certify", "--function", "square", "--s", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS square as convex at s=1 (35937 triples checked)\n")
+
+
 # ---------------------------------------------------------------------------
 # the check table
 
