@@ -70,7 +70,9 @@ def _rl(f, alpha: float, lo: float, hi: float, sign: float,
     fx = _point_value(fv, x, f"x={x}")
 
     def shifted(u: float) -> float:
-        return fv(min(max(x + step * u, lo), hi)) - fx
+        # an error of f names its point t, not u
+        t = min(max(x + step * u, lo), hi)
+        return _point_value(fv, t, f"t={t!r}") - fx
 
     points = (x + step * TANH_SINH.nodes).clip(lo, hi)
     rest = beta_expectation(_eval_grid(fv, points) - fx, shifted, alpha, tol)

@@ -10,27 +10,24 @@ inequality.  s = 1 recovers ordinary convexity/concavity.  Certification
 here is a dense grid check (:data:`CERT_GRID_N` = 33 points per axis,
 33^3 = 35,937 triples, with the absolute slack :data:`CERT_SLACK`), not a
 proof: it is the gatekeeper the bound evaluators and the sweep use for
-their hypotheses.  It runs in two steps: :func:`cert_grid`
-evaluates a channel once on the grid, and :func:`grid_verdict` compares
-that grid against the s-weighted endpoint values (:func:`s_combination`)
-for one s and direction.  The grid's combinations
-lam[k] x[i] + (1-lam[k]) x[j] of n nodes and n weights are, in real
-arithmetic, the points a + (b-a) m/(n-1)^2 with m = k i + (n-1-k) j, so
-a grid has only (n-1)^2 + 1 distinct points (1025 for n = 33):
-:func:`cert_grid` evaluates the channel there and gathers the values by
-m.  The triples (i, j, k) and (j, i, n-1-k) share m, and where
-1 - lam[k] is lam[n-1-k] bit for bit (n-1 a power of two, n = 33 among
-them) their s-combinations are the same two terms in swapped order, so
-the same double: the grid keeps and judges the half k <= n//2 alone
-(17 x 33 x 33 = 18,513 triples), and other n keep the whole grid.  The
-witness of a failed verdict is still the first violating triple of the
-whole n^3 grid in row-major order, and ``checked`` still counts n^3:
-the half is the grid by symmetry, not a sample.  The sweep evaluates one
-grid per channel and reuses it across all its s values, and
-:func:`grid_verdicts` judges both directions from one combination per s.
-Each thread forms its verdicts in three work arrays that it allocates
-once per grid size and reuses for every grid, so no verdict allocates a
-grid-size array.
+their hypotheses.  The grid's combinations lam[k] x[i] + (1-lam[k]) x[j]
+of n nodes and n weights are, in real arithmetic, the points
+a + (b-a) m/(n-1)^2 with m = k i + (n-1-k) j, so a grid has only
+(n-1)^2 + 1 distinct points (1025): :func:`cert_grid` evaluates a
+channel there once and gathers the values by m.  The triples (i, j, k)
+and (j, i, n-1-k) share m, and since 1 - lam[k] is lam[n-1-k] bit for bit
+at n = 33 their s-combinations (:func:`s_combination`) are the same two
+terms in swapped order, so the same double: the grid keeps the half
+k <= n//2 alone (17 x 33 x 33 = 18,513 triples), which is the grid by
+symmetry, not a sample.  :func:`grid_verdicts` judges one s in both
+directions from one combination; the sweep evaluates one grid per channel
+and judges it at each of its s values.  Each thread forms its verdicts in
+three work arrays that it allocates once and reuses for every grid.
+:func:`certify_s_convex` and :func:`certify_s_concave` judge a fresh grid
+in one direction; only when it fails do they rebuild the whole n^3 grid
+from the half and name the first violating triple in row-major order as
+the witness.  ``checked`` counts n^3.  The grid and the sweep's random
+probes share one violation rule.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it and never use
@@ -45,7 +42,6 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,7 +56,6 @@ __all__ = [
     "CertificationResult",
     "CertGrid",
     "cert_grid",
-    "grid_verdict",
     "grid_verdicts",
     "s_combination",
     "certify_s_convex",
@@ -191,96 +186,50 @@ def _point_value(fn, t: float, place: str) -> float:
     raise IntegrandError(f"function {what} at {place}")
 
 
-def _mirror_exact(lam: np.ndarray) -> bool:
-    """Whether 1 - lam[k] is lam[n-1-k] bit for bit, for every k."""
-    return (1.0 - lam).tobytes() == lam[::-1].tobytes()
+# the grid's nodes per axis less one, and the k <= n//2 half of its weights
+# that every verdict is judged on
+_STEP = CERT_GRID_N - 1
+_HALF = CERT_GRID_N // 2 + 1
+# _HALF_INDEX[k, i, j] = k i + (n-1-k) j over the half: the grid's
+# combination lam[k] xs[i] + (1-lam[k]) xs[j] is point m = _HALF_INDEX[k, i, j]
+# of the (n-1)^2 + 1 distinct points; every grid shares it
+_K = np.arange(CERT_GRID_N)
+_HALF_INDEX = (_K[:_HALF, None, None] * _K[:, None]
+               + (_STEP - _K[:_HALF, None, None]) * _K)
+_HALF_INDEX.flags.writeable = False
 
 
-@lru_cache(maxsize=4)
-def _half_index(n: int) -> np.ndarray:
-    """index[k, i, j] = k i + (n-1-k) j over the half k < h: the grid's
-    combination lam[k] xs[i] + (1-lam[k]) xs[j] is point m = index[k, i, j]
-    of the (n-1)^2 + 1 distinct points.  h is n//2 + 1 where linspace's
-    lam is mirror-exact (n-1 a power of two) and n elsewhere.  It depends
-    on n alone, so it is built once per n and the last four are kept."""
-    h = n // 2 + 1 if _mirror_exact(np.linspace(0.0, 1.0, n)) else n
-    k = np.arange(n)
-    kh = k[:h, None, None]
-    index = kh * k[:, None] + (n - 1 - kh) * k
-    index.flags.writeable = False    # every grid of this n shares it
-    return index
+class CertGrid(NamedTuple):
+    """One channel evaluated on the certification grid, kept as its half.
 
-
-class CertGrid:
-    """One channel evaluated on the certification grid.
-
-    ``fx[i]`` is fn(xs[i]) and ``f_mix[i, j, k]`` is fn at
+    ``fx[i]`` is fn(xs[i]) and ``f_half[k, i, j]`` (k <= n//2) is fn at
     lam[k]*xs[i] + (1-lam[k])*xs[j], taken as the point
     a + (b-a) m/(n-1)^2 (m = k i + (n-1-k) j) that the combination is in
-    real arithmetic; neither depends on s or on the direction, so one grid
-    serves every :func:`grid_verdict` on it.
-
-    The triples (i, j, k) and (j, i, n-1-k) share m and so their value.
-    Where ``1 - lam`` is ``lam[::-1]`` bit for bit (n-1 a power of two,
-    as at n = 33) they also share the s-combination, whose two terms only
-    swap places.  The grid then keeps and judges the half k <= n//2 alone,
-    k-major: ``f_half[k, i, j]`` is ``f_mix[i, j, k]`` for the first
-    h = n//2 + 1 values of k; elsewhere h is n.  ``f_mix`` is rebuilt from
-    the half when read.  ``CertGrid(xs, lam, fx, f_mix)`` builds a grid
-    from the full array and keeps only the half when ``lam`` and ``f_mix``
-    are both mirror-exact.
+    real arithmetic.  The triple (j, i, n-1-k) of the other half shares m
+    and so the value, and its s-combination is the same two terms in
+    swapped order, so the same double.  Neither array depends on s or on
+    the direction, so one grid serves every :func:`grid_verdicts` on it.
     """
 
-    __slots__ = ("xs", "lam", "fx", "f_half")
-
-    def __init__(self, xs, lam, fx, f_mix):
-        lam = np.asarray(lam, dtype=float)
-        f_mix = np.asarray(f_mix, dtype=float)
-        h = lam.size
-        if (_mirror_exact(lam) and f_mix.tobytes()
-                == f_mix.transpose(1, 0, 2)[:, :, ::-1].tobytes()):
-            h = h // 2 + 1
-        self.xs = np.asarray(xs, dtype=float)
-        self.lam = lam
-        self.fx = np.asarray(fx, dtype=float)
-        self.f_half = f_mix[:, :, :h].transpose(2, 0, 1).copy()
-
-    @classmethod
-    def _from_half(cls, xs, lam, fx, f_half) -> CertGrid:
-        grid = cls.__new__(cls)
-        grid.xs, grid.lam, grid.fx, grid.f_half = xs, lam, fx, f_half
-        return grid
-
-    @property
-    def f_mix(self) -> np.ndarray:
-        """The full n^3 array, rebuilt from the half."""
-        n, h = self.xs.size, self.f_half.shape[0]
-        full = np.empty((n, n, n))
-        full[:, :, :h] = self.f_half.transpose(1, 2, 0)
-        # f_mix[i, j, k] for k >= h is f_half[n-1-k, j, i]
-        full[:, :, h:] = self.f_half[:n - h][::-1].transpose(2, 1, 0)
-        return full
+    xs: np.ndarray
+    lam: np.ndarray
+    fx: np.ndarray
+    f_half: np.ndarray
 
 
-def cert_grid(fn, domain: Interval, grid_n: int = CERT_GRID_N) -> CertGrid:
-    """Evaluate ``fn`` on the grid_n^3 certification grid over ``domain``,
-    from its (grid_n-1)^2 + 1 distinct points."""
+def cert_grid(fn, domain: Interval) -> CertGrid:
+    """Evaluate ``fn`` on the certification grid over ``domain``, from its
+    (n-1)^2 + 1 distinct points."""
     if domain.a < 0.0:
         raise DomainError(
             f"s-convexity is defined on [0, inf); domain starts at {domain.a}")
-    grid_n = int(grid_n)
-    if grid_n < 3:
-        raise DomainError(f"grid_n must be >= 3, got {grid_n}")
-
-    step = grid_n - 1
-    xs = np.linspace(domain.a, domain.b, grid_n)
-    lam = np.linspace(0.0, 1.0, grid_n)
-    points = np.linspace(domain.a, domain.b, step * step + 1)
+    xs = np.linspace(domain.a, domain.b, CERT_GRID_N)
+    points = np.linspace(domain.a, domain.b, _STEP * _STEP + 1)
     # the nodes themselves (m = step i) are xs bit for bit, so fx is
     # fn(xs) and the lam = 0 and lam = 1 faces compare f(x) with itself
-    points[::step] = xs
+    points[::_STEP] = xs
     values = _eval_grid(fn, points)
-    fx = values[::step].copy()
+    fx = values[::_STEP].copy()
     if not np.all(np.isfinite(fx)):
         bad = float(xs[~np.isfinite(fx)][0])
         raise IntegrandError(f"function non-finite at grid node t={bad!r}")
@@ -288,18 +237,20 @@ def cert_grid(fn, domain: Interval, grid_n: int = CERT_GRID_N) -> CertGrid:
         bad = float(points[~np.isfinite(values)][0])
         raise IntegrandError(
             f"function non-finite at interior grid combination t={bad!r}")
-    return CertGrid._from_half(xs, lam, fx, values[_half_index(grid_n)])
+    return CertGrid(xs, np.linspace(0.0, 1.0, CERT_GRID_N), fx,
+                    values[_HALF_INDEX])
 
 
-# this thread's work arrays for the latest half shape: the s-weighted
-# combination, the slack-shifted threshold and the violation flags; each
+# this thread's work arrays, shared by every grid: the s-weighted
+# combination, the slack-shifted threshold and the verdict flags; each
 # verdict overwrites them, so no grid allocates its own
 _WORK = threading.local()
 
 
-def _work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _work() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     work = getattr(_WORK, "arrays", None)
-    if work is None or work[0].shape != shape:
+    if work is None:
+        shape = (_HALF, CERT_GRID_N, CERT_GRID_N)
         work = _WORK.arrays = (np.empty(shape), np.empty(shape),
                                np.empty(shape, dtype=bool))
     return work
@@ -311,87 +262,88 @@ def s_combination(lam, s: float, fx, fy):
     return lam ** s * fx + (1.0 - lam) ** s * fy
 
 
+def _holds(values, combo, concave: bool, threshold=None, out=None):
+    """Where ``values`` keep to s-convexity, values <= combo + CERT_SLACK,
+    or to s-concavity when ``concave``, values >= combo - CERT_SLACK; a NaN
+    never does.  The one violation rule of the grid and of the probes;
+    ``threshold`` and ``out`` are optional work arrays."""
+    if concave:
+        return np.greater_equal(
+            values, np.subtract(combo, CERT_SLACK, out=threshold), out=out)
+    return np.less_equal(
+        values, np.add(combo, CERT_SLACK, out=threshold), out=out)
+
+
 def _grid_combination(grid: CertGrid, s: float) -> np.ndarray:
     # combination[k, i, j] = lam[k]^s fx[i] + (1-lam[k])^s fx[j] on the
-    # half, formed in the work array from two h x n product tables: the
+    # half, formed in the work array from two half x n product tables: the
     # first is copied in along j, the second added along i (one add that
-    # broadcasts both takes about a quarter longer).  The powers are taken
-    # of the whole lam, so a k of the half and its mirror n-1-k read the
-    # same bits.
-    h = grid.f_half.shape[0]
-    combo = _work(grid.f_half.shape)[0]
-    np.copyto(combo, ((grid.lam ** s)[:h, None] * grid.fx)[:, :, None])
-    np.add(combo, (((1.0 - grid.lam) ** s)[:h, None] * grid.fx)[:, None, :],
+    # broadcasts both takes about a quarter longer)
+    combo = _work()[0]
+    np.copyto(combo, ((grid.lam ** s)[:_HALF, None] * grid.fx)[:, :, None])
+    np.add(combo,
+           (((1.0 - grid.lam) ** s)[:_HALF, None] * grid.fx)[:, None, :],
            out=combo)
     return combo
 
 
-def _verdict(grid: CertGrid, combo: np.ndarray,
-             concave: bool) -> CertificationResult:
-    half = grid.f_half
-    _, threshold, violation = _work(half.shape)
-    if concave:
-        np.less(half, np.subtract(combo, CERT_SLACK, out=threshold),
-                out=violation)
-    else:
-        np.greater(half, np.add(combo, CERT_SLACK, out=threshold),
-                   out=violation)
+def _grid_holds(grid: CertGrid, combo: np.ndarray, concave: bool) -> bool:
+    _, threshold, flags = _work()
+    return bool(_holds(grid.f_half, combo, concave, threshold, flags).all())
 
-    h, n = half.shape[0], grid.xs.size
-    checked = n ** 3
-    # the witness is the first violating triple of the whole grid in
-    # row-major (x, y, lam) order.  hit[i, j] says that some k of the half
-    # violates at (i, j); argmax stops at the first True and returns 0
-    # when there is none
-    hit = violation.any(axis=0)
-    first = int(hit.argmax())
-    if not hit.flat[first]:
+
+def grid_verdicts(grid: CertGrid, s: float) -> tuple[bool, bool]:
+    """Whether ``grid`` passes s-convexity and s-concavity in the second
+    sense, from one s-weighted combination."""
+    combo = _grid_combination(grid, _check_s(s))
+    return _grid_holds(grid, combo, False), _grid_holds(grid, combo, True)
+
+
+def _probes_hold(fn, x, y, lam, s: float, concave: bool) -> bool:
+    """Whether ``fn`` keeps to s-convexity (s-concavity when ``concave``)
+    at every probe triple (x[i], y[i], lam[i]), by the grid's rule."""
+    mix = lam * x + (1.0 - lam) * y
+    fx, fy, fm = _eval_grid(fn, np.stack([x, y, mix]))
+    return bool(_holds(fm, s_combination(lam, s, fx, fy), concave).all())
+
+
+def _whole(half: np.ndarray) -> np.ndarray:
+    """The n^3 array [i, j, k] of a k-major half: half[k, i, j] for
+    k <= n//2, and beyond it the mirror half[n-1-k, j, i]."""
+    whole = np.empty((CERT_GRID_N,) * 3, dtype=half.dtype)
+    whole[:, :, :_HALF] = half.transpose(1, 2, 0)
+    whole[:, :, _HALF:] = half[:CERT_GRID_N - _HALF][::-1].transpose(2, 1, 0)
+    return whole
+
+
+def _certify(fn, domain: Interval, s: float,
+             concave: bool) -> CertificationResult:
+    grid = cert_grid(fn, domain)
+    combo = _grid_combination(grid, _check_s(s))
+    checked = CERT_GRID_N ** 3
+    if _grid_holds(grid, combo, concave):
         return CertificationResult(passed=True, witness=None, checked=checked)
-    i, j = divmod(first, n)
-    k = int(violation[:, i, j].argmax())
-    triple, at = (i, j, k), (k, i, j)
-    if h < n:
-        # each half triple (i, j, k) also stands for (j, i, n-1-k); the
-        # first of those in row-major order is at the first (j, i) of
-        # hit.T, with the last k
-        j, i = divmod(int(hit.T.argmax()), n)
-        k = h - 1 - int(violation[::-1, i, j].argmax())
-        if (j, i, n - 1 - k) < triple:
-            triple, at = (j, i, n - 1 - k), (k, i, j)
-    i, j, k = triple
+    # the witness is the first violating triple of the whole grid in
+    # row-major (x, y, lam) order
+    values, combo = _whole(grid.f_half), _whole(combo)
+    i, j, k = np.argwhere(~_holds(values, combo, concave))[0]
     return CertificationResult(
         passed=False,
         witness=Witness(x=float(grid.xs[i]), y=float(grid.xs[j]),
-                        lam=float(grid.lam[k]), lhs=float(half[at]),
-                        rhs=float(combo[at])),
+                        lam=float(grid.lam[k]), lhs=float(values[i, j, k]),
+                        rhs=float(combo[i, j, k])),
         checked=checked,
     )
 
 
-def grid_verdict(grid: CertGrid, s: float,
-                 concave: bool = False) -> CertificationResult:
-    """Check s-convexity (or s-concavity) in the second sense on ``grid``."""
-    s = _check_s(s)
-    return _verdict(grid, _grid_combination(grid, s), concave)
-
-
-def grid_verdicts(grid: CertGrid, s: float
-                  ) -> tuple[CertificationResult, CertificationResult]:
-    """The s-convex and s-concave verdicts of :func:`grid_verdict` on
-    ``grid``, from one s-weighted combination."""
-    combo = _grid_combination(grid, _check_s(s))
-    return (_verdict(grid, combo, concave=False),
-            _verdict(grid, combo, concave=True))
-
-
 def certify_s_convex(fn, domain: Interval, s: float) -> CertificationResult:
     """Grid-check s-convexity in the second sense on ``domain`` (a >= 0)."""
-    return grid_verdict(cert_grid(fn, domain), s)
+    return _certify(fn, domain, s, concave=False)
 
 
 def certify_s_concave(fn, domain: Interval, s: float) -> CertificationResult:
     """Grid-check s-concavity in the second sense (reversed inequality)."""
-    return grid_verdict(cert_grid(fn, domain), s, concave=True)
+    return _certify(fn, domain, s, concave=True)
 
 
 def certify_declared(f: TestFunction,
@@ -446,9 +398,9 @@ def s_power(s: float, name: str | None = None) -> TestFunction:
 def root_power(s: float, name: str | None = None) -> TestFunction:
     """f(t) = t^s on [0, 1]; the canonical s-convex power function.
 
-    Its second derivative s(s-1) t^(s-2) blows up at 0 for s < 1, so this
-    family is kept out of the finite-difference-checked builtin catalog
-    and is meant for the first-order sandwich checks.
+    Its second derivative s(s-1) t^(s-2) blows up at 0 for s < 1, so no
+    bound built on |f''| applies to it: the family is kept out of the
+    builtin catalog and is meant for the first-order sandwich checks.
     """
     s = _check_s(s)
     return _certified(TestFunction(

@@ -243,7 +243,10 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     ends = fa + fb
 
     def g(u: float) -> float:
-        return fv(a + h * u) + fv(b - h * u) - ends
+        # an error of f names its point t, not u
+        t, mirror = a + h * u, b - h * u
+        return (_point_value(fv, t, f"t={t!r}")
+                + _point_value(fv, mirror, f"t={mirror!r}") - ends)
 
     # f(b - h u) at node u is f(a + h (1-u)), its value at the mirrored node
     fx = _eval_grid(fv, a + h * TANH_SINH.nodes)

@@ -72,16 +72,14 @@ from .errors import (
 # certify_s_convex is not called here; bench/test_bench.py checks that the
 # layer tracer patches it in this module's namespace
 from .funclib import (  # noqa: F401
-    CERT_SLACK,
     TestFunction,
     _check_s,
-    _eval_grid,
+    _probes_hold,
     abs_d2,
     cert_grid,
     certify_s_convex,
     get_function,
     grid_verdicts,
-    s_combination,
 )
 from .hhbounds import (
     DEFAULT_CHECK_SLACK,
@@ -310,9 +308,7 @@ class _Certifier:
             return {}
         verdicts = {}
         for s in self.s_values:
-            convex, concave = grid_verdicts(grid, s)
-            verdicts[(s, False)] = convex.passed
-            verdicts[(s, True)] = concave.passed
+            verdicts[(s, False)], verdicts[(s, True)] = grid_verdicts(grid, s)
         return verdicts
 
     def _probes_ok(self, fn, domain: Interval, s: float, concave: bool,
@@ -322,12 +318,7 @@ class _Certifier:
         x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
         y = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
         lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
-        mix = lam * x + (1.0 - lam) * y
-        fx, fy, fm = _eval_grid(fn, np.stack([x, y, mix]))
-        combo = s_combination(lam, s, fx, fy)
-        if concave:
-            return bool(np.all(fm >= combo - CERT_SLACK))
-        return bool(np.all(fm <= combo + CERT_SLACK))
+        return _probes_hold(fn, x, y, lam, s, concave)
 
     def check(self, f: TestFunction, channel: str, domain: Interval, s: float,
               q: float | None, concave: bool) -> bool:

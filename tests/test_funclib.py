@@ -83,7 +83,7 @@ def test_certifier_precondition_errors():
     with pytest.raises(DomainError):
         certify_s_convex(lambda t: t, UNIT, 1.5)
     with pytest.raises(DomainError):
-        cert_grid(lambda t: t, UNIT, 2)
+        cert_grid(lambda t: t, Interval(-1.0, 1.0))
 
 
 def test_non_finite_grid_value_raises():
@@ -99,13 +99,13 @@ def test_non_finite_grid_value_raises():
     (lambda t: np.sin(6.0 * t), Interval(0.0, 3.0)),  # neither
 ])
 def test_grid_verdicts_match_one_direction_at_a_time(fn, domain):
-    from fracineq.funclib import cert_grid, grid_verdict, grid_verdicts
+    from fracineq.funclib import cert_grid, grid_verdicts
 
     grid = cert_grid(fn, domain)
     for s in (0.25, 0.5, 1.0):
-        # passed flags and witnesses alike
-        assert grid_verdicts(grid, s) == (grid_verdict(grid, s),
-                                          grid_verdict(grid, s, concave=True))
+        assert grid_verdicts(grid, s) == (
+            certify_s_convex(fn, domain, s).passed,
+            certify_s_concave(fn, domain, s).passed)
 
 
 def test_scalar_only_callables_supported():
@@ -183,19 +183,30 @@ def test_get_function_parameterised_names():
 # ---------------------------------------------------------------------------
 # the grid certifier against a brute-force n^3 reference
 
+N = 33
 
-def reference_grid(fn, domain, grid_n):
+
+def test_grid_weights_are_mirror_exact_bit_for_bit():
+    # the half is the grid only because 1 - lam[k] is lam[n-1-k] exactly
+    from fracineq.funclib import CERT_GRID_N
+
+    assert CERT_GRID_N == N
+    lam = np.linspace(0.0, 1.0, CERT_GRID_N)
+    assert (1.0 - lam).tobytes() == lam[::-1].tobytes()
+
+
+def reference_grid(fn, domain):
     """fx and f_mix with fn evaluated at every float combination
     lam[k]*xs[i] + (1-lam[k])*xs[j] of the n^3 grid."""
-    xs = np.linspace(domain.a, domain.b, grid_n)
-    lam = np.linspace(0.0, 1.0, grid_n)
+    xs = np.linspace(domain.a, domain.b, N)
+    lam = np.linspace(0.0, 1.0, N)
     L = lam[None, None, :]
     mix = L * xs[:, None, None] + (1.0 - L) * xs[None, :, None]
     return xs, lam, fn(xs), fn(mix)
 
 
-def reference_verdict(fn, domain, s, grid_n, concave, slack=1e-12):
-    xs, lam, fx, f_mix = reference_grid(fn, domain, grid_n)
+def reference_verdict(fn, domain, s, concave, slack=1e-12):
+    xs, lam, fx, f_mix = reference_grid(fn, domain)
     L = lam[None, None, :]
     combo = L ** s * fx[:, None, None] + (1.0 - L) ** s * fx[None, :, None]
     if concave:
@@ -215,25 +226,19 @@ CHANNEL_FUNCTIONS = [
 ]
 
 
-@pytest.mark.parametrize("grid_n", [3, 10, 33])
 @pytest.mark.parametrize("domain", NON_DYADIC, ids=str)
-def test_grid_verdicts_match_brute_force_on_non_dyadic_intervals(grid_n,
-                                                                 domain):
+def test_grid_verdicts_match_brute_force_on_non_dyadic_intervals(domain):
     from fracineq.funclib import cert_grid, grid_verdicts
 
     for fn in CHANNEL_FUNCTIONS:
-        grid = cert_grid(fn, domain, grid_n)
+        grid = cert_grid(fn, domain)
         for s in (0.25, 0.5, 0.75, 1.0):
             convex, concave = grid_verdicts(grid, s)
-            assert convex.passed == reference_verdict(fn, domain, s, grid_n,
-                                                      concave=False)
-            assert concave.passed == reference_verdict(fn, domain, s, grid_n,
-                                                       concave=True)
-            assert convex.checked == concave.checked == grid_n ** 3
+            assert convex == reference_verdict(fn, domain, s, concave=False)
+            assert concave == reference_verdict(fn, domain, s, concave=True)
 
 
-@pytest.mark.parametrize("grid_n", [3, 10, 33])
-def test_scalar_only_callable_is_called_once_per_distinct_point(grid_n):
+def test_scalar_only_callable_is_called_once_per_distinct_point():
     from fracineq.funclib import cert_grid
 
     calls = []
@@ -244,49 +249,46 @@ def test_scalar_only_callable_is_called_once_per_distinct_point(grid_n):
             raise TypeError("scalar only")
         return float(t) * float(t)
 
-    grid = cert_grid(scalar_fn, UNIT, grid_n)
+    grid = cert_grid(scalar_fn, UNIT)
     # one refused array call, then one call per distinct point
-    assert len(calls) <= grid_n + (grid_n - 1) ** 2 + 2
-    vector = cert_grid(lambda t: t * t, UNIT, grid_n)
+    assert len(calls) <= N + (N - 1) ** 2 + 2
+    vector = cert_grid(lambda t: t * t, UNIT)
     assert np.array_equal(grid.fx, vector.fx)
-    assert np.array_equal(grid.f_mix, vector.f_mix)
+    assert np.array_equal(grid.f_half, vector.f_half)
 
 
 def test_nodes_are_the_grid_nodes_bit_for_bit():
-    # fx is fn(xs), and the lam = 0 and lam = 1 faces of f_mix repeat it
+    # fx is fn(xs), and the lam = 0 face f_half[0] repeats it; the lam = 1
+    # face is its mirror
     from fracineq.funclib import cert_grid
 
     for domain in NON_DYADIC:
         grid = cert_grid(lambda t: t ** 3, domain)
         assert np.array_equal(grid.fx, grid.xs ** 3)
-        assert np.array_equal(grid.f_mix[:, :, -1],
-                              np.broadcast_to(grid.fx[:, None], (33, 33)))
-        assert np.array_equal(grid.f_mix[:, :, 0],
-                              np.broadcast_to(grid.fx[None, :], (33, 33)))
+        assert np.array_equal(grid.f_half[0],
+                              np.broadcast_to(grid.fx[None, :], (N, N)))
 
 
 def test_repeated_verdicts_allocate_no_grid_size_array():
     import tracemalloc
 
-    from fracineq.funclib import cert_grid, grid_verdict, grid_verdicts
+    from fracineq.funclib import cert_grid, grid_verdicts
 
-    grid = cert_grid(lambda t: t ** 3, Interval(0.0, 2.0))
+    domain = Interval(0.0, 2.0)
+    grid = cert_grid(lambda t: t ** 3, domain)
     first = grid_verdicts(grid, 0.5)
     tracemalloc.start()
     try:
         again = grid_verdicts(grid, 0.5)
         other = grid_verdicts(grid, 0.25)
-        one = grid_verdict(grid, 0.75, concave=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < grid.f_mix.nbytes
+    assert peak < grid.f_half.nbytes
     assert again == first
-    assert other == (certify_s_convex(lambda t: t ** 3, Interval(0.0, 2.0),
-                                      0.25),
-                     certify_s_concave(lambda t: t ** 3, Interval(0.0, 2.0),
-                                       0.25))
-    assert not one.passed and one.checked == 33 ** 3
+    assert other == (certify_s_convex(lambda t: t ** 3, domain, 0.25).passed,
+                     certify_s_concave(lambda t: t ** 3, domain, 0.25).passed)
+    assert other == (True, False)
 
 
 def test_fresh_grid_of_the_same_size_allocates_no_work_arrays():
@@ -306,8 +308,9 @@ def test_fresh_grid_of_the_same_size_allocates_no_work_arrays():
     # the half is 17 x 33 x 33 doubles; each float work array is as large
     assert fresh.f_half.shape == (17, 33, 33)
     assert peak < fresh.f_half.nbytes
-    assert verdicts == (certify_s_convex(lambda t: t ** 2.5, domain, 0.5),
-                        certify_s_concave(lambda t: t ** 2.5, domain, 0.5))
+    assert verdicts == (
+        certify_s_convex(lambda t: t ** 2.5, domain, 0.5).passed,
+        certify_s_concave(lambda t: t ** 2.5, domain, 0.5).passed)
 
 
 def test_verdicts_from_two_threads_at_once_match_serial_ones():
@@ -315,31 +318,98 @@ def test_verdicts_from_two_threads_at_once_match_serial_ones():
 
     from fracineq.funclib import cert_grid, grid_verdicts
 
-    grids = [cert_grid(fn, domain, grid_n)
-             for fn in CHANNEL_FUNCTIONS for domain in NON_DYADIC
-             for grid_n in (10, 33)]
+    grids = [cert_grid(fn, domain)
+             for fn in CHANNEL_FUNCTIONS for domain in NON_DYADIC]
     # every grid judged at four s values, each (grid, s) twice: the two
     # threads judge the same grids at the same time
     jobs = [(grid, s) for grid in grids for s in (0.25, 0.5, 0.75, 1.0)] * 2
     serial = [grid_verdicts(grid, s) for grid, s in jobs]
+    assert {True, False} <= {v for pair in serial for v in pair}
     with ThreadPoolExecutor(max_workers=2) as pool:
         threaded = list(pool.map(lambda job: grid_verdicts(*job), jobs))
     assert threaded == serial
 
 
 # ---------------------------------------------------------------------------
+# the one violation rule: a value CERT_SLACK past its combination passes,
+# one twice as far fails, in the grid verdicts and in the probes alike
+
+
+@pytest.mark.parametrize("concave", [False, True])
+def test_grid_verdicts_allow_exactly_the_slack(concave):
+    from fracineq.funclib import CERT_SLACK, CertGrid, cert_grid, grid_verdicts
+
+    # f = 0: every combination is 0 and both directions hold
+    zero = cert_grid(lambda t: 0.0 * t, UNIT)
+    assert grid_verdicts(zero, 0.5) == (True, True)
+    sign = -1.0 if concave else 1.0
+    for past, holds in ((CERT_SLACK, True), (2.0 * CERT_SLACK, False)):
+        f_half = zero.f_half.copy()
+        f_half[3, 4, 5] = sign * past
+        grid = CertGrid(zero.xs, zero.lam, zero.fx, f_half)
+        for s in (0.5, 1.0):
+            assert grid_verdicts(grid, s)[concave] == holds
+            # the other direction holds whatever the value's size
+            assert grid_verdicts(grid, s)[not concave]
+
+
+@pytest.mark.parametrize("concave", [False, True])
+def test_probes_allow_exactly_the_slack(concave):
+    from fracineq.funclib import CERT_SLACK, _probes_hold
+
+    x, y, lam = np.array([0.0, 0.25]), np.array([1.0, 0.75]), np.array(
+        [0.5, 0.5])
+    sign = -1.0 if concave else 1.0
+    for past, holds in ((CERT_SLACK, True), (2.0 * CERT_SLACK, False)):
+        # f is 0 everywhere but at the mix 0.5 of both triples
+        def fn(t, past=past):
+            return np.where(t == 0.5, sign * past, 0.0)
+
+        for s in (0.5, 1.0):
+            assert _probes_hold(fn, x, y, lam, s, concave) == holds, past
+
+
+def test_probe_reading_nan_fails_both_directions():
+    from fracineq.funclib import _probes_hold
+
+    x, y, lam = np.array([0.0]), np.array([1.0]), np.array([0.5])
+    # nan at an end point as well as at the mix
+    for at in (0.0, 0.5):
+        def fn(t, at=at):
+            return np.where(t == at, np.nan, 0.0)
+
+        assert not _probes_hold(fn, x, y, lam, 1.0, concave=False)
+        assert not _probes_hold(fn, x, y, lam, 1.0, concave=True)
+
+
+# ---------------------------------------------------------------------------
 # witnesses: the first violation of the whole n^3 grid, bit for bit
 
 
-def brute_force_witness(grid, s, concave, slack=1e-12):
+def gathered_f_mix(fn, domain):
+    """f_mix gathered from fn at the (n-1)^2 + 1 distinct points by
+    m = k i + (n-1-k) j over the whole n^3 grid."""
+    step = N - 1
+    xs = np.linspace(domain.a, domain.b, N)
+    points = np.linspace(domain.a, domain.b, step * step + 1)
+    points[::step] = xs
+    k = np.arange(N)
+    m = k * k[:, None, None] + (step - k) * k[None, :, None]
+    return fn(points)[m]
+
+
+def brute_force_witness(fn, domain, s, concave, slack=1e-12):
     """The first violating triple of the full n^3 grid in row-major
-    (x, y, lam) order, from the grid's own fx and f_mix, or None."""
+    (x, y, lam) order, from fn at the grid's distinct points, or None."""
     from fracineq.funclib import Witness
 
-    f_mix = grid.f_mix
-    lam_s = (grid.lam ** s)[None, None, :]
-    rest_s = ((1.0 - grid.lam) ** s)[None, None, :]
-    combo = lam_s * grid.fx[:, None, None] + rest_s * grid.fx[None, :, None]
+    xs = np.linspace(domain.a, domain.b, N)
+    lam = np.linspace(0.0, 1.0, N)
+    fx = fn(xs)
+    f_mix = gathered_f_mix(fn, domain)
+    lam_s = (lam ** s)[None, None, :]
+    rest_s = ((1.0 - lam) ** s)[None, None, :]
+    combo = lam_s * fx[:, None, None] + rest_s * fx[None, :, None]
     if concave:
         violation = f_mix < combo - slack
     else:
@@ -347,89 +417,42 @@ def brute_force_witness(grid, s, concave, slack=1e-12):
     if not violation.any():
         return None
     i, j, k = np.unravel_index(violation.argmax(), violation.shape)
-    return Witness(x=float(grid.xs[i]), y=float(grid.xs[j]),
-                   lam=float(grid.lam[k]), lhs=float(f_mix[i, j, k]),
-                   rhs=float(combo[i, j, k]))
+    return Witness(x=float(xs[i]), y=float(xs[j]), lam=float(lam[k]),
+                   lhs=float(f_mix[i, j, k]), rhs=float(combo[i, j, k]))
 
 
 def witness_bits(witness):
     return None if witness is None else [float.hex(v) for v in witness]
 
 
-def assert_verdicts_match_brute_force(grid, s):
-    from fracineq.funclib import grid_verdicts
-
-    n = grid.xs.size
-    for result, concave in zip(grid_verdicts(grid, s), (False, True)):
-        reference = brute_force_witness(grid, s, concave)
+def assert_certifiers_match_brute_force(fn, domain, s):
+    for certify, concave in ((certify_s_convex, False),
+                             (certify_s_concave, True)):
+        result = certify(fn, domain, s)
+        reference = brute_force_witness(fn, domain, s, concave)
         assert result.passed == (reference is None)
         assert witness_bits(result.witness) == witness_bits(reference)
-        assert result.checked == n ** 3
+        assert result.checked == N ** 3
 
 
-def gathered_f_mix(fn, domain, grid_n):
-    """f_mix gathered from fn at the (n-1)^2 + 1 distinct points by
-    m = k i + (n-1-k) j over the whole n^3 grid."""
-    step = grid_n - 1
-    xs = np.linspace(domain.a, domain.b, grid_n)
-    points = np.linspace(domain.a, domain.b, step * step + 1)
-    points[::step] = xs
-    k = np.arange(grid_n)
-    m = k * k[:, None, None] + (step - k) * k[None, :, None]
-    return fn(points)[m]
-
-
-@pytest.mark.parametrize("grid_n", [3, 10, 17, 33])
 @pytest.mark.parametrize("domain", NON_DYADIC, ids=str)
-def test_witnesses_equal_the_brute_force_first_violation(grid_n, domain):
+def test_witnesses_equal_the_brute_force_first_violation(domain):
     from fracineq.funclib import cert_grid
 
     for fn in CHANNEL_FUNCTIONS:
-        grid = cert_grid(fn, domain, grid_n)
-        # half the grid where n-1 is a power of two, all of it at n = 10
-        h = grid_n if grid_n == 10 else grid_n // 2 + 1
-        assert grid.f_half.shape == (h, grid_n, grid_n)
-        assert np.array_equal(grid.f_mix, gathered_f_mix(fn, domain, grid_n))
+        grid = cert_grid(fn, domain)
+        # the grid keeps the half k <= n//2 of the gathered n^3 values
+        f_mix = gathered_f_mix(fn, domain)
+        assert np.array_equal(grid.f_half, f_mix[:, :, :17].transpose(2, 0, 1))
         for s in (0.25, 0.5, 1.0):
-            assert_verdicts_match_brute_force(grid, s)
+            assert_certifiers_match_brute_force(fn, domain, s)
 
 
 def test_witness_on_the_mirrored_half():
     # sin(6t) on [1, 2.1] first fails s-concavity at lam = 0.75 > 1/2: the
     # witness is the mirror of a triple of the half
-    from fracineq.funclib import cert_grid, grid_verdict
-
-    grid = cert_grid(CHANNEL_FUNCTIONS[-1], Interval(1.0, 2.1))
-    result = grid_verdict(grid, 0.5, concave=True)
+    fn, domain = CHANNEL_FUNCTIONS[-1], Interval(1.0, 2.1)
+    result = certify_s_concave(fn, domain, 0.5)
     assert result.witness.lam == 0.75
     assert witness_bits(result.witness) == witness_bits(
-        brute_force_witness(grid, 0.5, concave=True))
-
-
-def test_hand_built_grids_are_judged_whole_unless_mirror_exact():
-    from fracineq.funclib import CertGrid, cert_grid
-
-    grid = cert_grid(lambda t: t ** 2, NON_DYADIC[0])
-    f_mix = grid.f_mix
-    # mirror-exact lam and f_mix: the hand-built grid keeps the half
-    same = CertGrid(grid.xs, grid.lam, grid.fx, f_mix)
-    assert same.f_half.shape == (17, 33, 33)
-    assert np.array_equal(same.f_mix, f_mix)
-    # one value raised on the k > n//2 side only: its mirror (j, i, n-1-k)
-    # keeps the old value, so the grid is judged whole and the raised
-    # value is the first violation of convexity
-    f_mix[3, 5, 30] += 1.0
-    lopsided = CertGrid(grid.xs, grid.lam, grid.fx, f_mix)
-    assert lopsided.f_half.shape == (33, 33, 33)
-    assert np.array_equal(lopsided.f_mix, f_mix)
-    # lam moved by one ulp at k = 5: 1 - lam is no longer its mirror
-    lam = grid.lam.copy()
-    lam[5] = np.nextafter(lam[5], 1.0)
-    skewed = CertGrid(grid.xs, lam, grid.fx, grid.f_mix)
-    assert skewed.f_half.shape == (33, 33, 33)
-    for s in (0.25, 0.5, 1.0):
-        for hand in (same, lopsided, skewed):
-            assert_verdicts_match_brute_force(hand, s)
-        witness = brute_force_witness(lopsided, s, concave=False)
-        assert (witness.x, witness.y, witness.lam) == (
-            grid.xs[3], grid.xs[5], grid.lam[30])
+        brute_force_witness(fn, domain, 0.5, concave=True))

@@ -174,9 +174,12 @@ def test_scalar_overflow_is_an_integrand_error(call):
      "ValueError (math domain error) at x=1.0"),
     (lambda: fracint.right_rl(lambda t: 1.0 / t, 0.5, 1.0, 0.0),
      "ZeroDivisionError (float division by zero) at x=0.0"),
+    # f fails inside the range, where only the fallback integrand reads it
+    (lambda: fracint.left_rl(lambda t: 1.0 / t, 0.5, 0.0, 1.0),
+     "ZeroDivisionError (float division by zero) at t=0.0"),
 ], ids=["certify_node", "certify_interior", "integrate",
         "trapezoid_defect_zero_division", "trapezoid_defect_domain",
-        "left_rl", "right_rl"])
+        "left_rl", "right_rl", "left_rl_fallback"])
 def test_scalar_domain_error_is_an_integrand_error(call, text):
     # a scalar function's ValueError or ZeroDivisionError is a non-finite
     # value, as numpy's nan or inf would be, and the IntegrandError names
@@ -184,6 +187,29 @@ def test_scalar_domain_error_is_an_integrand_error(call, text):
     with pytest.raises(IntegrandError) as exc_info:
         call()
     assert text in str(exc_info.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: trapezoid_defect(f, Interval(2.0, 3.0), 0.5),
+    lambda f: trapezoid_defect(f, Interval(2.0, 3.0), 2.0),
+    lambda f: fracint.left_rl(f, 0.5, 2.0, 3.0),
+    lambda f: fracint.right_rl(f, 0.5, 3.0, 2.0),
+], ids=["defect_singular", "defect_smooth", "left_rl", "right_rl"])
+def test_fallback_error_names_the_point_where_f_failed(call):
+    # f raises on (2.25, 2.75) only, so the ladder refuses and the fallback
+    # reads f node by node; the error names f's argument t, not the
+    # integration variable, which lies in [0, 1]
+    def f(t):
+        return math.sqrt((t - 2.25) * (t - 2.75))
+
+    with pytest.raises(IntegrandError) as exc_info:
+        call(f)
+    message = str(exc_info.value)
+    assert "ValueError (math domain error) at t=" in message
+    t = float(message.rsplit("t=", 1)[1])
+    assert 2.25 < t < 2.75
+    with pytest.raises(ValueError):
+        f(t)
 
 
 def test_budget_exhaustion_carries_best_estimate():

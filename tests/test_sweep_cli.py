@@ -36,7 +36,7 @@ from fracineq.sweep import (
     SweepRow,
     _Certifier,
 )
-from fracineq.funclib import CertGrid, abs_d2, cert_grid, grid_verdicts
+from fracineq.funclib import abs_d2, cert_grid, grid_verdicts
 from fracineq.hhbounds import (
     BoundParams,
     defect_bound_holder,
@@ -546,19 +546,27 @@ def test_shared_grid_verdicts_match_standalone_certifiers():
 def test_readme_grids_match_brute_force_bit_for_bit():
     # the README intervals are dyadic, so every float combination
     # lam[k]*xs[i] + (1-lam[k])*xs[j] is exact and equals the distinct
-    # point cert_grid evaluates: f_mix and every verdict keep their bits
+    # point cert_grid evaluates: the kept half of f_mix and every verdict
+    # keep their bits
     s_values = parse_config_text(README_CONFIG).s_values
     for label, fn, iv in readme_channels():
         grid = cert_grid(fn, iv)
         xs = np.linspace(iv.a, iv.b, 33)
+        fx = fn(xs)
         lam = np.linspace(0.0, 1.0, 33)[None, None, :]
         f_mix = fn(lam * xs[:, None, None] + (1.0 - lam) * xs[None, :, None])
-        assert np.array_equal(grid.fx, fn(xs)), label
-        assert np.array_equal(grid.f_mix, f_mix), label
-        reference = CertGrid(grid.xs, grid.lam, grid.fx, f_mix)
+        assert np.array_equal(grid.fx, fx), label
+        assert np.array_equal(grid.f_half,
+                              f_mix[:, :, :17].transpose(2, 0, 1)), label
+        # the other half is the mirror (i, j, k) -> (j, i, n-1-k)
+        assert np.array_equal(f_mix,
+                              f_mix.transpose(1, 0, 2)[:, :, ::-1]), label
         for s in s_values:
-            assert grid_verdicts(grid, s) == grid_verdicts(reference, s), (
-                label, s)
+            combo = (lam ** s * fx[:, None, None]
+                     + (1.0 - lam) ** s * fx[None, :, None])
+            assert grid_verdicts(grid, s) == (
+                bool(np.all(f_mix <= combo + 1e-12)),
+                bool(np.all(f_mix >= combo - 1e-12))), (label, s)
 
 
 def test_probes_match_scalar_loop():
