@@ -67,12 +67,12 @@ def _rl(f, alpha: float, lo: float, hi: float, sign: float,
     # overflows for orders where Gamma(alpha) does not
     scale = kernel / g * (d / alpha)
     tol = _engine_tol(abs_tol / scale) if scale > 0.0 else MAX_ABS_TOL
-    fx = _point_value(fv, x, f"x={x}")
+    fx = _point_value(fv, x, "x={}")
 
     def shifted(u: float) -> float:
         # an error of f names its point t, not u
         t = min(max(x + step * u, lo), hi)
-        return _point_value(fv, t, f"t={t!r}") - fx
+        return _point_value(fv, t) - fx
 
     points = (x + step * TANH_SINH.nodes).clip(lo, hi)
     rest = beta_expectation(_eval_grid(fv, points) - fx, shifted, alpha, tol)

@@ -173,17 +173,21 @@ def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
         return out.reshape(arr.shape)
 
 
-def _point_value(fn, t: float, place: str) -> float:
-    """float(fn(t)); an error of a scalar-only fn (see
-    :data:`~fracineq.errors.SCALAR_ERRORS`) is an IntegrandError naming
-    ``place``."""
+def _point_value(fn, t: float, place: str = "t={!r}") -> float:
+    """float(fn(t)); a non-finite value, or an error of a scalar-only fn
+    (see :data:`~fracineq.errors.SCALAR_ERRORS`), is an IntegrandError
+    naming ``place.format(t)``, which is formatted only then."""
     try:
-        return float(fn(t))
+        value = float(fn(t))
     except OverflowError:
         what = "overflows"
     except SCALAR_ERRORS as exc:
         what = f"raised {type(exc).__name__} ({exc})"
-    raise IntegrandError(f"function {what} at {place}")
+    else:
+        if math.isfinite(value):
+            return value
+        what = f"returned non-finite value {value!r}"
+    raise IntegrandError(f"function {what} at {place.format(t)}")
 
 
 # the grid's nodes per axis less one, and the k <= n//2 half of its weights
@@ -299,12 +303,31 @@ def grid_verdicts(grid: CertGrid, s: float) -> tuple[bool, bool]:
     return _grid_holds(grid, combo, False), _grid_holds(grid, combo, True)
 
 
-def _probes_hold(fn, x, y, lam, s: float, concave: bool) -> bool:
-    """Whether ``fn`` keeps to s-convexity (s-concavity when ``concave``)
-    at every probe triple (x[i], y[i], lam[i]), by the grid's rule."""
+class _ProbeBatch(NamedTuple):
+    """One channel evaluated at probe triples (x[i], y[i], lam[i]): ``fx``
+    and ``fy`` are fn(x) and fn(y), ``f_mix`` is fn(lam x + (1-lam) y).
+    Like a :class:`CertGrid` it depends on neither s nor the direction, so
+    one batch serves every :func:`_probe_verdicts` on it."""
+
+    lam: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    f_mix: np.ndarray
+
+
+def _probe_batch(fn, x, y, lam) -> _ProbeBatch:
+    """Evaluate ``fn`` once at the probe triples (x[i], y[i], lam[i])."""
     mix = lam * x + (1.0 - lam) * y
-    fx, fy, fm = _eval_grid(fn, np.stack([x, y, mix]))
-    return bool(_holds(fm, s_combination(lam, s, fx, fy), concave).all())
+    return _ProbeBatch(lam, *_eval_grid(fn, np.stack([x, y, mix])))
+
+
+def _probe_verdicts(batch: _ProbeBatch, s: float) -> tuple[bool, bool]:
+    """Whether every triple of ``batch`` keeps to s-convexity and to
+    s-concavity in the second sense, by the grid's rule, from one
+    s-weighted combination."""
+    combo = s_combination(batch.lam, s, batch.fx, batch.fy)
+    return (bool(_holds(batch.f_mix, combo, False).all()),
+            bool(_holds(batch.f_mix, combo, True).all()))
 
 
 def _whole(half: np.ndarray) -> np.ndarray:

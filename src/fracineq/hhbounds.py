@@ -238,15 +238,15 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     a, b = interval.a, interval.b
     h = b - a
     fv = value_fn(f)
-    fa = _point_value(fv, a, f"an endpoint of [{a}, {b}], t={a}")
-    fb = _point_value(fv, b, f"an endpoint of [{a}, {b}], t={b}")
+    endpoint = f"an endpoint of [{a}, {b}], t={{}}"
+    fa = _point_value(fv, a, endpoint)
+    fb = _point_value(fv, b, endpoint)
     ends = fa + fb
 
     def g(u: float) -> float:
         # an error of f names its point t, not u
         t, mirror = a + h * u, b - h * u
-        return (_point_value(fv, t, f"t={t!r}")
-                + _point_value(fv, mirror, f"t={mirror!r}") - ends)
+        return _point_value(fv, t) + _point_value(fv, mirror) - ends
 
     # f(b - h u) at node u is f(a + h (1-u)), its value at the mirrored node
     fx = _eval_grid(fv, a + h * TANH_SINH.nodes)

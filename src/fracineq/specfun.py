@@ -128,14 +128,25 @@ def _log_gamma_ratio(x: float, y: float) -> float:
             + _stirling_remainder(x) - _stirling_remainder(x + y))
 
 
+# log_beta's results by argument pair, bounded like log_gamma's: a sweep
+# asks for a few dozen distinct pairs thousands of times
+_LOG_BETA_MEMO: dict[tuple[float, float], float] = {}
+
+
 def log_beta(x: float, y: float) -> float:
     """log of Beta(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), x, y > 0."""
     x = _require_positive("x", x)
     y = _require_positive("y", y)
-    if max(x, y) < _STIRLING_MIN:
-        return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
-    small, large = sorted((x, y))
-    return log_gamma(small) + _log_gamma_ratio(large, small)
+    value = _LOG_BETA_MEMO.get((x, y))
+    if value is None:
+        if max(x, y) < _STIRLING_MIN:
+            value = log_gamma(x) + log_gamma(y) - log_gamma(x + y)
+        else:
+            small, large = sorted((x, y))
+            value = log_gamma(small) + _log_gamma_ratio(large, small)
+        if len(_LOG_BETA_MEMO) < _LOG_GAMMA_MEMO_MAX:
+            _LOG_BETA_MEMO[(x, y)] = value
+    return value
 
 
 def beta(x: float, y: float) -> float:

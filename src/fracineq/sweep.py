@@ -35,13 +35,14 @@ the bound is asserted.  :func:`run_sweep` loops over that table for every
 rows are built beside it, and every row gets its status from one row
 builder.
 
-Certification per row combines the deterministic grid certifier with a
-seeded batch of random probe triples (config ``seed``), so reported
-hypothesis checks do not depend silently on grid alignment.  Each channel
-(function, |f''| or |f''|^q on one interval) is evaluated on the grid once,
-and that grid decides every s value and both directions.  Likewise the
-trapezoid defect of each (function, interval, alpha) is computed once and
-shared by its identity row and all its bound rows.
+Certification combines the deterministic grid certifier with a seeded
+batch of random probe triples (config ``seed``), so reported hypothesis
+checks do not depend silently on grid alignment.  Each channel (f, |f''|
+or |f''|^q on one interval; |f''|^1 is the |f''| channel) is evaluated
+once on the grid and once at one probe batch, drawn from the seed and the
+channel, and the two decide every s value and both directions.  Likewise
+the trapezoid defect of each (function, interval, alpha) is computed once
+and shared by its identity row and all its bound rows.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ from .errors import (
 from .funclib import (  # noqa: F401
     TestFunction,
     _check_s,
-    _probes_hold,
+    _probe_batch,
+    _probe_verdicts,
     abs_d2,
     cert_grid,
     certify_s_convex,
@@ -286,55 +288,57 @@ def validate_config(config: SweepConfig) -> None:
 
 
 class _Certifier:
-    """Grid certification plus seeded random probes, cached per channel.
+    """Grid certification plus seeded random probes, once per channel.
 
-    A channel is evaluated on the grid once, the first time any check asks
-    for it; the verdicts for every configured s and both directions are
-    kept and the grid itself is dropped.  Probes run per requested check.
+    A channel is one function on one interval: f itself, |f''| or |f''|^q.
+    |f''|^1 is the |f''| channel, since x ** 1.0 is x bit for bit.  The
+    first time any check asks for a channel, it is evaluated on the
+    certification grid and at one batch of random probe triples, drawn
+    from the seed and the channel's key; both are judged at every
+    configured s in both directions, a verdict holds where both pass, and
+    only the verdicts are kept.
     """
 
     def __init__(self, seed: int, s_values: tuple[float, ...]):
         self.seed = seed
         self.s_values = s_values
-        self.grid_ok: dict[tuple, dict[tuple[float, bool], bool]] = {}
-        self.cache: dict[tuple, bool] = {}
+        self.verdicts: dict[tuple, dict[tuple[float, bool], bool]] = {}
 
-    def _grid_verdicts(self, fn, domain: Interval) -> dict[tuple[float, bool], bool]:
+    def _channel_verdicts(self, fn, domain: Interval,
+                          key: str) -> dict[tuple[float, bool], bool]:
         try:
             grid = cert_grid(fn, domain)
         except IntegrandError:
             # channel cannot even be evaluated on the grid (for example a
             # second derivative diverging at an endpoint): not certified
             return {}
-        verdicts = {}
-        for s in self.s_values:
-            verdicts[(s, False)], verdicts[(s, True)] = grid_verdicts(grid, s)
-        return verdicts
-
-    def _probes_ok(self, fn, domain: Interval, s: float, concave: bool,
-                   key: str) -> bool:
         rng = np.random.default_rng([self.seed & 0xFFFFFFFF,
                                      zlib.crc32(key.encode())])
         x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
         y = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
         lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
-        return _probes_hold(fn, x, y, lam, s, concave)
+        probes = _probe_batch(fn, x, y, lam)
+        verdicts = {}
+        for s in self.s_values:
+            on_grid = grid_verdicts(grid, s)
+            probed = _probe_verdicts(probes, s)
+            for concave in (False, True):
+                verdicts[(s, concave)] = on_grid[concave] and probed[concave]
+        return verdicts
 
     def check(self, f: TestFunction, channel: str, domain: Interval, s: float,
               q: float | None, concave: bool) -> bool:
         """Certify ``channel`` of ``f`` on ``domain``: ``f`` itself, ``abs_d2``
         (|f''|) or ``abs_d2_pow`` (|f''|^q)."""
-        key = (f.name, channel, domain.a, domain.b, s, q, concave)
-        if key not in self.cache:
+        if channel == "abs_d2_pow" and q == 1.0:
+            channel, q = "abs_d2", None
+        key = (f.name, channel, domain.a, domain.b, q)
+        verdicts = self.verdicts.get(key)
+        if verdicts is None:
             fn = f.fn if channel == "f" else abs_d2(f, q)
-            chan = (f.name, channel, domain.a, domain.b, q)
-            if chan not in self.grid_ok:
-                self.grid_ok[chan] = self._grid_verdicts(fn, domain)
-            ok = self.grid_ok[chan].get((s, concave), False)
-            if ok:
-                ok = self._probes_ok(fn, domain, s, concave, key=repr(key))
-            self.cache[key] = ok
-        return self.cache[key]
+            verdicts = self.verdicts[key] = self._channel_verdicts(
+                fn, domain, repr(key))
+        return verdicts.get((s, concave), False)
 
 
 class BoundCheck(NamedTuple):

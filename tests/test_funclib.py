@@ -355,7 +355,7 @@ def test_grid_verdicts_allow_exactly_the_slack(concave):
 
 @pytest.mark.parametrize("concave", [False, True])
 def test_probes_allow_exactly_the_slack(concave):
-    from fracineq.funclib import CERT_SLACK, _probes_hold
+    from fracineq.funclib import CERT_SLACK, _probe_batch, _probe_verdicts
 
     x, y, lam = np.array([0.0, 0.25]), np.array([1.0, 0.75]), np.array(
         [0.5, 0.5])
@@ -365,12 +365,15 @@ def test_probes_allow_exactly_the_slack(concave):
         def fn(t, past=past):
             return np.where(t == 0.5, sign * past, 0.0)
 
+        batch = _probe_batch(fn, x, y, lam)
         for s in (0.5, 1.0):
-            assert _probes_hold(fn, x, y, lam, s, concave) == holds, past
+            assert _probe_verdicts(batch, s)[concave] == holds, past
+            # the other direction holds whatever the value's size
+            assert _probe_verdicts(batch, s)[not concave]
 
 
 def test_probe_reading_nan_fails_both_directions():
-    from fracineq.funclib import _probes_hold
+    from fracineq.funclib import _probe_batch, _probe_verdicts
 
     x, y, lam = np.array([0.0]), np.array([1.0]), np.array([0.5])
     # nan at an end point as well as at the mix
@@ -378,8 +381,8 @@ def test_probe_reading_nan_fails_both_directions():
         def fn(t, at=at):
             return np.where(t == at, np.nan, 0.0)
 
-        assert not _probes_hold(fn, x, y, lam, 1.0, concave=False)
-        assert not _probes_hold(fn, x, y, lam, 1.0, concave=True)
+        assert _probe_verdicts(_probe_batch(fn, x, y, lam), 1.0) == (
+            False, False)
 
 
 # ---------------------------------------------------------------------------

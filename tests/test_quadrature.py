@@ -212,6 +212,42 @@ def test_fallback_error_names_the_point_where_f_failed(call):
         f(t)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda f: trapezoid_defect(f, Interval(2.0, 3.0), 0.5),
+    lambda f: trapezoid_defect(f, Interval(2.0, 3.0), 2.0),
+    lambda f: fracint.left_rl(f, 0.5, 2.0, 3.0),
+    lambda f: fracint.right_rl(f, 0.5, 3.0, 2.0),
+], ids=["defect_singular", "defect_smooth", "left_rl", "right_rl"])
+def test_fallback_names_the_point_where_f_returned_non_finite(call, value):
+    # f returns a non-finite value on (2.25, 2.75) only; the error names
+    # f's argument t, not the integration variable in [0, 1]
+    def f(t):
+        return value if 2.25 < t < 2.75 else t * t
+
+    with pytest.raises(IntegrandError) as exc_info:
+        call(f)
+    message = str(exc_info.value)
+    assert f"function returned non-finite value {value!r} at t=" in message
+    t = float(message.rsplit("t=", 1)[1])
+    assert 2.25 < t < 2.75
+
+
+def test_non_finite_value_at_a_fixed_point_is_named():
+    def f(t):
+        return math.inf if t in (2.0, 3.0) else t * t
+
+    for call, text in (
+            (lambda: trapezoid_defect(f, Interval(2.0, 3.0), 0.5),
+             "function returned non-finite value inf at an endpoint of "
+             "[2.0, 3.0], t=2.0"),
+            (lambda: fracint.left_rl(f, 0.5, 1.0, 3.0),
+             "function returned non-finite value inf at x=3.0")):
+        with pytest.raises(IntegrandError) as exc_info:
+            call()
+        assert str(exc_info.value) == text
+
+
 def test_budget_exhaustion_carries_best_estimate():
     # a genuinely hard corner at a tolerance the tiny budget cannot meet
     f = lambda t: abs(t - 1.0 / math.pi) ** 0.1

@@ -142,6 +142,44 @@ def test_log_gamma_memo_is_exact_and_bounded(monkeypatch):
         log_gamma(math.nan)
 
 
+def test_log_beta_memo_is_exact_and_bounded(monkeypatch):
+    from fracineq import specfun
+
+    monkeypatch.setattr(specfun, "_LOG_BETA_MEMO", {})
+    monkeypatch.setattr(specfun, "_LOG_GAMMA_MEMO", {})
+
+    def fresh(x, y):
+        # the unmemoised evaluation
+        if max(x, y) < specfun._STIRLING_MIN:
+            return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
+        small, large = sorted((x, y))
+        return log_gamma(small) + specfun._log_gamma_ratio(large, small)
+
+    for x, y in ((0.5, 2.0), (1.25, 19.9), (2.0, 1.25), (3.0, 1e17),
+                 (1e300, 0.5)):
+        assert log_beta(x, y) == fresh(x, y)
+        assert specfun._LOG_BETA_MEMO[(x, y)] == fresh(x, y)
+        assert log_beta(x, y) == fresh(x, y)      # served from the memo
+    pairs = [(1.0 + k / 64.0, 2.5)
+             for k in range(specfun._LOG_GAMMA_MEMO_MAX + 100)]
+    assert [log_beta(x, y) for x, y in pairs] == [fresh(x, y)
+                                                  for x, y in pairs]
+    assert len(specfun._LOG_BETA_MEMO) == specfun._LOG_GAMMA_MEMO_MAX
+
+
+def test_log_beta_refuses_bad_arguments_on_every_call(monkeypatch):
+    from fracineq import specfun
+
+    monkeypatch.setattr(specfun, "_LOG_BETA_MEMO", {})
+    for x, y in ((math.nan, 1.0), (1.0, 0.0), (-1.0, 2.0), (1.0, math.inf)):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                log_beta(x, y)
+            with pytest.raises(DomainError):
+                beta(x, y)
+    assert specfun._LOG_BETA_MEMO == {}
+
+
 def test_log_beta_below_stirling_range_keeps_its_bits():
     # the sweeps' beta arguments all lie here; their reports must not move
     from fracineq import specfun

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import zlib
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,13 @@ from fracineq.sweep import (
     SweepRow,
     _Certifier,
 )
-from fracineq.funclib import abs_d2, cert_grid, grid_verdicts
+from fracineq.funclib import (
+    ConvexityClass,
+    TestFunction,
+    abs_d2,
+    cert_grid,
+    grid_verdicts,
+)
 from fracineq.hhbounds import (
     BoundParams,
     defect_bound_holder,
@@ -530,17 +537,38 @@ def readme_channels():
 
 
 def test_shared_grid_verdicts_match_standalone_certifiers():
+    # one grid per channel, judged at every s, gives each standalone
+    # certifier's verdict
     s_values = parse_config_text(README_CONFIG).s_values
-    certifier = _Certifier(seed=0, s_values=s_values)
     channels = list(readme_channels())
     assert len(channels) == 63
     for label, fn, iv in channels:
-        verdicts = certifier._grid_verdicts(fn, iv)
+        grid = cert_grid(fn, iv)
         for s in s_values:
-            assert verdicts[(s, False)] == certify_s_convex(fn, iv, s).passed, (
+            convex, concave = grid_verdicts(grid, s)
+            assert convex == certify_s_convex(fn, iv, s).passed, (
                 label, s, "convex")
-            assert verdicts[(s, True)] == certify_s_concave(fn, iv, s).passed, (
+            assert concave == certify_s_concave(fn, iv, s).passed, (
                 label, s, "concave")
+
+
+def test_power_one_channel_is_the_abs_d2_channel_bit_for_bit():
+    # the certifier keys |f''|^1 as |f''|: x ** 1.0 is x, as an array, as
+    # a numpy scalar (the point-by-point fallback) and as a float
+    values = np.random.default_rng(5).standard_normal(4096) * np.logspace(
+        -310, 300, 4096)
+    values = np.concatenate([values, [0.0, -0.0, 5e-324, np.inf, -np.inf]])
+    assert np.abs(values).tobytes() == (np.abs(values) ** 1.0).tobytes()
+    for v in values:
+        assert (np.abs(v) ** 1.0).tobytes() == np.abs(v).tobytes()
+        assert abs(float(v)) ** 1.0 == abs(float(v))
+    config = parse_config_text(README_CONFIG)
+    for name, iv in product(config.functions, config.intervals):
+        f = get_function(name)
+        plain = cert_grid(abs_d2(f), iv)
+        power = cert_grid(abs_d2(f, 1.0), iv)
+        assert plain.fx.tobytes() == power.fx.tobytes(), (name, iv)
+        assert plain.f_half.tobytes() == power.f_half.tobytes(), (name, iv)
 
 
 def test_readme_grids_match_brute_force_bit_for_bit():
@@ -569,8 +597,21 @@ def test_readme_grids_match_brute_force_bit_for_bit():
                 bool(np.all(f_mix >= combo - 1e-12))), (label, s)
 
 
+def bumped_square(c: float = 1e-3) -> TestFunction:
+    """t^2 plus c sin^2(1024 pi (t-1)) on [1, 2]: the bump vanishes, up to
+    rounding far below the slack, at the grid's 1025 points 1 + m/1024, so
+    the grid sees t^2, while between them it breaks convexity at s = 1."""
+    return TestFunction(
+        "bumped_square",
+        lambda t: t ** 2 + c * np.sin(1024.0 * np.pi * (t - 1.0)) ** 2,
+        lambda t: 2.0 + 0.0 * t, ConvexityClass("none"), Interval(1.0, 2.0))
+
+
 def test_probes_match_scalar_loop():
-    # reference: the probe loop with one scalar call per point
+    # reference: one batch per channel, drawn from the seed and the
+    # channel's key, read with one scalar call per point and judged at
+    # every s in both directions; a verdict holds where the grid and the
+    # batch both pass
     def probes_ok_loop(seed, fn, domain, s, concave, key):
         rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(key.encode())])
         x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
@@ -585,14 +626,42 @@ def test_probes_match_scalar_loop():
             return bool(np.all(fm >= combo - 1e-12))
         return bool(np.all(fm <= combo + 1e-12))
 
-    seed = 7
-    certifier = _Certifier(seed=seed, s_values=(0.25, 1.0))
-    for label, fn, iv in readme_channels():
-        for s in (0.25, 1.0):
+    seed, s_values = 7, (0.25, 1.0)
+    certifier = _Certifier(seed=seed, s_values=s_values)
+    bumped = bumped_square()
+    channels = [*readme_channels(),
+                ("bumped_square f", bumped.fn, bumped.natural_domain)]
+    by_probes = 0
+    for label, fn, iv in channels:
+        verdicts = certifier._channel_verdicts(fn, iv, label)
+        grid = cert_grid(fn, iv)
+        for s in s_values:
+            on_grid = grid_verdicts(grid, s)
             for concave in (False, True):
-                key = repr((label, s, concave))
-                assert (certifier._probes_ok(fn, iv, s, concave, key)
-                        == probes_ok_loop(seed, fn, iv, s, concave, key)), key
+                at_probes = probes_ok_loop(seed, fn, iv, s, concave, label)
+                assert verdicts[(s, concave)] == (
+                    on_grid[concave] and at_probes), (label, s, concave)
+                by_probes += on_grid[concave] and not at_probes
+    # the bumped square is rejected by its probes alone
+    assert by_probes > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
+def test_probes_reject_between_grid_points_for_that_s_and_direction(seed):
+    f = bumped_square()
+    iv = f.natural_domain
+    s_values = (0.25, 0.5, 1.0)
+    grid = cert_grid(f.fn, iv)
+    assert [grid_verdicts(grid, s) for s in s_values] == [(True, False)] * 3
+    certifier = _Certifier(seed=seed, s_values=s_values)
+    verdicts = {(s, concave): certifier.check(f, "f", iv, s, None, concave)
+                for s in s_values for concave in (False, True)}
+    # only s-convexity at s = 1 is lost; the smaller s keep their larger
+    # margin, and s-concavity was refused by the grid already
+    assert verdicts == {(0.25, False): True, (0.25, True): False,
+                        (0.5, False): True, (0.5, True): False,
+                        (1.0, False): False, (1.0, True): False}
+    assert certify_s_convex(f.fn, iv, 1.0).passed
 
 
 def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
@@ -605,11 +674,35 @@ def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
         built.append((domain.a, domain.b))
         return real(fn, domain, *args, **kwargs)
 
+    drawn = []
+    real_batch = sweep_mod._probe_batch
+
+    def counting_probe_batch(fn, x, y, lam):
+        drawn.append(len(x))
+        return real_batch(fn, x, y, lam)
+
     monkeypatch.setattr(sweep_mod, "cert_grid", counting_cert_grid)
+    monkeypatch.setattr(sweep_mod, "_probe_batch", counting_probe_batch)
     report = run_sweep(parse_config_text(README_CONFIG))
-    # 3 functions x 3 intervals x (f, |f''|, |f''|^q for 5 distinct q)
-    assert len(built) == 63
+    # 3 functions x 3 intervals x (f, |f''|, |f''|^q for the 4 distinct
+    # q other than 1): |f''|^1 is the |f''| channel, so 54, not 63
+    assert len(built) == 54
+    assert drawn == [_PROBE_COUNT] * 54
     assert len(report.rows) == 3283
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
+def test_readme_sweep_keeps_its_results_across_seeds(seed):
+    # the seed moves only the probe triples; no probe rejects a channel of
+    # the README config, so every seed gives the same report
+    base = run_sweep(parse_config_text(README_CONFIG))
+    config = dataclasses.replace(parse_config_text(README_CONFIG), seed=seed)
+    report = run_sweep(config)
+    assert Counter(r.status for r in report.rows) == {
+        "pass": 1813, "precondition_skipped": 987,
+        "out_of_validated_range": 483}
+    for fmt in ("csv", "json"):
+        assert render_report(report, fmt) == render_report(base, fmt), fmt
 
 
 # each bound row's evaluator, certifying its own hypothesis, by check id
