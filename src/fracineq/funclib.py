@@ -477,7 +477,10 @@ def _build(name: str) -> TestFunction:
                                        _DOMAIN))
     m = _PARAM_NAME.match(name)
     if m:
-        return _FAMILIES[m.group(1)](float(m.group(2)), name=name)
+        try:
+            return _FAMILIES[m.group(1)](float(m.group(2)), name=name)
+        except DomainError as exc:
+            raise DomainError(f"{name}: {exc}") from exc
     raise DomainError(
         f"unknown function {name!r}; builtin names: {', '.join(catalog_names())}; "
         "parameterised: s_power_<s>, root_power_<s>, shifted_square_<a>")

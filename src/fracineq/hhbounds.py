@@ -33,12 +33,12 @@ When no level meets the tolerance, or a node value is not finite, either
 integral goes to the adaptive engine.
 
 Upper bounds for |D| follow from s-convexity or s-concavity of |f''| or
-|f''|^q; each evaluator hands its hypothesis to one gate that certifies
-it on the interval (:class:`PreconditionError` on a violation) unless
-``certify=False``.  The Hoelder-route and midpoint-concavity bounds rely
-on a kernel comparison valid for alpha <= 1 only; the evaluators still
-compute outside that range and the sweep reports such rows as
-out-of-validated-range instead of asserting them.
+|f''|^q, each declared once in :data:`BOUND_CHECKS`; the four evaluators
+pass their entry to one gate that certifies its hypothesis on the interval
+(:class:`PreconditionError` on a violation) unless ``certify=False``.  The
+Hoelder-route and midpoint-concavity bounds rely on a kernel comparison
+valid for alpha <= 1 only; they still compute outside that range and the
+sweep reports such rows as out-of-validated-range instead of asserting them.
 
 All inequality verification uses an absolute slack of 1e-8 by default
 (:data:`DEFAULT_CHECK_SLACK`), with quadrature run two orders tighter so
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,6 +79,8 @@ from .quadrature import (
 from .specfun import beta, check_alpha, log_beta, log_gamma
 
 __all__ = [
+    "BoundCheck",
+    "BOUND_CHECKS",
     "BoundParams",
     "DefectResult",
     "SandwichResult",
@@ -142,7 +145,7 @@ def _check_q(q: float) -> float:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Parameter tuple (alpha, s, p, q).
+    """Parameter tuple (alpha, s, p, q), kept as the validated floats.
 
     When p is given it must exceed 1 and q must be its Hoelder conjugate
     p/(p-1) (q is derived when omitted).  Without p, q >= 1 is the
@@ -155,18 +158,17 @@ class BoundParams:
     q: float | None = None
 
     def __post_init__(self):
-        _check_bound_alpha(self.alpha)
-        _check_s(self.s)
-        if self.p is not None:
-            p = _check_p(self.p)
-            conj = p / (p - 1.0)
-            if self.q is None:
-                object.__setattr__(self, "q", conj)
-            elif abs(1.0 / p + 1.0 / float(self.q) - 1.0) > 1e-14:
+        alpha, s = _check_bound_alpha(self.alpha), _check_s(self.s)
+        p = None if self.p is None else _check_p(self.p)
+        q = None if self.q is None else _check_q(self.q)
+        if p is not None:
+            if q is None:
+                q = p / (p - 1.0)
+            elif abs(1.0 / p + 1.0 / q - 1.0) > 1e-14:
                 raise DomainError(
-                    f"q={self.q} is not the Hoelder conjugate of p={p}")
-        elif self.q is not None:
-            _check_q(self.q)
+                    f"q={q} is not the Hoelder conjugate of p={p}")
+        for name, value in zip(("alpha", "s", "p", "q"), (alpha, s, p, q)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -293,8 +295,8 @@ def s_convex_sandwich(f, interval: Interval, s: float,
     s = _check_s(s)
     fv = value_fn(f)
     _hypothesis(fv, interval, s, False, "f")
-    grid = np.linspace(interval.a, interval.b, CERT_GRID_N)
-    vals = np.asarray([fv(float(t)) for t in grid], dtype=float)
+    # the gate has just read f finite on these nodes
+    vals = _eval_grid(fv, np.linspace(interval.a, interval.b, CERT_GRID_N))
     if vals.min() < -CERT_SLACK:
         raise PreconditionError(
             f"f must be nonnegative on the interval; min sampled value {vals.min()}")
@@ -318,16 +320,11 @@ def _weight_bracket(alpha: float, s: float) -> float:
             + beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
 
 
-def defect_bound_s_convex(f: TestFunction, interval: Interval, alpha: float,
-                          s: float, certify: bool = True) -> float:
-    """Bound on |defect| when |f''| is s-convex (valid for every alpha > 0)."""
-    alpha = _check_bound_alpha(alpha)
-    s = _check_s(s)
-    if certify:
-        _hypothesis(abs_d2(f), interval, s, False, "|f''|")
+def _s_convex_formula(f: TestFunction, interval: Interval,
+                      params: BoundParams) -> float:
     second = _curvature(f, interval.a) + _curvature(f, interval.b)
-    return (_width_squared(interval) / (2.0 * (alpha + 1.0))
-            * _weight_bracket(alpha, s) * second)
+    return (_width_squared(interval) / (2.0 * (params.alpha + 1.0))
+            * _weight_bracket(params.alpha, params.s) * second)
 
 
 def _log_holder_beta(p: float, alpha: float) -> float:
@@ -350,18 +347,9 @@ def _holder_lead(interval: Interval, alpha: float, p: float) -> float:
     return _width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
 
 
-def defect_bound_holder(f: TestFunction, interval: Interval,
-                        params: BoundParams, certify: bool = True) -> float:
-    """Hoelder-route bound when |f''|^q is s-convex (q conjugate to p).
-
-    The kernel comparison behind it holds for alpha <= 1; callers decide
-    how to treat larger orders.
-    """
-    if params.p is None:
-        raise DomainError("Hoelder bound requires p > 1 in params")
+def _holder_formula(f: TestFunction, interval: Interval,
+                    params: BoundParams) -> float:
     alpha, s, p, q = params.alpha, params.s, params.p, params.q
-    if certify:
-        _hypothesis(abs_d2(f, q), interval, s, False, f"|f''|^{q:g}")
     av = _curvature(f, interval.a, q)
     bv = _curvature(f, interval.b, q)
     return (_holder_lead(interval, alpha, p)
@@ -378,14 +366,9 @@ def _power_mean_lead(interval: Interval, alpha: float) -> float:
     return lead
 
 
-def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
-                            s: float, q: float, certify: bool = True) -> float:
-    """Power-mean-route bound when |f''|^q is s-convex, q >= 1 (any alpha)."""
-    alpha = _check_bound_alpha(alpha)
-    s = _check_s(s)
-    q = _check_q(q)
-    if certify:
-        _hypothesis(abs_d2(f, q), interval, s, False, f"|f''|^{q:g}")
+def _power_mean_formula(f: TestFunction, interval: Interval,
+                        params: BoundParams) -> float:
+    alpha, s, q = params.alpha, params.s, params.q
     av = _curvature(f, interval.a, q)
     bv = _curvature(f, interval.b, q)
     w1 = (2.0 * alpha + 4.0) / ((s + 2.0) * (alpha + s + 2.0))
@@ -396,19 +379,80 @@ def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
                    + (av * w2 + bv * w1) ** (1.0 / q))
 
 
+def _s_concave_formula(f: TestFunction, interval: Interval,
+                       params: BoundParams) -> float:
+    mid = _curvature(f, interval.midpoint)
+    return (_holder_lead(interval, params.alpha, params.p)
+            * 2.0 ** ((params.s - 1.0) / params.q) * mid)
+
+
+class BoundCheck(NamedTuple):
+    """One bound row of the README check table: it holds where |f''| (q
+    None) or |f''|^q is s-concave if ``concave``, else s-convex.  q is
+    p/(p-1) for each p (``q_from="conjugate"``), each of ``q_values``, or
+    None.  ``formula(f, interval, params)`` is the closed form, ungated;
+    above ``alpha_max`` the bound is computed but not claimed."""
+
+    check_id: str
+    q_from: str | None
+    concave: bool
+    formula: Callable[[TestFunction, Interval, BoundParams], float]
+    alpha_max: float = math.inf
+
+
+BOUND_CHECKS = (
+    BoundCheck("bound_s_convex", None, False, _s_convex_formula),
+    BoundCheck("bound_holder", "conjugate", False, _holder_formula,
+               alpha_max=HOLDER_VALID_ALPHA_MAX),
+    BoundCheck("bound_power_mean", "q_values", False, _power_mean_formula),
+    BoundCheck("bound_s_concave", "conjugate", True, _s_concave_formula,
+               alpha_max=HOLDER_VALID_ALPHA_MAX),
+)
+_S_CONVEX, _HOLDER, _POWER_MEAN, _S_CONCAVE = BOUND_CHECKS
+
+
+def _bound(check: BoundCheck, f: TestFunction, interval: Interval,
+           params: BoundParams, certify: bool) -> float:
+    """``check.formula``, after certifying its hypothesis if ``certify``."""
+    if check.q_from == "conjugate" and params.p is None:
+        raise DomainError(f"{check.check_id} requires p > 1 in params")
+    if certify:
+        q = params.q
+        what = "|f''|" if q is None else f"|f''|^{q:g}"
+        _hypothesis(abs_d2(f, q), interval, params.s, check.concave, what)
+    return check.formula(f, interval, params)
+
+
+def defect_bound_s_convex(f: TestFunction, interval: Interval, alpha: float,
+                          s: float, certify: bool = True) -> float:
+    """Bound on |defect| when |f''| is s-convex (valid for every alpha > 0)."""
+    return _bound(_S_CONVEX, f, interval, BoundParams(alpha, s), certify)
+
+
+def defect_bound_holder(f: TestFunction, interval: Interval,
+                        params: BoundParams, certify: bool = True) -> float:
+    """Hoelder-route bound when |f''|^q is s-convex (q conjugate to p).
+
+    The kernel comparison behind it holds for alpha <= 1; callers decide
+    how to treat larger orders.
+    """
+    return _bound(_HOLDER, f, interval, params, certify)
+
+
+def defect_bound_power_mean(f: TestFunction, interval: Interval, alpha: float,
+                            s: float, q: float, certify: bool = True) -> float:
+    """Power-mean-route bound when |f''|^q is s-convex, q >= 1 (any alpha)."""
+    return _bound(_POWER_MEAN, f, interval, BoundParams(alpha, s, q=q),
+                  certify)
+
+
 def defect_bound_s_concave(f: TestFunction, interval: Interval,
                            params: BoundParams, certify: bool = True) -> float:
     """Midpoint bound when |f''|^q is s-concave (q conjugate to p).
 
     Shares the alpha <= 1 kernel-comparison caveat with the Hoelder bound.
     """
-    if params.p is None:
-        raise DomainError("s-concave bound requires p > 1 in params")
-    alpha, s, p, q = params.alpha, params.s, params.p, params.q
-    if certify:
-        _hypothesis(abs_d2(f, q), interval, s, True, f"|f''|^{q:g}")
-    mid = _curvature(f, interval.midpoint)
-    return _holder_lead(interval, alpha, p) * 2.0 ** ((s - 1.0) / q) * mid
+    return _bound(_S_CONCAVE, f, interval, params, certify)
 
 
 # ---------------------------------------------------------------------------

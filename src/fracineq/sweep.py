@@ -26,14 +26,11 @@ alongside the asserted 1/(s+1) reading so both remain observable in data.
 
 The check table
 ---------------
-:data:`BOUND_CHECKS` holds one entry per bound row of the README check
-table: the check id, the hypothesis channel the certifier checks (|f''| or
-|f''|^q, s-convex or s-concave), where q comes from (the Hoelder conjugate
-of each p, or ``q_values``), the evaluator, and the largest alpha at which
-the bound is asserted.  :func:`run_sweep` loops over that table for every
-(function, interval, alpha, s); the identity, sandwich and weight-integral
-rows are built beside it, and every row gets its status from one row
-builder.
+:func:`run_sweep` loops over :data:`~fracineq.hhbounds.BOUND_CHECKS`, one
+entry per bound row of the README check table, for every (function,
+interval, alpha, s): it certifies each entry's hypothesis itself and calls
+its closed form.  The identity, sandwich and weight-integral rows are
+built beside it, and every row gets its status from one row builder.
 
 Certification combines the deterministic grid certifier with a seeded
 batch of random probe triples (config ``seed``), so reported hypothesis
@@ -58,7 +55,7 @@ from itertools import product
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,18 +81,15 @@ from .funclib import (  # noqa: F401
     grid_verdicts,
 )
 from .hhbounds import (
+    BOUND_CHECKS,
     DEFAULT_CHECK_SLACK,
     DEFAULT_QUAD_TOL,
-    HOLDER_VALID_ALPHA_MAX,
+    BoundCheck,
     BoundParams,
     _check_bound_alpha,
     _check_p,
     _check_q,
     _width_squared,
-    defect_bound_holder,
-    defect_bound_power_mean,
-    defect_bound_s_concave,
-    defect_bound_s_convex,
     defect_identity_rhs,
     holder_kernel_bound,
     s_convex_sandwich,
@@ -258,11 +252,7 @@ def validate_config(config: SweepConfig) -> None:
     for key in _LIST_KEYS:
         if not getattr(config, key):
             raise ConfigError(key, "must be non-empty")
-    for name in config.functions:
-        try:
-            get_function(name)
-        except DomainError as exc:
-            raise ConfigError("functions", str(exc)) from exc
+    _check_each("functions", config.functions, get_function)
     for i, iv in enumerate(config.intervals):
         if iv.a < 0.0:
             raise ConfigError(f"intervals[{i}]",
@@ -328,55 +318,17 @@ class _Certifier:
 
     def check(self, f: TestFunction, channel: str, domain: Interval, s: float,
               q: float | None, concave: bool) -> bool:
-        """Certify ``channel`` of ``f`` on ``domain``: ``f`` itself, ``abs_d2``
-        (|f''|) or ``abs_d2_pow`` (|f''|^q)."""
-        if channel == "abs_d2_pow" and q == 1.0:
-            channel, q = "abs_d2", None
-        key = (f.name, channel, domain.a, domain.b, q)
+        """Certify ``channel`` of ``f`` on ``domain``: ``f`` itself, or
+        ``abs_d2``: |f''|^q (keyed ``abs_d2_pow``), |f''| for q None or 1."""
+        q = None if q == 1.0 else q
+        key = (f.name, channel if q is None else "abs_d2_pow", domain.a,
+               domain.b, q)
         verdicts = self.verdicts.get(key)
         if verdicts is None:
             fn = f.fn if channel == "f" else abs_d2(f, q)
             verdicts = self.verdicts[key] = self._channel_verdicts(
                 fn, domain, repr(key))
         return verdicts.get((s, concave), False)
-
-
-class BoundCheck(NamedTuple):
-    """One bound row of the README check table.
-
-    ``channel`` is the hypothesis the certifier checks, ``abs_d2`` (|f''|)
-    or ``abs_d2_pow`` (|f''|^q), s-concave when ``concave`` and s-convex
-    otherwise.  ``q_from`` says where q comes from: ``"conjugate"`` (q =
-    p/(p-1) for each configured p), ``"q_values"``, or None (no q).
-    ``evaluate(f, interval, params)`` computes the bound; rows with alpha
-    above ``alpha_max`` are computed but never asserted.
-    """
-
-    check_id: str
-    channel: str
-    q_from: str | None
-    concave: bool
-    evaluate: Callable[[TestFunction, Interval, BoundParams], float]
-    alpha_max: float = math.inf
-
-
-# The evaluators are looked up when a row is computed, not bound here, so
-# code that patches them in this module sees every call.
-BOUND_CHECKS = (
-    BoundCheck("bound_s_convex", "abs_d2", None, False,
-               lambda f, iv, bp: defect_bound_s_convex(f, iv, bp.alpha, bp.s,
-                                                       certify=False)),
-    BoundCheck("bound_holder", "abs_d2_pow", "conjugate", False,
-               lambda f, iv, bp: defect_bound_holder(f, iv, bp, certify=False),
-               alpha_max=HOLDER_VALID_ALPHA_MAX),
-    BoundCheck("bound_power_mean", "abs_d2_pow", "q_values", False,
-               lambda f, iv, bp: defect_bound_power_mean(
-                   f, iv, bp.alpha, bp.s, bp.q, certify=False)),
-    BoundCheck("bound_s_concave", "abs_d2_pow", "conjugate", True,
-               lambda f, iv, bp: defect_bound_s_concave(f, iv, bp,
-                                                        certify=False),
-               alpha_max=HOLDER_VALID_ALPHA_MAX),
-)
 
 
 class _Rule(NamedTuple):
@@ -403,8 +355,8 @@ _SANDWICH_ROWS = (
 )
 
 
-def _range_rule(alpha: float, alpha_max: float) -> _Rule:
-    return _ASSERTED if alpha <= alpha_max else _RECORDED
+def _range_rule(in_range: bool) -> _Rule:
+    return _ASSERTED if in_range else _RECORDED
 
 
 def _d2_evaluatable(f: TestFunction, iv: Interval) -> bool:
@@ -481,18 +433,18 @@ class _Sweep:
     def bound_row(self, check: BoundCheck, f: TestFunction, iv: Interval,
                   bp: BoundParams) -> SweepRow:
         key = (f.name, iv.a, iv.b, bp.alpha, bp.s, bp.p, bp.q)
-        if not self.certifier.check(f, check.channel, iv, bp.s, bp.q,
+        if not self.certifier.check(f, "abs_d2", iv, bp.s, bp.q,
                                     check.concave):
             return self.row(check.check_id, key, status=STATUS_SKIPPED)
         try:
             lhs = abs(self.defect(f, iv, bp.alpha))
-            rhs = check.evaluate(f, iv, bp)
+            rhs = check.formula(f, iv, bp)
         except AccuracyError:
             return self.row(check.check_id, key, status=STATUS_FAIL)
-        except (PreconditionError, IntegrandError):
+        except IntegrandError:
             return self.row(check.check_id, key, status=STATUS_SKIPPED)
         return self.row(check.check_id, key, lhs, rhs,
-                        _range_rule(bp.alpha, check.alpha_max))
+                        _range_rule(bp.alpha <= check.alpha_max))
 
     def sandwich_rows(self, f: TestFunction, iv: Interval,
                       s: float) -> list[SweepRow]:
@@ -518,10 +470,10 @@ class _Sweep:
                  for build in (weight_int_power, weight_int_beta)]
         found += [((None, s, None), _IDENTITY, weight_int_plain(s, **tols))
                   for s in config.s_values]
-        found += [((alpha, None, p),
-                   _range_rule(alpha, HOLDER_VALID_ALPHA_MAX),
-                   holder_kernel_bound(alpha, p, **tols))
-                  for alpha in config.alphas for p in config.p_values]
+        kernels = [((alpha, None, p), holder_kernel_bound(alpha, p, **tols))
+                   for alpha in config.alphas for p in config.p_values]
+        found += [(params, _range_rule(e.in_validated_range), e)
+                  for params, e in kernels]
         return [self.row(e.check_id, (None, None, None, *params, None),
                          e.lhs, e.rhs, rule)
                 for params, rule, e in found]

@@ -1,5 +1,6 @@
 """Defect, identity, sandwich, and bound evaluators against hand oracles."""
 
+import dataclasses
 import math
 
 import pytest
@@ -118,6 +119,11 @@ def test_sandwich_sqrt():
     # the /2 reading is recorded and is visibly below the mean here
     assert sw.upper_classical == pytest.approx(0.5, abs=1e-12)
     assert sw.upper_classical < sw.mean
+    # math.sqrt takes no array: the gate and the nonnegativity read fall
+    # back to one scalar call per node
+    scalar = s_convex_sandwich(math.sqrt, UNIT, 0.5)
+    assert dataclasses.astuple(scalar) == pytest.approx(
+        dataclasses.astuple(sw), abs=1e-12)
 
 
 def test_sandwich_linear_collapses():
@@ -304,6 +310,8 @@ def test_bound_params_validation():
     with pytest.raises(DomainError):
         BoundParams(alpha=1.0, s=1.0, p=2.0, q=3.0)     # not conjugate
     with pytest.raises(DomainError):
+        BoundParams(alpha=1.0, s=1.0, p=2.0, q=0.0)     # no conjugate at all
+    with pytest.raises(DomainError):
         BoundParams(alpha=1.0, s=1.0, p=1.0)
     with pytest.raises(DomainError):
         BoundParams(alpha=0.0, s=1.0)
@@ -313,6 +321,17 @@ def test_bound_params_validation():
         BoundParams(alpha=1.0, s=1.0, q=0.5)
     with pytest.raises(DomainError):
         defect_bound_holder(SQUARE, UNIT, BoundParams(1.0, 1.0, q=2.0))
+
+
+def test_bound_params_store_the_floats_their_validators_return():
+    bp = BoundParams("0.5", "1", p="2")
+    assert [type(v) for v in (bp.alpha, bp.s, bp.p, bp.q)] == [float] * 4
+    assert (bp.alpha, bp.s, bp.p, bp.q) == (0.5, 1.0, 2.0, 2.0)
+    assert BoundParams(1, 1, q="3").q == 3.0
+    assert defect_bound_holder(SQUARE, UNIT, bp) == defect_bound_holder(
+        SQUARE, UNIT, BoundParams(0.5, 1.0, p=2.0))
+    assert defect_bound_s_convex(SQUARE, UNIT, "0.5", "1") == (
+        defect_bound_s_convex(SQUARE, UNIT, 0.5, 1.0))
 
 
 def monomial_defect(k: int, b: float, alpha: float) -> float:
@@ -526,7 +545,8 @@ def test_every_p_and_q_entry_point_rejects_non_finite_exponents(bad):
                  lambda: classical_concave_bound(SQUARE, UNIT, 0.5, bad),
                  lambda: holder_kernel_bound(0.5, bad),
                  lambda: BoundParams(alpha=0.5, s=1.0, p=bad),
-                 lambda: BoundParams(alpha=0.5, s=1.0, q=bad)):
+                 lambda: BoundParams(alpha=0.5, s=1.0, q=bad),
+                 lambda: BoundParams(alpha=0.5, s=1.0, p=2.0, q=bad)):
         with pytest.raises(DomainError):
             call()
 

@@ -19,6 +19,7 @@ import pytest
 from fracineq import (
     AccuracyError,
     ConfigError,
+    DomainError,
     IntegrandError,
     PreconditionError,
     certify_s_concave,
@@ -28,9 +29,9 @@ from fracineq import (
     render_report,
     run_sweep,
 )
+from fracineq import hhbounds, sweep
 from fracineq.sweep import (
     _PROBE_COUNT,
-    BOUND_CHECKS,
     CSV_HEADER,
     SweepConfig,
     SweepReport,
@@ -45,6 +46,7 @@ from fracineq.funclib import (
     grid_verdicts,
 )
 from fracineq.hhbounds import (
+    BOUND_CHECKS,
     BoundParams,
     defect_bound_holder,
     defect_bound_power_mean,
@@ -115,7 +117,7 @@ def test_config_error_names_alphas(mutation, field):
     ("quad_tol = 1", "quad_tol"),
     ("quad_tol = abc", "quad_tol"),
     ("format = xml", "format"),
-    ("functions = nosuch", "functions"),
+    ("functions = nosuch", "functions[0]"),
 ])
 def test_config_validation_errors(mutation, field):
     key = mutation.split(" =")[0]
@@ -443,6 +445,29 @@ def test_cli_exit_two_on_malformed_parameterised_name(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, where", [
+    # the family's own parameter is not a CLI option of check-identity,
+    # and certify's --s is valid: the message names the function
+    (("check-identity", "--function", "root_power_1.5", "--interval", "0,1",
+      "--alpha", "1"), "root_power_1.5: s must lie in (0, 1]"),
+    (("certify", "--function", "s_power_2", "--s", "1"),
+     "s_power_2: s must lie in (0, 1]"),
+])
+def test_cli_names_the_function_whose_parameter_is_out_of_range(args, where):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert where in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_names_the_function_entry_whose_parameter_is_out_of_range():
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config_text(GOOD_CONFIG.replace(
+            "functions = square linear", "functions = square root_power_0"))
+    assert exc_info.value.field == "functions[1]"
+    assert "root_power_0: s must lie in (0, 1]" in str(exc_info.value)
+
+
 def test_cli_env_quad_tol_override(config_file, tmp_path):
     # an out-of-contract override proves the env var is read and validated
     proc = run_cli("sweep", "--config", str(config_file),
@@ -505,6 +530,8 @@ def test_bound_check_table_matches_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     readme_ids = re.findall(r"^\| `(bound_\w+)` \|", readme, flags=re.M)
     assert readme_ids == [check.check_id for check in BOUND_CHECKS]
+    # the sweep runs from the table hhbounds declares, not a copy of it
+    assert sweep.BOUND_CHECKS is hhbounds.BOUND_CHECKS
 
 
 # ---------------------------------------------------------------------------
@@ -705,51 +732,57 @@ def test_readme_sweep_keeps_its_results_across_seeds(seed):
         assert render_report(report, fmt) == render_report(base, fmt), fmt
 
 
-# each bound row's evaluator, certifying its own hypothesis, by check id
+# each public bound evaluator, certifying its own hypothesis, by check id
 GATED_EVALUATORS = {
-    "bound_s_convex": lambda f, iv, r: defect_bound_s_convex(
-        f, iv, r.alpha, r.s, certify=True),
-    "bound_holder": lambda f, iv, r: defect_bound_holder(
-        f, iv, BoundParams(r.alpha, r.s, p=r.p), certify=True),
-    "bound_power_mean": lambda f, iv, r: defect_bound_power_mean(
-        f, iv, r.alpha, r.s, r.q, certify=True),
-    "bound_s_concave": lambda f, iv, r: defect_bound_s_concave(
-        f, iv, BoundParams(r.alpha, r.s, p=r.p), certify=True),
+    "bound_s_convex": lambda f, iv, bp: defect_bound_s_convex(
+        f, iv, bp.alpha, bp.s),
+    "bound_holder": defect_bound_holder,
+    "bound_power_mean": lambda f, iv, bp: defect_bound_power_mean(
+        f, iv, bp.alpha, bp.s, bp.q),
+    "bound_s_concave": defect_bound_s_concave,
 }
 
 
-def test_evaluator_gates_agree_with_the_sweep():
-    # the sweep certifies each hypothesis from its check table and calls
-    # the evaluators with certify=False; their own gate must certify the
-    # same channel in the same direction.  The sweep's probes may reject
-    # more than the grid does, never less.
-    config = dataclasses.replace(parse_config_text(README_CONFIG),
-                                 alphas=(0.5, 2.0))
-    rows = [r for r in run_sweep(config).rows
-            if r.check_id in GATED_EVALUATORS]
-    assert len(rows) == 3 * 3 * 2 * 4 * (1 + 4 + 3 + 4)
-    table = {check.check_id: check for check in BOUND_CHECKS}
-    refused = Counter()
-    for r in rows:
-        evaluate = GATED_EVALUATORS[r.check_id]
-        f, iv = get_function(r.function), Interval(r.a, r.b)
-        # the table's channel: |f''| for bound_s_convex (q is None there),
-        # |f''|^q otherwise
-        certify = (certify_s_concave if table[r.check_id].concave
-                   else certify_s_convex)
-        grid_ok = certify(abs_d2(f, r.q), iv, r.s).passed
-        if r.status != "precondition_skipped":
-            assert grid_ok, r
-            assert evaluate(f, iv, r) == r.rhs, r
-        elif grid_ok:
-            # rejected by the sweep's probes alone
-            assert math.isfinite(evaluate(f, iv, r)), r
-        else:
-            with pytest.raises(PreconditionError):
-                evaluate(f, iv, r)
-            refused[r.check_id] += 1
-    # the gate refuses somewhere for every check
-    assert set(refused) == set(GATED_EVALUATORS)
+def test_gated_evaluators_return_the_table_formula():
+    # over the README tuples, each public evaluator returns its table
+    # entry's closed form bit for bit where the entry's hypothesis, |f''|
+    # or |f''|^q in the entry's direction, certifies, and refuses it
+    # otherwise
+    config = parse_config_text(README_CONFIG)
+    params = {
+        None: lambda alpha, s: [BoundParams(alpha, s)],
+        "conjugate": lambda alpha, s: [BoundParams(alpha, s, p=p)
+                                       for p in config.p_values],
+        "q_values": lambda alpha, s: [BoundParams(alpha, s, q=q)
+                                      for q in config.q_values],
+    }
+    assert [check.check_id for check in BOUND_CHECKS] == list(GATED_EVALUATORS)
+    outcomes = Counter()
+    certified = {}      # the hypothesis does not depend on alpha
+    for name, iv, alpha, s in product(config.functions, config.intervals,
+                                      config.alphas, config.s_values):
+        f = get_function(name)
+        for check in BOUND_CHECKS:
+            evaluate = GATED_EVALUATORS[check.check_id]
+            certify = certify_s_concave if check.concave else certify_s_convex
+            for bp in params[check.q_from](alpha, s):
+                key = (name, iv, s, bp.q, check.concave)
+                if key not in certified:
+                    certified[key] = certify(abs_d2(f, bp.q), iv, s).passed
+                if certified[key]:
+                    got = evaluate(f, iv, bp)
+                    assert got.hex() == check.formula(f, iv, bp).hex(), bp
+                    outcomes[check.check_id, "computed"] += 1
+                else:
+                    with pytest.raises(PreconditionError):
+                        evaluate(f, iv, bp)
+                    outcomes[check.check_id, "refused"] += 1
+            if check.q_from == "conjugate":
+                # the q-only tuple has no p for the Hoelder kernel
+                with pytest.raises(DomainError, match=check.check_id):
+                    evaluate(f, iv, BoundParams(alpha, s, q=2.0))
+    # every check both computes and refuses somewhere
+    assert len(outcomes) == 2 * len(BOUND_CHECKS)
 
 
 # ---------------------------------------------------------------------------
