@@ -20,14 +20,14 @@ at n = 33 their s-combinations (:func:`s_combination`) are the same two
 terms in swapped order, so the same double: the grid keeps the half
 k <= n//2 alone (17 x 33 x 33 = 18,513 triples), which is the grid by
 symmetry, not a sample.  :func:`grid_verdicts` judges one s in both
-directions from one combination; the sweep evaluates one grid per channel
-and judges it at each of its s values.  Each thread forms its verdicts in
-three work arrays that it allocates once and reuses for every grid.
-:func:`certify_s_convex` and :func:`certify_s_concave` judge a fresh grid
-in one direction; only when it fails do they rebuild the whole n^3 grid
-from the half and name the first violating triple in row-major order as
-the witness.  ``checked`` counts n^3.  The grid and the sweep's random
-probes share one violation rule.
+directions from one combination, in three work arrays per thread that
+every grid reuses.  :func:`channel_verdicts` decides a channel for the
+sweep: one grid and one batch of probe triples, judged by one violation
+rule at each s in both directions.  :func:`certify_s_convex` and
+:func:`certify_s_concave` judge a fresh grid in one direction; only when
+it fails do they rebuild the whole n^3 grid from the half and name the
+first violating triple in row-major order as the witness.  ``checked``
+counts n^3.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it and never use
@@ -57,6 +57,7 @@ __all__ = [
     "CertGrid",
     "cert_grid",
     "grid_verdicts",
+    "channel_verdicts",
     "s_combination",
     "certify_s_convex",
     "certify_s_concave",
@@ -78,7 +79,7 @@ CERT_SLACK = 1e-12
 @dataclass(frozen=True)
 class ConvexityClass:
     """Label: kind in {'convex', 'concave', 's_convex', 's_concave', 'none'};
-    the s_* kinds carry the exponent s in (0, 1]."""
+    the s_* kinds carry the exponent s in (0, 1] as a float."""
 
     kind: str
     s: float | None = None
@@ -87,8 +88,9 @@ class ConvexityClass:
         if self.kind not in ("convex", "concave", "s_convex", "s_concave", "none"):
             raise DomainError(f"unknown convexity class kind {self.kind!r}")
         if self.kind in ("s_convex", "s_concave"):
-            if self.s is None or not (0.0 < self.s <= 1.0):
-                raise DomainError(f"{self.kind} requires s in (0, 1], got {self.s}")
+            if self.s is None:
+                raise DomainError(f"{self.kind} requires s in (0, 1]")
+            object.__setattr__(self, "s", _check_s(self.s))
 
     def __str__(self) -> str:
         if self.s is not None:
@@ -190,9 +192,11 @@ def _point_value(fn, t: float, place: str = "t={!r}") -> float:
     raise IntegrandError(f"function {what} at {place.format(t)}")
 
 
-# the grid's nodes per axis less one, and the k <= n//2 half of its weights
-# that every verdict is judged on
+# the grid's nodes per axis less one, its weights lam, shared by every
+# grid, and the half k <= n//2 of them that every verdict is judged on
 _STEP = CERT_GRID_N - 1
+_LAM = np.linspace(0.0, 1.0, CERT_GRID_N)
+_LAM.flags.writeable = False
 _HALF = CERT_GRID_N // 2 + 1
 # _HALF_INDEX[k, i, j] = k i + (n-1-k) j over the half: the grid's
 # combination lam[k] xs[i] + (1-lam[k]) xs[j] is point m = _HALF_INDEX[k, i, j]
@@ -207,8 +211,8 @@ class CertGrid(NamedTuple):
     """One channel evaluated on the certification grid, kept as its half.
 
     ``fx[i]`` is fn(xs[i]) and ``f_half[k, i, j]`` (k <= n//2) is fn at
-    lam[k]*xs[i] + (1-lam[k])*xs[j], taken as the point
-    a + (b-a) m/(n-1)^2 (m = k i + (n-1-k) j) that the combination is in
+    lam[k]*xs[i] + (1-lam[k])*xs[j] (lam = linspace(0, 1, n)), taken as
+    the point a + (b-a) m/(n-1)^2 (m = k i + (n-1-k) j) that it is in
     real arithmetic.  The triple (j, i, n-1-k) of the other half shares m
     and so the value, and its s-combination is the same two terms in
     swapped order, so the same double.  Neither array depends on s or on
@@ -216,7 +220,6 @@ class CertGrid(NamedTuple):
     """
 
     xs: np.ndarray
-    lam: np.ndarray
     fx: np.ndarray
     f_half: np.ndarray
 
@@ -241,8 +244,7 @@ def cert_grid(fn, domain: Interval) -> CertGrid:
         bad = float(points[~np.isfinite(values)][0])
         raise IntegrandError(
             f"function non-finite at interior grid combination t={bad!r}")
-    return CertGrid(xs, np.linspace(0.0, 1.0, CERT_GRID_N), fx,
-                    values[_HALF_INDEX])
+    return CertGrid(xs, fx, values[_HALF_INDEX])
 
 
 # this thread's work arrays, shared by every grid: the s-weighted
@@ -282,11 +284,11 @@ def _grid_combination(grid: CertGrid, s: float) -> np.ndarray:
     # combination[k, i, j] = lam[k]^s fx[i] + (1-lam[k])^s fx[j] on the
     # half, formed in the work array from two half x n product tables: the
     # first is copied in along j, the second added along i (one add that
-    # broadcasts both takes about a quarter longer)
+    # broadcasts both takes about a quarter longer); 1 - lam is lam reversed
     combo = _work()[0]
-    np.copyto(combo, ((grid.lam ** s)[:_HALF, None] * grid.fx)[:, :, None])
-    np.add(combo,
-           (((1.0 - grid.lam) ** s)[:_HALF, None] * grid.fx)[:, None, :],
+    weights = _LAM ** s
+    np.copyto(combo, (weights[:_HALF, None] * grid.fx)[:, :, None])
+    np.add(combo, (weights[::-1][:_HALF, None] * grid.fx)[:, None, :],
            out=combo)
     return combo
 
@@ -303,31 +305,27 @@ def grid_verdicts(grid: CertGrid, s: float) -> tuple[bool, bool]:
     return _grid_holds(grid, combo, False), _grid_holds(grid, combo, True)
 
 
-class _ProbeBatch(NamedTuple):
-    """One channel evaluated at probe triples (x[i], y[i], lam[i]): ``fx``
-    and ``fy`` are fn(x) and fn(y), ``f_mix`` is fn(lam x + (1-lam) y).
-    Like a :class:`CertGrid` it depends on neither s nor the direction, so
-    one batch serves every :func:`_probe_verdicts` on it."""
-
-    lam: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
-    f_mix: np.ndarray
-
-
-def _probe_batch(fn, x, y, lam) -> _ProbeBatch:
-    """Evaluate ``fn`` once at the probe triples (x[i], y[i], lam[i])."""
+def channel_verdicts(fn, domain: Interval, s_values, x, y,
+                     lam) -> dict[tuple[float, bool], bool]:
+    """The verdicts {(s, concave): bool} of one channel at every s of
+    ``s_values`` in both directions, from the certification grid and the
+    probe triples (x[i], y[i], lam[i]): a verdict holds where both pass.
+    ``{}`` when the channel is non-finite on the grid (for example a
+    second derivative diverging at an endpoint): nothing is certified."""
+    try:
+        grid = cert_grid(fn, domain)
+    except IntegrandError:
+        return {}
     mix = lam * x + (1.0 - lam) * y
-    return _ProbeBatch(lam, *_eval_grid(fn, np.stack([x, y, mix])))
-
-
-def _probe_verdicts(batch: _ProbeBatch, s: float) -> tuple[bool, bool]:
-    """Whether every triple of ``batch`` keeps to s-convexity and to
-    s-concavity in the second sense, by the grid's rule, from one
-    s-weighted combination."""
-    combo = s_combination(batch.lam, s, batch.fx, batch.fy)
-    return (bool(_holds(batch.f_mix, combo, False).all()),
-            bool(_holds(batch.f_mix, combo, True).all()))
+    fx, fy, f_mix = _eval_grid(fn, np.stack([x, y, mix]))
+    verdicts = {}
+    for s in s_values:
+        on_grid = grid_verdicts(grid, s)
+        combo = s_combination(lam, s, fx, fy)
+        for concave in (False, True):
+            verdicts[(s, concave)] = on_grid[concave] and bool(
+                _holds(f_mix, combo, concave).all())
+    return verdicts
 
 
 def _whole(half: np.ndarray) -> np.ndarray:
@@ -353,7 +351,7 @@ def _certify(fn, domain: Interval, s: float,
     return CertificationResult(
         passed=False,
         witness=Witness(x=float(grid.xs[i]), y=float(grid.xs[j]),
-                        lam=float(grid.lam[k]), lhs=float(values[i, j, k]),
+                        lam=float(_LAM[k]), lhs=float(values[i, j, k]),
                         rhs=float(combo[i, j, k])),
         checked=checked,
     )

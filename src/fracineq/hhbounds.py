@@ -416,6 +416,8 @@ def _bound(check: BoundCheck, f: TestFunction, interval: Interval,
     """``check.formula``, after certifying its hypothesis if ``certify``."""
     if check.q_from == "conjugate" and params.p is None:
         raise DomainError(f"{check.check_id} requires p > 1 in params")
+    if check.q_from == "q_values" and params.q is None:
+        raise DomainError(f"{check.check_id} requires q >= 1 in params")
     if certify:
         q = params.q
         what = "|f''|" if q is None else f"|f''|^{q:g}"

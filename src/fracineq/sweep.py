@@ -34,10 +34,11 @@ built beside it, and every row gets its status from one row builder.
 
 Certification combines the deterministic grid certifier with a seeded
 batch of random probe triples (config ``seed``), so reported hypothesis
-checks do not depend silently on grid alignment.  Each channel (f, |f''|
-or |f''|^q on one interval; |f''|^1 is the |f''| channel) is evaluated
-once on the grid and once at one probe batch, drawn from the seed and the
-channel, and the two decide every s value and both directions.  Likewise
+checks do not depend silently on grid alignment.  For each channel (f,
+|f''| or |f''|^q on one interval; |f''|^1 is the |f''| channel) the sweep
+draws one probe batch from the seed and the channel's key, and one
+:func:`~fracineq.funclib.channel_verdicts` call judges the grid and the
+probes at every s value in both directions.  Likewise
 the trapezoid defect of each (function, interval, alpha) is computed once
 and shared by its identity row and all its bound rows.
 """
@@ -72,13 +73,10 @@ from .errors import (
 from .funclib import (  # noqa: F401
     TestFunction,
     _check_s,
-    _probe_batch,
-    _probe_verdicts,
     abs_d2,
-    cert_grid,
     certify_s_convex,
+    channel_verdicts,
     get_function,
-    grid_verdicts,
 )
 from .hhbounds import (
     BOUND_CHECKS,
@@ -191,8 +189,9 @@ def parse_config_text(text: str) -> SweepConfig:
     One ``key = value ...`` per line; ``#`` starts a comment.  List values
     are whitespace-separated tokens; intervals are ``a,b`` tokens.  The six
     list keys are required and must be non-empty; ``slack``, ``quad_tol``,
-    ``format`` and ``seed`` are optional scalars.  Only the syntax is read
-    here; :func:`validate_config` checks the values.
+    ``format`` and ``seed`` are optional scalars.  The syntax is read
+    here and the values are then checked by :func:`validate_config`; a
+    :class:`ConfigError` from either names the offending field.
     """
     raw: dict[str, list[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -277,60 +276,6 @@ def validate_config(config: SweepConfig) -> None:
 # sweep execution
 
 
-class _Certifier:
-    """Grid certification plus seeded random probes, once per channel.
-
-    A channel is one function on one interval: f itself, |f''| or |f''|^q.
-    |f''|^1 is the |f''| channel, since x ** 1.0 is x bit for bit.  The
-    first time any check asks for a channel, it is evaluated on the
-    certification grid and at one batch of random probe triples, drawn
-    from the seed and the channel's key; both are judged at every
-    configured s in both directions, a verdict holds where both pass, and
-    only the verdicts are kept.
-    """
-
-    def __init__(self, seed: int, s_values: tuple[float, ...]):
-        self.seed = seed
-        self.s_values = s_values
-        self.verdicts: dict[tuple, dict[tuple[float, bool], bool]] = {}
-
-    def _channel_verdicts(self, fn, domain: Interval,
-                          key: str) -> dict[tuple[float, bool], bool]:
-        try:
-            grid = cert_grid(fn, domain)
-        except IntegrandError:
-            # channel cannot even be evaluated on the grid (for example a
-            # second derivative diverging at an endpoint): not certified
-            return {}
-        rng = np.random.default_rng([self.seed & 0xFFFFFFFF,
-                                     zlib.crc32(key.encode())])
-        x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
-        y = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
-        lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
-        probes = _probe_batch(fn, x, y, lam)
-        verdicts = {}
-        for s in self.s_values:
-            on_grid = grid_verdicts(grid, s)
-            probed = _probe_verdicts(probes, s)
-            for concave in (False, True):
-                verdicts[(s, concave)] = on_grid[concave] and probed[concave]
-        return verdicts
-
-    def check(self, f: TestFunction, channel: str, domain: Interval, s: float,
-              q: float | None, concave: bool) -> bool:
-        """Certify ``channel`` of ``f`` on ``domain``: ``f`` itself, or
-        ``abs_d2``: |f''|^q (keyed ``abs_d2_pow``), |f''| for q None or 1."""
-        q = None if q == 1.0 else q
-        key = (f.name, channel if q is None else "abs_d2_pow", domain.a,
-               domain.b, q)
-        verdicts = self.verdicts.get(key)
-        if verdicts is None:
-            fn = f.fn if channel == "f" else abs_d2(f, q)
-            verdicts = self.verdicts[key] = self._channel_verdicts(
-                fn, domain, repr(key))
-        return verdicts.get((s, concave), False)
-
-
 class _Rule(NamedTuple):
     """How a computed row is judged: identity rows compare |lhs - rhs| with
     the slack, the others the margin rhs - lhs with -slack."""
@@ -371,15 +316,42 @@ def _d2_evaluatable(f: TestFunction, iv: Interval) -> bool:
 
 class _Sweep:
     """What one sweep shares across its rows: the slack and quadrature
-    tolerance, the certifier and the trapezoid defects."""
+    tolerance, the seed and s values, and two caches, the verdicts of each
+    channel (f, |f''| or |f''|^q on one interval; |f''|^1 is |f''|, since
+    x ** 1.0 is x bit for bit) and the trapezoid defects."""
 
     def __init__(self, config: SweepConfig):
         self.slack = config.slack
         self.quad_tol = config.quad_tol
-        self.certifier = _Certifier(config.seed, config.s_values)
+        self.seed = config.seed
+        self.s_values = config.s_values
+        # {(s, concave): verdict} per channel key
+        self.verdicts: dict[tuple, dict[tuple[float, bool], bool]] = {}
         # signed defect per (function, interval, alpha), or the error that
         # stopped its computation; filled by whichever row asks first
         self.defects: dict[tuple, float | FracineqError] = {}
+
+    def certified(self, f: TestFunction, channel: str, domain: Interval,
+                  s: float, q: float | None, concave: bool) -> bool:
+        """Whether ``channel`` of ``f`` is s-convex (s-concave if
+        ``concave``) on ``domain``: ``f`` itself, or ``abs_d2``: |f''|^q
+        (keyed ``abs_d2_pow``), |f''| for q None or 1.  The first ask
+        draws the channel's probes from the seed and its key and caches
+        the verdicts of :func:`~fracineq.funclib.channel_verdicts`."""
+        q = None if q == 1.0 else q
+        key = (f.name, channel if q is None else "abs_d2_pow", domain.a,
+               domain.b, q)
+        verdicts = self.verdicts.get(key)
+        if verdicts is None:
+            rng = np.random.default_rng([self.seed & 0xFFFFFFFF,
+                                         zlib.crc32(repr(key).encode())])
+            x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
+            y = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
+            lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
+            fn = f.fn if channel == "f" else abs_d2(f, q)
+            verdicts = self.verdicts[key] = channel_verdicts(
+                fn, domain, self.s_values, x, y, lam)
+        return verdicts.get((s, concave), False)
 
     def row(self, check_id: str, key: tuple, lhs=None, rhs=None,
             rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
@@ -433,8 +405,7 @@ class _Sweep:
     def bound_row(self, check: BoundCheck, f: TestFunction, iv: Interval,
                   bp: BoundParams) -> SweepRow:
         key = (f.name, iv.a, iv.b, bp.alpha, bp.s, bp.p, bp.q)
-        if not self.certifier.check(f, "abs_d2", iv, bp.s, bp.q,
-                                    check.concave):
+        if not self.certified(f, "abs_d2", iv, bp.s, bp.q, check.concave):
             return self.row(check.check_id, key, status=STATUS_SKIPPED)
         try:
             lhs = abs(self.defect(f, iv, bp.alpha))
@@ -450,7 +421,7 @@ class _Sweep:
                       s: float) -> list[SweepRow]:
         key = (f.name, iv.a, iv.b, None, s, None, None)
         sw = None
-        if self.certifier.check(f, "f", iv, s, None, concave=False):
+        if self.certified(f, "f", iv, s, None, concave=False):
             try:
                 sw = s_convex_sandwich(f, iv, s, quad_tol=self.quad_tol)
             except (PreconditionError, AccuracyError):

@@ -73,6 +73,21 @@ def test_definition_nesting_midpoint_convexity():
         assert np.all(fn((X + Y) / 2.0) <= (fn(X) + fn(Y)) / 2.0 + 1e-12)
 
 
+def test_convexity_class_keeps_the_float_its_validator_returns():
+    from fracineq.funclib import ConvexityClass
+
+    cls = ConvexityClass("s_convex", "0.5")
+    assert cls.s == 0.5 and type(cls.s) is float
+    assert str(cls) == "s_convex(0.5)"
+    assert type(ConvexityClass("s_concave", 1).s) is float
+    for kind in ("s_convex", "s_concave"):
+        with pytest.raises(DomainError, match=kind):
+            ConvexityClass(kind)
+        for bad in (0.0, 1.5, float("nan"), "2"):
+            with pytest.raises(DomainError, match="s must lie in"):
+                ConvexityClass(kind, bad)
+
+
 def test_certifier_precondition_errors():
     from fracineq.funclib import cert_grid
 
@@ -337,7 +352,7 @@ def test_verdicts_from_two_threads_at_once_match_serial_ones():
 
 @pytest.mark.parametrize("concave", [False, True])
 def test_grid_verdicts_allow_exactly_the_slack(concave):
-    from fracineq.funclib import CERT_SLACK, CertGrid, cert_grid, grid_verdicts
+    from fracineq.funclib import CERT_SLACK, cert_grid, grid_verdicts
 
     # f = 0: every combination is 0 and both directions hold
     zero = cert_grid(lambda t: 0.0 * t, UNIT)
@@ -346,43 +361,54 @@ def test_grid_verdicts_allow_exactly_the_slack(concave):
     for past, holds in ((CERT_SLACK, True), (2.0 * CERT_SLACK, False)):
         f_half = zero.f_half.copy()
         f_half[3, 4, 5] = sign * past
-        grid = CertGrid(zero.xs, zero.lam, zero.fx, f_half)
+        grid = zero._replace(f_half=f_half)
         for s in (0.5, 1.0):
             assert grid_verdicts(grid, s)[concave] == holds
             # the other direction holds whatever the value's size
             assert grid_verdicts(grid, s)[not concave]
 
 
+def off_grid_probes():
+    """Two probe triples whose points, on UNIT, lie between the grid's 1025
+    points m/1024, so a function that is 0 on the grid passes it and only
+    the probes decide."""
+    x, y, lam = np.array([0.1, 0.3]), np.array([0.6, 0.4]), np.array(
+        [0.5, 0.5])
+    mix = lam * x + (1.0 - lam) * y
+    on_grid = np.linspace(0.0, 1.0, 1025)
+    assert not np.isin(np.concatenate([x, y, mix]), on_grid).any()
+    return x, y, lam, mix
+
+
 @pytest.mark.parametrize("concave", [False, True])
 def test_probes_allow_exactly_the_slack(concave):
-    from fracineq.funclib import CERT_SLACK, _probe_batch, _probe_verdicts
+    from fracineq.funclib import CERT_SLACK, channel_verdicts
 
-    x, y, lam = np.array([0.0, 0.25]), np.array([1.0, 0.75]), np.array(
-        [0.5, 0.5])
+    x, y, lam, mix = off_grid_probes()
     sign = -1.0 if concave else 1.0
     for past, holds in ((CERT_SLACK, True), (2.0 * CERT_SLACK, False)):
-        # f is 0 everywhere but at the mix 0.5 of both triples
+        # f is 0 everywhere but at the mixes of both triples
         def fn(t, past=past):
-            return np.where(t == 0.5, sign * past, 0.0)
+            return np.where(np.isin(t, mix), sign * past, 0.0)
 
-        batch = _probe_batch(fn, x, y, lam)
+        verdicts = channel_verdicts(fn, UNIT, (0.5, 1.0), x, y, lam)
         for s in (0.5, 1.0):
-            assert _probe_verdicts(batch, s)[concave] == holds, past
+            assert verdicts[(s, concave)] == holds, past
             # the other direction holds whatever the value's size
-            assert _probe_verdicts(batch, s)[not concave]
+            assert verdicts[(s, not concave)]
 
 
 def test_probe_reading_nan_fails_both_directions():
-    from fracineq.funclib import _probe_batch, _probe_verdicts
+    from fracineq.funclib import channel_verdicts
 
-    x, y, lam = np.array([0.0]), np.array([1.0]), np.array([0.5])
+    x, y, lam, mix = off_grid_probes()
     # nan at an end point as well as at the mix
-    for at in (0.0, 0.5):
+    for at in (x[0], mix[0]):
         def fn(t, at=at):
             return np.where(t == at, np.nan, 0.0)
 
-        assert _probe_verdicts(_probe_batch(fn, x, y, lam), 1.0) == (
-            False, False)
+        assert channel_verdicts(fn, UNIT, (1.0,), x, y, lam) == {
+            (1.0, False): False, (1.0, True): False}
 
 
 # ---------------------------------------------------------------------------

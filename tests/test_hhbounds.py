@@ -551,6 +551,26 @@ def test_every_p_and_q_entry_point_rejects_non_finite_exponents(bad):
             call()
 
 
+def test_power_mean_refuses_a_missing_q_before_certifying(monkeypatch):
+    from fracineq import funclib
+
+    built = []
+    real = funclib.cert_grid
+
+    def counting(fn, domain):
+        built.append(domain)
+        return real(fn, domain)
+
+    monkeypatch.setattr(funclib, "cert_grid", counting)
+    with pytest.raises(DomainError,
+                       match=r"bound_power_mean requires q >= 1 in params"):
+        defect_bound_power_mean(SQUARE, UNIT, 0.5, 1.0, None)
+    assert built == []
+    # the same gate certifies once when q is given
+    defect_bound_power_mean(SQUARE, UNIT, 0.5, 1.0, 2.0)
+    assert built == [UNIT]
+
+
 def test_bounds_at_alpha_1e17_are_positive_and_hold():
     # beta(alpha+2, 2) used to come out near 1: the weight identity failed
     # (rhs -0.83), the bounds were -1e-17, and power mean at q = 2 took

@@ -36,13 +36,14 @@ from fracineq.sweep import (
     SweepConfig,
     SweepReport,
     SweepRow,
-    _Certifier,
+    _Sweep,
 )
 from fracineq.funclib import (
     ConvexityClass,
     TestFunction,
     abs_d2,
     cert_grid,
+    channel_verdicts,
     grid_verdicts,
 )
 from fracineq.hhbounds import (
@@ -634,43 +635,59 @@ def bumped_square(c: float = 1e-3) -> TestFunction:
         lambda t: 2.0 + 0.0 * t, ConvexityClass("none"), Interval(1.0, 2.0))
 
 
+def probe_draw(seed: int, domain: Interval, key: str):
+    """The sweep's probe triples (x, y, lam) of the channel keyed ``key``."""
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(key.encode())])
+    x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
+    y = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
+    return x, y, rng.uniform(0.0, 1.0, _PROBE_COUNT)
+
+
 def test_probes_match_scalar_loop():
-    # reference: one batch per channel, drawn from the seed and the
-    # channel's key, read with one scalar call per point and judged at
-    # every s in both directions; a verdict holds where the grid and the
-    # batch both pass
-    def probes_ok_loop(seed, fn, domain, s, concave, key):
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(key.encode())])
-        x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
-        y = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
-        lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
+    # reference: the grid's verdict, and the same probe triples read with
+    # one scalar call per point and judged at every s in both directions;
+    # channel_verdicts holds where the grid and the probes both pass
+    def probes_ok_loop(fn, x, y, lam, s, concave):
         fx = np.asarray([fn(float(v)) for v in x], dtype=float)
         fy = np.asarray([fn(float(v)) for v in y], dtype=float)
         fm = np.asarray([fn(float(lam[i] * x[i] + (1.0 - lam[i]) * y[i]))
-                         for i in range(_PROBE_COUNT)], dtype=float)
+                         for i in range(len(x))], dtype=float)
         combo = lam ** s * fx + (1.0 - lam) ** s * fy
         if concave:
             return bool(np.all(fm >= combo - 1e-12))
         return bool(np.all(fm <= combo + 1e-12))
 
     seed, s_values = 7, (0.25, 1.0)
-    certifier = _Certifier(seed=seed, s_values=s_values)
     bumped = bumped_square()
     channels = [*readme_channels(),
                 ("bumped_square f", bumped.fn, bumped.natural_domain)]
     by_probes = 0
     for label, fn, iv in channels:
-        verdicts = certifier._channel_verdicts(fn, iv, label)
+        x, y, lam = probe_draw(seed, iv, label)
+        verdicts = channel_verdicts(fn, iv, s_values, x, y, lam)
         grid = cert_grid(fn, iv)
         for s in s_values:
             on_grid = grid_verdicts(grid, s)
             for concave in (False, True):
-                at_probes = probes_ok_loop(seed, fn, iv, s, concave, label)
+                at_probes = probes_ok_loop(fn, x, y, lam, s, concave)
                 assert verdicts[(s, concave)] == (
                     on_grid[concave] and at_probes), (label, s, concave)
                 by_probes += on_grid[concave] and not at_probes
     # the bumped square is rejected by its probes alone
     assert by_probes > 0
+
+
+def test_channel_non_finite_on_the_grid_certifies_nothing():
+    # |f''| of root_power_0.5 is t^-1.5 / 4, infinite at t = 0: the
+    # channel gives no verdict, and every row resting on it is skipped
+    f, iv = get_function("root_power_0.5"), Interval(0.0, 1.0)
+    x, y, lam = probe_draw(0, iv, "root_power_0.5 |f''|")
+    assert channel_verdicts(abs_d2(f), iv, (0.5, 1.0), x, y, lam) == {}
+    report = run_sweep(small_config(functions=("root_power_0.5",),
+                                    s_values=(0.5, 1.0)))
+    rows = [r for r in report.rows if r.check_id.startswith("bound_")]
+    assert {r.check_id for r in rows} == {c.check_id for c in BOUND_CHECKS}
+    assert {r.status for r in rows} == {"precondition_skipped"}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
@@ -680,8 +697,8 @@ def test_probes_reject_between_grid_points_for_that_s_and_direction(seed):
     s_values = (0.25, 0.5, 1.0)
     grid = cert_grid(f.fn, iv)
     assert [grid_verdicts(grid, s) for s in s_values] == [(True, False)] * 3
-    certifier = _Certifier(seed=seed, s_values=s_values)
-    verdicts = {(s, concave): certifier.check(f, "f", iv, s, None, concave)
+    sweep = _Sweep(small_config(s_values=s_values, seed=seed))
+    verdicts = {(s, concave): sweep.certified(f, "f", iv, s, None, concave)
                 for s in s_values for concave in (False, True)}
     # only s-convexity at s = 1 is lost; the smaller s keep their larger
     # margin, and s-concavity was refused by the grid already
@@ -692,29 +709,33 @@ def test_probes_reject_between_grid_points_for_that_s_and_direction(seed):
 
 
 def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
+    import fracineq.funclib as funclib_mod
     import fracineq.sweep as sweep_mod
 
     built = []
-    real = sweep_mod.cert_grid
+    real_grid = funclib_mod.cert_grid
 
-    def counting_cert_grid(fn, domain, *args, **kwargs):
+    def counting_cert_grid(fn, domain):
         built.append((domain.a, domain.b))
-        return real(fn, domain, *args, **kwargs)
+        return real_grid(fn, domain)
 
     drawn = []
-    real_batch = sweep_mod._probe_batch
+    real_verdicts = sweep_mod.channel_verdicts
 
-    def counting_probe_batch(fn, x, y, lam):
-        drawn.append(len(x))
-        return real_batch(fn, x, y, lam)
+    def counting_channel_verdicts(fn, domain, s_values, x, y, lam):
+        before = len(built)
+        verdicts = real_verdicts(fn, domain, s_values, x, y, lam)
+        # (probe triples, grids built) per channel
+        drawn.append((len(x), len(y), len(lam), len(built) - before))
+        return verdicts
 
-    monkeypatch.setattr(sweep_mod, "cert_grid", counting_cert_grid)
-    monkeypatch.setattr(sweep_mod, "_probe_batch", counting_probe_batch)
+    monkeypatch.setattr(funclib_mod, "cert_grid", counting_cert_grid)
+    monkeypatch.setattr(sweep_mod, "channel_verdicts",
+                        counting_channel_verdicts)
     report = run_sweep(parse_config_text(README_CONFIG))
     # 3 functions x 3 intervals x (f, |f''|, |f''|^q for the 4 distinct
     # q other than 1): |f''|^1 is the |f''| channel, so 54, not 63
-    assert len(built) == 54
-    assert drawn == [_PROBE_COUNT] * 54
+    assert drawn == [(_PROBE_COUNT,) * 3 + (1,)] * 54
     assert len(report.rows) == 3283
 
 
