@@ -18,8 +18,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DomainError, FracineqError
-from .funclib import certify_declared, get_function
+from .errors import (ConfigError, DomainError, FracineqError, IntegrandError,
+                     PreconditionError)
+from .funclib import _grid_values, abs_d2, certify_declared, get_function
 from .quadrature import Interval
 
 # Each command imports the layers it runs when it runs: ``certify`` needs
@@ -102,9 +103,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_check_identity(args) -> int:
     from .hhbounds import (DEFAULT_CHECK_SLACK, defect_identity_rhs,
                            trapezoid_defect)
+    from .specfun import check_alpha
 
     f = get_function(args.function)
     iv = Interval.parse(args.interval)
+    check_alpha(args.alpha)
+    # the identity's hypothesis, as in the sweep: |f''| finite on the grid
+    try:
+        _grid_values(abs_d2(f), iv)
+    except IntegrandError as exc:
+        raise PreconditionError("identity hypothesis fails: f'' is not finite "
+                                f"on [{iv.a}, {iv.b}] ({exc})") from None
     lhs = trapezoid_defect(f, iv, args.alpha).lhs
     rhs = defect_identity_rhs(f, iv, args.alpha)
     diff = abs(lhs - rhs)

@@ -79,7 +79,7 @@ CERT_SLACK = 1e-12
 @dataclass(frozen=True)
 class ConvexityClass:
     """Label: kind in {'convex', 'concave', 's_convex', 's_concave', 'none'};
-    the s_* kinds carry the exponent s in (0, 1] as a float."""
+    only the s_* kinds take an exponent s in (0, 1], kept as a float."""
 
     kind: str
     s: float | None = None
@@ -91,6 +91,8 @@ class ConvexityClass:
             if self.s is None:
                 raise DomainError(f"{self.kind} requires s in (0, 1]")
             object.__setattr__(self, "s", _check_s(self.s))
+        elif self.s is not None:
+            raise DomainError(f"{self.kind} takes no s, got {self.s!r}")
 
     def __str__(self) -> str:
         if self.s is not None:
@@ -224,27 +226,33 @@ class CertGrid(NamedTuple):
     f_half: np.ndarray
 
 
+def _grid_values(fn, domain: Interval) -> tuple[np.ndarray, np.ndarray]:
+    """The certification grid's (n-1)^2 + 1 distinct points over any real
+    ``domain``, and ``fn`` there; an IntegrandError names the first
+    non-finite value, at a node before an interior point."""
+    points = np.linspace(domain.a, domain.b, _STEP * _STEP + 1)
+    # the nodes themselves (m = step i) are linspace(a, b, n) bit for bit,
+    # so the lam = 0 and lam = 1 faces compare f(x) with itself
+    points[::_STEP] = np.linspace(domain.a, domain.b, CERT_GRID_N)
+    values = _eval_grid(fn, points)
+    for where, at in (("grid node", slice(None, None, _STEP)),
+                      ("interior grid combination", slice(None))):
+        bad = ~np.isfinite(values[at])
+        if bad.any():
+            raise IntegrandError(f"function non-finite at {where} "
+                                 f"t={float(points[at][bad][0])!r}")
+    return points, values
+
+
 def cert_grid(fn, domain: Interval) -> CertGrid:
-    """Evaluate ``fn`` on the certification grid over ``domain``, from its
-    (n-1)^2 + 1 distinct points."""
+    """Evaluate ``fn`` on the certification grid over ``domain`` (a >= 0),
+    from its (n-1)^2 + 1 distinct points (:func:`_grid_values`)."""
     if domain.a < 0.0:
         raise DomainError(
             f"s-convexity is defined on [0, inf); domain starts at {domain.a}")
-    xs = np.linspace(domain.a, domain.b, CERT_GRID_N)
-    points = np.linspace(domain.a, domain.b, _STEP * _STEP + 1)
-    # the nodes themselves (m = step i) are xs bit for bit, so fx is
-    # fn(xs) and the lam = 0 and lam = 1 faces compare f(x) with itself
-    points[::_STEP] = xs
-    values = _eval_grid(fn, points)
-    fx = values[::_STEP].copy()
-    if not np.all(np.isfinite(fx)):
-        bad = float(xs[~np.isfinite(fx)][0])
-        raise IntegrandError(f"function non-finite at grid node t={bad!r}")
-    if not np.all(np.isfinite(values)):
-        bad = float(points[~np.isfinite(values)][0])
-        raise IntegrandError(
-            f"function non-finite at interior grid combination t={bad!r}")
-    return CertGrid(xs, fx, values[_HALF_INDEX])
+    points, values = _grid_values(fn, domain)
+    return CertGrid(points[::_STEP].copy(), values[::_STEP].copy(),
+                    values[_HALF_INDEX])
 
 
 # this thread's work arrays, shared by every grid: the s-weighted

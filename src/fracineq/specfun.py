@@ -16,6 +16,7 @@ against 40-digit references; the package contract is 1e-12.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DomainError
@@ -72,27 +73,21 @@ def _log_gamma_core(x: float) -> float:
     return _LOG_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
 
-# log_gamma's results by argument: a sweep asks for a few dozen distinct
-# arguments thousands of times.  Bounded, so a long run of distinct
-# arguments cannot grow it without limit; once full it stops adding.
-_LOG_GAMMA_MEMO: dict[float, float] = {}
-_LOG_GAMMA_MEMO_MAX = 4096
-
-
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
-    x = _require_positive("x", x)
-    value = _LOG_GAMMA_MEMO.get(x)
-    if value is None:
-        if x < 0.5:
-            # shift into the accurate range:
-            # log Gamma(x) = log Gamma(x+1) - log x
-            value = _log_gamma_core(x + 1.0) - math.log(x)
-        else:
-            value = _log_gamma_core(x)
-        if len(_LOG_GAMMA_MEMO) < _LOG_GAMMA_MEMO_MAX:
-            _LOG_GAMMA_MEMO[x] = value
-    return value
+    return _log_gamma(_require_positive("x", x))
+
+
+# log_gamma and log_beta keep their results by validated argument: a sweep
+# asks for a few dozen distinct arguments thousands of times, and the bound
+# keeps a long run of distinct ones from growing the cache without limit
+@functools.lru_cache(maxsize=4096)
+def _log_gamma(x: float) -> float:
+    if x < 0.5:
+        # shift into the accurate range:
+        # log Gamma(x) = log Gamma(x+1) - log x
+        return _log_gamma_core(x + 1.0) - math.log(x)
+    return _log_gamma_core(x)
 
 
 def gamma(x: float) -> float:
@@ -128,25 +123,17 @@ def _log_gamma_ratio(x: float, y: float) -> float:
             + _stirling_remainder(x) - _stirling_remainder(x + y))
 
 
-# log_beta's results by argument pair, bounded like log_gamma's: a sweep
-# asks for a few dozen distinct pairs thousands of times
-_LOG_BETA_MEMO: dict[tuple[float, float], float] = {}
-
-
 def log_beta(x: float, y: float) -> float:
     """log of Beta(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), x, y > 0."""
-    x = _require_positive("x", x)
-    y = _require_positive("y", y)
-    value = _LOG_BETA_MEMO.get((x, y))
-    if value is None:
-        if max(x, y) < _STIRLING_MIN:
-            value = log_gamma(x) + log_gamma(y) - log_gamma(x + y)
-        else:
-            small, large = sorted((x, y))
-            value = log_gamma(small) + _log_gamma_ratio(large, small)
-        if len(_LOG_BETA_MEMO) < _LOG_GAMMA_MEMO_MAX:
-            _LOG_BETA_MEMO[(x, y)] = value
-    return value
+    return _log_beta(_require_positive("x", x), _require_positive("y", y))
+
+
+@functools.lru_cache(maxsize=4096)
+def _log_beta(x: float, y: float) -> float:
+    if max(x, y) < _STIRLING_MIN:
+        return _log_gamma(x) + _log_gamma(y) - _log_gamma(x + y)
+    small, large = sorted((x, y))
+    return _log_gamma(small) + _log_gamma_ratio(large, small)
 
 
 def beta(x: float, y: float) -> float:

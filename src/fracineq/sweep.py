@@ -38,9 +38,11 @@ checks do not depend silently on grid alignment.  For each channel (f,
 |f''| or |f''|^q on one interval; |f''|^1 is the |f''| channel) the sweep
 draws one probe batch from the seed and the channel's key, and one
 :func:`~fracineq.funclib.channel_verdicts` call judges the grid and the
-probes at every s value in both directions.  Likewise
-the trapezoid defect of each (function, interval, alpha) is computed once
-and shared by its identity row and all its bound rows.
+probes at every s value in both directions.  The identity row's own
+hypothesis, f'' integrable, fails where that |f''| channel has no verdicts,
+being non-finite on the grid.  Likewise the trapezoid defect of each
+(function, interval, alpha) is computed once and shared by its identity row
+and all its bound rows.
 """
 
 from __future__ import annotations
@@ -304,16 +306,6 @@ def _range_rule(in_range: bool) -> _Rule:
     return _ASSERTED if in_range else _RECORDED
 
 
-def _d2_evaluatable(f: TestFunction, iv: Interval) -> bool:
-    # the identity requires an integrable second derivative; an endpoint
-    # where d2 blows up fails that hypothesis
-    try:
-        return all(math.isfinite(float(f.d2(t)))
-                   for t in (iv.a, iv.midpoint, iv.b))
-    except (ArithmeticError, ValueError, TypeError):
-        return False
-
-
 class _Sweep:
     """What one sweep shares across its rows: the slack and quadrature
     tolerance, the seed and s values, and two caches, the verdicts of each
@@ -331,13 +323,14 @@ class _Sweep:
         # stopped its computation; filled by whichever row asks first
         self.defects: dict[tuple, float | FracineqError] = {}
 
-    def certified(self, f: TestFunction, channel: str, domain: Interval,
-                  s: float, q: float | None, concave: bool) -> bool:
-        """Whether ``channel`` of ``f`` is s-convex (s-concave if
-        ``concave``) on ``domain``: ``f`` itself, or ``abs_d2``: |f''|^q
-        (keyed ``abs_d2_pow``), |f''| for q None or 1.  The first ask
-        draws the channel's probes from the seed and its key and caches
-        the verdicts of :func:`~fracineq.funclib.channel_verdicts`."""
+    def verdicts_of(self, f: TestFunction, channel: str, domain: Interval,
+                    q: float | None) -> dict[tuple[float, bool], bool]:
+        """The verdicts {(s, concave): bool} of ``channel`` of ``f`` on
+        ``domain``: ``f`` itself, or ``abs_d2``: |f''|^q (keyed
+        ``abs_d2_pow``), |f''| for q None or 1; ``{}`` where the channel
+        is non-finite on the certification grid.  The first ask draws the
+        channel's probes from the seed and its key and caches the verdicts
+        of :func:`~fracineq.funclib.channel_verdicts`."""
         q = None if q == 1.0 else q
         key = (f.name, channel if q is None else "abs_d2_pow", domain.a,
                domain.b, q)
@@ -351,7 +344,7 @@ class _Sweep:
             fn = f.fn if channel == "f" else abs_d2(f, q)
             verdicts = self.verdicts[key] = channel_verdicts(
                 fn, domain, self.s_values, x, y, lam)
-        return verdicts.get((s, concave), False)
+        return verdicts
 
     def row(self, check_id: str, key: tuple, lhs=None, rhs=None,
             rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
@@ -389,7 +382,9 @@ class _Sweep:
     def identity_row(self, f: TestFunction, iv: Interval,
                      alpha: float) -> SweepRow:
         key = (f.name, iv.a, iv.b, alpha, None, None, None)
-        if not _d2_evaluatable(f, iv):
+        # the identity needs f'' integrable: a |f''| channel non-finite on
+        # the certification grid has no verdicts, and nothing is computed
+        if not self.verdicts_of(f, "abs_d2", iv, None):
             return self.row("identity", key, status=STATUS_SKIPPED)
         try:
             lhs = self.defect(f, iv, alpha)
@@ -397,15 +392,15 @@ class _Sweep:
         except AccuracyError:
             return self.row("identity", key, status=STATUS_FAIL)
         except IntegrandError:
-            # f'' not evaluatable/integrable on the interval: the identity's
-            # own hypothesis fails for this tuple
+            # f non-finite where the defect reads it, or f'' off the grid
             return self.row("identity", key, status=STATUS_SKIPPED)
         return self.row("identity", key, lhs, rhs, _IDENTITY)
 
     def bound_row(self, check: BoundCheck, f: TestFunction, iv: Interval,
                   bp: BoundParams) -> SweepRow:
         key = (f.name, iv.a, iv.b, bp.alpha, bp.s, bp.p, bp.q)
-        if not self.certified(f, "abs_d2", iv, bp.s, bp.q, check.concave):
+        verdicts = self.verdicts_of(f, "abs_d2", iv, bp.q)
+        if not verdicts.get((bp.s, check.concave), False):
             return self.row(check.check_id, key, status=STATUS_SKIPPED)
         try:
             lhs = abs(self.defect(f, iv, bp.alpha))
@@ -421,7 +416,7 @@ class _Sweep:
                       s: float) -> list[SweepRow]:
         key = (f.name, iv.a, iv.b, None, s, None, None)
         sw = None
-        if self.certified(f, "f", iv, s, None, concave=False):
+        if self.verdicts_of(f, "f", iv, None).get((s, False), False):
             try:
                 sw = s_convex_sandwich(f, iv, s, quad_tol=self.quad_tol)
             except (PreconditionError, AccuracyError):

@@ -86,6 +86,12 @@ def test_convexity_class_keeps_the_float_its_validator_returns():
         for bad in (0.0, 1.5, float("nan"), "2"):
             with pytest.raises(DomainError, match="s must lie in"):
                 ConvexityClass(kind, bad)
+    # the kinds without an exponent refuse one, naming the kind
+    for kind in ("convex", "concave", "none"):
+        assert str(ConvexityClass(kind)) == kind
+        for s in (0.5, "0.5", 1.0, 7):
+            with pytest.raises(DomainError, match=f"{kind} takes no s"):
+                ConvexityClass(kind, s)
 
 
 def test_certifier_precondition_errors():

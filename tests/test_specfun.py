@@ -121,10 +121,11 @@ def test_beta_survives_large_arguments():
     assert math.isfinite(log_gamma(300.0))
 
 
-def test_log_gamma_memo_is_exact_and_bounded(monkeypatch):
+def test_log_gamma_memo_is_exact_and_bounded():
     from fracineq import specfun
 
-    monkeypatch.setattr(specfun, "_LOG_GAMMA_MEMO", {})
+    cache = specfun._log_gamma
+    cache.cache_clear()
 
     def fresh(x):
         # the unmemoised evaluation
@@ -134,19 +135,21 @@ def test_log_gamma_memo_is_exact_and_bounded(monkeypatch):
 
     for x in (0.05, 0.5, 1.25, 7.0, 171.0):
         assert log_gamma(x) == fresh(x)
-        assert log_gamma(x) == fresh(x)      # served from the memo
-    xs = [1.0 + k / 64.0 for k in range(specfun._LOG_GAMMA_MEMO_MAX + 100)]
+        assert log_gamma(x) == fresh(x)      # served from the cache
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5, 5, 5)
+    xs = [1.0 + k / 64.0 for k in range(info.maxsize + 100)]
     assert [log_gamma(x) for x in xs] == [fresh(x) for x in xs]
-    assert len(specfun._LOG_GAMMA_MEMO) <= specfun._LOG_GAMMA_MEMO_MAX
+    assert cache.cache_info().currsize <= cache.cache_info().maxsize == 4096
     with pytest.raises(DomainError):
         log_gamma(math.nan)
 
 
-def test_log_beta_memo_is_exact_and_bounded(monkeypatch):
+def test_log_beta_memo_is_exact_and_bounded():
     from fracineq import specfun
 
-    monkeypatch.setattr(specfun, "_LOG_BETA_MEMO", {})
-    monkeypatch.setattr(specfun, "_LOG_GAMMA_MEMO", {})
+    cache = specfun._log_beta
+    cache.cache_clear()
 
     def fresh(x, y):
         # the unmemoised evaluation
@@ -158,26 +161,28 @@ def test_log_beta_memo_is_exact_and_bounded(monkeypatch):
     for x, y in ((0.5, 2.0), (1.25, 19.9), (2.0, 1.25), (3.0, 1e17),
                  (1e300, 0.5)):
         assert log_beta(x, y) == fresh(x, y)
-        assert specfun._LOG_BETA_MEMO[(x, y)] == fresh(x, y)
-        assert log_beta(x, y) == fresh(x, y)      # served from the memo
-    pairs = [(1.0 + k / 64.0, 2.5)
-             for k in range(specfun._LOG_GAMMA_MEMO_MAX + 100)]
+        assert log_beta(x, y) == fresh(x, y)      # served from the cache
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5, 5, 5)
+    pairs = [(1.0 + k / 64.0, 2.5) for k in range(info.maxsize + 100)]
     assert [log_beta(x, y) for x, y in pairs] == [fresh(x, y)
                                                   for x, y in pairs]
-    assert len(specfun._LOG_BETA_MEMO) == specfun._LOG_GAMMA_MEMO_MAX
+    assert cache.cache_info().currsize == cache.cache_info().maxsize == 4096
 
 
-def test_log_beta_refuses_bad_arguments_on_every_call(monkeypatch):
+def test_log_beta_refuses_bad_arguments_on_every_call():
     from fracineq import specfun
 
-    monkeypatch.setattr(specfun, "_LOG_BETA_MEMO", {})
+    specfun._log_beta.cache_clear()
     for x, y in ((math.nan, 1.0), (1.0, 0.0), (-1.0, 2.0), (1.0, math.inf)):
         for _ in range(2):
             with pytest.raises(DomainError):
                 log_beta(x, y)
             with pytest.raises(DomainError):
                 beta(x, y)
-    assert specfun._LOG_BETA_MEMO == {}
+    # refused before the cache: never looked up, never stored
+    info = specfun._log_beta.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_log_beta_below_stirling_range_keeps_its_bits():

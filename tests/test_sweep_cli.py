@@ -690,6 +690,91 @@ def test_channel_non_finite_on_the_grid_certifies_nothing():
     assert {r.status for r in rows} == {"precondition_skipped"}
 
 
+def log_kink() -> TestFunction:
+    """u ln u - u with u = |t - 0.25| on [0, 1]: f'' = 1/|t - 0.25| is
+    finite at both ends and the midpoint, infinite at the grid point 0.25,
+    and not integrable there."""
+    def fn(t):
+        u = abs(t - 0.25)
+        return u * np.log(u + (u == 0.0)) - u
+    return TestFunction("log_kink", fn, lambda t: 1.0 / abs(t - 0.25),
+                        ConvexityClass("none"), Interval(0.0, 1.0))
+
+
+def test_identity_row_takes_its_hypothesis_from_the_abs_d2_channel(
+        monkeypatch):
+    # the identity row is skipped from the |f''| channel's empty verdicts,
+    # with neither side of the identity computed
+    import fracineq.funclib as funclib_mod
+
+    f = log_kink()
+    monkeypatch.setitem(funclib_mod._RESOLVED, f.name, f)
+    calls = Counter()
+    for name in ("trapezoid_defect", "defect_identity_rhs"):
+        def counting(*args, real=getattr(sweep, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(sweep, name, counting)
+    report = run_sweep(small_config(functions=(f.name,), alphas=(0.5,)))
+    identity = [r for r in report.rows if r.check_id == "identity"]
+    assert [(r.status, r.lhs, r.rhs) for r in identity] == [
+        ("precondition_skipped", None, None)]
+    assert calls == Counter()
+    assert {r.status for r in report.rows
+            if r.check_id.startswith("bound_")} == {"precondition_skipped"}
+    run = _Sweep(small_config())
+    assert run.verdicts_of(f, "abs_d2", f.natural_domain, None) == {}
+
+
+def test_check_identity_refuses_the_tuples_the_sweep_skips(monkeypatch,
+                                                            capsys):
+    # |f''| of root_power_0.5 is infinite at t = 0: check-identity names
+    # the hypothesis and the point before any quadrature runs, where it
+    # ran the adaptive engine to its minimum panel width
+    from fracineq import cli, quadrature
+
+    entered = []
+    real = quadrature._adaptive
+
+    def counting(*args, **kwargs):
+        entered.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counting)
+    code = cli.main(["check-identity", "--function", "root_power_0.5",
+                     "--interval", "0,1", "--alpha", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "identity hypothesis fails" in err and "t=0.0" in err
+    assert "unreachable" not in err
+    assert entered == []
+    # a malformed order is still a configuration error, judged first
+    assert cli.main(["check-identity", "--function", "root_power_0.5",
+                     "--interval", "0,1", "--alpha", "-1"]) == 2
+    assert "fractional order alpha" in capsys.readouterr().err
+    report = run_sweep(small_config(functions=("root_power_0.5",),
+                                    alphas=(0.5,)))
+    assert [r.status for r in report.rows if r.check_id == "identity"] == [
+        "precondition_skipped"]
+
+
+@pytest.mark.parametrize("function, code, text", [
+    ("square", 0, "PASS"),
+    # f'' = t^0.5 / 4 is not real below 0; f raised TypeError there
+    ("s_power_0.5", 1, "grid node t=-1.0"),
+])
+def test_check_identity_hypothesis_on_a_negative_interval(capsys, function,
+                                                          code, text):
+    # the identity does not need a >= 0: its hypothesis is read on the
+    # grid's points without s-convexity's domain rule
+    from fracineq import cli
+
+    assert cli.main(["check-identity", "--function", function,
+                     "--interval=-1,1", "--alpha", "0.5"]) == code
+    out = capsys.readouterr()
+    assert text in out.out + out.err
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
 def test_probes_reject_between_grid_points_for_that_s_and_direction(seed):
     f = bumped_square()
@@ -698,8 +783,7 @@ def test_probes_reject_between_grid_points_for_that_s_and_direction(seed):
     grid = cert_grid(f.fn, iv)
     assert [grid_verdicts(grid, s) for s in s_values] == [(True, False)] * 3
     sweep = _Sweep(small_config(s_values=s_values, seed=seed))
-    verdicts = {(s, concave): sweep.certified(f, "f", iv, s, None, concave)
-                for s in s_values for concave in (False, True)}
+    verdicts = sweep.verdicts_of(f, "f", iv, None)
     # only s-convexity at s = 1 is lost; the smaller s keep their larger
     # margin, and s-concavity was refused by the grid already
     assert verdicts == {(0.25, False): True, (0.25, True): False,
