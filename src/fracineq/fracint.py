@@ -33,6 +33,7 @@ from .quadrature import (
     TANH_SINH,
     Interval,
     _engine_tol,
+    _outcome_value,
     beta_expectation,
 )
 from .specfun import check_alpha, gamma
@@ -75,8 +76,9 @@ def _rl(f, alpha: float, lo: float, hi: float, sign: float,
         return _point_value(fv, t) - fx
 
     points = (x + step * TANH_SINH.nodes).clip(lo, hi)
-    rest = beta_expectation(_eval_grid(fv, points) - fx, shifted, alpha, tol)
-    return scale * (fx + rest)
+    (rest,) = beta_expectation(_eval_grid(fv, points) - fx, shifted,
+                               (alpha,), (tol,))
+    return scale * (fx + _outcome_value(rest))
 
 
 def left_rl(f, alpha: float, a: float, x: float,

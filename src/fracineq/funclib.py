@@ -178,19 +178,29 @@ def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
 
 
 def _point_value(fn, t: float, place: str = "t={!r}") -> float:
-    """float(fn(t)); a non-finite value, or an error of a scalar-only fn
-    (see :data:`~fracineq.errors.SCALAR_ERRORS`), is an IntegrandError
-    naming ``place.format(t)``, which is formatted only then."""
+    """float(fn(t)); a non-finite or non-real value, or an error of a
+    scalar-only fn (see :data:`~fracineq.errors.SCALAR_ERRORS`), is an
+    IntegrandError naming ``place.format(t)``, which is formatted only
+    then."""
     try:
-        value = float(fn(t))
+        raw = fn(t)
+        try:
+            value = float(raw)
+        except TypeError:
+            # a complex value, such as a negative float to a fractional
+            # power; a TypeError of fn itself is not caught
+            value = None
     except OverflowError:
         what = "overflows"
     except SCALAR_ERRORS as exc:
         what = f"raised {type(exc).__name__} ({exc})"
     else:
-        if math.isfinite(value):
+        if value is None:
+            what = f"returned non-real value {raw!r}"
+        elif math.isfinite(value):
             return value
-        what = f"returned non-finite value {value!r}"
+        else:
+            what = f"returned non-finite value {value!r}"
     raise IntegrandError(f"function {what} at {place.format(t)}")
 
 

@@ -24,13 +24,19 @@ computed by :func:`defect_identity_rhs`.  Both sides are integrals over
 for f = t^(s+2) on [0, b] terms in u^(s+2), (1-u)^(s+2) and t^s.  Each is
 first computed on the tanh-sinh ladder
 :data:`~fracineq.quadrature.TANH_SINH` (see
-:class:`~fracineq.quadrature.TanhSinhLadder`), with f or f'' evaluated
-once on all its nodes as an array.  The defect is the expectation
+:class:`~fracineq.quadrature.TanhSinhLadder`), whose nodes do not depend
+on alpha.  So each side is computed for a sequence of orders at once
+(``_defects`` and ``_identity_rhs``; the sweep passes all its orders):
+f or f'' is evaluated once on all the nodes as an array, each order
+weights those values in its own row, and one ladder pass sums every row.
+The defect is the expectation
 :func:`~fracineq.quadrature.beta_expectation` of g, which weights g by
 the density alpha exp((alpha-1) ln u); the rhs weight is
 t (-expm1(alpha ln t)), which keeps 1 - t^alpha accurate at tiny alpha.
-When no level meets the tolerance, or a node value is not finite, either
-integral goes to the adaptive engine.
+For each order where no level meets the tolerance, or a node value is not
+finite, the integral goes to the adaptive engine, and an error there is
+that order's alone.  :func:`trapezoid_defect` and
+:func:`defect_identity_rhs` are the one-alpha calls.
 
 Upper bounds for |D| follow from s-convexity or s-concavity of |f''| or
 |f''|^q, each declared once in :data:`BOUND_CHECKS`; the four evaluators
@@ -53,7 +59,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import (
+    AccuracyError,
+    DomainError,
+    FracineqError,
+    IntegrandError,
+    PreconditionError,
+)
 from .funclib import (
     CERT_GRID_N,
     CERT_SLACK,
@@ -73,6 +85,7 @@ from .quadrature import (
     TANH_SINH,
     Interval,
     _engine_tol,
+    _outcome_value,
     beta_expectation,
     integrate,
 )
@@ -232,11 +245,12 @@ def _curvature(f: TestFunction, t: float, q: float = 1.0) -> float:
     return abs(float(f.d2(t))) ** q
 
 
-def trapezoid_defect(f, interval: Interval, alpha: float,
-                     quad_tol: float = DEFAULT_QUAD_TOL) -> DefectResult:
-    """Compute the trapezoid defect as the Beta(alpha, 1) expectation of the
-    module docstring; |total error| <= quad_tol."""
-    alpha = check_alpha(alpha)
+def _defects(f, interval: Interval, alphas, quad_tol: float
+             ) -> tuple[float, float, list[float | FracineqError]]:
+    """f(a), f(b) and the trapezoid defect at every order of ``alphas``,
+    each the Beta(alpha, 1) expectation of the module docstring with
+    |total error| <= quad_tol, or the error that stopped that order alone;
+    f is read once for all orders."""
     a, b = interval.a, interval.b
     h = b - a
     fv = value_fn(f)
@@ -253,36 +267,69 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     # f(b - h u) at node u is f(a + h (1-u)), its value at the mirrored node
     fx = _eval_grid(fv, a + h * TANH_SINH.nodes)
     # D is half the integral, so the integral needs twice the tolerance
-    value = beta_expectation(fx + fx[::-1] - ends, g, alpha,
-                             _engine_tol(2.0 * quad_tol))
-    return DefectResult(lhs=-0.5 * value, quad_tol_used=quad_tol,
+    tol = _engine_tol(2.0 * quad_tol)
+    values = beta_expectation(fx + fx[::-1] - ends, g, alphas,
+                              [tol] * len(alphas))
+    return fa, fb, [v if isinstance(v, FracineqError) else -0.5 * v
+                    for v in values]
+
+
+def trapezoid_defect(f, interval: Interval, alpha: float,
+                     quad_tol: float = DEFAULT_QUAD_TOL) -> DefectResult:
+    """Compute the trapezoid defect as the Beta(alpha, 1) expectation of the
+    module docstring; |total error| <= quad_tol."""
+    alpha = check_alpha(alpha)
+    fa, fb, (lhs,) = _defects(f, interval, (alpha,), quad_tol)
+    return DefectResult(lhs=_outcome_value(lhs), quad_tol_used=quad_tol,
                         fa=fa, fb=fb, alpha=alpha, interval=interval)
+
+
+def _curvature_integral(d2, a: float, b: float, alpha: float,
+                        tol: float) -> float:
+    """int_0^1 t (1 - t^alpha) [d2(ta + (1-t)b) + d2((1-t)a + tb)] dt by
+    :func:`integrate`, where the ladder refuses it."""
+    def weight_integrand(t: float) -> float:
+        return t * -math.expm1(alpha * math.log(t)) * (
+            d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
+
+    return integrate(weight_integrand, _UNIT, abs_tol=tol).value
+
+
+def _identity_rhs(f: TestFunction, interval: Interval, alphas,
+                  quad_tol: float) -> list[float | FracineqError]:
+    """The weighted curvature integral equal to the trapezoid defect at
+    every order of ``alphas``, or the error that stopped that order alone;
+    f'' is read once for all orders."""
+    a, b = interval.a, interval.b
+    d2 = f.d2
+    width2 = _width_squared(interval)
+    coeffs = [0.5 * width2 / (alpha + 1.0) for alpha in alphas]
+    # coeff underflows to 0 only where the rhs lies below the smallest double
+    tols = [_engine_tol(quad_tol / coeff) if coeff > 0.0 else MAX_ABS_TOL
+            for coeff in coeffs]
+    t, one_minus_t = TANH_SINH.nodes, TANH_SINH.complements
+    # the second point (1-t) a + t b at node t is the first at the mirrored
+    # node 1-t
+    d2v = _eval_grid(d2, t * a + one_minus_t * b)
+    powers = np.minimum(np.asarray(alphas, dtype=float), _NODE_POWER_CAP)
+    # 1 - t^alpha, without the cancellation of forming t^alpha near 1
+    weights = t * -np.expm1(powers[:, None] * TANH_SINH.log_nodes)
+    values: list = TANH_SINH.estimate(weights * (d2v + d2v[::-1]), tols)
+    for r, (alpha, tol) in enumerate(zip(alphas, tols)):
+        if values[r] is None:
+            try:
+                values[r] = _curvature_integral(d2, a, b, alpha, tol)
+            except (AccuracyError, IntegrandError) as exc:
+                values[r] = exc
+    return [v if isinstance(v, FracineqError) else coeff * v
+            for v, coeff in zip(values, coeffs)]
 
 
 def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
                         quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Weighted curvature integral equal to the trapezoid defect."""
     alpha = check_alpha(alpha)
-    a, b = interval.a, interval.b
-    d2 = f.d2
-    coeff = 0.5 * _width_squared(interval) / (alpha + 1.0)
-    # coeff underflows to 0 only where the rhs lies below the smallest double
-    tol = _engine_tol(quad_tol / coeff) if coeff > 0.0 else MAX_ABS_TOL
-
-    def weight_integrand(t: float) -> float:
-        # 1 - t^alpha, without the cancellation of forming t^alpha near 1
-        return t * -math.expm1(alpha * math.log(t)) * (
-            d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
-
-    t, one_minus_t = TANH_SINH.nodes, TANH_SINH.complements
-    # the second point (1-t) a + t b at node t is the first at the mirrored
-    # node 1-t
-    d2v = _eval_grid(d2, t * a + one_minus_t * b)
-    weight = t * -np.expm1(min(alpha, _NODE_POWER_CAP) * TANH_SINH.log_nodes)
-    value = TANH_SINH.estimate(weight * (d2v + d2v[::-1]), tol)
-    if value is None:
-        value = integrate(weight_integrand, _UNIT, abs_tol=tol).value
-    return coeff * value
+    return _outcome_value(_identity_rhs(f, interval, (alpha,), quad_tol)[0])
 
 
 def s_convex_sandwich(f, interval: Interval, s: float,

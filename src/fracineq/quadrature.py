@@ -15,19 +15,23 @@ array at once have a faster path: :data:`TANH_SINH`, nested tanh-sinh
 rules (Takahasi & Mori, Publ. RIMS 9, 1974) of 13, 25, 51, 101 and 201
 nodes, built once at import.  The double-exponential substitution handles
 algebraic behaviour at both ends of [0, 1], and no node depends on the
-integrand.  :meth:`TanhSinhLadder.estimate` accepts a level's sum only
-when ``|Q_j - Q_(j-1)| + n_j * eps * sum |w_i g_i|`` meets the tolerance:
-the difference from the previous level estimates the truncation error,
-the second term the rounding of the sum.  A level refused by that
-worst-case rounding term alone is summed again exactly (``math.fsum``)
-and charged ``eps * sum |w_i g_i|`` plus one ulp.  When no level passes,
-or a node value is not finite, it returns None.
+integrand.  :meth:`TanhSinhLadder.estimate` sums a batch of integrands,
+one row each, in one pass, and accepts a row's level sum only when
+``|Q_j - Q_(j-1)| + n_j * eps * sum |w_i g_i|`` meets that row's
+tolerance: the difference from the previous level estimates the
+truncation error, the second term the rounding of the sum.  A level
+refused by that worst-case rounding term alone is summed again exactly
+(``math.fsum``) and charged ``eps * sum |w_i g_i|`` plus one ulp.  A row
+where no level passes, or a node value is not finite, gets None.  Each
+row is the same elementwise arithmetic and the same sum as alone, so its
+result does not depend on the other rows.
 
 :func:`beta_expectation` is the one expectation under U ~ Beta(alpha, 1)
-behind the trapezoid defect and the Riemann-Liouville operators: it tries
-the ladder, and where the ladder refuses it falls back once to
-:func:`integrate` after a power substitution that makes the density's
-singularity at u = 0 bounded.
+behind the trapezoid defect and the Riemann-Liouville operators, for a
+sequence of orders at once: it weights g's node values by every order's
+density in one ladder pass, and each order the ladder refuses falls back
+once to :func:`integrate` after a power substitution that makes the
+density's singularity at u = 0 bounded.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import SCALAR_ERRORS, AccuracyError, DomainError, IntegrandError
+from .errors import (
+    SCALAR_ERRORS,
+    AccuracyError,
+    DomainError,
+    FracineqError,
+    IntegrandError,
+)
 
 __all__ = [
     "Interval",
@@ -308,34 +318,48 @@ class TanhSinhLadder:
             for stride in strides])
         self.sizes = [2 * (n // stride) + 1 for stride in strides]
 
-    def estimate(self, values: np.ndarray, tol: float) -> float | None:
-        """The first level sum whose error estimate meets ``tol``, or None.
+    def estimate(self, values: np.ndarray, tols) -> list[float | None]:
+        """Per row of ``values``, the first level sum whose error estimate
+        meets that row's entry of ``tols``, or None.
 
-        ``values`` holds the integrand at :attr:`nodes`.  Level j's
-        estimate is its distance from level j-1 plus the rounding bound
-        ``size * eps * sum |w_i g_i|`` of its own sum.  Where that bound
-        alone refuses a level, both levels are summed again with
-        ``math.fsum``, whose only rounding left is that of the products
-        and of the result: ``eps * sum |w_i g_i|`` plus one ulp.  None
-        when no level passes or a value is not finite.
+        Each row of the (k, N) array ``values`` holds one integrand at
+        :attr:`nodes`; all k rows are weighted and summed in one (k, 5, N)
+        product.  Level j's estimate is its distance from level j-1 plus
+        the rounding bound ``size * eps * sum |w_i g_i|`` of its own sum.
+        Where that bound alone refuses a level, both levels are summed
+        again with ``math.fsum``, whose only rounding left is that of the
+        products and of the result: ``eps * sum |w_i g_i|`` plus one ulp.
+        A row gets None when no level passes or one of its values is not
+        finite; the other rows are summed as if alone.
         """
-        if not np.isfinite(values).all():
-            return None
-        products = self.weights * values
-        sums = products.sum(axis=1).tolist()
-        abs_sums = (self.weights * np.abs(values)).sum(axis=1).tolist()
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            # zeros keep the refused rows' inf and nan out of the sums
+            values = np.where(finite[:, None], values, 0.0)
+        products = values[:, None, :] * self.weights
+        sums = products.sum(axis=-1).tolist()
+        # |w_i g_i| is w_i |g_i| bit for bit: no weight is negative
+        abs_sums = np.abs(products).sum(axis=-1).tolist()
         eps = math.ulp(1.0)
-        for j in range(1, len(sums)):
-            diff = abs(sums[j] - sums[j - 1])
-            if diff + self.sizes[j] * eps * abs_sums[j] <= tol:
-                return sums[j]
-            if diff <= tol:
-                exact = math.fsum(products[j].tolist())
-                previous = math.fsum(products[j - 1].tolist())
-                if (abs(exact - previous) + eps * abs_sums[j]
-                        + math.ulp(exact) <= tol):
-                    return exact
-        return None
+        out: list[float | None] = []
+        for r, (ok, tol) in enumerate(zip(finite.tolist(), tols)):
+            out.append(None)
+            if not ok:
+                continue
+            row, abs_row = sums[r], abs_sums[r]
+            for j in range(1, self.LEVELS):
+                diff = abs(row[j] - row[j - 1])
+                if diff + self.sizes[j] * eps * abs_row[j] <= tol:
+                    out[r] = row[j]
+                    break
+                if diff <= tol:
+                    exact = math.fsum(products[r, j].tolist())
+                    previous = math.fsum(products[r, j - 1].tolist())
+                    if (abs(exact - previous) + eps * abs_row[j]
+                            + math.ulp(exact) <= tol):
+                        out[r] = exact
+                        break
+        return out
 
 
 # the ladder every defect, identity rhs and RL operator tries first: 13,
@@ -345,24 +369,40 @@ _UNIT = Interval(0.0, 1.0)
 
 
 def beta_expectation(values: np.ndarray, g: Callable[[float], float],
-                     alpha: float, tol: float) -> float:
+                     alphas, tols) -> list[float | FracineqError]:
     """E[g(U)] for U ~ Beta(alpha, 1), density alpha u^(alpha-1) on
-    [0, 1], to absolute tolerance ``tol``; g must vanish at 0.
+    [0, 1], for each alpha of ``alphas`` to the absolute tolerance at the
+    same place in ``tols``; g must vanish at 0.
 
-    ``values`` holds g at ``TANH_SINH.nodes``; they are weighted by the
-    density and summed on the ladder.  Where the ladder refuses, the
-    integral goes once to :func:`integrate`, with ``g`` called node by
+    ``values`` holds g at ``TANH_SINH.nodes``; one ladder pass weights
+    them by every order's density and sums them.  Each order the ladder
+    refuses goes once to :func:`integrate`, with ``g`` called node by
     node, after the substitution v = u^power with
     power = min(max(alpha, MIN_SUBSTITUTION_POWER), 1): the integrand
-    (alpha/power) u^(alpha-power) g(u) is then bounded.
+    (alpha/power) u^(alpha-power) g(u) is then bounded.  One outcome per
+    alpha: the expectation, or the :class:`AccuracyError` or
+    :class:`IntegrandError` that stopped that order's fallback.
     """
+    alphas = np.asarray(alphas, dtype=float)
     # the density is formed first: a huge alpha times a large g could
     # overflow where alpha * u^(alpha-1) underflows to 0
-    density = alpha * np.exp(min(alpha - 1.0, _NODE_POWER_CAP)
-                             * TANH_SINH.log_nodes)
-    value = TANH_SINH.estimate(density * values, tol)
-    if value is not None:
-        return value
+    density = alphas[:, None] * np.exp(
+        np.minimum(alphas - 1.0, _NODE_POWER_CAP)[:, None]
+        * TANH_SINH.log_nodes)
+    out: list = TANH_SINH.estimate(density * values, tols)
+    for r, (alpha, tol) in enumerate(zip(alphas.tolist(), tols)):
+        if out[r] is None:
+            try:
+                out[r] = _fallback_expectation(g, alpha, tol)
+            except (AccuracyError, IntegrandError) as exc:
+                out[r] = exc
+    return out
+
+
+def _fallback_expectation(g: Callable[[float], float], alpha: float,
+                          tol: float) -> float:
+    """E[g(U)] by :func:`integrate`, substituted as in
+    :func:`beta_expectation`."""
     power = min(max(alpha, MIN_SUBSTITUTION_POWER), 1.0)
     inv_power = 1.0 / power
     scale = alpha * inv_power
@@ -376,3 +416,11 @@ def beta_expectation(values: np.ndarray, g: Callable[[float], float],
         return (scale * u ** (alpha - power)) * g(u)
 
     return integrate(bounded, _UNIT, abs_tol=tol).value
+
+
+def _outcome_value(outcome: float | FracineqError) -> float:
+    """The value of one outcome of a batched computation such as
+    :func:`beta_expectation`; an error outcome is raised."""
+    if isinstance(outcome, FracineqError):
+        raise outcome
+    return outcome

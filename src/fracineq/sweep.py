@@ -40,9 +40,11 @@ draws one probe batch from the seed and the channel's key, and one
 :func:`~fracineq.funclib.channel_verdicts` call judges the grid and the
 probes at every s value in both directions.  The identity row's own
 hypothesis, f'' integrable, fails where that |f''| channel has no verdicts,
-being non-finite on the grid.  Likewise the trapezoid defect of each
-(function, interval, alpha) is computed once and shared by its identity row
-and all its bound rows.
+being non-finite on the grid.  Likewise the trapezoid defects and the
+identity right-hand sides of each (function, interval) are computed once,
+for every configured alpha in one ladder pass per side; each alpha's defect
+is shared by its identity row and all its bound rows, and an error at one
+alpha gives only that alpha's rows their status.
 """
 
 from __future__ import annotations
@@ -89,11 +91,11 @@ from .hhbounds import (
     _check_bound_alpha,
     _check_p,
     _check_q,
+    _defects,
+    _identity_rhs,
     _width_squared,
-    defect_identity_rhs,
     holder_kernel_bound,
     s_convex_sandwich,
-    trapezoid_defect,
     weight_int_beta,
     weight_int_plain,
     weight_int_power,
@@ -319,9 +321,12 @@ class _Sweep:
         self.s_values = config.s_values
         # {(s, concave): verdict} per channel key
         self.verdicts: dict[tuple, dict[tuple[float, bool], bool]] = {}
-        # signed defect per (function, interval, alpha), or the error that
-        # stopped its computation; filled by whichever row asks first
-        self.defects: dict[tuple, float | FracineqError] = {}
+        # the configured orders, each once: one batch per (function, interval)
+        self.alphas = tuple(dict.fromkeys(config.alphas))
+        # {alpha: (signed defect, identity rhs)} per (function, interval),
+        # each a float or the error that stopped it; filled for every alpha
+        # by whichever row asks first
+        self.defects: dict[tuple, dict[float, tuple]] = {}
 
     def verdicts_of(self, f: TestFunction, channel: str, domain: Interval,
                     q: float | None) -> dict[tuple[float, bool], bool]:
@@ -365,15 +370,23 @@ class _Sweep:
             status = rule.if_holds if holds else rule.if_not
         return SweepRow(check_id, *key, lhs, rhs, measured, status)
 
-    def defect(self, f: TestFunction, iv: Interval, alpha: float) -> float:
-        key = (f.name, iv.a, iv.b, alpha)
-        if key not in self.defects:
+    def side(self, f: TestFunction, iv: Interval, alpha: float,
+             which: int) -> float:
+        """The signed defect at ``alpha`` (``which`` 0) or the identity rhs
+        beside it (1); raises the error that stopped it.  The first ask
+        for (``f``, ``iv``) computes both sides at every configured alpha,
+        each side in one ladder pass, and keeps them."""
+        key = (f.name, iv.a, iv.b)
+        cell = self.defects.get(key)
+        if cell is None:
             try:
-                self.defects[key] = trapezoid_defect(
-                    f, iv, alpha, quad_tol=self.quad_tol).lhs
-            except (AccuracyError, IntegrandError) as exc:
-                self.defects[key] = exc
-        outcome = self.defects[key]
+                lhs = _defects(f, iv, self.alphas, self.quad_tol)[2]
+                rhs = _identity_rhs(f, iv, self.alphas, self.quad_tol)
+            except IntegrandError as exc:
+                # f non-finite at an endpoint: no alpha has a defect
+                lhs = rhs = [exc] * len(self.alphas)
+            cell = self.defects[key] = dict(zip(self.alphas, zip(lhs, rhs)))
+        outcome = cell[alpha][which]
         if isinstance(outcome, FracineqError):
             # a fresh traceback each time, so re-raising does not chain them
             raise outcome.with_traceback(None)
@@ -387,8 +400,8 @@ class _Sweep:
         if not self.verdicts_of(f, "abs_d2", iv, None):
             return self.row("identity", key, status=STATUS_SKIPPED)
         try:
-            lhs = self.defect(f, iv, alpha)
-            rhs = defect_identity_rhs(f, iv, alpha, quad_tol=self.quad_tol)
+            lhs = self.side(f, iv, alpha, 0)
+            rhs = self.side(f, iv, alpha, 1)
         except AccuracyError:
             return self.row("identity", key, status=STATUS_FAIL)
         except IntegrandError:
@@ -403,7 +416,7 @@ class _Sweep:
         if not verdicts.get((bp.s, check.concave), False):
             return self.row(check.check_id, key, status=STATUS_SKIPPED)
         try:
-            lhs = abs(self.defect(f, iv, bp.alpha))
+            lhs = abs(self.side(f, iv, bp.alpha, 0))
             rhs = check.formula(f, iv, bp)
         except AccuracyError:
             return self.row(check.check_id, key, status=STATUS_FAIL)

@@ -639,3 +639,26 @@ def test_overflowing_scales_raise_clean_errors():
         defect_bound_s_convex(LINEAR, wide, 1.0, 1.0)
     # (b-a)^2 underflows to 0 on [0, 1e-300]: the rhs is 0, not 0/0
     assert defect_identity_rhs(SQUARE, Interval(0.0, 1e-300), 1e308) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: trapezoid_defect(f, Interval(-1.0, 1.0), 0.5),
+    lambda f: left_rl(f, 0.5, -1.0, 1.0),
+], ids=["trapezoid_defect", "left_rl"])
+def test_a_complex_value_of_f_is_an_integrand_error_naming_t(call):
+    # t ** 2.5 of a negative Python float is complex, and float() of it
+    # used to escape as a bare TypeError
+    from fracineq import IntegrandError
+
+    with pytest.raises(IntegrandError, match=r"non-real value .* t=-"):
+        call(get_function("s_power_0.5"))
+
+
+def test_a_type_error_of_f_itself_is_not_an_integrand_error():
+    from fracineq.funclib import _point_value
+
+    def broken(t):
+        raise TypeError("not a number")
+
+    with pytest.raises(TypeError, match="not a number"):
+        _point_value(broken, 0.5)

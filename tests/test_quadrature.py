@@ -38,10 +38,10 @@ def both_paths(g, alpha, tol, fallbacks):
     """beta_expectation of g on the ladder, then on the adaptive fallback,
     forced by one non-finite node value; asserts which path ran."""
     values = np.array([g(u) for u in TANH_SINH.nodes.tolist()])
-    on_ladder = beta_expectation(values, g, alpha, tol)
+    (on_ladder,) = beta_expectation(values, g, (alpha,), (tol,))
     assert fallbacks == []
     values[values.size // 2] = math.inf
-    on_engine = beta_expectation(values, g, alpha, tol)
+    (on_engine,) = beta_expectation(values, g, (alpha,), (tol,))
     assert len(fallbacks) == 1
     fallbacks.clear()
     return on_ladder, on_engine
@@ -345,7 +345,8 @@ def test_beta_rule_reproduces_the_moments(alpha, k, fallbacks):
     # the ladder cuts off, without falling back
     u = TANH_SINH.nodes
     exact = alpha / (alpha + k)
-    got = beta_expectation(u ** k, lambda t: t ** k, alpha, 1e-12 * exact)
+    (got,) = beta_expectation(u ** k, lambda t: t ** k, (alpha,),
+                              (1e-12 * exact,))
     assert fallbacks == []
     assert got == pytest.approx(exact, rel=1e-13, abs=alpha * u[0])
 
@@ -361,38 +362,40 @@ def test_ladder_resolves_algebraic_endpoints():
     # int_0^1 t^0.25 (1-t)^0.75 dt = B(1.25, 1.75), both ends algebraic
     values = np.exp(0.25 * TANH_SINH.log_nodes
                     + 0.75 * np.log(TANH_SINH.complements))
-    got = TANH_SINH.estimate(values, 1e-14)
+    got = TANH_SINH.estimate(values[None], [1e-14])[0]
     assert got == pytest.approx(beta(1.25, 1.75), rel=0.0, abs=1e-14)
 
 
 def test_ladder_accepts_the_first_rung_that_meets_tol():
     # level 1 misses 1/4 by 1e-6, level 2 is 4e-14 from level 1
     cube = TANH_SINH.nodes ** 3
-    got = TANH_SINH.estimate(cube, 1e-12)
+    got = TANH_SINH.estimate(cube[None], [1e-12])[0]
     assert got == pytest.approx(0.25, abs=1e-15)
     assert got == pytest.approx(math.fsum(TANH_SINH.weights[2] * cube),
                                 abs=1e-16)
-    assert TANH_SINH.estimate(cube, 1e-20) is None
+    assert TANH_SINH.estimate(cube[None], [1e-20])[0] is None
 
 
 def test_ladder_gives_up_on_unresolved_or_non_finite_integrands():
     ladder = TANH_SINH
     kink = abs(ladder.nodes - 1.0 / 3.0)
     # a kink the levels do not resolve to 1e-12
-    assert ladder.estimate(kink, 1e-12) is None
-    assert ladder.estimate(kink, 1e-3) == pytest.approx(5.0 / 18.0, abs=1e-3)
+    assert ladder.estimate(kink[None], [1e-12])[0] is None
+    assert ladder.estimate(kink[None], [1e-3])[0] == pytest.approx(
+        5.0 / 18.0, abs=1e-3)
     values = ladder.nodes ** 2
     values[-1] = math.inf
-    assert ladder.estimate(values, 1e-3) is None
+    assert ladder.estimate(values[None], [1e-3])[0] is None
     values[-1] = math.nan
-    assert ladder.estimate(values, 1e-3) is None
+    assert ladder.estimate(values[None], [1e-3])[0] is None
 
 
 def test_ladder_rounding_term_blocks_tolerances_below_it():
     # exact on every level, but a sum of terms near 1e6 cannot resolve 1e-12
     values = 1e6 + 0.0 * TANH_SINH.nodes
-    assert TANH_SINH.estimate(values, 1e-12) is None
-    assert TANH_SINH.estimate(values, 1e-6) == pytest.approx(1e6, rel=1e-15)
+    assert TANH_SINH.estimate(values[None], [1e-12])[0] is None
+    assert TANH_SINH.estimate(values[None], [1e-6])[0] == pytest.approx(
+        1e6, rel=1e-15)
 
 
 def test_ladder_rechecks_rounding_limited_levels_exactly():
@@ -401,6 +404,48 @@ def test_ladder_rechecks_rounding_limited_levels_exactly():
     # eps * 300 + ulp(300) does not
     values = 300.0 + 0.0 * TANH_SINH.nodes
     assert TANH_SINH.sizes[3] * math.ulp(1.0) * 300.0 > 1e-12
-    got = TANH_SINH.estimate(values, 1e-12)
+    got = TANH_SINH.estimate(values[None], [1e-12])[0]
     assert got == math.fsum((TANH_SINH.weights[3] * values).tolist())
     assert got == pytest.approx(300.0, rel=0.0, abs=1e-12)
+
+
+def test_ladder_rows_are_summed_as_if_alone():
+    # one batch: a smooth row, a kink the ladder refuses at 1e-12, a row
+    # with an infinite value (kept out of the products, where inf * 0
+    # would warn), and the smooth row again at a tolerance no level meets;
+    # each gets the bits it gets as a batch of one
+    u = TANH_SINH.nodes
+    bad = u ** 2
+    bad[7] = math.inf
+    rows = np.array([u ** 3, abs(u - 1.0 / 3.0), bad, u ** 3])
+    tols = [1e-12, 1e-12, 1e-3, 1e-20]
+    got = TANH_SINH.estimate(rows, tols)
+    alone = [TANH_SINH.estimate(row[None], [tol])[0]
+             for row, tol in zip(rows, tols)]
+    assert got == alone
+    assert got[0] == pytest.approx(0.25, abs=1e-15)
+    assert got[1:] == [None, None, None]
+
+
+def test_beta_expectation_sends_only_refused_orders_to_the_engine(fallbacks):
+    # g(u) = |u - 1/3| - 1/3: the ladder refuses its kink at alpha = 0.5,
+    # which goes to the engine; at alpha = 200 and 50 the density leaves
+    # almost no mass near the kink, and those orders stay on the ladder
+    # with the bits each gets alone.  E[|U - c|] = 2 c^(alpha+1)/(alpha+1)
+    # + alpha/(alpha+1) - c for U ~ Beta(alpha, 1)
+    u = TANH_SINH.nodes
+
+    def g(t):
+        return abs(t - 1.0 / 3.0) - 1.0 / 3.0
+
+    alphas, tols = (200.0, 0.5, 50.0), (1e-12, 1e-12, 1e-12)
+    got = beta_expectation(g(u), g, alphas, tols)
+    assert len(fallbacks) == 1
+    fallbacks.clear()
+    for value, alpha, tol in zip(got, alphas, tols):
+        (alone,) = beta_expectation(g(u), g, (alpha,), (tol,))
+        assert value.hex() == alone.hex()
+        c = 1.0 / 3.0
+        exact = (2.0 * c ** (alpha + 1.0) / (alpha + 1.0)
+                 + alpha / (alpha + 1.0) - 2.0 * c)
+        assert value == pytest.approx(exact, rel=0.0, abs=1e-12)

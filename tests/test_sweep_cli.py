@@ -53,6 +53,8 @@ from fracineq.hhbounds import (
     defect_bound_power_mean,
     defect_bound_s_concave,
     defect_bound_s_convex,
+    defect_identity_rhs,
+    trapezoid_defect,
 )
 from fracineq.quadrature import Interval
 
@@ -710,7 +712,7 @@ def test_identity_row_takes_its_hypothesis_from_the_abs_d2_channel(
     f = log_kink()
     monkeypatch.setitem(funclib_mod._RESOLVED, f.name, f)
     calls = Counter()
-    for name in ("trapezoid_defect", "defect_identity_rhs"):
+    for name in ("_defects", "_identity_rhs"):
         def counting(*args, real=getattr(sweep, name), name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
@@ -899,21 +901,26 @@ def test_readme_sweep_computes_each_defect_once(monkeypatch):
 
     config = parse_config_text(README_CONFIG)
     computed = Counter()
-    real = sweep_mod.trapezoid_defect
+    calls = []
+    real = sweep_mod._defects
 
-    def counting_defect(f, iv, alpha, *args, **kwargs):
-        computed[(f.name, iv.a, iv.b, alpha)] += 1
-        return real(f, iv, alpha, *args, **kwargs)
+    def counting_defects(f, iv, alphas, *args, **kwargs):
+        calls.append(alphas)
+        computed.update((f.name, iv.a, iv.b, alpha) for alpha in alphas)
+        return real(f, iv, alphas, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "trapezoid_defect", counting_defect)
+    monkeypatch.setattr(sweep_mod, "_defects", counting_defects)
     report = run_sweep(config)
-    # 3 functions x 3 intervals x 7 alphas, each computed exactly once
+    # 3 functions x 3 intervals x 7 alphas, each computed exactly once, in
+    # one call per (function, interval) that takes every alpha
     assert len(computed) == 63
     assert set(computed.values()) == {1}
+    assert calls == [config.alphas] * 9
 
     def fresh_lhs(row):
-        return real(get_function(row.function), Interval(row.a, row.b),
-                    row.alpha, quad_tol=config.quad_tol).lhs
+        return trapezoid_defect(get_function(row.function),
+                                Interval(row.a, row.b), row.alpha,
+                                quad_tol=config.quad_tol).lhs
 
     identity = [r for r in report.rows
                 if r.check_id == "identity" and r.lhs is not None]
@@ -927,23 +934,28 @@ def test_readme_sweep_computes_each_defect_once(monkeypatch):
         assert r.lhs == abs(fresh_lhs(r))
 
 
-@pytest.mark.parametrize("error, identity_status, bound_status", [
-    (lambda: IntegrandError("f'' is not integrable"),
+@pytest.mark.parametrize("error, raised, identity_status, bound_status", [
+    (lambda: IntegrandError("f'' is not integrable"), False,
      "precondition_skipped", "precondition_skipped"),
-    (lambda: AccuracyError("budget exhausted", 0.0, 1.0, 0),
+    (lambda: AccuracyError("budget exhausted", 0.0, 1.0, 0), False,
      "fail", "fail"),
-], ids=["integrand_error", "accuracy_error"])
+    # f non-finite at an endpoint: one error for every alpha, raised
+    (lambda: IntegrandError("function overflows at an endpoint"), True,
+     "precondition_skipped", "precondition_skipped"),
+], ids=["integrand_error", "accuracy_error", "endpoint_error"])
 def test_failed_defect_is_shared_by_identity_and_bound_rows(
-        monkeypatch, error, identity_status, bound_status):
+        monkeypatch, error, raised, identity_status, bound_status):
     import fracineq.sweep as sweep_mod
 
     attempts = Counter()
 
-    def failing_defect(f, iv, alpha, *args, **kwargs):
-        attempts[(f.name, iv.a, iv.b, alpha)] += 1
-        raise error()
+    def failing_defects(f, iv, alphas, *args, **kwargs):
+        attempts.update((f.name, iv.a, iv.b, alpha) for alpha in alphas)
+        if raised:
+            raise error()
+        return 0.0, 0.0, [error() for _ in alphas]
 
-    monkeypatch.setattr(sweep_mod, "trapezoid_defect", failing_defect)
+    monkeypatch.setattr(sweep_mod, "_defects", failing_defects)
     cfg = small_config()
     report = run_sweep(cfg)
     assert len(report.rows) == expected_row_count(cfg)
@@ -958,6 +970,115 @@ def test_failed_defect_is_shared_by_identity_and_bound_rows(
               and r.function == "square"]
     assert bounds
     assert all(r.status == bound_status and r.lhs is None for r in bounds)
+
+
+IDENTITY_CONFIG = (
+    "functions = const_one linear square cube quartic s_power_0.25 "
+    "s_power_0.5 s_power_0.75 shifted_square_1\n"
+    "intervals = 0,1 0,2 1,3 0.5,4\n"
+    "alphas = 0.05 0.1 0.2 0.25 0.3 0.4 0.5 0.6 0.7 0.75 0.8 0.9 0.95 1 "
+    "1.25 1.5 2 2.5 3 4 5 7\n"
+    "s_values = 1\np_values = 2\nq_values = 1\nquad_tol = 1e-12\n")
+# ordinary orders, the order where the defect is lost (1e5) and orders
+# past the ladder's node power cap, in one batch per (function, interval)
+MIXED_CONFIG = """\
+functions = square cube
+intervals = 0,1 0,100
+alphas    = 0.5 2 1e5 1e17 1e150
+s_values  = 1
+p_values  = 2
+q_values  = 2
+"""
+
+
+def assert_one_alpha_bits(report: SweepReport, quad_tol: float) -> int:
+    """Every computed identity row holds the bits of the one-alpha
+    trapezoid_defect and defect_identity_rhs; returns how many rows."""
+    identity = [r for r in report.rows
+                if r.check_id == "identity" and r.lhs is not None]
+    for r in identity:
+        f, iv = get_function(r.function), Interval(r.a, r.b)
+        lhs = trapezoid_defect(f, iv, r.alpha, quad_tol).lhs
+        rhs = defect_identity_rhs(f, iv, r.alpha, quad_tol)
+        assert (r.lhs.hex(), r.rhs.hex()) == (lhs.hex(), rhs.hex()), r
+    return len(identity)
+
+
+@pytest.mark.parametrize("text, rows", [
+    (README_CONFIG, 63), (IDENTITY_CONFIG, 792), (MIXED_CONFIG, 20),
+], ids=["readme", "identity", "mixed"])
+def test_identity_rows_hold_the_one_alpha_bits(text, rows):
+    config = parse_config_text(text)
+    assert assert_one_alpha_bits(run_sweep(config), config.quad_tol) == rows
+
+
+def test_an_order_that_falls_back_leaves_the_other_orders_alone(
+        monkeypatch):
+    # square on [1, 3]: the ladder refuses the defect at alpha = 1e5
+    # alone, whose Beta(alpha, 1) mass sits within about 1e-5 of u = 1, and
+    # that order goes to the adaptive engine
+    from fracineq import quadrature
+
+    config = parse_config_text(
+        "functions = square\nintervals = 1,3\nalphas = 0.5 1e5 2\n"
+        "s_values = 1\np_values = 2\nq_values = 2\n")
+    fallbacks = []
+    real = quadrature.integrate
+
+    def counting(*args, **kwargs):
+        fallbacks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    plain = run_sweep(config).rows
+    assert len(fallbacks) == 1
+    assert assert_one_alpha_bits(SweepReport(plain), config.quad_tol) == 3
+
+    def refusing(*args, **kwargs):
+        raise AccuracyError("budget exhausted", 0.0, 1.0, 0)
+
+    # the engine refuses that order: its rows fail, and only its rows
+    monkeypatch.setattr(quadrature, "integrate", refusing)
+    refused = run_sweep(config).rows
+    changed = [(p, q) for p, q in zip(plain, refused) if p != q]
+    assert {p.check_id for p, _ in changed} >= {"identity", "bound_s_convex"}
+    for p, q in changed:
+        assert p.alpha == q.alpha == 1e5 and p.lhs is not None
+        assert q.status == "fail" and q.lhs is None
+
+
+@pytest.mark.parametrize("text, calls, evals", [
+    (README_CONFIG, 18, 29232), (IDENTITY_CONFIG, 72, 19509),
+], ids=["readme", "identity"])
+def test_a_sweep_makes_one_ladder_pass_per_side_of_a_cell(monkeypatch, text,
+                                                        calls, evals):
+    # 9 or 36 (function, interval) cells, one pass for the defects and one
+    # for the identity rhs of all alphas; hhbounds' calls of the adaptive
+    # engine (sandwich means and weight rows: no defect or rhs falls back
+    # here) spend a fixed number of evaluations
+    from fracineq.quadrature import TanhSinhLadder
+
+    config = parse_config_text(text)
+    rows = []
+    real_estimate = TanhSinhLadder.estimate
+
+    def counting_estimate(self, values, tols):
+        rows.append(len(values))
+        return real_estimate(self, values, tols)
+
+    spent = []
+    real_integrate = hhbounds.integrate
+
+    def counting_integrate(*args, **kwargs):
+        result = real_integrate(*args, **kwargs)
+        spent.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(TanhSinhLadder, "estimate", counting_estimate)
+    monkeypatch.setattr(hhbounds, "integrate", counting_integrate)
+    run_sweep(config)
+    assert rows == [len(config.alphas)] * calls
+    assert sum(spent) == evals
 
 
 # ---------------------------------------------------------------------------
