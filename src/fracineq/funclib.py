@@ -156,8 +156,8 @@ def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
 
     Non-finite results (inf where a scalar call overflows, nan where it
     raises ValueError or ZeroDivisionError, as numpy's twins of math's
-    functions would give) are reported by the caller as IntegrandError, so
-    numpy's warnings are suppressed here.
+    functions would give, or returns a non-real value) are reported by the
+    caller as IntegrandError, so numpy's warnings are suppressed here.
     """
     with np.errstate(all="ignore"):
         try:
@@ -169,7 +169,13 @@ def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
         out = np.empty(arr.size)
         for i, v in enumerate(arr.ravel()):
             try:
-                out[i] = fn(float(v))
+                raw = fn(float(v))
+                try:
+                    out[i] = float(raw)
+                except TypeError:
+                    # a complex value, non-finite to the caller; a
+                    # TypeError of fn itself is not caught
+                    out[i] = math.nan
             except OverflowError:
                 out[i] = math.inf
             except SCALAR_ERRORS:

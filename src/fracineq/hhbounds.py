@@ -33,9 +33,9 @@ The defect is the expectation
 :func:`~fracineq.quadrature.beta_expectation` of g, which weights g by
 the density alpha exp((alpha-1) ln u); the rhs weight is
 t (-expm1(alpha ln t)), which keeps 1 - t^alpha accurate at tiny alpha.
-For each order where no level meets the tolerance, or a node value is not
-finite, the integral goes to the adaptive engine, and an error there is
-that order's alone.  :func:`trapezoid_defect` and
+Both sides hand their rows to the one quadrature path that sends each
+order the ladder refuses to the adaptive engine, where an error is that
+order's alone.  :func:`trapezoid_defect` and
 :func:`defect_identity_rhs` are the one-alpha calls.
 
 Upper bounds for |D| follow from s-convexity or s-concavity of |f''| or
@@ -59,13 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    DomainError,
-    FracineqError,
-    IntegrandError,
-    PreconditionError,
-)
+from .errors import DomainError, FracineqError, PreconditionError
 from .funclib import (
     CERT_GRID_N,
     CERT_SLACK,
@@ -79,12 +73,13 @@ from .funclib import (
     value_fn,
 )
 from .quadrature import (
-    _NODE_POWER_CAP,
     _UNIT,
     MAX_ABS_TOL,
     TANH_SINH,
     Interval,
     _engine_tol,
+    _ladder_rows,
+    _order_rows,
     _outcome_value,
     beta_expectation,
     integrate,
@@ -284,17 +279,6 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
                         fa=fa, fb=fb, alpha=alpha, interval=interval)
 
 
-def _curvature_integral(d2, a: float, b: float, alpha: float,
-                        tol: float) -> float:
-    """int_0^1 t (1 - t^alpha) [d2(ta + (1-t)b) + d2((1-t)a + tb)] dt by
-    :func:`integrate`, where the ladder refuses it."""
-    def weight_integrand(t: float) -> float:
-        return t * -math.expm1(alpha * math.log(t)) * (
-            d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
-
-    return integrate(weight_integrand, _UNIT, abs_tol=tol).value
-
-
 def _identity_rhs(f: TestFunction, interval: Interval, alphas,
                   quad_tol: float) -> list[float | FracineqError]:
     """The weighted curvature integral equal to the trapezoid defect at
@@ -307,20 +291,17 @@ def _identity_rhs(f: TestFunction, interval: Interval, alphas,
     # coeff underflows to 0 only where the rhs lies below the smallest double
     tols = [_engine_tol(quad_tol / coeff) if coeff > 0.0 else MAX_ABS_TOL
             for coeff in coeffs]
-    t, one_minus_t = TANH_SINH.nodes, TANH_SINH.complements
     # the second point (1-t) a + t b at node t is the first at the mirrored
     # node 1-t
-    d2v = _eval_grid(d2, t * a + one_minus_t * b)
-    powers = np.minimum(np.asarray(alphas, dtype=float), _NODE_POWER_CAP)
-    # 1 - t^alpha, without the cancellation of forming t^alpha near 1
-    weights = t * -np.expm1(powers[:, None] * TANH_SINH.log_nodes)
-    values: list = TANH_SINH.estimate(weights * (d2v + d2v[::-1]), tols)
-    for r, (alpha, tol) in enumerate(zip(alphas, tols)):
-        if values[r] is None:
-            try:
-                values[r] = _curvature_integral(d2, a, b, alpha, tol)
-            except (AccuracyError, IntegrandError) as exc:
-                values[r] = exc
+    d2v = _eval_grid(d2, TANH_SINH.nodes * a + TANH_SINH.complements * b)
+
+    def weighted(r: int) -> Callable[[float], float]:
+        alpha = alphas[r]
+        return lambda t: t * -math.expm1(alpha * math.log(t)) * (
+            d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
+
+    weights = _order_rows(tuple(alphas))[1]
+    values = _ladder_rows(weights * (d2v + d2v[::-1]), tols, weighted)
     return [v if isinstance(v, FracineqError) else coeff * v
             for v, coeff in zip(values, coeffs)]
 

@@ -26,16 +26,18 @@ where no level passes, or a node value is not finite, gets None.  Each
 row is the same elementwise arithmetic and the same sum as alone, so its
 result does not depend on the other rows.
 
-:func:`beta_expectation` is the one expectation under U ~ Beta(alpha, 1)
-behind the trapezoid defect and the Riemann-Liouville operators, for a
-sequence of orders at once: it weights g's node values by every order's
-density in one ladder pass, and each order the ladder refuses falls back
-once to :func:`integrate` after a power substitution that makes the
-density's singularity at u = 0 bounded.
+A batch of orders takes one path, ``_ladder_rows``: one ladder pass, then
+:func:`integrate` for each row the ladder refuses, and one outcome per
+row, its value or the error that stopped it.  It serves the identity rhs
+and :func:`beta_expectation`, the one Beta(alpha, 1) expectation behind
+the trapezoid defect and the Riemann-Liouville operators, which bounds
+the density's singularity at u = 0 by a substitution before the engine.
+Both sides' weight rows are built once per tuple of orders.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
@@ -166,7 +168,14 @@ def _panel(fn, a: float, b: float) -> tuple[float, float]:
     acc_abs = 0.0
     try:
         for xi, wi in zip(_NODES, _WEIGHTS):
-            wv = wi * float(fn(c + h * xi))
+            raw = fn(c + h * xi)
+            try:
+                wv = wi * float(raw)
+            except TypeError:
+                # a complex value, such as a negative float to a fractional
+                # power; a TypeError of fn itself is not caught
+                raise IntegrandError(f"integrand returned non-real value "
+                                     f"{raw!r} at t={c + h * xi!r}") from None
             acc += wv
             acc_abs += abs(wv)
     except SCALAR_ERRORS as exc:
@@ -368,6 +377,39 @@ TANH_SINH = TanhSinhLadder()
 _UNIT = Interval(0.0, 1.0)
 
 
+@functools.lru_cache(maxsize=32)
+def _order_rows(alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (k, N) rows of ``alphas`` at the nodes: the densities
+    alpha u^(alpha-1) and the identity rhs weights t (1 - t^alpha)."""
+    orders = np.array(alphas, dtype=float)
+    log_nodes = TANH_SINH.log_nodes
+    # the density is formed first: a huge alpha times a large g could
+    # overflow where alpha * u^(alpha-1) underflows to 0
+    density = orders[:, None] * np.exp(
+        np.minimum(orders - 1.0, _NODE_POWER_CAP)[:, None] * log_nodes)
+    # 1 - t^alpha, without the cancellation of forming t^alpha near 1
+    weights = TANH_SINH.nodes * -np.expm1(
+        np.minimum(orders, _NODE_POWER_CAP)[:, None] * log_nodes)
+    density.flags.writeable = weights.flags.writeable = False
+    return density, weights
+
+
+def _ladder_rows(values: np.ndarray, tols, integrand: Callable[[int], Callable]
+                 ) -> list[float | FracineqError]:
+    """One outcome per row of ``values``, integrands on [0, 1] at the
+    nodes: the ladder's sum to that row's tolerance, else ``integrate`` of
+    ``integrand(row)``, or the :class:`AccuracyError` or
+    :class:`IntegrandError` that stopped it."""
+    out: list = TANH_SINH.estimate(values, tols)
+    for r, tol in enumerate(tols):
+        if out[r] is None:
+            try:
+                out[r] = integrate(integrand(r), _UNIT, abs_tol=tol).value
+            except (AccuracyError, IntegrandError) as exc:
+                out[r] = exc
+    return out
+
+
 def beta_expectation(values: np.ndarray, g: Callable[[float], float],
                      alphas, tols) -> list[float | FracineqError]:
     """E[g(U)] for U ~ Beta(alpha, 1), density alpha u^(alpha-1) on
@@ -383,25 +425,15 @@ def beta_expectation(values: np.ndarray, g: Callable[[float], float],
     alpha: the expectation, or the :class:`AccuracyError` or
     :class:`IntegrandError` that stopped that order's fallback.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    # the density is formed first: a huge alpha times a large g could
-    # overflow where alpha * u^(alpha-1) underflows to 0
-    density = alphas[:, None] * np.exp(
-        np.minimum(alphas - 1.0, _NODE_POWER_CAP)[:, None]
-        * TANH_SINH.log_nodes)
-    out: list = TANH_SINH.estimate(density * values, tols)
-    for r, (alpha, tol) in enumerate(zip(alphas.tolist(), tols)):
-        if out[r] is None:
-            try:
-                out[r] = _fallback_expectation(g, alpha, tol)
-            except (AccuracyError, IntegrandError) as exc:
-                out[r] = exc
-    return out
+    # Python floats: u ** (alpha - power) of a numpy float takes other bits
+    alphas = tuple(np.asarray(alphas, dtype=float).tolist())
+    return _ladder_rows(_order_rows(alphas)[0] * values, tols,
+                        lambda r: _bounded_integrand(g, alphas[r]))
 
 
-def _fallback_expectation(g: Callable[[float], float], alpha: float,
-                          tol: float) -> float:
-    """E[g(U)] by :func:`integrate`, substituted as in
+def _bounded_integrand(g: Callable[[float], float],
+                       alpha: float) -> Callable[[float], float]:
+    """The integrand of E[g(U)] on [0, 1] after the substitution of
     :func:`beta_expectation`."""
     power = min(max(alpha, MIN_SUBSTITUTION_POWER), 1.0)
     inv_power = 1.0 / power
@@ -415,7 +447,7 @@ def _fallback_expectation(g: Callable[[float], float], alpha: float,
             return 0.0
         return (scale * u ** (alpha - power)) * g(u)
 
-    return integrate(bounded, _UNIT, abs_tol=tol).value
+    return bounded
 
 
 def _outcome_value(outcome: float | FracineqError) -> float:

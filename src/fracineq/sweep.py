@@ -43,8 +43,10 @@ hypothesis, f'' integrable, fails where that |f''| channel has no verdicts,
 being non-finite on the grid.  Likewise the trapezoid defects and the
 identity right-hand sides of each (function, interval) are computed once,
 for every configured alpha in one ladder pass per side; each alpha's defect
-is shared by its identity row and all its bound rows, and an error at one
-alpha gives only that alpha's rows their status.
+is shared by its identity row and all its bound rows.  An outcome is a
+value or the error that stopped it, and the row builder alone turns an
+error, in lhs before rhs, into a status: AccuracyError ``fail``,
+IntegrandError ``precondition_skipped``, with no lhs, rhs or margin.
 """
 
 from __future__ import annotations
@@ -355,12 +357,18 @@ class _Sweep:
             rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
         """Build a row; ``key`` is (function, a, b, alpha, s, p, q).
 
-        With ``status`` given (a skipped row, or one that failed before its
-        comparison) no margin is recorded; otherwise ``rule`` judges lhs
-        and rhs against the slack.
+        An error outcome (lhs first) or a given ``status`` sets the status,
+        and no lhs, rhs or margin is recorded; otherwise ``rule`` judges
+        lhs and rhs against the slack.
         """
         measured = None
-        if status is None:
+        error = next((v for v in (lhs, rhs) if isinstance(v, FracineqError)),
+                     None)
+        if error is not None:
+            lhs = rhs = None
+            status = (STATUS_FAIL if isinstance(error, AccuracyError)
+                      else STATUS_SKIPPED)
+        elif status is None:
             if rule.identity:
                 measured = abs(lhs - rhs)
                 holds = measured <= self.slack
@@ -370,12 +378,11 @@ class _Sweep:
             status = rule.if_holds if holds else rule.if_not
         return SweepRow(check_id, *key, lhs, rhs, measured, status)
 
-    def side(self, f: TestFunction, iv: Interval, alpha: float,
-             which: int) -> float:
-        """The signed defect at ``alpha`` (``which`` 0) or the identity rhs
-        beside it (1); raises the error that stopped it.  The first ask
-        for (``f``, ``iv``) computes both sides at every configured alpha,
-        each side in one ladder pass, and keeps them."""
+    def sides(self, f: TestFunction, iv: Interval, alpha: float) -> tuple:
+        """The outcomes (signed defect, identity rhs) at ``alpha``, each a
+        float or the error that stopped it.  The first ask for (``f``,
+        ``iv``) computes both sides at every configured alpha, each side in
+        one ladder pass, and keeps them."""
         key = (f.name, iv.a, iv.b)
         cell = self.defects.get(key)
         if cell is None:
@@ -386,11 +393,7 @@ class _Sweep:
                 # f non-finite at an endpoint: no alpha has a defect
                 lhs = rhs = [exc] * len(self.alphas)
             cell = self.defects[key] = dict(zip(self.alphas, zip(lhs, rhs)))
-        outcome = cell[alpha][which]
-        if isinstance(outcome, FracineqError):
-            # a fresh traceback each time, so re-raising does not chain them
-            raise outcome.with_traceback(None)
-        return outcome
+        return cell[alpha]
 
     def identity_row(self, f: TestFunction, iv: Interval,
                      alpha: float) -> SweepRow:
@@ -399,15 +402,7 @@ class _Sweep:
         # the certification grid has no verdicts, and nothing is computed
         if not self.verdicts_of(f, "abs_d2", iv, None):
             return self.row("identity", key, status=STATUS_SKIPPED)
-        try:
-            lhs = self.side(f, iv, alpha, 0)
-            rhs = self.side(f, iv, alpha, 1)
-        except AccuracyError:
-            return self.row("identity", key, status=STATUS_FAIL)
-        except IntegrandError:
-            # f non-finite where the defect reads it, or f'' off the grid
-            return self.row("identity", key, status=STATUS_SKIPPED)
-        return self.row("identity", key, lhs, rhs, _IDENTITY)
+        return self.row("identity", key, *self.sides(f, iv, alpha), _IDENTITY)
 
     def bound_row(self, check: BoundCheck, f: TestFunction, iv: Interval,
                   bp: BoundParams) -> SweepRow:
@@ -415,14 +410,11 @@ class _Sweep:
         verdicts = self.verdicts_of(f, "abs_d2", iv, bp.q)
         if not verdicts.get((bp.s, check.concave), False):
             return self.row(check.check_id, key, status=STATUS_SKIPPED)
-        try:
-            lhs = abs(self.side(f, iv, bp.alpha, 0))
-            rhs = check.formula(f, iv, bp)
-        except AccuracyError:
-            return self.row(check.check_id, key, status=STATUS_FAIL)
-        except IntegrandError:
-            return self.row(check.check_id, key, status=STATUS_SKIPPED)
-        return self.row(check.check_id, key, lhs, rhs,
+        defect = self.sides(f, iv, bp.alpha)[0]
+        if isinstance(defect, FracineqError):
+            return self.row(check.check_id, key, defect)
+        return self.row(check.check_id, key, abs(defect),
+                        check.formula(f, iv, bp),
                         _range_rule(bp.alpha <= check.alpha_max))
 
     def sandwich_rows(self, f: TestFunction, iv: Interval,

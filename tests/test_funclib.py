@@ -112,6 +112,22 @@ def test_non_finite_grid_value_raises():
         certify_s_convex(lambda t: 1.0 / t, UNIT, 1.0)
 
 
+def test_a_complex_value_on_the_scalar_path_is_non_finite():
+    # float(t) makes f scalar-only, and below 0.5 it returns a complex
+    # number, which used to escape _eval_grid as a bare TypeError: it is
+    # nan there, and the certifier reports it as non-finite
+    from fracineq.funclib import _eval_grid
+
+    def f(t):
+        return (float(t) - 0.5) ** 0.5
+
+    got = _eval_grid(f, np.linspace(0.0, 1.0, 5))
+    assert np.isnan(got[:2]).all()
+    assert got[2:].tolist() == [0.0, 0.5, 0.5 ** 0.5]
+    with pytest.raises(IntegrandError, match="non-finite at grid node t=0.0"):
+        certify_s_convex(f, UNIT, 1.0)
+
+
 @pytest.mark.parametrize("fn, domain", [
     (lambda t: t ** 2, Interval(0.0, 2.0)),         # convex, not concave
     (lambda t: -t ** 2, UNIT),                      # concave, not convex

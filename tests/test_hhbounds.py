@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from fracineq import (
@@ -29,7 +30,7 @@ from fracineq import (
     weight_integral_report,
 )
 from fracineq import hhbounds, quadrature
-from fracineq.funclib import ConvexityClass
+from fracineq.funclib import ConvexityClass, _eval_grid
 from fracineq.quadrature import TANH_SINH, integrate
 
 UNIT = Interval(0.0, 1.0)
@@ -662,3 +663,17 @@ def test_a_type_error_of_f_itself_is_not_an_integrand_error():
 
     with pytest.raises(TypeError, match="not a number"):
         _point_value(broken, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fn: integrate(fn, Interval(0.0, 1.0)),
+    lambda fn: _eval_grid(fn, np.linspace(0.0, 1.0, 5)),
+], ids=["integrate", "eval_grid"])
+def test_a_type_error_of_f_itself_propagates_from_the_engine_and_grid(call):
+    # only float() of f's value is read as non-real; f's own TypeError is
+    # a fault of f
+    def broken(t):
+        raise TypeError("not a number")
+
+    with pytest.raises(TypeError, match="not a number"):
+        call(broken)

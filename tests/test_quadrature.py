@@ -136,6 +136,13 @@ def test_non_finite_integrand_raises():
                   Interval(0.0, 1.0), 1e-8)
 
 
+def test_a_complex_value_of_the_integrand_is_an_integrand_error_naming_t():
+    # (t - 0.5) ** 0.5 of a Python float below 0.5 is complex, and float()
+    # of it used to escape the engine as a bare TypeError
+    with pytest.raises(IntegrandError, match=r"non-real value .* at t=0\."):
+        integrate(lambda t: (t - 0.5) ** 0.5, Interval(0, 1))
+
+
 def _overflows_inside(t):
     # finite at 0 and 1, OverflowError in between; scalar-only
     return math.exp(3200.0 * t * (1.0 - t))
@@ -449,3 +456,54 @@ def test_beta_expectation_sends_only_refused_orders_to_the_engine(fallbacks):
         exact = (2.0 * c ** (alpha + 1.0) / (alpha + 1.0)
                  + alpha / (alpha + 1.0) - 2.0 * c)
         assert value == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", [0, 1], ids=["density", "rhs_weight"])
+def test_only_the_refused_row_of_a_batch_reaches_the_engine(family,
+                                                           fallbacks):
+    # a batch of either family of order rows, the Beta(alpha, 1) densities
+    # alpha u^(alpha-1) or the rhs weights t (1 - t^alpha), times t^2; one
+    # non-finite node forces the middle row off the ladder, and only that
+    # row reaches integrate; every row keeps the bits it gets alone.
+    # E[U^2] = alpha/(alpha+2), int_0^1 t^3 (1 - t^alpha) dt
+    # = 1/4 - 1/(alpha+4)
+    alphas, tols = (0.5, 2.0, 7.0), [1e-12] * 3
+    rows = quadrature._order_rows(alphas)[family] * TANH_SINH.nodes ** 2
+    rows[1, rows.shape[1] // 2] = math.inf
+
+    def integrand(r):
+        alpha = alphas[r]
+        if family == 0:
+            return lambda t: alpha * t ** (alpha - 1.0) * t ** 2
+        return lambda t: t * -math.expm1(alpha * math.log(t)) * t ** 2
+
+    got = quadrature._ladder_rows(rows, tols, integrand)
+    assert len(fallbacks) == 1
+    assert fallbacks[0][0](0.25) == integrand(1)(0.25)
+    fallbacks.clear()
+    for r, (value, alpha) in enumerate(zip(got, alphas)):
+        (alone,) = quadrature._ladder_rows(rows[r:r + 1], tols[r:r + 1],
+                                           lambda _: integrand(r))
+        assert value.hex() == alone.hex()
+        exact = (alpha / (alpha + 2.0) if family == 0
+                 else 0.25 - 1.0 / (alpha + 4.0))
+        assert value == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+
+def test_order_rows_are_cached_read_only_and_bit_exact():
+    # the densities alpha exp((alpha-1) ln u) and the rhs weights
+    # t (-expm1(alpha ln t)), each power capped at _NODE_POWER_CAP, built
+    # once per tuple of orders
+    alphas = (1e-5, 0.5, 1.0, 7.0, 1e5, 1e308)
+    density, weights = quadrature._order_rows(alphas)
+    orders, cap = np.array(alphas), quadrature._NODE_POWER_CAP
+    log_u = TANH_SINH.log_nodes
+    expected_density = orders[:, None] * np.exp(
+        np.minimum(orders - 1.0, cap)[:, None] * log_u)
+    expected_weights = TANH_SINH.nodes * -np.expm1(
+        np.minimum(orders, cap)[:, None] * log_u)
+    assert density.tobytes() == expected_density.tobytes()
+    assert weights.tobytes() == expected_weights.tobytes()
+    assert not (density.flags.writeable or weights.flags.writeable)
+    again = quadrature._order_rows(alphas)
+    assert again[0] is density and again[1] is weights

@@ -972,6 +972,67 @@ def test_failed_defect_is_shared_by_identity_and_bound_rows(
     assert all(r.status == bound_status and r.lhs is None for r in bounds)
 
 
+
+@pytest.mark.parametrize("error, identity_status", [
+    (lambda: AccuracyError("budget exhausted", 0.0, 1.0, 0), "fail"),
+    (lambda: IntegrandError("f'' is not integrable"), "precondition_skipped"),
+], ids=["accuracy_error", "integrand_error"])
+def test_failed_rhs_is_its_identity_row_alone(monkeypatch, error,
+                                              identity_status):
+    # the rhs at alpha = 0.5 fails, its defect does not: that identity row
+    # records no lhs or rhs, and the bound rows at 0.5 keep their status
+    # and their lhs, the defect
+    import fracineq.sweep as sweep_mod
+
+    real_rhs = sweep_mod._identity_rhs
+
+    def failing_rhs(f, iv, alphas, quad_tol):
+        values = real_rhs(f, iv, alphas, quad_tol)
+        return [error() if alpha == 0.5 else v
+                for alpha, v in zip(alphas, values)]
+
+    cfg = small_config()
+    clean = run_sweep(cfg).rows
+    monkeypatch.setattr(sweep_mod, "_identity_rhs", failing_rhs)
+    rows = run_sweep(cfg).rows
+    assert len(rows) == len(clean)
+    changed = [(old, new) for old, new in zip(clean, rows) if old != new]
+    assert len(changed) == 2    # square and linear on [0, 1] at 0.5
+    for old, new in changed:
+        assert (new.check_id, new.alpha) == ("identity", 0.5)
+        assert new[:8] == old[:8] and old.status == "pass"
+        assert new[8:] == (None, None, None, identity_status)
+    bounds = [r for r in rows
+              if r.check_id.startswith("bound_") and r.alpha == 0.5]
+    assert bounds and all(r.lhs is not None for r in bounds)
+
+
+def test_every_cell_of_a_sweep_weights_by_the_same_order_rows(monkeypatch):
+    # the density and rhs weight rows depend on the orders alone: every
+    # (function, interval) of a sweep reads the one cached, read-only pair
+    from fracineq import quadrature
+
+    real_rows = quadrature._order_rows
+    seen = []
+
+    def spy(alphas):
+        rows = real_rows(alphas)
+        seen.append((alphas, rows))
+        return rows
+
+    monkeypatch.setattr(quadrature, "_order_rows", spy)
+    monkeypatch.setattr(hhbounds, "_order_rows", spy)
+    cfg = small_config(intervals=(Interval(0.0, 1.0), Interval(1.0, 3.0)))
+    run_sweep(cfg)
+    # 2 functions x 2 intervals, one defect and one rhs batch each
+    assert len(seen) == 8
+    alphas, (density, weights) = seen[0]
+    assert alphas == cfg.alphas
+    assert all(a == alphas and r[0] is density and r[1] is weights
+               for a, r in seen)
+    assert not (density.flags.writeable or weights.flags.writeable)
+
+
 IDENTITY_CONFIG = (
     "functions = const_one linear square cube quartic s_power_0.25 "
     "s_power_0.5 s_power_0.75 shifted_square_1\n"
