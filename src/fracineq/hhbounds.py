@@ -38,6 +38,15 @@ order the ladder refuses to the adaptive engine, where an error is that
 order's alone.  :func:`trapezoid_defect` and
 :func:`defect_identity_rhs` are the one-alpha calls.
 
+The weight integrals that the bounds rest on are checked against their
+closed forms the same way, by ``_weight_integrals``.  With w the rhs
+weight t (1 - t^alpha), they are the integrals over [0, 1] of w t^s,
+w (1-t)^s, t^s and, for the Hoelder kernel, w^p: one ladder pass per s and
+one per p, each holding every order.  :func:`weight_int_power`,
+:func:`weight_int_beta`, :func:`weight_int_plain`,
+:func:`holder_kernel_bound` and :func:`weight_integral_report` are the
+one-alpha calls.
+
 Upper bounds for |D| follow from s-convexity or s-concavity of |f''| or
 |f''|^q, each declared once in :data:`BOUND_CHECKS`; the four evaluators
 pass their entry to one gate that certifies its hypothesis on the interval
@@ -73,10 +82,10 @@ from .funclib import (
     value_fn,
 )
 from .quadrature import (
-    _UNIT,
     MAX_ABS_TOL,
     TANH_SINH,
     Interval,
+    _check_abs_tol,
     _engine_tol,
     _ladder_rows,
     _order_rows,
@@ -279,6 +288,11 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
                         fa=fa, fb=fb, alpha=alpha, interval=interval)
 
 
+def _rhs_weight(t: float, alpha: float) -> float:
+    """t (1 - t^alpha) at one point, in the form of the ladder's rows."""
+    return t * -math.expm1(alpha * math.log(t))
+
+
 def _identity_rhs(f: TestFunction, interval: Interval, alphas,
                   quad_tol: float) -> list[float | FracineqError]:
     """The weighted curvature integral equal to the trapezoid defect at
@@ -297,7 +311,7 @@ def _identity_rhs(f: TestFunction, interval: Interval, alphas,
 
     def weighted(r: int) -> Callable[[float], float]:
         alpha = alphas[r]
-        return lambda t: t * -math.expm1(alpha * math.log(t)) * (
+        return lambda t: _rhs_weight(t, alpha) * (
             d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
 
     weights = _order_rows(tuple(alphas))[1]
@@ -564,57 +578,106 @@ class WeightIntegralReport:
         return all(e.holds for e in self.entries if e.in_validated_range)
 
 
-def _weight_identity(check_id: str, integrand, closed: float, tol: float,
-                     quad_tol: float) -> WeightIntegralEntry:
-    quad_val = integrate(integrand, _UNIT, abs_tol=quad_tol).value
-    diff = abs(quad_val - closed)
-    return WeightIntegralEntry(
-        check_id=check_id, lhs=quad_val, rhs=closed, margin=-diff,
-        holds=diff <= tol, in_validated_range=True)
+def _weight_form(check_id: str, alpha: float | None, s: float | None,
+                 p: float | None) -> tuple[Callable[[float], float], float,
+                                           bool]:
+    """The engine integrand of one weight integral, in the form of its
+    ladder row, its closed form (the Hoelder kernel's: its bound), and
+    whether that is claimed at this order."""
+    if check_id == "weight_int_power":
+        return (lambda t: t ** s * _rhs_weight(t, alpha),
+                alpha / ((s + 2.0) * (alpha + s + 2.0)), True)
+    if check_id == "weight_int_beta":
+        return (lambda t: (1.0 - t) ** s * _rhs_weight(t, alpha),
+                beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0), True)
+    if check_id == "weight_int_plain":
+        return lambda t: t ** s, 1.0 / (s + 1.0), True
+    return (lambda t: _rhs_weight(t, alpha) ** p,
+            math.exp(_log_holder_beta(p, alpha)),
+            alpha <= HOLDER_VALID_ALPHA_MAX)
+
+
+def _weight_integrals(alphas, s_values, p_values, quad_tol: float
+                      ) -> dict[tuple, tuple[float | FracineqError, float,
+                                             bool]]:
+    """Every weight integral at every order of ``alphas``, by quadrature to
+    the absolute tolerance ``quad_tol``, beside its closed form:
+    {(check id, alpha, s, p): (integral, or the error that stopped it
+    alone, closed form, whether it is in the validated range)}, None for a
+    parameter the check does not take.
+
+    With w = t (1 - t^alpha), the identity rhs weight rows, one ladder pass
+    per s sums t^s w and (1-t)^s w for every alpha and t^s, and one pass per
+    p sums w^p for every alpha.
+    """
+    quad_tol = _check_abs_tol(quad_tol)
+    # Python floats, for the engine integrands and the keys of the result
+    alphas = tuple(np.asarray(alphas, dtype=float).tolist())
+    weights = _order_rows(alphas)[1]
+    found = {}
+
+    def ladder(keys: list[tuple], values: np.ndarray) -> None:
+        forms = [_weight_form(*key) for key in keys]
+        lhs = _ladder_rows(values, [quad_tol] * len(keys),
+                           lambda r: forms[r][0])
+        found.update((key, (v, *form[1:]))
+                     for key, v, form in zip(keys, lhs, forms))
+
+    for s in s_values:
+        powers = TANH_SINH.nodes ** s
+        ladder([("weight_int_power", alpha, s, None) for alpha in alphas]
+               + [("weight_int_beta", alpha, s, None) for alpha in alphas]
+               + [("weight_int_plain", None, s, None)],
+               np.vstack((powers * weights,
+                          TANH_SINH.complements ** s * weights, powers)))
+    for p in p_values:
+        ladder([("holder_kernel_bound", alpha, None, p) for alpha in alphas],
+               weights ** p)
+    return found
+
+
+def _weight_entry(found: dict, key: tuple, tol: float) -> WeightIntegralEntry:
+    """The entry of ``key`` = (check id, alpha, s, p) in ``found``, from
+    :func:`_weight_integrals`; an error outcome is raised."""
+    outcome, rhs, in_range = found[key]
+    lhs = _outcome_value(outcome)
+    # the kernel is an inequality, the other three identities
+    margin = rhs - lhs if key[0] == "holder_kernel_bound" else -abs(lhs - rhs)
+    return WeightIntegralEntry(key[0], lhs, rhs, margin, margin >= -tol,
+                               in_range)
 
 
 def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))."""
-    alpha = _check_bound_alpha(alpha)
-    s = _check_s(s)
-    return _weight_identity(
-        "weight_int_power", lambda t: t ** (s + 1.0) * (1.0 - t ** alpha),
-        alpha / ((s + 2.0) * (alpha + s + 2.0)), tol, quad_tol)
+    alpha, s = _check_bound_alpha(alpha), _check_s(s)
+    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol),
+                         ("weight_int_power", alpha, s, None), tol)
 
 
 def weight_int_beta(alpha: float, s: float, tol: float = 1e-9,
                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)."""
-    alpha = _check_bound_alpha(alpha)
-    s = _check_s(s)
-    return _weight_identity(
-        "weight_int_beta", lambda t: t * (1.0 - t ** alpha) * (1.0 - t) ** s,
-        beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0), tol, quad_tol)
+    alpha, s = _check_bound_alpha(alpha), _check_s(s)
+    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol),
+                         ("weight_int_beta", alpha, s, None), tol)
 
 
 def weight_int_plain(s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^s dt = 1/(s+1)."""
     s = _check_s(s)
-    return _weight_identity("weight_int_plain", lambda t: t ** s,
-                            1.0 / (s + 1.0), tol, quad_tol)
+    return _weight_entry(_weight_integrals((), (s,), (), quad_tol),
+                         ("weight_int_plain", None, s, None), tol)
 
 
 def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,
                         quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^p (1 - t^alpha)^p dt <= beta(p+1, alpha p + 1), validated
     for alpha <= 1 and measured elsewhere."""
-    alpha = _check_bound_alpha(alpha)
-    p = _check_p(p)
-    lhs = integrate(lambda t: t ** p * (1.0 - t ** alpha) ** p, _UNIT,
-                    abs_tol=quad_tol).value
-    bound = math.exp(_log_holder_beta(p, alpha))
-    margin = bound - lhs
-    return WeightIntegralEntry(
-        check_id="holder_kernel_bound", lhs=lhs, rhs=bound, margin=margin,
-        holds=margin >= -tol,
-        in_validated_range=alpha <= HOLDER_VALID_ALPHA_MAX)
+    alpha, p = _check_bound_alpha(alpha), _check_p(p)
+    return _weight_entry(_weight_integrals((alpha,), (), (p,), quad_tol),
+                         ("holder_kernel_bound", alpha, None, p), tol)
 
 
 def weight_integral_report(alpha: float, s: float, p: float,
@@ -624,9 +687,12 @@ def weight_integral_report(alpha: float, s: float, p: float,
     quadrature: the identities :func:`weight_int_power`,
     :func:`weight_int_beta` and :func:`weight_int_plain` (any alpha > 0)
     and the inequality :func:`holder_kernel_bound`."""
-    entries = (weight_int_power(alpha, s, tol, quad_tol),
-               weight_int_beta(alpha, s, tol, quad_tol),
-               weight_int_plain(s, tol, quad_tol),
-               holder_kernel_bound(alpha, p, tol, quad_tol))
-    return WeightIntegralReport(alpha=float(alpha), s=float(s), p=float(p),
-                                entries=entries)
+    alpha, s, p = _check_bound_alpha(alpha), _check_s(s), _check_p(p)
+    found = _weight_integrals((alpha,), (s,), (p,), quad_tol)
+    keys = (("weight_int_power", alpha, s, None),
+            ("weight_int_beta", alpha, s, None),
+            ("weight_int_plain", None, s, None),
+            ("holder_kernel_bound", alpha, None, p))
+    return WeightIntegralReport(
+        alpha=alpha, s=s, p=p,
+        entries=tuple(_weight_entry(found, key, tol) for key in keys))

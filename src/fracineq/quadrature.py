@@ -28,11 +28,12 @@ result does not depend on the other rows.
 
 A batch of orders takes one path, ``_ladder_rows``: one ladder pass, then
 :func:`integrate` for each row the ladder refuses, and one outcome per
-row, its value or the error that stopped it.  It serves the identity rhs
-and :func:`beta_expectation`, the one Beta(alpha, 1) expectation behind
-the trapezoid defect and the Riemann-Liouville operators, which bounds
-the density's singularity at u = 0 by a substitution before the engine.
-Both sides' weight rows are built once per tuple of orders.
+row, its value or the error that stopped it.  It serves the identity rhs,
+the weight integrals of the bounds, and :func:`beta_expectation`, the one
+Beta(alpha, 1) expectation behind the trapezoid defect and the
+Riemann-Liouville operators, which bounds the density's singularity at
+u = 0 by a substitution before the engine.  The density and rhs weight
+rows are built once per tuple of orders.
 """
 
 from __future__ import annotations
@@ -251,6 +252,14 @@ def _adaptive(fn, a: float, b: float, abs_tol: float, max_evals: int) -> QuadRes
         total_abs += left_seg[9] + right_seg[9] - resabs
 
 
+def _check_abs_tol(abs_tol: float) -> float:
+    abs_tol = float(abs_tol)
+    if not (MIN_ABS_TOL <= abs_tol <= MAX_ABS_TOL):
+        raise DomainError(
+            f"abs_tol must lie in [{MIN_ABS_TOL}, {MAX_ABS_TOL}], got {abs_tol}")
+    return abs_tol
+
+
 def integrate(f: Callable[[float], float],
               interval: Interval,
               abs_tol: float = 1e-10,
@@ -271,10 +280,7 @@ def integrate(f: Callable[[float], float],
     """
     if not isinstance(interval, Interval):
         interval = Interval(*interval)
-    abs_tol = float(abs_tol)
-    if not (MIN_ABS_TOL <= abs_tol <= MAX_ABS_TOL):
-        raise DomainError(
-            f"abs_tol must lie in [{MIN_ABS_TOL}, {MAX_ABS_TOL}], got {abs_tol}")
+    abs_tol = _check_abs_tol(abs_tol)
     if max_evals < PANEL_ORDER * 3:
         raise DomainError(f"max_evals too small to evaluate anything: {max_evals}")
     return _adaptive(f, interval.a, interval.b, abs_tol, max_evals)

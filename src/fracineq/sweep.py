@@ -43,10 +43,12 @@ hypothesis, f'' integrable, fails where that |f''| channel has no verdicts,
 being non-finite on the grid.  Likewise the trapezoid defects and the
 identity right-hand sides of each (function, interval) are computed once,
 for every configured alpha in one ladder pass per side; each alpha's defect
-is shared by its identity row and all its bound rows.  An outcome is a
-value or the error that stopped it, and the row builder alone turns an
-error, in lhs before rhs, into a status: AccuracyError ``fail``,
-IntegrandError ``precondition_skipped``, with no lhs, rhs or margin.
+is shared by its identity row and all its bound rows.  The weight-integral
+rows take one ladder pass per s and one per p, each holding every alpha.
+An outcome is a value or the error that stopped it, and the row builder
+alone turns an error, in lhs before rhs, into a status: AccuracyError
+``fail``, IntegrandError ``precondition_skipped``, with no lhs, rhs or
+margin.
 """
 
 from __future__ import annotations
@@ -95,12 +97,9 @@ from .hhbounds import (
     _check_q,
     _defects,
     _identity_rhs,
+    _weight_integrals,
     _width_squared,
-    holder_kernel_bound,
     s_convex_sandwich,
-    weight_int_beta,
-    weight_int_plain,
-    weight_int_power,
 )
 from .quadrature import MAX_ABS_TOL, MIN_ABS_TOL, Interval
 
@@ -434,20 +433,23 @@ class _Sweep:
 
     def weight_rows(self, config: SweepConfig) -> list[SweepRow]:
         """The weight-integral rows, which depend on no function or
-        interval."""
-        tols = dict(tol=self.slack, quad_tol=self.quad_tol)
-        found = [((alpha, s, None), _IDENTITY, build(alpha, s, **tols))
-                 for alpha in config.alphas for s in config.s_values
-                 for build in (weight_int_power, weight_int_beta)]
-        found += [((None, s, None), _IDENTITY, weight_int_plain(s, **tols))
-                  for s in config.s_values]
-        kernels = [((alpha, None, p), holder_kernel_bound(alpha, p, **tols))
-                   for alpha in config.alphas for p in config.p_values]
-        found += [(params, _range_rule(e.in_validated_range), e)
-                  for params, e in kernels]
-        return [self.row(e.check_id, (None, None, None, *params, None),
-                         e.lhs, e.rhs, rule)
-                for params, rule, e in found]
+        interval: one ladder pass per s and one per p for every alpha."""
+        found = _weight_integrals(self.alphas, config.s_values,
+                                  config.p_values, self.quad_tol)
+        keys = [(check_id, alpha, s, None)
+                for alpha in config.alphas for s in config.s_values
+                for check_id in ("weight_int_power", "weight_int_beta")]
+        keys += [("weight_int_plain", None, s, None) for s in config.s_values]
+        keys += [("holder_kernel_bound", alpha, None, p)
+                 for alpha in config.alphas for p in config.p_values]
+        rows = []
+        for check_id, *params in keys:
+            lhs, rhs, in_range = found[(check_id, *params)]
+            rule = (_range_rule(in_range) if check_id == "holder_kernel_bound"
+                    else _IDENTITY)
+            rows.append(self.row(check_id, (None, None, None, *params, None),
+                                 lhs, rhs, rule))
+        return rows
 
 
 # (check_id, function, a, b, alpha, s, p, q); all rows of one check id

@@ -249,6 +249,36 @@ def test_kernel_bound_flips_outside_unit_alpha():
     assert not e_out.holds   # measured violation, reported not asserted
 
 
+LARGE_ORDERS = [1e3, 1e5, 1e6, 1e9]
+
+
+@pytest.mark.parametrize("alpha", LARGE_ORDERS)
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_weight_identities_hold_at_large_orders(alpha, s):
+    # 1 - t^alpha leaves 1 only in a layer of width about 1/alpha below
+    # t = 1; the adaptive engine's panels never sampled it and returned the
+    # alpha -> inf limit (1/3 against 0.3333233 at alpha = 1e5, s = 1)
+    from fracineq.hhbounds import DEFAULT_QUAD_TOL, weight_int_beta, weight_int_power
+    from fracineq.specfun import beta
+
+    power = weight_int_power(alpha, s)
+    assert abs(power.lhs - alpha / ((s + 2.0) * (alpha + s + 2.0))) <= \
+        DEFAULT_QUAD_TOL
+    closed = beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0)
+    assert abs(weight_int_beta(alpha, s).lhs - closed) <= DEFAULT_QUAD_TOL
+    assert power.holds and weight_int_beta(alpha, s).holds
+
+
+@pytest.mark.parametrize("alpha", LARGE_ORDERS)
+def test_holder_kernel_meets_its_closed_form_at_large_orders(alpha):
+    # int_0^1 t^2 (1 - t^alpha)^2 dt, expanded
+    from fracineq.hhbounds import DEFAULT_QUAD_TOL, holder_kernel_bound
+
+    closed = 1.0 / 3.0 - 2.0 / (alpha + 3.0) + 1.0 / (2.0 * alpha + 3.0)
+    assert abs(holder_kernel_bound(alpha, 2.0).lhs - closed) <= \
+        DEFAULT_QUAD_TOL
+
+
 @pytest.mark.parametrize("alpha, s, p", [(0.25, 0.5, 2.0), (1.0, 1.0, 1.5),
                                           (2.5, 0.25, 3.0), (3.0, 0.75, 5.0)])
 def test_weight_report_composes_entry_builders(alpha, s, p):

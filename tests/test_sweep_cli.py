@@ -1024,8 +1024,9 @@ def test_every_cell_of_a_sweep_weights_by_the_same_order_rows(monkeypatch):
     monkeypatch.setattr(hhbounds, "_order_rows", spy)
     cfg = small_config(intervals=(Interval(0.0, 1.0), Interval(1.0, 3.0)))
     run_sweep(cfg)
-    # 2 functions x 2 intervals, one defect and one rhs batch each
-    assert len(seen) == 8
+    # 2 functions x 2 intervals, one defect and one rhs batch each, and
+    # the weight rows
+    assert len(seen) == 9
     alphas, (density, weights) = seen[0]
     assert alphas == cfg.alphas
     assert all(a == alphas and r[0] is density and r[1] is weights
@@ -1108,15 +1109,115 @@ def test_an_order_that_falls_back_leaves_the_other_orders_alone(
         assert q.status == "fail" and q.lhs is None
 
 
+def weight_entry(r: SweepRow, slack: float, quad_tol: float):
+    """The one-alpha public call behind the weight row ``r``."""
+    tols = dict(tol=slack, quad_tol=quad_tol)
+    if r.check_id == "weight_int_plain":
+        return hhbounds.weight_int_plain(r.s, **tols)
+    if r.check_id == "holder_kernel_bound":
+        return hhbounds.holder_kernel_bound(r.alpha, r.p, **tols)
+    return getattr(hhbounds, r.check_id)(r.alpha, r.s, **tols)
+
+
+WEIGHT_CHECKS = ("weight_int_power", "weight_int_beta", "weight_int_plain",
+                 "holder_kernel_bound")
+
+
+@pytest.mark.parametrize("text, rows", [
+    (README_CONFIG, 88), (IDENTITY_CONFIG, 67), (MIXED_CONFIG, 16),
+], ids=["readme", "identity", "mixed"])
+def test_weight_rows_hold_the_one_alpha_bits(text, rows):
+    # the sweep's batched passes and the public one-alpha calls take one
+    # path: each row is summed as if alone
+    config = parse_config_text(text)
+    weights = [r for r in run_sweep(config).rows if r.check_id in WEIGHT_CHECKS]
+    for r in weights:
+        e = weight_entry(r, config.slack, config.quad_tol)
+        assert (r.lhs.hex(), r.rhs.hex()) == (e.lhs.hex(), e.rhs.hex()), r
+        assert r.status == ("pass" if e.holds else
+                            "fail" if e.in_validated_range else
+                            "out_of_validated_range"), r
+    assert len(weights) == rows
+
+
+@pytest.mark.parametrize("call, row, check_id, alpha, s", [
+    (0, 0, "weight_int_power", 0.5, 0.5),
+    (1, 3, "weight_int_beta", 2.0, 1.0),
+    (0, 4, "weight_int_plain", None, 0.5),
+    (2, 1, "holder_kernel_bound", 2.0, None),
+], ids=["power", "beta", "plain", "kernel"])
+def test_a_weight_row_the_ladder_refuses_alone_goes_to_the_engine(
+        monkeypatch, call, row, check_id, alpha, s):
+    # passes: s = 0.5 and s = 1 (power and beta rows per alpha, then the
+    # plain row), then p = 2 (one kernel row per alpha); the ladder refuses
+    # one row of one pass
+    from fracineq import quadrature
+    from fracineq.quadrature import TanhSinhLadder
+
+    config = parse_config_text(
+        "functions = square\nintervals = 0,1\nalphas = 0.5 2\n"
+        "s_values = 0.5 1\np_values = 2\nq_values = 2\n")
+    clean = _Sweep(config).weight_rows(config)
+    calls = []
+    real_estimate = TanhSinhLadder.estimate
+
+    def refusing(self, values, tols):
+        out = real_estimate(self, values, tols)
+        if len(calls) == call:
+            out[row] = None
+        calls.append(len(values))
+        return out
+
+    fallbacks = []
+    real_integrate = quadrature.integrate
+
+    def counting(*args, **kwargs):
+        fallbacks.append(kwargs["abs_tol"])
+        return real_integrate(*args, **kwargs)
+
+    def is_target(r: SweepRow) -> bool:
+        return (r.check_id, r.alpha, r.s) == (check_id, alpha, s)
+
+    monkeypatch.setattr(TanhSinhLadder, "estimate", refusing)
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    rows = _Sweep(config).weight_rows(config)
+    assert calls == [5, 5, 2] and fallbacks == [config.quad_tol]
+    (old, new), = [(o, n) for o, n in zip(clean, rows) if is_target(o)]
+    assert new[:8] == old[:8] and new.status == old.status
+    closed = new.rhs
+    if check_id == "holder_kernel_bound":
+        # the kernel's rhs is a bound; this is the integral at p = 2
+        closed = 1.0 / 3.0 - 2.0 / (alpha + 3.0) + 1.0 / (2.0 * alpha + 3.0)
+    assert abs(new.lhs - closed) <= config.quad_tol
+    for o, n in zip(clean, rows):
+        if not is_target(o):
+            assert (o, o.lhs.hex()) == (n, n.lhs.hex())
+
+    def refused(*args, **kwargs):
+        raise AccuracyError("budget exhausted", 0.0, 1.0, 0)
+
+    # the engine refuses that row too: it fails, and it alone
+    calls.clear()
+    monkeypatch.setattr(quadrature, "integrate", refused)
+    failed = _Sweep(config).weight_rows(config)
+    for o, n in zip(clean, failed):
+        if is_target(o):
+            assert n[:8] == o[:8] and n[8:] == (None, None, None, "fail")
+        else:
+            assert n == o
+
+
 @pytest.mark.parametrize("text, calls, evals", [
-    (README_CONFIG, 18, 29232), (IDENTITY_CONFIG, 72, 19509),
+    (README_CONFIG, 18, 2604), (IDENTITY_CONFIG, 72, 3276),
 ], ids=["readme", "identity"])
 def test_a_sweep_makes_one_ladder_pass_per_side_of_a_cell(monkeypatch, text,
                                                         calls, evals):
     # 9 or 36 (function, interval) cells, one pass for the defects and one
-    # for the identity rhs of all alphas; hhbounds' calls of the adaptive
-    # engine (sandwich means and weight rows: no defect or rhs falls back
-    # here) spend a fixed number of evaluations
+    # for the identity rhs of all alphas; then the weight rows, one pass per
+    # s (power and beta rows per alpha, and the plain row) and one per p.
+    # No row falls back to the adaptive engine here; its evaluations are
+    # the 36 sandwich means' alone
+    from fracineq import quadrature
     from fracineq.quadrature import TanhSinhLadder
 
     config = parse_config_text(text)
@@ -1135,11 +1236,17 @@ def test_a_sweep_makes_one_ladder_pass_per_side_of_a_cell(monkeypatch, text,
         spent.append(result.evaluations)
         return result
 
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a row fell back to the adaptive engine")
+
     monkeypatch.setattr(TanhSinhLadder, "estimate", counting_estimate)
     monkeypatch.setattr(hhbounds, "integrate", counting_integrate)
+    monkeypatch.setattr(quadrature, "integrate", no_fallback)
     run_sweep(config)
-    assert rows == [len(config.alphas)] * calls
-    assert sum(spent) == evals
+    k = len(config.alphas)
+    assert rows == ([k] * calls + [2 * k + 1] * len(config.s_values)
+                    + [k] * len(config.p_values))
+    assert len(spent) == 36 and sum(spent) == evals
 
 
 # ---------------------------------------------------------------------------
