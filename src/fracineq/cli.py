@@ -7,8 +7,9 @@ Subcommands:
   fracineq certify --function NAME --s X
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
-configuration or arguments.  The environment variable FRACINEQ_QUAD_TOL
-overrides the configured quadrature tolerance.
+configuration or arguments (an unreadable config file or an unwritable
+--out included).  The environment variable FRACINEQ_QUAD_TOL overrides
+the quadrature tolerance of sweep and check-identity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import replace
 from .errors import (ConfigError, DomainError, FracineqError, IntegrandError,
                      PreconditionError)
 from .funclib import _grid_values, abs_d2, certify_declared, get_function
-from .quadrature import Interval
+from .quadrature import Interval, _check_abs_tol
 
 # Each command imports the layers it runs when it runs: ``certify`` needs
 # only the catalog and the certifier, ``check-identity`` adds the defect
@@ -63,16 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_env_quad_tol(config):
+def _env_quad_tol(default: float) -> float:
+    """The quadrature tolerance: FRACINEQ_QUAD_TOL where it is set, else
+    ``default``; a malformed or out-of-range value is a ConfigError naming
+    quad_tol."""
     raw = os.environ.get("FRACINEQ_QUAD_TOL")
     if raw is None:
-        return config
+        return default
     try:
-        tol = float(raw)
+        return _check_abs_tol(float(raw), "quad_tol")
     except ValueError as exc:
         raise ConfigError("quad_tol",
-                          f"FRACINEQ_QUAD_TOL is not a number: {raw!r}") from exc
-    return replace(config, quad_tol=tol)
+                          f"FRACINEQ_QUAD_TOL={raw!r}: {exc}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -88,34 +91,39 @@ def _cmd_sweep(args) -> int:
         overrides["functions"] = tuple(args.function)
     if args.format:
         overrides["output_format"] = args.format
-    config = _apply_env_quad_tol(replace(config, **overrides))
+    overrides["quad_tol"] = _env_quad_tol(config.quad_tol)
+    config = replace(config, **overrides)
     # run_sweep validates the config with every override applied
     report = run_sweep(config)
     data = render_report(report, config.output_format)
     if args.out:
-        with open(args.out, "wb") as out:
-            out.write(data)
+        try:
+            with open(args.out, "wb") as out:
+                out.write(data)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot write {args.out!r}: {exc}") from exc
     else:
         sys.stdout.buffer.write(data)
     return EXIT_FAIL if report.any_fail else EXIT_OK
 
 
 def _cmd_check_identity(args) -> int:
-    from .hhbounds import (DEFAULT_CHECK_SLACK, defect_identity_rhs,
-                           trapezoid_defect)
+    from .hhbounds import (DEFAULT_CHECK_SLACK, DEFAULT_QUAD_TOL,
+                           defect_identity_rhs, trapezoid_defect)
     from .specfun import check_alpha
 
     f = get_function(args.function)
     iv = Interval.parse(args.interval)
     check_alpha(args.alpha)
+    quad_tol = _env_quad_tol(DEFAULT_QUAD_TOL)
     # the identity's hypothesis, as in the sweep: |f''| finite on the grid
     try:
         _grid_values(abs_d2(f), iv)
     except IntegrandError as exc:
         raise PreconditionError("identity hypothesis fails: f'' is not finite "
                                 f"on [{iv.a}, {iv.b}] ({exc})") from None
-    lhs = trapezoid_defect(f, iv, args.alpha).lhs
-    rhs = defect_identity_rhs(f, iv, args.alpha)
+    lhs = trapezoid_defect(f, iv, args.alpha, quad_tol).lhs
+    rhs = defect_identity_rhs(f, iv, args.alpha, quad_tol)
     diff = abs(lhs - rhs)
     slack = DEFAULT_CHECK_SLACK
     ok = diff <= slack

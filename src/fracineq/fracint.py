@@ -32,6 +32,7 @@ from .quadrature import (
     MAX_ABS_TOL,
     TANH_SINH,
     Interval,
+    _check_abs_tol,
     _engine_tol,
     _outcome_value,
     beta_expectation,
@@ -49,6 +50,7 @@ def _rl(f, alpha: float, lo: float, hi: float, sign: float,
     ``lo`` for ``sign`` = 1 (the right operator) and ``hi`` for
     ``sign`` = -1 (the left one)."""
     alpha = check_alpha(alpha)
+    abs_tol = _check_abs_tol(abs_tol)
     fv = value_fn(f)
     d = Interval(lo, hi).length
     if d == math.inf:

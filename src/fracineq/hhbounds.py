@@ -283,6 +283,7 @@ def trapezoid_defect(f, interval: Interval, alpha: float,
     """Compute the trapezoid defect as the Beta(alpha, 1) expectation of the
     module docstring; |total error| <= quad_tol."""
     alpha = check_alpha(alpha)
+    quad_tol = _check_abs_tol(quad_tol, "quad_tol")
     fa, fb, (lhs,) = _defects(f, interval, (alpha,), quad_tol)
     return DefectResult(lhs=_outcome_value(lhs), quad_tol_used=quad_tol,
                         fa=fa, fb=fb, alpha=alpha, interval=interval)
@@ -324,6 +325,7 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
                         quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Weighted curvature integral equal to the trapezoid defect."""
     alpha = check_alpha(alpha)
+    quad_tol = _check_abs_tol(quad_tol, "quad_tol")
     return _outcome_value(_identity_rhs(f, interval, (alpha,), quad_tol)[0])
 
 
@@ -335,6 +337,7 @@ def s_convex_sandwich(f, interval: Interval, s: float,
     must start at a >= 0.
     """
     s = _check_s(s)
+    quad_tol = _check_abs_tol(quad_tol, "quad_tol")
     fv = value_fn(f)
     _hypothesis(fv, interval, s, False, "f")
     # the gate has just read f finite on these nodes
@@ -610,7 +613,7 @@ def _weight_integrals(alphas, s_values, p_values, quad_tol: float
     per s sums t^s w and (1-t)^s w for every alpha and t^s, and one pass per
     p sums w^p for every alpha.
     """
-    quad_tol = _check_abs_tol(quad_tol)
+    quad_tol = _check_abs_tol(quad_tol, "quad_tol")
     # Python floats, for the engine integrands and the keys of the result
     alphas = tuple(np.asarray(alphas, dtype=float).tolist())
     weights = _order_rows(alphas)[1]

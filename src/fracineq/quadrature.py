@@ -252,12 +252,14 @@ def _adaptive(fn, a: float, b: float, abs_tol: float, max_evals: int) -> QuadRes
         total_abs += left_seg[9] + right_seg[9] - resabs
 
 
-def _check_abs_tol(abs_tol: float) -> float:
-    abs_tol = float(abs_tol)
-    if not (MIN_ABS_TOL <= abs_tol <= MAX_ABS_TOL):
+def _check_abs_tol(tol: float, name: str = "abs_tol") -> float:
+    """The one validator of a public quadrature tolerance, named ``name``
+    in its error; derived tolerances are clamped by _engine_tol instead."""
+    tol = float(tol)
+    if not (MIN_ABS_TOL <= tol <= MAX_ABS_TOL):
         raise DomainError(
-            f"abs_tol must lie in [{MIN_ABS_TOL}, {MAX_ABS_TOL}], got {abs_tol}")
-    return abs_tol
+            f"{name} must lie in [{MIN_ABS_TOL}, {MAX_ABS_TOL}], got {tol}")
+    return tol
 
 
 def integrate(f: Callable[[float], float],

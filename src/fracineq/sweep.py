@@ -24,27 +24,26 @@ kernel-comparison step is only valid on (0, 1]) and the classical /2
 upper-sandwich reading where it does not hold; that reading is recorded
 alongside the asserted 1/(s+1) reading so both remain observable in data.
 
-The check table
----------------
-:func:`run_sweep` loops over :data:`~fracineq.hhbounds.BOUND_CHECKS`, one
-entry per bound row of the README check table, for every (function,
-interval, alpha, s): it certifies each entry's hypothesis itself and calls
-its closed form.  The identity, sandwich and weight-integral rows are
-built beside it, and every row gets its status from one row builder.
+The per-cell pass
+-----------------
+:func:`run_sweep` is one loop over the (function, interval) cells.  Each
+cell certifies every channel it needs once (f, |f''|, and |f''|^q for each
+distinct q; |f''|^1 is the |f''| channel): one
+:func:`~fracineq.funclib.channel_verdicts` call judges the grid and a
+seeded batch of random probe triples (config ``seed`` and the channel's
+key) at every s value in both directions, so reported hypothesis checks do
+not depend silently on grid alignment.  Where the |f''| channel has
+verdicts, the cell computes its trapezoid defects and identity right-hand
+sides for every configured alpha, one ladder pass per side; each alpha's
+defect is shared by its identity row and all its bound rows.  Where it has
+none, |f''| being non-finite on the grid, neither side is computed, and
+the identity row and every bound row are skipped.  The cell then returns
+its sandwich, identity and bound rows; the bound rows come from
+:data:`~fracineq.hhbounds.BOUND_CHECKS`, one entry per bound row of the
+README check table, whose hypothesis the cell judges itself before it
+calls the entry's closed form.  The weight-integral rows depend on no
+cell: one ladder pass per s and one per p, each holding every alpha.
 
-Certification combines the deterministic grid certifier with a seeded
-batch of random probe triples (config ``seed``), so reported hypothesis
-checks do not depend silently on grid alignment.  For each channel (f,
-|f''| or |f''|^q on one interval; |f''|^1 is the |f''| channel) the sweep
-draws one probe batch from the seed and the channel's key, and one
-:func:`~fracineq.funclib.channel_verdicts` call judges the grid and the
-probes at every s value in both directions.  The identity row's own
-hypothesis, f'' integrable, fails where that |f''| channel has no verdicts,
-being non-finite on the grid.  Likewise the trapezoid defects and the
-identity right-hand sides of each (function, interval) are computed once,
-for every configured alpha in one ladder pass per side; each alpha's defect
-is shared by its identity row and all its bound rows.  The weight-integral
-rows take one ladder pass per s and one per p, each holding every alpha.
 An outcome is a value or the error that stopped it, and the row builder
 alone turns an error, in lhs before rhs, into a status: AccuracyError
 ``fail``, IntegrandError ``precondition_skipped``, with no lhs, rhs or
@@ -60,6 +59,7 @@ import math
 import re
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
@@ -101,7 +101,7 @@ from .hhbounds import (
     _width_squared,
     s_convex_sandwich,
 )
-from .quadrature import MAX_ABS_TOL, MIN_ABS_TOL, Interval
+from .quadrature import Interval, _check_abs_tol
 
 __all__ = [
     "SweepConfig",
@@ -238,7 +238,13 @@ def parse_config_text(text: str) -> SweepConfig:
 
 
 def load_config(path: str | Path) -> SweepConfig:
-    return parse_config_text(Path(path).read_text())
+    """Read and parse the config file at ``path``; a file that cannot be
+    read as UTF-8 text is a :class:`ConfigError` naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {str(path)!r}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def _check_each(field_name: str, values, check) -> None:
@@ -268,9 +274,10 @@ def validate_config(config: SweepConfig) -> None:
     _check_each("q_values", config.q_values, _check_q)
     if not (math.isfinite(config.slack) and config.slack >= 0.0):
         raise ConfigError("slack", f"must be finite and >= 0, got {config.slack}")
-    if not (MIN_ABS_TOL <= config.quad_tol <= MAX_ABS_TOL):
-        raise ConfigError("quad_tol", f"must lie in [{MIN_ABS_TOL}, "
-                          f"{MAX_ABS_TOL}], got {config.quad_tol}")
+    try:
+        _check_abs_tol(config.quad_tol, "quad_tol")
+    except DomainError as exc:
+        raise ConfigError("quad_tol", str(exc)) from exc
     if config.output_format not in ("csv", "json"):
         raise ConfigError("format", f"must be csv or json, got {config.output_format}")
     if not isinstance(config.seed, int):
@@ -309,147 +316,132 @@ def _range_rule(in_range: bool) -> _Rule:
     return _ASSERTED if in_range else _RECORDED
 
 
-class _Sweep:
-    """What one sweep shares across its rows: the slack and quadrature
-    tolerance, the seed and s values, and two caches, the verdicts of each
-    channel (f, |f''| or |f''|^q on one interval; |f''|^1 is |f''|, since
-    x ** 1.0 is x bit for bit) and the trapezoid defects."""
+def _row(slack: float, check_id: str, key: tuple, lhs=None, rhs=None,
+         rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
+    """Build a row; ``key`` is (function, a, b, alpha, s, p, q).
 
-    def __init__(self, config: SweepConfig):
-        self.slack = config.slack
-        self.quad_tol = config.quad_tol
-        self.seed = config.seed
-        self.s_values = config.s_values
-        # {(s, concave): verdict} per channel key
-        self.verdicts: dict[tuple, dict[tuple[float, bool], bool]] = {}
-        # the configured orders, each once: one batch per (function, interval)
-        self.alphas = tuple(dict.fromkeys(config.alphas))
-        # {alpha: (signed defect, identity rhs)} per (function, interval),
-        # each a float or the error that stopped it; filled for every alpha
-        # by whichever row asks first
-        self.defects: dict[tuple, dict[float, tuple]] = {}
+    An error outcome (lhs first) or a given ``status`` sets the status, and
+    no lhs, rhs or margin is recorded; otherwise ``rule`` judges lhs and
+    rhs against ``slack``.
+    """
+    measured = None
+    error = next((v for v in (lhs, rhs) if isinstance(v, FracineqError)),
+                 None)
+    if error is not None:
+        lhs = rhs = None
+        status = (STATUS_FAIL if isinstance(error, AccuracyError)
+                  else STATUS_SKIPPED)
+    elif status is None:
+        if rule.identity:
+            measured = abs(lhs - rhs)
+            holds = measured <= slack
+        else:
+            measured = rhs - lhs
+            holds = measured >= -slack
+        status = rule.if_holds if holds else rule.if_not
+    return SweepRow(check_id, *key, lhs, rhs, measured, status)
 
-    def verdicts_of(self, f: TestFunction, channel: str, domain: Interval,
-                    q: float | None) -> dict[tuple[float, bool], bool]:
-        """The verdicts {(s, concave): bool} of ``channel`` of ``f`` on
-        ``domain``: ``f`` itself, or ``abs_d2``: |f''|^q (keyed
-        ``abs_d2_pow``), |f''| for q None or 1; ``{}`` where the channel
-        is non-finite on the certification grid.  The first ask draws the
-        channel's probes from the seed and its key and caches the verdicts
-        of :func:`~fracineq.funclib.channel_verdicts`."""
-        q = None if q == 1.0 else q
-        key = (f.name, channel if q is None else "abs_d2_pow", domain.a,
-               domain.b, q)
-        verdicts = self.verdicts.get(key)
-        if verdicts is None:
-            rng = np.random.default_rng([self.seed & 0xFFFFFFFF,
-                                         zlib.crc32(repr(key).encode())])
-            x = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
-            y = rng.uniform(domain.a, domain.b, _PROBE_COUNT)
-            lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
-            fn = f.fn if channel == "f" else abs_d2(f, q)
-            verdicts = self.verdicts[key] = channel_verdicts(
-                fn, domain, self.s_values, x, y, lam)
-        return verdicts
 
-    def row(self, check_id: str, key: tuple, lhs=None, rhs=None,
-            rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
-        """Build a row; ``key`` is (function, a, b, alpha, s, p, q).
+def _verdicts(config: SweepConfig, f: TestFunction, channel: str,
+              iv: Interval, q: float | None = None
+              ) -> dict[tuple[float, bool], bool]:
+    """The verdicts {(s, concave): bool} of ``channel`` of ``f`` on ``iv``:
+    ``f`` itself, or ``abs_d2``: |f''|^q (keyed ``abs_d2_pow``), |f''| for
+    q None; ``{}`` where the channel is non-finite on the certification
+    grid.  The channel's probes are drawn from the seed and its key."""
+    key = (f.name, channel if q is None else "abs_d2_pow", iv.a, iv.b, q)
+    rng = np.random.default_rng([config.seed & 0xFFFFFFFF,
+                                 zlib.crc32(repr(key).encode())])
+    x = rng.uniform(iv.a, iv.b, _PROBE_COUNT)
+    y = rng.uniform(iv.a, iv.b, _PROBE_COUNT)
+    lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
+    fn = f.fn if channel == "f" else abs_d2(f, q)
+    return channel_verdicts(fn, iv, config.s_values, x, y, lam)
 
-        An error outcome (lhs first) or a given ``status`` sets the status,
-        and no lhs, rhs or margin is recorded; otherwise ``rule`` judges
-        lhs and rhs against the slack.
-        """
-        measured = None
-        error = next((v for v in (lhs, rhs) if isinstance(v, FracineqError)),
-                     None)
-        if error is not None:
-            lhs = rhs = None
-            status = (STATUS_FAIL if isinstance(error, AccuracyError)
-                      else STATUS_SKIPPED)
-        elif status is None:
-            if rule.identity:
-                measured = abs(lhs - rhs)
-                holds = measured <= self.slack
-            else:
-                measured = rhs - lhs
-                holds = measured >= -self.slack
-            status = rule.if_holds if holds else rule.if_not
-        return SweepRow(check_id, *key, lhs, rhs, measured, status)
 
-    def sides(self, f: TestFunction, iv: Interval, alpha: float) -> tuple:
-        """The outcomes (signed defect, identity rhs) at ``alpha``, each a
-        float or the error that stopped it.  The first ask for (``f``,
-        ``iv``) computes both sides at every configured alpha, each side in
-        one ladder pass, and keeps them."""
-        key = (f.name, iv.a, iv.b)
-        cell = self.defects.get(key)
-        if cell is None:
-            try:
-                lhs = _defects(f, iv, self.alphas, self.quad_tol)[2]
-                rhs = _identity_rhs(f, iv, self.alphas, self.quad_tol)
-            except IntegrandError as exc:
-                # f non-finite at an endpoint: no alpha has a defect
-                lhs = rhs = [exc] * len(self.alphas)
-            cell = self.defects[key] = dict(zip(self.alphas, zip(lhs, rhs)))
-        return cell[alpha]
+def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
+               bounds: list[tuple[BoundCheck, BoundParams, float | None]],
+               f: TestFunction, iv: Interval) -> list[SweepRow]:
+    """The sandwich, identity and bound rows of ``f`` on ``iv``.
 
-    def identity_row(self, f: TestFunction, iv: Interval,
-                     alpha: float) -> SweepRow:
-        key = (f.name, iv.a, iv.b, alpha, None, None, None)
-        # the identity needs f'' integrable: a |f''| channel non-finite on
-        # the certification grid has no verdicts, and nothing is computed
-        if not self.verdicts_of(f, "abs_d2", iv, None):
-            return self.row("identity", key, status=STATUS_SKIPPED)
-        return self.row("identity", key, *self.sides(f, iv, alpha), _IDENTITY)
-
-    def bound_row(self, check: BoundCheck, f: TestFunction, iv: Interval,
-                  bp: BoundParams) -> SweepRow:
-        key = (f.name, iv.a, iv.b, bp.alpha, bp.s, bp.p, bp.q)
-        verdicts = self.verdicts_of(f, "abs_d2", iv, bp.q)
-        if not verdicts.get((bp.s, check.concave), False):
-            return self.row(check.check_id, key, status=STATUS_SKIPPED)
-        defect = self.sides(f, iv, bp.alpha)[0]
-        if isinstance(defect, FracineqError):
-            return self.row(check.check_id, key, defect)
-        return self.row(check.check_id, key, abs(defect),
-                        check.formula(f, iv, bp),
-                        _range_rule(bp.alpha <= check.alpha_max))
-
-    def sandwich_rows(self, f: TestFunction, iv: Interval,
-                      s: float) -> list[SweepRow]:
+    Each channel is certified once: f, |f''|, and |f''|^q for each
+    distinct q of ``bounds``, which holds (check, parameters, channel q)
+    per bound row.  Where |f''| has verdicts, the defects and identity
+    right-hand sides are computed for every order of ``alphas``, one ladder
+    pass per side; where it has none, neither is, and every row that needs
+    them is skipped.
+    """
+    row = partial(_row, config.slack)
+    rows = []
+    convex = _verdicts(config, f, "f", iv)
+    for s in config.s_values:
         key = (f.name, iv.a, iv.b, None, s, None, None)
         sw = None
-        if self.verdicts_of(f, "f", iv, None).get((s, False), False):
+        if convex.get((s, False), False):
             try:
-                sw = s_convex_sandwich(f, iv, s, quad_tol=self.quad_tol)
+                sw = s_convex_sandwich(f, iv, s, quad_tol=config.quad_tol)
             except (PreconditionError, AccuracyError):
                 pass
         if sw is None:
-            return [self.row(cid, key, status=STATUS_SKIPPED)
-                    for cid, *_ in _SANDWICH_ROWS]
-        return [self.row(cid, key, getattr(sw, lhs), getattr(sw, rhs), rule)
-                for cid, lhs, rhs, rule in _SANDWICH_ROWS]
+            rows += [row(cid, key, status=STATUS_SKIPPED)
+                     for cid, *_ in _SANDWICH_ROWS]
+        else:
+            rows += [row(cid, key, getattr(sw, lhs), getattr(sw, rhs), rule)
+                     for cid, lhs, rhs, rule in _SANDWICH_ROWS]
 
-    def weight_rows(self, config: SweepConfig) -> list[SweepRow]:
-        """The weight-integral rows, which depend on no function or
-        interval: one ladder pass per s and one per p for every alpha."""
-        found = _weight_integrals(self.alphas, config.s_values,
-                                  config.p_values, self.quad_tol)
-        keys = [(check_id, alpha, s, None)
-                for alpha in config.alphas for s in config.s_values
-                for check_id in ("weight_int_power", "weight_int_beta")]
-        keys += [("weight_int_plain", None, s, None) for s in config.s_values]
-        keys += [("holder_kernel_bound", alpha, None, p)
-                 for alpha in config.alphas for p in config.p_values]
-        rows = []
-        for check_id, *params in keys:
-            lhs, rhs, in_range = found[(check_id, *params)]
-            rule = (_range_rule(in_range) if check_id == "holder_kernel_bound"
-                    else _IDENTITY)
-            rows.append(self.row(check_id, (None, None, None, *params, None),
-                                 lhs, rhs, rule))
-        return rows
+    curvature = {q: _verdicts(config, f, "abs_d2", iv, q)
+                 for q in dict.fromkeys([None] + [q for *_, q in bounds])}
+    try:
+        # the identity needs f'' integrable: where |f''| is non-finite on
+        # the certification grid its channel has no verdicts, and neither
+        # side is computed
+        if not curvature[None]:
+            raise IntegrandError("f'' is not finite on the certification grid")
+        lhs = _defects(f, iv, alphas, config.quad_tol)[2]
+        rhs = _identity_rhs(f, iv, alphas, config.quad_tol)
+    except IntegrandError as exc:
+        # no alpha has a defect (as where f is non-finite at an endpoint),
+        # and every row that needs one is skipped
+        lhs = rhs = [exc] * len(alphas)
+    # {alpha: (signed defect, identity rhs)}, each a float or the error
+    # that stopped it
+    sides = dict(zip(alphas, zip(lhs, rhs)))
+    rows += [row("identity", (f.name, iv.a, iv.b, alpha, None, None, None),
+                 *sides[alpha], _IDENTITY) for alpha in config.alphas]
+    for check, bp, q in bounds:
+        key = (f.name, iv.a, iv.b, bp.alpha, bp.s, bp.p, bp.q)
+        defect = sides[bp.alpha][0]
+        if not curvature[q].get((bp.s, check.concave), False):
+            rows.append(row(check.check_id, key, status=STATUS_SKIPPED))
+        elif isinstance(defect, FracineqError):
+            rows.append(row(check.check_id, key, defect))
+        else:
+            rows.append(row(check.check_id, key, abs(defect),
+                            check.formula(f, iv, bp),
+                            _range_rule(bp.alpha <= check.alpha_max)))
+    return rows
+
+
+def _weight_rows(config: SweepConfig) -> list[SweepRow]:
+    """The weight-integral rows, which depend on no function or interval:
+    one ladder pass per s and one per p for every alpha."""
+    found = _weight_integrals(tuple(dict.fromkeys(config.alphas)),
+                              config.s_values, config.p_values,
+                              config.quad_tol)
+    keys = [(check_id, alpha, s, None)
+            for alpha in config.alphas for s in config.s_values
+            for check_id in ("weight_int_power", "weight_int_beta")]
+    keys += [("weight_int_plain", None, s, None) for s in config.s_values]
+    keys += [("holder_kernel_bound", alpha, None, p)
+             for alpha in config.alphas for p in config.p_values]
+    rows = []
+    for check_id, *params in keys:
+        lhs, rhs, in_range = found[(check_id, *params)]
+        rule = (_range_rule(in_range) if check_id == "holder_kernel_bound"
+                else _IDENTITY)
+        rows.append(_row(config.slack, check_id,
+                         (None, None, None, *params, None), lhs, rhs, rule))
+    return rows
 
 
 # (check_id, function, a, b, alpha, s, p, q); all rows of one check id
@@ -460,25 +452,26 @@ _sort_key = itemgetter(slice(0, 8))
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Evaluate all checks over the configured grid; deterministic."""
     validate_config(config)
-    funcs = [get_function(name) for name in config.functions]
-    cells = list(product(funcs, config.intervals))
-    sweep = _Sweep(config)
-    rows = [row for f, iv in cells for s in config.s_values
-            for row in sweep.sandwich_rows(f, iv, s)]
-    for alpha in config.alphas:
-        rows += (sweep.identity_row(f, iv, alpha) for f, iv in cells)
-        for s in config.s_values:
-            params = {
-                None: (BoundParams(alpha, s),),
-                "conjugate": tuple(BoundParams(alpha, s, p=p)
-                                   for p in config.p_values),
-                "q_values": tuple(BoundParams(alpha, s, q=q)
-                                  for q in config.q_values),
-            }
-            rows += (sweep.bound_row(check, f, iv, bp)
-                     for f, iv in cells for check in BOUND_CHECKS
-                     for bp in params[check.q_from])
-    rows += sweep.weight_rows(config)
+    # the configured orders, each once: one batch per (function, interval)
+    alphas = tuple(dict.fromkeys(config.alphas))
+    # every bound row of a cell, each parameter tuple built once, with the
+    # q of its |f''|^q channel: None for |f''|^1, since x ** 1.0 is x bit
+    # for bit
+    bounds = []
+    for alpha, s in product(config.alphas, config.s_values):
+        params = {
+            None: (BoundParams(alpha, s),),
+            "conjugate": tuple(BoundParams(alpha, s, p=p)
+                               for p in config.p_values),
+            "q_values": tuple(BoundParams(alpha, s, q=q)
+                              for q in config.q_values),
+        }
+        bounds += [(check, bp, None if bp.q == 1.0 else bp.q)
+                   for check in BOUND_CHECKS for bp in params[check.q_from]]
+    rows = [row for name in config.functions for iv in config.intervals
+            for row in _cell_rows(config, alphas, bounds, get_function(name),
+                                  iv)]
+    rows += _weight_rows(config)
     rows.sort(key=_sort_key)
     return SweepReport(rows=tuple(rows))
 

@@ -707,3 +707,19 @@ def test_a_type_error_of_f_itself_propagates_from_the_engine_and_grid(call):
 
     with pytest.raises(TypeError, match="not a number"):
         call(broken)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 0.5])
+@pytest.mark.parametrize("call", [
+    lambda tol: trapezoid_defect(SQUARE, UNIT, 0.5, quad_tol=tol),
+    lambda tol: defect_identity_rhs(SQUARE, UNIT, 0.5, quad_tol=tol),
+    lambda tol: s_convex_sandwich(SQUARE, UNIT, 1.0, quad_tol=tol),
+    lambda tol: left_rl(SQUARE, 0.5, 0.0, 1.0, abs_tol=tol),
+    lambda tol: right_rl(SQUARE, 0.5, 1.0, 0.0, abs_tol=tol),
+], ids=["trapezoid_defect", "defect_identity_rhs", "s_convex_sandwich",
+        "left_rl", "right_rl"])
+def test_public_quadrature_tolerances_are_validated(call, tol):
+    # a tolerance outside the engine's contract is refused, as integrate
+    # refuses it, rather than clamped and reported back (quad_tol_used nan)
+    with pytest.raises(DomainError, match="tol must lie in"):
+        call(tol)

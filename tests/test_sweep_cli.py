@@ -36,7 +36,8 @@ from fracineq.sweep import (
     SweepConfig,
     SweepReport,
     SweepRow,
-    _Sweep,
+    _verdicts,
+    _weight_rows,
 )
 from fracineq.funclib import (
     ConvexityClass,
@@ -183,6 +184,34 @@ def test_row_completeness_and_sorting():
     assert keys == sorted(keys)
     # each configured tuple appears exactly once per applicable check
     assert len(set(keys)) == len(keys)
+
+
+def test_repeated_config_entries_repeat_their_rows():
+    # a repeated function, interval or order gives its rows once per
+    # entry, each as computed for the deduplicated config
+    text = ("functions = square square\nintervals = 0,1 0,1 1,3\n"
+            "alphas = 0.5 2 0.5\ns_values = 1\np_values = 2\n"
+            "q_values = 2\n")
+    repeated = parse_config_text(text)
+    report = run_sweep(repeated)
+    unique = run_sweep(dataclasses.replace(
+        repeated, functions=("square",),
+        intervals=(Interval(0.0, 1.0), Interval(1.0, 3.0)),
+        alphas=(0.5, 2.0)))
+
+    def multiplicity(r: SweepRow) -> int:
+        n = repeated.alphas.count(r.alpha) if r.alpha is not None else 1
+        if r.function is not None:
+            n *= (repeated.functions.count(r.function)
+                  * repeated.intervals.count(Interval(r.a, r.b)))
+        return n
+
+    assert len(report.rows) == expected_row_count(repeated)
+    assert Counter(report.rows) == Counter(
+        {r: multiplicity(r) for r in unique.rows})
+    assert render_report(report) == render_report(run_sweep(repeated))
+    assert render_report(report, "json") == render_report(
+        run_sweep(repeated), "json")
 
 
 def test_each_check_id_leaves_the_same_key_columns_empty():
@@ -498,6 +527,60 @@ def test_cli_check_identity():
     assert "PASS" in proc.stdout
 
 
+@pytest.mark.parametrize("value", ["abc", "1", "nan"])
+def test_check_identity_refuses_a_bad_env_quad_tol(monkeypatch, capsys,
+                                                   value):
+    from fracineq import cli
+
+    monkeypatch.setenv("FRACINEQ_QUAD_TOL", value)
+    assert cli.main(["check-identity", "--function", "square", "--interval",
+                     "0,1", "--alpha", "0.5"]) == 2
+    assert "quad_tol" in capsys.readouterr().err
+
+
+def test_check_identity_takes_the_env_quad_tol_on_both_sides(monkeypatch,
+                                                             capsys):
+    from fracineq import cli
+
+    seen = []
+    for name in ("trapezoid_defect", "defect_identity_rhs"):
+        def recording(*args, real=getattr(hhbounds, name)):
+            seen.append(args[3])
+            return real(*args)
+        monkeypatch.setattr(hhbounds, name, recording)
+    monkeypatch.setenv("FRACINEQ_QUAD_TOL", "1e-6")
+    assert cli.main(["check-identity", "--function", "square", "--interval",
+                     "0,1", "--alpha", "0.5"]) == 0
+    assert seen == [1e-6, 1e-6]
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [None, "directory", b"functions = sq\xff\n"],
+                         ids=["missing", "directory", "not_utf8"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, content):
+    from fracineq import cli
+
+    path = tmp_path / "sweep.cfg"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: ") and str(path) in err
+
+
+def test_cli_unwritable_out_is_a_config_error(config_file, tmp_path, capsys):
+    from fracineq import cli
+
+    out = tmp_path / "no" / "such" / "dir" / "r.csv"
+    assert cli.main(["sweep", "--config", str(config_file),
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --out: ")
+    assert str(out) in captured.err and captured.out == ""
+
+
 def test_cli_certify_pass_and_fail():
     ok = run_cli("certify", "--function", "square", "--s", "1")
     assert ok.returncode == 0 and ok.stdout.startswith("PASS")
@@ -724,8 +807,7 @@ def test_identity_row_takes_its_hypothesis_from_the_abs_d2_channel(
     assert calls == Counter()
     assert {r.status for r in report.rows
             if r.check_id.startswith("bound_")} == {"precondition_skipped"}
-    run = _Sweep(small_config())
-    assert run.verdicts_of(f, "abs_d2", f.natural_domain, None) == {}
+    assert _verdicts(small_config(), f, "abs_d2", f.natural_domain) == {}
 
 
 def test_check_identity_refuses_the_tuples_the_sweep_skips(monkeypatch,
@@ -784,14 +866,32 @@ def test_probes_reject_between_grid_points_for_that_s_and_direction(seed):
     s_values = (0.25, 0.5, 1.0)
     grid = cert_grid(f.fn, iv)
     assert [grid_verdicts(grid, s) for s in s_values] == [(True, False)] * 3
-    sweep = _Sweep(small_config(s_values=s_values, seed=seed))
-    verdicts = sweep.verdicts_of(f, "f", iv, None)
+    verdicts = _verdicts(small_config(s_values=s_values, seed=seed), f, "f",
+                         iv)
     # only s-convexity at s = 1 is lost; the smaller s keep their larger
     # margin, and s-concavity was refused by the grid already
     assert verdicts == {(0.25, False): True, (0.25, True): False,
                         (0.5, False): True, (0.5, True): False,
                         (1.0, False): False, (1.0, True): False}
     assert certify_s_convex(f.fn, iv, 1.0).passed
+
+
+@pytest.mark.parametrize("channel, q, key_channel", [
+    ("f", None, "f"), ("abs_d2", None, "abs_d2"), ("abs_d2", 2.0, "abs_d2_pow"),
+])
+def test_each_channel_draws_its_probes_from_the_seed_and_its_key(
+        monkeypatch, channel, q, key_channel):
+    # the probe seed is crc32(repr((function, channel, a, b, q))), so a
+    # channel's probes do not depend on which cell or row asks first
+    drawn = []
+    monkeypatch.setattr(sweep, "channel_verdicts",
+                        lambda fn, iv, s_values, *xyl: drawn.append(xyl))
+    f, iv, seed = get_function("cube"), Interval(1.0, 3.0), 20261017
+    _verdicts(small_config(seed=seed), f, channel, iv, q)
+    key = repr((f.name, key_channel, iv.a, iv.b, q))
+    (got,) = drawn
+    for have, want in zip(got, probe_draw(seed, iv, key)):
+        assert have.tobytes() == want.tobytes()
 
 
 def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
@@ -1157,7 +1257,7 @@ def test_a_weight_row_the_ladder_refuses_alone_goes_to_the_engine(
     config = parse_config_text(
         "functions = square\nintervals = 0,1\nalphas = 0.5 2\n"
         "s_values = 0.5 1\np_values = 2\nq_values = 2\n")
-    clean = _Sweep(config).weight_rows(config)
+    clean = _weight_rows(config)
     calls = []
     real_estimate = TanhSinhLadder.estimate
 
@@ -1180,7 +1280,7 @@ def test_a_weight_row_the_ladder_refuses_alone_goes_to_the_engine(
 
     monkeypatch.setattr(TanhSinhLadder, "estimate", refusing)
     monkeypatch.setattr(quadrature, "integrate", counting)
-    rows = _Sweep(config).weight_rows(config)
+    rows = _weight_rows(config)
     assert calls == [5, 5, 2] and fallbacks == [config.quad_tol]
     (old, new), = [(o, n) for o, n in zip(clean, rows) if is_target(o)]
     assert new[:8] == old[:8] and new.status == old.status
@@ -1199,7 +1299,7 @@ def test_a_weight_row_the_ladder_refuses_alone_goes_to_the_engine(
     # the engine refuses that row too: it fails, and it alone
     calls.clear()
     monkeypatch.setattr(quadrature, "integrate", refused)
-    failed = _Sweep(config).weight_rows(config)
+    failed = _weight_rows(config)
     for o, n in zip(clean, failed):
         if is_target(o):
             assert n[:8] == o[:8] and n[8:] == (None, None, None, "fail")
