@@ -79,7 +79,7 @@ def _env_quad_tol(default: float) -> float:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import load_config, render_report, run_sweep
+    from .sweep import load_config, render_report, run_sweep, validate_config
 
     config = load_config(args.config)
     overrides = {}
@@ -93,17 +93,20 @@ def _cmd_sweep(args) -> int:
         overrides["output_format"] = args.format
     overrides["quad_tol"] = _env_quad_tol(config.quad_tol)
     config = replace(config, **overrides)
-    # run_sweep validates the config with every override applied
-    report = run_sweep(config)
-    data = render_report(report, config.output_format)
-    if args.out:
+    # the config, with every override applied, is judged first; then --out
+    # is opened, so an unwritable path costs no sweep
+    validate_config(config)
+    if not args.out:
+        report = run_sweep(config)
+        sys.stdout.buffer.write(render_report(report, config.output_format))
+    else:
         try:
             with open(args.out, "wb") as out:
-                out.write(data)
+                report = run_sweep(config)
+                out.write(render_report(report, config.output_format))
         except OSError as exc:
-            raise ConfigError("--out", f"cannot write {args.out!r}: {exc}") from exc
-    else:
-        sys.stdout.buffer.write(data)
+            raise ConfigError("--out",
+                              f"cannot write {args.out!r}: {exc}") from exc
     return EXIT_FAIL if report.any_fail else EXIT_OK
 
 

@@ -23,7 +23,12 @@ symmetry, not a sample.  :func:`grid_verdicts` judges one s in both
 directions from one combination, in three work arrays per thread that
 every grid reuses.  :func:`channel_verdicts` decides a channel for the
 sweep: one grid and one batch of probe triples, judged by one violation
-rule at each s in both directions.  :func:`certify_s_convex` and
+rule in both directions at each s it needs.  Several s are judged from
+the largest down: where the channel's end values are >= 0 and the
+weights lam^s are checked to rise as s falls, a convex pass decides every
+smaller s, and so does a concave fail, with the verdicts of one call per
+s bit for bit; otherwise every distinct s is judged.
+:func:`certify_s_convex` and
 :func:`certify_s_concave` judge a fresh grid in one direction; only when
 it fails do they rebuild the whole n^3 grid from the half and name the
 first violating triple in row-major order as the witness.  ``checked``
@@ -304,13 +309,13 @@ def _holds(values, combo, concave: bool, threshold=None, out=None):
         values, np.add(combo, CERT_SLACK, out=threshold), out=out)
 
 
-def _grid_combination(grid: CertGrid, s: float) -> np.ndarray:
+def _grid_combination(grid: CertGrid, weights: np.ndarray) -> np.ndarray:
     # combination[k, i, j] = lam[k]^s fx[i] + (1-lam[k])^s fx[j] on the
-    # half, formed in the work array from two half x n product tables: the
-    # first is copied in along j, the second added along i (one add that
-    # broadcasts both takes about a quarter longer); 1 - lam is lam reversed
+    # half from the weights lam^s, formed in the work array from two half x
+    # n product tables: the first is copied in along j, the second added
+    # along i (one add that broadcasts both takes about a quarter longer);
+    # 1 - lam is lam reversed
     combo = _work()[0]
-    weights = _LAM ** s
     np.copyto(combo, (weights[:_HALF, None] * grid.fx)[:, :, None])
     np.add(combo, (weights[::-1][:_HALF, None] * grid.fx)[:, None, :],
            out=combo)
@@ -325,7 +330,7 @@ def _grid_holds(grid: CertGrid, combo: np.ndarray, concave: bool) -> bool:
 def grid_verdicts(grid: CertGrid, s: float) -> tuple[bool, bool]:
     """Whether ``grid`` passes s-convexity and s-concavity in the second
     sense, from one s-weighted combination."""
-    combo = _grid_combination(grid, _check_s(s))
+    combo = _grid_combination(grid, _LAM ** _check_s(s))
     return _grid_holds(grid, combo, False), _grid_holds(grid, combo, True)
 
 
@@ -335,20 +340,68 @@ def channel_verdicts(fn, domain: Interval, s_values, x, y,
     ``s_values`` in both directions, from the certification grid and the
     probe triples (x[i], y[i], lam[i]): a verdict holds where both pass.
     ``{}`` when the channel is non-finite on the grid (for example a
-    second derivative diverging at an endpoint): nothing is certified."""
+    second derivative diverging at an endpoint): nothing is certified.
+
+    Several distinct s are judged from the largest down, and a direction
+    is judged no further once the nesting of the classes decides it
+    (Hudzik and Maligranda 1994): for lam in [0, 1] and s1 < s2,
+    lam^s1 >= lam^s2, so where the values are >= 0 an s2-convex channel
+    is s1-convex and an s1-concave one is s2-concave.  A convex pass thus
+    holds at every smaller s, and a concave fail fails there.  The
+    computed verdicts nest the same way, bit for bit, when the grid's node
+    values and the probes' end values are finite and >= 0 and the weight
+    tables (the grid's lam^s, the probes' lam^s and (1-lam)^s, each as
+    :func:`grid_verdicts` and :func:`s_combination` compute it) rise
+    element by element as s falls: IEEE multiply and add are monotone, so
+    each combination, each threshold combo +- CERT_SLACK and the one rule
+    :func:`_holds` are monotone in s.  numpy's power is not guaranteed to
+    be correctly rounded, so the order of the tables is checked, not
+    assumed.  Where any of this fails, every distinct s is judged; a
+    single s is judged by :func:`grid_verdicts` and :func:`s_combination`
+    alone.
+    """
     try:
         grid = cert_grid(fn, domain)
     except IntegrandError:
         return {}
     mix = lam * x + (1.0 - lam) * y
     fx, fy, f_mix = _eval_grid(fn, np.stack([x, y, mix]))
-    verdicts = {}
-    for s in s_values:
-        on_grid = grid_verdicts(grid, s)
-        combo = s_combination(lam, s, fx, fy)
+    distinct = list(dict.fromkeys(s_values))
+    if len(distinct) < 2:
+        verdicts = {}
+        for s in s_values:
+            on_grid = grid_verdicts(grid, s)
+            combo = s_combination(lam, s, fx, fy)
+            for concave in (False, True):
+                verdicts[(s, concave)] = on_grid[concave] and bool(
+                    _holds(f_mix, combo, concave).all())
+        return verdicts
+    # the keys in the order of s_values; the values from the largest s down,
+    # with one row of weights per s: the grid's, then the probes' two
+    verdicts = dict.fromkeys(
+        (s, concave) for s in distinct for concave in (False, True))
+    order = sorted(distinct, key=_check_s, reverse=True)
+    rest = 1.0 - lam
+    tables = np.stack([np.concatenate([_LAM ** _check_s(s), lam ** s,
+                                       rest ** s]) for s in order])
+    ends = np.concatenate([grid.fx, fx, fy])
+    nested = (bool(np.all((0.0 <= ends) & (ends < np.inf)))
+              and bool(np.all(tables[1:] >= tables[:-1])))
+    probe_at = CERT_GRID_N + lam.size
+    known = {}      # direction -> its verdict at this s and every smaller s
+    for s, row in zip(order, tables):
+        if len(known) < 2:
+            combo = _grid_combination(grid, row[:CERT_GRID_N])
+            probes = row[CERT_GRID_N:probe_at] * fx + row[probe_at:] * fy
         for concave in (False, True):
-            verdicts[(s, concave)] = on_grid[concave] and bool(
-                _holds(f_mix, combo, concave).all())
+            holds = known.get(concave)
+            if holds is None:
+                holds = _grid_holds(grid, combo, concave) and bool(
+                    _holds(f_mix, probes, concave).all())
+                # a convex pass, or a concave fail, holds at every smaller s
+                if nested and holds != concave:
+                    known[concave] = holds
+            verdicts[(s, concave)] = holds
     return verdicts
 
 
@@ -364,7 +417,7 @@ def _whole(half: np.ndarray) -> np.ndarray:
 def _certify(fn, domain: Interval, s: float,
              concave: bool) -> CertificationResult:
     grid = cert_grid(fn, domain)
-    combo = _grid_combination(grid, _check_s(s))
+    combo = _grid_combination(grid, _LAM ** _check_s(s))
     checked = CERT_GRID_N ** 3
     if _grid_holds(grid, combo, concave):
         return CertificationResult(passed=True, witness=None, checked=checked)

@@ -238,10 +238,11 @@ def parse_config_text(text: str) -> SweepConfig:
 
 
 def load_config(path: str | Path) -> SweepConfig:
-    """Read and parse the config file at ``path``; a file that cannot be
-    read as UTF-8 text is a :class:`ConfigError` naming the path."""
+    """Read and parse the config file at ``path``, less a leading UTF-8
+    byte-order mark; a file that cannot be read as UTF-8 text is a
+    :class:`ConfigError` naming the path."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {str(path)!r}: {exc}") from exc
     return parse_config_text(text)

@@ -434,6 +434,102 @@ def test_probe_reading_nan_fails_both_directions():
 
 
 # ---------------------------------------------------------------------------
+# s-nesting: several s are judged from the largest down, and a direction is
+# judged no further once a convex pass or a concave fail decides it
+
+S_WALK = (0.25, 0.5, 0.75, 1.0)
+
+
+def unit_probes(seed: int = 3, count: int = 64):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0.0, 1.0, count), rng.uniform(0.0, 1.0, count),
+            rng.uniform(0.0, 1.0, count))
+
+
+def walk(fn, domain, s_values, x, y, lam):
+    """channel_verdicts over ``s_values`` and the number of s it judged
+    (one grid combination each); the verdicts are checked against one
+    call per s, merged in order, key order included."""
+    import fracineq.funclib as funclib_mod
+
+    judged = []
+    real = funclib_mod._grid_combination
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(funclib_mod, "_grid_combination",
+                      lambda grid, weights: judged.append(1) or real(grid,
+                                                                     weights))
+        verdicts = funclib_mod.channel_verdicts(fn, domain, s_values, x, y,
+                                                lam)
+    merged = {}
+    for s in s_values:
+        merged.update(funclib_mod.channel_verdicts(fn, domain, (s,), x, y,
+                                                   lam))
+    assert list(verdicts.items()) == list(merged.items())
+    return verdicts, len(judged)
+
+
+@pytest.mark.parametrize("fn, judged, judged_repeated", [
+    # convex at s = 1 and not concave: both decided at once
+    (lambda t: t ** 2, 1, 1),
+    # s-convex at every s, s-concave at s = 1 alone
+    (lambda t: 1.0 + 0.0 * t, 2, 2),
+    # concave, and s-convex, down to s = 1/2 alone
+    (np.sqrt, 3, 2),
+    # s-convex at s = 1/4 alone, concave at s = 1 alone: every s is judged
+    (lambda t: t ** 0.25, 4, 3),
+], ids=["square", "constant", "sqrt", "fourth_root"])
+def test_walk_stops_once_both_directions_are_decided(fn, judged,
+                                                     judged_repeated):
+    verdicts, count = walk(fn, UNIT, S_WALK, *unit_probes())
+    assert count == judged
+    # unsorted and repeated s give the same keys in their given order
+    verdicts, count = walk(fn, UNIT, (1.0, 0.25, 1.0, 0.5), *unit_probes())
+    assert count == judged_repeated
+    assert list(verdicts) == [(1.0, False), (1.0, True), (0.25, False),
+                              (0.25, True), (0.5, False), (0.5, True)]
+
+
+def test_walk_judges_every_s_where_the_nesting_is_not_shown(monkeypatch):
+    import fracineq.funclib as funclib_mod
+
+    x, y, lam = unit_probes()
+    square = lambda t: t ** 2                               # noqa: E731
+    # negative at the grid nodes below 1/2
+    assert walk(lambda t: t ** 2 - 0.25, UNIT, S_WALK, x, y, lam)[1] == 4
+    # NaN at a probe's end value: no verdict holds
+    verdicts, count = walk(lambda t: np.where(t == x[0], np.nan, t ** 2),
+                           UNIT, S_WALK, x, y, lam)
+    assert count == 4 and not any(verdicts.values())
+    # a grid weight above 1, so lam^s falls as s falls: the table is out of
+    # order, where the same channel is otherwise decided at s = 1
+    assert walk(square, UNIT, S_WALK, x, y, lam)[1] == 1
+    unordered = funclib_mod._LAM.copy()
+    unordered[5] = 1.5
+    monkeypatch.setattr(funclib_mod, "_LAM", unordered)
+    assert walk(square, UNIT, S_WALK, x, y, lam)[1] == 4
+
+
+def test_the_walk_allocates_no_grid_size_array(monkeypatch):
+    import tracemalloc
+
+    import fracineq.funclib as funclib_mod
+
+    x, y, lam = unit_probes()
+    for fn in (lambda t: t ** 2, np.sqrt, lambda t: t ** 2 - 0.25):
+        grid = funclib_mod.cert_grid(fn, UNIT)
+        monkeypatch.setattr(funclib_mod, "cert_grid", lambda fn, domain: grid)
+        first = funclib_mod.channel_verdicts(fn, UNIT, S_WALK, x, y, lam)
+        tracemalloc.start()
+        try:
+            again = funclib_mod.channel_verdicts(fn, UNIT, S_WALK, x, y, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.f_half.nbytes
+        assert again == first
+
+
+# ---------------------------------------------------------------------------
 # witnesses: the first violation of the whole n^3 grid, bit for bit
 
 

@@ -43,6 +43,7 @@ from fracineq.funclib import (
     ConvexityClass,
     TestFunction,
     abs_d2,
+    catalog_names,
     cert_grid,
     channel_verdicts,
     grid_verdicts,
@@ -581,6 +582,45 @@ def test_cli_unwritable_out_is_a_config_error(config_file, tmp_path, capsys):
     assert str(out) in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("text", [
+    GOOD_CONFIG, GOOD_CONFIG.split("\n", 1)[1]], ids=["comment", "key"])
+def test_cli_reads_a_config_with_a_byte_order_mark(tmp_path, capsys, text):
+    # a config saved with a UTF-8 byte-order mark, before a comment or a
+    # key, gives the bytes and exit code of the same config without it
+    from fracineq import cli
+
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / f"sweep{len(mark)}.cfg"
+        path.write_bytes(mark + text.encode("utf-8"))
+        out = tmp_path / f"report{len(mark)}.csv"
+        code = cli.main(["sweep", "--config", str(path), "--out", str(out)])
+        runs.append((code, capsys.readouterr().err, out.read_bytes()))
+    assert runs[1] == runs[0]
+    assert runs[0][:2] == (0, "")
+
+
+def test_cli_unwritable_out_fails_before_the_sweep_runs(config_file, tmp_path,
+                                                        monkeypatch, capsys):
+    # --out names a directory: the run stops before any sweep, naming
+    # --out; a bad config, or a bad override, is still the error named
+    from fracineq import cli
+
+    ran = []
+    monkeypatch.setattr(sweep, "run_sweep", ran.append)
+    assert cli.main(["sweep", "--config", str(config_file),
+                     "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out: ")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CONFIG.replace("alphas = 0.5 1", "alphas ="))
+    for argv in (["--config", str(bad)],
+                 ["--config", str(config_file), "--alpha=-1"]):
+        assert cli.main(["sweep", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: alphas") and "--out" not in err
+    assert ran == []
+
+
 def test_cli_certify_pass_and_fail():
     ok = run_cli("certify", "--function", "square", "--s", "1")
     assert ok.returncode == 0 and ok.stdout.startswith("PASS")
@@ -633,6 +673,14 @@ p_values  = 1.5 2 3 5
 q_values  = 1 2 3
 """
 
+
+IDENTITY_CONFIG = (
+    "functions = const_one linear square cube quartic s_power_0.25 "
+    "s_power_0.5 s_power_0.75 shifted_square_1\n"
+    "intervals = 0,1 0,2 1,3 0.5,4\n"
+    "alphas = 0.05 0.1 0.2 0.25 0.3 0.4 0.5 0.6 0.7 0.75 0.8 0.9 0.95 1 "
+    "1.25 1.5 2 2.5 3 4 5 7\n"
+    "s_values = 1\np_values = 2\nq_values = 1\nquad_tol = 1e-12\n")
 
 def readme_channels():
     """Every channel the README config certifies: (name, fn, interval)."""
@@ -925,6 +973,115 @@ def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
     assert len(report.rows) == 3283
 
 
+# the edge config: wide, shifted and tiny intervals at two s
+E_CONFIG = """\
+functions = square cube quartic s_power_0.5 linear
+intervals = 0,1e6 1e6,1000001 3,1e6 0,1e-9
+alphas    = 0.5 1 2
+s_values  = 0.5 1
+p_values  = 2
+q_values  = 1 2
+"""
+EIGHT_S_CONFIG = (
+    f"functions = {' '.join(catalog_names())} root_power_0.5\n"
+    "intervals = 0,1 1,3 0.5,4 0,1e-9\n"
+    "alphas = 1\ns_values = 0.1 0.25 0.3 0.5 0.6 0.75 0.9 1\n"
+    "p_values = 2\nq_values = 1 2\n")
+
+
+def certified_channels(monkeypatch, config) -> list[tuple]:
+    """The arguments (fn, domain, s_values, x, y, lam) of every
+    channel_verdicts call a sweep of ``config`` makes, with nothing past
+    the certifier computed: every defect, sandwich and weight row is
+    stubbed out."""
+    calls = []
+    real = sweep.channel_verdicts
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    def no_defect(*args):
+        raise IntegrandError("not computed")
+
+    def no_sandwich(*args, **kwargs):
+        raise PreconditionError("not computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "channel_verdicts", recording)
+        patch.setattr(sweep, "_defects", no_defect)
+        patch.setattr(sweep, "_identity_rhs", no_defect)
+        patch.setattr(sweep, "s_convex_sandwich", no_sandwich)
+        patch.setattr(sweep, "_weight_rows", lambda config: [])
+        run_sweep(config)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
+@pytest.mark.parametrize("text, s_values", [
+    (README_CONFIG, None), (IDENTITY_CONFIG, None), (E_CONFIG, None),
+    (EIGHT_S_CONFIG, None), (README_CONFIG, (1.0, 0.25, 1.0, 0.5)),
+], ids=["readme", "identity", "E", "eight_s", "unsorted_repeated"])
+def test_nested_verdicts_equal_one_call_per_s(monkeypatch, text, s_values,
+                                              seed):
+    # every channel the sweep certifies: the walk from the largest s down
+    # gives the merged one-s verdicts, key order included, and judges no
+    # more s than there are distinct ones
+    import fracineq.funclib as funclib_mod
+
+    config = dataclasses.replace(parse_config_text(text), seed=seed)
+    if s_values is not None:
+        config = dataclasses.replace(config, s_values=s_values)
+    judged = []
+    real = funclib_mod._grid_combination
+    monkeypatch.setattr(funclib_mod, "_grid_combination",
+                        lambda grid, weights: judged.append(1) or real(
+                            grid, weights))
+    calls = certified_channels(monkeypatch, config)
+    assert calls
+    for fn, iv, s_list, x, y, lam in calls:
+        del judged[:]
+        verdicts = channel_verdicts(fn, iv, s_list, x, y, lam)
+        assert len(judged) <= len(set(s_list))
+        merged = {}
+        for s in s_list:
+            merged.update(channel_verdicts(fn, iv, (s,), x, y, lam))
+        assert list(verdicts.items()) == list(merged.items()), iv
+
+
+@pytest.mark.parametrize("text, channels, judged", [
+    (README_CONFIG, 54, 88), (IDENTITY_CONFIG, 108, 108),
+], ids=["readme", "identity"])
+def test_sweep_judges_each_channel_from_the_largest_s_down(
+        monkeypatch, text, channels, judged):
+    # s-evaluations (one grid combination each) per sweep: the channels'
+    # and, apart from them, the 36 sandwich certifications'
+    import fracineq.funclib as funclib_mod
+
+    count = Counter()
+    real_combination = funclib_mod._grid_combination
+
+    def counting_combination(grid, weights):
+        count["combinations"] += 1
+        return real_combination(grid, weights)
+
+    real_verdicts = sweep.channel_verdicts
+
+    def counting_verdicts(*args):
+        before = count["combinations"]
+        verdicts = real_verdicts(*args)
+        count["channels"] += 1
+        count["judged"] += count["combinations"] - before
+        return verdicts
+
+    monkeypatch.setattr(funclib_mod, "_grid_combination",
+                        counting_combination)
+    monkeypatch.setattr(sweep, "channel_verdicts", counting_verdicts)
+    run_sweep(parse_config_text(text))
+    assert count == {"channels": channels, "judged": judged,
+                     "combinations": judged + 36}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
 def test_readme_sweep_keeps_its_results_across_seeds(seed):
     # the seed moves only the probe triples; no probe rejects a channel of
@@ -1134,13 +1291,6 @@ def test_every_cell_of_a_sweep_weights_by_the_same_order_rows(monkeypatch):
     assert not (density.flags.writeable or weights.flags.writeable)
 
 
-IDENTITY_CONFIG = (
-    "functions = const_one linear square cube quartic s_power_0.25 "
-    "s_power_0.5 s_power_0.75 shifted_square_1\n"
-    "intervals = 0,1 0,2 1,3 0.5,4\n"
-    "alphas = 0.05 0.1 0.2 0.25 0.3 0.4 0.5 0.6 0.7 0.75 0.8 0.9 0.95 1 "
-    "1.25 1.5 2 2.5 3 4 5 7\n"
-    "s_values = 1\np_values = 2\nq_values = 1\nquad_tol = 1e-12\n")
 # ordinary orders, the order where the defect is lost (1e5) and orders
 # past the ladder's node power cap, in one batch per (function, interval)
 MIXED_CONFIG = """\
