@@ -130,7 +130,8 @@ def _cmd_check_identity(args) -> int:
     diff = abs(lhs - rhs)
     slack = DEFAULT_CHECK_SLACK
     ok = diff <= slack
-    print(f"function={f.name} interval=[{iv.a:g},{iv.b:g}] alpha={args.alpha:g}")
+    # repr, so the header names the tuple computed, to the last bit
+    print(f"function={f.name} interval=[{iv.a!r},{iv.b!r}] alpha={args.alpha!r}")
     print(f"defect lhs      = {lhs:.17g}")
     print(f"identity rhs    = {rhs:.17g}")
     print(f"|lhs - rhs|     = {diff:.3e}  ({'PASS' if ok else 'FAIL'} at {slack:g})")

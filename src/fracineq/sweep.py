@@ -56,7 +56,6 @@ import csv
 import io
 import json
 import math
-import re
 import zlib
 from dataclasses import dataclass
 from functools import partial
@@ -326,8 +325,8 @@ def _row(slack: float, check_id: str, key: tuple, lhs=None, rhs=None,
     rhs against ``slack``.
     """
     measured = None
-    error = next((v for v in (lhs, rhs) if isinstance(v, FracineqError)),
-                 None)
+    error = (lhs if isinstance(lhs, FracineqError)
+             else rhs if isinstance(rhs, FracineqError) else None)
     if error is not None:
         lhs = rhs = None
         status = (STATUS_FAIL if isinstance(error, AccuracyError)
@@ -481,43 +480,63 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 # rendering
 
 
-# what json.dumps writes for each value type of a row, but for non-finite
-# floats; any other type is handed to json.dumps itself
-_JSON_VALUE = {float: float.__repr__, str: encode_basestring_ascii,
+class _Texts(dict):
+    """One render's memo: the report text of each distinct cell value, made
+    by ``text`` when the value is first met.  ±0 are one key with two texts
+    (0 and -0), so no zero is stored."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __missing__(self, value):
+        made = self.text(value)
+        if value != 0:
+            self[value] = made
+        return made
+
+
+def _csv_text(value) -> str:
+    """A CSV cell: None empty, any other non-string ``'%.17g' % v``, and a
+    string as ``csv.writer`` writes it (the row ``value, ""`` less ",\\n")."""
+    if not isinstance(value, str):
+        return "" if value is None else "%.17g" % value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((value, ""))
+    return buf.getvalue()[:-2]
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# what json.dumps writes for a string or None; an exact float's text comes
+# from the render's memo, and any other type (1, True, np.float64) is handed
+# to json.dumps itself
+_JSON_VALUE = {str: encode_basestring_ascii,
                type(None): {None: "null"}.__getitem__}
-# float.__repr__ writes nan and ±inf as json does not; such a value stands
-# between '": ' and a raw newline, which no encoded string holds
-_JSON_NON_FINITE = re.compile(r'(?<=": )(nan|-?inf)(?=,?\n)')
-_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # the text of one row of json.dumps(rows as dicts, indent=2)
 _JSON_ROW = "  {\n" + ",\n".join(
     f"    {encode_basestring_ascii(name)}: %s" for name in SweepRow._fields
 ) + "\n  }"
 
 
-def _csv_cells(r: SweepRow) -> list[str]:
-    # '%.17g' % v is format(float(v), '.17g')
-    return [r.check_id, r.function or "",
-            *["" if v is None else "%.17g" % v for v in r[2:11]], r.status]
-
-
 def render_report(report: SweepReport, output_format: str = "csv") -> bytes:
     """Serialise a report, byte for byte as ``csv.writer`` writes it or as
     ``json.dumps(rows as dicts, indent=2) + "\\n"``."""
     if output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(map(_csv_cells, report.rows))
-        return buf.getvalue().encode("utf-8")
+        cell = _Texts(_csv_text).__getitem__
+        return "".join([",".join(map(cell, r)) + "\n"
+                        for r in (CSV_HEADER, *report.rows)]).encode("utf-8")
     if output_format == "json":
         if not report.rows:
             return b"[]\n"
+        text_of = {**_JSON_VALUE, float: _Texts(_json_float).__getitem__}
         text = "[\n" + ",\n".join([
-            _JSON_ROW % tuple([(_JSON_VALUE.get(type(v)) or json.dumps)(v)
+            _JSON_ROW % tuple([(text_of.get(type(v)) or json.dumps)(v)
                                for v in r])
             for r in report.rows]) + "\n]\n"
-        if "nan" in text or "inf" in text:
-            text = _JSON_NON_FINITE.sub(lambda m: _JSON_NAMES[m[0]], text)
         return text.encode("utf-8")
     raise ConfigError("format", f"must be csv or json, got {output_format}")

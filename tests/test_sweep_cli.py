@@ -342,6 +342,13 @@ def text_rows(text: str) -> tuple:
                      None, 0.25, 0.5, 0.25, text))
 
 
+def column_rows(*values) -> tuple:
+    """One row per value, holding it in the a, lhs, rhs and margin columns,
+    so a value meets its equals (1 and True, -0.0 and 0.0) in one column."""
+    return tuple(SweepRow("identity", "square", v, 1.0, 1.0, None, None, None,
+                          v, v, v, "pass") for v in values)
+
+
 RENDER_CASES = {
     "empty": (),
     "none_nan_inf": (
@@ -364,6 +371,16 @@ RENDER_CASES = {
         ("lf", "a\nb"), ("crlf", "a\r\nb"),
         ("non_ascii", "na\u00efve \u03b1"), ("all", 'x,"y"\r\n\u00e9'),
         ("nan", "nan"), ("json_tokens", 'x": -inf')]},
+    # equal values whose texts differ: a memo keyed by value alone mixes
+    # them up
+    "int_float_bool": column_rows(1, 1.0, True, 1.0, 1, True),
+    "bool_float_int": column_rows(True, 1.0, 1),
+    "negative_zero_first": column_rows(-0.0, 0.0, -0.0, 0.0),
+    "zero_first": column_rows(0.0, -0.0, 0.0, -0.0),
+    "nan_repeated": column_rows(math.nan, math.nan, float("nan"), math.nan),
+    "numpy_next_to_float": column_rows(np.float64(0.5), 0.5, np.float64(0.5),
+                                       0.5),
+    "float_next_to_numpy": column_rows(0.5, np.float64(0.5)),
 }
 
 
@@ -383,6 +400,31 @@ def test_renderers_match_the_stdlib_on_the_readme_sweep():
     report = run_sweep(parse_config_text(README_CONFIG))
     assert render_report(report, "csv") == csv_reference(report.rows)
     assert render_report(report, "json") == json_reference(report.rows)
+
+
+@pytest.mark.parametrize("fmt, formatter, memoised",
+                         [("csv", "_csv_text", lambda v: True),
+                          ("json", "_json_float", lambda v: type(v) is float)])
+def test_renderers_format_each_distinct_value_once(monkeypatch, fmt,
+                                                    formatter, memoised):
+    # ±0 are one dict key with two texts, so each zero cell is formatted
+    # anew; every other distinct value is formatted once per report
+    report = run_sweep(parse_config_text(README_CONFIG))
+    cells = [v for r in (CSV_HEADER, *report.rows) for v in r if memoised(v)]
+    distinct = len({v for v in cells if v != 0})
+    zeros = sum(1 for v in cells if v == 0)
+    calls = []
+
+    def counting(value, real=getattr(sweep, formatter)):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(sweep, formatter, counting)
+    reference = {"csv": csv_reference, "json": json_reference}[fmt]
+    assert render_report(report, fmt) == reference(report.rows)
+    # an unmemoised renderer would format every cell
+    assert zeros > 0 and distinct + zeros < len(cells)
+    assert distinct <= len(calls) <= distinct + zeros
 
 
 def test_sweep_row_builds_by_position_and_keyword():
@@ -526,6 +568,16 @@ def test_cli_check_identity():
                    "--interval", "0,1", "--alpha", "0.5")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_check_identity_header_names_the_tuple_computed(capsys):
+    from fracineq import cli
+
+    assert cli.main(["check-identity", "--function", "square", "--interval",
+                     "0,1.0000001", "--alpha", "0.3333333333"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == ("function=square interval=[0.0,1.0000001] "
+                      "alpha=0.3333333333")
 
 
 @pytest.mark.parametrize("value", ["abc", "1", "nan"])
