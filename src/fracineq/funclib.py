@@ -13,8 +13,9 @@ proof: it is the gatekeeper the bound evaluators and the sweep use for
 their hypotheses.  The grid's combinations lam[k] x[i] + (1-lam[k]) x[j]
 of n nodes and n weights are, in real arithmetic, the points
 a + (b-a) m/(n-1)^2 with m = k i + (n-1-k) j, so a grid has only
-(n-1)^2 + 1 distinct points (1025): :func:`cert_grid` evaluates a
-channel there once and gathers the values by m.  The triples (i, j, k)
+(n-1)^2 + 1 distinct points (1025), one read-only array per domain that
+every channel on it shares: :func:`cert_grid` evaluates a channel there
+once and gathers the values by m.  The triples (i, j, k)
 and (j, i, n-1-k) share m, and since 1 - lam[k] is lam[n-1-k] bit for bit
 at n = 33 their s-combinations (:func:`s_combination`) are the same two
 terms in swapped order, so the same double: the grid keeps the half
@@ -22,17 +23,11 @@ k <= n//2 alone (17 x 33 x 33 = 18,513 triples), which is the grid by
 symmetry, not a sample.  :func:`grid_verdicts` judges one s in both
 directions from one combination, in three work arrays per thread that
 every grid reuses.  :func:`channel_verdicts` decides a channel for the
-sweep: one grid and one batch of probe triples, judged by one violation
-rule in both directions at each s it needs.  Several s are judged from
-the largest down: where the channel's end values are >= 0 and the
-weights lam^s are checked to rise as s falls, a convex pass decides every
-smaller s, and so does a concave fail, with the verdicts of one call per
-s bit for bit; otherwise every distinct s is judged.
-:func:`certify_s_convex` and
-:func:`certify_s_concave` judge a fresh grid in one direction; only when
-it fails do they rebuild the whole n^3 grid from the half and name the
-first violating triple in row-major order as the witness.  ``checked``
-counts n^3.
+sweep at every s it needs, from one grid and one batch of probe triples,
+judging several s from the largest down where the classes nest.
+:func:`certify_s_convex` and :func:`certify_s_concave` judge a fresh grid
+in one direction and name a witness where it fails; ``checked`` counts
+n^3.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it and never use
@@ -43,6 +38,7 @@ hypotheses on derived channels such as |f''|^q per call.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import threading
@@ -236,10 +232,8 @@ class CertGrid(NamedTuple):
     ``fx[i]`` is fn(xs[i]) and ``f_half[k, i, j]`` (k <= n//2) is fn at
     lam[k]*xs[i] + (1-lam[k])*xs[j] (lam = linspace(0, 1, n)), taken as
     the point a + (b-a) m/(n-1)^2 (m = k i + (n-1-k) j) that it is in
-    real arithmetic.  The triple (j, i, n-1-k) of the other half shares m
-    and so the value, and its s-combination is the same two terms in
-    swapped order, so the same double.  Neither array depends on s or on
-    the direction, so one grid serves every :func:`grid_verdicts` on it.
+    real arithmetic.  Neither array depends on s or on the direction, so
+    one grid serves every :func:`grid_verdicts` on it.
     """
 
     xs: np.ndarray
@@ -247,14 +241,24 @@ class CertGrid(NamedTuple):
     f_half: np.ndarray
 
 
+@functools.lru_cache(maxsize=32)
+def _grid_points(a: str, b: str) -> np.ndarray:
+    """The grid's (n-1)^2 + 1 distinct points over [a, b], read-only; the
+    ends come as ``float.hex`` texts, so that -0.0 and 0.0 are two keys."""
+    a, b = float.fromhex(a), float.fromhex(b)
+    points = np.linspace(a, b, _STEP * _STEP + 1)
+    # the nodes themselves (m = step i) are linspace(a, b, n) bit for bit,
+    # so the lam = 0 and lam = 1 faces compare f(x) with itself
+    points[::_STEP] = np.linspace(a, b, CERT_GRID_N)
+    points.flags.writeable = False
+    return points
+
+
 def _grid_values(fn, domain: Interval) -> tuple[np.ndarray, np.ndarray]:
     """The certification grid's (n-1)^2 + 1 distinct points over any real
     ``domain``, and ``fn`` there; an IntegrandError names the first
     non-finite value, at a node before an interior point."""
-    points = np.linspace(domain.a, domain.b, _STEP * _STEP + 1)
-    # the nodes themselves (m = step i) are linspace(a, b, n) bit for bit,
-    # so the lam = 0 and lam = 1 faces compare f(x) with itself
-    points[::_STEP] = np.linspace(domain.a, domain.b, CERT_GRID_N)
+    points = _grid_points(float(domain.a).hex(), float(domain.b).hex())
     values = _eval_grid(fn, points)
     for where, at in (("grid node", slice(None, None, _STEP)),
                       ("interior grid combination", slice(None))):

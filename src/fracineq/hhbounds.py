@@ -19,37 +19,28 @@ equals the exact weighted curvature integral
     (b-a)^2 / (2 (alpha+1)) *
         int_0^1 t (1 - t^alpha) [f''(ta + (1-t)b) + f''((1-t)a + tb)] dt,
 
-computed by :func:`defect_identity_rhs`.  Both sides are integrals over
-[0, 1] with algebraic behaviour at the ends: the density u^(alpha-1), and
-for f = t^(s+2) on [0, b] terms in u^(s+2), (1-u)^(s+2) and t^s.  Each is
-first computed on the tanh-sinh ladder
-:data:`~fracineq.quadrature.TANH_SINH` (see
-:class:`~fracineq.quadrature.TanhSinhLadder`), whose nodes do not depend
-on alpha.  So each side is computed for a sequence of orders at once
-(``_defects`` and ``_identity_rhs``; the sweep passes all its orders):
-f or f'' is evaluated once on all the nodes as an array, each order
-weights those values in its own row, and one ladder pass sums every row.
-The defect is the expectation
-:func:`~fracineq.quadrature.beta_expectation` of g, which weights g by
-the density alpha exp((alpha-1) ln u); the rhs weight is
-t (-expm1(alpha ln t)), which keeps 1 - t^alpha accurate at tiny alpha.
-Both sides hand their rows to the one quadrature path that sends each
-order the ladder refuses to the adaptive engine, where an error is that
-order's alone.  :func:`trapezoid_defect` and
-:func:`defect_identity_rhs` are the one-alpha calls.
-
-The weight integrals that the bounds rest on are checked against their
-closed forms the same way, by ``_weight_integrals``.  With w the rhs
-weight t (1 - t^alpha), they are the integrals over [0, 1] of w t^s,
-w (1-t)^s, t^s and, for the Hoelder kernel, w^p: one ladder pass per s and
-one per p, each holding every order.  :func:`weight_int_power`,
-:func:`weight_int_beta`, :func:`weight_int_plain`,
-:func:`holder_kernel_bound` and :func:`weight_integral_report` are the
-one-alpha calls.
+computed by :func:`defect_identity_rhs`.  Each side is computed for a
+sequence of orders at once (``_defects`` and ``_identity_rhs``; the sweep
+passes all its orders) on the tanh-sinh ladder
+:data:`~fracineq.quadrature.TANH_SINH`, whose nodes do not depend on
+alpha: f or f'' is evaluated once on the nodes, each order weights those
+values in its own row (the density alpha exp((alpha-1) ln u) of
+:func:`~fracineq.quadrature.beta_expectation`, or the rhs weight
+t (-expm1(alpha ln t)), accurate at tiny alpha), and one ladder pass sums
+every row; an order the ladder refuses goes to the adaptive engine, where
+an error is that order's alone.  ``_weight_integrals`` checks the weight
+integrals the bounds rest on against their closed forms the same way:
+over [0, 1], w t^s, w (1-t)^s and t^s in one pass per s, and w^p in one
+pass per p, w being the rhs weight.
 
 Upper bounds for |D| follow from s-convexity or s-concavity of |f''| or
-|f''|^q, each declared once in :data:`BOUND_CHECKS`; the four evaluators
-pass their entry to one gate that certifies its hypothesis on the interval
+|f''|^q, each declared once in :data:`BOUND_CHECKS`.  An entry's closed
+form is split in two: ``factors(params)``, the Beta/Gamma numbers of
+(alpha, s, p, q) alone, and ``combine``, the bound on one interval from
+them, its (b-a)^2 and |f''|^q at a, b or the midpoint, each read when
+first asked for; ``formula`` composes the two, and a sweep makes each
+tuple's factors once for all its cells.  The four evaluators pass their
+entry to one gate that certifies its hypothesis on the interval
 (:class:`PreconditionError` on a violation) unless ``certify=False``.  The
 Hoelder-route and midpoint-concavity bounds rely on a kernel comparison
 valid for alpha <= 1 only; they still compute outside that range and the
@@ -96,31 +87,15 @@ from .quadrature import (
 from .specfun import beta, check_alpha, log_beta, log_gamma
 
 __all__ = [
-    "BoundCheck",
-    "BOUND_CHECKS",
-    "BoundParams",
-    "DefectResult",
-    "SandwichResult",
-    "WeightIntegralEntry",
-    "WeightIntegralReport",
-    "trapezoid_defect",
-    "defect_identity_rhs",
-    "s_convex_sandwich",
-    "defect_bound_s_convex",
-    "defect_bound_holder",
-    "defect_bound_power_mean",
-    "defect_bound_s_concave",
-    "classical_convex_bound",
-    "classical_holder_bound",
-    "classical_power_mean_bound",
-    "classical_concave_bound",
-    "weight_integral_report",
-    "weight_int_power",
-    "weight_int_beta",
-    "weight_int_plain",
-    "holder_kernel_bound",
-    "HOLDER_VALID_ALPHA_MAX",
-    "BOUND_ALPHA_MAX",
+    "BoundCheck", "BOUND_CHECKS", "BoundParams", "DefectResult",
+    "SandwichResult", "WeightIntegralEntry", "WeightIntegralReport",
+    "trapezoid_defect", "defect_identity_rhs", "s_convex_sandwich",
+    "defect_bound_s_convex", "defect_bound_holder", "defect_bound_power_mean",
+    "defect_bound_s_concave", "classical_convex_bound",
+    "classical_holder_bound", "classical_power_mean_bound",
+    "classical_concave_bound", "weight_integral_report", "weight_int_power",
+    "weight_int_beta", "weight_int_plain", "holder_kernel_bound",
+    "HOLDER_VALID_ALPHA_MAX", "BOUND_ALPHA_MAX",
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
@@ -244,9 +219,20 @@ def _hypothesis(channel, interval: Interval, s: float, concave: bool,
             witness=result.witness)
 
 
-def _curvature(f: TestFunction, t: float, q: float = 1.0) -> float:
-    """|f''(t)|^q, read from the analytic channel (x ** 1.0 is x)."""
-    return abs(float(f.d2(t))) ** q
+class _Curvatures(dict):
+    """{(point, q): |f''|^q at ``point``} on one interval, the point "a",
+    "b" or "midpoint": f'' is read at a point, and raised to a q, when
+    first asked for, so nowhere that no closed form asks."""
+
+    def __init__(self, f: TestFunction, interval: Interval):
+        self.d2, self.interval = f.d2, interval
+
+    def __missing__(self, key: tuple[str, float]) -> float:
+        point, q = key
+        # f'' is read from the analytic channel at q = 1, as x ** 1.0 is x
+        value = self[key] = (abs(float(self.d2(getattr(self.interval, point))))
+                             if q == 1.0 else self[point, 1.0] ** q)
+        return value
 
 
 def _defects(f, interval: Interval, alphas, quad_tol: float
@@ -358,18 +344,20 @@ def s_convex_sandwich(f, interval: Interval, s: float,
     )
 
 
-def _weight_bracket(alpha: float, s: float) -> float:
-    """int_0^1 t^(s+1)(1-t^alpha) dt + int_0^1 t(1-t^alpha)(1-t)^s dt,
-    in closed form."""
-    return (alpha / ((s + 2.0) * (alpha + s + 2.0))
-            + beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
+def _s_convex_factors(params: BoundParams) -> tuple[float, ...]:
+    """2 (alpha+1), and the closed form of the weight bracket
+    int_0^1 t^(s+1)(1-t^alpha) dt + int_0^1 t(1-t^alpha)(1-t)^s dt."""
+    alpha, s = params.alpha, params.s
+    return 2.0 * (alpha + 1.0), (alpha / ((s + 2.0) * (alpha + s + 2.0))
+                                 + beta(2.0, s + 1.0)
+                                 - beta(alpha + 2.0, s + 1.0))
 
 
-def _s_convex_formula(f: TestFunction, interval: Interval,
-                      params: BoundParams) -> float:
-    second = _curvature(f, interval.a) + _curvature(f, interval.b)
-    return (_width_squared(interval) / (2.0 * (params.alpha + 1.0))
-            * _weight_bracket(params.alpha, params.s) * second)
+def _s_convex_combine(width2: float, curvature: _Curvatures,
+                      factors: tuple[float, ...]) -> float:
+    scale, bracket = factors
+    second = curvature["a", 1.0] + curvature["b", 1.0]
+    return width2 / scale * bracket * second
 
 
 def _log_holder_beta(p: float, alpha: float) -> float:
@@ -387,71 +375,86 @@ def _beta_root(p: float, alpha: float) -> float:
     return math.exp(_log_holder_beta(p, alpha) / p)
 
 
-def _holder_lead(interval: Interval, alpha: float, p: float) -> float:
-    """(b-a)^2 / (alpha+1) * beta(p+1, alpha p + 1)^(1/p)."""
-    return _width_squared(interval) / (alpha + 1.0) * _beta_root(p, alpha)
+def _holder_factors(params: BoundParams) -> tuple[float, ...]:
+    alpha, q = params.alpha, params.q
+    return (q, alpha + 1.0, _beta_root(params.p, alpha), params.s + 1.0,
+            1.0 / q)
 
 
-def _holder_formula(f: TestFunction, interval: Interval,
-                    params: BoundParams) -> float:
-    alpha, s, p, q = params.alpha, params.s, params.p, params.q
-    av = _curvature(f, interval.a, q)
-    bv = _curvature(f, interval.b, q)
-    return (_holder_lead(interval, alpha, p)
-            * ((av + bv) / (s + 1.0)) ** (1.0 / q))
+def _holder_combine(width2: float, curvature: _Curvatures,
+                    factors: tuple[float, ...]) -> float:
+    """(b-a)^2 / (alpha+1) * beta(p+1, alpha p + 1)^(1/p) times the q-mean
+    of |f''| at a and b over ``scale`` (s+1)."""
+    q, alpha1, root, scale, inv_q = factors
+    mean = (curvature["a", q] + curvature["b", q]) / scale
+    return width2 / alpha1 * root * mean ** inv_q
 
 
-def _power_mean_lead(interval: Interval, alpha: float) -> float:
-    """alpha (b-a)^2 / (4 (alpha+1) (alpha+2)), the power-mean scale."""
-    width2 = _width_squared(interval)
-    lead = alpha * width2 / (4.0 * (alpha + 1.0) * (alpha + 2.0))
-    if not math.isfinite(lead):
-        # alpha (b-a)^2 overflowed although the quotient does not
-        lead = width2 * (alpha / (4.0 * (alpha + 1.0) * (alpha + 2.0)))
-    return lead
-
-
-def _power_mean_formula(f: TestFunction, interval: Interval,
-                        params: BoundParams) -> float:
+def _power_mean_factors(params: BoundParams) -> tuple[float, ...]:
     alpha, s, q = params.alpha, params.s, params.q
-    av = _curvature(f, interval.a, q)
-    bv = _curvature(f, interval.b, q)
     w1 = (2.0 * alpha + 4.0) / ((s + 2.0) * (alpha + s + 2.0))
     w2 = ((beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
           * (2.0 * alpha + 4.0) / alpha)
-    lead = _power_mean_lead(interval, alpha)
-    return lead * ((av * w1 + bv * w2) ** (1.0 / q)
-                   + (av * w2 + bv * w1) ** (1.0 / q))
+    return q, alpha, 4.0 * (alpha + 1.0) * (alpha + 2.0), w1, w2, 1.0 / q
 
 
-def _s_concave_formula(f: TestFunction, interval: Interval,
-                       params: BoundParams) -> float:
-    mid = _curvature(f, interval.midpoint)
-    return (_holder_lead(interval, params.alpha, params.p)
-            * 2.0 ** ((params.s - 1.0) / params.q) * mid)
+def _power_mean_combine(width2: float, curvature: _Curvatures,
+                        factors: tuple[float, ...]) -> float:
+    """alpha (b-a)^2 / (4 (alpha+1) (alpha+2)), the power-mean scale, times
+    the two weighted q-means of |f''| at a and b."""
+    q, alpha, scale, w1, w2, inv_q = factors
+    lead = alpha * width2 / scale
+    if not math.isfinite(lead):
+        # alpha (b-a)^2 overflowed although the quotient does not
+        lead = width2 * (alpha / scale)
+    av, bv = curvature["a", q], curvature["b", q]
+    return lead * ((av * w1 + bv * w2) ** inv_q + (av * w2 + bv * w1) ** inv_q)
+
+
+def _s_concave_factors(params: BoundParams) -> tuple[float, ...]:
+    return (params.alpha + 1.0, _beta_root(params.p, params.alpha),
+            2.0 ** ((params.s - 1.0) / params.q))
+
+
+def _s_concave_combine(width2: float, curvature: _Curvatures,
+                       factors: tuple[float, ...]) -> float:
+    alpha1, root, scale = factors
+    return width2 / alpha1 * root * scale * curvature["midpoint", 1.0]
 
 
 class BoundCheck(NamedTuple):
     """One bound row of the README check table: it holds where |f''| (q
     None) or |f''|^q is s-concave if ``concave``, else s-convex.  q is
     p/(p-1) for each p (``q_from="conjugate"``), each of ``q_values``, or
-    None.  ``formula(f, interval, params)`` is the closed form, ungated;
-    above ``alpha_max`` the bound is computed but not claimed."""
+    None.  ``factors(params)`` makes the closed form's numbers that depend
+    on the parameters alone, and ``combine(width2, curvature, factors)``
+    the bound on one interval from its (b-a)^2 and :class:`_Curvatures`,
+    in the closed form's order of float operations.  Above ``alpha_max``
+    the bound is computed but not claimed."""
 
     check_id: str
     q_from: str | None
     concave: bool
-    formula: Callable[[TestFunction, Interval, BoundParams], float]
+    factors: Callable[[BoundParams], tuple[float, ...]]
+    combine: Callable[[float, _Curvatures, tuple[float, ...]], float]
     alpha_max: float = math.inf
+
+    def formula(self, f: TestFunction, interval: Interval,
+                params: BoundParams) -> float:
+        """The closed form on ``interval``, ungated."""
+        return self.combine(_width_squared(interval), _Curvatures(f, interval),
+                            self.factors(params))
 
 
 BOUND_CHECKS = (
-    BoundCheck("bound_s_convex", None, False, _s_convex_formula),
-    BoundCheck("bound_holder", "conjugate", False, _holder_formula,
-               alpha_max=HOLDER_VALID_ALPHA_MAX),
-    BoundCheck("bound_power_mean", "q_values", False, _power_mean_formula),
-    BoundCheck("bound_s_concave", "conjugate", True, _s_concave_formula,
-               alpha_max=HOLDER_VALID_ALPHA_MAX),
+    BoundCheck("bound_s_convex", None, False, _s_convex_factors,
+               _s_convex_combine),
+    BoundCheck("bound_holder", "conjugate", False, _holder_factors,
+               _holder_combine, alpha_max=HOLDER_VALID_ALPHA_MAX),
+    BoundCheck("bound_power_mean", "q_values", False, _power_mean_factors,
+               _power_mean_combine),
+    BoundCheck("bound_s_concave", "conjugate", True, _s_concave_factors,
+               _s_concave_combine, alpha_max=HOLDER_VALID_ALPHA_MAX),
 )
 _S_CONVEX, _HOLDER, _POWER_MEAN, _S_CONCAVE = BOUND_CHECKS
 
@@ -515,44 +518,42 @@ def classical_convex_bound(f: TestFunction, interval: Interval,
     weight bracket alpha/(2(alpha+2)) only at alpha = 1.
     """
     alpha = _check_bound_alpha(alpha)
-    second = 0.5 * (_curvature(f, interval.a) + _curvature(f, interval.b))
+    curvature = _Curvatures(f, interval)
+    second = 0.5 * (curvature["a", 1.0] + curvature["b", 1.0])
     return (_width_squared(interval) / (alpha + 1.0) * beta(2.0, alpha + 1.0)
             * second)
 
 
 def classical_holder_bound(f: TestFunction, interval: Interval, alpha: float,
                            p: float) -> float:
-    """Baseline Hoelder bound for convex |f''|^q, q = p/(p-1)."""
-    alpha = _check_bound_alpha(alpha)
-    p = _check_p(p)
+    """Baseline Hoelder bound for convex |f''|^q, q = p/(p-1): the q-mean
+    of |f''| at a and b over 2."""
+    alpha, p = _check_bound_alpha(alpha), _check_p(p)
     q = p / (p - 1.0)
-    av = _curvature(f, interval.a, q)
-    bv = _curvature(f, interval.b, q)
-    return (_holder_lead(interval, alpha, p)
-            * (0.5 * (av + bv)) ** (1.0 / q))
+    return _holder_combine(_width_squared(interval), _Curvatures(f, interval),
+                           (q, alpha + 1.0, _beta_root(p, alpha), 2.0, 1.0 / q))
 
 
 def classical_power_mean_bound(f: TestFunction, interval: Interval,
                                alpha: float, q: float) -> float:
-    """Baseline power-mean bound for convex |f''|^q, q >= 1."""
-    alpha = _check_bound_alpha(alpha)
-    q = _check_q(q)
-    av = _curvature(f, interval.a, q)
-    bv = _curvature(f, interval.b, q)
+    """Baseline power-mean bound for convex |f''|^q, q >= 1, with the
+    weights (2 alpha + 4) / (3 alpha + 9) and (alpha + 5) / (3 alpha + 9)."""
+    alpha, q = _check_bound_alpha(alpha), _check_q(q)
     w1 = (2.0 * alpha + 4.0) / (3.0 * alpha + 9.0)
     w2 = (alpha + 5.0) / (3.0 * alpha + 9.0)
-    lead = _power_mean_lead(interval, alpha)
-    return lead * ((w1 * av + w2 * bv) ** (1.0 / q)
-                   + (w2 * av + w1 * bv) ** (1.0 / q))
+    return _power_mean_combine(
+        _width_squared(interval), _Curvatures(f, interval),
+        (q, alpha, 4.0 * (alpha + 1.0) * (alpha + 2.0), w1, w2, 1.0 / q))
 
 
 def classical_concave_bound(f: TestFunction, interval: Interval, alpha: float,
                             p: float) -> float:
-    """Baseline midpoint bound for concave |f''|^q, q = p/(p-1)."""
-    alpha = _check_bound_alpha(alpha)
-    p = _check_p(p)
-    mid = _curvature(f, interval.midpoint)
-    return _holder_lead(interval, alpha, p) * mid
+    """Baseline midpoint bound for concave |f''|^q, q = p/(p-1): |f''| at
+    the midpoint, unscaled."""
+    alpha, p = _check_bound_alpha(alpha), _check_p(p)
+    return _s_concave_combine(_width_squared(interval),
+                              _Curvatures(f, interval),
+                              (alpha + 1.0, _beta_root(p, alpha), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +608,7 @@ def _weight_integrals(alphas, s_values, p_values, quad_tol: float
     the absolute tolerance ``quad_tol``, beside its closed form:
     {(check id, alpha, s, p): (integral, or the error that stopped it
     alone, closed form, whether it is in the validated range)}, None for a
-    parameter the check does not take.
-
-    With w = t (1 - t^alpha), the identity rhs weight rows, one ladder pass
-    per s sums t^s w and (1-t)^s w for every alpha and t^s, and one pass per
-    p sums w^p for every alpha.
-    """
+    parameter the check does not take."""
     quad_tol = _check_abs_tol(quad_tol, "quad_tol")
     # Python floats, for the engine integrands and the keys of the result
     alphas = tuple(np.asarray(alphas, dtype=float).tolist())

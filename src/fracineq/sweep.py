@@ -40,9 +40,14 @@ none, |f''| being non-finite on the grid, neither side is computed, and
 the identity row and every bound row are skipped.  The cell then returns
 its sandwich, identity and bound rows; the bound rows come from
 :data:`~fracineq.hhbounds.BOUND_CHECKS`, one entry per bound row of the
-README check table, whose hypothesis the cell judges itself before it
-calls the entry's closed form.  The weight-integral rows depend on no
-cell: one ladder pass per s and one per p, each holding every alpha.
+README check table, whose hypothesis the cell judges itself.  Each
+entry's ``factors`` depend on the parameter tuple alone and are made once
+per sweep; a computed bound row hands them to the entry's ``combine`` with
+the cell's (b-a)^2, made once per cell, and the cell's |f''|^q at a, b or
+the midpoint, each f'' value read and raised to each q once, when a row
+first asks for it: f'' is read nowhere that no closed form asks.  The
+weight-integral rows depend on no cell: one ladder pass per s and one per
+p, each holding every alpha.
 
 An outcome is a value or the error that stopped it, and the row builder
 alone turns an error, in lhs before rhs, into a status: AccuracyError
@@ -94,6 +99,7 @@ from .hhbounds import (
     _check_bound_alpha,
     _check_p,
     _check_q,
+    _Curvatures,
     _defects,
     _identity_rhs,
     _weight_integrals,
@@ -360,16 +366,19 @@ def _verdicts(config: SweepConfig, f: TestFunction, channel: str,
 
 
 def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
-               bounds: list[tuple[BoundCheck, BoundParams, float | None]],
+               bounds: list[tuple[BoundCheck, BoundParams, float | None,
+                                  tuple[float, ...]]],
                f: TestFunction, iv: Interval) -> list[SweepRow]:
     """The sandwich, identity and bound rows of ``f`` on ``iv``.
 
     Each channel is certified once: f, |f''|, and |f''|^q for each
-    distinct q of ``bounds``, which holds (check, parameters, channel q)
-    per bound row.  Where |f''| has verdicts, the defects and identity
-    right-hand sides are computed for every order of ``alphas``, one ladder
-    pass per side; where it has none, neither is, and every row that needs
-    them is skipped.
+    distinct q of ``bounds``, which holds (check, parameters, channel q,
+    the check's factors at those parameters) per bound row.  Where |f''|
+    has verdicts, the defects and identity right-hand sides are computed
+    for every order of ``alphas``, one ladder pass per side; where it has
+    none, neither is, and every row that needs them is skipped.  Each
+    computed bound row combines its factors with the cell's (b-a)^2 and
+    its |f''|^q, read when a row first asks for them.
     """
     row = partial(_row, config.slack)
     rows = []
@@ -390,7 +399,7 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
                      for cid, lhs, rhs, rule in _SANDWICH_ROWS]
 
     curvature = {q: _verdicts(config, f, "abs_d2", iv, q)
-                 for q in dict.fromkeys([None] + [q for *_, q in bounds])}
+                 for q in dict.fromkeys([None] + [q for _, _, q, _ in bounds])}
     try:
         # the identity needs f'' integrable: where |f''| is non-finite on
         # the certification grid its channel has no verdicts, and neither
@@ -408,7 +417,8 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
     sides = dict(zip(alphas, zip(lhs, rhs)))
     rows += [row("identity", (f.name, iv.a, iv.b, alpha, None, None, None),
                  *sides[alpha], _IDENTITY) for alpha in config.alphas]
-    for check, bp, q in bounds:
+    width2, curvature_at = _width_squared(iv), _Curvatures(f, iv)
+    for check, bp, q, factors in bounds:
         key = (f.name, iv.a, iv.b, bp.alpha, bp.s, bp.p, bp.q)
         defect = sides[bp.alpha][0]
         if not curvature[q].get((bp.s, check.concave), False):
@@ -417,7 +427,7 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
             rows.append(row(check.check_id, key, defect))
         else:
             rows.append(row(check.check_id, key, abs(defect),
-                            check.formula(f, iv, bp),
+                            check.combine(width2, curvature_at, factors),
                             _range_rule(bp.alpha <= check.alpha_max)))
     return rows
 
@@ -455,8 +465,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     # the configured orders, each once: one batch per (function, interval)
     alphas = tuple(dict.fromkeys(config.alphas))
     # every bound row of a cell, each parameter tuple built once, with the
-    # q of its |f''|^q channel: None for |f''|^1, since x ** 1.0 is x bit
-    # for bit
+    # q of its |f''|^q channel (None for |f''|^1, since x ** 1.0 is x bit
+    # for bit) and the check's factors there, which no cell changes
     bounds = []
     for alpha, s in product(config.alphas, config.s_values):
         params = {
@@ -466,7 +476,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             "q_values": tuple(BoundParams(alpha, s, q=q)
                               for q in config.q_values),
         }
-        bounds += [(check, bp, None if bp.q == 1.0 else bp.q)
+        bounds += [(check, bp, None if bp.q == 1.0 else bp.q,
+                    check.factors(bp))
                    for check in BOUND_CHECKS for bp in params[check.q_from]]
     rows = [row for name in config.functions for iv in config.intervals
             for row in _cell_rows(config, alphas, bounds, get_function(name),
@@ -483,15 +494,16 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 class _Texts(dict):
     """One render's memo: the report text of each distinct cell value, made
     by ``text`` when the value is first met.  ±0 are one key with two texts
-    (0 and -0), so no zero is stored."""
+    (0 and -0), so no zero is stored: the two are made once, up front."""
 
     def __init__(self, text):
         self.text = text
+        self.zeros = text(0.0), text(-0.0)
 
     def __missing__(self, value):
-        made = self.text(value)
-        if value != 0:
-            self[value] = made
+        if value == 0:
+            return self.zeros[math.copysign(1.0, value) < 0.0]
+        made = self[value] = self.text(value)
         return made
 
 

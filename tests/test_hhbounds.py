@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from fracineq import (
     trapezoid_defect,
     weight_integral_report,
 )
-from fracineq import hhbounds, quadrature
+from fracineq import beta, hhbounds, quadrature
 from fracineq.funclib import ConvexityClass, _eval_grid
 from fracineq.quadrature import TANH_SINH, integrate
 
@@ -723,3 +724,134 @@ def test_public_quadrature_tolerances_are_validated(call, tol):
     # refuses it, rather than clamped and reported back (quad_tol_used nan)
     with pytest.raises(DomainError, match="tol must lie in"):
         call(tol)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms, each written as one function of (f, interval, params) as
+# they stood before BoundCheck split them into factors and combine: the
+# reference for the bits of BoundCheck.formula and of the classical bounds
+
+
+def ref_curvature(f, t, q=1.0):
+    return abs(float(f.d2(t))) ** q
+
+
+def ref_holder_lead(iv, alpha, p):
+    return (iv.b - iv.a) ** 2 / (alpha + 1.0) * hhbounds._beta_root(p, alpha)
+
+
+def ref_power_mean_lead(iv, alpha):
+    width2 = (iv.b - iv.a) ** 2
+    lead = alpha * width2 / (4.0 * (alpha + 1.0) * (alpha + 2.0))
+    if not math.isfinite(lead):
+        lead = width2 * (alpha / (4.0 * (alpha + 1.0) * (alpha + 2.0)))
+    return lead
+
+
+def ref_s_convex(f, iv, bp):
+    alpha, s = bp.alpha, bp.s
+    second = ref_curvature(f, iv.a) + ref_curvature(f, iv.b)
+    bracket = (alpha / ((s + 2.0) * (alpha + s + 2.0))
+               + beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
+    return (iv.b - iv.a) ** 2 / (2.0 * (alpha + 1.0)) * bracket * second
+
+
+def ref_holder(f, iv, bp):
+    av, bv = ref_curvature(f, iv.a, bp.q), ref_curvature(f, iv.b, bp.q)
+    return (ref_holder_lead(iv, bp.alpha, bp.p)
+            * ((av + bv) / (bp.s + 1.0)) ** (1.0 / bp.q))
+
+
+def ref_power_mean(f, iv, bp):
+    alpha, s, q = bp.alpha, bp.s, bp.q
+    av, bv = ref_curvature(f, iv.a, q), ref_curvature(f, iv.b, q)
+    w1 = (2.0 * alpha + 4.0) / ((s + 2.0) * (alpha + s + 2.0))
+    w2 = ((beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0))
+          * (2.0 * alpha + 4.0) / alpha)
+    lead = ref_power_mean_lead(iv, alpha)
+    return lead * ((av * w1 + bv * w2) ** (1.0 / q)
+                   + (av * w2 + bv * w1) ** (1.0 / q))
+
+
+def ref_s_concave(f, iv, bp):
+    return (ref_holder_lead(iv, bp.alpha, bp.p)
+            * 2.0 ** ((bp.s - 1.0) / bp.q) * ref_curvature(f, iv.midpoint))
+
+
+REFERENCE_FORMULAS = {"bound_s_convex": ref_s_convex,
+                      "bound_holder": ref_holder,
+                      "bound_power_mean": ref_power_mean,
+                      "bound_s_concave": ref_s_concave}
+
+
+def ref_classical(f, iv, alpha, p, q):
+    """The four classical bounds, in the order of CLASSICAL_BOUNDS."""
+    av, bv = ref_curvature(f, iv.a), ref_curvature(f, iv.b)
+    convex = ((iv.b - iv.a) ** 2 / (alpha + 1.0) * beta(2.0, alpha + 1.0)
+              * (0.5 * (av + bv)))
+    conj = p / (p - 1.0)
+    av_p, bv_p = ref_curvature(f, iv.a, conj), ref_curvature(f, iv.b, conj)
+    holder = (ref_holder_lead(iv, alpha, p)
+              * (0.5 * (av_p + bv_p)) ** (1.0 / conj))
+    av_q, bv_q = ref_curvature(f, iv.a, q), ref_curvature(f, iv.b, q)
+    w1 = (2.0 * alpha + 4.0) / (3.0 * alpha + 9.0)
+    w2 = (alpha + 5.0) / (3.0 * alpha + 9.0)
+    power_mean = ref_power_mean_lead(iv, alpha) * (
+        (w1 * av_q + w2 * bv_q) ** (1.0 / q)
+        + (w2 * av_q + w1 * bv_q) ** (1.0 / q))
+    concave = ref_holder_lead(iv, alpha, p) * ref_curvature(f, iv.midpoint)
+    return convex, holder, power_mean, concave
+
+
+CLASSICAL_BOUNDS = (
+    lambda f, iv, alpha, p, q: classical_convex_bound(f, iv, alpha),
+    lambda f, iv, alpha, p, q: classical_holder_bound(f, iv, alpha, p),
+    lambda f, iv, alpha, p, q: classical_power_mean_bound(f, iv, alpha, q),
+    lambda f, iv, alpha, p, q: classical_concave_bound(f, iv, alpha, p),
+)
+
+# (functions, intervals, alphas, s values, p values, q values)
+FORMULA_GRIDS = {
+    "readme": (("square", "cube", "s_power_0.5"), ("0,1", "0,2", "1,3"),
+               (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
+               (0.25, 0.5, 0.75, 1.0), (1.5, 2.0, 3.0, 5.0), (1.0, 2.0, 3.0)),
+    "E": (("square", "cube", "quartic", "s_power_0.5", "linear"),
+          ("0,1e6", "1e6,1000001", "3,1e6", "0,1e-9"), (0.5, 1.0, 2.0),
+          (0.5, 1.0), (2.0,), (1.0, 2.0)),
+    # alpha (b-a)^2 overflows here, and the power-mean lead takes its
+    # fallback
+    "overflow": (("square", "cube"), ("0,1e100",), (1e150,), (0.5, 1.0),
+                 (2.0,), (1.0, 2.0)),
+}
+
+
+def bound_params(check, alpha, s, p_values, q_values):
+    if check.q_from is None:
+        return [BoundParams(alpha, s)]
+    if check.q_from == "conjugate":
+        return [BoundParams(alpha, s, p=p) for p in p_values]
+    return [BoundParams(alpha, s, q=q) for q in q_values]
+
+
+@pytest.mark.parametrize("grid", FORMULA_GRIDS.values(), ids=FORMULA_GRIDS)
+def test_bound_formulas_keep_the_bits_of_the_one_piece_closed_forms(grid):
+    functions, intervals, alphas, s_values, p_values, q_values = grid
+    if intervals == ("0,1e100",):
+        assert math.isinf(alphas[0] * 1e100 ** 2)
+    compared = 0
+    for name, text, alpha in product(functions, intervals, alphas):
+        f, iv = get_function(name), Interval.parse(text)
+        for check, s in product(hhbounds.BOUND_CHECKS, s_values):
+            reference = REFERENCE_FORMULAS[check.check_id]
+            for bp in bound_params(check, alpha, s, p_values, q_values):
+                got = check.formula(f, iv, bp)
+                assert got.hex() == reference(f, iv, bp).hex(), (
+                    check.check_id, name, text, bp)
+                assert math.isfinite(got)
+                compared += 1
+        for p, q in product(p_values, q_values):
+            want = ref_classical(f, iv, alpha, p, q)
+            got = [bound(f, iv, alpha, p, q) for bound in CLASSICAL_BOUNDS]
+            assert [v.hex() for v in got] == [v.hex() for v in want], (
+                name, text, alpha, p, q)
+    assert compared > 0

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -407,8 +408,8 @@ def test_renderers_match_the_stdlib_on_the_readme_sweep():
                           ("json", "_json_float", lambda v: type(v) is float)])
 def test_renderers_format_each_distinct_value_once(monkeypatch, fmt,
                                                     formatter, memoised):
-    # ±0 are one dict key with two texts, so each zero cell is formatted
-    # anew; every other distinct value is formatted once per report
+    # ±0 are one dict key with two texts, made once per render; every
+    # other distinct value is formatted once per report
     report = run_sweep(parse_config_text(README_CONFIG))
     cells = [v for r in (CSV_HEADER, *report.rows) for v in r if memoised(v)]
     distinct = len({v for v in cells if v != 0})
@@ -423,8 +424,25 @@ def test_renderers_format_each_distinct_value_once(monkeypatch, fmt,
     reference = {"csv": csv_reference, "json": json_reference}[fmt]
     assert render_report(report, fmt) == reference(report.rows)
     # an unmemoised renderer would format every cell
-    assert zeros > 0 and distinct + zeros < len(cells)
-    assert distinct <= len(calls) <= distinct + zeros
+    assert zeros > 2 and distinct + zeros < len(cells)
+    assert len(calls) == distinct + 2
+    assert [v for v in calls if v == 0] == [0.0, -0.0]
+
+
+def test_renderers_write_each_signed_zero_as_its_own_text():
+    rows = (SweepRow("identity", "square", 0.0, 1.0, 1.0, None, None, None,
+                     0.0, -0.0, 0.0, "pass"),
+            SweepRow("identity", "square", 0.0, 1.0, 2.0, None, None, None,
+                     -0.0, 0.0, -0.0, "pass"))
+    report = SweepReport(rows=rows)
+    lines = render_report(report, "csv").decode().splitlines()
+    assert lines[1:] == ["identity,square,0,1,1,,,,0,-0,0,pass",
+                         "identity,square,0,1,2,,,,-0,0,-0,pass"]
+    payload = render_report(report, "json").decode()
+    assert [re.findall(r'"(lhs|rhs|slack_measured)": (\S+),', obj)
+            for obj in payload.split("}")[:2]] == [
+        [("lhs", "0.0"), ("rhs", "-0.0"), ("slack_measured", "0.0")],
+        [("lhs", "-0.0"), ("rhs", "0.0"), ("slack_measured", "-0.0")]]
 
 
 def test_sweep_row_builds_by_position_and_keyword():
@@ -1134,6 +1152,31 @@ def test_sweep_judges_each_channel_from_the_largest_s_down(
                      "combinations": judged + 36}
 
 
+# the full SHA-256 of the README and identity reports, which do not depend
+# on the seed
+REPORT_DIGESTS = {
+    ("readme", "csv"):
+        "93531ef3341f38527ecb27ede333a515872673ec39413ef04d71c54ed91a02c0",
+    ("readme", "json"):
+        "60e1dd09ba791759887cb111ffe873ebf53b1312a4516d48f1861d54c6b291a3",
+    ("identity", "csv"):
+        "2e97214e7192530c4f4d32af57c3ccddb2022e48817b14ce77475c75d23e3495",
+    ("identity", "json"):
+        "79db5fa5258b562e823e21941fdce912b808caaa1480cc42cb2edd4a8404c1a0",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
+@pytest.mark.parametrize("name, text", [("readme", README_CONFIG),
+                                        ("identity", IDENTITY_CONFIG)])
+def test_reports_keep_their_pinned_digests(name, text, seed):
+    config = dataclasses.replace(parse_config_text(text), seed=seed)
+    report = run_sweep(config)
+    for fmt in ("csv", "json"):
+        digest = hashlib.sha256(render_report(report, fmt)).hexdigest()
+        assert digest == REPORT_DIGESTS[name, fmt], fmt
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
 def test_readme_sweep_keeps_its_results_across_seeds(seed):
     # the seed moves only the probe triples; no probe rejects a channel of
@@ -1199,6 +1242,76 @@ def test_gated_evaluators_return_the_table_formula():
                     evaluate(f, iv, BoundParams(alpha, s, q=2.0))
     # every check both computes and refuses somewhere
     assert len(outcomes) == 2 * len(BOUND_CHECKS)
+
+
+def test_readme_sweep_makes_parameter_and_interval_work_once(monkeypatch):
+    # per README sweep: each check's factors once per distinct parameter
+    # tuple, log_beta only there and in the weight rows, and each
+    # interval's grid points once
+    import fracineq.funclib as funclib_mod
+    import fracineq.specfun as specfun_mod
+
+    factors = []
+    log_betas = []
+
+    def counting_factors(check):
+        def made(bp):
+            factors.append((check.check_id, bp))
+            return check.factors(bp)
+        return check._replace(factors=made)
+
+    def counting_log_beta(real):
+        return lambda x, y: log_betas.append((x, y)) or real(x, y)
+
+    monkeypatch.setattr(sweep, "BOUND_CHECKS",
+                        tuple(map(counting_factors, BOUND_CHECKS)))
+    for module in (specfun_mod, hhbounds):
+        monkeypatch.setattr(module, "log_beta",
+                            counting_log_beta(module.log_beta))
+    config = parse_config_text(README_CONFIG)
+    # the catalog certifies each function on its own domain when first built
+    funclib_mod._grid_points.cache_clear()
+    report = run_sweep(config)
+    assert len(report.rows) == 3283
+    # 28 (alpha, s) pairs x (1 + 4 p + 3 q + 4 p)
+    assert len(factors) == len(set(factors)) == 336
+    # 448 for the factors (2, 1, 2 and 1 per tuple), 84 for the weight rows
+    assert len(log_betas) <= 532
+    # 3 intervals, shared by the 6 channels and 4 sandwich gates of each of
+    # the 3 functions
+    assert funclib_mod._grid_points.cache_info().misses == 3
+
+
+def test_sweep_reads_f2_once_per_point_and_only_for_computed_bounds(
+        monkeypatch):
+    # root_power_0.5 has |f''| infinite at 0, so each of its bound rows is
+    # skipped and f'' is never read as a scalar (0.0 ** -1.5 would raise);
+    # square reads f'' at a, b and the midpoint once each for all its rows
+    reads = Counter()
+
+    def counted(name):
+        real = get_function(name)
+
+        def d2(t):
+            if not isinstance(t, np.ndarray):
+                reads[name, t] += 1
+            return real.d2(t)
+        return dataclasses.replace(real, d2=d2)
+
+    functions = {name: counted(name) for name in ("root_power_0.5", "square")}
+    monkeypatch.setattr(sweep, "get_function", functions.__getitem__)
+    config = parse_config_text(README_CONFIG.replace(
+        "square cube s_power_0.5", "root_power_0.5 square").replace(
+        "0,1 0,2 1,3", "0,1"))
+    rows = run_sweep(config).rows
+    bounds = {name: [r for r in rows if r.function == name
+                     and r.check_id.startswith("bound_")]
+              for name in functions}
+    assert {r.status for r in bounds["root_power_0.5"]} == {
+        "precondition_skipped"}
+    assert any(r.rhs is not None for r in bounds["square"])
+    assert reads == {("square", 0.0): 1, ("square", 1.0): 1,
+                     ("square", 0.5): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1353,6 +1466,23 @@ s_values  = 1
 p_values  = 2
 q_values  = 2
 """
+
+
+@pytest.mark.parametrize("text", [README_CONFIG, MIXED_CONFIG],
+                         ids=["readme", "mixed"])
+def test_computed_bound_rows_carry_the_table_formula(text):
+    # a bound row combines factors made once per sweep with |f''| read once
+    # per cell; its rhs is the entry's closed form bit for bit
+    checks = {check.check_id: check for check in BOUND_CHECKS}
+    computed = 0
+    for r in run_sweep(parse_config_text(text)).rows:
+        if r.check_id in checks and r.rhs is not None:
+            bp = BoundParams(r.alpha, r.s, p=r.p, q=r.q)
+            rhs = checks[r.check_id].formula(get_function(r.function),
+                                             Interval(r.a, r.b), bp)
+            assert r.rhs.hex() == rhs.hex(), r
+            computed += 1
+    assert computed > 0
 
 
 def assert_one_alpha_bits(report: SweepReport, quad_tol: float) -> int:
