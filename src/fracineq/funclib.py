@@ -42,7 +42,6 @@ import functools
 import math
 import re
 import threading
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,32 +76,34 @@ CERT_GRID_N = 33
 CERT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class ConvexityClass:
-    """Label: kind in {'convex', 'concave', 's_convex', 's_concave', 'none'};
-    only the s_* kinds take an exponent s in (0, 1], kept as a float."""
-
+class _ConvexityFields(NamedTuple):
     kind: str
     s: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("convex", "concave", "s_convex", "s_concave", "none"):
-            raise DomainError(f"unknown convexity class kind {self.kind!r}")
-        if self.kind in ("s_convex", "s_concave"):
-            if self.s is None:
-                raise DomainError(f"{self.kind} requires s in (0, 1]")
-            object.__setattr__(self, "s", _check_s(self.s))
-        elif self.s is not None:
-            raise DomainError(f"{self.kind} takes no s, got {self.s!r}")
+
+class ConvexityClass(_ConvexityFields):
+    """Label: kind in {'convex', 'concave', 's_convex', 's_concave', 'none'};
+    only the s_* kinds take an exponent s in (0, 1], kept as a float."""
+
+    __slots__ = ()
+    _replace = Interval._replace    # through __new__, so its checks run
+
+    def __new__(cls, kind: str, s: float | None = None):
+        if kind not in ("convex", "concave", "s_convex", "s_concave", "none"):
+            raise DomainError(f"unknown convexity class kind {kind!r}")
+        if kind in ("s_convex", "s_concave"):
+            if s is None:
+                raise DomainError(f"{kind} requires s in (0, 1]")
+            s = _check_s(s)
+        elif s is not None:
+            raise DomainError(f"{kind} takes no s, got {s!r}")
+        return super().__new__(cls, kind, s)
 
     def __str__(self) -> str:
-        if self.s is not None:
-            return f"{self.kind}({self.s:g})"
-        return self.kind
+        return self.kind if self.s is None else f"{self.kind}({self.s:g})"
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(NamedTuple):
     __test__ = False    # not a pytest collection target
 
     name: str

@@ -21,30 +21,27 @@ equals the exact weighted curvature integral
 
 computed by :func:`defect_identity_rhs`.  Each side is computed for a
 sequence of orders at once (``_defects`` and ``_identity_rhs``; the sweep
-passes all its orders) on the tanh-sinh ladder
-:data:`~fracineq.quadrature.TANH_SINH`, whose nodes do not depend on
-alpha: f or f'' is evaluated once on the nodes, each order weights those
-values in its own row (the density alpha exp((alpha-1) ln u) of
-:func:`~fracineq.quadrature.beta_expectation`, or the rhs weight
-t (-expm1(alpha ln t)), accurate at tiny alpha), and one ladder pass sums
-every row; an order the ladder refuses goes to the adaptive engine, where
-an error is that order's alone.  ``_weight_integrals`` checks the weight
-integrals the bounds rest on against their closed forms the same way:
-over [0, 1], w t^s, w (1-t)^s and t^s in one pass per s, and w^p in one
-pass per p, w being the rhs weight.
+passes all its orders) in one pass of the tanh-sinh ladder
+:data:`~fracineq.quadrature.TANH_SINH`: f or f'' is read once on its
+nodes, each order weights the values in its own row (the density
+alpha exp((alpha-1) ln u) of :func:`~fracineq.quadrature.beta_expectation`,
+or the rhs weight t (-expm1(alpha ln t)), accurate at tiny alpha), and an
+order the ladder refuses goes alone to the adaptive engine.  The weight
+integrals the bounds rest on are checked against their closed forms the
+same way (``_weight_integrals``): over [0, 1], w t^s, w (1-t)^s and t^s in
+one pass per s, and w^p in one pass per p, w being the rhs weight.
 
 Upper bounds for |D| follow from s-convexity or s-concavity of |f''| or
 |f''|^q, each declared once in :data:`BOUND_CHECKS`.  An entry's closed
 form is split in two: ``factors(params)``, the Beta/Gamma numbers of
 (alpha, s, p, q) alone, and ``combine``, the bound on one interval from
 them, its (b-a)^2 and |f''|^q at a, b or the midpoint, each read when
-first asked for; ``formula`` composes the two, and a sweep makes each
-tuple's factors once for all its cells.  The four evaluators pass their
-entry to one gate that certifies its hypothesis on the interval
+first asked for; ``formula`` composes the two.  The four evaluators pass
+their entry to one gate that certifies its hypothesis on the interval
 (:class:`PreconditionError` on a violation) unless ``certify=False``.  The
 Hoelder-route and midpoint-concavity bounds rely on a kernel comparison
-valid for alpha <= 1 only; they still compute outside that range and the
-sweep reports such rows as out-of-validated-range instead of asserting them.
+valid for alpha <= 1 only; outside it they still compute, and the sweep
+records such rows as out-of-validated-range.
 
 All inequality verification uses an absolute slack of 1e-8 by default
 (:data:`DEFAULT_CHECK_SLACK`), with quadrature run two orders tighter so
@@ -54,7 +51,6 @@ numerical error cannot masquerade as a genuine violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -135,8 +131,14 @@ def _check_q(q: float) -> float:
     return q
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class _BoundFields(NamedTuple):
+    alpha: float
+    s: float
+    p: float | None = None
+    q: float | None = None
+
+
+class BoundParams(_BoundFields):
     """Parameter tuple (alpha, s, p, q), kept as the validated floats.
 
     When p is given it must exceed 1 and q must be its Hoelder conjugate
@@ -144,27 +146,24 @@ class BoundParams:
     power-mean exponent.
     """
 
-    alpha: float
-    s: float
-    p: float | None = None
-    q: float | None = None
+    __slots__ = ()
+    _replace = Interval._replace    # through __new__, so its checks run
 
-    def __post_init__(self):
-        alpha, s = _check_bound_alpha(self.alpha), _check_s(self.s)
-        p = None if self.p is None else _check_p(self.p)
-        q = None if self.q is None else _check_q(self.q)
+    def __new__(cls, alpha: float, s: float, p: float | None = None,
+                q: float | None = None):
+        alpha, s = _check_bound_alpha(alpha), _check_s(s)
+        p = None if p is None else _check_p(p)
+        q = None if q is None else _check_q(q)
         if p is not None:
             if q is None:
                 q = p / (p - 1.0)
             elif abs(1.0 / p + 1.0 / q - 1.0) > 1e-14:
                 raise DomainError(
                     f"q={q} is not the Hoelder conjugate of p={p}")
-        for name, value in zip(("alpha", "s", "p", "q"), (alpha, s, p, q)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, alpha, s, p, q)
 
 
-@dataclass(frozen=True)
-class DefectResult:
+class DefectResult(NamedTuple):
     """Trapezoid defect plus the endpoint values it was computed from."""
 
     lhs: float
@@ -179,8 +178,7 @@ class DefectResult:
         return abs(self.lhs)
 
 
-@dataclass(frozen=True)
-class SandwichResult:
+class SandwichResult(NamedTuple):
     """Three-part sandwich for a nonnegative s-convex function.
 
     ``upper`` uses the 1/(s+1) endpoint coefficient; ``upper_classical``
@@ -560,8 +558,7 @@ def classical_concave_bound(f: TestFunction, interval: Interval, alpha: float,
 # quadrature-vs-closed-form checks for the weight integrals
 
 
-@dataclass(frozen=True)
-class WeightIntegralEntry:
+class WeightIntegralEntry(NamedTuple):
     check_id: str
     lhs: float          # quadrature value
     rhs: float          # closed form / upper bound
@@ -570,8 +567,7 @@ class WeightIntegralEntry:
     in_validated_range: bool
 
 
-@dataclass(frozen=True)
-class WeightIntegralReport:
+class WeightIntegralReport(NamedTuple):
     alpha: float
     s: float
     p: float

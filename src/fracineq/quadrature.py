@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from typing import Callable, NamedTuple
 
@@ -121,18 +120,25 @@ def _engine_tol(tol: float) -> float:
     return min(MAX_ABS_TOL, max(MIN_ABS_TOL, tol))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [a, b] with a < b, both finite."""
-
+class _IntervalFields(NamedTuple):
     a: float
     b: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
-        if not self.a < self.b:
-            raise DomainError(f"interval requires a < b, got [{self.a}, {self.b}]")
+
+class Interval(_IntervalFields):
+    """Closed interval [a, b] with a < b, both finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"interval endpoints must be finite, got [{a}, {b}]")
+        if not a < b:
+            raise DomainError(f"interval requires a < b, got [{a}, {b}]")
+        return super().__new__(cls, a, b)
+
+    def _replace(self, **changes):  # through __new__; NamedTuple's skips it
+        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def length(self) -> float:

@@ -18,11 +18,10 @@ Every row is a single comparison between ``lhs`` and ``rhs``:
 
 Statuses: ``pass`` / ``fail`` as above; ``precondition_skipped`` when the
 convexity hypothesis of the check does not certify for that tuple;
-``out_of_validated_range`` for rows that are computed and recorded but not
-asserted -- the Hoelder-route and concave bounds at alpha > 1 (their
-kernel-comparison step is only valid on (0, 1]) and the classical /2
-upper-sandwich reading where it does not hold; that reading is recorded
-alongside the asserted 1/(s+1) reading so both remain observable in data.
+``out_of_validated_range`` for rows computed and recorded but not asserted:
+the Hoelder-route and concave bounds at alpha > 1 (their kernel-comparison
+step is only valid on (0, 1]), and the classical /2 upper-sandwich reading,
+kept beside the asserted 1/(s+1) one, where it does not hold.
 
 The per-cell pass
 -----------------
@@ -40,12 +39,10 @@ none, |f''| being non-finite on the grid, neither side is computed, and
 the identity row and every bound row are skipped.  The cell then returns
 its sandwich, identity and bound rows; the bound rows come from
 :data:`~fracineq.hhbounds.BOUND_CHECKS`, one entry per bound row of the
-README check table, whose hypothesis the cell judges itself.  Each
-entry's ``factors`` depend on the parameter tuple alone and are made once
-per sweep; a computed bound row hands them to the entry's ``combine`` with
-the cell's (b-a)^2, made once per cell, and the cell's |f''|^q at a, b or
-the midpoint, each f'' value read and raised to each q once, when a row
-first asks for it: f'' is read nowhere that no closed form asks.  The
+README check table, whose hypothesis the cell judges itself.  An entry's
+``factors`` are made once per parameter tuple and sweep; its ``combine``
+takes the cell's (b-a)^2 and |f''|^q at a, b or the midpoint, each f''
+value read and raised to each q once, when a row first asks for it.  The
 weight-integral rows depend on no cell: one ladder pass per s and one per
 p, each holding every alpha.
 
@@ -62,7 +59,6 @@ import io
 import json
 import math
 import zlib
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from operator import itemgetter
@@ -131,8 +127,7 @@ STATUS_SKIPPED = "precondition_skipped"
 _PROBE_COUNT = 64
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     functions: tuple[str, ...]
     intervals: tuple[Interval, ...]
     alphas: tuple[float, ...]
@@ -162,8 +157,7 @@ class SweepRow(NamedTuple):
     status: str
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
     @property
@@ -366,25 +360,25 @@ def _verdicts(config: SweepConfig, f: TestFunction, channel: str,
 
 
 def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
-               bounds: list[tuple[BoundCheck, BoundParams, float | None,
+               bounds: list[tuple[BoundCheck, tuple, float | None,
                                   tuple[float, ...]]],
                f: TestFunction, iv: Interval) -> list[SweepRow]:
     """The sandwich, identity and bound rows of ``f`` on ``iv``.
 
     Each channel is certified once: f, |f''|, and |f''|^q for each
-    distinct q of ``bounds``, which holds (check, parameters, channel q,
-    the check's factors at those parameters) per bound row.  Where |f''|
+    distinct q of ``bounds``, which holds (check, (alpha, s, p, q), channel
+    q, the check's factors at those parameters) per bound row.  Where |f''|
     has verdicts, the defects and identity right-hand sides are computed
-    for every order of ``alphas``, one ladder pass per side; where it has
-    none, neither is, and every row that needs them is skipped.  Each
-    computed bound row combines its factors with the cell's (b-a)^2 and
-    its |f''|^q, read when a row first asks for them.
+    for every order of ``alphas``, one ladder pass per side, else every
+    row that needs them is skipped.  A computed bound row combines its
+    factors with the cell's (b-a)^2 and |f''|^q, read when first asked for.
     """
     row = partial(_row, config.slack)
+    name, a, b = f.name, iv.a, iv.b     # read once, not per row
     rows = []
     convex = _verdicts(config, f, "f", iv)
     for s in config.s_values:
-        key = (f.name, iv.a, iv.b, None, s, None, None)
+        key = (name, a, b, None, s, None, None)
         sw = None
         if convex.get((s, False), False):
             try:
@@ -415,20 +409,20 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
     # {alpha: (signed defect, identity rhs)}, each a float or the error
     # that stopped it
     sides = dict(zip(alphas, zip(lhs, rhs)))
-    rows += [row("identity", (f.name, iv.a, iv.b, alpha, None, None, None),
+    rows += [row("identity", (name, a, b, alpha, None, None, None),
                  *sides[alpha], _IDENTITY) for alpha in config.alphas]
     width2, curvature_at = _width_squared(iv), _Curvatures(f, iv)
-    for check, bp, q, factors in bounds:
-        key = (f.name, iv.a, iv.b, bp.alpha, bp.s, bp.p, bp.q)
-        defect = sides[bp.alpha][0]
-        if not curvature[q].get((bp.s, check.concave), False):
+    for check, (alpha, s, p, params_q), q, factors in bounds:
+        key = (name, a, b, alpha, s, p, params_q)
+        defect = sides[alpha][0]
+        if not curvature[q].get((s, check.concave), False):
             rows.append(row(check.check_id, key, status=STATUS_SKIPPED))
         elif isinstance(defect, FracineqError):
             rows.append(row(check.check_id, key, defect))
         else:
             rows.append(row(check.check_id, key, abs(defect),
                             check.combine(width2, curvature_at, factors),
-                            _range_rule(bp.alpha <= check.alpha_max)))
+                            _range_rule(alpha <= check.alpha_max)))
     return rows
 
 
@@ -464,9 +458,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     validate_config(config)
     # the configured orders, each once: one batch per (function, interval)
     alphas = tuple(dict.fromkeys(config.alphas))
-    # every bound row of a cell, each parameter tuple built once, with the
-    # q of its |f''|^q channel (None for |f''|^1, since x ** 1.0 is x bit
-    # for bit) and the check's factors there, which no cell changes
+    # every bound row of a cell: its parameters, built once, as a plain tuple
+    # that cells unpack (cheaper than reading a record's fields), the q of its
+    # |f''|^q channel (None for |f''|^1: x ** 1.0 is x) and its factors
     bounds = []
     for alpha, s in product(config.alphas, config.s_values):
         params = {
@@ -476,7 +470,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             "q_values": tuple(BoundParams(alpha, s, q=q)
                               for q in config.q_values),
         }
-        bounds += [(check, bp, None if bp.q == 1.0 else bp.q,
+        bounds += [(check, tuple(bp), None if bp.q == 1.0 else bp.q,
                     check.factors(bp))
                    for check in BOUND_CHECKS for bp in params[check.q_from]]
     rows = [row for name in config.functions for iv in config.intervals

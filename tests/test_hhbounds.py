@@ -1,6 +1,5 @@
 """Defect, identity, sandwich, and bound evaluators against hand oracles."""
 
-import dataclasses
 import math
 from itertools import product
 
@@ -124,8 +123,7 @@ def test_sandwich_sqrt():
     # math.sqrt takes no array: the gate and the nonnegativity read fall
     # back to one scalar call per node
     scalar = s_convex_sandwich(math.sqrt, UNIT, 0.5)
-    assert dataclasses.astuple(scalar) == pytest.approx(
-        dataclasses.astuple(sw), abs=1e-12)
+    assert tuple(scalar) == pytest.approx(tuple(sw), abs=1e-12)
 
 
 def test_sandwich_linear_collapses():

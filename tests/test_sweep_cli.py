@@ -1,7 +1,6 @@
 """Sweep configuration, report semantics, rendering, and the CLI contract."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -79,8 +78,7 @@ seed = 7
 def small_config(**overrides) -> SweepConfig:
     cfg = parse_config_text(GOOD_CONFIG)
     if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
+        cfg = cfg._replace(**overrides)
     return cfg
 
 
@@ -196,8 +194,8 @@ def test_repeated_config_entries_repeat_their_rows():
             "q_values = 2\n")
     repeated = parse_config_text(text)
     report = run_sweep(repeated)
-    unique = run_sweep(dataclasses.replace(
-        repeated, functions=("square",),
+    unique = run_sweep(repeated._replace(
+        functions=("square",),
         intervals=(Interval(0.0, 1.0), Interval(1.0, 3.0)),
         alphas=(0.5, 2.0)))
 
@@ -1099,9 +1097,9 @@ def test_nested_verdicts_equal_one_call_per_s(monkeypatch, text, s_values,
     # more s than there are distinct ones
     import fracineq.funclib as funclib_mod
 
-    config = dataclasses.replace(parse_config_text(text), seed=seed)
+    config = parse_config_text(text)._replace(seed=seed)
     if s_values is not None:
-        config = dataclasses.replace(config, s_values=s_values)
+        config = config._replace(s_values=s_values)
     judged = []
     real = funclib_mod._grid_combination
     monkeypatch.setattr(funclib_mod, "_grid_combination",
@@ -1170,7 +1168,7 @@ REPORT_DIGESTS = {
 @pytest.mark.parametrize("name, text", [("readme", README_CONFIG),
                                         ("identity", IDENTITY_CONFIG)])
 def test_reports_keep_their_pinned_digests(name, text, seed):
-    config = dataclasses.replace(parse_config_text(text), seed=seed)
+    config = parse_config_text(text)._replace(seed=seed)
     report = run_sweep(config)
     for fmt in ("csv", "json"):
         digest = hashlib.sha256(render_report(report, fmt)).hexdigest()
@@ -1182,7 +1180,7 @@ def test_readme_sweep_keeps_its_results_across_seeds(seed):
     # the seed moves only the probe triples; no probe rejects a channel of
     # the README config, so every seed gives the same report
     base = run_sweep(parse_config_text(README_CONFIG))
-    config = dataclasses.replace(parse_config_text(README_CONFIG), seed=seed)
+    config = parse_config_text(README_CONFIG)._replace(seed=seed)
     report = run_sweep(config)
     assert Counter(r.status for r in report.rows) == {
         "pass": 1813, "precondition_skipped": 987,
@@ -1296,7 +1294,7 @@ def test_sweep_reads_f2_once_per_point_and_only_for_computed_bounds(
             if not isinstance(t, np.ndarray):
                 reads[name, t] += 1
             return real.d2(t)
-        return dataclasses.replace(real, d2=d2)
+        return real._replace(d2=d2)
 
     functions = {name: counted(name) for name in ("root_power_0.5", "square")}
     monkeypatch.setattr(sweep, "get_function", functions.__getitem__)
@@ -1731,12 +1729,10 @@ def test_cli_check_identity_computes_alpha_170():
 ], ids=["gamma_overflow", "width_power_overflow", "width_power_underflow"])
 def test_config_accepts_orders_beyond_rl_normalisation_range(alphas,
                                                              intervals):
-    from dataclasses import replace
-
     text = (GOOD_CONFIG.replace("alphas = 0.5 1", f"alphas = {alphas}")
             .replace("intervals = 0,1", f"intervals = {intervals}"))
     cfg = parse_config_text(text)
-    report = run_sweep(replace(cfg, functions=("square",)))
+    report = run_sweep(cfg._replace(functions=("square",)))
     check_square_identity_rows(render_report(report, "csv").decode())
 
 
