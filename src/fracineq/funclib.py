@@ -21,13 +21,12 @@ at n = 33 their s-combinations (:func:`s_combination`) are the same two
 terms in swapped order, so the same double: the grid keeps the half
 k <= n//2 alone (17 x 33 x 33 = 18,513 triples), which is the grid by
 symmetry, not a sample.  :func:`grid_verdicts` judges one s in both
-directions from one combination, in three work arrays per thread that
-every grid reuses.  :func:`channel_verdicts` decides a channel for the
-sweep at every s it needs, from one grid and one batch of probe triples,
-judging several s from the largest down where the classes nest.
-:func:`certify_s_convex` and :func:`certify_s_concave` judge a fresh grid
-in one direction and name a witness where it fails; ``checked`` counts
-n^3.
+directions from one combination, formed in a fresh array.
+:func:`channel_verdicts` decides a channel for the sweep at every s it
+needs, from one grid and one batch of probe triples, judging several s
+from the largest down where the classes nest.  :func:`certify_s_convex`
+and :func:`certify_s_concave` judge a fresh grid in one direction and
+name a witness where it fails; ``checked`` counts n^3.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it and never use
@@ -41,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -281,55 +279,34 @@ def cert_grid(fn, domain: Interval) -> CertGrid:
                     values[_HALF_INDEX])
 
 
-# this thread's work arrays, shared by every grid: the s-weighted
-# combination, the slack-shifted threshold and the verdict flags; each
-# verdict overwrites them, so no grid allocates its own
-_WORK = threading.local()
-
-
-def _work() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    work = getattr(_WORK, "arrays", None)
-    if work is None:
-        shape = (_HALF, CERT_GRID_N, CERT_GRID_N)
-        work = _WORK.arrays = (np.empty(shape), np.empty(shape),
-                               np.empty(shape, dtype=bool))
-    return work
-
-
 def s_combination(lam, s: float, fx, fy):
     """lam^s f(x) + (1-lam)^s f(y), the right side of s-convexity in the
     second sense; the arguments broadcast."""
     return lam ** s * fx + (1.0 - lam) ** s * fy
 
 
-def _holds(values, combo, concave: bool, threshold=None, out=None):
+def _holds(values, combo, concave: bool):
     """Where ``values`` keep to s-convexity, values <= combo + CERT_SLACK,
     or to s-concavity when ``concave``, values >= combo - CERT_SLACK; a NaN
-    never does.  The one violation rule of the grid and of the probes;
-    ``threshold`` and ``out`` are optional work arrays."""
+    never does.  The one violation rule of the grid and of the probes."""
     if concave:
-        return np.greater_equal(
-            values, np.subtract(combo, CERT_SLACK, out=threshold), out=out)
-    return np.less_equal(
-        values, np.add(combo, CERT_SLACK, out=threshold), out=out)
+        return values >= combo - CERT_SLACK
+    return values <= combo + CERT_SLACK
 
 
 def _grid_combination(grid: CertGrid, weights: np.ndarray) -> np.ndarray:
     # combination[k, i, j] = lam[k]^s fx[i] + (1-lam[k])^s fx[j] on the
-    # half from the weights lam^s, formed in the work array from two half x
-    # n product tables: the first is copied in along j, the second added
-    # along i (one add that broadcasts both takes about a quarter longer);
-    # 1 - lam is lam reversed
-    combo = _work()[0]
-    np.copyto(combo, (weights[:_HALF, None] * grid.fx)[:, :, None])
-    np.add(combo, (weights[::-1][:_HALF, None] * grid.fx)[:, None, :],
-           out=combo)
+    # half from the weights lam^s and two half x n product tables: the
+    # first is copied in along j, the second added along i (one add that
+    # broadcasts both takes about a quarter longer); 1 - lam is lam reversed
+    combo = np.empty((_HALF, CERT_GRID_N, CERT_GRID_N))
+    combo[...] = (weights[:_HALF, None] * grid.fx)[:, :, None]
+    combo += (weights[::-1][:_HALF, None] * grid.fx)[:, None, :]
     return combo
 
 
 def _grid_holds(grid: CertGrid, combo: np.ndarray, concave: bool) -> bool:
-    _, threshold, flags = _work()
-    return bool(_holds(grid.f_half, combo, concave, threshold, flags).all())
+    return bool(_holds(grid.f_half, combo, concave).all())
 
 
 def grid_verdicts(grid: CertGrid, s: float) -> tuple[bool, bool]:

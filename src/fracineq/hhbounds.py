@@ -117,6 +117,15 @@ def _check_bound_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_slack(slack: float, name: str = "tol") -> float:
+    """The one validator of a comparison's absolute slack, named ``name``
+    in its error: finite and >= 0."""
+    slack = float(slack)
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise DomainError(f"{name} must be finite and >= 0, got {slack}")
+    return slack
+
+
 def _check_p(p: float) -> float:
     p = float(p)
     if not (math.isfinite(p) and p > 1.0):
@@ -580,43 +589,46 @@ class WeightIntegralReport(NamedTuple):
 
 def _weight_form(check_id: str, alpha: float | None, s: float | None,
                  p: float | None) -> tuple[Callable[[float], float], float,
-                                           bool]:
+                                           bool, bool]:
     """The engine integrand of one weight integral, in the form of its
-    ladder row, its closed form (the Hoelder kernel's: its bound), and
-    whether that is claimed at this order."""
+    ladder row, and the last three fields of its row of
+    :func:`_weight_integrals`."""
     if check_id == "weight_int_power":
         return (lambda t: t ** s * _rhs_weight(t, alpha),
-                alpha / ((s + 2.0) * (alpha + s + 2.0)), True)
+                alpha / ((s + 2.0) * (alpha + s + 2.0)), True, True)
     if check_id == "weight_int_beta":
         return (lambda t: (1.0 - t) ** s * _rhs_weight(t, alpha),
-                beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0), True)
+                beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0), True, True)
     if check_id == "weight_int_plain":
-        return lambda t: t ** s, 1.0 / (s + 1.0), True
+        return lambda t: t ** s, 1.0 / (s + 1.0), True, True
     return (lambda t: _rhs_weight(t, alpha) ** p,
             math.exp(_log_holder_beta(p, alpha)),
-            alpha <= HOLDER_VALID_ALPHA_MAX)
+            alpha <= HOLDER_VALID_ALPHA_MAX, False)
 
 
 def _weight_integrals(alphas, s_values, p_values, quad_tol: float
-                      ) -> dict[tuple, tuple[float | FracineqError, float,
-                                             bool]]:
+                      ) -> list[tuple]:
     """Every weight integral at every order of ``alphas``, by quadrature to
-    the absolute tolerance ``quad_tol``, beside its closed form:
-    {(check id, alpha, s, p): (integral, or the error that stopped it
-    alone, closed form, whether it is in the validated range)}, None for a
-    parameter the check does not take."""
+    the absolute tolerance ``quad_tol``, one row each: (check id, alpha, s,
+    p, the integral or the error that stopped it alone, the closed form,
+    whether that is claimed at this order, whether the check is an
+    identity), None for a parameter the check does not take; the Hoelder
+    kernel's closed form is its bound, lhs <= rhs.  The rows come in batch
+    order, repeated values repeated: per s, the power row of every order,
+    the beta row of every order, then the plain row; per p, the kernel row
+    of every order."""
     quad_tol = _check_abs_tol(quad_tol, "quad_tol")
-    # Python floats, for the engine integrands and the keys of the result
+    # Python floats, for the engine integrands and the rows' parameters
     alphas = tuple(np.asarray(alphas, dtype=float).tolist())
     weights = _order_rows(alphas)[1]
-    found = {}
+    rows = []
 
     def ladder(keys: list[tuple], values: np.ndarray) -> None:
         forms = [_weight_form(*key) for key in keys]
         lhs = _ladder_rows(values, [quad_tol] * len(keys),
                            lambda r: forms[r][0])
-        found.update((key, (v, *form[1:]))
-                     for key, v, form in zip(keys, lhs, forms))
+        rows.extend((*key, v, *form[1:])
+                    for key, v, form in zip(keys, lhs, forms))
 
     for s in s_values:
         powers = TANH_SINH.nodes ** s
@@ -628,51 +640,49 @@ def _weight_integrals(alphas, s_values, p_values, quad_tol: float
     for p in p_values:
         ladder([("holder_kernel_bound", alpha, None, p) for alpha in alphas],
                weights ** p)
-    return found
+    return rows
 
 
-def _weight_entry(found: dict, key: tuple, tol: float) -> WeightIntegralEntry:
-    """The entry of ``key`` = (check id, alpha, s, p) in ``found``, from
-    :func:`_weight_integrals`; an error outcome is raised."""
-    outcome, rhs, in_range = found[key]
+def _weight_entry(row: tuple, tol: float) -> WeightIntegralEntry:
+    """The entry of one row of :func:`_weight_integrals`, judged with the
+    slack ``tol``; an error outcome is raised."""
+    check_id, _, _, _, outcome, rhs, in_range, identity = row
     lhs = _outcome_value(outcome)
-    # the kernel is an inequality, the other three identities
-    margin = rhs - lhs if key[0] == "holder_kernel_bound" else -abs(lhs - rhs)
-    return WeightIntegralEntry(key[0], lhs, rhs, margin, margin >= -tol,
+    margin = -abs(lhs - rhs) if identity else rhs - lhs
+    return WeightIntegralEntry(check_id, lhs, rhs, margin, margin >= -tol,
                                in_range)
 
 
 def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))."""
-    alpha, s = _check_bound_alpha(alpha), _check_s(s)
-    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol),
-                         ("weight_int_power", alpha, s, None), tol)
+    alpha, s, tol = _check_bound_alpha(alpha), _check_s(s), _check_slack(tol)
+    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol)[0],
+                         tol)
 
 
 def weight_int_beta(alpha: float, s: float, tol: float = 1e-9,
                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)."""
-    alpha, s = _check_bound_alpha(alpha), _check_s(s)
-    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol),
-                         ("weight_int_beta", alpha, s, None), tol)
+    alpha, s, tol = _check_bound_alpha(alpha), _check_s(s), _check_slack(tol)
+    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol)[1],
+                         tol)
 
 
 def weight_int_plain(s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^s dt = 1/(s+1)."""
-    s = _check_s(s)
-    return _weight_entry(_weight_integrals((), (s,), (), quad_tol),
-                         ("weight_int_plain", None, s, None), tol)
+    s, tol = _check_s(s), _check_slack(tol)
+    return _weight_entry(_weight_integrals((), (s,), (), quad_tol)[0], tol)
 
 
 def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,
                         quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^p (1 - t^alpha)^p dt <= beta(p+1, alpha p + 1), validated
     for alpha <= 1 and measured elsewhere."""
-    alpha, p = _check_bound_alpha(alpha), _check_p(p)
-    return _weight_entry(_weight_integrals((alpha,), (), (p,), quad_tol),
-                         ("holder_kernel_bound", alpha, None, p), tol)
+    alpha, p, tol = _check_bound_alpha(alpha), _check_p(p), _check_slack(tol)
+    return _weight_entry(_weight_integrals((alpha,), (), (p,), quad_tol)[0],
+                         tol)
 
 
 def weight_integral_report(alpha: float, s: float, p: float,
@@ -683,11 +693,8 @@ def weight_integral_report(alpha: float, s: float, p: float,
     :func:`weight_int_beta` and :func:`weight_int_plain` (any alpha > 0)
     and the inequality :func:`holder_kernel_bound`."""
     alpha, s, p = _check_bound_alpha(alpha), _check_s(s), _check_p(p)
-    found = _weight_integrals((alpha,), (s,), (p,), quad_tol)
-    keys = (("weight_int_power", alpha, s, None),
-            ("weight_int_beta", alpha, s, None),
-            ("weight_int_plain", None, s, None),
-            ("holder_kernel_bound", alpha, None, p))
+    tol = _check_slack(tol)
     return WeightIntegralReport(
         alpha=alpha, s=s, p=p,
-        entries=tuple(_weight_entry(found, key, tol) for key in keys))
+        entries=tuple(_weight_entry(row, tol) for row in
+                      _weight_integrals((alpha,), (s,), (p,), quad_tol)))

@@ -95,6 +95,7 @@ from .hhbounds import (
     _check_bound_alpha,
     _check_p,
     _check_q,
+    _check_slack,
     _Curvatures,
     _defects,
     _identity_rhs,
@@ -115,9 +116,6 @@ __all__ = [
     "CSV_HEADER",
     "BOUND_CHECKS",
 ]
-
-CSV_HEADER = ["check_id", "function", "a", "b", "alpha", "s", "p", "q",
-              "lhs", "rhs", "slack_measured", "status"]
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -155,6 +153,9 @@ class SweepRow(NamedTuple):
     rhs: float | None
     slack_measured: float | None
     status: str
+
+
+CSV_HEADER = list(SweepRow._fields)
 
 
 class SweepReport(NamedTuple):
@@ -272,12 +273,11 @@ def validate_config(config: SweepConfig) -> None:
     _check_each("s_values", config.s_values, _check_s)
     _check_each("p_values", config.p_values, _check_p)
     _check_each("q_values", config.q_values, _check_q)
-    if not (math.isfinite(config.slack) and config.slack >= 0.0):
-        raise ConfigError("slack", f"must be finite and >= 0, got {config.slack}")
-    try:
-        _check_abs_tol(config.quad_tol, "quad_tol")
-    except DomainError as exc:
-        raise ConfigError("quad_tol", str(exc)) from exc
+    for key, check in (("slack", _check_slack), ("quad_tol", _check_abs_tol)):
+        try:
+            check(getattr(config, key), key)
+        except DomainError as exc:
+            raise ConfigError(key, str(exc)) from exc
     if config.output_format not in ("csv", "json"):
         raise ConfigError("format", f"must be csv or json, got {config.output_format}")
     if not isinstance(config.seed, int):
@@ -429,23 +429,11 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
 def _weight_rows(config: SweepConfig) -> list[SweepRow]:
     """The weight-integral rows, which depend on no function or interval:
     one ladder pass per s and one per p for every alpha."""
-    found = _weight_integrals(tuple(dict.fromkeys(config.alphas)),
-                              config.s_values, config.p_values,
-                              config.quad_tol)
-    keys = [(check_id, alpha, s, None)
-            for alpha in config.alphas for s in config.s_values
-            for check_id in ("weight_int_power", "weight_int_beta")]
-    keys += [("weight_int_plain", None, s, None) for s in config.s_values]
-    keys += [("holder_kernel_bound", alpha, None, p)
-             for alpha in config.alphas for p in config.p_values]
-    rows = []
-    for check_id, *params in keys:
-        lhs, rhs, in_range = found[(check_id, *params)]
-        rule = (_range_rule(in_range) if check_id == "holder_kernel_bound"
-                else _IDENTITY)
-        rows.append(_row(config.slack, check_id,
-                         (None, None, None, *params, None), lhs, rhs, rule))
-    return rows
+    return [_row(config.slack, check_id, (None, None, None, alpha, s, p, None),
+                 lhs, rhs, _IDENTITY if identity else _range_rule(in_range))
+            for check_id, alpha, s, p, lhs, rhs, in_range, identity
+            in _weight_integrals(config.alphas, config.s_values,
+                                 config.p_values, config.quad_tol)]
 
 
 # (check_id, function, a, b, alpha, s, p, q); all rows of one check id

@@ -581,6 +581,27 @@ def test_every_p_and_q_entry_point_rejects_non_finite_exponents(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_every_weight_call_rejects_a_slack_that_is_not_finite_and_non_negative(
+        bad):
+    # a NaN or negative tol failed true identities, an infinite one passed
+    # any kernel margin; tol shares the sweep slack's one validator
+    from fracineq.hhbounds import (
+        holder_kernel_bound,
+        weight_int_beta,
+        weight_int_plain,
+        weight_int_power,
+    )
+
+    for call in (lambda: weight_int_power(0.5, 1.0, tol=bad),
+                 lambda: weight_int_beta(0.5, 1.0, tol=bad),
+                 lambda: weight_int_plain(1.0, tol=bad),
+                 lambda: holder_kernel_bound(2.0, 2.0, tol=bad),
+                 lambda: weight_integral_report(0.5, 1.0, 2.0, tol=bad)):
+        with pytest.raises(DomainError, match=r"^tol must be finite"):
+            call()
+
+
 def test_power_mean_refuses_a_missing_q_before_certifying(monkeypatch):
     from fracineq import funclib
 

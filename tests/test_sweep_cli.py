@@ -187,20 +187,25 @@ def test_row_completeness_and_sorting():
 
 
 def test_repeated_config_entries_repeat_their_rows():
-    # a repeated function, interval or order gives its rows once per
+    # a repeated function, interval, order, s or p gives its rows once per
     # entry, each as computed for the deduplicated config
     text = ("functions = square square\nintervals = 0,1 0,1 1,3\n"
-            "alphas = 0.5 2 0.5\ns_values = 1\np_values = 2\n"
+            "alphas = 0.5 2 0.5\ns_values = 1 0.5 1\np_values = 2 3 2\n"
             "q_values = 2\n")
     repeated = parse_config_text(text)
     report = run_sweep(repeated)
     unique = run_sweep(repeated._replace(
         functions=("square",),
         intervals=(Interval(0.0, 1.0), Interval(1.0, 3.0)),
-        alphas=(0.5, 2.0)))
+        alphas=(0.5, 2.0), s_values=(1.0, 0.5), p_values=(2.0, 3.0)))
 
     def multiplicity(r: SweepRow) -> int:
-        n = repeated.alphas.count(r.alpha) if r.alpha is not None else 1
+        n = 1
+        for value, values in ((r.alpha, repeated.alphas),
+                              (r.s, repeated.s_values),
+                              (r.p, repeated.p_values)):
+            if value is not None:
+                n *= values.count(value)
         if r.function is not None:
             n *= (repeated.functions.count(r.function)
                   * repeated.intervals.count(Interval(r.a, r.b)))
@@ -750,6 +755,18 @@ IDENTITY_CONFIG = (
     "1.25 1.5 2 2.5 3 4 5 7\n"
     "s_values = 1\np_values = 2\nq_values = 1\nquad_tol = 1e-12\n")
 
+
+# ordinary orders, the order where the defect is lost (1e5) and orders
+# past the ladder's node power cap, in one batch per (function, interval)
+MIXED_CONFIG = """\
+functions = square cube
+intervals = 0,1 0,100
+alphas    = 0.5 2 1e5 1e17 1e150
+s_values  = 1
+p_values  = 2
+q_values  = 2
+"""
+
 def readme_channels():
     """Every channel the README config certifies: (name, fn, interval)."""
     cfg = parse_config_text(README_CONFIG)
@@ -1150,8 +1167,9 @@ def test_sweep_judges_each_channel_from_the_largest_s_down(
                      "combinations": judged + 36}
 
 
-# the full SHA-256 of the README and identity reports, which do not depend
-# on the seed
+# the full SHA-256 of the README, identity and mixed reports, which do not
+# depend on the seed; the mixed report's bytes come in part from the engine
+# fallbacks and from orders past the ladder's power cap
 REPORT_DIGESTS = {
     ("readme", "csv"):
         "93531ef3341f38527ecb27ede333a515872673ec39413ef04d71c54ed91a02c0",
@@ -1161,12 +1179,17 @@ REPORT_DIGESTS = {
         "2e97214e7192530c4f4d32af57c3ccddb2022e48817b14ce77475c75d23e3495",
     ("identity", "json"):
         "79db5fa5258b562e823e21941fdce912b808caaa1480cc42cb2edd4a8404c1a0",
+    ("mixed", "csv"):
+        "885964dd32b7dfdae09994f8d8c38cdc850edbdbb2fcf8b7c123ee0c2a7c8dcd",
+    ("mixed", "json"):
+        "9d4662dd8628c369f1b4dca06a68ea37391a61a7fb817fa47e749511427c7421",
 }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
 @pytest.mark.parametrize("name, text", [("readme", README_CONFIG),
-                                        ("identity", IDENTITY_CONFIG)])
+                                        ("identity", IDENTITY_CONFIG),
+                                        ("mixed", MIXED_CONFIG)])
 def test_reports_keep_their_pinned_digests(name, text, seed):
     config = parse_config_text(text)._replace(seed=seed)
     report = run_sweep(config)
@@ -1452,18 +1475,6 @@ def test_every_cell_of_a_sweep_weights_by_the_same_order_rows(monkeypatch):
     assert all(a == alphas and r[0] is density and r[1] is weights
                for a, r in seen)
     assert not (density.flags.writeable or weights.flags.writeable)
-
-
-# ordinary orders, the order where the defect is lost (1e5) and orders
-# past the ladder's node power cap, in one batch per (function, interval)
-MIXED_CONFIG = """\
-functions = square cube
-intervals = 0,1 0,100
-alphas    = 0.5 2 1e5 1e17 1e150
-s_values  = 1
-p_values  = 2
-q_values  = 2
-"""
 
 
 @pytest.mark.parametrize("text", [README_CONFIG, MIXED_CONFIG],
