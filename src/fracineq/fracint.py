@@ -27,14 +27,16 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .funclib import _eval_grid, _point_value, value_fn
+from .funclib import value_fn
 from .quadrature import (
     MAX_ABS_TOL,
     TANH_SINH,
     Interval,
     _check_abs_tol,
     _engine_tol,
+    _eval_grid,
     _outcome_value,
+    _point_value,
     beta_expectation,
 )
 from .specfun import check_alpha, gamma

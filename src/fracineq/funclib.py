@@ -14,8 +14,9 @@ their hypotheses.  The grid's combinations lam[k] x[i] + (1-lam[k]) x[j]
 of n nodes and n weights are, in real arithmetic, the points
 a + (b-a) m/(n-1)^2 with m = k i + (n-1-k) j, so a grid has only
 (n-1)^2 + 1 distinct points (1025), one read-only array per domain that
-every channel on it shares: :func:`cert_grid` evaluates a channel there
-once and gathers the values by m.  The triples (i, j, k)
+every channel on it shares: :func:`cert_grid` reads a channel there once,
+by quadrature's ``_eval_grid`` (a failed read is inf or nan, and an
+IntegrandError here), and gathers the values by m.  The triples (i, j, k)
 and (j, i, n-1-k) share m, and since 1 - lam[k] is lam[n-1-k] bit for bit
 at n = 33 their s-combinations (:func:`s_combination`) are the same two
 terms in swapped order, so the same double: the grid keeps the half
@@ -29,23 +30,22 @@ and :func:`certify_s_concave` judge a fresh grid in one direction and
 name a witness where it fails; ``checked`` counts n^3.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
-bound evaluators read |f''| at interval endpoints from it and never use
-finite differences.  ``declared_class`` is a coarse label for f itself
-(checked at construction); the bound evaluators certify their own
-hypotheses on derived channels such as |f''|^q per call.
+bound evaluators read |f''| at interval endpoints from it, by quadrature's
+``_point_value``, never by finite differences.  ``declared_class`` is a
+coarse label for f (checked at construction); the bound evaluators
+certify their own hypotheses on derived channels such as |f''|^q per call.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import SCALAR_ERRORS, DomainError, IntegrandError
-from .quadrature import Interval
+from .errors import DomainError, IntegrandError
+from .quadrature import Interval, _eval_grid
 
 __all__ = [
     "ConvexityClass",
@@ -149,65 +149,6 @@ def _check_s(s: float) -> float:
     if not (0.0 < s <= 1.0):
         raise DomainError(f"s must lie in (0, 1], got {s}")
     return s
-
-
-def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
-    """Evaluate fn over an array, falling back to scalar calls.
-
-    Non-finite results (inf where a scalar call overflows, nan where it
-    raises ValueError or ZeroDivisionError, as numpy's twins of math's
-    functions would give, or returns a non-real value) are reported by the
-    caller as IntegrandError, so numpy's warnings are suppressed here.
-    """
-    with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(fn(arr), dtype=float)
-            if out.shape == arr.shape:
-                return out
-        except (TypeError, ValueError, ZeroDivisionError):
-            pass
-        out = np.empty(arr.size)
-        for i, v in enumerate(arr.ravel()):
-            try:
-                raw = fn(float(v))
-                try:
-                    out[i] = float(raw)
-                except TypeError:
-                    # a complex value, non-finite to the caller; a
-                    # TypeError of fn itself is not caught
-                    out[i] = math.nan
-            except OverflowError:
-                out[i] = math.inf
-            except SCALAR_ERRORS:
-                out[i] = math.nan
-        return out.reshape(arr.shape)
-
-
-def _point_value(fn, t: float, place: str = "t={!r}") -> float:
-    """float(fn(t)); a non-finite or non-real value, or an error of a
-    scalar-only fn (see :data:`~fracineq.errors.SCALAR_ERRORS`), is an
-    IntegrandError naming ``place.format(t)``, which is formatted only
-    then."""
-    try:
-        raw = fn(t)
-        try:
-            value = float(raw)
-        except TypeError:
-            # a complex value, such as a negative float to a fractional
-            # power; a TypeError of fn itself is not caught
-            value = None
-    except OverflowError:
-        what = "overflows"
-    except SCALAR_ERRORS as exc:
-        what = f"raised {type(exc).__name__} ({exc})"
-    else:
-        if value is None:
-            what = f"returned non-real value {raw!r}"
-        elif math.isfinite(value):
-            return value
-        else:
-            what = f"returned non-finite value {value!r}"
-    raise IntegrandError(f"function {what} at {place.format(t)}")
 
 
 # the grid's nodes per axis less one, its weights lam, shared by every

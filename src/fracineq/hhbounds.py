@@ -61,8 +61,6 @@ from .funclib import (
     CERT_SLACK,
     TestFunction,
     _check_s,
-    _eval_grid,
-    _point_value,
     abs_d2,
     certify_s_concave,
     certify_s_convex,
@@ -74,9 +72,11 @@ from .quadrature import (
     Interval,
     _check_abs_tol,
     _engine_tol,
+    _eval_grid,
     _ladder_rows,
     _order_rows,
     _outcome_value,
+    _point_value,
     beta_expectation,
     integrate,
 )
@@ -237,7 +237,7 @@ class _Curvatures(dict):
     def __missing__(self, key: tuple[str, float]) -> float:
         point, q = key
         # f'' is read from the analytic channel at q = 1, as x ** 1.0 is x
-        value = self[key] = (abs(float(self.d2(getattr(self.interval, point))))
+        value = self[key] = (abs(_point_value(self.d2, getattr(self.interval, point)))
                              if q == 1.0 else self[point, 1.0] ** q)
         return value
 
@@ -305,8 +305,10 @@ def _identity_rhs(f: TestFunction, interval: Interval, alphas,
 
     def weighted(r: int) -> Callable[[float], float]:
         alpha = alphas[r]
+        # an error of f'' names its point, not t
         return lambda t: _rhs_weight(t, alpha) * (
-            d2(t * a + (1.0 - t) * b) + d2((1.0 - t) * a + t * b))
+            _point_value(d2, t * a + (1.0 - t) * b)
+            + _point_value(d2, (1.0 - t) * a + t * b))
 
     weights = _order_rows(tuple(alphas))[1]
     values = _ladder_rows(weights * (d2v + d2v[::-1]), tols, weighted)
@@ -339,12 +341,12 @@ def s_convex_sandwich(f, interval: Interval, s: float,
         raise PreconditionError(
             f"f must be nonnegative on the interval; min sampled value {vals.min()}")
 
-    fa, fb = float(fv(interval.a)), float(fv(interval.b))
+    fa, fb = _point_value(fv, interval.a), _point_value(fv, interval.b)
     mean_res = integrate(fv, interval,
                          abs_tol=_engine_tol(quad_tol * interval.length))
     mean = mean_res.value / interval.length
     return SandwichResult(
-        lower=2.0 ** (s - 1.0) * float(fv(interval.midpoint)),
+        lower=2.0 ** (s - 1.0) * _point_value(fv, interval.midpoint),
         mean=mean,
         upper=(fa + fb) / (s + 1.0),
         upper_classical=0.5 * (fa + fb),

@@ -34,6 +34,12 @@ Beta(alpha, 1) expectation behind the trapezoid defect and the
 Riemann-Liouville operators, which bounds the density's singularity at
 u = 0 by a substitution before the engine.  The density and rhs weight
 rows are built once per tuple of orders.
+
+A function is read at a point under one rule, :func:`_read`: an overflow,
+an error of a scalar-only function, a complex or a non-finite value is a
+failed read.  :func:`_point_value` raises it as an IntegrandError naming
+the point, :func:`_eval_grid` puts inf or nan in its place for the caller
+to report, and the engine names its first failing node.
 """
 
 from __future__ import annotations
@@ -167,6 +173,49 @@ class QuadResult(NamedTuple):
     evaluations: int
 
 
+def _read(fn, t: float) -> tuple[float, str | None]:
+    """float(fn(t)), and why it is not a finite real, or None: an overflow
+    gives inf, an error of a scalar-only fn (SCALAR_ERRORS) or a non-real
+    value nan, as numpy would, and a non-finite value is kept."""
+    try:
+        raw = fn(t)
+        try:
+            value = float(raw)
+        except TypeError:
+            # a complex value, such as a negative float to a fractional
+            # power; a TypeError of fn itself is not caught
+            return math.nan, f"returned non-real value {raw!r}"
+    except OverflowError:
+        return math.inf, "overflows"
+    except SCALAR_ERRORS as exc:
+        return math.nan, f"raised {type(exc).__name__} ({exc})"
+    return value, (None if math.isfinite(value)
+                   else f"returned non-finite value {value!r}")
+
+
+def _point_value(fn, t: float, place: str = "t={!r}") -> float:
+    """float(fn(t)); a value that fails :func:`_read` is an IntegrandError
+    naming ``place.format(t)``, which is formatted only then."""
+    value, failure = _read(fn, t)
+    if failure is not None:
+        raise IntegrandError(f"function {failure} at {place.format(t)}")
+    return value
+
+
+def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
+    """fn over an array, else by :func:`_read` at each point; the caller
+    reports what is not finite, so numpy's warnings are suppressed."""
+    with np.errstate(all="ignore"):
+        try:
+            out = np.asarray(fn(arr), dtype=float)
+            if out.shape == arr.shape:
+                return out
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+        return np.array([_read(fn, v)[0] for v in arr.ravel().tolist()],
+                        dtype=float).reshape(arr.shape)
+
+
 def _panel(fn, a: float, b: float) -> tuple[float, float]:
     """The 21-point Gauss-Legendre sums of ``fn`` and ``|fn|`` over [a, b]."""
     c = 0.5 * (a + b)
@@ -175,26 +224,15 @@ def _panel(fn, a: float, b: float) -> tuple[float, float]:
     acc_abs = 0.0
     try:
         for xi, wi in zip(_NODES, _WEIGHTS):
-            raw = fn(c + h * xi)
-            try:
-                wv = wi * float(raw)
-            except TypeError:
-                # a complex value, such as a negative float to a fractional
-                # power; a TypeError of fn itself is not caught
-                raise IntegrandError(f"integrand returned non-real value "
-                                     f"{raw!r} at t={c + h * xi!r}") from None
+            wv = wi * float(fn(c + h * xi))
             acc += wv
             acc_abs += abs(wv)
-    except SCALAR_ERRORS as exc:
-        raise IntegrandError(f"integrand raised {type(exc).__name__} "
-                             f"({exc}) at t={c + h * xi!r}") from None
+    except (TypeError, *SCALAR_ERRORS):
+        acc_abs = math.nan
     if not math.isfinite(acc_abs):
-        # any non-finite node value makes the |f| sum non-finite; name it
+        # a failed read or a non-finite value: name the first failing node
         for xi in _NODES:
-            t = c + h * xi
-            v = float(fn(t))
-            if not math.isfinite(v):
-                raise IntegrandError(f"integrand returned non-finite value {v!r} at t={t!r}")
+            _point_value(fn, c + h * xi)
         raise IntegrandError(f"integrand sum overflowed on [{a!r}, {b!r}]")
     return h * acc, h * acc_abs
 
@@ -280,7 +318,7 @@ def integrate(f: Callable[[float], float],
     ``error_estimate`` exceeds ``abs_tol`` means the tolerance asked for
     lies below what floating point can resolve for this integral.
 
-    Raises :class:`IntegrandError` on non-finite interior values and
+    Raises :class:`IntegrandError` on a failed read of ``f`` and
     :class:`AccuracyError` (carrying the best estimate over the whole
     interval) when the tolerance, though above the floor, is not met: the
     ``max_evals`` budget cannot pay for another split, or the worst panel

@@ -58,6 +58,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import zlib
 from functools import partial
 from itertools import product
@@ -248,14 +249,26 @@ def load_config(path: str | Path) -> SweepConfig:
     return parse_config_text(text)
 
 
-def _check_each(field_name: str, values, check) -> None:
-    """Run ``check`` on every value; its DomainError becomes a ConfigError
-    naming ``field_name[i]``."""
+def _check_value(name: str, value, check, kind=numbers.Real) -> None:
+    """Run ``check`` on ``value``, of type ``kind`` and never converted; a
+    wrong type or check's DomainError is a ConfigError naming ``name``."""
+    if not isinstance(value, kind):
+        raise ConfigError(name, f"must be of type {kind.__name__}, got {value!r}")
+    try:
+        check(value)
+    except DomainError as exc:
+        raise ConfigError(name, str(exc)) from exc
+
+
+def _check_each(field_name: str, values, check, kind=numbers.Real) -> None:
+    """:func:`_check_value` on every value, naming ``field_name[i]``."""
     for i, value in enumerate(values):
-        try:
-            check(value)
-        except DomainError as exc:
-            raise ConfigError(f"{field_name}[{i}]", str(exc)) from exc
+        _check_value(f"{field_name}[{i}]", value, check, kind)
+
+
+def _nonnegative_start(iv: Interval) -> None:
+    if iv.a < 0.0:
+        raise DomainError(f"s-convexity work requires a >= 0, got a={iv.a}")
 
 
 def validate_config(config: SweepConfig) -> None:
@@ -263,21 +276,15 @@ def validate_config(config: SweepConfig) -> None:
     for key in _LIST_KEYS:
         if not getattr(config, key):
             raise ConfigError(key, "must be non-empty")
-    _check_each("functions", config.functions, get_function)
-    for i, iv in enumerate(config.intervals):
-        if iv.a < 0.0:
-            raise ConfigError(f"intervals[{i}]",
-                              f"s-convexity work requires a >= 0, got a={iv.a}")
-    _check_each("intervals", config.intervals, _width_squared)
+    _check_each("functions", config.functions, get_function, str)
+    _check_each("intervals", config.intervals, _nonnegative_start, Interval)
+    _check_each("intervals", config.intervals, _width_squared, Interval)
     _check_each("alphas", config.alphas, _check_bound_alpha)
     _check_each("s_values", config.s_values, _check_s)
     _check_each("p_values", config.p_values, _check_p)
     _check_each("q_values", config.q_values, _check_q)
     for key, check in (("slack", _check_slack), ("quad_tol", _check_abs_tol)):
-        try:
-            check(getattr(config, key), key)
-        except DomainError as exc:
-            raise ConfigError(key, str(exc)) from exc
+        _check_value(key, getattr(config, key), partial(check, name=key))
     if config.output_format not in ("csv", "json"):
         raise ConfigError("format", f"must be csv or json, got {config.output_format}")
     if not isinstance(config.seed, int):

@@ -30,8 +30,8 @@ from fracineq import (
     weight_integral_report,
 )
 from fracineq import beta, hhbounds, quadrature
-from fracineq.funclib import ConvexityClass, _eval_grid
-from fracineq.quadrature import TANH_SINH, integrate
+from fracineq.funclib import ConvexityClass
+from fracineq.quadrature import TANH_SINH, _eval_grid, integrate
 
 UNIT = Interval(0.0, 1.0)
 SQUARE = get_function("square")
@@ -706,7 +706,7 @@ def test_a_complex_value_of_f_is_an_integrand_error_naming_t(call):
 
 
 def test_a_type_error_of_f_itself_is_not_an_integrand_error():
-    from fracineq.funclib import _point_value
+    from fracineq.quadrature import _point_value
 
     def broken(t):
         raise TypeError("not a number")

@@ -11,13 +11,21 @@ from fracineq import (
     DomainError,
     IntegrandError,
     Interval,
+    TestFunction,
     beta,
     certify_s_convex,
+    classical_convex_bound,
+    classical_holder_bound,
+    defect_bound_s_convex,
+    defect_identity_rhs,
     fracint,
+    get_function,
     integrate,
     quadrature,
+    s_convex_sandwich,
     trapezoid_defect,
 )
+from fracineq.funclib import ConvexityClass
 from fracineq.quadrature import PANEL_ORDER, TANH_SINH, beta_expectation
 
 
@@ -184,9 +192,27 @@ def test_scalar_overflow_is_an_integrand_error(call):
     # f fails inside the range, where only the fallback integrand reads it
     (lambda: fracint.left_rl(lambda t: 1.0 / t, 0.5, 0.0, 1.0),
      "ZeroDivisionError (float division by zero) at t=0.0"),
+    # the bounds read f'' = -t^-1.5 / 4 at the endpoints, with or without
+    # the gate
+    (lambda: classical_convex_bound(get_function("root_power_0.5"),
+                                    Interval(0.0, 1.0), 1.0),
+     "ZeroDivisionError (0.0 cannot be raised to a negative power) at "
+     "t=0.0"),
+    (lambda: defect_bound_s_convex(get_function("root_power_0.5"),
+                                   Interval(0.0, 1.0), 1.0, 0.5,
+                                   certify=False),
+     "ZeroDivisionError (0.0 cannot be raised to a negative power) at "
+     "t=0.0"),
+    # f is finite on arrays, where the gate reads it, and divides by t
+    # when the sandwich reads it at a point
+    (lambda: s_convex_sandwich(
+        lambda t: t * t if isinstance(t, np.ndarray) else 1.0 / t,
+        Interval(0.0, 1.0), 1.0),
+     "ZeroDivisionError (float division by zero) at t=0.0"),
 ], ids=["certify_node", "certify_interior", "integrate",
         "trapezoid_defect_zero_division", "trapezoid_defect_domain",
-        "left_rl", "right_rl", "left_rl_fallback"])
+        "left_rl", "right_rl", "left_rl_fallback", "convex_bound",
+        "s_convex_bound", "sandwich"])
 def test_scalar_domain_error_is_an_integrand_error(call, text):
     # a scalar function's ValueError or ZeroDivisionError is a non-finite
     # value, as numpy's nan or inf would be, and the IntegrandError names
@@ -196,16 +222,25 @@ def test_scalar_domain_error_is_an_integrand_error(call, text):
     assert text in str(exc_info.value)
 
 
+def _with_d2(d2):
+    """A catalog-style function whose f and f'' are both ``d2``."""
+    return TestFunction("d2", d2, d2, ConvexityClass("none"),
+                        Interval(2.0, 3.0))
+
+
 @pytest.mark.parametrize("call", [
     lambda f: trapezoid_defect(f, Interval(2.0, 3.0), 0.5),
     lambda f: trapezoid_defect(f, Interval(2.0, 3.0), 2.0),
     lambda f: fracint.left_rl(f, 0.5, 2.0, 3.0),
     lambda f: fracint.right_rl(f, 0.5, 3.0, 2.0),
-], ids=["defect_singular", "defect_smooth", "left_rl", "right_rl"])
+    lambda f: defect_identity_rhs(_with_d2(f), Interval(2.0, 3.0), 0.5),
+], ids=["defect_singular", "defect_smooth", "left_rl", "right_rl",
+        "identity_rhs"])
 def test_fallback_error_names_the_point_where_f_failed(call):
     # f raises on (2.25, 2.75) only, so the ladder refuses and the fallback
     # reads f node by node; the error names f's argument t, not the
-    # integration variable, which lies in [0, 1]
+    # integration variable, which lies in [0, 1] (for the identity rhs, f
+    # is f'')
     def f(t):
         return math.sqrt((t - 2.25) * (t - 2.75))
 
@@ -225,7 +260,9 @@ def test_fallback_error_names_the_point_where_f_failed(call):
     lambda f: trapezoid_defect(f, Interval(2.0, 3.0), 2.0),
     lambda f: fracint.left_rl(f, 0.5, 2.0, 3.0),
     lambda f: fracint.right_rl(f, 0.5, 3.0, 2.0),
-], ids=["defect_singular", "defect_smooth", "left_rl", "right_rl"])
+    lambda f: defect_identity_rhs(_with_d2(f), Interval(2.0, 3.0), 0.5),
+], ids=["defect_singular", "defect_smooth", "left_rl", "right_rl",
+        "identity_rhs"])
 def test_fallback_names_the_point_where_f_returned_non_finite(call, value):
     # f returns a non-finite value on (2.25, 2.75) only; the error names
     # f's argument t, not the integration variable in [0, 1]
@@ -249,10 +286,54 @@ def test_non_finite_value_at_a_fixed_point_is_named():
              "function returned non-finite value inf at an endpoint of "
              "[2.0, 3.0], t=2.0"),
             (lambda: fracint.left_rl(f, 0.5, 1.0, 3.0),
-             "function returned non-finite value inf at x=3.0")):
+             "function returned non-finite value inf at x=3.0"),
+            # a bound on an f'' that is inf at a would be inf, which every
+            # |D| satisfies
+            (lambda: classical_convex_bound(_with_d2(f), Interval(2.0, 3.0),
+                                            1.0),
+             "function returned non-finite value inf at t=2.0"),
+            (lambda: classical_holder_bound(_with_d2(f), Interval(2.0, 3.0),
+                                            1.0, 2.0),
+             "function returned non-finite value inf at t=2.0")):
         with pytest.raises(IntegrandError) as exc_info:
             call()
         assert str(exc_info.value) == text
+
+
+# the reading rule, one row per kind of failed read: a scalar-only f (its
+# float(t) raises TypeError on an array, so _eval_grid reads it point by
+# point) that fails the same way at every t, the reason every point read
+# gives, and the value _eval_grid puts in its place
+READ_FAILURES = [
+    (lambda x: math.exp(1000.0 + 0.0 * x), "overflows", math.inf),
+    (lambda x: math.log(-1.0 + 0.0 * x),
+     "raised ValueError (math domain error)", math.nan),
+    (lambda x: 1.0 / (0.0 * x),
+     "raised ZeroDivisionError (float division by zero)", math.nan),
+    (lambda x: (-1.0 + 0.0 * x) ** 0.5,
+     f"returned non-real value {(-1.0) ** 0.5!r}", math.nan),
+    (lambda x: math.inf + x, "returned non-finite value inf", math.inf),
+    (lambda x: math.nan * x, "returned non-finite value nan", math.nan),
+]
+
+
+@pytest.mark.parametrize("fail, reason, grid_value", READ_FAILURES,
+                         ids=["overflow", "value_error", "zero_division",
+                              "complex", "inf", "nan"])
+def test_every_read_of_a_function_follows_one_rule(fail, reason, grid_value):
+    def f(t):
+        return fail(float(t))
+
+    with pytest.raises(IntegrandError) as point:
+        quadrature._point_value(f, 0.25)
+    assert str(point.value) == f"function {reason} at t=0.25"
+    # the engine names the first node of its first panel, the whole [0, 1]
+    first_node = 0.5 + 0.5 * quadrature._NODES[0]
+    with pytest.raises(IntegrandError) as engine:
+        integrate(f, Interval(0.0, 1.0))
+    assert str(engine.value) == f"function {reason} at t={first_node!r}"
+    got = quadrature._eval_grid(f, np.linspace(0.0, 1.0, 5))
+    np.testing.assert_array_equal(got, np.full(5, grid_value))
 
 
 def test_budget_exhaustion_carries_best_estimate():

@@ -133,6 +133,29 @@ def test_config_validation_errors(mutation, field):
     assert exc_info.value.field == field
 
 
+@pytest.mark.parametrize("change, field", [
+    ({"alphas": ("x",)}, "alphas[0]"),
+    ({"alphas": (None,)}, "alphas[0]"),
+    ({"alphas": (0.5, "0.5")}, "alphas[1]"),
+    ({"s_values": ("0.5",)}, "s_values[0]"),
+    ({"p_values": ("2",)}, "p_values[0]"),
+    ({"q_values": ("1",)}, "q_values[0]"),
+    ({"slack": "abc"}, "slack"),
+    ({"slack": "1e-8"}, "slack"),
+    ({"quad_tol": None}, "quad_tol"),
+    ({"intervals": ((0.0, 1.0),)}, "intervals[0]"),
+    ({"functions": (3,)}, "functions[0]"),
+])
+def test_a_library_config_entry_of_the_wrong_type_is_named(change, field):
+    # a config built in code skips the parser's conversions; an entry of
+    # the wrong type is refused, never converted, and the error names it
+    config = parse_config_text(GOOD_CONFIG)._replace(**change)
+    with pytest.raises(ConfigError) as exc_info:
+        run_sweep(config)
+    assert exc_info.value.field == field
+    assert "must be of type" in str(exc_info.value)
+
+
 def test_reversed_interval_error_says_a_before_b():
     with pytest.raises(ConfigError) as exc_info:
         parse_config_text(GOOD_CONFIG.replace("intervals = 0,1",
