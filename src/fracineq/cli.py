@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the configured check sweep")
     p_sweep.add_argument("--config", required=True, help="path to config file")
-    p_sweep.add_argument("--alpha", action="append", type=float, default=None,
+    p_sweep.add_argument("--alpha", action="append", default=None,
                          help="override the alphas list (repeatable)")
     p_sweep.add_argument("--interval", action="append", default=None,
                          metavar="a,b", help="override the intervals list (repeatable)")
@@ -79,16 +79,14 @@ def _env_quad_tol(default: float) -> float:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import load_config, render_report, run_sweep, validate_config
+    from .sweep import (_LISTS, _convert, load_config, render_report,
+                        run_sweep, validate_config)
 
     config = load_config(args.config)
-    overrides = {}
-    if args.alpha:
-        overrides["alphas"] = tuple(args.alpha)
-    if args.interval:
-        overrides["intervals"] = tuple(Interval.parse(t) for t in args.interval)
-    if args.function:
-        overrides["functions"] = tuple(args.function)
+    overrides = {key: _convert(key, tokens, _LISTS[key][0])
+                 for key, tokens in (("alphas", args.alpha),
+                                     ("intervals", args.interval),
+                                     ("functions", args.function)) if tokens}
     if args.format:
         overrides["output_format"] = args.format
     overrides["quad_tol"] = _env_quad_tol(config.quad_tol)

@@ -3,7 +3,9 @@
 A sweep takes a :class:`SweepConfig` (normally parsed from a flat
 ``key = value ...`` text file, see :func:`parse_config_text`) and emits one
 row per configured tuple and applicable check, sorted by
-``(check_id, function, a, b, alpha, s, p, q)``.
+``(check_id, function, a, b, alpha, s, p, q)``.  One table, ``_LISTS``,
+reads, types and checks every list entry, of a config file, a CLI override
+or a config built in code alike.
 
 Row semantics
 -------------
@@ -46,10 +48,10 @@ value read and raised to each q once, when a row first asks for it.  The
 weight-integral rows depend on no cell: one ladder pass per s and one per
 p, each holding every alpha.
 
-An outcome is a value or the error that stopped it, and the row builder
-alone turns an error, in lhs before rhs, into a status: AccuracyError
-``fail``, IntegrandError ``precondition_skipped``, with no lhs, rhs or
-margin.
+An outcome is a value or the error that stopped it, a sandwich's included,
+and the row builder alone turns an error, in lhs before rhs, into a
+status: AccuracyError ``fail``, any other ``precondition_skipped``, with no
+lhs, rhs or margin.
 """
 
 from __future__ import annotations
@@ -170,19 +172,39 @@ class SweepReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # configuration parsing / validation
 
-_LIST_KEYS = ("functions", "intervals", "alphas", "s_values", "p_values",
-              "q_values")
 # each optional scalar key, the SweepConfig field it sets, and its type; a
 # key left out keeps SweepConfig's default
 _SCALARS = {"slack": ("slack", float), "quad_tol": ("quad_tol", float),
             "format": ("output_format", str), "seed": ("seed", int)}
 
 
+def _sweep_interval(iv: Interval) -> None:
+    """An interval of s-convexity work: a >= 0, and (b-a)^2 finite."""
+    if iv.a < 0.0:
+        raise DomainError(f"s-convexity work requires a >= 0, got a={iv.a}")
+    _width_squared(iv)
+
+
+# each list key: how a config or CLI token is read, the type an entry must
+# have, and the check (raising DomainError) that an entry must pass
+_LISTS = {
+    "functions": (str, str, get_function),
+    "intervals": (Interval.parse, Interval, _sweep_interval),
+    "alphas": (float, numbers.Real, _check_bound_alpha),
+    "s_values": (float, numbers.Real, _check_s),
+    "p_values": (float, numbers.Real, _check_p),
+    "q_values": (float, numbers.Real, _check_q),
+}
+
+
 def _convert(field_name: str, tokens: list[str], convert) -> tuple:
+    """Read tokens; an unreadable one names the key, a bad value its entry."""
     out = []
-    for tok in tokens:
+    for i, tok in enumerate(tokens):
         try:
             out.append(convert(tok))
+        except DomainError as exc:
+            raise ConfigError(f"{field_name}[{i}]", str(exc)) from exc
         except ValueError as exc:
             raise ConfigError(field_name, f"cannot read {tok!r} as "
                               f"{convert.__name__}") from exc
@@ -207,18 +229,11 @@ def parse_config_text(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _LIST_KEYS and key not in _SCALARS:
+        if key not in _LISTS and key not in _SCALARS:
             raise ConfigError(key or f"line {lineno}", "unknown configuration key")
         if key in raw:
             raise ConfigError(key, "duplicate key")
         raw[key] = value.split()
-
-    intervals = []
-    for i, tok in enumerate(raw.get("intervals", ())):
-        try:
-            intervals.append(Interval.parse(tok))
-        except DomainError as exc:
-            raise ConfigError(f"intervals[{i}]", str(exc)) from exc
 
     def scalar(key: str, convert):
         if len(raw[key]) != 1:
@@ -226,11 +241,8 @@ def parse_config_text(text: str) -> SweepConfig:
         return _convert(key, raw[key], convert)[0]
 
     config = SweepConfig(
-        functions=tuple(raw.get("functions", ())),
-        intervals=tuple(intervals),
-        # alphas, s_values, p_values, q_values
-        **{key: _convert(key, raw.get(key, []), float)
-           for key in _LIST_KEYS[2:]},
+        **{key: _convert(key, raw.get(key, ()), read)
+           for key, (read, _, _) in _LISTS.items()},
         **{field_name: scalar(key, convert)
            for key, (field_name, convert) in _SCALARS.items() if key in raw},
     )
@@ -250,9 +262,9 @@ def load_config(path: str | Path) -> SweepConfig:
 
 
 def _check_value(name: str, value, check, kind=numbers.Real) -> None:
-    """Run ``check`` on ``value``, of type ``kind`` and never converted; a
-    wrong type or check's DomainError is a ConfigError naming ``name``."""
-    if not isinstance(value, kind):
+    """Run ``check`` on ``value``, of type ``kind``, never a bool, never
+    converted; a wrong type or a DomainError is a ConfigError naming it."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(name, f"must be of type {kind.__name__}, got {value!r}")
     try:
         check(value)
@@ -260,35 +272,22 @@ def _check_value(name: str, value, check, kind=numbers.Real) -> None:
         raise ConfigError(name, str(exc)) from exc
 
 
-def _check_each(field_name: str, values, check, kind=numbers.Real) -> None:
-    """:func:`_check_value` on every value, naming ``field_name[i]``."""
-    for i, value in enumerate(values):
-        _check_value(f"{field_name}[{i}]", value, check, kind)
-
-
-def _nonnegative_start(iv: Interval) -> None:
-    if iv.a < 0.0:
-        raise DomainError(f"s-convexity work requires a >= 0, got a={iv.a}")
-
-
 def validate_config(config: SweepConfig) -> None:
     """Raise :class:`ConfigError` naming the offending field if invalid."""
-    for key in _LIST_KEYS:
-        if not getattr(config, key):
+    for key in _LISTS:
+        values = getattr(config, key)
+        if not isinstance(values, (tuple, list)):
+            raise ConfigError(key, f"must be a tuple or list, got {values!r}")
+        if not values:
             raise ConfigError(key, "must be non-empty")
-    _check_each("functions", config.functions, get_function, str)
-    _check_each("intervals", config.intervals, _nonnegative_start, Interval)
-    _check_each("intervals", config.intervals, _width_squared, Interval)
-    _check_each("alphas", config.alphas, _check_bound_alpha)
-    _check_each("s_values", config.s_values, _check_s)
-    _check_each("p_values", config.p_values, _check_p)
-    _check_each("q_values", config.q_values, _check_q)
+    for key, (_, kind, check) in _LISTS.items():
+        for i, value in enumerate(getattr(config, key)):
+            _check_value(f"{key}[{i}]", value, check, kind)
     for key, check in (("slack", _check_slack), ("quad_tol", _check_abs_tol)):
         _check_value(key, getattr(config, key), partial(check, name=key))
     if config.output_format not in ("csv", "json"):
         raise ConfigError("format", f"must be csv or json, got {config.output_format}")
-    if not isinstance(config.seed, int):
-        raise ConfigError("seed", "must be an integer")
+    _check_value("seed", config.seed, int, int)
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +385,14 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
     convex = _verdicts(config, f, "f", iv)
     for s in config.s_values:
         key = (name, a, b, None, s, None, None)
-        sw = None
-        if convex.get((s, False), False):
-            try:
-                sw = s_convex_sandwich(f, iv, s, quad_tol=config.quad_tol)
-            except (PreconditionError, AccuracyError):
-                pass
-        if sw is None:
-            rows += [row(cid, key, status=STATUS_SKIPPED)
-                     for cid, *_ in _SANDWICH_ROWS]
-        else:
-            rows += [row(cid, key, getattr(sw, lhs), getattr(sw, rhs), rule)
-                     for cid, lhs, rhs, rule in _SANDWICH_ROWS]
+        try:
+            if not convex.get((s, False), False):
+                raise PreconditionError(f"f is not certified {s}-convex")
+            sw = s_convex_sandwich(f, iv, s, quad_tol=config.quad_tol)
+        except FracineqError as exc:
+            sw = exc    # each row reads the error as its lhs and rhs
+        rows += [row(cid, key, getattr(sw, lhs, sw), getattr(sw, rhs, sw),
+                     rule) for cid, lhs, rhs, rule in _SANDWICH_ROWS]
 
     curvature = {q: _verdicts(config, f, "abs_d2", iv, q)
                  for q in dict.fromkeys([None] + [q for _, _, q, _ in bounds])}

@@ -15,6 +15,7 @@ from fracineq import (
     s_power,
     shifted_square,
 )
+from fracineq.funclib import ConvexityClass, TestFunction, certify_declared
 
 UNIT = Interval(0.0, 1.0)
 
@@ -49,6 +50,13 @@ def test_concavity_knowns():
     assert certify_s_concave(lambda t: -t ** 2, UNIT, 1.0).passed
     assert not certify_s_concave(lambda t: t ** 2, UNIT, 1.0).passed
     assert certify_s_concave(lambda t: t ** 0.5, UNIT, 1.0).passed
+    # a declared class is certified in its own direction; kind none has
+    # nothing to certify
+    root = TestFunction("root", np.sqrt, lambda t: -0.25 * t ** -1.5,
+                        ConvexityClass("concave"), UNIT)
+    assert certify_declared(root).passed
+    with pytest.raises(DomainError, match="declares no convexity class"):
+        certify_declared(root._replace(declared_class=ConvexityClass("none")))
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0])

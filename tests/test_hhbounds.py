@@ -246,6 +246,7 @@ def test_kernel_bound_flips_outside_unit_alpha():
     e_out = {x.check_id: x for x in outside.entries}["holder_kernel_bound"]
     assert not e_out.in_validated_range
     assert not e_out.holds   # measured violation, reported not asserted
+    assert inside.all_hold and outside.all_hold
 
 
 LARGE_ORDERS = [1e3, 1e5, 1e6, 1e9]

@@ -142,6 +142,9 @@ def test_non_finite_integrand_raises():
     with pytest.raises(IntegrandError):
         integrate(lambda t: float("inf") if t > 0.2 else 1.0,
                   Interval(0.0, 1.0), 1e-8)
+    # every value finite, their weighted sum not
+    with pytest.raises(IntegrandError, match="integrand sum overflowed"):
+        integrate(lambda t: 1e308, Interval(0.0, 10.0))
 
 
 def test_a_complex_value_of_the_integrand_is_an_integrand_error_naming_t():
@@ -345,6 +348,9 @@ def test_budget_exhaustion_carries_best_estimate():
     assert math.isfinite(err.best_estimate)
     assert err.error_estimate > 1e-14
     assert err.evaluations <= 5 * PANEL_ORDER
+    # a budget below three panels cannot pay for the first estimate
+    with pytest.raises(DomainError, match="max_evals too small"):
+        integrate(f, Interval(0.0, 1.0), 1e-10, max_evals=10)
 
 
 @pytest.mark.parametrize("panels", [5, 7, 11])

@@ -56,9 +56,10 @@ from fracineq.hhbounds import (
     defect_bound_s_concave,
     defect_bound_s_convex,
     defect_identity_rhs,
+    s_convex_sandwich,
     trapezoid_defect,
 )
-from fracineq.quadrature import Interval
+from fracineq.quadrature import _NODES, Interval
 
 GOOD_CONFIG = """\
 # minimal smoke configuration
@@ -145,6 +146,14 @@ def test_config_validation_errors(mutation, field):
     ({"quad_tol": None}, "quad_tol"),
     ({"intervals": ((0.0, 1.0),)}, "intervals[0]"),
     ({"functions": (3,)}, "functions[0]"),
+    # a bool is a number to isinstance, never to a sweep
+    ({"alphas": (True,)}, "alphas[0]"),
+    ({"s_values": (True,)}, "s_values[0]"),
+    ({"p_values": (2.0, True)}, "p_values[1]"),
+    ({"slack": False}, "slack"),
+    ({"quad_tol": True}, "quad_tol"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.5}, "seed"),
 ])
 def test_a_library_config_entry_of_the_wrong_type_is_named(change, field):
     # a config built in code skips the parser's conversions; an entry of
@@ -154,6 +163,21 @@ def test_a_library_config_entry_of_the_wrong_type_is_named(change, field):
         run_sweep(config)
     assert exc_info.value.field == field
     assert "must be of type" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("change", [
+    {"alphas": 0.5},
+    {"functions": "square"},        # not read character by character
+    {"intervals": None},
+    {"q_values": {1.0}},
+])
+def test_a_library_config_list_that_is_not_a_sequence_is_named(change):
+    (key, value), = change.items()
+    config = parse_config_text(GOOD_CONFIG)._replace(**change)
+    with pytest.raises(ConfigError) as exc_info:
+        run_sweep(config)
+    assert exc_info.value.field == key
+    assert str(exc_info.value) == f"{key}: must be a tuple or list, got {value!r}"
 
 
 def test_reversed_interval_error_says_a_before_b():
@@ -325,6 +349,9 @@ def test_render_csv_shape():
     assert len(lines) == 2
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[1].startswith("identity,square,0,1,1,,,,0.1666666666666666")
+    with pytest.raises(ConfigError) as exc_info:
+        render_report(SweepReport(rows=(row,)), "xml")
+    assert exc_info.value.field == "format"
 
 
 def test_render_json_round_trip():
@@ -605,6 +632,27 @@ def test_cli_sweep_reversed_interval_override(config_file):
     assert proc.returncode == 2
     assert "a < b" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("override, message", [
+    (("--interval", "1,0"),
+     "intervals[0]: interval requires a < b, got [1.0, 0.0]"),
+    (("--interval", "0,1", "--interval", "x,1"),
+     "intervals[1]: interval must be numeric 'a,b', got 'x,1'"),
+    (("--alpha", "abc"), "alphas: cannot read 'abc' as float"),
+    (("--alpha", "1", "--alpha", "-1"), "alphas[1]: fractional order alpha"),
+    (("--function", "nosuch"), "functions[0]: unknown function 'nosuch'"),
+])
+def test_cli_override_errors_name_their_entry(config_file, capsys, override,
+                                              message):
+    # an override token is read as a config file's token is, so its error
+    # names the key or the entry as the file's would
+    from fracineq import cli
+
+    assert cli.main(["sweep", "--config", str(config_file), *override]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_cli_check_identity():
@@ -940,6 +988,41 @@ def log_kink() -> TestFunction:
         return u * np.log(u + (u == 0.0)) - u
     return TestFunction("log_kink", fn, lambda t: 1.0 / abs(t - 0.25),
                         ConvexityClass("none"), Interval(0.0, 1.0))
+
+
+def nan_node() -> TestFunction:
+    """t^2 on [0, 1], but nan at one node of the engine's first panel: the
+    point lies off the certification grid and the probes, so f certifies,
+    and the sandwich's mean reads nan there."""
+    node = 0.5 + 0.5 * _NODES[3]
+
+    def fn(t):
+        return np.where(t == node, np.nan, t * t)[()]
+    return TestFunction("nan_node", fn, lambda t: 2.0 + 0.0 * t,
+                        ConvexityClass("none"), Interval(0.0, 1.0))
+
+
+def test_a_sandwich_error_stays_in_its_own_rows(monkeypatch):
+    # the row builder judges a sandwich error as it judges any outcome:
+    # that s's three sandwich rows are skipped and no other row changes
+    import fracineq.funclib as funclib_mod
+
+    f = nan_node()
+    monkeypatch.setitem(funclib_mod._RESOLVED, f.name, f)
+    config = small_config(functions=("square", f.name))
+    with pytest.raises(IntegrandError, match="at t=0.0733"):
+        s_convex_sandwich(f, Interval(0.0, 1.0), 1.0)
+    assert _verdicts(config, f, "f", Interval(0.0, 1.0))[1.0, False]
+    rows = run_sweep(config).rows
+    sandwich = [r for r in rows
+                if r.function == f.name and r.check_id.startswith("sandwich")]
+    assert [(r.check_id, r.lhs, r.rhs, r.slack_measured, r.status)
+            for r in sandwich] == [
+        (cid, None, None, None, "precondition_skipped")
+        for cid in ("sandwich_lower", "sandwich_upper",
+                    "sandwich_upper_classical")]
+    others = [r for r in rows if r.function != f.name]
+    assert others == list(run_sweep(small_config(functions=("square",))).rows)
 
 
 def test_identity_row_takes_its_hypothesis_from_the_abs_d2_channel(
