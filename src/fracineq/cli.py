@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
 configuration or arguments (an unreadable config file or an unwritable
---out included).  The environment variable FRACINEQ_QUAD_TOL overrides
-the quadrature tolerance of sweep and check-identity.
+--out included; an argument's error names its flag).  The environment
+variable FRACINEQ_QUAD_TOL overrides the quadrature tolerance of sweep and
+check-identity.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import sys
 
 from .errors import (ConfigError, DomainError, FracineqError, IntegrandError,
                      PreconditionError)
-from .funclib import (CERT_GRID_N, CertificationResult, _grid_values, abs_d2,
-                      certify_declared, get_function)
+from .funclib import (CERT_GRID_N, CertificationResult, _check_s,
+                      _grid_values, abs_d2, certify_declared, get_function)
 from .quadrature import Interval, _check_abs_tol
 
 # Each command imports the layers it runs when it runs: ``certify`` needs
@@ -78,6 +79,14 @@ def _env_quad_tol(default: float) -> float:
                           f"FRACINEQ_QUAD_TOL={raw!r}: {exc}") from exc
 
 
+def _flag(flag: str, check, value):
+    """``check(value)``; a DomainError is a ConfigError naming ``flag``."""
+    try:
+        return check(value)
+    except DomainError as exc:
+        raise ConfigError(flag, str(exc)) from exc
+
+
 def _cmd_sweep(args) -> int:
     from .sweep import (_LISTS, _convert, load_config, render_report,
                         run_sweep, validate_config)
@@ -113,9 +122,9 @@ def _cmd_check_identity(args) -> int:
                            defect_identity_rhs, trapezoid_defect)
     from .specfun import check_alpha
 
-    f = get_function(args.function)
-    iv = Interval.parse(args.interval)
-    check_alpha(args.alpha)
+    f = _flag("--function", get_function, args.function)
+    iv = _flag("--interval", Interval.parse, args.interval)
+    _flag("--alpha", check_alpha, args.alpha)
     quad_tol = _env_quad_tol(DEFAULT_QUAD_TOL)
     # the identity's hypothesis, as in the sweep: |f''| finite on the grid
     try:
@@ -137,7 +146,8 @@ def _cmd_check_identity(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    f = get_function(args.function)
+    f = _flag("--function", get_function, args.function)
+    _flag("--s", _check_s, args.s)
     # the lookup certified f at its declared s, or it would have raised
     result = (CertificationResult(True, None, CERT_GRID_N ** 3)
               if args.s == (f.declared_class.s or 1.0)

@@ -25,9 +25,11 @@ symmetry, not a sample.  :func:`grid_verdicts` judges one s in both
 directions from one combination, formed in a fresh array.
 :func:`channel_verdicts` decides a channel for the sweep at every s it
 needs, from one grid and one batch of probe triples, judging several s
-from the largest down where the classes nest.  :func:`certify_s_convex`
-and :func:`certify_s_concave` judge a fresh grid in one direction and
-name a witness where it fails; ``checked`` counts n^3.
+from the largest down where the classes nest; :func:`probes_hold` judges
+probe triples alone in the convex direction, for a channel whose grid a
+certifier judges.  :func:`certify_s_convex` and :func:`certify_s_concave`
+judge a fresh grid in one direction and name a witness where it fails;
+``checked`` counts n^3.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it, by quadrature's
@@ -56,6 +58,7 @@ __all__ = [
     "cert_grid",
     "grid_verdicts",
     "channel_verdicts",
+    "probes_hold",
     "s_combination",
     "certify_s_convex",
     "certify_s_concave",
@@ -257,6 +260,21 @@ def grid_verdicts(grid: CertGrid, s: float) -> tuple[bool, bool]:
     return _grid_holds(grid, combo, False), _grid_holds(grid, combo, True)
 
 
+def _probe_values(fn, x, y, lam) -> np.ndarray:
+    """fn at the probe triples (x[i], y[i], lam[i]): the rows f(x), f(y)
+    and f(lam x + (1-lam) y); a failed read is inf or nan."""
+    return _eval_grid(fn, np.stack([x, y, lam * x + (1.0 - lam) * y]))
+
+
+def probes_hold(fn, s_values, x, y, lam) -> dict[float, bool]:
+    """{s: whether the probe triples (x[i], y[i], lam[i]) keep to
+    s-convexity} for each s of ``s_values``: the probe half of a convex
+    verdict, by :func:`s_combination` and the rule :func:`_holds`."""
+    fx, fy, f_mix = _probe_values(fn, x, y, lam)
+    return {s: bool(_holds(f_mix, s_combination(lam, s, fx, fy), False).all())
+            for s in s_values}
+
+
 def channel_verdicts(fn, domain: Interval, s_values, x, y,
                      lam) -> dict[tuple[float, bool], bool]:
     """The verdicts {(s, concave): bool} of one channel at every s of
@@ -287,8 +305,7 @@ def channel_verdicts(fn, domain: Interval, s_values, x, y,
         grid = cert_grid(fn, domain)
     except IntegrandError:
         return {}
-    mix = lam * x + (1.0 - lam) * y
-    fx, fy, f_mix = _eval_grid(fn, np.stack([x, y, mix]))
+    fx, fy, f_mix = _probe_values(fn, x, y, lam)
     distinct = list(dict.fromkeys(s_values))
     if len(distinct) < 2:
         verdicts = {}

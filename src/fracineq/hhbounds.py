@@ -324,6 +324,32 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
     return _outcome_value(_identity_rhs(f, interval, (alpha,), quad_tol)[0])
 
 
+def _sandwich_terms(fv, interval: Interval, quad_tol: float
+                    ) -> tuple[float, float, float, float]:
+    """The sandwich's terms that depend on no s: f(a), f(b), f(mid) and
+    the mean of f over ``interval``, once f >= 0 is read on the grid's
+    nodes; f must have passed an s-convexity gate on ``interval``."""
+    # the gate has read f finite on these nodes
+    vals = _eval_grid(fv, np.linspace(interval.a, interval.b, CERT_GRID_N))
+    if vals.min() < -CERT_SLACK:
+        raise PreconditionError(
+            f"f must be nonnegative on the interval; min sampled value {vals.min()}")
+    fa, fb = _point_value(fv, interval.a), _point_value(fv, interval.b)
+    mean_res = integrate(fv, interval,
+                         abs_tol=_engine_tol(quad_tol * interval.length))
+    return (fa, fb, _point_value(fv, interval.midpoint),
+            mean_res.value / interval.length)
+
+
+def _sandwich_at(terms: tuple[float, float, float, float],
+                 s: float) -> SandwichResult:
+    """The sandwich at ``s`` from its :func:`_sandwich_terms`."""
+    fa, fb, f_mid, mean = terms
+    return SandwichResult(lower=2.0 ** (s - 1.0) * f_mid, mean=mean,
+                          upper=(fa + fb) / (s + 1.0),
+                          upper_classical=0.5 * (fa + fb))
+
+
 def s_convex_sandwich(f, interval: Interval, s: float,
                       quad_tol: float = DEFAULT_QUAD_TOL) -> SandwichResult:
     """Sandwich 2^(s-1) f(mid) <= mean(f) <= (f(a)+f(b))/(s+1).
@@ -335,22 +361,7 @@ def s_convex_sandwich(f, interval: Interval, s: float,
     quad_tol = _check_abs_tol(quad_tol, "quad_tol")
     fv = value_fn(f)
     _hypothesis(fv, interval, s, False, "f")
-    # the gate has just read f finite on these nodes
-    vals = _eval_grid(fv, np.linspace(interval.a, interval.b, CERT_GRID_N))
-    if vals.min() < -CERT_SLACK:
-        raise PreconditionError(
-            f"f must be nonnegative on the interval; min sampled value {vals.min()}")
-
-    fa, fb = _point_value(fv, interval.a), _point_value(fv, interval.b)
-    mean_res = integrate(fv, interval,
-                         abs_tol=_engine_tol(quad_tol * interval.length))
-    mean = mean_res.value / interval.length
-    return SandwichResult(
-        lower=2.0 ** (s - 1.0) * _point_value(fv, interval.midpoint),
-        mean=mean,
-        upper=(fa + fb) / (s + 1.0),
-        upper_classical=0.5 * (fa + fb),
-    )
+    return _sandwich_at(_sandwich_terms(fv, interval, quad_tol), s)
 
 
 def _s_convex_factors(params: BoundParams) -> tuple[float, ...]:
@@ -608,8 +619,8 @@ def _weight_form(check_id: str, alpha: float | None, s: float | None,
             alpha <= HOLDER_VALID_ALPHA_MAX, False)
 
 
-def _weight_integrals(alphas, s_values, p_values, quad_tol: float
-                      ) -> list[tuple]:
+def _weight_integrals(alphas, s_values, p_values, quad_tol: float,
+                      check_id: str | None = None) -> list[tuple]:
     """Every weight integral at every order of ``alphas``, by quadrature to
     the absolute tolerance ``quad_tol``, one row each: (check id, alpha, s,
     p, the integral or the error that stopped it alone, the closed form,
@@ -618,7 +629,9 @@ def _weight_integrals(alphas, s_values, p_values, quad_tol: float
     kernel's closed form is its bound, lhs <= rhs.  The rows come in batch
     order, repeated values repeated: per s, the power row of every order,
     the beta row of every order, then the plain row; per p, the kernel row
-    of every order."""
+    of every order.  Given ``check_id``, only its rows are integrated and
+    its closed forms computed: ladder rows do not depend on each other, so
+    they keep their bits."""
     quad_tol = _check_abs_tol(quad_tol, "quad_tol")
     # Python floats, for the engine integrands and the rows' parameters
     alphas = tuple(np.asarray(alphas, dtype=float).tolist())
@@ -626,6 +639,11 @@ def _weight_integrals(alphas, s_values, p_values, quad_tol: float
     rows = []
 
     def ladder(keys: list[tuple], values: np.ndarray) -> None:
+        if check_id is not None:
+            picked = [r for r, key in enumerate(keys) if key[0] == check_id]
+            keys, values = [keys[r] for r in picked], values[picked]
+            if not keys:
+                return
         forms = [_weight_form(*key) for key in keys]
         lhs = _ladder_rows(values, [quad_tol] * len(keys),
                            lambda r: forms[r][0])
@@ -659,23 +677,24 @@ def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))."""
     alpha, s, tol = _check_bound_alpha(alpha), _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol)[0],
-                         tol)
+    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol,
+                                           "weight_int_power")[0], tol)
 
 
 def weight_int_beta(alpha: float, s: float, tol: float = 1e-9,
                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)."""
     alpha, s, tol = _check_bound_alpha(alpha), _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol)[1],
-                         tol)
+    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol,
+                                           "weight_int_beta")[0], tol)
 
 
 def weight_int_plain(s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^s dt = 1/(s+1)."""
     s, tol = _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((), (s,), (), quad_tol)[0], tol)
+    return _weight_entry(_weight_integrals((), (s,), (), quad_tol,
+                                           "weight_int_plain")[0], tol)
 
 
 def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,

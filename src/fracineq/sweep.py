@@ -28,12 +28,17 @@ kept beside the asserted 1/(s+1) one, where it does not hold.
 The per-cell pass
 -----------------
 :func:`run_sweep` is one loop over the (function, interval) cells.  Each
-cell certifies every channel it needs once (f, |f''|, and |f''|^q for each
-distinct q; |f''|^1 is the |f''| channel): one
-:func:`~fracineq.funclib.channel_verdicts` call judges the grid and a
-seeded batch of random probe triples (config ``seed`` and the channel's
-key) at every s value in both directions, so reported hypothesis checks do
-not depend silently on grid alignment.  Where the |f''| channel has
+cell certifies every channel it needs once: f's seeded batch of random
+probe triples (config ``seed`` and the channel's key) is judged at every
+s in the convex direction the sandwich reads, and f's grid by the
+sandwich's own gate, at each s where the probes pass; |f''|, and |f''|^q
+for each distinct q (|f''|^1 is the |f''| channel), each get one
+:func:`~fracineq.funclib.channel_verdicts` call that judges the grid and
+the channel's probes at every s value in both directions, so reported
+hypothesis checks do not depend silently on grid alignment.  The
+sandwich's terms that depend on no s (f >= 0 on the grid's nodes, f(a),
+f(b), f(mid) and the mean, one ``integrate`` call) are computed once per
+cell, at the first s whose gate passes.  Where the |f''| channel has
 verdicts, the cell computes its trapezoid defects and identity right-hand
 sides for every configured alpha, one ladder pass per side; each alpha's
 defect is shared by its identity row and all its bound rows.  Where it has
@@ -41,12 +46,13 @@ none, |f''| being non-finite on the grid, neither side is computed, and
 the identity row and every bound row are skipped.  The cell then returns
 its sandwich, identity and bound rows; the bound rows come from
 :data:`~fracineq.hhbounds.BOUND_CHECKS`, one entry per bound row of the
-README check table, whose hypothesis the cell judges itself.  An entry's
-``factors`` are made once per parameter tuple and sweep; its ``combine``
-takes the cell's (b-a)^2 and |f''|^q at a, b or the midpoint, each f''
-value read and raised to each q once, when a row first asks for it.  The
-weight-integral rows depend on no cell: one ladder pass per s and one per
-p, each holding every alpha.
+README check table, whose hypothesis the cell judges itself.  Each bound
+row's entry is built once per sweep: its check id, parameters, direction,
+``combine``, ``factors`` and the rule its computed row is judged by; its
+``combine`` takes the cell's (b-a)^2 and |f''|^q at a, b or the midpoint,
+each f'' value read and raised to each q once, when a row first asks for
+it.  The weight-integral rows depend on no cell: one ladder pass per s and
+one per p, each holding every alpha.
 
 An outcome is a value or the error that stopped it, a sandwich's included,
 and the row builder alone turns an error, in lhs before rhs, into a
@@ -88,12 +94,12 @@ from .funclib import (  # noqa: F401
     certify_s_convex,
     channel_verdicts,
     get_function,
+    probes_hold,
 )
 from .hhbounds import (
     BOUND_CHECKS,
     DEFAULT_CHECK_SLACK,
     DEFAULT_QUAD_TOL,
-    BoundCheck,
     BoundParams,
     _check_bound_alpha,
     _check_p,
@@ -101,10 +107,12 @@ from .hhbounds import (
     _check_slack,
     _Curvatures,
     _defects,
+    _hypothesis,
     _identity_rhs,
+    _sandwich_at,
+    _sandwich_terms,
     _weight_integrals,
     _width_squared,
-    s_convex_sandwich,
 )
 from .quadrature import Interval, _check_abs_tol
 
@@ -345,57 +353,82 @@ def _row(slack: float, check_id: str, key: tuple, lhs=None, rhs=None,
             measured = rhs - lhs
             holds = measured >= -slack
         status = rule.if_holds if holds else rule.if_not
-    return SweepRow(check_id, *key, lhs, rhs, measured, status)
+    # tuple.__new__ skips the Python-level __new__ of the NamedTuple
+    return tuple.__new__(SweepRow, (check_id, *key, lhs, rhs, measured, status))
 
 
-def _verdicts(config: SweepConfig, f: TestFunction, channel: str,
-              iv: Interval, q: float | None = None
-              ) -> dict[tuple[float, bool], bool]:
-    """The verdicts {(s, concave): bool} of ``channel`` of ``f`` on ``iv``:
+def _probes(config: SweepConfig, f: TestFunction, channel: str,
+            iv: Interval, q: float | None = None) -> tuple[np.ndarray, ...]:
+    """The probe triples (x, y, lam) of ``channel`` of ``f`` on ``iv``:
     ``f`` itself, or ``abs_d2``: |f''|^q (keyed ``abs_d2_pow``), |f''| for
-    q None; ``{}`` where the channel is non-finite on the certification
-    grid.  The channel's probes are drawn from the seed and its key."""
+    q None; drawn from the config seed and the channel's key."""
     key = (f.name, channel if q is None else "abs_d2_pow", iv.a, iv.b, q)
     rng = np.random.default_rng([config.seed & 0xFFFFFFFF,
                                  zlib.crc32(repr(key).encode())])
     x = rng.uniform(iv.a, iv.b, _PROBE_COUNT)
     y = rng.uniform(iv.a, iv.b, _PROBE_COUNT)
     lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
-    fn = f.fn if channel == "f" else abs_d2(f, q)
-    return channel_verdicts(fn, iv, config.s_values, x, y, lam)
+    return x, y, lam
+
+
+def _verdicts(config: SweepConfig, f: TestFunction, iv: Interval,
+              q: float | None = None) -> dict[tuple[float, bool], bool]:
+    """The verdicts {(s, concave): bool} of |f''|^q (|f''| for q None) on
+    ``iv``, from the grid and the channel's probes; ``{}`` where the
+    channel is non-finite on the certification grid."""
+    return channel_verdicts(abs_d2(f, q), iv, config.s_values,
+                            *_probes(config, f, "abs_d2", iv, q))
+
+
+def _sandwich_rows(config: SweepConfig, f: TestFunction, iv: Interval
+                   ) -> list[SweepRow]:
+    """The sandwich rows of ``f`` on ``iv`` at each s.  f's grid is judged
+    by the sandwich's own gate alone, and at an s only where f's probes
+    keep to s-convexity; the terms that depend on no s are computed at
+    the first s whose gate passes, or the error that stops them kept."""
+    fv = f.fn
+    probes = probes_hold(fv, config.s_values, *_probes(config, f, "f", iv))
+    terms = None
+    rows = []
+    for s in config.s_values:
+        key = (f.name, iv.a, iv.b, None, s, None, None)
+        try:
+            if not probes[s]:
+                raise PreconditionError(f"f is not certified {s}-convex")
+            _hypothesis(fv, iv, s, False, "f")
+            if terms is None:
+                try:
+                    terms = _sandwich_terms(fv, iv, config.quad_tol)
+                except FracineqError as exc:
+                    terms = exc
+            sw = (terms if isinstance(terms, FracineqError)
+                  else _sandwich_at(terms, s))
+        except FracineqError as exc:
+            sw = exc    # each row reads the error as its lhs and rhs
+        rows += [_row(config.slack, cid, key, getattr(sw, lhs, sw),
+                      getattr(sw, rhs, sw), rule)
+                 for cid, lhs, rhs, rule in _SANDWICH_ROWS]
+    return rows
 
 
 def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
-               bounds: list[tuple[BoundCheck, tuple, float | None,
-                                  tuple[float, ...]]],
-               f: TestFunction, iv: Interval) -> list[SweepRow]:
+               bounds: list[tuple], f: TestFunction,
+               iv: Interval) -> list[SweepRow]:
     """The sandwich, identity and bound rows of ``f`` on ``iv``.
 
-    Each channel is certified once: f, |f''|, and |f''|^q for each
-    distinct q of ``bounds``, which holds (check, (alpha, s, p, q), channel
-    q, the check's factors at those parameters) per bound row.  Where |f''|
-    has verdicts, the defects and identity right-hand sides are computed
-    for every order of ``alphas``, one ladder pass per side, else every
-    row that needs them is skipped.  A computed bound row combines its
-    factors with the cell's (b-a)^2 and |f''|^q, read when first asked for.
+    The |f''| channel and |f''|^q for each distinct q of ``bounds`` (see
+    :func:`run_sweep`) are certified once each.  Where |f''| has verdicts,
+    the defects and identity right-hand sides are computed for every order
+    of ``alphas``, one ladder pass per side, else every row that needs
+    them is skipped.  A computed bound row combines its factors with the
+    cell's (b-a)^2 and |f''|^q, read when first asked for.
     """
-    row = partial(_row, config.slack)
+    rows = _sandwich_rows(config, f, iv)
+    slack = config.slack
     name, a, b = f.name, iv.a, iv.b     # read once, not per row
-    rows = []
-    convex = _verdicts(config, f, "f", iv)
-    for s in config.s_values:
-        key = (name, a, b, None, s, None, None)
-        try:
-            if not convex.get((s, False), False):
-                raise PreconditionError(f"f is not certified {s}-convex")
-            sw = s_convex_sandwich(f, iv, s, quad_tol=config.quad_tol)
-        except FracineqError as exc:
-            sw = exc    # each row reads the error as its lhs and rhs
-        rows += [row(cid, key, getattr(sw, lhs, sw), getattr(sw, rhs, sw),
-                     rule) for cid, lhs, rhs, rule in _SANDWICH_ROWS]
-
-    curvature = {q: _verdicts(config, f, "abs_d2", iv, q)
-                 for q in dict.fromkeys([None] + [q for _, _, q, _ in bounds])}
+    # the channels: |f''|, and each bound entry's q (its fourth field)
+    curvature = {q: _verdicts(config, f, iv, q)
+                 for q in dict.fromkeys([None] + [e[3] for e in bounds])}
     try:
         # the identity needs f'' integrable: where |f''| is non-finite on
         # the certification grid its channel has no verdicts, and neither
@@ -411,20 +444,20 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
     # {alpha: (signed defect, identity rhs)}, each a float or the error
     # that stopped it
     sides = dict(zip(alphas, zip(lhs, rhs)))
-    rows += [row("identity", (name, a, b, alpha, None, None, None),
-                 *sides[alpha], _IDENTITY) for alpha in config.alphas]
+    rows += [_row(slack, "identity", (name, a, b, alpha, None, None, None),
+                  *sides[alpha], _IDENTITY) for alpha in config.alphas]
+    head = (name, a, b)
     width2, curvature_at = _width_squared(iv), _Curvatures(f, iv)
-    for check, (alpha, s, p, params_q), q, factors in bounds:
-        key = (name, a, b, alpha, s, p, params_q)
+    for check_id, alpha, s, q, concave, params, combine, factors, rule in bounds:
+        key = head + params
         defect = sides[alpha][0]
-        if not curvature[q].get((s, check.concave), False):
-            rows.append(row(check.check_id, key, status=STATUS_SKIPPED))
+        if not curvature[q].get((s, concave), False):
+            rows.append(_row(slack, check_id, key, status=STATUS_SKIPPED))
         elif isinstance(defect, FracineqError):
-            rows.append(row(check.check_id, key, defect))
+            rows.append(_row(slack, check_id, key, defect))
         else:
-            rows.append(row(check.check_id, key, abs(defect),
-                            check.combine(width2, curvature_at, factors),
-                            _range_rule(alpha <= check.alpha_max)))
+            rows.append(_row(slack, check_id, key, abs(defect),
+                             combine(width2, curvature_at, factors), rule))
     return rows
 
 
@@ -448,9 +481,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     validate_config(config)
     # the configured orders, each once: one batch per (function, interval)
     alphas = tuple(dict.fromkeys(config.alphas))
-    # every bound row of a cell: its parameters, built once, as a plain tuple
-    # that cells unpack (cheaper than reading a record's fields), the q of its
-    # |f''|^q channel (None for |f''|^1: x ** 1.0 is x) and its factors
+    # every bound row of a cell, built once as a plain tuple that cells
+    # unpack (cheaper than reading a record's fields): its check id, alpha
+    # and s, the q of its |f''|^q channel (None for |f''|^1: x ** 1.0 is
+    # x), its direction, its parameters (alpha, s, p, q), its combine and
+    # factors, and the rule its computed row is judged by
     bounds = []
     for alpha, s in product(config.alphas, config.s_values):
         params = {
@@ -460,8 +495,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             "q_values": tuple(BoundParams(alpha, s, q=q)
                               for q in config.q_values),
         }
-        bounds += [(check, tuple(bp), None if bp.q == 1.0 else bp.q,
-                    check.factors(bp))
+        bounds += [(check.check_id, bp.alpha, bp.s,
+                    None if bp.q == 1.0 else bp.q, check.concave, tuple(bp),
+                    check.combine, check.factors(bp),
+                    _range_rule(bp.alpha <= check.alpha_max))
                    for check in BOUND_CHECKS for bp in params[check.q_from]]
     rows = [row for name in config.functions for iv in config.intervals
             for row in _cell_rows(config, alphas, bounds, get_function(name),

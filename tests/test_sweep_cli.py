@@ -11,6 +11,7 @@ import sys
 import zlib
 from collections import Counter
 from itertools import product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from fracineq.sweep import (
     SweepConfig,
     SweepReport,
     SweepRow,
+    _probes,
     _verdicts,
     _weight_rows,
 )
@@ -47,6 +49,7 @@ from fracineq.funclib import (
     cert_grid,
     channel_verdicts,
     grid_verdicts,
+    probes_hold,
 )
 from fracineq.hhbounds import (
     BOUND_CHECKS,
@@ -655,6 +658,30 @@ def test_cli_override_errors_name_their_entry(config_file, capsys, override,
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("check-identity", "--function", "square", "--interval", "1,0",
+      "--alpha", "1"), "--interval: interval requires a < b, got [1.0, 0.0]"),
+    (("check-identity", "--function", "square", "--interval", "0,1",
+      "--alpha", "-1"), "--alpha: fractional order alpha"),
+    (("check-identity", "--function", "nosuch", "--interval", "0,1",
+      "--alpha", "1"), "--function: unknown function 'nosuch'"),
+    (("certify", "--function", "cube", "--s", "2"),
+     "--s: s must lie in (0, 1], got 2.0"),
+    (("certify", "--function", "root_power_1.5", "--s", "1"),
+     "--function: root_power_1.5: s must lie in (0, 1], got 1.5"),
+], ids=["check-identity--interval", "check-identity--alpha",
+        "check-identity--function", "certify--s", "certify--function"])
+def test_one_shot_argument_errors_name_their_flag(capsys, args, message):
+    # a value out of its domain is a configuration error that names the
+    # flag it came from, as a sweep override's names its entry
+    from fracineq import cli
+
+    assert cli.main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_cli_check_identity():
     proc = run_cli("check-identity", "--function", "square",
                    "--interval", "0,1", "--alpha", "0.5")
@@ -1012,7 +1039,10 @@ def test_a_sandwich_error_stays_in_its_own_rows(monkeypatch):
     config = small_config(functions=("square", f.name))
     with pytest.raises(IntegrandError, match="at t=0.0733"):
         s_convex_sandwich(f, Interval(0.0, 1.0), 1.0)
-    assert _verdicts(config, f, "f", Interval(0.0, 1.0))[1.0, False]
+    # f certifies: its probes and its grid keep to convexity
+    iv = Interval(0.0, 1.0)
+    assert probes_hold(f.fn, (1.0,), *_probes(config, f, "f", iv))[1.0]
+    assert certify_s_convex(f.fn, iv, 1.0).passed
     rows = run_sweep(config).rows
     sandwich = [r for r in rows
                 if r.function == f.name and r.check_id.startswith("sandwich")]
@@ -1023,6 +1053,56 @@ def test_a_sandwich_error_stays_in_its_own_rows(monkeypatch):
                     "sandwich_upper_classical")]
     others = [r for r in rows if r.function != f.name]
     assert others == list(run_sweep(small_config(functions=("square",))).rows)
+
+
+@pytest.mark.parametrize("text", [README_CONFIG, IDENTITY_CONFIG],
+                         ids=["readme", "identity"])
+def test_sweep_sandwich_rows_equal_s_convex_sandwich(text):
+    # the cell computes the terms that depend on no s once, yet at every
+    # (cell, s) whose gate passes its rows hold the one-call sandwich's
+    # values bit for bit; where the gate fails they are skipped
+    config = parse_config_text(text)
+    rows = {(r.function, r.a, r.b, r.s, r.check_id): r
+            for r in run_sweep(config).rows
+            if r.check_id.startswith("sandwich")}
+    compared = 0
+    for name, iv, s in product(config.functions, config.intervals,
+                               config.s_values):
+        f = get_function(name)
+        cell = [rows[name, iv.a, iv.b, s, cid] for cid in (
+            "sandwich_lower", "sandwich_upper", "sandwich_upper_classical")]
+        if not certify_s_convex(f.fn, iv, s).passed:
+            assert {r.status for r in cell} == {"precondition_skipped"}
+            continue
+        sw = s_convex_sandwich(f, iv, s, config.quad_tol)
+        assert [(r.lhs.hex(), r.rhs.hex()) for r in cell] == [
+            (v.hex(), w.hex()) for v, w in ((sw.lower, sw.mean),
+                                            (sw.mean, sw.upper),
+                                            (sw.mean, sw.upper_classical))]
+        compared += 1
+    assert compared == 36
+
+
+@pytest.mark.parametrize("make, statuses", [
+    (lambda: get_function("square"), {"pass"}),
+    # the mean's read of f fails: the error is kept, not recomputed per s
+    (nan_node, {"precondition_skipped"}),
+], ids=["square", "nan_node"])
+def test_a_cell_makes_one_mean_integral(monkeypatch, make, statuses):
+    f = make()
+    means = []
+    real = hhbounds.integrate
+
+    def counting(*args, **kwargs):
+        means.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hhbounds, "integrate", counting)
+    iv = Interval(0.0, 1.0)
+    config = small_config(s_values=(0.25, 0.5, 0.75, 1.0))
+    rows = sweep._sandwich_rows(config, f, iv)
+    assert len(rows) == 12 and {r.status for r in rows} == statuses
+    assert means == [iv]
 
 
 def test_identity_row_takes_its_hypothesis_from_the_abs_d2_channel(
@@ -1046,7 +1126,7 @@ def test_identity_row_takes_its_hypothesis_from_the_abs_d2_channel(
     assert calls == Counter()
     assert {r.status for r in report.rows
             if r.check_id.startswith("bound_")} == {"precondition_skipped"}
-    assert _verdicts(small_config(), f, "abs_d2", f.natural_domain) == {}
+    assert _verdicts(small_config(), f, f.natural_domain) == {}
 
 
 def test_check_identity_refuses_the_tuples_the_sweep_skips(monkeypatch,
@@ -1099,20 +1179,34 @@ def test_check_identity_hypothesis_on_a_negative_interval(capsys, function,
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
-def test_probes_reject_between_grid_points_for_that_s_and_direction(seed):
+def test_probes_reject_between_grid_points_for_that_s_and_direction(
+        monkeypatch, seed):
+    import fracineq.funclib as funclib_mod
+
     f = bumped_square()
     iv = f.natural_domain
     s_values = (0.25, 0.5, 1.0)
     grid = cert_grid(f.fn, iv)
     assert [grid_verdicts(grid, s) for s in s_values] == [(True, False)] * 3
-    verdicts = _verdicts(small_config(s_values=s_values, seed=seed), f, "f",
-                         iv)
-    # only s-convexity at s = 1 is lost; the smaller s keep their larger
-    # margin, and s-concavity was refused by the grid already
-    assert verdicts == {(0.25, False): True, (0.25, True): False,
-                        (0.5, False): True, (0.5, True): False,
-                        (1.0, False): False, (1.0, True): False}
+    config = small_config(functions=(f.name,), intervals=(iv,),
+                          s_values=s_values, seed=seed)
+    # f's convex verdicts, which the sandwich reads: only s = 1 is lost,
+    # and the smaller s keep their larger margin
+    assert probes_hold(f.fn, s_values, *_probes(config, f, "f", iv)) == {
+        0.25: True, 0.5: True, 1.0: False}
     assert certify_s_convex(f.fn, iv, 1.0).passed
+    # so the sweep's sandwich rows at s = 1 are skipped although the grid
+    # gate passes there, and its gate is not run at that s
+    gated = []
+    real = hhbounds.certify_s_convex
+    monkeypatch.setattr(hhbounds, "certify_s_convex",
+                        lambda fn, domain, s: gated.append(s) or real(
+                            fn, domain, s))
+    monkeypatch.setitem(funclib_mod._RESOLVED, f.name, f)
+    rows = [r for r in run_sweep(config).rows
+            if r.check_id.startswith("sandwich")]
+    assert {r.s for r in rows if r.status == "precondition_skipped"} == {1.0}
+    assert gated == [0.25, 0.5]
 
 
 @pytest.mark.parametrize("channel, q, key_channel", [
@@ -1121,12 +1215,20 @@ def test_probes_reject_between_grid_points_for_that_s_and_direction(seed):
 def test_each_channel_draws_its_probes_from_the_seed_and_its_key(
         monkeypatch, channel, q, key_channel):
     # the probe seed is crc32(repr((function, channel, a, b, q))), so a
-    # channel's probes do not depend on which cell or row asks first
+    # channel's probes do not depend on which cell or row asks first; f's
+    # go to its convex probe verdicts, the others' to channel_verdicts
     drawn = []
     monkeypatch.setattr(sweep, "channel_verdicts",
                         lambda fn, iv, s_values, *xyl: drawn.append(xyl))
+    monkeypatch.setattr(sweep, "probes_hold",
+                        lambda fn, s_values, *xyl: drawn.append(xyl) or {
+                            s: False for s in s_values})
     f, iv, seed = get_function("cube"), Interval(1.0, 3.0), 20261017
-    _verdicts(small_config(seed=seed), f, channel, iv, q)
+    config = small_config(seed=seed)
+    if channel == "f":
+        sweep._sandwich_rows(config, f, iv)
+    else:
+        _verdicts(config, f, iv, q)
     key = repr((f.name, key_channel, iv.a, iv.b, q))
     (got,) = drawn
     for have, want in zip(got, probe_draw(seed, iv, key)):
@@ -1154,13 +1256,27 @@ def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
         drawn.append((len(x), len(y), len(lam), len(built) - before))
         return verdicts
 
+    f_drawn = []
+    real_probes = sweep_mod.probes_hold
+
+    def counting_probes_hold(fn, s_values, x, y, lam):
+        before = len(built)
+        verdicts = real_probes(fn, s_values, x, y, lam)
+        f_drawn.append((len(x), len(y), len(lam), len(built) - before))
+        return verdicts
+
     monkeypatch.setattr(funclib_mod, "cert_grid", counting_cert_grid)
     monkeypatch.setattr(sweep_mod, "channel_verdicts",
                         counting_channel_verdicts)
+    monkeypatch.setattr(sweep_mod, "probes_hold", counting_probes_hold)
     report = run_sweep(parse_config_text(README_CONFIG))
-    # 3 functions x 3 intervals x (f, |f''|, |f''|^q for the 4 distinct
-    # q other than 1): |f''|^1 is the |f''| channel, so 54, not 63
-    assert drawn == [(_PROBE_COUNT,) * 3 + (1,)] * 54
+    # 3 functions x 3 intervals x (|f''|, |f''|^q for the 4 distinct q
+    # other than 1): |f''|^1 is the |f''| channel, so 45, not 54
+    assert drawn == [(_PROBE_COUNT,) * 3 + (1,)] * 45
+    # f's probes are drawn once per cell and judged without a grid: its
+    # grid is judged by the sandwich gate alone, one grid per (cell, s)
+    assert f_drawn == [(_PROBE_COUNT,) * 3 + (0,)] * 9
+    assert len(built) == 45 + 36
     assert len(report.rows) == 3283
 
 
@@ -1195,14 +1311,11 @@ def certified_channels(monkeypatch, config) -> list[tuple]:
     def no_defect(*args):
         raise IntegrandError("not computed")
 
-    def no_sandwich(*args, **kwargs):
-        raise PreconditionError("not computed")
-
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "channel_verdicts", recording)
         patch.setattr(sweep, "_defects", no_defect)
         patch.setattr(sweep, "_identity_rhs", no_defect)
-        patch.setattr(sweep, "s_convex_sandwich", no_sandwich)
+        patch.setattr(sweep, "_sandwich_rows", lambda *args: [])
         patch.setattr(sweep, "_weight_rows", lambda config: [])
         run_sweep(config)
     return calls
@@ -1241,12 +1354,13 @@ def test_nested_verdicts_equal_one_call_per_s(monkeypatch, text, s_values,
 
 
 @pytest.mark.parametrize("text, channels, judged", [
-    (README_CONFIG, 54, 88), (IDENTITY_CONFIG, 108, 108),
+    (README_CONFIG, 45, 79), (IDENTITY_CONFIG, 72, 72),
 ], ids=["readme", "identity"])
 def test_sweep_judges_each_channel_from_the_largest_s_down(
         monkeypatch, text, channels, judged):
-    # s-evaluations (one grid combination each) per sweep: the channels'
-    # and, apart from them, the 36 sandwich certifications'
+    # s-evaluations (one grid combination each) per sweep: the |f''| and
+    # |f''|^q channels' and, apart from them, the 36 sandwich gates' (f's
+    # only grid judge)
     import fracineq.funclib as funclib_mod
 
     count = Counter()
@@ -1404,7 +1518,7 @@ def test_readme_sweep_makes_parameter_and_interval_work_once(monkeypatch):
     assert len(factors) == len(set(factors)) == 336
     # 448 for the factors (2, 1, 2 and 1 per tuple), 84 for the weight rows
     assert len(log_betas) <= 532
-    # 3 intervals, shared by the 6 channels and 4 sandwich gates of each of
+    # 3 intervals, shared by the 5 channels and 4 sandwich gates of each of
     # the 3 functions
     assert funclib_mod._grid_points.cache_info().misses == 3
 
@@ -1754,16 +1868,16 @@ def test_a_weight_row_the_ladder_refuses_alone_goes_to_the_engine(
             assert n == o
 
 
-@pytest.mark.parametrize("text, calls, evals", [
-    (README_CONFIG, 18, 2604), (IDENTITY_CONFIG, 72, 3276),
+@pytest.mark.parametrize("text, calls, means, evals", [
+    (README_CONFIG, 18, 9, 651), (IDENTITY_CONFIG, 72, 36, 3276),
 ], ids=["readme", "identity"])
 def test_a_sweep_makes_one_ladder_pass_per_side_of_a_cell(monkeypatch, text,
-                                                        calls, evals):
+                                                        calls, means, evals):
     # 9 or 36 (function, interval) cells, one pass for the defects and one
     # for the identity rhs of all alphas; then the weight rows, one pass per
     # s (power and beta rows per alpha, and the plain row) and one per p.
     # No row falls back to the adaptive engine here; its evaluations are
-    # the 36 sandwich means' alone
+    # the sandwich means' alone, one per cell whatever its number of s
     from fracineq import quadrature
     from fracineq.quadrature import TanhSinhLadder
 
@@ -1793,7 +1907,7 @@ def test_a_sweep_makes_one_ladder_pass_per_side_of_a_cell(monkeypatch, text,
     k = len(config.alphas)
     assert rows == ([k] * calls + [2 * k + 1] * len(config.s_values)
                     + [k] * len(config.p_values))
-    assert len(spent) == 36 and sum(spent) == evals
+    assert len(spent) == means and sum(spent) == evals
 
 
 # ---------------------------------------------------------------------------
