@@ -55,12 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="check the defect identity for one tuple")
     p_id.add_argument("--function", required=True)
     p_id.add_argument("--interval", required=True, metavar="a,b")
-    p_id.add_argument("--alpha", required=True, type=float)
+    p_id.add_argument("--alpha", required=True)
 
     p_cert = sub.add_parser("certify",
                             help="certify a catalog function's declared class")
     p_cert.add_argument("--function", required=True)
-    p_cert.add_argument("--s", required=True, type=float)
+    p_cert.add_argument("--s", required=True)
 
     return parser
 
@@ -79,12 +79,15 @@ def _env_quad_tol(default: float) -> float:
                           f"FRACINEQ_QUAD_TOL={raw!r}: {exc}") from exc
 
 
-def _flag(flag: str, check, value):
-    """``check(value)``; a DomainError is a ConfigError naming ``flag``."""
+def _flag(flag: str, check, token: str):
+    """``check(token)``; a value out of its domain, or a token ``check``
+    cannot read, is a ConfigError naming ``flag``."""
     try:
-        return check(value)
+        return check(token)
     except DomainError as exc:
         raise ConfigError(flag, str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(flag, f"cannot read {token!r} as float") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -124,7 +127,7 @@ def _cmd_check_identity(args) -> int:
 
     f = _flag("--function", get_function, args.function)
     iv = _flag("--interval", Interval.parse, args.interval)
-    _flag("--alpha", check_alpha, args.alpha)
+    alpha = _flag("--alpha", check_alpha, args.alpha)
     quad_tol = _env_quad_tol(DEFAULT_QUAD_TOL)
     # the identity's hypothesis, as in the sweep: |f''| finite on the grid
     try:
@@ -132,13 +135,13 @@ def _cmd_check_identity(args) -> int:
     except IntegrandError as exc:
         raise PreconditionError("identity hypothesis fails: f'' is not finite "
                                 f"on [{iv.a}, {iv.b}] ({exc})") from None
-    lhs = trapezoid_defect(f, iv, args.alpha, quad_tol).lhs
-    rhs = defect_identity_rhs(f, iv, args.alpha, quad_tol)
+    lhs = trapezoid_defect(f, iv, alpha, quad_tol).lhs
+    rhs = defect_identity_rhs(f, iv, alpha, quad_tol)
     diff = abs(lhs - rhs)
     slack = DEFAULT_CHECK_SLACK
     ok = diff <= slack
     # repr, so the header names the tuple computed, to the last bit
-    print(f"function={f.name} interval=[{iv.a!r},{iv.b!r}] alpha={args.alpha!r}")
+    print(f"function={f.name} interval=[{iv.a!r},{iv.b!r}] alpha={alpha!r}")
     print(f"defect lhs      = {lhs:.17g}")
     print(f"identity rhs    = {rhs:.17g}")
     print(f"|lhs - rhs|     = {diff:.3e}  ({'PASS' if ok else 'FAIL'} at {slack:g})")
@@ -147,12 +150,12 @@ def _cmd_check_identity(args) -> int:
 
 def _cmd_certify(args) -> int:
     f = _flag("--function", get_function, args.function)
-    _flag("--s", _check_s, args.s)
+    s = _flag("--s", _check_s, args.s)
     # the lookup certified f at its declared s, or it would have raised
     result = (CertificationResult(True, None, CERT_GRID_N ** 3)
-              if args.s == (f.declared_class.s or 1.0)
-              else certify_declared(f, s=args.s))
-    label = f"{f.name} as {f.declared_class.kind} at s={args.s:g}"
+              if s == (f.declared_class.s or 1.0)
+              else certify_declared(f, s=s))
+    label = f"{f.name} as {f.declared_class.kind} at s={s:g}"
     if result.passed:
         print(f"PASS {label} ({result.checked} triples checked)")
         return EXIT_OK

@@ -341,13 +341,33 @@ def _sandwich_terms(fv, interval: Interval, quad_tol: float
             mean_res.value / interval.length)
 
 
-def _sandwich_at(terms: tuple[float, float, float, float],
-                 s: float) -> SandwichResult:
-    """The sandwich at ``s`` from its :func:`_sandwich_terms`."""
-    fa, fb, f_mid, mean = terms
-    return SandwichResult(lower=2.0 ** (s - 1.0) * f_mid, mean=mean,
-                          upper=(fa + fb) / (s + 1.0),
-                          upper_classical=0.5 * (fa + fb))
+def _sandwiches(fv, interval: Interval, s_values, quad_tol: float
+                ) -> list[SandwichResult | FracineqError]:
+    """The sandwich of f (values ``fv``) on ``interval`` at each s of
+    ``s_values``, or the error that stopped it.  f's s-convexity gate is
+    judged at each s; the terms that depend on no s are computed once, at
+    the first s whose gate passes, and an error there stops every s whose
+    gate passes."""
+    results, terms = [], None
+    for s in s_values:
+        try:
+            _hypothesis(fv, interval, s, False, "f")
+        except FracineqError as exc:
+            results.append(exc)
+            continue
+        if terms is None:
+            try:
+                terms = _sandwich_terms(fv, interval, quad_tol)
+            except FracineqError as exc:
+                terms = exc
+        if isinstance(terms, FracineqError):
+            results.append(terms)
+            continue
+        fa, fb, f_mid, mean = terms
+        results.append(SandwichResult(lower=2.0 ** (s - 1.0) * f_mid,
+                                      mean=mean, upper=(fa + fb) / (s + 1.0),
+                                      upper_classical=0.5 * (fa + fb)))
+    return results
 
 
 def s_convex_sandwich(f, interval: Interval, s: float,
@@ -359,9 +379,10 @@ def s_convex_sandwich(f, interval: Interval, s: float,
     """
     s = _check_s(s)
     quad_tol = _check_abs_tol(quad_tol, "quad_tol")
-    fv = value_fn(f)
-    _hypothesis(fv, interval, s, False, "f")
-    return _sandwich_at(_sandwich_terms(fv, interval, quad_tol), s)
+    (result,) = _sandwiches(value_fn(f), interval, (s,), quad_tol)
+    if isinstance(result, FracineqError):
+        raise result
+    return result
 
 
 def _s_convex_factors(params: BoundParams) -> tuple[float, ...]:
@@ -619,8 +640,8 @@ def _weight_form(check_id: str, alpha: float | None, s: float | None,
             alpha <= HOLDER_VALID_ALPHA_MAX, False)
 
 
-def _weight_integrals(alphas, s_values, p_values, quad_tol: float,
-                      check_id: str | None = None) -> list[tuple]:
+def _weight_integrals(alphas, s_values, p_values, quad_tol: float
+                      ) -> list[tuple]:
     """Every weight integral at every order of ``alphas``, by quadrature to
     the absolute tolerance ``quad_tol``, one row each: (check id, alpha, s,
     p, the integral or the error that stopped it alone, the closed form,
@@ -629,9 +650,7 @@ def _weight_integrals(alphas, s_values, p_values, quad_tol: float,
     kernel's closed form is its bound, lhs <= rhs.  The rows come in batch
     order, repeated values repeated: per s, the power row of every order,
     the beta row of every order, then the plain row; per p, the kernel row
-    of every order.  Given ``check_id``, only its rows are integrated and
-    its closed forms computed: ladder rows do not depend on each other, so
-    they keep their bits."""
+    of every order."""
     quad_tol = _check_abs_tol(quad_tol, "quad_tol")
     # Python floats, for the engine integrands and the rows' parameters
     alphas = tuple(np.asarray(alphas, dtype=float).tolist())
@@ -639,11 +658,6 @@ def _weight_integrals(alphas, s_values, p_values, quad_tol: float,
     rows = []
 
     def ladder(keys: list[tuple], values: np.ndarray) -> None:
-        if check_id is not None:
-            picked = [r for r, key in enumerate(keys) if key[0] == check_id]
-            keys, values = [keys[r] for r in picked], values[picked]
-            if not keys:
-                return
         forms = [_weight_form(*key) for key in keys]
         lhs = _ladder_rows(values, [quad_tol] * len(keys),
                            lambda r: forms[r][0])
@@ -677,24 +691,23 @@ def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))."""
     alpha, s, tol = _check_bound_alpha(alpha), _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol,
-                                           "weight_int_power")[0], tol)
+    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol)[0],
+                         tol)
 
 
 def weight_int_beta(alpha: float, s: float, tol: float = 1e-9,
                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)."""
     alpha, s, tol = _check_bound_alpha(alpha), _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol,
-                                           "weight_int_beta")[0], tol)
+    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol)[1],
+                         tol)
 
 
 def weight_int_plain(s: float, tol: float = 1e-9,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
     """int_0^1 t^s dt = 1/(s+1)."""
     s, tol = _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((), (s,), (), quad_tol,
-                                           "weight_int_plain")[0], tol)
+    return _weight_entry(_weight_integrals((), (s,), (), quad_tol)[0], tol)
 
 
 def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,

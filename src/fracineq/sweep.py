@@ -107,10 +107,8 @@ from .hhbounds import (
     _check_slack,
     _Curvatures,
     _defects,
-    _hypothesis,
     _identity_rhs,
-    _sandwich_at,
-    _sandwich_terms,
+    _sandwiches,
     _weight_integrals,
     _width_squared,
 )
@@ -382,29 +380,19 @@ def _verdicts(config: SweepConfig, f: TestFunction, iv: Interval,
 
 def _sandwich_rows(config: SweepConfig, f: TestFunction, iv: Interval
                    ) -> list[SweepRow]:
-    """The sandwich rows of ``f`` on ``iv`` at each s.  f's grid is judged
-    by the sandwich's own gate alone, and at an s only where f's probes
-    keep to s-convexity; the terms that depend on no s are computed at
-    the first s whose gate passes, or the error that stops them kept."""
-    fv = f.fn
-    probes = probes_hold(fv, config.s_values, *_probes(config, f, "f", iv))
-    terms = None
+    """The sandwich rows of ``f`` on ``iv`` at each s: skipped where f's
+    probes break s-convexity, else the sandwich of
+    :func:`~fracineq.hhbounds._sandwiches`, whose gate is f's only grid
+    judge, or the error that stopped it."""
+    probes = probes_hold(f.fn, config.s_values, *_probes(config, f, "f", iv))
+    gated = iter(_sandwiches(f.fn, iv, [s for s in config.s_values
+                                        if probes[s]], config.quad_tol))
     rows = []
     for s in config.s_values:
         key = (f.name, iv.a, iv.b, None, s, None, None)
-        try:
-            if not probes[s]:
-                raise PreconditionError(f"f is not certified {s}-convex")
-            _hypothesis(fv, iv, s, False, "f")
-            if terms is None:
-                try:
-                    terms = _sandwich_terms(fv, iv, config.quad_tol)
-                except FracineqError as exc:
-                    terms = exc
-            sw = (terms if isinstance(terms, FracineqError)
-                  else _sandwich_at(terms, s))
-        except FracineqError as exc:
-            sw = exc    # each row reads the error as its lhs and rhs
+        # each row reads an error as its lhs and rhs
+        sw = (next(gated) if probes[s]
+              else PreconditionError(f"f is not certified {s}-convex"))
         rows += [_row(config.slack, cid, key, getattr(sw, lhs, sw),
                       getattr(sw, rhs, sw), rule)
                  for cid, lhs, rhs, rule in _SANDWICH_ROWS]

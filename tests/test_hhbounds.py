@@ -303,35 +303,6 @@ def test_weight_report_composes_entry_builders(alpha, s, p):
     assert rep.entries[3].in_validated_range == (alpha <= 1.0)
 
 
-@pytest.mark.parametrize("check_id, call, betas", [
-    ("weight_int_power", lambda: hhbounds.weight_int_power(0.5, 0.75), 0),
-    ("weight_int_beta", lambda: hhbounds.weight_int_beta(0.5, 0.75), 2),
-    ("weight_int_plain", lambda: hhbounds.weight_int_plain(0.75), 0),
-    ("holder_kernel_bound", lambda: hhbounds.holder_kernel_bound(0.5, 2.0),
-     0),
-])
-def test_a_one_check_weight_call_integrates_its_own_row_alone(
-        monkeypatch, check_id, call, betas):
-    # one ladder row and its own closed form per call, with the bits of
-    # that row in the batch of every weight integral
-    (want,) = [e for e in weight_integral_report(0.5, 0.75, 2.0).entries
-               if e.check_id == check_id]
-    rows, beta_calls = [], []
-    real_estimate = quadrature.TanhSinhLadder.estimate
-    monkeypatch.setattr(quadrature.TanhSinhLadder, "estimate",
-                        lambda self, values, tols: rows.append(len(values))
-                        or real_estimate(self, values, tols))
-    real_beta = hhbounds.beta
-    monkeypatch.setattr(hhbounds, "beta",
-                        lambda *args: beta_calls.append(args)
-                        or real_beta(*args))
-    got = call()
-    assert rows == [1] and len(beta_calls) == betas
-    assert got.check_id == check_id
-    assert (got.lhs.hex(), got.rhs.hex(), got.margin.hex()) == (
-        want.lhs.hex(), want.rhs.hex(), want.margin.hex())
-
-
 def test_concavity_midpoint_step():
     # mean over the chord of a certified concave channel never beats the
     # midpoint value: int_0^1 g(ta+(1-t)b) dt <= 2^(s-1) g(mid) at s = 1

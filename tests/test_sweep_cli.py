@@ -11,7 +11,6 @@ import sys
 import zlib
 from collections import Counter
 from itertools import product
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -669,11 +668,17 @@ def test_cli_override_errors_name_their_entry(config_file, capsys, override,
      "--s: s must lie in (0, 1], got 2.0"),
     (("certify", "--function", "root_power_1.5", "--s", "1"),
      "--function: root_power_1.5: s must lie in (0, 1], got 1.5"),
+    (("check-identity", "--function", "square", "--interval", "0,1",
+      "--alpha", "abc"), "--alpha: cannot read 'abc' as float"),
+    (("certify", "--function", "cube", "--s", "abc"),
+     "--s: cannot read 'abc' as float"),
 ], ids=["check-identity--interval", "check-identity--alpha",
-        "check-identity--function", "certify--s", "certify--function"])
+        "check-identity--function", "certify--s", "certify--function",
+        "check-identity--alpha-unreadable", "certify--s-unreadable"])
 def test_one_shot_argument_errors_name_their_flag(capsys, args, message):
-    # a value out of its domain is a configuration error that names the
-    # flag it came from, as a sweep override's names its entry
+    # a value out of its domain, or a token that is no number, is a
+    # configuration error that names the flag it came from, as a sweep
+    # override's names its entry or key
     from fracineq import cli
 
     assert cli.main(list(args)) == 2
