@@ -275,6 +275,15 @@ def probes_hold(fn, s_values, x, y, lam) -> dict[float, bool]:
             for s in s_values}
 
 
+def _nests(ends, tables) -> bool:
+    """Whether verdicts judged from the largest s down nest bit for bit
+    (see :func:`channel_verdicts`): the values ``ends`` that the
+    combinations weight are finite and >= 0, and the weight ``tables``,
+    one row per s from the largest down, rise element by element."""
+    return (bool(np.all((0.0 <= ends) & (ends < np.inf)))
+            and bool(np.all(tables[1:] >= tables[:-1])))
+
+
 def channel_verdicts(fn, domain: Interval, s_values, x, y,
                      lam) -> dict[tuple[float, bool], bool]:
     """The verdicts {(s, concave): bool} of one channel at every s of
@@ -324,9 +333,7 @@ def channel_verdicts(fn, domain: Interval, s_values, x, y,
     rest = 1.0 - lam
     tables = np.stack([np.concatenate([_LAM ** _check_s(s), lam ** s,
                                        rest ** s]) for s in order])
-    ends = np.concatenate([grid.fx, fx, fy])
-    nested = (bool(np.all((0.0 <= ends) & (ends < np.inf)))
-              and bool(np.all(tables[1:] >= tables[:-1])))
+    nested = _nests(np.concatenate([grid.fx, fx, fy]), tables)
     probe_at = CERT_GRID_N + lam.size
     known = {}      # direction -> its verdict at this s and every smaller s
     for s, row in zip(order, tables):

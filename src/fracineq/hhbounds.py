@@ -60,7 +60,9 @@ from .funclib import (
     CERT_GRID_N,
     CERT_SLACK,
     TestFunction,
+    _LAM,
     _check_s,
+    _nests,
     abs_d2,
     certify_s_concave,
     certify_s_convex,
@@ -324,16 +326,15 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
     return _outcome_value(_identity_rhs(f, interval, (alpha,), quad_tol)[0])
 
 
-def _sandwich_terms(fv, interval: Interval, quad_tol: float
-                    ) -> tuple[float, float, float, float]:
+def _sandwich_terms(fv, interval: Interval, nodes: np.ndarray,
+                    quad_tol: float) -> tuple[float, float, float, float]:
     """The sandwich's terms that depend on no s: f(a), f(b), f(mid) and
-    the mean of f over ``interval``, once f >= 0 is read on the grid's
-    nodes; f must have passed an s-convexity gate on ``interval``."""
-    # the gate has read f finite on these nodes
-    vals = _eval_grid(fv, np.linspace(interval.a, interval.b, CERT_GRID_N))
-    if vals.min() < -CERT_SLACK:
+    the mean of f over ``interval``, once f >= 0 is read from ``nodes``,
+    f on the certification grid's nodes; f must have passed an
+    s-convexity gate on ``interval``, which has read f finite there."""
+    if nodes.min() < -CERT_SLACK:
         raise PreconditionError(
-            f"f must be nonnegative on the interval; min sampled value {vals.min()}")
+            f"f must be nonnegative on the interval; min sampled value {nodes.min()}")
     fa, fb = _point_value(fv, interval.a), _point_value(fv, interval.b)
     mean_res = integrate(fv, interval,
                          abs_tol=_engine_tol(quad_tol * interval.length))
@@ -341,29 +342,66 @@ def _sandwich_terms(fv, interval: Interval, quad_tol: float
             mean_res.value / interval.length)
 
 
-def _sandwiches(fv, interval: Interval, s_values, quad_tol: float
-                ) -> list[SandwichResult | FracineqError]:
-    """The sandwich of f (values ``fv``) on ``interval`` at each s of
-    ``s_values``, or the error that stopped it.  f's s-convexity gate is
-    judged at each s; the terms that depend on no s are computed once, at
-    the first s whose gate passes, and an error there stops every s whose
-    gate passes."""
-    results, terms = [], None
-    for s in s_values:
+def _gates(fv, interval: Interval, s_values
+           ) -> tuple[dict[float, FracineqError | None], np.ndarray | None]:
+    """f's s-convexity gate at each distinct s of ``s_values``: {s: None
+    where it passes, else the error that stopped it}, and f on the
+    certification grid's nodes, read once where some s passes (else None).
+
+    The s are judged from the largest down (Hudzik and Maligranda 1994):
+    where f's gate passes at s, every smaller s inherits the pass with no
+    further call when f's node values are finite and >= 0 and the grid's
+    weights lam^s, as the certifier computes them, rise element by element
+    as s falls; then each combination, and each verdict, is the one a call
+    at the smaller s computes (see
+    :func:`~fracineq.funclib.channel_verdicts`).  Where the gate fails, or
+    a condition does not hold, the next s is judged by its own call.  The
+    node read is ``np.linspace(a, b, n)``, the grid's nodes bit for bit.
+    """
+    gates, nodes = {}, None
+    # floats, as the certifier raises lam to them
+    order = sorted(dict.fromkeys(map(float, s_values)), reverse=True)
+    for i, s in enumerate(order):
         try:
             _hypothesis(fv, interval, s, False, "f")
         except FracineqError as exc:
-            results.append(exc)
+            gates[s] = exc
             continue
-        if terms is None:
-            try:
-                terms = _sandwich_terms(fv, interval, quad_tol)
-            except FracineqError as exc:
-                terms = exc
-        if isinstance(terms, FracineqError):
-            results.append(terms)
+        gates[s] = None
+        if nodes is None:
+            nodes = _eval_grid(fv, np.linspace(interval.a, interval.b,
+                                               CERT_GRID_N))
+        below = order[i:]
+        if len(below) > 1 and _nests(nodes, np.stack(
+                [_LAM ** t for t in below])):
+            gates.update(dict.fromkeys(below[1:]))
+            break
+    return gates, nodes
+
+
+def _sandwiches(fv, interval: Interval, s_values, quad_tol: float
+                ) -> list[SandwichResult | FracineqError]:
+    """The sandwich of f (values ``fv``) on ``interval`` at each s of
+    ``s_values``, in their order, or the error that stopped it.  f's
+    s-convexity gate is judged once per distinct s at most, from the
+    largest s down, each smaller s inheriting a pass where the classes
+    nest bit for bit (:func:`_gates`); the terms that depend on no s are
+    computed once, from the gate's one read of f's nodes, where some gate
+    passes, and an error there stops every s whose gate passes."""
+    gates, nodes = _gates(fv, interval, s_values)
+    terms = None
+    if nodes is not None:
+        try:
+            terms = _sandwich_terms(fv, interval, nodes, quad_tol)
+        except FracineqError as exc:
+            terms = exc
+    results = []
+    for s in s_values:
+        outcome = terms if gates[s] is None else gates[s]
+        if isinstance(outcome, FracineqError):
+            results.append(outcome)
             continue
-        fa, fb, f_mid, mean = terms
+        fa, fb, f_mid, mean = outcome
         results.append(SandwichResult(lower=2.0 ** (s - 1.0) * f_mid,
                                       mean=mean, upper=(fa + fb) / (s + 1.0),
                                       upper_classical=0.5 * (fa + fb)))

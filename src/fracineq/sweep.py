@@ -31,28 +31,35 @@ The per-cell pass
 cell certifies every channel it needs once: f's seeded batch of random
 probe triples (config ``seed`` and the channel's key) is judged at every
 s in the convex direction the sandwich reads, and f's grid by the
-sandwich's own gate, at each s where the probes pass; |f''|, and |f''|^q
-for each distinct q (|f''|^1 is the |f''| channel), each get one
-:func:`~fracineq.funclib.channel_verdicts` call that judges the grid and
-the channel's probes at every s value in both directions, so reported
-hypothesis checks do not depend silently on grid alignment.  The
-sandwich's terms that depend on no s (f >= 0 on the grid's nodes, f(a),
-f(b), f(mid) and the mean, one ``integrate`` call) are computed once per
-cell, at the first s whose gate passes.  Where the |f''| channel has
-verdicts, the cell computes its trapezoid defects and identity right-hand
-sides for every configured alpha, one ladder pass per side; each alpha's
-defect is shared by its identity row and all its bound rows.  Where it has
-none, |f''| being non-finite on the grid, neither side is computed, and
-the identity row and every bound row are skipped.  The cell then returns
-its sandwich, identity and bound rows; the bound rows come from
+sandwich's own gate, once per cell, from the largest s where the probes
+pass down: a pass holds at every smaller s with no further call where
+f's grid nodes are finite and >= 0 and the grid's weights lam^s rise as
+s falls (checked, :func:`~fracineq.hhbounds._gates`), and a fail, or a
+condition that does not hold, sends the next s to its own call; |f''|,
+and |f''|^q for each distinct q (|f''|^1 is the |f''| channel), each get
+one :func:`~fracineq.funclib.channel_verdicts` call that judges the grid
+and the channel's probes at every s value in both directions, so
+reported hypothesis checks do not depend silently on grid alignment.
+The sandwich's terms that depend on no s (f >= 0 on the grid's nodes,
+read once with the gate's inheritance check, f(a), f(b), f(mid) and the
+mean, one ``integrate`` call) are computed once per cell, where some
+gate passes.  Where the |f''| channel has verdicts, the cell computes
+its trapezoid defects and identity right-hand sides for every configured
+alpha, one ladder pass per side; each alpha's defect is shared by its
+identity row and all its bound rows.  Where it has none, |f''| being
+non-finite on the grid, neither side is computed, and the identity row
+and every bound row are skipped.  The cell then returns its sandwich,
+identity and bound rows; the bound rows come from
 :data:`~fracineq.hhbounds.BOUND_CHECKS`, one entry per bound row of the
 README check table, whose hypothesis the cell judges itself.  Each bound
-row's entry is built once per sweep: its check id, parameters, direction,
-``combine``, ``factors`` and the rule its computed row is judged by; its
-``combine`` takes the cell's (b-a)^2 and |f''|^q at a, b or the midpoint,
-each f'' value read and raised to each q once, when a row first asks for
-it.  The weight-integral rows depend on no cell: one ladder pass per s and
-one per p, each holding every alpha.
+row's entry is built once per sweep, grouped by the hypothesis (q, s,
+direction) it rests on: its check id, parameters, ``combine``,
+``factors`` and the rule its computed row is judged by.  A cell looks up
+each group's verdict once and skips a refused group's rows in one pass;
+a computed row's ``combine`` takes the cell's (b-a)^2 and |f''|^q at a,
+b or the midpoint, each f'' value read and raised to each q once, when a
+row first asks for it.  The weight-integral rows depend on no cell: one
+ladder pass per s and one per p, each holding every alpha.
 
 An outcome is a value or the error that stopped it, a sandwich's included,
 and the row builder alone turns an error, in lhs before rhs, into a
@@ -400,23 +407,25 @@ def _sandwich_rows(config: SweepConfig, f: TestFunction, iv: Interval
 
 
 def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
-               bounds: list[tuple], f: TestFunction,
+               groups: dict[tuple, list[tuple]], f: TestFunction,
                iv: Interval) -> list[SweepRow]:
     """The sandwich, identity and bound rows of ``f`` on ``iv``.
 
-    The |f''| channel and |f''|^q for each distinct q of ``bounds`` (see
+    The |f''| channel and |f''|^q for each distinct q of ``groups`` (see
     :func:`run_sweep`) are certified once each.  Where |f''| has verdicts,
     the defects and identity right-hand sides are computed for every order
     of ``alphas``, one ladder pass per side, else every row that needs
-    them is skipped.  A computed bound row combines its factors with the
-    cell's (b-a)^2 and |f''|^q, read when first asked for.
+    them is skipped.  Each hypothesis group's verdict is looked up once: a
+    refused group's rows are skipped together, and a computed bound row
+    combines its factors with the cell's (b-a)^2 and |f''|^q, read when
+    first asked for.
     """
     rows = _sandwich_rows(config, f, iv)
     slack = config.slack
-    name, a, b = f.name, iv.a, iv.b     # read once, not per row
-    # the channels: |f''|, and each bound entry's q (its fourth field)
+    head = (f.name, iv.a, iv.b)     # read once, not per row
+    # the channels: |f''|, and each group's q (the first field of its key)
     curvature = {q: _verdicts(config, f, iv, q)
-                 for q in dict.fromkeys([None] + [e[3] for e in bounds])}
+                 for q in dict.fromkeys([None] + [key[0] for key in groups])}
     try:
         # the identity needs f'' integrable: where |f''| is non-finite on
         # the certification grid its channel has no verdicts, and neither
@@ -432,20 +441,25 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
     # {alpha: (signed defect, identity rhs)}, each a float or the error
     # that stopped it
     sides = dict(zip(alphas, zip(lhs, rhs)))
-    rows += [_row(slack, "identity", (name, a, b, alpha, None, None, None),
+    rows += [_row(slack, "identity", (*head, alpha, None, None, None),
                   *sides[alpha], _IDENTITY) for alpha in config.alphas]
-    head = (name, a, b)
     width2, curvature_at = _width_squared(iv), _Curvatures(f, iv)
-    for check_id, alpha, s, q, concave, params, combine, factors, rule in bounds:
-        key = head + params
-        defect = sides[alpha][0]
+    for (q, s, concave), entries in groups.items():
         if not curvature[q].get((s, concave), False):
-            rows.append(_row(slack, check_id, key, status=STATUS_SKIPPED))
-        elif isinstance(defect, FracineqError):
-            rows.append(_row(slack, check_id, key, defect))
-        else:
-            rows.append(_row(slack, check_id, key, abs(defect),
-                             combine(width2, curvature_at, factors), rule))
+            # a refused hypothesis: every row of the group is skipped, with
+            # no lhs, rhs or margin (as _row builds it, without the call)
+            rows += [tuple.__new__(SweepRow, (check_id, *head, *params, None,
+                                              None, None, STATUS_SKIPPED))
+                     for check_id, _, params, _, _, _ in entries]
+            continue
+        for check_id, alpha, params, combine, factors, rule in entries:
+            defect = sides[alpha][0]
+            if isinstance(defect, FracineqError):
+                rows.append(_row(slack, check_id, head + params, defect))
+            else:
+                rows.append(_row(slack, check_id, head + params, abs(defect),
+                                 combine(width2, curvature_at, factors),
+                                 rule))
     return rows
 
 
@@ -469,12 +483,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     validate_config(config)
     # the configured orders, each once: one batch per (function, interval)
     alphas = tuple(dict.fromkeys(config.alphas))
-    # every bound row of a cell, built once as a plain tuple that cells
-    # unpack (cheaper than reading a record's fields): its check id, alpha
-    # and s, the q of its |f''|^q channel (None for |f''|^1: x ** 1.0 is
-    # x), its direction, its parameters (alpha, s, p, q), its combine and
-    # factors, and the rule its computed row is judged by
-    bounds = []
+    # every bound row of a cell, built once and grouped by the hypothesis
+    # it rests on, keyed (q, s, concave): q that of its |f''|^q channel
+    # (None for |f''|^1: x ** 1.0 is x).  Each entry is a plain tuple that
+    # cells unpack (cheaper than reading a record's fields): its check id,
+    # alpha, parameters (alpha, s, p, q), combine and factors, and the rule
+    # its computed row is judged by
+    groups: dict[tuple, list[tuple]] = {}
     for alpha, s in product(config.alphas, config.s_values):
         params = {
             None: (BoundParams(alpha, s),),
@@ -483,13 +498,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             "q_values": tuple(BoundParams(alpha, s, q=q)
                               for q in config.q_values),
         }
-        bounds += [(check.check_id, bp.alpha, bp.s,
-                    None if bp.q == 1.0 else bp.q, check.concave, tuple(bp),
-                    check.combine, check.factors(bp),
-                    _range_rule(bp.alpha <= check.alpha_max))
-                   for check in BOUND_CHECKS for bp in params[check.q_from]]
+        for check in BOUND_CHECKS:
+            for bp in params[check.q_from]:
+                key = (None if bp.q == 1.0 else bp.q, bp.s, check.concave)
+                groups.setdefault(key, []).append((
+                    check.check_id, bp.alpha, tuple(bp), check.combine,
+                    check.factors(bp),
+                    _range_rule(bp.alpha <= check.alpha_max)))
     rows = [row for name in config.functions for iv in config.intervals
-            for row in _cell_rows(config, alphas, bounds, get_function(name),
+            for row in _cell_rows(config, alphas, groups, get_function(name),
                                   iv)]
     rows += _weight_rows(config)
     rows.sort(key=_sort_key)

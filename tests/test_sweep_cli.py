@@ -20,6 +20,7 @@ from fracineq import (
     AccuracyError,
     ConfigError,
     DomainError,
+    FracineqError,
     IntegrandError,
     PreconditionError,
     certify_s_concave,
@@ -1201,7 +1202,8 @@ def test_probes_reject_between_grid_points_for_that_s_and_direction(
         0.25: True, 0.5: True, 1.0: False}
     assert certify_s_convex(f.fn, iv, 1.0).passed
     # so the sweep's sandwich rows at s = 1 are skipped although the grid
-    # gate passes there, and its gate is not run at that s
+    # gate passes there, and its gate is not run at that s; it runs at
+    # s = 0.5 alone, and s = 0.25 inherits the pass (f >= 0 on the nodes)
     gated = []
     real = hhbounds.certify_s_convex
     monkeypatch.setattr(hhbounds, "certify_s_convex",
@@ -1211,7 +1213,7 @@ def test_probes_reject_between_grid_points_for_that_s_and_direction(
     rows = [r for r in run_sweep(config).rows
             if r.check_id.startswith("sandwich")]
     assert {r.s for r in rows if r.status == "precondition_skipped"} == {1.0}
-    assert gated == [0.25, 0.5]
+    assert gated == [0.5]
 
 
 @pytest.mark.parametrize("channel, q, key_channel", [
@@ -1270,18 +1272,24 @@ def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
         f_drawn.append((len(x), len(y), len(lam), len(built) - before))
         return verdicts
 
+    config = parse_config_text(README_CONFIG)
+    # the catalog certifies an entry's declared class when first asked
+    # for: build them before counting, so the count is the sweep's alone
+    for name in config.functions:
+        get_function(name)
     monkeypatch.setattr(funclib_mod, "cert_grid", counting_cert_grid)
     monkeypatch.setattr(sweep_mod, "channel_verdicts",
                         counting_channel_verdicts)
     monkeypatch.setattr(sweep_mod, "probes_hold", counting_probes_hold)
-    report = run_sweep(parse_config_text(README_CONFIG))
+    report = run_sweep(config)
     # 3 functions x 3 intervals x (|f''|, |f''|^q for the 4 distinct q
     # other than 1): |f''|^1 is the |f''| channel, so 45, not 54
     assert drawn == [(_PROBE_COUNT,) * 3 + (1,)] * 45
     # f's probes are drawn once per cell and judged without a grid: its
-    # grid is judged by the sandwich gate alone, one grid per (cell, s)
+    # grid is judged by the sandwich gate alone, one grid per cell (at the
+    # largest s, whose pass every smaller s inherits)
     assert f_drawn == [(_PROBE_COUNT,) * 3 + (0,)] * 9
-    assert len(built) == 45 + 36
+    assert len(built) == 45 + 9
     assert len(report.rows) == 3283
 
 
@@ -1358,17 +1366,98 @@ def test_nested_verdicts_equal_one_call_per_s(monkeypatch, text, s_values,
         assert list(verdicts.items()) == list(merged.items()), iv
 
 
-@pytest.mark.parametrize("text, channels, judged", [
-    (README_CONFIG, 45, 79), (IDENTITY_CONFIG, 72, 72),
+def one_sandwich(f, iv: Interval, s: float, quad_tol: float):
+    """``s_convex_sandwich(f, iv, s, quad_tol)``, or the error it raised."""
+    try:
+        return s_convex_sandwich(f, iv, s, quad_tol)
+    except FracineqError as exc:
+        return exc
+
+
+def outcome_bits(outcome) -> tuple:
+    """A sandwich's values by ``float.hex``, or an error's type and text."""
+    if isinstance(outcome, FracineqError):
+        return type(outcome), str(outcome)
+    return tuple(v.hex() for v in outcome)
+
+
+@pytest.mark.parametrize("text, s_values", [
+    (README_CONFIG, None), (IDENTITY_CONFIG, None), (E_CONFIG, None),
+    (EIGHT_S_CONFIG, None), (README_CONFIG, (1, 0.25, 1, 0.5)),
+], ids=["readme", "identity", "E", "eight_s", "unsorted_repeated"])
+def test_sandwiches_equal_one_call_per_s(monkeypatch, text, s_values):
+    # the gate judged from the largest s down, each smaller s inheriting a
+    # pass, gives every s the one-s sandwich, value bits and error texts
+    # alike, and calls the certifier at most once per distinct s
+    config = parse_config_text(text)
+    s_values = s_values or config.s_values
+    gated = []
+    real = hhbounds.certify_s_convex
+    for name, iv in product(config.functions, config.intervals):
+        f = get_function(name)
+        want = [outcome_bits(one_sandwich(f, iv, s, config.quad_tol))
+                for s in s_values]
+        del gated[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(hhbounds, "certify_s_convex",
+                          lambda fn, domain, s: gated.append(s) or real(
+                              fn, domain, s))
+            got = hhbounds._sandwiches(f.fn, iv, s_values, config.quad_tol)
+        assert [outcome_bits(r) for r in got] == want, (name, iv)
+        assert len(gated) <= len(set(s_values))
+
+
+def test_a_gate_pass_is_not_inherited_where_f_is_negative_on_a_node(
+        monkeypatch):
+    # t - 0.5 is convex, so its gate passes at s = 1, but it is negative on
+    # the grid's first nodes: the nesting of the classes does not hold, each
+    # smaller s is judged by its own call and fails with its own witness,
+    # and s = 1 stops at the sandwich's f >= 0 check
+    def fv(t):
+        return t - 0.5
+
+    iv, s_values = Interval(0.0, 1.0), (1.0, 0.5, 0.25)
+    gated = []
+    real = hhbounds.certify_s_convex
+    monkeypatch.setattr(hhbounds, "certify_s_convex",
+                        lambda fn, domain, s: gated.append(s) or real(
+                            fn, domain, s))
+    got = hhbounds._sandwiches(fv, iv, s_values, 1e-10)
+    assert gated == [1.0, 0.5, 0.25]
+    assert "nonnegative" in str(got[0])
+    for s, result in zip(s_values[1:], got[1:]):
+        assert isinstance(result, PreconditionError)
+        assert f"s-convex at s={s}" in str(result)
+        assert result.witness == real(fv, iv, s).witness
+    monkeypatch.undo()
+    assert [outcome_bits(r) for r in got] == [
+        outcome_bits(one_sandwich(fv, iv, s, 1e-10)) for s in s_values]
+
+
+@pytest.mark.parametrize("text, channels, judged, gates", [
+    (README_CONFIG, 45, 79, 9), (IDENTITY_CONFIG, 72, 72, 36),
 ], ids=["readme", "identity"])
 def test_sweep_judges_each_channel_from_the_largest_s_down(
-        monkeypatch, text, channels, judged):
+        monkeypatch, text, channels, judged, gates):
     # s-evaluations (one grid combination each) per sweep: the |f''| and
-    # |f''|^q channels' and, apart from them, the 36 sandwich gates' (f's
-    # only grid judge)
+    # |f''|^q channels' and, apart from them, the sandwich gates' (f's only
+    # grid judge), one per cell where the largest s passes, as in each
+    # README cell; one grid per channel and per gate
     import fracineq.funclib as funclib_mod
 
     count = Counter()
+    real_grid = funclib_mod.cert_grid
+
+    def counting_grid(fn, domain):
+        count["grids"] += 1
+        return real_grid(fn, domain)
+
+    real_gate = hhbounds.certify_s_convex
+
+    def counting_gate(fn, domain, s):
+        count["gates"] += 1
+        return real_gate(fn, domain, s)
+
     real_combination = funclib_mod._grid_combination
 
     def counting_combination(grid, weights):
@@ -1384,12 +1473,18 @@ def test_sweep_judges_each_channel_from_the_largest_s_down(
         count["judged"] += count["combinations"] - before
         return verdicts
 
+    config = parse_config_text(text)
+    for name in config.functions:
+        get_function(name)      # the catalog's own certification, uncounted
     monkeypatch.setattr(funclib_mod, "_grid_combination",
                         counting_combination)
     monkeypatch.setattr(sweep, "channel_verdicts", counting_verdicts)
-    run_sweep(parse_config_text(text))
-    assert count == {"channels": channels, "judged": judged,
-                     "combinations": judged + 36}
+    monkeypatch.setattr(funclib_mod, "cert_grid", counting_grid)
+    monkeypatch.setattr(hhbounds, "certify_s_convex", counting_gate)
+    run_sweep(config)
+    assert count == {"channels": channels, "judged": judged, "gates": gates,
+                     "combinations": judged + gates,
+                     "grids": channels + gates}
 
 
 # the full SHA-256 of the README, identity and mixed reports, which do not
