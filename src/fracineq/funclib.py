@@ -20,9 +20,14 @@ IntegrandError here), and gathers the values by m.  The triples (i, j, k)
 and (j, i, n-1-k) share m, and since 1 - lam[k] is lam[n-1-k] bit for bit
 at n = 33 their s-combinations (:func:`s_combination`) are the same two
 terms in swapped order, so the same double: the grid keeps the half
-k <= n//2 alone (17 x 33 x 33 = 18,513 triples), which is the grid by
-symmetry, not a sample.  :func:`grid_verdicts` judges one s in both
-directions from one combination, formed in a fresh array.
+k <= n//2 alone, which is the grid by symmetry, not a sample.  Of that
+half it keeps the faces 1 <= k <= n//2 (16 x 33 x 33 = 17,424 triples):
+on the lam = 0 face the value is f(x[j]) and its combination
+0 f(x[i]) + 1 f(x[j]) is f(x[j]) exactly (0^s is 0 and 1^s is 1), so a
+channel finite on the grid passes there in both directions, and a
+channel that is not is refused before any verdict.
+:func:`grid_verdicts` judges one s in both directions from one
+combination, formed in a fresh array.
 :func:`channel_verdicts` decides a channel for the sweep at every s it
 needs, from one grid and one batch of probe triples, judging several s
 from the largest down where the classes nest; :func:`probes_hold` judges
@@ -155,28 +160,31 @@ def _check_s(s: float) -> float:
 
 
 # the grid's nodes per axis less one, its weights lam, shared by every
-# grid, and the half k <= n//2 of them that every verdict is judged on
+# grid, and the half k <= n//2 of them; every verdict is judged on its
+# faces k = 1 .. n//2, the lam = 0 face holding for any finite channel
 _STEP = CERT_GRID_N - 1
 _LAM = np.linspace(0.0, 1.0, CERT_GRID_N)
 _LAM.flags.writeable = False
 _HALF = CERT_GRID_N // 2 + 1
-# _HALF_INDEX[k, i, j] = k i + (n-1-k) j over the half: the grid's
-# combination lam[k] xs[i] + (1-lam[k]) xs[j] is point m = _HALF_INDEX[k, i, j]
+# _HALF_INDEX[k-1, i, j] = k i + (n-1-k) j for k = 1 .. n//2: the grid's
+# combination lam[k] xs[i] + (1-lam[k]) xs[j] is point m = _HALF_INDEX[k-1, i, j]
 # of the (n-1)^2 + 1 distinct points; every grid shares it
 _K = np.arange(CERT_GRID_N)
-_HALF_INDEX = (_K[:_HALF, None, None] * _K[:, None]
-               + (_STEP - _K[:_HALF, None, None]) * _K)
+_HALF_INDEX = (_K[1:_HALF, None, None] * _K[:, None]
+               + (_STEP - _K[1:_HALF, None, None]) * _K)
 _HALF_INDEX.flags.writeable = False
 
 
 class CertGrid(NamedTuple):
     """One channel evaluated on the certification grid, kept as its half.
 
-    ``fx[i]`` is fn(xs[i]) and ``f_half[k, i, j]`` (k <= n//2) is fn at
-    lam[k]*xs[i] + (1-lam[k])*xs[j] (lam = linspace(0, 1, n)), taken as
-    the point a + (b-a) m/(n-1)^2 (m = k i + (n-1-k) j) that it is in
-    real arithmetic.  Neither array depends on s or on the direction, so
-    one grid serves every :func:`grid_verdicts` on it.
+    ``fx[i]`` is fn(xs[i]) and ``f_half[k-1, i, j]`` (1 <= k <= n//2) is
+    fn at lam[k]*xs[i] + (1-lam[k])*xs[j] (lam = linspace(0, 1, n)),
+    taken as the point a + (b-a) m/(n-1)^2 (m = k i + (n-1-k) j) that it
+    is in real arithmetic.  The lam = 0 face, fx[j] at every (i, j), is
+    not kept: a finite channel passes there in both directions.  Neither
+    array depends on s or on the direction, so one grid serves every
+    :func:`grid_verdicts` on it.
     """
 
     xs: np.ndarray
@@ -191,7 +199,8 @@ def _grid_points(a: str, b: str) -> np.ndarray:
     a, b = float.fromhex(a), float.fromhex(b)
     points = np.linspace(a, b, _STEP * _STEP + 1)
     # the nodes themselves (m = step i) are linspace(a, b, n) bit for bit,
-    # so the lam = 0 and lam = 1 faces compare f(x) with itself
+    # as the sandwich gate reads them, and the lam = 0 and lam = 1 faces
+    # compare f(x) with itself
     points[::_STEP] = np.linspace(a, b, CERT_GRID_N)
     points.flags.writeable = False
     return points
@@ -203,12 +212,13 @@ def _grid_values(fn, domain: Interval) -> tuple[np.ndarray, np.ndarray]:
     non-finite value, at a node before an interior point."""
     points = _grid_points(float(domain.a).hex(), float(domain.b).hex())
     values = _eval_grid(fn, points)
-    for where, at in (("grid node", slice(None, None, _STEP)),
-                      ("interior grid combination", slice(None))):
-        bad = ~np.isfinite(values[at])
-        if bad.any():
-            raise IntegrandError(f"function non-finite at {where} "
-                                 f"t={float(points[at][bad][0])!r}")
+    if not np.isfinite(values).all():
+        for where, at in (("grid node", slice(None, None, _STEP)),
+                          ("interior grid combination", slice(None))):
+            bad = ~np.isfinite(values[at])
+            if bad.any():
+                raise IntegrandError(f"function non-finite at {where} "
+                                     f"t={float(points[at][bad][0])!r}")
     return points, values
 
 
@@ -239,13 +249,14 @@ def _holds(values, combo, concave: bool):
 
 
 def _grid_combination(grid: CertGrid, weights: np.ndarray) -> np.ndarray:
-    # combination[k, i, j] = lam[k]^s fx[i] + (1-lam[k])^s fx[j] on the
-    # half from the weights lam^s and two half x n product tables: the
-    # first is copied in along j, the second added along i (one add that
-    # broadcasts both takes about a quarter longer); 1 - lam is lam reversed
-    combo = np.empty((_HALF, CERT_GRID_N, CERT_GRID_N))
-    combo[...] = (weights[:_HALF, None] * grid.fx)[:, :, None]
-    combo += (weights[::-1][:_HALF, None] * grid.fx)[:, None, :]
+    # combination[k-1, i, j] = lam[k]^s fx[i] + (1-lam[k])^s fx[j] on the
+    # faces k = 1 .. n//2 of the half, from the weights lam^s and two
+    # faces x n product tables: the first is copied in along j, the second
+    # added along i (one add that broadcasts both takes about a quarter
+    # longer); 1 - lam is lam reversed
+    combo = np.empty(_HALF_INDEX.shape)
+    combo[...] = (weights[1:_HALF, None] * grid.fx)[:, :, None]
+    combo += (weights[::-1][1:_HALF, None] * grid.fx)[:, None, :]
     return combo
 
 
@@ -353,8 +364,9 @@ def channel_verdicts(fn, domain: Interval, s_values, x, y,
 
 
 def _whole(half: np.ndarray) -> np.ndarray:
-    """The n^3 array [i, j, k] of a k-major half: half[k, i, j] for
-    k <= n//2, and beyond it the mirror half[n-1-k, j, i]."""
+    """The n^3 array [i, j, k] of a k-major half, its lam = 0 face
+    included: half[k, i, j] for k <= n//2, and beyond it the mirror
+    half[n-1-k, j, i]."""
     whole = np.empty((CERT_GRID_N,) * 3, dtype=half.dtype)
     whole[:, :, :_HALF] = half.transpose(1, 2, 0)
     whole[:, :, _HALF:] = half[:CERT_GRID_N - _HALF][::-1].transpose(2, 1, 0)
@@ -369,8 +381,11 @@ def _certify(fn, domain: Interval, s: float,
     if _grid_holds(grid, combo, concave):
         return CertificationResult(passed=True, witness=None, checked=checked)
     # the witness is the first violating triple of the whole grid in
-    # row-major (x, y, lam) order
-    values, combo = _whole(grid.f_half), _whole(combo)
+    # row-major (x, y, lam) order; the lam = 0 face, fx[j] and its
+    # combination alike, never violates, and is put back for the layout
+    face = np.broadcast_to(grid.fx, (1, CERT_GRID_N, CERT_GRID_N))
+    values = _whole(np.concatenate([face, grid.f_half]))
+    combo = _whole(np.concatenate([face, combo]))
     i, j, k = np.argwhere(~_holds(values, combo, concave))[0]
     return CertificationResult(
         passed=False,

@@ -366,14 +366,22 @@ def _probes(config: SweepConfig, f: TestFunction, channel: str,
             iv: Interval, q: float | None = None) -> tuple[np.ndarray, ...]:
     """The probe triples (x, y, lam) of ``channel`` of ``f`` on ``iv``:
     ``f`` itself, or ``abs_d2``: |f''|^q (keyed ``abs_d2_pow``), |f''| for
-    q None; drawn from the config seed and the channel's key."""
+    q None; drawn from the config seed and the channel's key.
+
+    The draw is three ``Generator.uniform`` calls (x and y on ``iv``, then
+    lam on [0, 1]) bit for bit, made as one: the generator's doubles u,
+    then ``uniform``'s own formula a + (b - a) u (lam is u itself)."""
     key = (f.name, channel if q is None else "abs_d2_pow", iv.a, iv.b, q)
-    rng = np.random.default_rng([config.seed & 0xFFFFFFFF,
-                                 zlib.crc32(repr(key).encode())])
-    x = rng.uniform(iv.a, iv.b, _PROBE_COUNT)
-    y = rng.uniform(iv.a, iv.b, _PROBE_COUNT)
-    lam = rng.uniform(0.0, 1.0, _PROBE_COUNT)
-    return x, y, lam
+    # the same seed words as the list [seed mod 2^32, crc], without the
+    # list's coercion
+    rng = np.random.default_rng(np.array(
+        [config.seed & 0xFFFFFFFF, zlib.crc32(repr(key).encode())],
+        dtype=np.uint32))
+    u = rng.random(3 * _PROBE_COUNT)
+    # the ends as doubles, as uniform reads them
+    a, b = float(iv.a), float(iv.b)
+    xy = a + (b - a) * u[:2 * _PROBE_COUNT]
+    return xy[:_PROBE_COUNT], xy[_PROBE_COUNT:], u[2 * _PROBE_COUNT:]
 
 
 def _verdicts(config: SweepConfig, f: TestFunction, iv: Interval,
@@ -543,18 +551,22 @@ def _csv_text(value) -> str:
     return buf.getvalue()[:-2]
 
 
-def _json_float(value: float) -> str:
-    """A float as ``json.dumps`` writes it."""
+def _json_text(value) -> str:
+    """An exact float, a string or None as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if type(value) is str:
+        return encode_basestring_ascii(value)
     if math.isfinite(value):
         return float.__repr__(value)
     return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
-# what json.dumps writes for a string or None; an exact float's text comes
-# from the render's memo, and any other type (1, True, np.float64) is handed
-# to json.dumps itself
-_JSON_VALUE = {str: encode_basestring_ascii,
-               type(None): {None: "null"}.__getitem__}
+# the cell types of a JSON column whose texts come from the render's memo:
+# no two values of these types compare equal, the memo keeping ±0 apart;
+# a column holding any other type (1, True, np.float64) is handed to
+# json.dumps cell by cell
+_JSON_MEMO_TYPES = frozenset({float, str, type(None)})
 # the text of one row of json.dumps(rows as dicts, indent=2)
 _JSON_ROW = "  {\n" + ",\n".join(
     f"    {encode_basestring_ascii(name)}: %s" for name in SweepRow._fields
@@ -563,7 +575,11 @@ _JSON_ROW = "  {\n" + ",\n".join(
 
 def render_report(report: SweepReport, output_format: str = "csv") -> bytes:
     """Serialise a report, byte for byte as ``csv.writer`` writes it or as
-    ``json.dumps(rows as dicts, indent=2) + "\\n"``."""
+    ``json.dumps(rows as dicts, indent=2) + "\\n"``.
+
+    A CSV row is its cells' memo texts joined by commas; the JSON is
+    rendered by column (the rows transposed once), and each row then
+    fills one template."""
     if output_format == "csv":
         cell = _Texts(_csv_text).__getitem__
         return "".join([",".join(map(cell, r)) + "\n"
@@ -571,10 +587,11 @@ def render_report(report: SweepReport, output_format: str = "csv") -> bytes:
     if output_format == "json":
         if not report.rows:
             return b"[]\n"
-        text_of = {**_JSON_VALUE, float: _Texts(_json_float).__getitem__}
-        text = "[\n" + ",\n".join([
-            _JSON_ROW % tuple([(text_of.get(type(v)) or json.dumps)(v)
-                               for v in r])
-            for r in report.rows]) + "\n]\n"
+        memo = _Texts(_json_text).__getitem__
+        columns = [map(memo if _JSON_MEMO_TYPES.issuperset(map(type, column))
+                       else json.dumps, column)
+                   for column in zip(*report.rows)]
+        text = ("[\n" + ",\n".join(map(_JSON_ROW.__mod__, zip(*columns)))
+                + "\n]\n")
         return text.encode("utf-8")
     raise ConfigError("format", f"must be csv or json, got {output_format}")

@@ -303,15 +303,26 @@ def test_scalar_only_callable_is_called_once_per_distinct_point():
 
 
 def test_nodes_are_the_grid_nodes_bit_for_bit():
-    # fx is fn(xs), and the lam = 0 face f_half[0] repeats it; the lam = 1
-    # face is its mirror
-    from fracineq.funclib import cert_grid
+    # fx is fn(xs), and the lam = 0 face of the full gather from the
+    # grid's distinct points repeats it; the lam = 1 face is its mirror.
+    # The grid keeps the faces lam[1] .. lam[n//2] of that gather
+    from fracineq.funclib import _grid_values, cert_grid
 
+    def fn(t):
+        return t ** 3
+
+    k = np.arange(N)
+    m = k * k[:, None, None] + (N - 1 - k) * k[None, :, None]
     for domain in NON_DYADIC:
-        grid = cert_grid(lambda t: t ** 3, domain)
+        grid = cert_grid(fn, domain)
         assert np.array_equal(grid.fx, grid.xs ** 3)
-        assert np.array_equal(grid.f_half[0],
+        whole = _grid_values(fn, domain)[1][m]
+        assert np.array_equal(whole[:, :, 0],
                               np.broadcast_to(grid.fx[None, :], (N, N)))
+        assert np.array_equal(whole[:, :, -1],
+                              np.broadcast_to(grid.fx[:, None], (N, N)))
+        assert np.array_equal(grid.f_half,
+                              whole[:, :, 1:N // 2 + 1].transpose(2, 0, 1))
 
 
 def test_repeated_verdicts_on_one_grid_match_the_certifiers():
@@ -335,8 +346,8 @@ def test_a_fresh_grid_after_another_is_judged_as_the_certifiers_judge_it():
     grid_verdicts(cert_grid(lambda t: t ** 3, domain), 0.5)
     fresh = cert_grid(lambda t: t ** 2.5, domain)
     verdicts = grid_verdicts(fresh, 0.5)
-    # the half is 17 x 33 x 33 doubles
-    assert fresh.f_half.shape == (17, 33, 33)
+    # the half less its lam = 0 face is 16 x 33 x 33 doubles
+    assert fresh.f_half.shape == (16, 33, 33)
     assert verdicts == (
         certify_s_convex(lambda t: t ** 2.5, domain, 0.5).passed,
         certify_s_concave(lambda t: t ** 2.5, domain, 0.5).passed)
@@ -572,11 +583,54 @@ def test_witnesses_equal_the_brute_force_first_violation(domain):
 
     for fn in CHANNEL_FUNCTIONS:
         grid = cert_grid(fn, domain)
-        # the grid keeps the half k <= n//2 of the gathered n^3 values
+        # the grid keeps the half 1 <= k <= n//2 of the gathered n^3
+        # values; the lam = 0 face it leaves out repeats fx
         f_mix = gathered_f_mix(fn, domain)
-        assert np.array_equal(grid.f_half, f_mix[:, :, :17].transpose(2, 0, 1))
+        assert np.array_equal(grid.f_half,
+                              f_mix[:, :, 1:17].transpose(2, 0, 1))
+        assert np.array_equal(f_mix[:, :, 0],
+                              np.broadcast_to(grid.fx[None, :], (N, N)))
         for s in (0.25, 0.5, 1.0):
             assert_certifiers_match_brute_force(fn, domain, s)
+
+
+# channels where the lam = 0 face is most fragile: values near 1e300, and
+# values that are -0.0 or negative at the nodes
+FACE_CHANNELS = [
+    lambda t: 1e300 * t,
+    lambda t: -1e300 * t,
+    lambda t: -t ** 2,
+    lambda t: -t,
+]
+
+
+@pytest.mark.parametrize("domain", [UNIT, *NON_DYADIC], ids=str)
+def test_half_without_the_lam_zero_face_matches_the_brute_force_grid(domain):
+    # the grid leaves out the lam = 0 face (and its mirror lam = 1): there
+    # the value fx[j] and its combination 0^s fx[i] + 1^s fx[j] are equal,
+    # since 0^s is 0 and 1^s is 1 exactly; the verdicts and the first
+    # witness are those of the full n^3 grid all the same
+    from fracineq.funclib import _LAM, cert_grid, channel_verdicts, grid_verdicts
+
+    s_values = (0.25, 0.5, 1.0)
+    for s in (*s_values, *np.random.default_rng(2).random(1000)):
+        weights = _LAM ** float(s)
+        assert weights[0] == 0.0 and weights[-1] == 1.0, s
+    none = np.zeros(0)
+    for fn in FACE_CHANNELS + CHANNEL_FUNCTIONS[:2]:
+        grid = cert_grid(fn, domain)
+        assert grid.f_half.shape == (N // 2, N, N)
+        references = {}
+        for s in s_values:
+            assert_certifiers_match_brute_force(fn, domain, s)
+            references[s] = tuple(
+                brute_force_witness(fn, domain, s, concave) is None
+                for concave in (False, True))
+            assert grid_verdicts(grid, s) == references[s], s
+        # several s at once, with no probes: the grid's verdicts alone
+        verdicts = channel_verdicts(fn, domain, s_values, none, none, none)
+        assert verdicts == {(s, concave): references[s][concave]
+                            for s in s_values for concave in (False, True)}
 
 
 def test_witness_on_the_mirrored_half():

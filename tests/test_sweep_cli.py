@@ -447,6 +447,15 @@ def test_render_json_matches_json_dumps(rows):
     assert render_report(report, "json") == json_reference(rows)
 
 
+def test_render_json_shares_its_memo_across_types_in_a_column():
+    # floats, strings and None in one column are all memoised: no two of
+    # them compare equal, and ±0 keep their own texts
+    rows = column_rows(0.5, "0.5", None, -0.0, "0", 0.0, "", math.inf,
+                       "Infinity", None, "-0", -0.0)
+    assert render_report(SweepReport(rows=rows), "json") == json_reference(
+        rows)
+
+
 @pytest.mark.parametrize("rows", RENDER_CASES.values(), ids=RENDER_CASES)
 def test_render_csv_matches_csv_writer(rows):
     report = SweepReport(rows=rows)
@@ -459,15 +468,16 @@ def test_renderers_match_the_stdlib_on_the_readme_sweep():
     assert render_report(report, "json") == json_reference(report.rows)
 
 
-@pytest.mark.parametrize("fmt, formatter, memoised",
-                         [("csv", "_csv_text", lambda v: True),
-                          ("json", "_json_float", lambda v: type(v) is float)])
+@pytest.mark.parametrize("fmt, formatter, rendered",
+                         [("csv", "_csv_text", lambda rows: (CSV_HEADER, *rows)),
+                          ("json", "_json_text", lambda rows: rows)])
 def test_renderers_format_each_distinct_value_once(monkeypatch, fmt,
-                                                    formatter, memoised):
+                                                    formatter, rendered):
     # ±0 are one dict key with two texts, made once per render; every
-    # other distinct value is formatted once per report
+    # other distinct value is formatted once per report (JSON: every
+    # column of the README report holds floats, strings and None alone)
     report = run_sweep(parse_config_text(README_CONFIG))
-    cells = [v for r in (CSV_HEADER, *report.rows) for v in r if memoised(v)]
+    cells = [v for r in rendered(report.rows) for v in r]
     distinct = len({v for v in cells if v != 0})
     zeros = sum(1 for v in cells if v == 0)
     calls = []
@@ -934,8 +944,12 @@ def test_readme_grids_match_brute_force_bit_for_bit():
         lam = np.linspace(0.0, 1.0, 33)[None, None, :]
         f_mix = fn(lam * xs[:, None, None] + (1.0 - lam) * xs[None, :, None])
         assert np.array_equal(grid.fx, fx), label
+        # the kept faces lam[1] .. lam[16]; the lam = 0 face left out
+        # repeats fx
         assert np.array_equal(grid.f_half,
-                              f_mix[:, :, :17].transpose(2, 0, 1)), label
+                              f_mix[:, :, 1:17].transpose(2, 0, 1)), label
+        assert np.array_equal(f_mix[:, :, 0],
+                              np.broadcast_to(fx[None, :], (33, 33))), label
         # the other half is the mirror (i, j, k) -> (j, i, n-1-k)
         assert np.array_equal(f_mix,
                               f_mix.transpose(1, 0, 2)[:, :, ::-1]), label
@@ -1230,16 +1244,26 @@ def test_each_channel_draws_its_probes_from_the_seed_and_its_key(
     monkeypatch.setattr(sweep, "probes_hold",
                         lambda fn, s_values, *xyl: drawn.append(xyl) or {
                             s: False for s in s_values})
-    f, iv, seed = get_function("cube"), Interval(1.0, 3.0), 20261017
-    config = small_config(seed=seed)
-    if channel == "f":
-        sweep._sandwich_rows(config, f, iv)
-    else:
-        _verdicts(config, f, iv, q)
-    key = repr((f.name, key_channel, iv.a, iv.b, q))
-    (got,) = drawn
-    for have, want in zip(got, probe_draw(seed, iv, key)):
-        assert have.tobytes() == want.tobytes()
+    # the sweep draws them as one: its triples are those of the three
+    # Generator.uniform calls of probe_draw, bit for bit, at any seed
+    # (reduced mod 2^32) and on tiny, far and wide intervals
+    f = get_function("cube")
+    intervals = [Interval(0.0, 1.0), Interval(1.0, 3.0), Interval(0.0, 1e-9),
+                 Interval(1e6, 1e6 + 1.0), Interval(0.0, 1e150)]
+    for seed, iv in product((0, 1, -1, 2 ** 32 + 5, 20261017), intervals):
+        drawn.clear()
+        config = small_config(seed=seed)
+        if channel == "f":
+            sweep._sandwich_rows(config, f, iv)
+        else:
+            _verdicts(config, f, iv, q)
+        key = repr((f.name, key_channel, iv.a, iv.b, q))
+        (got,) = drawn
+        want = probe_draw(seed, iv, key)
+        assert len(got) == len(want) == 3
+        for have, ref in zip(got, want):
+            assert have.shape == ref.shape == (_PROBE_COUNT,), (seed, iv)
+            assert have.tobytes() == ref.tobytes(), (seed, iv)
 
 
 def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
