@@ -26,11 +26,14 @@ on the lam = 0 face the value is f(x[j]) and its combination
 0 f(x[i]) + 1 f(x[j]) is f(x[j]) exactly (0^s is 0 and 1^s is 1), so a
 channel finite on the grid passes there in both directions, and a
 channel that is not is refused before any verdict.
-:func:`grid_verdicts` judges one s in both directions from one
-combination, formed in a fresh array.
+The weights lam^s of each s order are one read-only table, built when
+first read and kept (``_grid_tables``).  :func:`grid_verdicts` judges
+one s in both directions from one combination, formed in a fresh array.
 :func:`channel_verdicts` decides a channel for the sweep at every s it
-needs, from one grid and one batch of probe triples, judging several s
-from the largest down where the classes nest; :func:`probes_hold` judges
+needs, in the directions asked for, from one grid and one batch of probe
+triples: the probes are compared first and the grid only where they
+pass, and several s are judged from the largest down where the classes
+nest; :func:`probes_hold` judges
 probe triples alone in the convex direction, for a channel whose grid a
 certifier judges.  :func:`certify_s_convex` and :func:`certify_s_concave`
 judge a fresh grid in one direction and name a witness where it fails;
@@ -230,7 +233,7 @@ def cert_grid(fn, domain: Interval) -> CertGrid:
             f"s-convexity is defined on [0, inf); domain starts at {domain.a}")
     points, values = _grid_values(fn, domain)
     return CertGrid(points[::_STEP].copy(), values[::_STEP].copy(),
-                    values[_HALF_INDEX])
+                    values.take(_HALF_INDEX))
 
 
 def s_combination(lam, s: float, fx, fy):
@@ -264,10 +267,27 @@ def _grid_holds(grid: CertGrid, combo: np.ndarray, concave: bool) -> bool:
     return bool(_holds(grid.f_half, combo, concave).all())
 
 
+def _rises(table: np.ndarray) -> bool:
+    """Whether the rows of a weight ``table``, one per s from the largest
+    down, rise element by element."""
+    return bool(np.all(table[1:] >= table[:-1]))
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_tables(order: tuple[float, ...]) -> tuple[np.ndarray, bool]:
+    """The grid's weights lam^s, one read-only row per s of ``order`` (as
+    floats), and whether the rows rise (:func:`_rises`): the one place
+    the grid's weights are computed, shared by every grid judged at the
+    same s, from the largest down where there are several."""
+    table = np.stack([_LAM ** s for s in order])
+    table.flags.writeable = False
+    return table, _rises(table)
+
+
 def grid_verdicts(grid: CertGrid, s: float) -> tuple[bool, bool]:
     """Whether ``grid`` passes s-convexity and s-concavity in the second
     sense, from one s-weighted combination."""
-    combo = _grid_combination(grid, _LAM ** _check_s(s))
+    combo = _grid_combination(grid, _grid_tables((_check_s(s),))[0][0])
     return _grid_holds(grid, combo, False), _grid_holds(grid, combo, True)
 
 
@@ -286,22 +306,28 @@ def probes_hold(fn, s_values, x, y, lam) -> dict[float, bool]:
             for s in s_values}
 
 
-def _nests(ends, tables) -> bool:
+def _nests(ends, rises: bool) -> bool:
     """Whether verdicts judged from the largest s down nest bit for bit
-    (see :func:`channel_verdicts`): the values ``ends`` that the
-    combinations weight are finite and >= 0, and the weight ``tables``,
-    one row per s from the largest down, rise element by element."""
-    return (bool(np.all((0.0 <= ends) & (ends < np.inf)))
-            and bool(np.all(tables[1:] >= tables[:-1])))
+    (see :func:`channel_verdicts`): the weight tables rise (``rises``,
+    from :func:`_rises`) and the values ``ends`` that the combinations
+    weight are finite and >= 0."""
+    return rises and bool(np.all((0.0 <= ends) & (ends < np.inf)))
 
 
-def channel_verdicts(fn, domain: Interval, s_values, x, y,
-                     lam) -> dict[tuple[float, bool], bool]:
+def channel_verdicts(fn, domain: Interval, s_values, x, y, lam,
+                     directions=(False, True)
+                     ) -> dict[tuple[float, bool], bool]:
     """The verdicts {(s, concave): bool} of one channel at every s of
-    ``s_values`` in both directions, from the certification grid and the
-    probe triples (x[i], y[i], lam[i]): a verdict holds where both pass.
-    ``{}`` when the channel is non-finite on the grid (for example a
-    second derivative diverging at an endpoint): nothing is certified.
+    ``s_values`` in each direction of ``directions`` (``concave`` False,
+    True or both), from the certification grid and the probe triples
+    (x[i], y[i], lam[i]): a verdict holds where both pass.  The keys come
+    in the order of ``s_values``, the convex one first at each s.  ``{}``
+    when the channel is non-finite on the grid (for example a second
+    derivative diverging at an endpoint): nothing is certified.
+
+    Each (s, direction) judged compares the probe triples first and the
+    grid only where they pass, so an s's grid combination is formed only
+    where some direction still judged passes its probes.
 
     Several distinct s are judged from the largest down, and a direction
     is judged no further once the nesting of the classes decides it
@@ -317,45 +343,41 @@ def channel_verdicts(fn, domain: Interval, s_values, x, y,
     each combination, each threshold combo +- CERT_SLACK and the one rule
     :func:`_holds` are monotone in s.  numpy's power is not guaranteed to
     be correctly rounded, so the order of the tables is checked, not
-    assumed.  Where any of this fails, every distinct s is judged; a
-    single s is judged by :func:`grid_verdicts` and :func:`s_combination`
-    alone.
+    assumed.  Where any of this fails, or there is one distinct s, every
+    distinct s is judged.
     """
     try:
         grid = cert_grid(fn, domain)
     except IntegrandError:
         return {}
     fx, fy, f_mix = _probe_values(fn, x, y, lam)
+    wanted = [concave for concave in (False, True) if concave in directions]
     distinct = list(dict.fromkeys(s_values))
-    if len(distinct) < 2:
-        verdicts = {}
-        for s in s_values:
-            on_grid = grid_verdicts(grid, s)
-            combo = s_combination(lam, s, fx, fy)
-            for concave in (False, True):
-                verdicts[(s, concave)] = on_grid[concave] and bool(
-                    _holds(f_mix, combo, concave).all())
-        return verdicts
     # the keys in the order of s_values; the values from the largest s down,
-    # with one row of weights per s: the grid's, then the probes' two
+    # each s with its row of the grid's weights (_grid_tables) and of the
+    # probes' two, lam^s then (1-lam)^s as s_combination computes them
     verdicts = dict.fromkeys(
-        (s, concave) for s in distinct for concave in (False, True))
+        (s, concave) for s in distinct for concave in wanted)
     order = sorted(distinct, key=_check_s, reverse=True)
+    table, rises = _grid_tables(tuple(map(float, order)))
     rest = 1.0 - lam
-    tables = np.stack([np.concatenate([_LAM ** _check_s(s), lam ** s,
-                                       rest ** s]) for s in order])
-    nested = _nests(np.concatenate([grid.fx, fx, fy]), tables)
-    probe_at = CERT_GRID_N + lam.size
+    weights = np.stack([np.concatenate([lam ** s, rest ** s]) for s in order])
+    nested = len(order) > 1 and _nests(np.concatenate([grid.fx, fx, fy]),
+                                       rises and _rises(weights))
     known = {}      # direction -> its verdict at this s and every smaller s
-    for s, row in zip(order, tables):
-        if len(known) < 2:
-            combo = _grid_combination(grid, row[:CERT_GRID_N])
-            probes = row[CERT_GRID_N:probe_at] * fx + row[probe_at:] * fy
-        for concave in (False, True):
+    split = lam.size
+    for s, row, probe_row in zip(order, table, weights):
+        probes = combo = None
+        for concave in wanted:
             holds = known.get(concave)
             if holds is None:
-                holds = _grid_holds(grid, combo, concave) and bool(
-                    _holds(f_mix, probes, concave).all())
+                if probes is None:
+                    probes = probe_row[:split] * fx + probe_row[split:] * fy
+                holds = bool(_holds(f_mix, probes, concave).all())
+                if holds:
+                    if combo is None:
+                        combo = _grid_combination(grid, row)
+                    holds = _grid_holds(grid, combo, concave)
                 # a convex pass, or a concave fail, holds at every smaller s
                 if nested and holds != concave:
                     known[concave] = holds
@@ -376,7 +398,7 @@ def _whole(half: np.ndarray) -> np.ndarray:
 def _certify(fn, domain: Interval, s: float,
              concave: bool) -> CertificationResult:
     grid = cert_grid(fn, domain)
-    combo = _grid_combination(grid, _LAM ** _check_s(s))
+    combo = _grid_combination(grid, _grid_tables((_check_s(s),))[0][0])
     checked = CERT_GRID_N ** 3
     if _grid_holds(grid, combo, concave):
         return CertificationResult(passed=True, witness=None, checked=checked)

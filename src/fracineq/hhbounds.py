@@ -60,8 +60,8 @@ from .funclib import (
     CERT_GRID_N,
     CERT_SLACK,
     TestFunction,
-    _LAM,
     _check_s,
+    _grid_tables,
     _nests,
     abs_d2,
     certify_s_concave,
@@ -372,8 +372,7 @@ def _gates(fv, interval: Interval, s_values
             nodes = _eval_grid(fv, np.linspace(interval.a, interval.b,
                                                CERT_GRID_N))
         below = order[i:]
-        if len(below) > 1 and _nests(nodes, np.stack(
-                [_LAM ** t for t in below])):
+        if len(below) > 1 and _nests(nodes, _grid_tables(tuple(below))[1]):
             gates.update(dict.fromkeys(below[1:]))
             break
     return gates, nodes

@@ -37,8 +37,11 @@ f's grid nodes are finite and >= 0 and the grid's weights lam^s rise as
 s falls (checked, :func:`~fracineq.hhbounds._gates`), and a fail, or a
 condition that does not hold, sends the next s to its own call; |f''|,
 and |f''|^q for each distinct q (|f''|^1 is the |f''| channel), each get
-one :func:`~fracineq.funclib.channel_verdicts` call that judges the grid
-and the channel's probes at every s value in both directions, so
+one :func:`~fracineq.funclib.channel_verdicts` call that judges the
+channel's probes, and its grid where they pass, at every s value in the
+directions the channel's rows read (the set :func:`run_sweep` derives
+from the hypothesis groups; |f''| at least in the convex one, whose
+verdicts also tell the identity row that f'' is finite on the grid), so
 reported hypothesis checks do not depend silently on grid alignment.
 The sandwich's terms that depend on no s (f >= 0 on the grid's nodes,
 read once with the gate's inheritance check, f(a), f(b), f(mid) and the
@@ -385,12 +388,14 @@ def _probes(config: SweepConfig, f: TestFunction, channel: str,
 
 
 def _verdicts(config: SweepConfig, f: TestFunction, iv: Interval,
-              q: float | None = None) -> dict[tuple[float, bool], bool]:
+              q: float | None = None, directions=(False, True)
+              ) -> dict[tuple[float, bool], bool]:
     """The verdicts {(s, concave): bool} of |f''|^q (|f''| for q None) on
-    ``iv``, from the grid and the channel's probes; ``{}`` where the
-    channel is non-finite on the certification grid."""
+    ``iv`` in ``directions``, from the grid and the channel's probes;
+    ``{}`` where the channel is non-finite on the certification grid."""
     return channel_verdicts(abs_d2(f, q), iv, config.s_values,
-                            *_probes(config, f, "abs_d2", iv, q))
+                            *_probes(config, f, "abs_d2", iv, q),
+                            directions=directions)
 
 
 def _sandwich_rows(config: SweepConfig, f: TestFunction, iv: Interval
@@ -415,25 +420,26 @@ def _sandwich_rows(config: SweepConfig, f: TestFunction, iv: Interval
 
 
 def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
-               groups: dict[tuple, list[tuple]], f: TestFunction,
-               iv: Interval) -> list[SweepRow]:
+               groups: dict[tuple, list[tuple]],
+               channels: dict[float | None, tuple[bool, ...]],
+               f: TestFunction, iv: Interval) -> list[SweepRow]:
     """The sandwich, identity and bound rows of ``f`` on ``iv``.
 
     The |f''| channel and |f''|^q for each distinct q of ``groups`` (see
-    :func:`run_sweep`) are certified once each.  Where |f''| has verdicts,
-    the defects and identity right-hand sides are computed for every order
-    of ``alphas``, one ladder pass per side, else every row that needs
-    them is skipped.  Each hypothesis group's verdict is looked up once: a
-    refused group's rows are skipped together, and a computed bound row
-    combines its factors with the cell's (b-a)^2 and |f''|^q, read when
-    first asked for.
+    :func:`run_sweep`) are certified once each, in the directions
+    ``channels`` gives them, those their groups read.  Where |f''| has
+    verdicts, the defects and identity right-hand sides are computed for
+    every order of ``alphas``, one ladder pass per side, else every row
+    that needs them is skipped.  Each hypothesis group's verdict is looked
+    up once: a refused group's rows are skipped together, and a computed
+    bound row combines its factors with the cell's (b-a)^2 and |f''|^q,
+    read when first asked for.
     """
     rows = _sandwich_rows(config, f, iv)
     slack = config.slack
     head = (f.name, iv.a, iv.b)     # read once, not per row
-    # the channels: |f''|, and each group's q (the first field of its key)
-    curvature = {q: _verdicts(config, f, iv, q)
-                 for q in dict.fromkeys([None] + [key[0] for key in groups])}
+    curvature = {q: _verdicts(config, f, iv, q, directions)
+                 for q, directions in channels.items()}
     try:
         # the identity needs f'' integrable: where |f''| is non-finite on
         # the certification grid its channel has no verdicts, and neither
@@ -451,6 +457,9 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
     sides = dict(zip(alphas, zip(lhs, rhs)))
     rows += [_row(slack, "identity", (*head, alpha, None, None, None),
                   *sides[alpha], _IDENTITY) for alpha in config.alphas]
+    # each order's |D|, or the error that stopped it, read once
+    defects = {alpha: d if isinstance(d, FracineqError) else abs(d)
+               for alpha, d in zip(alphas, lhs)}
     width2, curvature_at = _width_squared(iv), _Curvatures(f, iv)
     for (q, s, concave), entries in groups.items():
         if not curvature[q].get((s, concave), False):
@@ -461,11 +470,11 @@ def _cell_rows(config: SweepConfig, alphas: tuple[float, ...],
                      for check_id, _, params, _, _, _ in entries]
             continue
         for check_id, alpha, params, combine, factors, rule in entries:
-            defect = sides[alpha][0]
+            defect = defects[alpha]
             if isinstance(defect, FracineqError):
                 rows.append(_row(slack, check_id, head + params, defect))
             else:
-                rows.append(_row(slack, check_id, head + params, abs(defect),
+                rows.append(_row(slack, check_id, head + params, defect,
                                  combine(width2, curvature_at, factors),
                                  rule))
     return rows
@@ -513,9 +522,17 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     check.check_id, bp.alpha, tuple(bp), check.combine,
                     check.factors(bp),
                     _range_rule(bp.alpha <= check.alpha_max)))
+    # each channel's directions, those its groups read, |f''| first: the
+    # identity row reads |f''|'s verdicts too, {} where it is non-finite on
+    # the grid, so it is judged at least in the convex direction, which its
+    # bound_s_convex rows read
+    read = {None: {False}}
+    for q, _, concave in groups:
+        read.setdefault(q, set()).add(concave)
+    channels = {q: tuple(sorted(held)) for q, held in read.items()}
     rows = [row for name in config.functions for iv in config.intervals
-            for row in _cell_rows(config, alphas, groups, get_function(name),
-                                  iv)]
+            for row in _cell_rows(config, alphas, groups, channels,
+                                  get_function(name), iv)]
     rows += _weight_rows(config)
     rows.sort(key=_sort_key)
     return SweepReport(rows=tuple(rows))

@@ -51,6 +51,18 @@ def test_certify_loads_no_defect_sweep_or_polynomial_layer():
     assert loaded == set()
 
 
+def test_grid_weight_tables_are_built_when_first_read():
+    # importing the certifier builds no table of the grid's weights lam^s;
+    # the first certification builds its s order's table
+    child = ("import fracineq.funclib as f\n"
+             "before = f._grid_tables.cache_info().currsize\n"
+             "f.certify_s_convex(lambda t: t * t, f.Interval(0.0, 1.0), 0.5)\n"
+             "print(before, f._grid_tables.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=child_env(), check=True)
+    assert proc.stdout.split() == ["0", "1"]
+
+
 def test_check_identity_loads_neither_sweep_nor_operators():
     code, loaded = loaded_after("check-identity", "--function", "square",
                                 "--interval", "0,1", "--alpha", "0.5")

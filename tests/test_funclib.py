@@ -450,17 +450,27 @@ def unit_probes(seed: int = 3, count: int = 64):
 
 
 def walk(fn, domain, s_values, x, y, lam):
-    """channel_verdicts over ``s_values`` and the number of s it judged
-    (one grid combination each); the verdicts are checked against one
-    call per s, merged in order, key order included."""
+    """channel_verdicts over ``s_values``, the number of s whose grid it
+    compared (one grid combination each) and the number of (s, direction)
+    it compared on the probes (one comparison of the 1-d probe values
+    each); the verdicts are checked against one call per s, merged in
+    order, key order included."""
     import fracineq.funclib as funclib_mod
 
-    judged = []
-    real = funclib_mod._grid_combination
+    judged, probed = [], []
+    real_combination = funclib_mod._grid_combination
+    real_holds = funclib_mod._holds
+
+    def counting_holds(values, combo, concave):
+        if values.ndim == 1:
+            probed.append(concave)
+        return real_holds(values, combo, concave)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(funclib_mod, "_grid_combination",
-                      lambda grid, weights: judged.append(1) or real(grid,
-                                                                     weights))
+                      lambda grid, weights: judged.append(1)
+                      or real_combination(grid, weights))
+        patch.setattr(funclib_mod, "_holds", counting_holds)
         verdicts = funclib_mod.channel_verdicts(fn, domain, s_values, x, y,
                                                 lam)
     merged = {}
@@ -468,48 +478,82 @@ def walk(fn, domain, s_values, x, y, lam):
         merged.update(funclib_mod.channel_verdicts(fn, domain, (s,), x, y,
                                                    lam))
     assert list(verdicts.items()) == list(merged.items())
-    return verdicts, len(judged)
+    return verdicts, len(judged), len(probed)
 
 
+# (grid combinations, probe comparisons) per walk: each (s, direction)
+# still judged compares its probes first, and an s's grid combination is
+# formed only where some direction's probes pass
 @pytest.mark.parametrize("fn, judged, judged_repeated", [
-    # convex at s = 1 and not concave: both decided at once
-    (lambda t: t ** 2, 1, 1),
-    # s-convex at every s, s-concave at s = 1 alone
-    (lambda t: 1.0 + 0.0 * t, 2, 2),
+    # convex at s = 1 and not concave, its concave probes failing: both
+    # decided at once, the grid compared for the convex pass alone
+    (lambda t: t ** 2, (1, 2), (1, 2)),
+    # s-convex at every s, s-concave at s = 1 alone: s = 3/4 fails its
+    # concave probes, and its grid is not combined
+    (lambda t: 1.0 + 0.0 * t, (1, 3), (1, 3)),
     # concave, and s-convex, down to s = 1/2 alone
-    (np.sqrt, 3, 2),
+    (np.sqrt, (2, 5), (2, 4)),
     # s-convex at s = 1/4 alone, concave at s = 1 alone: every s is judged
-    (lambda t: t ** 0.25, 4, 3),
+    # on the probes, the grid where they pass
+    (lambda t: t ** 0.25, (3, 6), (3, 5)),
 ], ids=["square", "constant", "sqrt", "fourth_root"])
 def test_walk_stops_once_both_directions_are_decided(fn, judged,
                                                      judged_repeated):
-    verdicts, count = walk(fn, UNIT, S_WALK, *unit_probes())
-    assert count == judged
+    verdicts, *count = walk(fn, UNIT, S_WALK, *unit_probes())
+    assert tuple(count) == judged
     # unsorted and repeated s give the same keys in their given order
-    verdicts, count = walk(fn, UNIT, (1.0, 0.25, 1.0, 0.5), *unit_probes())
-    assert count == judged_repeated
+    verdicts, *count = walk(fn, UNIT, (1.0, 0.25, 1.0, 0.5), *unit_probes())
+    assert tuple(count) == judged_repeated
     assert list(verdicts) == [(1.0, False), (1.0, True), (0.25, False),
                               (0.25, True), (0.5, False), (0.5, True)]
 
 
-def test_walk_judges_every_s_where_the_nesting_is_not_shown(monkeypatch):
+def test_walk_judges_every_s_where_the_nesting_is_not_shown():
     import fracineq.funclib as funclib_mod
 
     x, y, lam = unit_probes()
     square = lambda t: t ** 2                               # noqa: E731
-    # negative at the grid nodes below 1/2
-    assert walk(lambda t: t ** 2 - 0.25, UNIT, S_WALK, x, y, lam)[1] == 4
-    # NaN at a probe's end value: no verdict holds
-    verdicts, count = walk(lambda t: np.where(t == x[0], np.nan, t ** 2),
-                           UNIT, S_WALK, x, y, lam)
-    assert count == 4 and not any(verdicts.values())
+    # negative at the grid nodes below 1/2: every (s, direction) is
+    # compared on the probes, the grid only at s = 1, where they pass
+    assert walk(lambda t: t ** 2 - 0.25, UNIT, S_WALK, x, y, lam)[1:] == (
+        1, 8)
+    # NaN at a probe's end value: no verdict holds, and no grid is compared
+    verdicts, *count = walk(lambda t: np.where(t == x[0], np.nan, t ** 2),
+                            UNIT, S_WALK, x, y, lam)
+    assert count == [0, 8] and not any(verdicts.values())
     # a grid weight above 1, so lam^s falls as s falls: the table is out of
     # order, where the same channel is otherwise decided at s = 1
-    assert walk(square, UNIT, S_WALK, x, y, lam)[1] == 1
+    assert walk(square, UNIT, S_WALK, x, y, lam)[1:] == (1, 2)
     unordered = funclib_mod._LAM.copy()
     unordered[5] = 1.5
-    monkeypatch.setattr(funclib_mod, "_LAM", unordered)
-    assert walk(square, UNIT, S_WALK, x, y, lam)[1] == 4
+    # the grid's weight tables are cached per s order: clear them so the
+    # patched weights are read, and again so later tests read the real ones
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(funclib_mod, "_LAM", unordered)
+            funclib_mod._grid_tables.cache_clear()
+            assert not funclib_mod._grid_tables(tuple(S_WALK[::-1]))[1]
+            assert walk(square, UNIT, S_WALK, x, y, lam)[1:] == (4, 8)
+    finally:
+        funclib_mod._grid_tables.cache_clear()
+
+
+def test_grid_tables_are_read_only_powers_of_the_weights():
+    # one table of the grid's weights lam^s per s order, kept: bit for bit
+    # the rows each s gave when computed in place, and read-only
+    from fracineq.funclib import _LAM, _grid_tables
+
+    for order in ((1.0,), (0.5,), S_WALK[::-1], (0.9, 0.6, 0.3, 0.1)):
+        table, rises = _grid_tables(order)
+        assert table.tobytes() == np.stack([_LAM ** s for s in order]
+                                           ).tobytes()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[-1, 1] = 2.0
+        assert rises
+        assert _grid_tables(order)[0] is table
+    # lam^s falls as s rises
+    assert not _grid_tables(S_WALK)[1]
 
 
 def test_the_walk_repeats_its_verdicts_on_one_grid(monkeypatch):

@@ -1240,7 +1240,8 @@ def test_each_channel_draws_its_probes_from_the_seed_and_its_key(
     # go to its convex probe verdicts, the others' to channel_verdicts
     drawn = []
     monkeypatch.setattr(sweep, "channel_verdicts",
-                        lambda fn, iv, s_values, *xyl: drawn.append(xyl))
+                        lambda fn, iv, s_values, *xyl, directions:
+                        drawn.append(xyl))
     monkeypatch.setattr(sweep, "probes_hold",
                         lambda fn, s_values, *xyl: drawn.append(xyl) or {
                             s: False for s in s_values})
@@ -1280,9 +1281,11 @@ def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
     drawn = []
     real_verdicts = sweep_mod.channel_verdicts
 
-    def counting_channel_verdicts(fn, domain, s_values, x, y, lam):
+    def counting_channel_verdicts(fn, domain, s_values, x, y, lam,
+                                  directions):
         before = len(built)
-        verdicts = real_verdicts(fn, domain, s_values, x, y, lam)
+        verdicts = real_verdicts(fn, domain, s_values, x, y, lam,
+                                 directions=directions)
         # (probe triples, grids built) per channel
         drawn.append((len(x), len(y), len(lam), len(built) - before))
         return verdicts
@@ -1334,16 +1337,16 @@ EIGHT_S_CONFIG = (
 
 
 def certified_channels(monkeypatch, config) -> list[tuple]:
-    """The arguments (fn, domain, s_values, x, y, lam) of every
-    channel_verdicts call a sweep of ``config`` makes, with nothing past
-    the certifier computed: every defect, sandwich and weight row is
+    """The arguments (fn, domain, s_values, x, y, lam, directions) of
+    every channel_verdicts call a sweep of ``config`` makes, with nothing
+    past the certifier computed: every defect, sandwich and weight row is
     stubbed out."""
     calls = []
     real = sweep.channel_verdicts
 
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(*args, directions):
+        calls.append((*args, directions))
+        return real(*args, directions=directions)
 
     def no_defect(*args):
         raise IntegrandError("not computed")
@@ -1380,7 +1383,7 @@ def test_nested_verdicts_equal_one_call_per_s(monkeypatch, text, s_values,
                             grid, weights))
     calls = certified_channels(monkeypatch, config)
     assert calls
-    for fn, iv, s_list, x, y, lam in calls:
+    for fn, iv, s_list, x, y, lam, _ in calls:
         del judged[:]
         verdicts = channel_verdicts(fn, iv, s_list, x, y, lam)
         assert len(judged) <= len(set(s_list))
@@ -1388,6 +1391,117 @@ def test_nested_verdicts_equal_one_call_per_s(monkeypatch, text, s_values,
         for s in s_list:
             merged.update(channel_verdicts(fn, iv, (s,), x, y, lam))
         assert list(verdicts.items()) == list(merged.items()), iv
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
+@pytest.mark.parametrize("text", [README_CONFIG, IDENTITY_CONFIG, E_CONFIG,
+                                  EIGHT_S_CONFIG],
+                         ids=["readme", "identity", "E", "eight_s"])
+def test_verdicts_in_some_directions_are_those_of_both(monkeypatch, text,
+                                                       seed):
+    # every channel the sweep certifies: a call in some directions gives the
+    # two-direction call's verdicts in those directions, key order included
+    config = parse_config_text(text)._replace(seed=seed)
+    calls = certified_channels(monkeypatch, config)
+    assert calls
+    for fn, iv, s_list, x, y, lam, _ in calls:
+        both = channel_verdicts(fn, iv, s_list, x, y, lam)
+        for directions in ((False,), (True,), (False, True)):
+            assert list(channel_verdicts(
+                fn, iv, s_list, x, y, lam, directions=directions).items()) == [
+                    (key, holds) for key, holds in both.items()
+                    if key[1] in directions], (iv, directions)
+
+
+def raised_square() -> TestFunction:
+    """t^2 on [1, 2], raised by 1 at the grid point 1.5 alone: the grid
+    refuses its convexity there, where no probe meets the point."""
+    return TestFunction(
+        "raised_square", lambda t: t ** 2 + np.where(t == 1.5, 1.0, 0.0),
+        lambda t: 2.0 + 0.0 * t, ConvexityClass("none"), Interval(1.0, 2.0))
+
+
+def test_verdicts_are_the_grid_and_the_probes_together(monkeypatch):
+    # the bumped square's probes refuse s = 1 convexity where its grid
+    # passes, and the raised square's grid refuses convexity where its
+    # probes pass: each verdict is the conjunction of the two, and a grid
+    # is combined at an s only where the direction's probes pass
+    import fracineq.funclib as funclib_mod
+
+    combined = []
+    real = funclib_mod._grid_combination
+    monkeypatch.setattr(funclib_mod, "_grid_combination",
+                        lambda grid, weights: combined.append(1) or real(
+                            grid, weights))
+    s_values = (0.25, 0.5, 1.0)
+    cases = Counter()
+    for f in (bumped_square(), raised_square()):
+        iv = f.natural_domain
+        # f's probes as the sweep draws them (seed 7)
+        x, y, lam = _probes(small_config(seed=7), f, "f", iv)
+        fx, fy, f_mix = f.fn(x), f.fn(y), f.fn(lam * x + (1.0 - lam) * y)
+        grid = cert_grid(f.fn, iv)
+        both = channel_verdicts(f.fn, iv, s_values, x, y, lam)
+        for s, concave in product(s_values, (False, True)):
+            on_grid = grid_verdicts(grid, s)[concave]
+            combo = lam ** s * fx + (1.0 - lam) ** s * fy
+            at_probes = bool(np.all(f_mix >= combo - 1e-12) if concave
+                             else np.all(f_mix <= combo + 1e-12))
+            assert both[(s, concave)] == (on_grid and at_probes)
+            cases[f.name, on_grid, at_probes] += 1
+            del combined[:]
+            alone = channel_verdicts(f.fn, iv, (s,), x, y, lam,
+                                     directions=(concave,))
+            assert alone == {(s, concave): on_grid and at_probes}
+            assert len(combined) == at_probes, (f.name, s, concave)
+    assert cases["bumped_square", True, False] == 1         # s = 1, convex
+    assert cases["raised_square", False, True] == len(s_values)
+
+
+def channel_directions(monkeypatch, config) -> dict:
+    """{q: directions} that a sweep of ``config`` hands each channel of
+    its first cell, |f''| keyed None."""
+    handed = {}
+    real = sweep._verdicts
+
+    def recording(config, f, iv, q, directions):
+        handed.setdefault((f.name, iv), {})[q] = directions
+        return real(config, f, iv, q, directions)
+
+    monkeypatch.setattr(sweep, "_verdicts", recording)
+    run_sweep(config)
+    monkeypatch.undo()
+    cells = list(handed.values())
+    assert all(cell == cells[0] for cell in cells)
+    return cells[0]
+
+
+def test_each_channel_is_judged_in_the_directions_its_rows_read(
+        monkeypatch):
+    # |f''| is read by the convex bound_s_convex and power-mean rows alone
+    # in both bench configs; |f''|^q of a conjugate q of p by the convex
+    # Hoelder rows and the concave rows
+    readme = channel_directions(monkeypatch, parse_config_text(README_CONFIG))
+    assert readme == {None: (False,), 3.0: (False, True), 2.0: (False, True),
+                      1.5: (False, True), 1.25: (False, True)}
+    assert channel_directions(monkeypatch, parse_config_text(
+        IDENTITY_CONFIG)) == {None: (False,), 2.0: (False, True)}
+
+
+def test_a_concave_row_of_q_one_reads_the_f2_channel_concave(monkeypatch):
+    # p = 1e16 has the conjugate q = p/(p-1) = 1.0 exactly, so its concave
+    # rows rest on |f''|, which is then judged in both directions; the
+    # report is the one judged in both directions everywhere, byte for byte
+    text = README_CONFIG.replace("p_values  = 1.5 2 3 5", "p_values  = 2 1e16")
+    config = parse_config_text(text)
+    assert BoundParams(1.0, 1.0, p=1e16).q == 1.0
+    assert channel_directions(monkeypatch, config)[None] == (False, True)
+    report = run_sweep(config)
+    computed = [r for r in report.rows if r.check_id == "bound_s_concave"
+                and r.p == 1e16 and r.status != "precondition_skipped"]
+    assert len(computed) == 63
+    assert hashlib.sha256(render_report(report, "csv")).hexdigest() == (
+        "bdb515fac534ae7b4441b728618956c320cc7d0a4aeda09f70c07b0ca0745b91")
 
 
 def one_sandwich(f, iv: Interval, s: float, quad_tol: float):
@@ -1458,15 +1572,17 @@ def test_a_gate_pass_is_not_inherited_where_f_is_negative_on_a_node(
         outcome_bits(one_sandwich(fv, iv, s, 1e-10)) for s in s_values]
 
 
-@pytest.mark.parametrize("text, channels, judged, gates", [
-    (README_CONFIG, 45, 79, 9), (IDENTITY_CONFIG, 72, 72, 36),
+@pytest.mark.parametrize("text, channels, judged, gates, comparisons", [
+    (README_CONFIG, 45, 52, 9, 76), (IDENTITY_CONFIG, 72, 60, 36, 116),
 ], ids=["readme", "identity"])
 def test_sweep_judges_each_channel_from_the_largest_s_down(
-        monkeypatch, text, channels, judged, gates):
+        monkeypatch, text, channels, judged, gates, comparisons):
     # s-evaluations (one grid combination each) per sweep: the |f''| and
-    # |f''|^q channels' and, apart from them, the sandwich gates' (f's only
-    # grid judge), one per cell where the largest s passes, as in each
-    # README cell; one grid per channel and per gate
+    # |f''|^q channels', in the directions their rows read and only at an
+    # s where some direction's probes pass, and, apart from them, the
+    # sandwich gates' (f's only grid judge), one per cell where the largest
+    # s passes, as in each README cell; one grid per channel and per gate;
+    # grid comparisons (one per direction compared), the gates' included
     import fracineq.funclib as funclib_mod
 
     count = Counter()
@@ -1488,11 +1604,17 @@ def test_sweep_judges_each_channel_from_the_largest_s_down(
         count["combinations"] += 1
         return real_combination(grid, weights)
 
+    real_holds = funclib_mod._grid_holds
+
+    def counting_holds(grid, combo, concave):
+        count["comparisons"] += 1
+        return real_holds(grid, combo, concave)
+
     real_verdicts = sweep.channel_verdicts
 
-    def counting_verdicts(*args):
+    def counting_verdicts(*args, **kwargs):
         before = count["combinations"]
-        verdicts = real_verdicts(*args)
+        verdicts = real_verdicts(*args, **kwargs)
         count["channels"] += 1
         count["judged"] += count["combinations"] - before
         return verdicts
@@ -1502,12 +1624,14 @@ def test_sweep_judges_each_channel_from_the_largest_s_down(
         get_function(name)      # the catalog's own certification, uncounted
     monkeypatch.setattr(funclib_mod, "_grid_combination",
                         counting_combination)
+    monkeypatch.setattr(funclib_mod, "_grid_holds", counting_holds)
     monkeypatch.setattr(sweep, "channel_verdicts", counting_verdicts)
     monkeypatch.setattr(funclib_mod, "cert_grid", counting_grid)
     monkeypatch.setattr(hhbounds, "certify_s_convex", counting_gate)
     run_sweep(config)
     assert count == {"channels": channels, "judged": judged, "gates": gates,
                      "combinations": judged + gates,
+                     "comparisons": comparisons,
                      "grids": channels + gates}
 
 
