@@ -2,10 +2,16 @@
 
 A sweep takes a :class:`SweepConfig` (normally parsed from a flat
 ``key = value ...`` text file, see :func:`parse_config_text`) and emits one
-row per configured tuple and applicable check, sorted by
-``(check_id, function, a, b, alpha, s, p, q)``.  One table, ``_LISTS``,
-reads, types and checks every list entry, of a config file, a CLI override
-or a config built in code alike.
+row per configured tuple and applicable check, in the order a stable sort
+of the rows, made in config order, by ``(check_id, function, a, b, alpha,
+s, p, q)`` gives.  Every (function, interval) cell makes the same
+(check_id, alpha, s, p, q) sequence, so that is sorted once per sweep, the
+layout, and the cells once by (function, a, b): each check id takes each
+cell's rows in layout order.  Only cells tied on (function, a, b), a
+repeated entry or ``0,1`` beside ``-0,1``, have their rows of a check
+merged by the full key, in config order, as are the weight-integral rows.
+One table, ``_LISTS``, reads, types and checks every list entry, of a
+config file, a CLI override or a config built in code alike.
 
 Row semantics
 -------------
@@ -79,7 +85,7 @@ import math
 import numbers
 import zlib
 from functools import partial
-from itertools import product
+from itertools import groupby, product
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -490,9 +496,40 @@ def _weight_rows(config: SweepConfig) -> list[SweepRow]:
                                  config.p_values, config.quad_tol)]
 
 
-# (check_id, function, a, b, alpha, s, p, q); all rows of one check id
-# leave the same of these columns None, so no None meets a value
+# (check_id, function, a, b, alpha, s, p, q), the report's order; all rows
+# of one check id leave the same of these columns None, so no None meets a
+# value here or in the layout's sort
 _sort_key = itemgetter(slice(0, 8))
+
+
+def _report(cells: list[list[SweepRow]], weights: list[SweepRow]
+            ) -> list[SweepRow]:
+    """The rows of ``cells`` (each one cell's, in config order) and
+    ``weights``, as a stable sort by :data:`_sort_key` orders them, placed
+    by the layout (see the module docstring)."""
+    first = cells[0]
+    layout = sorted(range(len(first)), key=list(
+        map(itemgetter(0, 4, 5, 6, 7), first)).__getitem__)
+    place = itemgetter(*layout)     # a cell has 3+ rows: this picks a tuple
+    spans, stop = {}, 0
+    for check_id, run in groupby(first[i][0] for i in layout):
+        start, stop = stop, stop + sum(1 for _ in run)
+        spans[check_id] = slice(start, stop)
+    # the cells by (function, a, b), placed, those tied on it together
+    heads = [cell[0][1:4] for cell in cells]
+    ties = [[place(cells[i]) for i in tied] for _, tied in groupby(
+        sorted(range(len(cells)), key=heads.__getitem__), heads.__getitem__)]
+    parts = {check_id: list(run) for check_id, run in groupby(
+        sorted(weights, key=_sort_key), itemgetter(0))}
+    for check_id, span in spans.items():
+        part = parts[check_id] = []
+        for tied in ties:
+            part += (tied[0][span] if len(tied) == 1 else sorted(
+                [row for cell in tied for row in cell[span]], key=_sort_key))
+    rows = []
+    for check_id in sorted(parts):
+        rows += parts[check_id]
+    return rows
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -530,12 +567,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     for q, _, concave in groups:
         read.setdefault(q, set()).add(concave)
     channels = {q: tuple(sorted(held)) for q, held in read.items()}
-    rows = [row for name in config.functions for iv in config.intervals
-            for row in _cell_rows(config, alphas, groups, channels,
-                                  get_function(name), iv)]
-    rows += _weight_rows(config)
-    rows.sort(key=_sort_key)
-    return SweepReport(rows=tuple(rows))
+    # the cells computed in config order, as the certifier and quadrature
+    # calls are made; _report places their rows in the report's
+    cells = [_cell_rows(config, alphas, groups, channels,
+                        get_function(name), iv)
+             for name in config.functions for iv in config.intervals]
+    return SweepReport(rows=tuple(_report(cells, _weight_rows(config))))
 
 
 # ---------------------------------------------------------------------------

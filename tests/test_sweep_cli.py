@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -270,7 +271,8 @@ def test_repeated_config_entries_repeat_their_rows():
 
 
 def test_each_check_id_leaves_the_same_key_columns_empty():
-    # run_sweep sorts on the raw key columns, which needs this
+    # run_sweep orders rows by the raw key columns, in its layout's sort
+    # and in the merge of tied cells, which needs this
     empty = {}
     for r in run_sweep(small_config()).rows:
         empty.setdefault(r.check_id, set()).add(
@@ -1651,19 +1653,129 @@ REPORT_DIGESTS = {
         "885964dd32b7dfdae09994f8d8c38cdc850edbdbb2fcf8b7c123ee0c2a7c8dcd",
     ("mixed", "json"):
         "9d4662dd8628c369f1b4dca06a68ea37391a61a7fb817fa47e749511427c7421",
+    ("ties", "csv"):
+        "7706f0bd7a268da355a72d46c02fc166f491aa293a80299c21d8ccb790d58144",
+    ("ties", "json"):
+        "286a9de235845286966ec95d724b607b16f3643a085f2d1a8dcaa3175fc5621b",
 }
+
+# cells tied on (function, a, b): a repeated function, a repeated interval
+# and 0,1 beside -0,1; only cube on [1, 3] is a cell of its own.  The rows
+# of tied cells are merged in config order, entry by entry, as a stable
+# sort of the rows in config order leaves them
+TIES_CONFIG = """\
+functions = square cube square
+intervals = 0,1 -0,1 0,1 1,3
+alphas = 0.5 2 0.5
+s_values = 1 0.5 1
+p_values = 2
+q_values = 2 1
+"""
+
+
+def reversed_lists(text: str) -> str:
+    """``text`` with the entries of each list key in reverse order."""
+    lines = []
+    for line in text.splitlines():
+        key, _, value = line.partition("=")
+        if key.strip() in ("functions", "intervals", "alphas", "s_values",
+                           "p_values", "q_values"):
+            value = " ".join(reversed(value.split()))
+        lines.append(f"{key}={value}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
 @pytest.mark.parametrize("name, text", [("readme", README_CONFIG),
                                         ("identity", IDENTITY_CONFIG),
-                                        ("mixed", MIXED_CONFIG)])
+                                        ("mixed", MIXED_CONFIG),
+                                        ("ties", TIES_CONFIG)])
 def test_reports_keep_their_pinned_digests(name, text, seed):
     config = parse_config_text(text)._replace(seed=seed)
+    report = run_sweep(config)
+    if name == "ties":
+        assert len(report.rows) == 708
+    for fmt in ("csv", "json"):
+        digest = hashlib.sha256(render_report(report, fmt)).hexdigest()
+        assert digest == REPORT_DIGESTS[name, fmt], fmt
+
+
+@pytest.mark.parametrize("seed", [0, 20261017])
+@pytest.mark.parametrize("name, text", [("readme", README_CONFIG),
+                                        ("identity", IDENTITY_CONFIG)],
+                         ids=["readme", "identity"])
+def test_reports_do_not_depend_on_the_order_of_list_entries(name, text,
+                                                            seed):
+    # every list reversed: the cells are made in the other order, and the
+    # layout and the cells' order must still give the pinned bytes
+    config = parse_config_text(reversed_lists(text))._replace(seed=seed)
+    assert config.functions[0] != parse_config_text(text).functions[0]
     report = run_sweep(config)
     for fmt in ("csv", "json"):
         digest = hashlib.sha256(render_report(report, fmt)).hexdigest()
         assert digest == REPORT_DIGESTS[name, fmt], fmt
+
+
+@pytest.mark.parametrize("config", [
+    parse_config_text(TIES_CONFIG),
+    parse_config_text(reversed_lists(TIES_CONFIG)),
+    # entries built in code: ints beside equal floats, 0 beside -0.0
+    SweepConfig(functions=("cube", "square", "cube"),
+                intervals=(Interval(1, 3), Interval(-0.0, 1.0),
+                           Interval(0, 1), Interval(1.0, 3.0)),
+                alphas=(2, 0.5, 2.0), s_values=(1, 0.5, 1.0),
+                p_values=(3, 2.0), q_values=(1, 2, 1.0), seed=3),
+], ids=["ties", "ties_reversed", "mixed_types"])
+def test_the_layout_places_rows_as_a_stable_sort_of_them_does(
+        monkeypatch, config):
+    # the reference: the cells' rows in config order, then the weight
+    # rows, stably sorted by the report key; the same row objects in the
+    # same places
+    placed = []
+    real_report = sweep._report
+
+    def checked_report(cells, weights):
+        rows = real_report(cells, weights)
+        reference = sorted([row for cell in cells for row in cell] + weights,
+                           key=sweep._sort_key)
+        placed.append(len(rows))
+        assert len(rows) == len(reference)
+        assert all(map(operator.is_, rows, reference))
+        return rows
+
+    monkeypatch.setattr(sweep, "_report", checked_report)
+    run_sweep(config)
+    assert placed
+
+
+@pytest.mark.parametrize("name, text, weight_rows", [
+    ("readme", README_CONFIG, 88),
+    ("identity", IDENTITY_CONFIG, 67),
+    ("ties", TIES_CONFIG, 24),
+], ids=["readme", "identity", "ties"])
+def test_the_report_key_is_read_only_for_tied_cells_and_weight_rows(
+        monkeypatch, name, text, weight_rows):
+    # a cell whose (function, a, b) is unique is placed by the layout with
+    # no per-row key; the rows of tied cells are each keyed once, to merge
+    # them, and the weight rows at most once each
+    keyed = Counter()
+    real_key = sweep._sort_key
+
+    def counting_key(row):
+        keyed["weight" if row.function is None else "cell"] += 1
+        return real_key(row)
+
+    config = parse_config_text(text)
+    monkeypatch.setattr(sweep, "_sort_key", counting_key)
+    report = run_sweep(config)
+    cells = Counter((get_function(fn).name, iv.a, iv.b)
+                    for fn in config.functions for iv in config.intervals)
+    tied = sum(1 for r in report.rows if r.function is not None
+               and cells[r.function, r.a, r.b] > 1)
+    assert sum(r.function is None for r in report.rows) == weight_rows
+    assert tied == (627 if name == "ties" else 0)
+    assert keyed["cell"] == tied
+    assert keyed["weight"] <= weight_rows
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
