@@ -27,17 +27,16 @@ on the lam = 0 face the value is f(x[j]) and its combination
 channel finite on the grid passes there in both directions, and a
 channel that is not is refused before any verdict.
 The weights lam^s of each s order are one read-only table, built when
-first read and kept (``_grid_tables``).  :func:`grid_verdicts` judges
-one s in both directions from one combination, formed in a fresh array.
-:func:`channel_verdicts` decides a channel for the sweep at every s it
-needs, in the directions asked for, from one grid and one batch of probe
-triples: the probes are compared first and the grid only where they
-pass, and several s are judged from the largest down where the classes
-nest; :func:`probes_hold` judges
-probe triples alone in the convex direction, for a channel whose grid a
-certifier judges.  :func:`certify_s_convex` and :func:`certify_s_concave`
-judge a fresh grid in one direction and name a witness where it fails;
-``checked`` counts n^3.
+first read and kept (``_grid_tables``).  :func:`channel_verdicts` decides
+a channel for the sweep at every s it needs, in the directions asked
+for, from one grid and one batch of probe triples (with none, the
+grid's verdicts alone): the probes are compared first and the grid only
+where they pass, and several s are judged from the largest down where
+the classes nest; :func:`probes_hold` judges probe triples alone in the
+convex direction, for a channel whose grid a certifier judges.
+:func:`certify_s_convex` and :func:`certify_s_concave` judge a fresh
+grid in one direction and name a witness where it fails; ``checked``
+counts n^3.
 
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it, by quadrature's
@@ -64,7 +63,6 @@ __all__ = [
     "CertificationResult",
     "CertGrid",
     "cert_grid",
-    "grid_verdicts",
     "channel_verdicts",
     "probes_hold",
     "s_combination",
@@ -187,7 +185,7 @@ class CertGrid(NamedTuple):
     is in real arithmetic.  The lam = 0 face, fx[j] at every (i, j), is
     not kept: a finite channel passes there in both directions.  Neither
     array depends on s or on the direction, so one grid serves every
-    :func:`grid_verdicts` on it.
+    verdict on it.
     """
 
     xs: np.ndarray
@@ -284,13 +282,6 @@ def _grid_tables(order: tuple[float, ...]) -> tuple[np.ndarray, bool]:
     return table, _rises(table)
 
 
-def grid_verdicts(grid: CertGrid, s: float) -> tuple[bool, bool]:
-    """Whether ``grid`` passes s-convexity and s-concavity in the second
-    sense, from one s-weighted combination."""
-    combo = _grid_combination(grid, _grid_tables((_check_s(s),))[0][0])
-    return _grid_holds(grid, combo, False), _grid_holds(grid, combo, True)
-
-
 def _probe_values(fn, x, y, lam) -> np.ndarray:
     """fn at the probe triples (x[i], y[i], lam[i]): the rows f(x), f(y)
     and f(lam x + (1-lam) y); a failed read is inf or nan."""
@@ -337,8 +328,8 @@ def channel_verdicts(fn, domain: Interval, s_values, x, y, lam,
     holds at every smaller s, and a concave fail fails there.  The
     computed verdicts nest the same way, bit for bit, when the grid's node
     values and the probes' end values are finite and >= 0 and the weight
-    tables (the grid's lam^s, the probes' lam^s and (1-lam)^s, each as
-    :func:`grid_verdicts` and :func:`s_combination` compute it) rise
+    tables (the grid's lam^s from ``_grid_tables``, the probes' lam^s and
+    (1-lam)^s as :func:`s_combination` computes them) rise
     element by element as s falls: IEEE multiply and add are monotone, so
     each combination, each threshold combo +- CERT_SLACK and the one rule
     :func:`_holds` are monotone in s.  numpy's power is not guaranteed to

@@ -91,8 +91,7 @@ __all__ = [
     "defect_bound_s_convex", "defect_bound_holder", "defect_bound_power_mean",
     "defect_bound_s_concave", "classical_convex_bound",
     "classical_holder_bound", "classical_power_mean_bound",
-    "classical_concave_bound", "weight_integral_report", "weight_int_power",
-    "weight_int_beta", "weight_int_plain", "holder_kernel_bound",
+    "classical_concave_bound", "weight_integral_report",
     "HOLDER_VALID_ALPHA_MAX", "BOUND_ALPHA_MAX",
 ]
 
@@ -714,58 +713,23 @@ def _weight_integrals(alphas, s_values, p_values, quad_tol: float
     return rows
 
 
-def _weight_entry(row: tuple, tol: float) -> WeightIntegralEntry:
-    """The entry of one row of :func:`_weight_integrals`, judged with the
-    slack ``tol``; an error outcome is raised."""
-    check_id, _, _, _, outcome, rhs, in_range, identity = row
-    lhs = _outcome_value(outcome)
-    margin = -abs(lhs - rhs) if identity else rhs - lhs
-    return WeightIntegralEntry(check_id, lhs, rhs, margin, margin >= -tol,
-                               in_range)
-
-
-def weight_int_power(alpha: float, s: float, tol: float = 1e-9,
-                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
-    """int_0^1 t^(s+1) (1 - t^alpha) dt = alpha / ((s+2)(alpha+s+2))."""
-    alpha, s, tol = _check_bound_alpha(alpha), _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol)[0],
-                         tol)
-
-
-def weight_int_beta(alpha: float, s: float, tol: float = 1e-9,
-                    quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
-    """int_0^1 t (1 - t^alpha) (1-t)^s dt = beta(2, s+1) - beta(alpha+2, s+1)."""
-    alpha, s, tol = _check_bound_alpha(alpha), _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((alpha,), (s,), (), quad_tol)[1],
-                         tol)
-
-
-def weight_int_plain(s: float, tol: float = 1e-9,
-                     quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
-    """int_0^1 t^s dt = 1/(s+1)."""
-    s, tol = _check_s(s), _check_slack(tol)
-    return _weight_entry(_weight_integrals((), (s,), (), quad_tol)[0], tol)
-
-
-def holder_kernel_bound(alpha: float, p: float, tol: float = 1e-9,
-                        quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralEntry:
-    """int_0^1 t^p (1 - t^alpha)^p dt <= beta(p+1, alpha p + 1), validated
-    for alpha <= 1 and measured elsewhere."""
-    alpha, p, tol = _check_bound_alpha(alpha), _check_p(p), _check_slack(tol)
-    return _weight_entry(_weight_integrals((alpha,), (), (p,), quad_tol)[0],
-                         tol)
-
-
 def weight_integral_report(alpha: float, s: float, p: float,
                            tol: float = 1e-9,
                            quad_tol: float = DEFAULT_QUAD_TOL) -> WeightIntegralReport:
     """Verify the closed forms of all four bound-weight integrals by
-    quadrature: the identities :func:`weight_int_power`,
-    :func:`weight_int_beta` and :func:`weight_int_plain` (any alpha > 0)
-    and the inequality :func:`holder_kernel_bound`."""
+    quadrature (:func:`_weight_form`), each judged with the slack ``tol``:
+    the identities ``weight_int_power``, ``weight_int_beta`` and
+    ``weight_int_plain`` (any alpha > 0) and the inequality
+    ``holder_kernel_bound``.  ``entries`` holds one entry per check id, in
+    that order; it is the one call for any of them.  An error that stopped
+    an integral is raised."""
     alpha, s, p = _check_bound_alpha(alpha), _check_s(s), _check_p(p)
     tol = _check_slack(tol)
-    return WeightIntegralReport(
-        alpha=alpha, s=s, p=p,
-        entries=tuple(_weight_entry(row, tol) for row in
-                      _weight_integrals((alpha,), (s,), (p,), quad_tol)))
+    entries = []
+    for check_id, _, _, _, outcome, rhs, in_range, identity in \
+            _weight_integrals((alpha,), (s,), (p,), quad_tol):
+        lhs = _outcome_value(outcome)
+        margin = -abs(lhs - rhs) if identity else rhs - lhs
+        entries.append(WeightIntegralEntry(check_id, lhs, rhs, margin,
+                                           margin >= -tol, in_range))
+    return WeightIntegralReport(alpha=alpha, s=s, p=p, entries=tuple(entries))

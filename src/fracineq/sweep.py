@@ -345,12 +345,12 @@ def _range_rule(in_range: bool) -> _Rule:
 
 
 def _row(slack: float, check_id: str, key: tuple, lhs=None, rhs=None,
-         rule: _Rule = _ASSERTED, status: str | None = None) -> SweepRow:
+         rule: _Rule = _ASSERTED) -> SweepRow:
     """Build a row; ``key`` is (function, a, b, alpha, s, p, q).
 
-    An error outcome (lhs first) or a given ``status`` sets the status, and
-    no lhs, rhs or margin is recorded; otherwise ``rule`` judges lhs and
-    rhs against ``slack``.
+    An error outcome (lhs first) sets the status, and no lhs, rhs or
+    margin is recorded; otherwise ``rule`` judges lhs and rhs against
+    ``slack``.
     """
     measured = None
     error = (lhs if isinstance(lhs, FracineqError)
@@ -359,7 +359,7 @@ def _row(slack: float, check_id: str, key: tuple, lhs=None, rhs=None,
         lhs = rhs = None
         status = (STATUS_FAIL if isinstance(error, AccuracyError)
                   else STATUS_SKIPPED)
-    elif status is None:
+    else:
         if rule.identity:
             measured = abs(lhs - rhs)
             holds = measured <= slack

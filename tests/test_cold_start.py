@@ -83,6 +83,20 @@ def test_every_public_name_and_submodule_resolves():
     assert set(fracineq.__all__) <= set(namespace)
 
 
+def test_every_name_in_each_submodule_all_resolves():
+    # a name left in a submodule's __all__ after its definition is deleted
+    # breaks ``from fracineq.<submodule> import *``
+    checked = []
+    for name in sorted(fracineq._SUBMODULES):
+        module = getattr(fracineq, name)
+        if hasattr(module, "__all__"):
+            missing = [n for n in module.__all__ if not hasattr(module, n)]
+            assert not missing, (name, missing)
+            checked.append(name)
+    assert checked == ["fracint", "funclib", "hhbounds", "quadrature",
+                       "specfun", "sweep"]
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         fracineq.no_such_name  # noqa: B018

@@ -18,6 +18,17 @@ from fracineq import (
 from fracineq.funclib import ConvexityClass, TestFunction, certify_declared
 
 UNIT = Interval(0.0, 1.0)
+NO_PROBES = np.empty(0)
+
+
+def grid_alone(fn, domain, s):
+    """The grid's (convex, concave) verdicts at ``s`` alone: a
+    channel_verdicts call with no probe triples."""
+    from fracineq.funclib import channel_verdicts
+
+    verdicts = channel_verdicts(fn, domain, (s,), NO_PROBES, NO_PROBES,
+                                NO_PROBES)
+    return verdicts[(s, False)], verdicts[(s, True)]
 
 
 def second_derivative_fd(fn, t: float, h: float = 1e-4) -> float:
@@ -26,7 +37,10 @@ def second_derivative_fd(fn, t: float, h: float = 1e-4) -> float:
 
 
 def test_linear_passes_convexity():
-    assert certify_s_convex(lambda t: t, UNIT, 1.0).passed
+    result = certify_s_convex(lambda t: t, UNIT, 1.0)
+    assert result.passed
+    # a passed certification is truthy
+    assert result
 
 
 def test_sqrt_is_half_convex():
@@ -37,6 +51,8 @@ def test_sqrt_is_half_convex():
 def test_negative_square_fails_with_witness():
     res = certify_s_convex(lambda t: -t ** 2, UNIT, 1.0)
     assert not res.passed
+    # a failed certification is falsy
+    assert not res
     w = res.witness
     # the witness actually violates the inequality it reports
     mixed = -(w.lam * w.x + (1.0 - w.lam) * w.y) ** 2
@@ -144,11 +160,8 @@ def test_a_complex_value_on_the_scalar_path_is_non_finite():
     (lambda t: np.sin(6.0 * t), Interval(0.0, 3.0)),  # neither
 ])
 def test_grid_verdicts_match_one_direction_at_a_time(fn, domain):
-    from fracineq.funclib import cert_grid, grid_verdicts
-
-    grid = cert_grid(fn, domain)
     for s in (0.25, 0.5, 1.0):
-        assert grid_verdicts(grid, s) == (
+        assert grid_alone(fn, domain, s) == (
             certify_s_convex(fn, domain, s).passed,
             certify_s_concave(fn, domain, s).passed)
 
@@ -273,12 +286,9 @@ CHANNEL_FUNCTIONS = [
 
 @pytest.mark.parametrize("domain", NON_DYADIC, ids=str)
 def test_grid_verdicts_match_brute_force_on_non_dyadic_intervals(domain):
-    from fracineq.funclib import cert_grid, grid_verdicts
-
     for fn in CHANNEL_FUNCTIONS:
-        grid = cert_grid(fn, domain)
         for s in (0.25, 0.5, 0.75, 1.0):
-            convex, concave = grid_verdicts(grid, s)
+            convex, concave = grid_alone(fn, domain, s)
             assert convex == reference_verdict(fn, domain, s, concave=False)
             assert concave == reference_verdict(fn, domain, s, concave=True)
 
@@ -326,13 +336,10 @@ def test_nodes_are_the_grid_nodes_bit_for_bit():
 
 
 def test_repeated_verdicts_on_one_grid_match_the_certifiers():
-    from fracineq.funclib import cert_grid, grid_verdicts
-
     domain = Interval(0.0, 2.0)
-    grid = cert_grid(lambda t: t ** 3, domain)
-    first = grid_verdicts(grid, 0.5)
-    again = grid_verdicts(grid, 0.5)
-    other = grid_verdicts(grid, 0.25)
+    first = grid_alone(lambda t: t ** 3, domain, 0.5)
+    again = grid_alone(lambda t: t ** 3, domain, 0.5)
+    other = grid_alone(lambda t: t ** 3, domain, 0.25)
     assert again == first
     assert other == (certify_s_convex(lambda t: t ** 3, domain, 0.25).passed,
                      certify_s_concave(lambda t: t ** 3, domain, 0.25).passed)
@@ -340,12 +347,12 @@ def test_repeated_verdicts_on_one_grid_match_the_certifiers():
 
 
 def test_a_fresh_grid_after_another_is_judged_as_the_certifiers_judge_it():
-    from fracineq.funclib import cert_grid, grid_verdicts
+    from fracineq.funclib import cert_grid
 
     domain = Interval(0.0, 2.0)
-    grid_verdicts(cert_grid(lambda t: t ** 3, domain), 0.5)
+    grid_alone(lambda t: t ** 3, domain, 0.5)
     fresh = cert_grid(lambda t: t ** 2.5, domain)
-    verdicts = grid_verdicts(fresh, 0.5)
+    verdicts = grid_alone(lambda t: t ** 2.5, domain, 0.5)
     # the half less its lam = 0 face is 16 x 33 x 33 doubles
     assert fresh.f_half.shape == (16, 33, 33)
     assert verdicts == (
@@ -356,17 +363,16 @@ def test_a_fresh_grid_after_another_is_judged_as_the_certifiers_judge_it():
 def test_verdicts_from_two_threads_at_once_match_serial_ones():
     from concurrent.futures import ThreadPoolExecutor
 
-    from fracineq.funclib import cert_grid, grid_verdicts
-
-    grids = [cert_grid(fn, domain)
-             for fn in CHANNEL_FUNCTIONS for domain in NON_DYADIC]
+    channels = [(fn, domain)
+                for fn in CHANNEL_FUNCTIONS for domain in NON_DYADIC]
     # every grid judged at four s values, each (grid, s) twice: the two
     # threads judge the same grids at the same time
-    jobs = [(grid, s) for grid in grids for s in (0.25, 0.5, 0.75, 1.0)] * 2
-    serial = [grid_verdicts(grid, s) for grid, s in jobs]
+    jobs = [(*channel, s) for channel in channels
+            for s in (0.25, 0.5, 0.75, 1.0)] * 2
+    serial = [grid_alone(*job) for job in jobs]
     assert {True, False} <= {v for pair in serial for v in pair}
     with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = list(pool.map(lambda job: grid_verdicts(*job), jobs))
+        threaded = list(pool.map(lambda job: grid_alone(*job), jobs))
     assert threaded == serial
 
 
@@ -377,20 +383,26 @@ def test_verdicts_from_two_threads_at_once_match_serial_ones():
 
 @pytest.mark.parametrize("concave", [False, True])
 def test_grid_verdicts_allow_exactly_the_slack(concave):
-    from fracineq.funclib import CERT_SLACK, cert_grid, grid_verdicts
+    from fracineq.funclib import CERT_SLACK, cert_grid
 
     # f = 0: every combination is 0 and both directions hold
-    zero = cert_grid(lambda t: 0.0 * t, UNIT)
-    assert grid_verdicts(zero, 0.5) == (True, True)
+    assert grid_alone(lambda t: 0.0 * t, UNIT, 0.5) == (True, True)
     sign = -1.0 if concave else 1.0
+    # the grid's point m = k i + (n-1-k) j of f_half[k-1, i, j] = [3, 4, 5],
+    # between the nodes, so that fx stays 0
+    point = (4 * 4 + (N - 1 - 4) * 5) / (N - 1) ** 2
     for past, holds in ((CERT_SLACK, True), (2.0 * CERT_SLACK, False)):
-        f_half = zero.f_half.copy()
-        f_half[3, 4, 5] = sign * past
-        grid = zero._replace(f_half=f_half)
+        # f is 0 everywhere but at that point
+        def fn(t, past=past):
+            return np.where(t == point, sign * past, 0.0)
+
+        grid = cert_grid(fn, UNIT)
+        assert grid.f_half[3, 4, 5] == sign * past
+        assert not grid.fx.any()
         for s in (0.5, 1.0):
-            assert grid_verdicts(grid, s)[concave] == holds
+            assert grid_alone(fn, UNIT, s)[concave] == holds
             # the other direction holds whatever the value's size
-            assert grid_verdicts(grid, s)[not concave]
+            assert grid_alone(fn, UNIT, s)[not concave]
 
 
 def off_grid_probes():
@@ -654,13 +666,12 @@ def test_half_without_the_lam_zero_face_matches_the_brute_force_grid(domain):
     # the value fx[j] and its combination 0^s fx[i] + 1^s fx[j] are equal,
     # since 0^s is 0 and 1^s is 1 exactly; the verdicts and the first
     # witness are those of the full n^3 grid all the same
-    from fracineq.funclib import _LAM, cert_grid, channel_verdicts, grid_verdicts
+    from fracineq.funclib import _LAM, cert_grid, channel_verdicts
 
     s_values = (0.25, 0.5, 1.0)
     for s in (*s_values, *np.random.default_rng(2).random(1000)):
         weights = _LAM ** float(s)
         assert weights[0] == 0.0 and weights[-1] == 1.0, s
-    none = np.zeros(0)
     for fn in FACE_CHANNELS + CHANNEL_FUNCTIONS[:2]:
         grid = cert_grid(fn, domain)
         assert grid.f_half.shape == (N // 2, N, N)
@@ -670,9 +681,10 @@ def test_half_without_the_lam_zero_face_matches_the_brute_force_grid(domain):
             references[s] = tuple(
                 brute_force_witness(fn, domain, s, concave) is None
                 for concave in (False, True))
-            assert grid_verdicts(grid, s) == references[s], s
+            assert grid_alone(fn, domain, s) == references[s], s
         # several s at once, with no probes: the grid's verdicts alone
-        verdicts = channel_verdicts(fn, domain, s_values, none, none, none)
+        verdicts = channel_verdicts(fn, domain, s_values, NO_PROBES,
+                                    NO_PROBES, NO_PROBES)
         assert verdicts == {(s, concave): references[s][concave]
                             for s in s_values for concave in (False, True)}
 

@@ -223,6 +223,10 @@ def test_s1_reduction_concave_exact(alpha, p):
                                      (2.0, 1.0)])
 def test_weight_integral_identities(alpha, s):
     rep = weight_integral_report(alpha, s, 2.0)
+    assert [e.check_id for e in rep.entries] == [
+        "weight_int_power", "weight_int_beta", "weight_int_plain",
+        "holder_kernel_bound"]
+    assert rep.entries[3].in_validated_range == (alpha <= 1.0)
     for e in rep.entries:
         if e.check_id != "holder_kernel_bound":
             assert abs(e.lhs - e.rhs) <= 1e-9, e
@@ -249,6 +253,12 @@ def test_kernel_bound_flips_outside_unit_alpha():
     assert inside.all_hold and outside.all_hold
 
 
+def weight_entry(check_id, alpha=1.0, s=1.0, p=2.0, **tols):
+    """The entry ``check_id`` of ``weight_integral_report(alpha, s, p)``."""
+    entries = weight_integral_report(alpha, s, p, **tols).entries
+    return {e.check_id: e for e in entries}[check_id]
+
+
 LARGE_ORDERS = [1e3, 1e5, 1e6, 1e9]
 
 
@@ -258,49 +268,26 @@ def test_weight_identities_hold_at_large_orders(alpha, s):
     # 1 - t^alpha leaves 1 only in a layer of width about 1/alpha below
     # t = 1; the adaptive engine's panels never sampled it and returned the
     # alpha -> inf limit (1/3 against 0.3333233 at alpha = 1e5, s = 1)
-    from fracineq.hhbounds import DEFAULT_QUAD_TOL, weight_int_beta, weight_int_power
+    from fracineq.hhbounds import DEFAULT_QUAD_TOL
     from fracineq.specfun import beta
 
-    power = weight_int_power(alpha, s)
+    power = weight_entry("weight_int_power", alpha, s)
     assert abs(power.lhs - alpha / ((s + 2.0) * (alpha + s + 2.0))) <= \
         DEFAULT_QUAD_TOL
     closed = beta(2.0, s + 1.0) - beta(alpha + 2.0, s + 1.0)
-    assert abs(weight_int_beta(alpha, s).lhs - closed) <= DEFAULT_QUAD_TOL
-    assert power.holds and weight_int_beta(alpha, s).holds
+    beta_entry = weight_entry("weight_int_beta", alpha, s)
+    assert abs(beta_entry.lhs - closed) <= DEFAULT_QUAD_TOL
+    assert power.holds and beta_entry.holds
 
 
 @pytest.mark.parametrize("alpha", LARGE_ORDERS)
 def test_holder_kernel_meets_its_closed_form_at_large_orders(alpha):
     # int_0^1 t^2 (1 - t^alpha)^2 dt, expanded
-    from fracineq.hhbounds import DEFAULT_QUAD_TOL, holder_kernel_bound
+    from fracineq.hhbounds import DEFAULT_QUAD_TOL
 
     closed = 1.0 / 3.0 - 2.0 / (alpha + 3.0) + 1.0 / (2.0 * alpha + 3.0)
-    assert abs(holder_kernel_bound(alpha, 2.0).lhs - closed) <= \
-        DEFAULT_QUAD_TOL
-
-
-@pytest.mark.parametrize("alpha, s, p", [(0.25, 0.5, 2.0), (1.0, 1.0, 1.5),
-                                          (2.5, 0.25, 3.0), (3.0, 0.75, 5.0)])
-def test_weight_report_composes_entry_builders(alpha, s, p):
-    from fracineq.hhbounds import (
-        holder_kernel_bound,
-        weight_int_beta,
-        weight_int_plain,
-        weight_int_power,
-    )
-
-    rep = weight_integral_report(alpha, s, p)
-    singles = (weight_int_power(alpha, s), weight_int_beta(alpha, s),
-               weight_int_plain(s), holder_kernel_bound(alpha, p))
-    assert [e.check_id for e in rep.entries] == [
-        "weight_int_power", "weight_int_beta", "weight_int_plain",
-        "holder_kernel_bound"]
-    for got, want in zip(rep.entries, singles):
-        assert (got.check_id, got.lhs, got.rhs, got.margin, got.holds,
-                got.in_validated_range) == (
-            want.check_id, want.lhs, want.rhs, want.margin, want.holds,
-            want.in_validated_range)
-    assert rep.entries[3].in_validated_range == (alpha <= 1.0)
+    assert abs(weight_entry("holder_kernel_bound", alpha, p=2.0).lhs
+               - closed) <= DEFAULT_QUAD_TOL
 
 
 def test_concavity_midpoint_step():
@@ -552,10 +539,8 @@ def test_identity_rhs_tiny_alpha_matches_closed_form():
 
 
 def test_orders_above_alpha_max_still_compute_where_gamma_is_not_formed():
-    from fracineq.hhbounds import weight_int_beta, weight_int_power
-
-    assert weight_int_power(200.0, 0.5).holds
-    assert weight_int_beta(200.0, 0.5).holds
+    assert weight_entry("weight_int_power", 200.0, 0.5).holds
+    assert weight_entry("weight_int_beta", 200.0, 0.5).holds
     assert BoundParams(alpha=200.0, s=1.0).alpha == 200.0
     rhs = defect_identity_rhs(SQUARE, UNIT, 200.0)
     # (b-a)^2/(alpha+1) int_0^1 2t(1-t^alpha) dt for f'' = 2
@@ -568,13 +553,11 @@ def test_orders_above_alpha_max_still_compute_where_gamma_is_not_formed():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_every_p_and_q_entry_point_rejects_non_finite_exponents(bad):
     # each evaluator shares the one p and the one q validator of BoundParams
-    from fracineq.hhbounds import holder_kernel_bound
-
     for call in (lambda: defect_bound_power_mean(SQUARE, UNIT, 0.5, 1.0, bad),
                  lambda: classical_power_mean_bound(SQUARE, UNIT, 0.5, bad),
                  lambda: classical_holder_bound(SQUARE, UNIT, 0.5, bad),
                  lambda: classical_concave_bound(SQUARE, UNIT, 0.5, bad),
-                 lambda: holder_kernel_bound(0.5, bad),
+                 lambda: weight_integral_report(0.5, 1.0, bad),
                  lambda: BoundParams(alpha=0.5, s=1.0, p=bad),
                  lambda: BoundParams(alpha=0.5, s=1.0, q=bad),
                  lambda: BoundParams(alpha=0.5, s=1.0, p=2.0, q=bad)):
@@ -587,17 +570,11 @@ def test_every_weight_call_rejects_a_slack_that_is_not_finite_and_non_negative(
         bad):
     # a NaN or negative tol failed true identities, an infinite one passed
     # any kernel margin; tol shares the sweep slack's one validator
-    from fracineq.hhbounds import (
-        holder_kernel_bound,
-        weight_int_beta,
-        weight_int_plain,
-        weight_int_power,
-    )
-
-    for call in (lambda: weight_int_power(0.5, 1.0, tol=bad),
-                 lambda: weight_int_beta(0.5, 1.0, tol=bad),
-                 lambda: weight_int_plain(1.0, tol=bad),
-                 lambda: holder_kernel_bound(2.0, 2.0, tol=bad),
+    for call in (lambda: weight_entry("weight_int_power", 0.5, 1.0, tol=bad),
+                 lambda: weight_entry("weight_int_beta", 0.5, 1.0, tol=bad),
+                 lambda: weight_entry("weight_int_plain", s=1.0, tol=bad),
+                 lambda: weight_entry("holder_kernel_bound", 2.0, p=2.0,
+                                      tol=bad),
                  lambda: weight_integral_report(0.5, 1.0, 2.0, tol=bad)):
         with pytest.raises(DomainError, match=r"^tol must be finite"):
             call()
@@ -627,10 +604,8 @@ def test_bounds_at_alpha_1e17_are_positive_and_hold():
     # beta(alpha+2, 2) used to come out near 1: the weight identity failed
     # (rhs -0.83), the bounds were -1e-17, and power mean at q = 2 took
     # the square root of that and returned a complex number
-    from fracineq.hhbounds import weight_int_beta
-
     alpha = 1e17
-    assert weight_int_beta(alpha, 1.0).holds
+    assert weight_entry("weight_int_beta", alpha, 1.0).holds
     lhs = abs(trapezoid_defect(SQUARE, UNIT, alpha).lhs)
     # (b-a)^2 alpha / ((alpha+1)(alpha+2)) for f'' = 2 at s = 1
     exact = 1.0 / alpha
@@ -649,24 +624,24 @@ def test_hoelder_kernel_past_the_doubles(p, alpha, rel):
     # asymptotic term, off by a factor 1 + O(1/alpha), instead of refusing
     # y = inf
     mpmath = pytest.importorskip("mpmath")
-    from fracineq.hhbounds import _beta_root, holder_kernel_bound
+    from fracineq.hhbounds import _beta_root
 
     with mpmath.workdps(400):
         big_p = mpmath.mpf(p)
         log_b = mpmath.log(mpmath.beta(big_p + 1, mpmath.mpf(alpha) * big_p + 1))
         expected = float(mpmath.exp(log_b / big_p))
     assert _beta_root(p, alpha) == pytest.approx(expected, rel=rel)
-    assert holder_kernel_bound(alpha, p).rhs == 0.0
+    assert weight_entry("holder_kernel_bound", alpha, p=p).rhs == 0.0
 
 
 def test_closed_forms_reject_orders_where_they_overflow():
-    from fracineq.hhbounds import BOUND_ALPHA_MAX, weight_int_power
+    from fracineq.hhbounds import BOUND_ALPHA_MAX
 
     big = 1e154   # 4 (alpha+1)(alpha+2) overflows
     for call in (lambda: defect_bound_s_convex(SQUARE, UNIT, big, 1.0),
                  lambda: defect_bound_power_mean(SQUARE, UNIT, big, 1.0, 2.0),
                  lambda: classical_power_mean_bound(SQUARE, UNIT, big, 2.0),
-                 lambda: weight_int_power(big, 1.0),
+                 lambda: weight_entry("weight_int_power", big, 1.0),
                  lambda: BoundParams(alpha=big, s=1.0)):
         with pytest.raises(DomainError, match="alpha"):
             call()

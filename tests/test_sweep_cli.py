@@ -49,7 +49,6 @@ from fracineq.funclib import (
     catalog_names,
     cert_grid,
     channel_verdicts,
-    grid_verdicts,
     probes_hold,
 )
 from fracineq.hhbounds import (
@@ -883,6 +882,16 @@ p_values  = 2
 q_values  = 2
 """
 
+NO_PROBES = np.empty(0)
+
+
+def grid_alone(fn, iv, s):
+    """The grid's (convex, concave) verdicts at ``s`` alone: a
+    channel_verdicts call with no probe triples."""
+    verdicts = channel_verdicts(fn, iv, (s,), NO_PROBES, NO_PROBES, NO_PROBES)
+    return verdicts[(s, False)], verdicts[(s, True)]
+
+
 def readme_channels():
     """Every channel the README config certifies: (name, fn, interval)."""
     cfg = parse_config_text(README_CONFIG)
@@ -905,9 +914,8 @@ def test_shared_grid_verdicts_match_standalone_certifiers():
     channels = list(readme_channels())
     assert len(channels) == 63
     for label, fn, iv in channels:
-        grid = cert_grid(fn, iv)
         for s in s_values:
-            convex, concave = grid_verdicts(grid, s)
+            convex, concave = grid_alone(fn, iv, s)
             assert convex == certify_s_convex(fn, iv, s).passed, (
                 label, s, "convex")
             assert concave == certify_s_concave(fn, iv, s).passed, (
@@ -958,7 +966,7 @@ def test_readme_grids_match_brute_force_bit_for_bit():
         for s in s_values:
             combo = (lam ** s * fx[:, None, None]
                      + (1.0 - lam) ** s * fx[None, :, None])
-            assert grid_verdicts(grid, s) == (
+            assert grid_alone(fn, iv, s) == (
                 bool(np.all(f_mix <= combo + 1e-12)),
                 bool(np.all(f_mix >= combo - 1e-12))), (label, s)
 
@@ -1003,9 +1011,8 @@ def test_probes_match_scalar_loop():
     for label, fn, iv in channels:
         x, y, lam = probe_draw(seed, iv, label)
         verdicts = channel_verdicts(fn, iv, s_values, x, y, lam)
-        grid = cert_grid(fn, iv)
         for s in s_values:
-            on_grid = grid_verdicts(grid, s)
+            on_grid = grid_alone(fn, iv, s)
             for concave in (False, True):
                 at_probes = probes_ok_loop(fn, x, y, lam, s, concave)
                 assert verdicts[(s, concave)] == (
@@ -1208,8 +1215,7 @@ def test_probes_reject_between_grid_points_for_that_s_and_direction(
     f = bumped_square()
     iv = f.natural_domain
     s_values = (0.25, 0.5, 1.0)
-    grid = cert_grid(f.fn, iv)
-    assert [grid_verdicts(grid, s) for s in s_values] == [(True, False)] * 3
+    assert [grid_alone(f.fn, iv, s) for s in s_values] == [(True, False)] * 3
     config = small_config(functions=(f.name,), intervals=(iv,),
                           s_values=s_values, seed=seed)
     # f's convex verdicts, which the sandwich reads: only s = 1 is lost,
@@ -1442,10 +1448,9 @@ def test_verdicts_are_the_grid_and_the_probes_together(monkeypatch):
         # f's probes as the sweep draws them (seed 7)
         x, y, lam = _probes(small_config(seed=7), f, "f", iv)
         fx, fy, f_mix = f.fn(x), f.fn(y), f.fn(lam * x + (1.0 - lam) * y)
-        grid = cert_grid(f.fn, iv)
         both = channel_verdicts(f.fn, iv, s_values, x, y, lam)
         for s, concave in product(s_values, (False, True)):
-            on_grid = grid_verdicts(grid, s)[concave]
+            on_grid = grid_alone(f.fn, iv, s)[concave]
             combo = lam ** s * fx + (1.0 - lam) ** s * fy
             at_probes = bool(np.all(f_mix >= combo - 1e-12) if concave
                              else np.all(f_mix <= combo + 1e-12))
@@ -2131,13 +2136,12 @@ def test_an_order_that_falls_back_leaves_the_other_orders_alone(
 
 
 def weight_entry(r: SweepRow, slack: float, quad_tol: float):
-    """The one-alpha public call behind the weight row ``r``."""
-    tols = dict(tol=slack, quad_tol=quad_tol)
-    if r.check_id == "weight_int_plain":
-        return hhbounds.weight_int_plain(r.s, **tols)
-    if r.check_id == "holder_kernel_bound":
-        return hhbounds.holder_kernel_bound(r.alpha, r.p, **tols)
-    return getattr(hhbounds, r.check_id)(r.alpha, r.s, **tols)
+    """The entry of the one-alpha public call behind the weight row ``r``;
+    a parameter its check does not take is set to 1 (p to 2)."""
+    report = hhbounds.weight_integral_report(
+        1.0 if r.alpha is None else r.alpha, 1.0 if r.s is None else r.s,
+        2.0 if r.p is None else r.p, tol=slack, quad_tol=quad_tol)
+    return {e.check_id: e for e in report.entries}[r.check_id]
 
 
 WEIGHT_CHECKS = ("weight_int_power", "weight_int_beta", "weight_int_plain",
