@@ -22,8 +22,8 @@ _EXPORTS = {
         "IntegrandError", "PreconditionError"), "errors"),
     **dict.fromkeys(("left_rl", "right_rl"), "fracint"),
     **dict.fromkeys((
-        "CertificationResult", "ConvexityClass", "TestFunction", "Witness",
-        "builtin_catalog", "catalog_names", "certify_s_concave",
+        "CertificationResult", "ConvexityClass", "Interval", "TestFunction",
+        "Witness", "builtin_catalog", "catalog_names", "certify_s_concave",
         "certify_s_convex", "get_function", "root_power", "s_power",
         "shifted_square"), "funclib"),
     **dict.fromkeys((
@@ -34,7 +34,7 @@ _EXPORTS = {
         "defect_bound_s_concave", "defect_bound_s_convex",
         "defect_identity_rhs", "s_convex_sandwich", "trapezoid_defect",
         "weight_integral_report"), "hhbounds"),
-    **dict.fromkeys(("Interval", "QuadResult", "integrate"), "quadrature"),
+    **dict.fromkeys(("QuadResult", "integrate"), "quadrature"),
     **dict.fromkeys(("beta", "gamma", "log_beta", "log_gamma"), "specfun"),
     **dict.fromkeys((
         "SweepConfig", "SweepReport", "SweepRow", "load_config",

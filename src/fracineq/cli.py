@@ -21,13 +21,14 @@ import sys
 
 from .errors import (ConfigError, DomainError, FracineqError, IntegrandError,
                      PreconditionError)
-from .funclib import (CERT_GRID_N, CertificationResult, _check_s,
-                      _grid_values, abs_d2, certify_declared, get_function)
-from .quadrature import Interval, _check_abs_tol
+from .funclib import (CERT_GRID_N, CertificationResult, Interval,
+                      _check_resolvable, _check_s, _grid_values, abs_d2,
+                      certify_declared, get_function)
 
 # Each command imports the layers it runs when it runs: ``certify`` needs
 # only the catalog and the certifier, ``check-identity`` adds the defect
-# and identity evaluators, and only ``sweep`` loads the sweep harness.
+# and identity evaluators with the quadrature engine, and only ``sweep``
+# loads the sweep harness.
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,6 +70,8 @@ def _env_quad_tol(default: float) -> float:
     """The quadrature tolerance: FRACINEQ_QUAD_TOL where it is set, else
     ``default``; a malformed or out-of-range value is a ConfigError naming
     quad_tol."""
+    from .quadrature import _check_abs_tol
+
     raw = os.environ.get("FRACINEQ_QUAD_TOL")
     if raw is None:
         return default
@@ -127,6 +130,7 @@ def _cmd_check_identity(args) -> int:
 
     f = _flag("--function", get_function, args.function)
     iv = _flag("--interval", Interval.parse, args.interval)
+    _flag("--interval", _check_resolvable, iv)
     alpha = _flag("--alpha", check_alpha, args.alpha)
     quad_tol = _env_quad_tol(DEFAULT_QUAD_TOL)
     # the identity's hypothesis, as in the sweep: |f''| finite on the grid

@@ -27,23 +27,19 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .funclib import value_fn
+from .funclib import Interval, _eval_grid, _point_value, value_fn
 from .quadrature import (
+    DEFAULT_QUAD_TOL,
     MAX_ABS_TOL,
     TANH_SINH,
-    Interval,
     _check_abs_tol,
     _engine_tol,
-    _eval_grid,
     _outcome_value,
-    _point_value,
     beta_expectation,
 )
 from .specfun import check_alpha, gamma
 
 __all__ = ["left_rl", "right_rl", "check_alpha", "Interval"]
-
-DEFAULT_ABS_TOL = 1e-10
 
 
 def _rl(f, alpha: float, lo: float, hi: float, sign: float,
@@ -86,7 +82,7 @@ def _rl(f, alpha: float, lo: float, hi: float, sign: float,
 
 
 def left_rl(f, alpha: float, a: float, x: float,
-            abs_tol: float = DEFAULT_ABS_TOL) -> float:
+            abs_tol: float = DEFAULT_QUAD_TOL) -> float:
     """J_{a+}^alpha f(x) for x > a, to absolute tolerance ``abs_tol``."""
     if not x > a:
         raise DomainError(f"left operator requires x > a, got a={a}, x={x}")
@@ -94,7 +90,7 @@ def left_rl(f, alpha: float, a: float, x: float,
 
 
 def right_rl(f, alpha: float, b: float, x: float,
-             abs_tol: float = DEFAULT_ABS_TOL) -> float:
+             abs_tol: float = DEFAULT_QUAD_TOL) -> float:
     """J_{b-}^alpha f(x) for x < b, to absolute tolerance ``abs_tol``."""
     if not x < b:
         raise DomainError(f"right operator requires x < b, got b={b}, x={x}")

@@ -15,7 +15,7 @@ of n nodes and n weights are, in real arithmetic, the points
 a + (b-a) m/(n-1)^2 with m = k i + (n-1-k) j, so a grid has only
 (n-1)^2 + 1 distinct points (1025), one read-only array per domain that
 every channel on it shares: :func:`cert_grid` reads a channel there once,
-by quadrature's ``_eval_grid`` (a failed read is inf or nan, and an
+by :func:`_eval_grid` (a failed read is inf or nan, and an
 IntegrandError here), and gathers the values by m.  The triples (i, j, k)
 and (j, i, n-1-k) share m, and since 1 - lam[k] is lam[n-1-k] bit for bit
 at n = 33 their s-combinations (:func:`s_combination`) are the same two
@@ -38,9 +38,17 @@ convex direction, for a channel whose grid a certifier judges.
 grid in one direction and name a witness where it fails; ``checked``
 counts n^3.
 
+A function is read at a point under one rule, :func:`_read`: an overflow,
+an error of a scalar-only function, a complex or a non-finite value is a
+failed read.  :func:`_point_value` raises it as an IntegrandError naming
+the point, :func:`_eval_grid` puts inf or nan in its place for the caller
+to report, and the quadrature engine names its first failing node.  The
+rule and :class:`Interval` live here, so that the catalog and the
+certifier load without the quadrature engine.
+
 Catalog functions carry an analytic second-derivative channel ``d2``; the
-bound evaluators read |f''| at interval endpoints from it, by quadrature's
-``_point_value``, never by finite differences.  ``declared_class`` is a
+bound evaluators read |f''| at interval endpoints from it, by
+:func:`_point_value`, never by finite differences.  ``declared_class`` is a
 coarse label for f (checked at construction); the bound evaluators
 certify their own hypotheses on derived channels such as |f''|^q per call.
 """
@@ -48,15 +56,17 @@ certify their own hypotheses on derived channels such as |f''|^q per call.
 from __future__ import annotations
 
 import functools
+import math
 import re
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, IntegrandError
-from .quadrature import Interval, _eval_grid
+from .errors import SCALAR_ERRORS, DomainError, IntegrandError
 
 __all__ = [
+    "Interval",
     "ConvexityClass",
     "TestFunction",
     "Witness",
@@ -81,6 +91,47 @@ __all__ = [
 # the one grid size and slack of every verdict (and of the sweep's probes)
 CERT_GRID_N = 33
 CERT_SLACK = 1e-12
+
+
+class _IntervalFields(NamedTuple):
+    a: float
+    b: float
+
+
+class Interval(_IntervalFields):
+    """Closed interval [a, b] with a < b, both finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"interval endpoints must be finite, got [{a}, {b}]")
+        if not a < b:
+            raise DomainError(f"interval requires a < b, got [{a}, {b}]")
+        return super().__new__(cls, a, b)
+
+    def _replace(self, **changes):  # through __new__; NamedTuple's skips it
+        return type(self)(**{**self._asdict(), **changes})
+
+    @property
+    def length(self) -> float:
+        return self.b - self.a
+
+    @property
+    def midpoint(self) -> float:
+        return 0.5 * (self.a + self.b)
+
+    @classmethod
+    def parse(cls, text: str) -> "Interval":
+        """Parse 'a,b' (as used by the CLI and sweep configs)."""
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise DomainError(f"interval must be 'a,b', got {text!r}")
+        try:
+            a, b = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise DomainError(f"interval must be numeric 'a,b', got {text!r}") from exc
+        return cls(a, b)
 
 
 class _ConvexityFields(NamedTuple):
@@ -205,6 +256,72 @@ def _grid_points(a: str, b: str) -> np.ndarray:
     points[::_STEP] = np.linspace(a, b, CERT_GRID_N)
     points.flags.writeable = False
     return points
+
+
+def _read(fn, t: float) -> tuple[float, str | None]:
+    """float(fn(t)), and why it is not a finite real, or None: an overflow
+    gives inf, an error of a scalar-only fn (SCALAR_ERRORS) or a non-real
+    value nan, as numpy would, and a non-finite value is kept."""
+    try:
+        raw = fn(t)
+        try:
+            value = float(raw)
+        except TypeError:
+            # a complex value, such as a negative float to a fractional
+            # power; a TypeError of fn itself is not caught
+            return math.nan, f"returned non-real value {raw!r}"
+    except OverflowError:
+        return math.inf, "overflows"
+    except SCALAR_ERRORS as exc:
+        return math.nan, f"raised {type(exc).__name__} ({exc})"
+    return value, (None if math.isfinite(value)
+                   else f"returned non-finite value {value!r}")
+
+
+def _point_value(fn, t: float, place: str = "t={!r}") -> float:
+    """float(fn(t)); a value that fails :func:`_read` is an IntegrandError
+    naming ``place.format(t)``, which is formatted only then."""
+    value, failure = _read(fn, t)
+    if failure is not None:
+        raise IntegrandError(f"function {failure} at {place.format(t)}")
+    return value
+
+
+def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
+    """fn over an array, else by :func:`_read` at each point; the caller
+    reports what is not finite, so numpy's warnings are suppressed."""
+    with np.errstate(all="ignore"):
+        try:
+            out = np.asarray(fn(arr), dtype=float)
+            if out.shape == arr.shape:
+                return out
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+        return np.array([_read(fn, v)[0] for v in arr.ravel().tolist()],
+                        dtype=float).reshape(arr.shape)
+
+
+def _check_resolvable(iv: Interval) -> None:
+    """Refuse an interval doubles cannot resolve for s-convexity work: a
+    :class:`DomainError` names it where its (n-1)^2 + 1 certification grid
+    points are not distinct doubles, or where (b-a)^2, the scale of the
+    identity and of every bound, is below the normal doubles.  A (b-a)^2
+    that overflows is left to its callers' own refusal."""
+    width2 = (iv.b - iv.a) * (iv.b - iv.a)
+    if width2 == math.inf:
+        return
+    points = _grid_points(float(iv.a).hex(), float(iv.b).hex())
+    # points that rise as doubles are distinct; only others are counted
+    if not (points[1:] > points[:-1]).all():
+        distinct = np.unique(points).size
+        if distinct < points.size:
+            raise DomainError(
+                f"interval [{iv.a}, {iv.b}] is too narrow: its {points.size} "
+                f"certification grid points are only {distinct} distinct "
+                "doubles")
+    if width2 < sys.float_info.min:
+        raise DomainError(f"interval [{iv.a}, {iv.b}] is too narrow: (b-a)^2 "
+                          f"= {width2!r} is below the normal doubles")
 
 
 def _grid_values(fn, domain: Interval) -> tuple[np.ndarray, np.ndarray]:

@@ -59,26 +59,27 @@ from .errors import DomainError, FracineqError, PreconditionError
 from .funclib import (
     CERT_GRID_N,
     CERT_SLACK,
+    Interval,
     TestFunction,
     _check_s,
+    _eval_grid,
     _grid_tables,
     _nests,
+    _point_value,
     abs_d2,
     certify_s_concave,
     certify_s_convex,
     value_fn,
 )
 from .quadrature import (
+    DEFAULT_QUAD_TOL,
     MAX_ABS_TOL,
     TANH_SINH,
-    Interval,
     _check_abs_tol,
     _engine_tol,
-    _eval_grid,
     _ladder_rows,
     _order_rows,
     _outcome_value,
-    _point_value,
     beta_expectation,
     integrate,
 )
@@ -95,7 +96,6 @@ __all__ = [
     "HOLDER_VALID_ALPHA_MAX", "BOUND_ALPHA_MAX",
 ]
 
-DEFAULT_QUAD_TOL = 1e-10
 # the absolute slack a sweep row, or a check-identity comparison, is judged
 # with unless the sweep config sets its own
 DEFAULT_CHECK_SLACK = 1e-8

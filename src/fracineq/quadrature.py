@@ -35,11 +35,8 @@ Riemann-Liouville operators, which bounds the density's singularity at
 u = 0 by a substitution before the engine.  The density and rhs weight
 rows are built once per tuple of orders.
 
-A function is read at a point under one rule, :func:`_read`: an overflow,
-an error of a scalar-only function, a complex or a non-finite value is a
-failed read.  :func:`_point_value` raises it as an IntegrandError naming
-the point, :func:`_eval_grid` puts inf or nan in its place for the caller
-to report, and the engine names its first failing node.
+The engine reads its integrand by the one point-read rule of
+:mod:`fracineq.funclib` and names the first node where a read fails.
 """
 
 from __future__ import annotations
@@ -58,6 +55,8 @@ from .errors import (
     FracineqError,
     IntegrandError,
 )
+# funclib's, so that the catalog and the certifier load without this engine
+from .funclib import Interval, _eval_grid, _point_value, _read  # noqa: F401
 
 __all__ = [
     "Interval",
@@ -126,94 +125,10 @@ def _engine_tol(tol: float) -> float:
     return min(MAX_ABS_TOL, max(MIN_ABS_TOL, tol))
 
 
-class _IntervalFields(NamedTuple):
-    a: float
-    b: float
-
-
-class Interval(_IntervalFields):
-    """Closed interval [a, b] with a < b, both finite."""
-
-    __slots__ = ()
-
-    def __new__(cls, a: float, b: float):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DomainError(f"interval endpoints must be finite, got [{a}, {b}]")
-        if not a < b:
-            raise DomainError(f"interval requires a < b, got [{a}, {b}]")
-        return super().__new__(cls, a, b)
-
-    def _replace(self, **changes):  # through __new__; NamedTuple's skips it
-        return type(self)(**{**self._asdict(), **changes})
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
-
-    @classmethod
-    def parse(cls, text: str) -> "Interval":
-        """Parse 'a,b' (as used by the CLI and sweep configs)."""
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise DomainError(f"interval must be 'a,b', got {text!r}")
-        try:
-            a, b = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise DomainError(f"interval must be numeric 'a,b', got {text!r}") from exc
-        return cls(a, b)
-
-
 class QuadResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
-
-
-def _read(fn, t: float) -> tuple[float, str | None]:
-    """float(fn(t)), and why it is not a finite real, or None: an overflow
-    gives inf, an error of a scalar-only fn (SCALAR_ERRORS) or a non-real
-    value nan, as numpy would, and a non-finite value is kept."""
-    try:
-        raw = fn(t)
-        try:
-            value = float(raw)
-        except TypeError:
-            # a complex value, such as a negative float to a fractional
-            # power; a TypeError of fn itself is not caught
-            return math.nan, f"returned non-real value {raw!r}"
-    except OverflowError:
-        return math.inf, "overflows"
-    except SCALAR_ERRORS as exc:
-        return math.nan, f"raised {type(exc).__name__} ({exc})"
-    return value, (None if math.isfinite(value)
-                   else f"returned non-finite value {value!r}")
-
-
-def _point_value(fn, t: float, place: str = "t={!r}") -> float:
-    """float(fn(t)); a value that fails :func:`_read` is an IntegrandError
-    naming ``place.format(t)``, which is formatted only then."""
-    value, failure = _read(fn, t)
-    if failure is not None:
-        raise IntegrandError(f"function {failure} at {place.format(t)}")
-    return value
-
-
-def _eval_grid(fn, arr: np.ndarray) -> np.ndarray:
-    """fn over an array, else by :func:`_read` at each point; the caller
-    reports what is not finite, so numpy's warnings are suppressed."""
-    with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(fn(arr), dtype=float)
-            if out.shape == arr.shape:
-                return out
-        except (TypeError, ValueError, ZeroDivisionError):
-            pass
-        return np.array([_read(fn, v)[0] for v in arr.ravel().tolist()],
-                        dtype=float).reshape(arr.shape)
 
 
 def _panel(fn, a: float, b: float) -> tuple[float, float]:
@@ -296,6 +211,10 @@ def _adaptive(fn, a: float, b: float, abs_tol: float, max_evals: int) -> QuadRes
         total_abs += left_seg[9] + right_seg[9] - resabs
 
 
+# the default of every public tolerance: integrate's, fracint's, hhbounds'
+DEFAULT_QUAD_TOL = 1e-10
+
+
 def _check_abs_tol(tol: float, name: str = "abs_tol") -> float:
     """The one validator of a public quadrature tolerance, named ``name``
     in its error; derived tolerances are clamped by _engine_tol instead."""
@@ -308,7 +227,7 @@ def _check_abs_tol(tol: float, name: str = "abs_tol") -> float:
 
 def integrate(f: Callable[[float], float],
               interval: Interval,
-              abs_tol: float = 1e-10,
+              abs_tol: float = DEFAULT_QUAD_TOL,
               max_evals: int = DEFAULT_MAX_EVALS) -> QuadResult:
     """Integrate ``f`` over ``interval`` to absolute tolerance ``abs_tol``.
 

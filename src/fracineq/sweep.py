@@ -104,7 +104,9 @@ from .errors import (
 # certify_s_convex is not called here; bench/test_bench.py checks that the
 # layer tracer patches it in this module's namespace
 from .funclib import (  # noqa: F401
+    Interval,
     TestFunction,
+    _check_resolvable,
     _check_s,
     abs_d2,
     certify_s_convex,
@@ -128,7 +130,7 @@ from .hhbounds import (
     _weight_integrals,
     _width_squared,
 )
-from .quadrature import Interval, _check_abs_tol
+from .quadrature import _check_abs_tol
 
 __all__ = [
     "SweepConfig",
@@ -201,10 +203,12 @@ _SCALARS = {"slack": ("slack", float), "quad_tol": ("quad_tol", float),
 
 
 def _sweep_interval(iv: Interval) -> None:
-    """An interval of s-convexity work: a >= 0, and (b-a)^2 finite."""
+    """An interval of s-convexity work: a >= 0, (b-a)^2 finite, and
+    resolved by doubles (:func:`funclib._check_resolvable`)."""
     if iv.a < 0.0:
         raise DomainError(f"s-convexity work requires a >= 0, got a={iv.a}")
     _width_squared(iv)
+    _check_resolvable(iv)
 
 
 # each list key: how a config or CLI token is read, the type an entry must

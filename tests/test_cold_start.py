@@ -18,8 +18,8 @@ from fracineq import funclib
 # the directory holding the fracineq package, for the child processes
 PACKAGE_PARENT = str(Path(fracineq.__file__).resolve().parent.parent)
 
-WATCHED = ("fracineq.sweep", "fracineq.hhbounds", "fracineq.fracint",
-           "numpy.polynomial")
+WATCHED = ("fracineq.quadrature", "fracineq.sweep", "fracineq.hhbounds",
+           "fracineq.fracint", "numpy.polynomial")
 CHILD = """
 import json, sys
 from fracineq.cli import main
@@ -51,6 +51,35 @@ def test_certify_loads_no_defect_sweep_or_polynomial_layer():
     assert loaded == set()
 
 
+def test_certify_at_another_s_loads_no_quadrature_engine():
+    # a grid of its own at s = 0.5, still without the engine
+    code, loaded = loaded_after("certify", "--function", "cube", "--s", "0.5")
+    assert code == 0
+    assert loaded == set()
+
+
+def test_catalog_loads_only_the_certifier():
+    child = ("import sys, fracineq\n"
+             "fracineq.builtin_catalog()\n"
+             "print(' '.join(sorted(m for m in sys.modules\n"
+             "                      if m.startswith('fracineq.'))))")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=child_env(), check=True)
+    assert proc.stdout.split() == ["fracineq.errors", "fracineq.funclib"]
+
+
+@pytest.mark.parametrize("name", ["_read", "_point_value", "_eval_grid",
+                                  "Interval"])
+def test_the_read_rule_and_interval_live_in_funclib(name):
+    from fracineq import quadrature
+
+    obj = getattr(funclib, name)
+    assert obj.__module__ == "fracineq.funclib"
+    assert getattr(quadrature, name) is obj
+    if name == "Interval":
+        assert fracineq.Interval is obj
+
+
 def test_grid_weight_tables_are_built_when_first_read():
     # importing the certifier builds no table of the grid's weights lam^s;
     # the first certification builds its s order's table
@@ -67,7 +96,7 @@ def test_check_identity_loads_neither_sweep_nor_operators():
     code, loaded = loaded_after("check-identity", "--function", "square",
                                 "--interval", "0,1", "--alpha", "0.5")
     assert code == 0
-    assert loaded.isdisjoint({"fracineq.sweep", "fracineq.fracint"})
+    assert loaded == {"fracineq.quadrature", "fracineq.hhbounds"}
 
 
 def test_every_public_name_and_submodule_resolves():

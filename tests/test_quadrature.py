@@ -385,6 +385,24 @@ def test_abs_tol_out_of_contract(bad_tol):
         integrate(lambda t: t, Interval(0.0, 1.0), bad_tol)
 
 
+def test_every_default_tolerance_is_the_one_constant():
+    import inspect
+
+    from fracineq import hhbounds, sweep
+
+    default = quadrature.DEFAULT_QUAD_TOL
+    assert default == 1e-10
+    for fn, name in ((integrate, "abs_tol"), (fracint.left_rl, "abs_tol"),
+                     (fracint.right_rl, "abs_tol"),
+                     (trapezoid_defect, "quad_tol"),
+                     (defect_identity_rhs, "quad_tol"),
+                     (s_convex_sandwich, "quad_tol"),
+                     (hhbounds.weight_integral_report, "quad_tol")):
+        assert inspect.signature(fn).parameters[name].default is default
+    assert hhbounds.DEFAULT_QUAD_TOL is default
+    assert sweep.SweepConfig._field_defaults["quad_tol"] is default
+
+
 def test_interval_validation():
     with pytest.raises(DomainError):
         Interval(1.0, 1.0)

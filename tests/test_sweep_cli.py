@@ -45,6 +45,8 @@ from fracineq.sweep import (
 from fracineq.funclib import (
     ConvexityClass,
     TestFunction,
+    _check_resolvable,
+    _grid_points,
     abs_d2,
     catalog_names,
     cert_grid,
@@ -2406,6 +2408,84 @@ def test_cli_sweep_at_extreme_parameters(config_file, override, code, text):
     assert proc.returncode == code, proc.stderr
     assert text in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# intervals whose certification grid the doubles cannot resolve (the count
+# is its distinct points of 1025), or whose (b-a)^2 is no normal double
+UNRESOLVED_INTERVALS = [
+    ("1e15,1.0000000000000002e15",
+     "interval [1000000000000000.0, 1000000000000000.2] is too narrow: its "
+     "1025 certification grid points are only 3 distinct doubles"),
+    ("5e-324,1e-323",
+     "interval [5e-324, 1e-323] is too narrow: its 1025 certification grid "
+     "points are only 2 distinct doubles"),
+    ("0,5e-324",
+     "interval [0.0, 5e-324] is too narrow: its 1025 certification grid "
+     "points are only 2 distinct doubles"),
+    ("1e-300,2e-300",
+     "interval [1e-300, 2e-300] is too narrow: (b-a)^2 = 0.0 is below the "
+     "normal doubles"),
+    ("1e15,1000000000000100",
+     "interval [1000000000000000.0, 1000000000000100.0] is too narrow: its "
+     "1025 certification grid points are only 801 distinct doubles"),
+]
+
+
+@pytest.mark.parametrize("token, reason", UNRESOLVED_INTERVALS,
+                         ids=[token for token, _ in UNRESOLVED_INTERVALS])
+def test_unresolved_interval_is_refused_on_every_path(tmp_path, capsys,
+                                                      token, reason):
+    from fracineq import cli
+
+    text = GOOD_CONFIG.replace("intervals = 0,1", f"intervals = 0,1 {token}")
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config_text(text)
+    assert str(exc_info.value) == f"intervals[1]: {reason}"
+    narrow, good = tmp_path / "narrow.cfg", tmp_path / "good.cfg"
+    narrow.write_text(text)
+    good.write_text(GOOD_CONFIG)
+    for args, field in [
+        (["sweep", "--config", str(narrow)], "intervals[1]"),
+        (["sweep", "--config", str(good), "--interval", token],
+         "intervals[0]"),
+        (["check-identity", "--function", "square", "--interval", token,
+          "--alpha", "1"], "--interval"),
+    ]:
+        assert cli.main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {field}: {reason}\n", args
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("token", [
+    "0,1e-9", "1e6,1000001", "3,1e6", "0,1e6",
+    # the smallest interval of the invariance oracle's k-scalings, 2^-17
+    "0,7.62939453125e-06",
+])
+def test_resolved_intervals_keep_every_grid_point_and_are_computed(
+        capsys, token):
+    from fracineq import cli
+
+    text = GOOD_CONFIG.replace("intervals = 0,1", f"intervals = {token}")
+    (iv,) = parse_config_text(text).intervals
+    _check_resolvable(iv)
+    points = _grid_points(float(iv.a).hex(), float(iv.b).hex())
+    assert np.unique(points).size == 1025
+    assert (iv.b - iv.a) ** 2 >= sys.float_info.min
+    # computed: a pass, or a fail of the values (rounding on the wide
+    # intervals, the engine's budget on [1e6, 1e6+1]), never a refusal
+    code = cli.main(["check-identity", "--function", "square", "--interval",
+                     token, "--alpha", "1"])
+    assert code in (0, 1)
+    assert not capsys.readouterr().err.startswith("config error")
+
+
+def test_resolvable_leaves_an_overflowing_width_to_its_own_refusal():
+    # (b-a)^2 overflows: the sweep refuses it as too wide, and
+    # check-identity exits 1 on cube's overflow at b, as before
+    # (test_cli_check_identity_at_extreme_parameters)
+    for token in ("0,1e300", "-1e300,1e300"):
+        _check_resolvable(Interval.parse(token))
 
 
 def test_power_mean_rows_pass_where_alpha_times_width_overflows():
