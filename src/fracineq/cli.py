@@ -94,21 +94,16 @@ def _flag(flag: str, check, token: str):
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import (_LISTS, _convert, load_config, render_report,
-                        run_sweep, validate_config)
+    from .sweep import _load, render_report, run_sweep
 
-    config = load_config(args.config)
-    overrides = {key: _convert(key, tokens, _LISTS[key][0])
-                 for key, tokens in (("alphas", args.alpha),
-                                     ("intervals", args.interval),
-                                     ("functions", args.function)) if tokens}
-    if args.format:
-        overrides["output_format"] = args.format
-    overrides["quad_tol"] = _env_quad_tol(config.quad_tol)
-    config = config._replace(**overrides)
-    # the config, with every override applied, is judged first; then --out
-    # is opened, so an unwritable path costs no sweep
-    validate_config(config)
+    # each flag's tokens replace the file's, and the config is judged once,
+    # first; then --out is opened, so an unwritable path costs no sweep
+    config = _load(args.config, {
+        key: tokens for key, tokens in (
+            ("alphas", args.alpha), ("intervals", args.interval),
+            ("functions", args.function),
+            ("format", args.format and [args.format])) if tokens})
+    config = config._replace(quad_tol=_env_quad_tol(config.quad_tol))
     if not args.out:
         report = run_sweep(config)
         sys.stdout.buffer.write(render_report(report, config.output_format))

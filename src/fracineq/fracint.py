@@ -24,8 +24,6 @@ J^0 f = f is documented but not implemented as an order value.
 
 from __future__ import annotations
 
-import math
-
 from .errors import DomainError
 from .funclib import Interval, _eval_grid, _point_value, value_fn
 from .quadrature import (
@@ -51,8 +49,6 @@ def _rl(f, alpha: float, lo: float, hi: float, sign: float,
     abs_tol = _check_abs_tol(abs_tol)
     fv = value_fn(f)
     d = Interval(lo, hi).length
-    if d == math.inf:
-        raise DomainError(f"range [{lo}, {hi}] is too wide: its length overflows")
     try:
         g = gamma(alpha)
         # the kernel at the far end of [lo, hi], its largest value for

@@ -99,7 +99,7 @@ class _IntervalFields(NamedTuple):
 
 
 class Interval(_IntervalFields):
-    """Closed interval [a, b] with a < b, both finite."""
+    """Closed interval [a, b] with a < b, both finite, of finite length."""
 
     __slots__ = ()
 
@@ -108,6 +108,8 @@ class Interval(_IntervalFields):
             raise DomainError(f"interval endpoints must be finite, got [{a}, {b}]")
         if not a < b:
             raise DomainError(f"interval requires a < b, got [{a}, {b}]")
+        if b - a == math.inf:
+            raise DomainError(f"interval [{a}, {b}] is too wide: its length overflows")
         return super().__new__(cls, a, b)
 
     def _replace(self, **changes):  # through __new__; NamedTuple's skips it
@@ -633,7 +635,6 @@ _FAMILIES = {"s_power": s_power, "root_power": root_power,
              "shifted_square": shifted_square}
 # every entry get_function has built and certified, by name
 _RESOLVED: dict[str, TestFunction] = {}
-_CATALOG: tuple[TestFunction, ...] | None = None
 
 
 def _build(name: str) -> TestFunction:
@@ -668,6 +669,7 @@ def get_function(name: str) -> TestFunction:
     return tf
 
 
+@functools.cache
 def builtin_catalog() -> tuple[TestFunction, ...]:
     """The built-in certified catalog (immutable, built once).
 
@@ -676,10 +678,7 @@ def builtin_catalog() -> tuple[TestFunction, ...]:
     member has f'' = sqrt(t), so |f''|^q is concave for q <= 2), constants
     and a linear function, and the shifted equality witness (t-1)^2.
     """
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = tuple(get_function(name) for name in _BUILTIN_NAMES)
-    return _CATALOG
+    return tuple(get_function(name) for name in _BUILTIN_NAMES)
 
 
 def catalog_names() -> list[str]:

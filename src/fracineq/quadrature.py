@@ -55,8 +55,7 @@ from .errors import (
     FracineqError,
     IntegrandError,
 )
-# funclib's, so that the catalog and the certifier load without this engine
-from .funclib import Interval, _eval_grid, _point_value, _read  # noqa: F401
+from .funclib import Interval, _point_value
 
 __all__ = [
     "Interval",

@@ -11,7 +11,7 @@ cell's rows in layout order.  Only cells tied on (function, a, b), a
 repeated entry or ``0,1`` beside ``-0,1``, have their rows of a check
 merged by the full key, in config order, as are the weight-integral rows.
 One table, ``_LISTS``, reads, types and checks every list entry, of a
-config file, a CLI override or a config built in code alike.
+config file, a CLI flag or a config built in code alike.
 
 Row semantics
 -------------
@@ -237,16 +237,8 @@ def _convert(field_name: str, tokens: list[str], convert) -> tuple:
     return tuple(out)
 
 
-def parse_config_text(text: str) -> SweepConfig:
-    """Parse the flat config syntax.
-
-    One ``key = value ...`` per line; ``#`` starts a comment.  List values
-    are whitespace-separated tokens; intervals are ``a,b`` tokens.  The six
-    list keys are required and must be non-empty; ``slack``, ``quad_tol``,
-    ``format`` and ``seed`` are optional scalars.  The syntax is read
-    here and the values are then checked by :func:`validate_config`; a
-    :class:`ConfigError` from either names the offending field.
-    """
+def _parse(text: str, flags: dict[str, list[str]]) -> SweepConfig:
+    """:func:`parse_config_text`; each key's ``flags`` tokens replace the file's."""
     raw: dict[str, list[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -260,6 +252,7 @@ def parse_config_text(text: str) -> SweepConfig:
         if key in raw:
             raise ConfigError(key, "duplicate key")
         raw[key] = value.split()
+    raw.update(flags)
 
     def scalar(key: str, convert):
         if len(raw[key]) != 1:
@@ -276,15 +269,33 @@ def parse_config_text(text: str) -> SweepConfig:
     return config
 
 
-def load_config(path: str | Path) -> SweepConfig:
-    """Read and parse the config file at ``path``, less a leading UTF-8
-    byte-order mark; a file that cannot be read as UTF-8 text is a
-    :class:`ConfigError` naming the path."""
+def parse_config_text(text: str) -> SweepConfig:
+    """Parse the flat config syntax.
+
+    One ``key = value ...`` per line; ``#`` starts a comment.  List values
+    are whitespace-separated tokens; intervals are ``a,b`` tokens.  The six
+    list keys are required and must be non-empty; ``slack``, ``quad_tol``,
+    ``format`` and ``seed`` are optional scalars.  The syntax is read
+    here and the values are then checked by :func:`validate_config`; a
+    :class:`ConfigError` from either names the offending field.
+    """
+    return _parse(text, {})
+
+
+def _load(path: str | Path, flags: dict[str, list[str]]) -> SweepConfig:
+    """:func:`load_config` with ``flags``, as :func:`_parse` takes them."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {str(path)!r}: {exc}") from exc
-    return parse_config_text(text)
+    return _parse(text, flags)
+
+
+def load_config(path: str | Path) -> SweepConfig:
+    """Read and parse the config file at ``path``, less a leading UTF-8
+    byte-order mark; a file that cannot be read as UTF-8 text is a
+    :class:`ConfigError` naming the path."""
+    return _load(path, {})
 
 
 def _check_value(name: str, value, check, kind=numbers.Real) -> None:

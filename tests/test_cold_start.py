@@ -68,8 +68,7 @@ def test_catalog_loads_only_the_certifier():
     assert proc.stdout.split() == ["fracineq.errors", "fracineq.funclib"]
 
 
-@pytest.mark.parametrize("name", ["_read", "_point_value", "_eval_grid",
-                                  "Interval"])
+@pytest.mark.parametrize("name", ["_point_value", "Interval"])
 def test_the_read_rule_and_interval_live_in_funclib(name):
     from fracineq import quadrature
 

@@ -140,7 +140,7 @@ def test_a_complex_value_on_the_scalar_path_is_non_finite():
     # float(t) makes f scalar-only, and below 0.5 it returns a complex
     # number, which used to escape _eval_grid as a bare TypeError: it is
     # nan there, and the certifier reports it as non-finite
-    from fracineq.quadrature import _eval_grid
+    from fracineq.funclib import _eval_grid
 
     def f(t):
         return (float(t) - 0.5) ** 0.5

@@ -30,8 +30,8 @@ from fracineq import (
     weight_integral_report,
 )
 from fracineq import beta, hhbounds, quadrature
-from fracineq.funclib import ConvexityClass
-from fracineq.quadrature import TANH_SINH, _eval_grid, integrate
+from fracineq.funclib import ConvexityClass, _eval_grid
+from fracineq.quadrature import TANH_SINH, integrate
 
 UNIT = Interval(0.0, 1.0)
 SQUARE = get_function("square")

@@ -25,7 +25,7 @@ from fracineq import (
     s_convex_sandwich,
     trapezoid_defect,
 )
-from fracineq.funclib import ConvexityClass
+from fracineq.funclib import ConvexityClass, _eval_grid
 from fracineq.quadrature import PANEL_ORDER, TANH_SINH, beta_expectation
 
 
@@ -335,7 +335,7 @@ def test_every_read_of_a_function_follows_one_rule(fail, reason, grid_value):
     with pytest.raises(IntegrandError) as engine:
         integrate(f, Interval(0.0, 1.0))
     assert str(engine.value) == f"function {reason} at t={first_node!r}"
-    got = quadrature._eval_grid(f, np.linspace(0.0, 1.0, 5))
+    got = _eval_grid(f, np.linspace(0.0, 1.0, 5))
     np.testing.assert_array_equal(got, np.full(5, grid_value))
 
 

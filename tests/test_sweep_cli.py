@@ -2389,6 +2389,10 @@ def test_tiny_alpha_identity_passes():
       "1.7976931348623157e308"), 0, "PASS"),
     (("--function", "square", "--interval", "0,1e-9", "--alpha", "1e308"),
      0, "PASS"),
+    # finite ends whose distance overflows: refused by Interval, before
+    # any grid is built
+    (("--function", "square", "--interval=-1e308,1e308", "--alpha", "1"), 2,
+     "too wide"),
 ])
 def test_cli_check_identity_at_extreme_parameters(args, code, text):
     proc = run_cli("check-identity", *args)
@@ -2408,6 +2412,76 @@ def test_cli_sweep_at_extreme_parameters(config_file, override, code, text):
     assert proc.returncode == code, proc.stderr
     assert text in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_an_interval_whose_length_overflows_is_refused_by_one_rule(
+        tmp_path, capsys):
+    from fracineq import cli, integrate, left_rl
+
+    reason = "interval [-1e+308, 1e+308] is too wide: its length overflows"
+    for call in (lambda: Interval(-1e308, 1e308),
+                 lambda: integrate(lambda t: t, (-1e308, 1e308)),
+                 lambda: left_rl(lambda t: t, 0.5, -1e308, 1e308)):
+        with pytest.raises(DomainError) as exc_info:
+            call()
+        assert str(exc_info.value) == reason
+    wide, good = tmp_path / "wide.cfg", tmp_path / "good.cfg"
+    wide.write_text(GOOD_CONFIG.replace("intervals = 0,1",
+                                        "intervals = -1e308,1e308"))
+    good.write_text(GOOD_CONFIG)
+    for args, field in [
+        (["sweep", "--config", str(wide)], "intervals[0]"),
+        (["sweep", "--config", str(good), "--interval=-1e308,1e308"],
+         "intervals[0]"),
+        (["check-identity", "--function", "square",
+          "--interval=-1e308,1e308", "--alpha", "1"], "--interval"),
+    ]:
+        assert cli.main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {field}: {reason}\n", args
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("entry, bad, flag, value", [
+    ("intervals = 0,1", "intervals = 0,1e300", "--interval", "0,1"),
+    ("alphas = 0.5 1", "alphas = -1", "--alpha", "0.5"),
+], ids=["interval", "alpha"])
+def test_a_flag_replaces_an_invalid_entry_before_the_config_is_judged(
+        tmp_path, capsys, entry, bad, flag, value):
+    # the flag's tokens replace the file's, so the file's entry is never
+    # judged: the run is that of the config written with the flag's value
+    from fracineq import cli
+
+    written = f"{entry.split(' = ')[0]} = {value}"
+    runs = []
+    for text, argv in ((GOOD_CONFIG.replace(entry, bad), [flag, value]),
+                       (GOOD_CONFIG.replace(entry, written), [])):
+        path = tmp_path / f"sweep{len(runs)}.cfg"
+        path.write_text(text)
+        out = tmp_path / f"report{len(runs)}.csv"
+        code = cli.main(["sweep", "--config", str(path), *argv,
+                         "--out", str(out)])
+        runs.append((code, capsys.readouterr().err, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--interval", "0,2"], ["--function", "square", "--format", "json"],
+], ids=["no_flag", "interval", "function_format"])
+def test_an_invalid_entry_no_flag_replaces_is_refused_before_out_opens(
+        tmp_path, capsys, argv):
+    from fracineq import cli
+
+    path = tmp_path / "bad.cfg"
+    path.write_text(GOOD_CONFIG.replace("alphas = 0.5 1", "alphas = -1"))
+    out = tmp_path / "report.csv"
+    assert cli.main(["sweep", "--config", str(path), *argv,
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: alphas[0]: fractional order")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # intervals whose certification grid the doubles cannot resolve (the count
