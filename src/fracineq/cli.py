@@ -21,9 +21,8 @@ import sys
 
 from .errors import (ConfigError, DomainError, FracineqError, IntegrandError,
                      PreconditionError)
-from .funclib import (CERT_GRID_N, CertificationResult, Interval,
-                      _check_resolvable, _check_s, _grid_values, abs_d2,
-                      certify_declared, get_function)
+from .funclib import (Interval, _check_resolvable, _check_s, _grid_values,
+                      abs_d2, certify_declared, get_function)
 
 # Each command imports the layers it runs when it runs: ``certify`` needs
 # only the catalog and the certifier, ``check-identity`` adds the defect
@@ -150,10 +149,7 @@ def _cmd_check_identity(args) -> int:
 def _cmd_certify(args) -> int:
     f = _flag("--function", get_function, args.function)
     s = _flag("--s", _check_s, args.s)
-    # the lookup certified f at its declared s, or it would have raised
-    result = (CertificationResult(True, None, CERT_GRID_N ** 3)
-              if s == (f.declared_class.s or 1.0)
-              else certify_declared(f, s=s))
+    result = certify_declared(f, s=s)
     label = f"{f.name} as {f.declared_class.kind} at s={s:g}"
     if result.passed:
         print(f"PASS {label} ({result.checked} triples checked)")

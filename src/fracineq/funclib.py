@@ -49,8 +49,10 @@ certifier load without the quadrature engine.
 Catalog functions carry an analytic second-derivative channel ``d2``; the
 bound evaluators read |f''| at interval endpoints from it, by
 :func:`_point_value`, never by finite differences.  ``declared_class`` is a
-coarse label for f (checked at construction); the bound evaluators
-certify their own hypotheses on derived channels such as |f''|^q per call.
+coarse label for f on its natural domain, judged by :func:`certify_declared`
+alone (the ``certify`` command and the tests call it): a lookup builds its
+entry and judges no grid.  The bound evaluators certify their own
+hypotheses on derived channels such as |f''|^q per call and interval.
 """
 
 from __future__ import annotations
@@ -565,26 +567,17 @@ def abs_d2(f: TestFunction, q: float | None = None):
 _DOMAIN = Interval(0.0, 4.0)
 
 
-def _certified(tf: TestFunction) -> TestFunction:
-    res = certify_declared(tf)
-    if not res.passed:
-        raise DomainError(
-            f"catalog entry {tf.name} fails its declared class "
-            f"{tf.declared_class} at witness {res.witness}")
-    return tf
-
-
 def s_power(s: float, name: str | None = None) -> TestFunction:
     """f(t) = t^(s+2) / ((s+1)(s+2)); second derivative is exactly t^s."""
     s = _check_s(s)
     c = 1.0 / ((s + 1.0) * (s + 2.0))
-    return _certified(TestFunction(
+    return TestFunction(
         name=name or f"s_power_{s:g}",
         fn=lambda t, s=s, c=c: c * t ** (s + 2.0),
         d2=lambda t, s=s: t ** s,
         declared_class=ConvexityClass("s_convex", s),
         natural_domain=_DOMAIN,
-    ))
+    )
 
 
 def root_power(s: float, name: str | None = None) -> TestFunction:
@@ -595,27 +588,31 @@ def root_power(s: float, name: str | None = None) -> TestFunction:
     builtin catalog and is meant for the first-order sandwich checks.
     """
     s = _check_s(s)
-    return _certified(TestFunction(
+    return TestFunction(
         name=name or f"root_power_{s:g}",
         fn=lambda t, s=s: t ** s,
         d2=lambda t, s=s: s * (s - 1.0) * t ** (s - 2.0) if s != 1.0 else 0.0 * t,
         declared_class=ConvexityClass("s_convex", s),
         natural_domain=Interval(0.0, 1.0),
-    ))
+    )
 
 
 def shifted_square(a: float, name: str | None = None) -> TestFunction:
-    """f(t) = (t - a)^2, the equality witness for intervals starting at a."""
+    """f(t) = (t - a)^2, the equality witness for intervals starting at a;
+    a shift whose natural domain [a, a+2] doubles cannot resolve
+    (:func:`_check_resolvable`, a >= 2e13) is a :class:`DomainError`."""
     a = float(a)
     if a < 0.0:
         raise DomainError(f"shift must be >= 0, got {a}")
-    return _certified(TestFunction(
+    domain = Interval(a, a + 2.0)
+    _check_resolvable(domain)
+    return TestFunction(
         name=name or f"shifted_square_{a:g}",
         fn=lambda t, a=a: (t - a) ** 2,
         d2=lambda t: 2.0 + 0.0 * t,
         declared_class=ConvexityClass("convex"),
-        natural_domain=Interval(a, a + 2.0),
-    ))
+        natural_domain=domain,
+    )
 
 
 # the convex builtin entries on _DOMAIN: name -> (f, f'')
@@ -633,16 +630,15 @@ _PARAM_NAME = re.compile(
     r"^(s_power|root_power|shifted_square)_([0-9]+(?:\.[0-9]*)?|\.[0-9]+)$")
 _FAMILIES = {"s_power": s_power, "root_power": root_power,
              "shifted_square": shifted_square}
-# every entry get_function has built and certified, by name
+# every entry get_function has built, by name
 _RESOLVED: dict[str, TestFunction] = {}
 
 
 def _build(name: str) -> TestFunction:
-    """Build and certify the catalog entry called ``name``."""
+    """Build the catalog entry called ``name``."""
     if name in _CONVEX_BUILTINS:
         fn, d2 = _CONVEX_BUILTINS[name]
-        return _certified(TestFunction(name, fn, d2, ConvexityClass("convex"),
-                                       _DOMAIN))
+        return TestFunction(name, fn, d2, ConvexityClass("convex"), _DOMAIN)
     m = _PARAM_NAME.match(name)
     if m:
         try:
@@ -659,9 +655,11 @@ def get_function(name: str) -> TestFunction:
 
     Besides the fixed builtin entries, parameterised names of the forms
     ``s_power_<s>``, ``root_power_<s>`` and ``shifted_square_<a>`` are
-    constructed on demand.  Each entry is built and certified the first
-    time its name is asked for, and kept; an entry that fails its
-    declared class raises :class:`DomainError` and is not kept.
+    constructed on demand.  Each entry is built the first time its name is
+    asked for, and kept; no grid is judged (:func:`certify_declared`
+    judges the declared class).  An unknown name, or a family parameter
+    out of range, raises :class:`DomainError` naming it, and nothing is
+    kept.
     """
     tf = _RESOLVED.get(name)
     if tf is None:
@@ -671,7 +669,7 @@ def get_function(name: str) -> TestFunction:
 
 @functools.cache
 def builtin_catalog() -> tuple[TestFunction, ...]:
-    """The built-in certified catalog (immutable, built once).
+    """The built-in catalog (immutable, built once, no grid judged).
 
     Contains the monomials t^k (k = 2, 3, 4) whose |f''| is convex, the
     s_power family with |f''| = t^s for s in {0.25, 0.5, 0.75} (the s = 0.5
@@ -682,5 +680,5 @@ def builtin_catalog() -> tuple[TestFunction, ...]:
 
 
 def catalog_names() -> list[str]:
-    """The builtin entries' names; builds and certifies nothing."""
+    """The builtin entries' names; builds nothing."""
     return list(_BUILTIN_NAMES)

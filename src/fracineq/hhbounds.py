@@ -58,12 +58,12 @@ import numpy as np
 from .errors import DomainError, FracineqError, PreconditionError
 from .funclib import (
     CERT_GRID_N,
-    CERT_SLACK,
     Interval,
     TestFunction,
     _check_s,
     _eval_grid,
     _grid_tables,
+    _holds,
     _nests,
     _point_value,
     abs_d2,
@@ -331,7 +331,7 @@ def _sandwich_terms(fv, interval: Interval, nodes: np.ndarray,
     the mean of f over ``interval``, once f >= 0 is read from ``nodes``,
     f on the certification grid's nodes; f must have passed an
     s-convexity gate on ``interval``, which has read f finite there."""
-    if nodes.min() < -CERT_SLACK:
+    if not _holds(nodes, 0.0, True).all():
         raise PreconditionError(
             f"f must be nonnegative on the interval; min sampled value {nodes.min()}")
     fa, fb = _point_value(fv, interval.a), _point_value(fv, interval.b)

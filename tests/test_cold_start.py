@@ -1,5 +1,7 @@
 """Cold start: each CLI command loads only the layers it runs, the package
-namespace resolves lazily, and catalog entries are certified on lookup."""
+namespace resolves lazily, a catalog lookup builds its entry and judges no
+grid, and ``certify`` judges one grid at any s; every catalog entry is
+checked against its declared class here."""
 
 import json
 import math
@@ -141,36 +143,72 @@ def test_gauss_legendre_literals_are_leggauss_bits():
     assert np.array(_WEIGHTS).tobytes() == weights.tobytes()
 
 
-def test_lookup_certifies_one_entry_once(monkeypatch):
-    grids = []
+@pytest.fixture
+def grids(monkeypatch):
+    """The arguments of every ``funclib.cert_grid`` call of the test, which
+    starts from an empty catalog: no entry kept, no builtin tuple built."""
+    made = []
+    cert_grid = funclib.cert_grid
 
     def counting(*args, **kwargs):
-        grids.append(args)
+        made.append(args)
         return cert_grid(*args, **kwargs)
 
-    cert_grid = funclib.cert_grid
     monkeypatch.setattr(funclib, "cert_grid", counting)
     monkeypatch.setattr(funclib, "_RESOLVED", {})
+    funclib.builtin_catalog.cache_clear()
+    yield made
+    funclib.builtin_catalog.cache_clear()
+
+
+def test_lookup_builds_no_grid_and_memoises(grids, capsys):
+    from fracineq.cli import main
+
     assert funclib.catalog_names()[3] == "cube"
-    assert grids == []
+    assert funclib._RESOLVED == {}
     cube = funclib.get_function("cube")
     assert funclib.get_function("cube") is cube
-    assert len(grids) == 1
     # parameterised names are memoised the same way
     s_power = funclib.get_function("s_power_0.3")
     assert funclib.get_function("s_power_0.3") is s_power
-    assert len(grids) == 2
+    catalog = funclib.builtin_catalog()
+    assert catalog[3] is cube and len(catalog) == 9
+    config = fracineq.parse_config_text(README_CONFIG)
+    assert config.functions == ("square", "cube", "s_power_0.5")
+    assert main(["check-identity", "--function", "square", "--interval",
+                 "0,1", "--alpha", "0.5"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    # a refused name raises each time it is asked for and is not kept
+    far = "shifted_square_20000000000000"
+    for _ in range(2):
+        with pytest.raises(fracineq.DomainError, match=f"^{far}: .*too narrow"):
+            funclib.get_function(far)
+    assert far not in funclib._RESOLVED
+    assert grids == []
 
 
-def test_entry_failing_its_declared_class_raises(monkeypatch):
-    # -t^2 declared convex: the lookup certifies it, fails, and keeps nothing
+# family members at several s and shifts, beside the nine builtin entries
+FAMILY_NAMES = ([f"{family}_{s:f}" for family in ("s_power", "root_power")
+                 for s in (1e-6, 0.001, 0.3, 0.5, 1.0)]
+                + [f"shifted_square_{a:.0f}" for a in (0, 1, 1e6, 1e13)])
+
+
+def _failing_their_declared_class(names) -> list[str]:
+    return [name for name in names
+            if not funclib.certify_declared(funclib.get_function(name))]
+
+
+def test_every_catalog_entry_certifies_its_declared_class(monkeypatch):
+    # a lookup judges no grid, so this is where a declared class is held to
+    names = funclib.catalog_names() + FAMILY_NAMES
+    assert len(names) == 23
+    assert _failing_their_declared_class(names) == []
+    # and it flags an entry that fails: -t^2 declared convex
     monkeypatch.setitem(funclib._CONVEX_BUILTINS, "neg_square",
                         (lambda t: -t ** 2, lambda t: -2.0 + 0.0 * t))
     monkeypatch.setattr(funclib, "_RESOLVED", {})
-    for _ in range(2):
-        with pytest.raises(fracineq.DomainError, match="neg_square fails"):
-            funclib.get_function("neg_square")
-    assert funclib._RESOLVED == {}
+    assert _failing_their_declared_class([*names, "neg_square"]) == [
+        "neg_square"]
 
 
 # ---------------------------------------------------------------------------
@@ -383,30 +421,23 @@ def test_replace_on_validating_records_runs_the_constructor():
 
 
 # ---------------------------------------------------------------------------
-# certify judges the grid once at the declared s
+# certify judges one grid at any s, the declared s included
 
 
-@pytest.mark.parametrize("name, s, grids", [
-    ("cube", "1", 1), ("cube", "0.5", 2), ("s_power_0.5", "0.5", 1),
-    ("s_power_0.5", "1", 2), ("root_power_0.5", "1", 2),
+@pytest.mark.parametrize("name, s, made", [
+    ("cube", "1", 1), ("cube", "0.5", 1), ("s_power_0.5", "0.5", 1),
+    ("s_power_0.5", "1", 1), ("root_power_0.5", "1", 1),
     ("shifted_square_1", "1.0", 1),
 ])
 def test_certify_reuses_the_lookup_verdict_at_the_declared_s(
-        monkeypatch, capsys, name, s, grids):
+        grids, capsys, name, s, made):
+    # a lookup judges no grid, so certify judges its own one grid at the
+    # declared s as at any other
     from fracineq.cli import main
 
-    made = []
-
-    def counting(*args, **kwargs):
-        made.append(args)
-        return cert_grid(*args, **kwargs)
-
-    cert_grid = funclib.cert_grid
-    monkeypatch.setattr(funclib, "cert_grid", counting)
-    monkeypatch.setattr(funclib, "_RESOLVED", {})
     code = main(["certify", "--function", name, "--s", s])
     printed = capsys.readouterr().out
-    assert len(made) == grids
+    assert len(grids) == made
     # the line a fresh certification at that s prints, byte for byte
     f = funclib.get_function(name)
     result = funclib.certify_declared(f, s=float(s))

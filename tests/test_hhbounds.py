@@ -153,6 +153,21 @@ def test_sandwich_rejects_negative_function():
         s_convex_sandwich(shifted, UNIT, 1.0)
 
 
+def test_sandwich_reads_f_nonnegative_within_the_certifier_slack():
+    # (t - 1/2)^2 - c is convex and its lowest grid node, t = 1/2, is
+    # exactly -c: the certifier's slack forgives c = CERT_SLACK, not twice it
+    from fracineq.funclib import CERT_SLACK
+
+    def dipped(c):
+        return lambda t: (t - 0.5) ** 2 - c
+
+    sw = s_convex_sandwich(dipped(CERT_SLACK), UNIT, 1.0)
+    assert sw.lower == -CERT_SLACK
+    assert sw.mean == pytest.approx(1.0 / 12.0, abs=1e-10)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        s_convex_sandwich(dipped(2.0 * CERT_SLACK), UNIT, 1.0)
+
+
 def test_bound_s_convex_equality_case():
     # weight bracket at (1, 1): 1/12 + 1/6 - 1/12 = 1/6; |f''| sum = 4
     bound = defect_bound_s_convex(SQUARE, UNIT, 1.0, 1.0)

@@ -630,6 +630,44 @@ def test_config_names_the_function_entry_whose_parameter_is_out_of_range():
     assert "root_power_0: s must lie in (0, 1]" in str(exc_info.value)
 
 
+def test_a_shift_whose_domain_resolves_builds_and_certifies(capsys):
+    # [1e13, 1e13+2]: its 1025 grid points, 2^-9 apart, are distinct doubles
+    from fracineq import cli
+
+    name = "shifted_square_10000000000000"
+    assert get_function(name).natural_domain == Interval(1e13, 1e13 + 2.0)
+    assert cli.main(["certify", "--function", name, "--s", "1"]) == 0
+    assert capsys.readouterr().out == (
+        f"PASS {name} as convex at s=1 (35937 triples checked)\n")
+
+
+def test_a_shift_whose_domain_cannot_resolve_is_refused_on_every_path(
+        tmp_path, capsys):
+    # [2e13, 2e13+2]: one ulp is 2^-8, twice the grid's step, so its 1025
+    # grid points are 513 doubles; every path names the function
+    from fracineq import cli
+
+    name = "shifted_square_20000000000000"
+    refusal = (f"{name}: interval [20000000000000.0, 20000000000002.0] is "
+               "too narrow: its 1025 certification grid points are only 513 "
+               "distinct doubles")
+    with pytest.raises(DomainError) as exc_info:
+        get_function(name)
+    assert str(exc_info.value) == refusal
+    config = tmp_path / "far.cfg"
+    config.write_text(GOOD_CONFIG.replace("functions = square linear",
+                                          f"functions = {name}"))
+    for args, where in (
+            (["certify", "--function", name, "--s", "1"], "--function"),
+            (["check-identity", "--function", name, "--interval", "0,1",
+              "--alpha", "1"], "--function"),
+            (["sweep", "--config", str(config)], "functions[0]")):
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {where}: {refusal}\n"
+        assert captured.out == ""
+
+
 def test_cli_env_quad_tol_override(config_file, tmp_path):
     # an out-of-contract override proves the env var is read and validated
     proc = run_cli("sweep", "--config", str(config_file),
@@ -1310,10 +1348,6 @@ def test_readme_sweep_builds_one_grid_per_channel(monkeypatch):
         return verdicts
 
     config = parse_config_text(README_CONFIG)
-    # the catalog certifies an entry's declared class when first asked
-    # for: build them before counting, so the count is the sweep's alone
-    for name in config.functions:
-        get_function(name)
     monkeypatch.setattr(funclib_mod, "cert_grid", counting_cert_grid)
     monkeypatch.setattr(sweep_mod, "channel_verdicts",
                         counting_channel_verdicts)
@@ -1629,8 +1663,6 @@ def test_sweep_judges_each_channel_from_the_largest_s_down(
         return verdicts
 
     config = parse_config_text(text)
-    for name in config.functions:
-        get_function(name)      # the catalog's own certification, uncounted
     monkeypatch.setattr(funclib_mod, "_grid_combination",
                         counting_combination)
     monkeypatch.setattr(funclib_mod, "_grid_holds", counting_holds)
