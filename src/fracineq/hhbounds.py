@@ -325,77 +325,56 @@ def defect_identity_rhs(f: TestFunction, interval: Interval, alpha: float,
     return _outcome_value(_identity_rhs(f, interval, (alpha,), quad_tol)[0])
 
 
-def _sandwich_terms(fv, interval: Interval, nodes: np.ndarray,
-                    quad_tol: float) -> tuple[float, float, float, float]:
-    """The sandwich's terms that depend on no s: f(a), f(b), f(mid) and
-    the mean of f over ``interval``, once f >= 0 is read from ``nodes``,
-    f on the certification grid's nodes; f must have passed an
-    s-convexity gate on ``interval``, which has read f finite there."""
-    if not _holds(nodes, 0.0, True).all():
-        raise PreconditionError(
-            f"f must be nonnegative on the interval; min sampled value {nodes.min()}")
-    fa, fb = _point_value(fv, interval.a), _point_value(fv, interval.b)
-    mean_res = integrate(fv, interval,
-                         abs_tol=_engine_tol(quad_tol * interval.length))
-    return (fa, fb, _point_value(fv, interval.midpoint),
-            mean_res.value / interval.length)
+def _sandwiches(fv, interval: Interval, s_values, quad_tol: float
+                ) -> list[SandwichResult | FracineqError]:
+    """The sandwich of f (values ``fv``) on ``interval`` at each s of
+    ``s_values``, in their order, or the error that stopped it.
 
-
-def _gates(fv, interval: Interval, s_values
-           ) -> tuple[dict[float, FracineqError | None], np.ndarray | None]:
-    """f's s-convexity gate at each distinct s of ``s_values``: {s: None
-    where it passes, else the error that stopped it}, and f on the
-    certification grid's nodes, read once where some s passes (else None).
-
-    The s are judged from the largest down (Hudzik and Maligranda 1994):
-    where f's gate passes at s, every smaller s inherits the pass with no
-    further call when f's node values are finite and >= 0 and the grid's
-    weights lam^s, as the certifier computes them, rise element by element
-    as s falls; then each combination, and each verdict, is the one a call
-    at the smaller s computes (see
-    :func:`~fracineq.funclib.channel_verdicts`).  Where the gate fails, or
-    a condition does not hold, the next s is judged by its own call.  The
-    node read is ``np.linspace(a, b, n)``, the grid's nodes bit for bit.
-    """
-    gates, nodes = {}, None
+    f's s-convexity gate is judged at each distinct s from the largest
+    down (Hudzik and Maligranda 1994): where it passes at s, every smaller
+    s inherits the pass with no further call when f's values on the
+    certification grid's nodes are finite and >= 0 and the grid's weights
+    lam^s, as the certifier computes them, rise element by element as s
+    falls; then each combination, and each verdict, is the one a call at
+    the smaller s computes (see :func:`~fracineq.funclib.channel_verdicts`).
+    Where the gate fails, or a condition does not hold, the next s is
+    judged by its own call.  At the first pass f is read on the nodes,
+    ``np.linspace(a, b, n)``, the grid's nodes bit for bit, which the gate
+    has read finite; that read serves the inheritance check and the
+    sandwich's f >= 0 check, and the terms that depend on no s (f(a),
+    f(b), the mean, one ``integrate`` call, and f(mid)) are computed once
+    from there.  An error there stops every s whose gate passes."""
+    outcomes, terms = {}, None
     # floats, as the certifier raises lam to them
     order = sorted(dict.fromkeys(map(float, s_values)), reverse=True)
     for i, s in enumerate(order):
         try:
             _hypothesis(fv, interval, s, False, "f")
         except FracineqError as exc:
-            gates[s] = exc
+            outcomes[s] = exc
             continue
-        gates[s] = None
-        if nodes is None:
+        if terms is None:
             nodes = _eval_grid(fv, np.linspace(interval.a, interval.b,
                                                CERT_GRID_N))
+            try:
+                if not _holds(nodes, 0.0, True).all():
+                    raise PreconditionError(
+                        f"f must be nonnegative on the interval; min sampled value {nodes.min()}")
+                fa = _point_value(fv, interval.a)
+                fb = _point_value(fv, interval.b)
+                mean = integrate(fv, interval, abs_tol=_engine_tol(
+                    quad_tol * interval.length)).value / interval.length
+                terms = fa, fb, _point_value(fv, interval.midpoint), mean
+            except FracineqError as exc:
+                terms = exc
+        outcomes[s] = terms
         below = order[i:]
         if len(below) > 1 and _nests(nodes, _grid_tables(tuple(below))[1]):
-            gates.update(dict.fromkeys(below[1:]))
+            outcomes.update(dict.fromkeys(below[1:], terms))
             break
-    return gates, nodes
-
-
-def _sandwiches(fv, interval: Interval, s_values, quad_tol: float
-                ) -> list[SandwichResult | FracineqError]:
-    """The sandwich of f (values ``fv``) on ``interval`` at each s of
-    ``s_values``, in their order, or the error that stopped it.  f's
-    s-convexity gate is judged once per distinct s at most, from the
-    largest s down, each smaller s inheriting a pass where the classes
-    nest bit for bit (:func:`_gates`); the terms that depend on no s are
-    computed once, from the gate's one read of f's nodes, where some gate
-    passes, and an error there stops every s whose gate passes."""
-    gates, nodes = _gates(fv, interval, s_values)
-    terms = None
-    if nodes is not None:
-        try:
-            terms = _sandwich_terms(fv, interval, nodes, quad_tol)
-        except FracineqError as exc:
-            terms = exc
     results = []
     for s in s_values:
-        outcome = terms if gates[s] is None else gates[s]
+        outcome = outcomes[s]
         if isinstance(outcome, FracineqError):
             results.append(outcome)
             continue
@@ -415,10 +394,7 @@ def s_convex_sandwich(f, interval: Interval, s: float,
     """
     s = _check_s(s)
     quad_tol = _check_abs_tol(quad_tol, "quad_tol")
-    (result,) = _sandwiches(value_fn(f), interval, (s,), quad_tol)
-    if isinstance(result, FracineqError):
-        raise result
-    return result
+    return _outcome_value(_sandwiches(value_fn(f), interval, (s,), quad_tol)[0])
 
 
 def _s_convex_factors(params: BoundParams) -> tuple[float, ...]:

@@ -40,10 +40,10 @@ s in the convex direction the sandwich reads, and f's grid by the
 sandwich's own gate, once per cell, from the largest s where the probes
 pass down: a pass holds at every smaller s with no further call where
 f's grid nodes are finite and >= 0 and the grid's weights lam^s rise as
-s falls (checked, :func:`~fracineq.hhbounds._gates`), and a fail, or a
-condition that does not hold, sends the next s to its own call; |f''|,
-and |f''|^q for each distinct q (|f''|^1 is the |f''| channel), each get
-one :func:`~fracineq.funclib.channel_verdicts` call that judges the
+s falls (checked, :func:`~fracineq.hhbounds._sandwiches`), and a fail,
+or a condition that does not hold, sends the next s to its own call;
+|f''|, and |f''|^q for each distinct q (|f''|^1 is the |f''| channel),
+each get one :func:`~fracineq.funclib.channel_verdicts` call that judges the
 channel's probes, and its grid where they pass, at every s value in the
 directions the channel's rows read (the set :func:`run_sweep` derives
 from the hypothesis groups; |f''| at least in the convex one, whose

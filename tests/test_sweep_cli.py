@@ -1562,17 +1562,19 @@ def outcome_bits(outcome) -> tuple:
     return tuple(v.hex() for v in outcome)
 
 
-@pytest.mark.parametrize("text, s_values", [
-    (README_CONFIG, None), (IDENTITY_CONFIG, None), (E_CONFIG, None),
-    (EIGHT_S_CONFIG, None), (README_CONFIG, (1, 0.25, 1, 0.5)),
+@pytest.mark.parametrize("text, s_values, calls", [
+    (README_CONFIG, None, 9), (IDENTITY_CONFIG, None, 36),
+    (E_CONFIG, None, 29), (EIGHT_S_CONFIG, None, 51),
+    (README_CONFIG, (1, 0.25, 1, 0.5), 9),
 ], ids=["readme", "identity", "E", "eight_s", "unsorted_repeated"])
-def test_sandwiches_equal_one_call_per_s(monkeypatch, text, s_values):
+def test_sandwiches_equal_one_call_per_s(monkeypatch, text, s_values, calls):
     # the gate judged from the largest s down, each smaller s inheriting a
     # pass, gives every s the one-s sandwich, value bits and error texts
-    # alike, and calls the certifier at most once per distinct s
+    # alike, and calls the certifier at most once per distinct s, ``calls``
+    # times in all over the config's cells
     config = parse_config_text(text)
     s_values = s_values or config.s_values
-    gated = []
+    gated, total = [], 0
     real = hhbounds.certify_s_convex
     for name, iv in product(config.functions, config.intervals):
         f = get_function(name)
@@ -1586,6 +1588,8 @@ def test_sandwiches_equal_one_call_per_s(monkeypatch, text, s_values):
             got = hhbounds._sandwiches(f.fn, iv, s_values, config.quad_tol)
         assert [outcome_bits(r) for r in got] == want, (name, iv)
         assert len(gated) <= len(set(s_values))
+        total += len(gated)
+    assert total == calls
 
 
 def test_a_gate_pass_is_not_inherited_where_f_is_negative_on_a_node(
@@ -1613,6 +1617,32 @@ def test_a_gate_pass_is_not_inherited_where_f_is_negative_on_a_node(
     monkeypatch.undo()
     assert [outcome_bits(r) for r in got] == [
         outcome_bits(one_sandwich(fv, iv, s, 1e-10)) for s in s_values]
+
+
+def test_every_gate_is_its_own_call_where_the_tables_do_not_rise(
+        monkeypatch):
+    # square passes its gate at every s, but with weight tables reported
+    # not to rise no pass is inherited: each s is judged by its own call,
+    # while the terms that depend on no s are still computed once, one
+    # mean integral for the three sandwiches
+    f, iv = get_function("square"), Interval(0.0, 1.0)
+    s_values, gated, means = (1, 0.5, 0.25), [], []
+    real_certify = hhbounds.certify_s_convex
+    real_integrate, real_tables = hhbounds.integrate, hhbounds._grid_tables
+    monkeypatch.setattr(hhbounds, "_grid_tables",
+                        lambda order: (real_tables(order)[0], False))
+    monkeypatch.setattr(hhbounds, "certify_s_convex",
+                        lambda fn, domain, s: gated.append(s) or real_certify(
+                            fn, domain, s))
+    monkeypatch.setattr(hhbounds, "integrate",
+                        lambda *args, **kw: means.append(args)
+                        or real_integrate(*args, **kw))
+    got = hhbounds._sandwiches(f.fn, iv, s_values, 1e-10)
+    assert gated == [1.0, 0.5, 0.25]
+    assert len(means) == 1
+    monkeypatch.undo()
+    assert [outcome_bits(r) for r in got] == [
+        outcome_bits(s_convex_sandwich(f, iv, s, 1e-10)) for s in s_values]
 
 
 @pytest.mark.parametrize("text, channels, judged, gates, comparisons", [
